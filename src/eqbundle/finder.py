@@ -3,9 +3,10 @@
 The square solve targets F(x) = [f(lambda, x); h(x) - a] = 0 whose
 stacked Jacobian [df/dx; dh/dx] has full column rank n at transversal
 points, so a least-squares Newton step is the exact Newton step there.
-Enumeration multistarts that solve from a low-discrepancy sequence and
-deduplicates by clustering.  Fibers (k = 1 only) are traced by
-predictor-corrector continuation along the kernel of df/dx.
+Enumeration runs that solve from every point of a low-discrepancy
+sequence at once, as lanes of one lockstep kernel, deduplicates by
+clustering and audits only the kept points.  Fibers (k = 1 only) are
+traced by predictor-corrector continuation along the kernel of df/dx.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .errors import (
     InputError,
     UnsupportedDimensionError,
 )
-from .linalg import kernel_basis, numeric_rank, solve_least_squares
+from .linalg import (
+    RankReport,
+    default_rank_tol,
+    kernel_basis,
+    numeric_rank,
+    solve_least_squares,
+)
 from .systems import PointState, SystemSpec, _fd_jacobian
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -86,14 +93,331 @@ class FiberTrace:
 
 def _jac_x(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     if sys.jac_x_fn is not None:
-        return np.asarray(sys.jac_x_fn(lam, x), dtype=float).reshape(sys.n, sys.n)
+        return np.asarray(sys.jac_x_fn(lam, x), dtype=float).reshape(
+            x.shape[:-1] + (sys.n, sys.n)
+        )
     return _fd_jacobian(lambda xx: sys.f(lam, xx), x, sys.n)
 
 
 def _jac_h(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
     if sys.jac_h_fn is not None:
-        return np.asarray(sys.jac_h_fn(x), dtype=float).reshape(sys.k, sys.n)
+        return np.asarray(sys.jac_h_fn(x), dtype=float).reshape(
+            x.shape[:-1] + (sys.k, sys.n)
+        )
     return _fd_jacobian(sys.h, x, sys.k)
+
+
+# Outcome of one Newton lane; NewtonLanes.status holds indices into this.
+LANE_OUTCOMES = (
+    "converged",
+    "start outside domain",
+    "non-finite residual",
+    "singular",
+    "line search stalled",
+    "max iterations",
+    "outside the domain at the end",
+    "evaluation error",
+)
+(
+    CONVERGED,
+    START_OUTSIDE_DOMAIN,
+    NONFINITE_RESIDUAL,
+    SINGULAR,
+    LINE_SEARCH_STALLED,
+    MAX_ITERATIONS,
+    OUTSIDE_DOMAIN_AT_END,
+    EVALUATION_ERROR,
+) = range(len(LANE_OUTCOMES))
+_RUNNING = -1
+
+
+@dataclass(frozen=True)
+class NewtonLanes:
+    """Outcome of newton_lanes; row i of every array belongs to start i."""
+
+    x: np.ndarray               # (B, n) last accepted iterate
+    status: np.ndarray          # (B,) index into LANE_OUTCOMES
+    iteration: np.ndarray       # (B,) Newton iteration at which the lane stopped
+    residual: np.ndarray        # (B, n + k) F at x; NaN where never evaluated
+    max_iter: int
+    details: dict               # lane -> RankReport (singular) or the raised error
+
+    @property
+    def residual_f(self) -> np.ndarray:
+        """||f(lam, x)|| per lane."""
+        return np.linalg.norm(self.residual[:, : self.x.shape[1]], axis=1)
+
+    def counts(self) -> dict:
+        """Number of lanes per outcome, every outcome listed."""
+        tally = np.bincount(self.status, minlength=len(LANE_OUTCOMES))
+        return {name: int(c) for name, c in zip(LANE_OUTCOMES, tally)}
+
+    def error(self, lane: int) -> Optional[EqBundleError]:
+        """The typed error newton_on_level_set raises for this lane, or None."""
+        code = self.status[lane]
+        x = self.x[lane]
+        norm = np.linalg.norm(self.residual[lane])
+        at = self.iteration[lane]
+        if code == CONVERGED:
+            return None
+        if code == START_OUTSIDE_DOMAIN:
+            return InputError(f"x0 {x.tolist()} is not in the domain")
+        if code == NONFINITE_RESIDUAL:
+            return InputError(f"F(x0) is not finite at x0 = {x.tolist()}")
+        if code == SINGULAR:
+            report = self.details[lane]
+            return DegeneracyError(
+                f"singular Newton system at iteration {at}: least squares matrix "
+                f"is column rank deficient (rank {report.rank} < {x.size})",
+                report=report,
+            )
+        if code == LINE_SEARCH_STALLED:
+            return ConvergenceError(
+                f"Newton line search stalled at iteration {at}, ||F|| = {norm:.3e}"
+            )
+        if code == MAX_ITERATIONS:
+            return ConvergenceError(
+                f"Newton did not converge in {self.max_iter} iterations, "
+                f"||F|| = {norm:.3e}"
+            )
+        if code == OUTSIDE_DOMAIN_AT_END:
+            return ConvergenceError(f"Newton converged to {x.tolist()} outside the domain")
+        return self.details[lane]
+
+    def solution(self, lane: int) -> np.ndarray:
+        """x of a converged lane; raises the lane's typed error otherwise."""
+        error = self.error(lane)
+        if error is not None:
+            raise error
+        return self.x[lane].copy()
+
+
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1), the same arithmetic without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
+def _lanewise(fn, x: np.ndarray, out: np.ndarray):
+    """out[i] = fn(x[i]) lane by lane.  A lane whose call raises an
+    EqBundleError keeps its fill value and lands in the error map."""
+    errors = {}
+    for row, y in enumerate(x):
+        try:
+            out[row] = fn(y)
+        except EqBundleError as err:
+            errors[row] = err
+    return out, errors
+
+
+class _LaneCalls:
+    """Residual, stacked Jacobian and domain membership over a (b, n) stack.
+
+    Each returns (values, errors {row: EqBundleError}).  A batched spec
+    answers for the whole stack in one call.  Any other spec is called
+    lane by lane, with the scalar calls and finite-difference Jacobians of
+    a lone solve.
+    """
+
+    def __init__(self, sys: SystemSpec, lam: np.ndarray, a: np.ndarray):
+        self.sys, self.lam, self.a = sys, lam, a
+        self.p = sys.n + sys.k
+        self.batched_jacobian = (
+            sys.batched and sys.jac_x_fn is not None and sys.jac_h_fn is not None
+        )
+
+    def _residual(self, y: np.ndarray) -> np.ndarray:
+        sys, lead = self.sys, y.shape[:-1]
+        return np.concatenate([
+            np.asarray(sys.f(self.lam, y), dtype=float).reshape(lead + (sys.n,)),
+            np.asarray(sys.h(y), dtype=float).reshape(lead + (sys.k,)) - self.a,
+        ], axis=-1)
+
+    def _stacked(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [_jac_x(self.sys, self.lam, y), _jac_h(self.sys, y)], axis=-2
+        )
+
+    def residual(self, x: np.ndarray):
+        if self.sys.batched and len(x):
+            return self._residual(x), {}
+        return _lanewise(self._residual, x, np.full((len(x), self.p), np.nan))
+
+    def jacobian(self, x: np.ndarray):
+        if self.batched_jacobian and len(x):
+            return self._stacked(x), {}
+        return _lanewise(self._stacked, x, np.full((len(x), self.p, self.sys.n), np.nan))
+
+    def in_domain(self, x: np.ndarray, slack: float):
+        domain = self.sys.domain
+        if not self.sys.batched:
+            return _lanewise(
+                lambda y: domain.contains(y, slack), x, np.zeros(len(x), dtype=bool)
+            )
+        inside = np.all(
+            (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
+        )
+        for g in domain.constraints:
+            inside &= g(x) <= slack
+        return inside, {}
+
+
+def newton_lanes(
+    sys: SystemSpec,
+    lam,
+    a,
+    starts,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+    max_iter: int = 50,
+) -> NewtonLanes:
+    """Damped Newton for [f(lam, x); h(x) - a] = 0 from every row of starts.
+
+    The starts advance in lockstep as lanes of one (B, n) array, but each
+    lane follows exactly the rule of a lone solve, so its result does not
+    depend on the batch it ran in.  A lane converges when ||F|| <=
+    newton_tol * (1 + ||x0||) at the top of one of max_iter iterations.
+    Each iteration takes the Newton step V diag(1/s) U^T (-F) from the SVD
+    of the stacked Jacobian [df/dx; dh/dx], whose singular values also
+    decide its column rank.  The line search tries the step scaled by
+    1, 1/2, ..., 2^-24 and takes the first trial that stays in the domain
+    box inflated by 5 % of the diameter, is finite, and lowers ||F|| (or
+    meets the target).  Starts must lie in the domain and converged
+    points must lie in it too.  Every lane ends with one of
+    LANE_OUTCOMES; nothing is raised for a failed lane.
+    """
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    x = np.array(starts, dtype=float)
+    if lam.size != sys.m:
+        raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
+    if a.size != sys.k:
+        raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
+    if x.ndim != 2 or x.shape[1] != sys.n:
+        raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
+    calls = _LaneCalls(sys, lam, a)
+    count = x.shape[0]
+    status = np.full(count, _RUNNING)
+    iteration = np.zeros(count, dtype=int)
+    residual = np.full((count, calls.p), np.nan)
+    norm = np.full(count, np.nan)
+    details: dict = {}
+
+    def stop(lanes, code, at=None):
+        status[lanes] = code
+        if at is not None:
+            iteration[lanes] = at
+
+    def record(lanes, errors, at=None):
+        # called after the other checks of a stage, so the error wins
+        for row, err in errors.items():
+            details[int(lanes[row])] = err
+            stop(lanes[row], EVALUATION_ERROR, at)
+
+    diameter = sys.domain.diameter()
+    target = tols.newton * (1.0 + np.linalg.norm(x, axis=1))
+    lanes = np.arange(count)
+    inside, errors = calls.in_domain(x, 1e-9 * diameter)
+    stop(lanes[~inside], START_OUTSIDE_DOMAIN, 0)
+    record(lanes, errors, 0)
+    lanes = lanes[status == _RUNNING]
+
+    values, errors = calls.residual(x[lanes])
+    residual[lanes] = values
+    stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
+    record(lanes, errors, 0)
+    lanes = lanes[status[lanes] == _RUNNING]
+    norm[lanes] = _row_norm(residual[lanes])
+
+    margin = 0.05 * diameter
+    lo, hi = sys.domain.box[:, 0] - margin, sys.domain.box[:, 1] + margin
+    for it in range(max_iter):
+        done = norm[lanes] <= target[lanes]
+        stop(lanes[done], CONVERGED, it)
+        lanes = lanes[~done]
+        if not lanes.size:
+            break
+
+        jac, errors = calls.jacobian(x[lanes])
+        broken = lanes[~np.isfinite(jac).all(axis=(1, 2))]
+        for lane in broken:
+            details[int(lane)] = InputError("A contains non-finite entries")
+        stop(broken, EVALUATION_ERROR, it)
+        record(lanes, errors, it)
+        keep = status[lanes] == _RUNNING
+        lanes, jac = lanes[keep], jac[keep]
+
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        if tols.rank is not None:
+            cutoff = np.full(lanes.size, float(tols.rank))
+        else:
+            cutoff = default_rank_tol(jac.shape[1:], s[:, 0])
+        # s is descending: rank < n exactly when the last value is cut off
+        singular = s[:, -1] <= cutoff
+        if singular.any():
+            for row in singular.nonzero()[0]:
+                details[int(lanes[row])] = RankReport(
+                    rank=int(np.count_nonzero(s[row] > cutoff[row])),
+                    singular_values=tuple(float(v) for v in s[row]),
+                    tol=float(cutoff[row]),
+                )
+            stop(lanes[singular], SINGULAR, it)
+            regular = ~singular
+            lanes, u, s, vt = lanes[regular], u[regular], s[regular], vt[regular]
+
+        xs, fs, ns, ts = x[lanes], residual[lanes], norm[lanes], target[lanes]
+        coeff = np.matmul(-fs[:, None, :], u)[:, 0, :] / s
+        step = np.matmul(np.swapaxes(vt, 1, 2), coeff[:, :, None])[:, :, 0]
+        pending = np.ones(lanes.size, dtype=bool)
+        alpha = 1.0
+        for _ in range(25):
+            candidate = xs + alpha * step
+            trying = pending & ((candidate >= lo) & (candidate <= hi)).all(axis=1)
+            trial = np.full(fs.shape, np.nan)
+            trial[trying], errors = calls.residual(candidate[trying])
+            if errors:
+                rows = trying.nonzero()[0]
+                record(lanes[rows], errors, it)
+                pending[rows[list(errors)]] = False
+            trial_norm = _row_norm(trial)
+            # a skipped or non-finite trial has a NaN or infinite norm and
+            # fails both comparisons
+            accept = (trial_norm < ns) | (trial_norm <= ts)
+            xs[accept], fs[accept], ns[accept] = (
+                candidate[accept], trial[accept], trial_norm[accept]
+            )
+            pending &= ~accept
+            if not pending.any():
+                break
+            alpha *= 0.5
+        else:
+            stop(lanes[pending], LINE_SEARCH_STALLED, it)
+        x[lanes], residual[lanes], norm[lanes] = xs, fs, ns
+        lanes = lanes[status[lanes] == _RUNNING]
+    stop(lanes, MAX_ITERATIONS, max_iter)
+
+    converged = (status == CONVERGED).nonzero()[0]
+    inside, errors = calls.in_domain(x[converged], tols.domain_slack * (1.0 + diameter))
+    stop(converged[~inside], OUTSIDE_DOMAIN_AT_END)
+    record(converged, errors)
+    return NewtonLanes(
+        x=x, status=status, iteration=iteration, residual=residual,
+        max_iter=max_iter, details=details,
+    )
+
+
+def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
+    """The reported point: level, stacked rank and audit at a converged x."""
+    stacked = np.vstack([_jac_x(sys, lam, x), _jac_h(sys, x)])
+    fd = sys.jac_x_fn is None or sys.jac_h_fn is None
+    rank = numeric_rank(stacked, tols.rank, fd=fd)
+    state = PointState(lam, x)
+    return EquilibriumPoint(
+        state=state,
+        residual_f=float(residual_f),
+        level=np.asarray(sys.h(x), dtype=float).reshape(-1),
+        audit=audit_point(sys, state, tols),
+        stacked_rank=rank.rank,
+        transversal=rank.rank == sys.n,
+    )
 
 
 def newton_on_level_set(
@@ -104,93 +428,29 @@ def newton_on_level_set(
     tols: Tolerances = DEFAULT_TOLERANCES,
     max_iter: int = 50,
 ) -> EquilibriumPoint:
-    """Damped Newton for [f(lam, x); h(x) - a] = 0 from x0.
+    """Damped Newton for [f(lam, x); h(x) - a] = 0 from x0, audited.
 
-    Converged when ||F|| <= newton_tol * (1 + ||x0||).  Iterates may roam
-    a slightly inflated bounding box but the solution itself must lie in
-    the domain.  A stacked Jacobian losing column rank along the way is a
-    singular Newton system; at the solution the rank is recorded as a
-    transversality certificate instead of raised.
+    The one-lane call of newton_lanes, which documents the iteration.  A
+    failed lane raises its typed error: InputError for a start outside
+    the domain or a non-finite F(x0), DegeneracyError for a singular
+    Newton system, ConvergenceError for a stalled line search, too many
+    iterations or a solution outside the domain.  At the solution the
+    column rank of the stacked Jacobian is recorded as a transversality
+    certificate instead of raised.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    a = np.asarray(a, dtype=float).reshape(-1)
     x = np.asarray(x0, dtype=float).reshape(-1)
-    if lam.size != sys.m:
-        raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
-    if a.size != sys.k:
-        raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
     if x.size != sys.n:
         raise InputError(f"x0 has length {x.size}, expected n = {sys.n}")
-    if not sys.domain.contains(x, slack=1e-9 * sys.domain.diameter()):
-        raise InputError(f"x0 {x.tolist()} is not in the domain")
+    lanes = newton_lanes(sys, lam, a, x[None, :], tols, max_iter)
+    return _equilibrium_point(sys, lam, lanes.solution(0), lanes.residual_f[0], tols)
 
+
+def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
+    """The multistart sample: budget scrambled Halton points in the domain box."""
+    sampler = qmc.Halton(d=sys.n, scramble=True, seed=seed)
     box = sys.domain.box
-    margin = 0.05 * sys.domain.diameter()
-    lo, hi = box[:, 0] - margin, box[:, 1] + margin
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            np.asarray(sys.f(lam, y), dtype=float).reshape(-1),
-            np.asarray(sys.h(y), dtype=float).reshape(-1) - a,
-        ])
-
-    scale = 1.0 + float(np.linalg.norm(x))
-    target = tols.newton * scale
-    current = residual(x)
-    if not np.all(np.isfinite(current)):
-        raise InputError(f"F(x0) is not finite at x0 = {x.tolist()}")
-
-    for iteration in range(max_iter):
-        if np.linalg.norm(current) <= target:
-            break
-        stacked = np.vstack([_jac_x(sys, lam, x), _jac_h(sys, x)])
-        try:
-            step = solve_least_squares(stacked, -current, rank_tol=tols.rank)
-        except DegeneracyError as err:
-            raise DegeneracyError(
-                f"singular Newton system at iteration {iteration}: {err}",
-                report=err.report,
-            ) from err
-        alpha = 1.0
-        for _ in range(25):
-            candidate = x + alpha * step
-            if np.all(candidate >= lo) and np.all(candidate <= hi):
-                trial = residual(candidate)
-                if np.all(np.isfinite(trial)) and (
-                    np.linalg.norm(trial) < np.linalg.norm(current)
-                    or np.linalg.norm(trial) <= target
-                ):
-                    x, current = candidate, trial
-                    break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"Newton line search stalled at iteration {iteration}, "
-                f"||F|| = {np.linalg.norm(current):.3e}"
-            )
-    else:
-        raise ConvergenceError(
-            f"Newton did not converge in {max_iter} iterations, "
-            f"||F|| = {np.linalg.norm(current):.3e}"
-        )
-
-    if not sys.domain.contains(x, slack=tols.domain_slack * (1.0 + sys.domain.diameter())):
-        raise ConvergenceError(
-            f"Newton converged to {x.tolist()} outside the domain"
-        )
-
-    stacked = np.vstack([_jac_x(sys, lam, x), _jac_h(sys, x)])
-    fd = sys.jac_x_fn is None or sys.jac_h_fn is None
-    rank = numeric_rank(stacked, tols.rank, fd=fd)
-    state = PointState(lam, x)
-    return EquilibriumPoint(
-        state=state,
-        residual_f=float(np.linalg.norm(np.asarray(sys.f(lam, x), dtype=float))),
-        level=np.asarray(sys.h(x), dtype=float).reshape(-1),
-        audit=audit_point(sys, state, tols),
-        stacked_rank=rank.rank,
-        transversal=rank.rank == sys.n,
-    )
+    return qmc.scale(sampler.random(budget), box[:, 0], box[:, 1])
 
 
 def enumerate_level_points(
@@ -201,10 +461,12 @@ def enumerate_level_points(
     seed: int = 0,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> list:
-    """Multistart newton_on_level_set from a scrambled Halton sequence.
+    """Multistart Newton from a scrambled Halton sequence.
 
-    Deduplicates converged points by clustering with radius
-    cluster_tol * domain diameter and returns them sorted
+    All budget starts run as lanes of one newton_lanes call.  Converged
+    points are deduplicated by clustering with radius cluster_tol *
+    domain diameter, keeping the best-converged representative, and only
+    the kept points are audited.  They are returned sorted
     lexicographically by coordinates.  An empty result is a valid
     answer: either the level set carries no equilibria for this lambda
     or the budget missed every basin.
@@ -212,34 +474,26 @@ def enumerate_level_points(
     if budget <= 0:
         raise InputError(f"budget must be positive, got {budget}")
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    a = np.asarray(a, dtype=float).reshape(-1)
-
-    sampler = qmc.Halton(d=sys.n, scramble=True, seed=seed)
-    box = sys.domain.box
-    starts = qmc.scale(sampler.random(budget), box[:, 0], box[:, 1])
-
-    found = []
-    for x0 in starts:
-        try:
-            found.append(newton_on_level_set(sys, lam, a, x0, tols))
-        except EqBundleError:
-            continue
-
+    lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
+    residual_f = lanes.residual_f
     radius = tols.cluster * sys.domain.diameter()
     # keep the best-converged representative of each cluster
     by_quality = sorted(
-        range(len(found)),
-        key=lambda i: (found[i].residual_f, tuple(found[i].state.x)),
+        np.flatnonzero(lanes.status == CONVERGED),
+        key=lambda i: (residual_f[i], tuple(lanes.x[i])),
     )
     kept: list = []
     for i in by_quality:
-        x = found[i].state.x
-        if all(np.linalg.norm(x - other.state.x) > radius for other in kept):
-            kept.append(found[i])
+        if all(np.linalg.norm(lanes.x[i] - lanes.x[j]) > radius for j in kept):
+            kept.append(i)
+    points = [
+        _equilibrium_point(sys, lam, lanes.x[i].copy(), residual_f[i], tols)
+        for i in kept
+    ]
     # lexicographic output order; rounding first makes the order stable
     # when distinct solutions share coordinates up to solver noise
-    kept.sort(key=lambda e: (tuple(np.round(e.state.x, 9)), tuple(e.state.x)))
-    return kept
+    points.sort(key=lambda e: (tuple(np.round(e.state.x, 9)), tuple(e.state.x)))
+    return points
 
 
 def _corrector(sys, lam, x_pred, tangent, tols, max_iter=8):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import EqBundleError, InputError, ResolutionError, TrackingError
-from .finder import newton_on_level_set
+from .finder import newton_lanes
 from .linalg import eigen_dense
 from .systems import PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -402,8 +402,8 @@ def eigen_along_fiber_loop(
     def refine(left, right):
         x_guess = 0.5 * (left[0] + right[0])
         a_mid = 0.5 * (left[1] + right[1])
-        eq = newton_on_level_set(sys, lam, a_mid, x_guess, tols=tols)
-        ev = evaluate(sys, eq.state, check_domain=False)
+        x_mid = newton_lanes(sys, lam, a_mid, x_guess[None, :], tols).solution(0)
+        ev = evaluate(sys, PointState(lam, x_mid), check_domain=False)
         return (ev.point.x, ev.h_value), ev.jac_x
 
     return track_matrix_loop(

@@ -140,6 +140,10 @@ class SystemSpec:
     jac_h_fn: Optional[Callable] = None
     hess_h_fn: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
+    # f, h, the derivative callables and the domain constraints all accept
+    # a stack x of shape (..., n) and map over its leading axes; set only
+    # by the builtin constructors
+    batched: bool = False
 
     def __post_init__(self):
         pb = np.asarray(self.parameter_box, dtype=float)
@@ -282,11 +286,6 @@ def evaluate(
     )
 
 
-def stacked_jacobian(ev: Evaluation) -> np.ndarray:
-    """Full Jacobian [df/dlam | df/dx] of f as a map on (lam, x)."""
-    return np.hstack([ev.jac_lambda, ev.jac_x])
-
-
 @dataclass(frozen=True)
 class FirstIntegralViolation:
     max_residual: float
@@ -341,26 +340,35 @@ def check_first_integral_identity(sys: SystemSpec, samples: int = 200, seed: int
 
 def _builtin_planar() -> SystemSpec:
     def f(lam, x):
-        return np.array([-x[0] + lam[0] * (x[1] ** 2 - 1.0), 0.0])
+        out = np.zeros(x.shape)
+        out[..., 0] = -x[..., 0] + lam[0] * (x[..., 1] ** 2 - 1.0)
+        return out
 
     def jac_x(lam, x):
-        return np.array([[-1.0, 2.0 * lam[0] * x[1]], [0.0, 0.0]])
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -1.0
+        J[..., 0, 1] = 2.0 * lam[0] * x[..., 1]
+        return J
 
     def jac_lambda(lam, x):
-        return np.array([[x[1] ** 2 - 1.0], [0.0]])
+        J = np.zeros(x.shape[:-1] + (2, 1))
+        J[..., 0, 0] = x[..., 1] ** 2 - 1.0
+        return J
 
     def h(x):
-        return np.array([x[1]])
+        return x[..., [1]]
 
     def jac_h(x):
-        return np.array([[0.0, 1.0]])
+        J = np.zeros(x.shape[:-1] + (1, 2))
+        J[..., 0, 1] = 1.0
+        return J
 
     def hess_h(x):
-        return np.zeros((1, 2, 2))
+        return np.zeros(x.shape[:-1] + (1, 2, 2))
 
     domain = Domain(
         box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-        constraints=(lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,),
+        constraints=(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0,),
         constraint_names=("unit_disk",),
     )
     return SystemSpec(
@@ -368,53 +376,65 @@ def _builtin_planar() -> SystemSpec:
         f=f, h=h, domain=domain,
         parameter_box=np.array([[0.0, 1.0]]),
         jac_x_fn=jac_x, jac_lambda_fn=jac_lambda, jac_h_fn=jac_h, hess_h_fn=hess_h,
+        batched=True,
     )
 
 
 def _builtin_example2() -> SystemSpec:
     def f(lam, x):
-        w = x[2] - x[0]
-        return np.array([-lam[0] * x[1] * w, lam[0] * x[0] * w, 0.0])
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        w = x2 - x0
+        out = np.zeros(x.shape)
+        out[..., 0] = -lam[0] * x1 * w
+        out[..., 1] = lam[0] * x0 * w
+        return out
 
     def jac_x(lam, x):
         a = lam[0]
-        return np.array([
-            [a * x[1], -a * (x[2] - x[0]), -a * x[1]],
-            [a * x[2] - 2.0 * a * x[0], 0.0, a * x[0]],
-            [0.0, 0.0, 0.0],
-        ])
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., 0, 0] = a * x1
+        J[..., 0, 1] = -a * (x2 - x0)
+        J[..., 0, 2] = -a * x1
+        J[..., 1, 0] = a * x2 - 2.0 * a * x0
+        J[..., 1, 2] = a * x0
+        return J
 
     def jac_lambda(lam, x):
-        w = x[2] - x[0]
-        return np.array([[-x[1] * w], [x[0] * w], [0.0]])
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        w = x2 - x0
+        J = np.zeros(x.shape[:-1] + (3, 1))
+        J[..., 0, 0] = -x1 * w
+        J[..., 1, 0] = x0 * w
+        return J
 
     def h(x):
-        return np.array([
-            x[0] ** 2 + x[1] ** 2 + x[2] ** 2,
-            4.0 * x[0] ** 2 + 4.0 * x[1] ** 2 + x[2] ** 2 / 4.0,
-        ])
+        sq = x * x
+        out = np.empty(x.shape[:-1] + (2,))
+        out[..., 0] = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        out[..., 1] = 4.0 * sq[..., 0] + 4.0 * sq[..., 1] + sq[..., 2] / 4.0
+        return out
 
     def jac_h(x):
-        return np.array([
-            [2.0 * x[0], 2.0 * x[1], 2.0 * x[2]],
-            [8.0 * x[0], 8.0 * x[1], x[2] / 2.0],
-        ])
+        J = np.empty(x.shape[:-1] + (2, 3))
+        J[..., 0, :] = 2.0 * x
+        J[..., 1, :2] = 8.0 * x[..., :2]
+        J[..., 1, 2] = x[..., 2] / 2.0
+        return J
+
+    hessians = np.array([np.diag([2.0, 2.0, 2.0]), np.diag([8.0, 8.0, 0.5])])
 
     def hess_h(x):
-        return np.array([
-            np.diag([2.0, 2.0, 2.0]),
-            np.diag([8.0, 8.0, 0.5]),
-        ])
+        return np.broadcast_to(hessians, x.shape[:-1] + hessians.shape).copy()
 
     r = float(np.sqrt(3.0))
-    hv = lambda x: h(x)
     domain = Domain(
         box=np.array([[-r, r], [-r, r], [-r, r]]),
         constraints=(
-            lambda x: 1.0 - hv(x)[0],
-            lambda x: hv(x)[0] - 3.0,
-            lambda x: 5.0 - hv(x)[1],
-            lambda x: hv(x)[1] - 15.0,
+            lambda x: 1.0 - h(x)[..., 0],
+            lambda x: h(x)[..., 0] - 3.0,
+            lambda x: 5.0 - h(x)[..., 1],
+            lambda x: h(x)[..., 1] - 15.0,
         ),
         constraint_names=("h1_low", "h1_high", "h2_low", "h2_high"),
     )
@@ -423,47 +443,47 @@ def _builtin_example2() -> SystemSpec:
         f=f, h=h, domain=domain,
         parameter_box=np.array([[0.25, 4.0]]),
         jac_x_fn=jac_x, jac_lambda_fn=jac_lambda, jac_h_fn=jac_h, hess_h_fn=hess_h,
+        batched=True,
     )
 
 
 def _builtin_rfmr(n: int) -> SystemSpec:
     if n < 3:
         raise InputError(f"rfmr needs n >= 3 sites, got n = {n}")
+    idx = np.arange(n)
 
     def f(lam, x):
-        xm = np.roll(x, 1)      # x_{i-1}
-        xp = np.roll(x, -1)     # x_{i+1}
-        lm = np.roll(lam, 1)    # lam_{i-1}
+        xm = np.roll(x, 1, axis=-1)     # x_{i-1}
+        xp = np.roll(x, -1, axis=-1)    # x_{i+1}
+        lm = np.roll(lam, 1)            # lam_{i-1}
         return lm * xm * (1.0 - x) - lam * x * (1.0 - xp)
 
     def jac_x(lam, x):
-        xm = np.roll(x, 1)
-        xp = np.roll(x, -1)
+        xm = np.roll(x, 1, axis=-1)
+        xp = np.roll(x, -1, axis=-1)
         lm = np.roll(lam, 1)
-        J = np.zeros((n, n))
-        idx = np.arange(n)
-        J[idx, (idx - 1) % n] = lm * (1.0 - x)
-        J[idx, idx] = -lm * xm - lam * (1.0 - xp)
-        J[idx, (idx + 1) % n] = lam * x
+        J = np.zeros(x.shape + (n,))
+        J[..., idx, (idx - 1) % n] = lm * (1.0 - x)
+        J[..., idx, idx] = -lm * xm - lam * (1.0 - xp)
+        J[..., idx, (idx + 1) % n] = lam * x
         return J
 
     def jac_lambda(lam, x):
-        xm = np.roll(x, 1)
-        xp = np.roll(x, -1)
-        J = np.zeros((n, n))
-        idx = np.arange(n)
-        J[idx, (idx - 1) % n] = xm * (1.0 - x)
-        J[idx, idx] += -x * (1.0 - xp)
+        xm = np.roll(x, 1, axis=-1)
+        xp = np.roll(x, -1, axis=-1)
+        J = np.zeros(x.shape + (n,))
+        J[..., idx, (idx - 1) % n] = xm * (1.0 - x)
+        J[..., idx, idx] += -x * (1.0 - xp)
         return J
 
     def h(x):
-        return np.array([float(np.sum(x))])
+        return np.sum(x, axis=-1, keepdims=True)
 
     def jac_h(x):
-        return np.ones((1, n))
+        return np.ones(x.shape[:-1] + (1, n))
 
     def hess_h(x):
-        return np.zeros((1, n, n))
+        return np.zeros(x.shape[:-1] + (1, n, n))
 
     domain = Domain(box=np.column_stack([np.zeros(n), np.ones(n)]))
     return SystemSpec(
@@ -472,6 +492,7 @@ def _builtin_rfmr(n: int) -> SystemSpec:
         parameter_box=np.column_stack([np.full(n, 0.25), np.full(n, 4.0)]),
         jac_x_fn=jac_x, jac_lambda_fn=jac_lambda, jac_h_fn=jac_h, hess_h_fn=hess_h,
         metadata={"sites": n},
+        batched=True,
     )
 
 

@@ -1,0 +1,171 @@
+"""The lockstep level-set Newton kernel: lane outcomes, lane independence,
+and the work enumerate_level_points does per kept point."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eqbundle import builtin, finder
+from eqbundle.errors import ConvergenceError, EvaluationError, InputError
+from eqbundle.finder import (
+    CONVERGED,
+    EVALUATION_ERROR,
+    LANE_OUTCOMES,
+    enumerate_level_points,
+    level_starts,
+    newton_lanes,
+    newton_on_level_set,
+)
+from eqbundle.systems import Domain, SystemSpec
+
+
+def assert_lane_alone_matches(sys, lam, level, starts, lanes):
+    """Every lane of a batched run equals the same start run alone."""
+    for i in range(len(starts)):
+        alone = newton_lanes(sys, lam, level, starts[i:i + 1])
+        assert alone.x[0].tobytes() == lanes.x[i].tobytes()
+        assert alone.status[0] == lanes.status[i]
+        assert alone.iteration[0] == lanes.iteration[i]
+
+
+def test_empty_level_outcome_counts(example2):
+    # h2 > 4 h1: no point of the equilibrium plane x1 = x3 lies on the level
+    level = [2.0, 10.0]
+    lanes = newton_lanes(example2, [1.0], level, level_starts(example2, 200, 0))
+    assert lanes.counts() == {
+        "converged": 0,
+        "start outside domain": 152,
+        "non-finite residual": 0,
+        "singular": 0,
+        "line search stalled": 1,
+        "max iterations": 47,
+        "outside the domain at the end": 0,
+        "evaluation error": 0,
+    }
+    assert list(lanes.counts()) == list(LANE_OUTCOMES)
+    assert enumerate_level_points(example2, [1.0], level, budget=200, seed=0) == []
+
+    # the one-lane call raises the typed error of each outcome
+    starts = level_starts(example2, 200, 0)
+    for outcome, kind, text in (
+        ("start outside domain", InputError, "is not in the domain"),
+        ("line search stalled", ConvergenceError, "line search stalled at iteration 42"),
+        ("max iterations", ConvergenceError, "did not converge in 50 iterations"),
+    ):
+        lane = int(np.flatnonzero(lanes.status == LANE_OUTCOMES.index(outcome))[0])
+        assert isinstance(lanes.error(lane), kind)
+        with pytest.raises(kind, match=text) as err:
+            newton_on_level_set(example2, [1.0], level, starts[lane])
+        assert str(err.value) == str(lanes.error(lane))
+
+
+def _draw_problem(data, name):
+    sys = builtin("rfmr", n=int(name[4:])) if name.startswith("rfmr") else builtin(name)
+    box = sys.parameter_box
+    lam = [data.draw(st.floats(lo, hi)) for lo, hi in box]
+    if name == "planar":
+        level = [data.draw(st.floats(-1.2, 1.2))]
+    elif name == "example2":
+        level = [data.draw(st.floats(1.0, 3.0)), data.draw(st.floats(5.0, 15.0))]
+    else:
+        level = [data.draw(st.floats(0.0, float(sys.n)))]
+    return sys, lam, level
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    name=st.sampled_from(["planar", "example2", "rfmr3", "rfmr4", "rfmr5", "rfmr6"]),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 24),
+    data=st.data(),
+)
+def test_lane_is_independent_of_its_batch(name, seed, budget, data):
+    sys, lam, level = _draw_problem(data, name)
+    starts = level_starts(sys, budget, seed)
+    lanes = newton_lanes(sys, lam, level, starts)
+    assert_lane_alone_matches(sys, lam, level, starts, lanes)
+
+
+def banded_system():
+    """A plain-callable spec (no batch support, no Jacobians) whose f
+    raises inside the band 0 < x1 < 0.45.  Its equilibria on the level
+    x2 = a sit at x1 = lam (a^2 - 1) <= 0, so lanes starting right of the
+    band fail at once or when a Newton step lands in it."""
+
+    def f(lam, x):
+        if 0.0 < x[0] < 0.45:
+            raise EvaluationError("f is undefined in the band", where=x.tolist())
+        d = x[0] - lam[0] * (x[1] ** 2 - 1.0)
+        return np.array([-d ** 3 - d, 0.0])
+
+    return SystemSpec(
+        name="banded", n=2, m=1, k=1,
+        f=f, h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.25, 4.0]]),
+    )
+
+
+def test_loop_adapter_fails_only_the_raising_lanes():
+    sys = banded_system()
+    lam, level = [0.5], [0.5]
+    starts = level_starts(sys, 40, 3)
+    lanes = newton_lanes(sys, lam, level, starts)
+    assert_lane_alone_matches(sys, lam, level, starts, lanes)
+
+    failed = np.flatnonzero(lanes.status == EVALUATION_ERROR)
+    converged = np.flatnonzero(lanes.status == CONVERGED)
+    assert failed.size and converged.size
+    in_band = (starts[:, 0] > 0.0) & (starts[:, 0] < 0.45)
+    # some lanes fail at the start, others only after a Newton step
+    assert set(np.flatnonzero(in_band)) < set(failed)
+    assert np.all(lanes.iteration[in_band] == 0)
+    for lane in failed:
+        assert isinstance(lanes.error(lane), EvaluationError)
+        with pytest.raises(EvaluationError, match="undefined in the band"):
+            newton_on_level_set(sys, lam, level, starts[lane])
+    np.testing.assert_allclose(
+        lanes.x[converged], np.tile([0.5 * (0.25 - 1.0), 0.5], (converged.size, 1)),
+        atol=1e-9,
+    )
+
+
+def test_audit_and_stacked_rank_once_per_kept_point(monkeypatch, rfmr3, example2):
+    calls = {"audit_point": 0, "numeric_rank": 0}
+
+    def counting(name):
+        real = getattr(finder, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(finder, name, counted)
+
+    counting("audit_point")
+    counting("numeric_rank")
+    points = enumerate_level_points(rfmr3, [1.0, 1.0, 1.0], [1.5], budget=200, seed=0)
+    assert len(points) == 1
+    assert calls == {"audit_point": 1, "numeric_rank": 1}
+
+    calls.update(audit_point=0, numeric_rank=0)
+    points = enumerate_level_points(example2, [1.0], [2.0, 6.0], budget=200, seed=0)
+    assert len(points) == 4
+    assert calls == {"audit_point": 4, "numeric_rank": 4}
+
+
+def test_enumerate_rejects_wrong_lengths(planar):
+    # a wrong length is an input error, not a level without equilibria
+    with pytest.raises(InputError, match="lambda has length 2"):
+        enumerate_level_points(planar, [0.5, 0.5], [0.0], budget=20)
+    with pytest.raises(InputError, match="level a has length 2"):
+        enumerate_level_points(planar, [0.5], [0.0, 0.0], budget=20)
+    with pytest.raises(InputError, match=r"starts must have shape \(B, 2\)"):
+        newton_lanes(planar, [0.5], [0.0], [0.0, 0.0])
