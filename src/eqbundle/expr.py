@@ -297,6 +297,140 @@ def eval_ast(ast: ExprAst, lam, x) -> float:
     return _eval_node(ast.root, lam, x)
 
 
+# Compiled evaluation over stacks.  + - * /, negation, sqrt and abs are
+# numpy ufuncs, which round exactly as the scalar operations do.  sin, cos,
+# exp, log and ^ go through math.* element by element, because numpy's
+# vectorized exp, log and power may differ from libm in the last bit, and
+# np.power(x, 2.0) is x*x where math.pow is libm's pow.
+
+
+def _libm(fn):
+    """fn from math over an array; NaN where fn raises."""
+
+    def lone(*args):
+        try:
+            return fn(*args)
+        except (OverflowError, ValueError):
+            return math.nan
+
+    def apply(*args):
+        columns = [a.tolist() for a in args]
+        try:
+            return np.fromiter(map(fn, *columns), float, len(columns[0]))
+        except (OverflowError, ValueError):
+            return np.fromiter(map(lone, *columns), float, len(columns[0]))
+
+    return apply
+
+
+_LIBM_POW = _libm(math.pow)
+
+
+def _pow(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^b per row through math.pow; NaN where _eval_node raises."""
+    # _eval_node's checks: a negative base with a b that is not an integer
+    # (its floor(b) raises for a non-finite b), and zero to a negative power
+    bad = ((a < 0.0) & ~(np.isfinite(b) & (np.floor(b) == b))) | (
+        (a == 0.0) & (b < 0.0)
+    )
+    if not bad.any():
+        return _LIBM_POW(a, b)
+    value = _LIBM_POW(np.where(bad, 1.0, a), b)
+    value[bad] = np.nan
+    return value
+
+
+_COMPILED_BINARY = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": _pow,
+}
+_COMPILED_CALLS = {
+    "sin": _libm(math.sin),
+    "cos": _libm(math.cos),
+    "exp": _libm(math.exp),
+    "log": _libm(math.log),
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+def _compile_node(node):
+    """A closure (lam (B, m), x (B, n), ok (B,)) -> the node's value per row.
+
+    It clears ok[i] wherever _eval_node raises at row i.  Every operation
+    that _eval_node checks raises there exactly when its value here is not
+    finite (a zero divisor gives inf or NaN; the libm calls give NaN where
+    they raise), and a row stays cleared even when a later operation
+    turns its value finite again, as 1/(1/0) does.
+    """
+    if isinstance(node, Const):
+        value = node.value
+        return lambda lam, x, ok: np.full(len(x), value)
+    if isinstance(node, Var):
+        index = node.index
+        if node.kind == "x":
+            return lambda lam, x, ok: x[:, index]
+        return lambda lam, x, ok: lam[:, index]
+    if isinstance(node, Unary):
+        child = _compile_node(node.child)
+        return lambda lam, x, ok: -child(lam, x, ok)
+    if isinstance(node, Binary):
+        op = _COMPILED_BINARY[node.op]
+        left, right = _compile_node(node.left), _compile_node(node.right)
+
+        def binary(lam, x, ok):
+            value = op(left(lam, x, ok), right(lam, x, ok))
+            ok &= np.isfinite(value)
+            return value
+
+        return binary
+    if isinstance(node, Call):
+        fn = _COMPILED_CALLS[node.fn]
+        arg = _compile_node(node.args[0])
+
+        def call(lam, x, ok):
+            value = fn(arg(lam, x, ok))
+            ok &= np.isfinite(value)
+            return value
+
+        return call
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def compile_asts(asts: list, n: int, m: int):
+    """Compile expressions over the same x1..xn, l1..lm into one function.
+
+    The result maps (lam, x) to the stacked values (..., len(asts)).  A
+    1-D x is one point, evaluated by the tree-walker, which raises the
+    ExprDomainError of the first failing expression.  A stack x of shape
+    (..., n), with lam of shape (m,) or a stack that broadcasts against
+    it, is evaluated by the compiled closures, and a row at which the
+    tree-walker would raise comes back NaN.
+    """
+    roots = [ast.root for ast in asts]
+    nodes = [_compile_node(root) for root in roots]
+
+    def evaluate(lam, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array([_eval_node(root, lam, x) for root in roots])
+        lead = x.shape[:-1]
+        x = x.reshape(-1, n)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), lead + (m,)).reshape(-1, m)
+        ok = np.ones(len(x), dtype=bool)
+        with np.errstate(all="ignore"):
+            out = np.empty((len(x), len(nodes)))
+            for column, node in enumerate(nodes):
+                out[:, column] = node(lam, x, ok)
+        out[~ok] = np.nan
+        return out.reshape(lead + (len(nodes),))
+
+    return evaluate
+
+
 def to_source(node) -> str:
     """Canonical fully parenthesized form; reparsing gives an equal AST."""
     if isinstance(node, ExprAst):
@@ -326,7 +460,9 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
     identity_tolerance, otherwise construction fails naming the worst
-    sample.  Derivatives of DSL systems come from finite differences.
+    sample.  f and h are compiled once and evaluate stacks of points in
+    one call (compile_asts); derivatives of DSL systems come from finite
+    differences.
     """
     if not isinstance(decl, dict):
         raise InputError("system declaration must be a mapping")
@@ -351,13 +487,12 @@ def build_system_from_config(decl: dict) -> SystemSpec:
 
     f_asts = [parse(src, n, m) for src in f_sources]
     h_asts = [parse(src, n, m) for src in h_sources]
-
-    def f(lam, x):
-        return np.array([_eval_node(ast.root, lam, x) for ast in f_asts])
+    f = compile_asts(f_asts, n, m)
+    h_of = compile_asts(h_asts, n, m)
+    no_lambda = np.zeros(m)
 
     def h(x):
-        lam_dummy = np.zeros(m)
-        return np.array([_eval_node(ast.root, lam_dummy, x) for ast in h_asts])
+        return h_of(no_lambda, x)
 
     for ast in h_asts:
         if _uses_parameter(ast.root):
@@ -375,6 +510,7 @@ def build_system_from_config(decl: dict) -> SystemSpec:
         n=n, m=m, k=k, f=f, h=h,
         domain=domain, parameter_box=parameter_box,
         metadata={"f": f_sources, "h": h_sources},
+        batched=True,
     )
 
     tolerance = float(decl.get("identity_tolerance", 1e-8))

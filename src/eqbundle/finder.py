@@ -33,7 +33,7 @@ from .linalg import (
     numeric_rank,
     solve_least_squares,
 )
-from .systems import PointState, SystemSpec, _fd_jacobian
+from .systems import PointState, SystemSpec
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -89,22 +89,6 @@ class FiberTrace:
             ),
             "max_f_residual": self.max_f_residual,
         }
-
-
-def _jac_x(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if sys.jac_x_fn is not None:
-        return np.asarray(sys.jac_x_fn(lam, x), dtype=float).reshape(
-            x.shape[:-1] + (sys.n, sys.n)
-        )
-    return _fd_jacobian(lambda xx: sys.f(lam, xx), x, sys.n)
-
-
-def _jac_h(sys: SystemSpec, x: np.ndarray) -> np.ndarray:
-    if sys.jac_h_fn is not None:
-        return np.asarray(sys.jac_h_fn(x), dtype=float).reshape(
-            x.shape[:-1] + (sys.k, sys.n)
-        )
-    return _fd_jacobian(sys.h, x, sys.k)
 
 
 # Outcome of one Newton lane; NewtonLanes.status holds indices into this.
@@ -212,40 +196,28 @@ def _lanewise(fn, x: np.ndarray, out: np.ndarray):
 class _LaneCalls:
     """Residual, stacked Jacobian and domain membership over a (b, n) stack.
 
-    Each returns (values, errors {row: EqBundleError}).  A batched spec
-    answers for the whole stack in one call.  Any other spec is called
-    lane by lane, with the scalar calls and finite-difference Jacobians of
-    a lone solve.
+    Each returns (values, errors {row: EqBundleError}), with the rows of
+    failed lanes NaN.  Values and derivatives come from the spec's stacked
+    accessors: one call for the whole stack on a batched spec, whose
+    non-finite rows are then re-run alone, and lane by lane otherwise, so
+    a lane fails with the error of a lone solve either way.
     """
 
     def __init__(self, sys: SystemSpec, lam: np.ndarray, a: np.ndarray):
         self.sys, self.lam, self.a = sys, lam, a
         self.p = sys.n + sys.k
-        self.batched_jacobian = (
-            sys.batched and sys.jac_x_fn is not None and sys.jac_h_fn is not None
-        )
-
-    def _residual(self, y: np.ndarray) -> np.ndarray:
-        sys, lead = self.sys, y.shape[:-1]
-        return np.concatenate([
-            np.asarray(sys.f(self.lam, y), dtype=float).reshape(lead + (sys.n,)),
-            np.asarray(sys.h(y), dtype=float).reshape(lead + (sys.k,)) - self.a,
-        ], axis=-1)
-
-    def _stacked(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [_jac_x(self.sys, self.lam, y), _jac_h(self.sys, y)], axis=-2
-        )
 
     def residual(self, x: np.ndarray):
-        if self.sys.batched and len(x):
-            return self._residual(x), {}
-        return _lanewise(self._residual, x, np.full((len(x), self.p), np.nan))
+        errors: dict = {}
+        f = self.sys.f_rows(self.lam, x, errors)
+        h = self.sys.h_rows(x, errors)
+        return np.concatenate([f, h - self.a], axis=1), errors
 
     def jacobian(self, x: np.ndarray):
-        if self.batched_jacobian and len(x):
-            return self._stacked(x), {}
-        return _lanewise(self._stacked, x, np.full((len(x), self.p, self.sys.n), np.nan))
+        errors: dict = {}
+        jac_x = self.sys.jac_x(self.lam, x, errors)
+        jac_h = self.sys.jac_h(x, errors)
+        return np.concatenate([jac_x, jac_h], axis=1), errors
 
     def in_domain(self, x: np.ndarray, slack: float):
         domain = self.sys.domain
@@ -406,7 +378,7 @@ def newton_lanes(
 
 def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
     """The reported point: level, stacked rank and audit at a converged x."""
-    stacked = np.vstack([_jac_x(sys, lam, x), _jac_h(sys, x)])
+    stacked = np.vstack([sys.jac_x(lam, x), sys.jac_h(x)])
     fd = sys.jac_x_fn is None or sys.jac_h_fn is None
     rank = numeric_rank(stacked, tols.rank, fd=fd)
     state = PointState(lam, x)
@@ -508,7 +480,7 @@ def _corrector(sys, lam, x_pred, tangent, tols, max_iter=8):
             raise ConvergenceError("corrector residual is not finite")
         if np.linalg.norm(resid) <= target:
             return y, iteration
-        jac = np.vstack([_jac_x(sys, lam, y), tangent[None, :]])
+        jac = np.vstack([sys.jac_x(lam, y), tangent[None, :]])
         step = solve_least_squares(jac, -resid, rank_tol=tols.rank)
         y = y + step
     fv = np.asarray(sys.f(lam, y), dtype=float).reshape(-1)
@@ -521,7 +493,7 @@ def _corrector(sys, lam, x_pred, tangent, tols, max_iter=8):
 
 
 def _fiber_tangent(sys, lam, x, tols, location_note: str):
-    kernel = kernel_basis(_jac_x(sys, lam, x), tols.rank, fd=sys.jac_x_fn is None)
+    kernel = kernel_basis(sys.jac_x(lam, x), tols.rank, fd=sys.jac_x_fn is None)
     if kernel.shape[1] != 1:
         raise BranchPointError(
             f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 "

@@ -69,6 +69,22 @@ def fd_rank_tol(shape, sigma_max: float) -> float:
     return max(default_rank_tol(shape, sigma_max), FD_NOISE_FLOOR * max(1.0, sigma_max))
 
 
+def _svd_cutoff(shape, sigma_max: float, tol_override, fd: bool) -> float:
+    if tol_override is not None:
+        return float(tol_override)
+    if fd:
+        return fd_rank_tol(shape, sigma_max)
+    return default_rank_tol(shape, sigma_max)
+
+
+def _rank_report(shape, s: np.ndarray, tol_override, fd: bool) -> RankReport:
+    """The rank decision on the singular values s of a matrix of this shape."""
+    sigma_max = float(s[0]) if s.size else 0.0
+    tol = _svd_cutoff(shape, sigma_max, tol_override, fd)
+    rank = int(np.count_nonzero(s > tol))
+    return RankReport(rank=rank, singular_values=tuple(float(v) for v in s), tol=tol)
+
+
 def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> RankReport:
     """Rank of a dense matrix by SVD.
 
@@ -89,25 +105,17 @@ def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> Rank
     RankReport
     """
     A = _as_matrix(M)
-    s = np.linalg.svd(A, compute_uv=False)
-    sigma_max = float(s[0]) if s.size else 0.0
-    if tol_override is not None:
-        tol = float(tol_override)
-    elif fd:
-        tol = fd_rank_tol(A.shape, sigma_max)
-    else:
-        tol = default_rank_tol(A.shape, sigma_max)
-    rank = int(np.count_nonzero(s > tol))
-    return RankReport(rank=rank, singular_values=tuple(float(v) for v in s), tol=tol)
+    return _rank_report(A.shape, np.linalg.svd(A, compute_uv=False), tol_override, fd)
 
 
 def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     """Minimize |A x - b| for a full-column-rank A.
 
-    Uses the SVD-backed solver (orthogonal factorization); the normal
-    equations are never formed.  Raises DegeneracyError carrying the
-    RankReport when A is column rank deficient, since the minimizer is
-    then not unique.
+    One thin SVD A = U diag(s) V^T decides the column rank, with the
+    cutoff of numeric_rank, and gives the solution V diag(1/s) U^T b; the
+    normal equations are never formed.  Raises DegeneracyError carrying
+    the RankReport when A is column rank deficient, since the minimizer
+    is then not unique.
     """
     A = _as_matrix(A, "A")
     b = np.asarray(b, dtype=float)
@@ -115,14 +123,15 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
         raise InputError("b contains non-finite entries")
     if b.shape[0] != A.shape[0]:
         raise InputError(f"incompatible shapes: A is {A.shape}, b has length {b.shape[0]}")
-    report = numeric_rank(A, rank_tol)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    report = _rank_report(A.shape, s, rank_tol, False)
     if report.rank < A.shape[1]:
         raise DegeneracyError(
             f"least squares matrix is column rank deficient (rank {report.rank} < {A.shape[1]})",
             report=report,
         )
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    return x
+    coeff = (u.T @ b) / s.reshape((-1,) + (1,) * (b.ndim - 1))
+    return vt.T @ coeff
 
 
 def eigen_dense(M) -> np.ndarray:
@@ -139,21 +148,11 @@ def eigen_dense(M) -> np.ndarray:
     return vals[order]
 
 
-def _svd_cutoff(shape, sigma_max: float, tol_override, fd: bool) -> float:
-    if tol_override is not None:
-        return float(tol_override)
-    if fd:
-        return fd_rank_tol(shape, sigma_max)
-    return default_rank_tol(shape, sigma_max)
-
-
 def kernel_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
     """Orthonormal basis of ker(M) as columns, from right singular vectors."""
     A = _as_matrix(M)
     _, s, vt = np.linalg.svd(A)
-    sigma_max = float(s[0]) if s.size else 0.0
-    tol = _svd_cutoff(A.shape, sigma_max, tol_override, fd)
-    rank = int(np.count_nonzero(s > tol))
+    rank = _rank_report(A.shape, s, tol_override, fd).rank
     return vt[rank:].T.copy()
 
 
@@ -161,7 +160,5 @@ def image_basis(M, tol_override: float | None = None, fd: bool = False) -> np.nd
     """Orthonormal basis of im(M) as columns, from left singular vectors."""
     A = _as_matrix(M)
     u, s, _ = np.linalg.svd(A)
-    sigma_max = float(s[0]) if s.size else 0.0
-    tol = _svd_cutoff(A.shape, sigma_max, tol_override, fd)
-    rank = int(np.count_nonzero(s > tol))
+    rank = _rank_report(A.shape, s, tol_override, fd).rank
     return u[:, :rank].copy()

@@ -30,12 +30,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
+from .errors import EqBundleError, EvaluationError, InputError
 
 DEFAULT_DOMAIN_SLACK = 1e-9
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))        # first derivatives
 _FD2_STEP = float(np.finfo(float).eps ** 0.25)        # second derivatives
+_NO_LAMBDA = np.zeros(0)                              # lam of the h callables
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,11 @@ class SystemSpec:
     hess_h_fn: Optional[Callable] = None
     metadata: dict = field(default_factory=dict)
     # f, h, the derivative callables and the domain constraints all accept
-    # a stack x of shape (..., n) and map over its leading axes; set only
-    # by the builtin constructors
+    # a stack x of shape (..., n) and map over its leading axes; lam is
+    # then one vector (m,) or a stack (..., m) that broadcasts against x.
+    # A stacked call need not raise: a row it cannot evaluate may come back
+    # non-finite, and that row alone, as one point, raises the error.  Set
+    # by the builtin constructors and for declared systems.
     batched: bool = False
 
     def __post_init__(self):
@@ -168,46 +172,202 @@ class SystemSpec:
             for fn in (self.jac_x_fn, self.jac_lambda_fn, self.jac_h_fn, self.hess_h_fn)
         )
 
+    # Values and derivative blocks.  Each takes one point x (n,) or a stack
+    # (B, n) and returns the block, or the stack of blocks.  A block with
+    # no analytic callable comes from central finite differences.  Without
+    # `errors` the first EqBundleError is raised; with a dict the error of
+    # row i is stored under i, the row is left NaN, and a row already in
+    # the dict is not evaluated again.
 
-def _check_finite(value: np.ndarray, label: str, point: PointState) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise EvaluationError(
-            f"{label} evaluated to a non-finite value",
-            where=(point.lam.tolist(), point.x.tolist()),
+    def f_rows(self, lam, x, errors=None) -> np.ndarray:
+        """f at every row of a stack x: (B, n)."""
+        return _rows(self.f, np.asarray(lam, dtype=float), x, (self.n,), self.batched, errors)
+
+    def h_rows(self, x, errors=None) -> np.ndarray:
+        """h at every row of a stack x: (B, k)."""
+        return _rows(self._h, _NO_LAMBDA, x, (self.k,), self.batched, errors)
+
+    def jac_x(self, lam, x, errors=None) -> np.ndarray:
+        """df/dx: (n, n) per point."""
+        return self._block(
+            self.jac_x_fn, lam, x, (self.n, self.n), errors,
+            lambda lam, x, errors: _fd_jacobian(
+                self.f, lam, x, False, self.n, self.batched, errors
+            ),
         )
-    return value
+
+    def jac_lambda(self, lam, x, errors=None) -> np.ndarray:
+        """df/dlambda: (n, m) per point."""
+        return self._block(
+            self.jac_lambda_fn, lam, x, (self.n, self.m), errors,
+            lambda lam, x, errors: _fd_jacobian(
+                self.f, lam, x, True, self.n, self.batched, errors
+            ),
+        )
+
+    def jac_h(self, x, errors=None) -> np.ndarray:
+        """dh/dx: (k, n) per point."""
+        jac_h_fn = self.jac_h_fn
+        return self._block(
+            None if jac_h_fn is None else (lambda _, y: jac_h_fn(y)),
+            _NO_LAMBDA, x, (self.k, self.n), errors,
+            lambda lam, x, errors: _fd_jacobian(
+                self._h, lam, x, False, self.k, self.batched, errors
+            ),
+        )
+
+    def hess_h(self, x, errors=None) -> np.ndarray:
+        """Hessians of h_1..h_k: (k, n, n) per point."""
+        hess_h_fn = self.hess_h_fn
+        return self._block(
+            None if hess_h_fn is None else (lambda _, y: hess_h_fn(y)),
+            _NO_LAMBDA, x, (self.k, self.n, self.n), errors,
+            lambda lam, x, errors: _fd_hessian(self._h, x, self.k, self.batched, errors),
+        )
+
+    def _h(self, lam, x):
+        return self.h(x)
+
+    def _block(self, analytic, lam, x, shape, errors, fd):
+        lam = np.asarray(lam, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            if analytic is not None and errors is None:
+                return np.asarray(analytic(lam, x), dtype=float).reshape(shape)
+            return self._block(analytic, lam, x[None], shape, errors, fd)[0]
+        if analytic is not None:
+            return _rows(analytic, lam, x, shape, self.batched, errors)
+        return fd(lam, x, errors)
 
 
-def _fd_jacobian(func, z: np.ndarray, out_dim: int) -> np.ndarray:
-    J = np.empty((out_dim, z.size))
-    for j in range(z.size):
-        step = _FD_STEP * max(1.0, abs(z[j]))
-        zp = z.copy(); zp[j] += step
-        zm = z.copy(); zm[j] -= step
-        J[:, j] = (np.asarray(func(zp), dtype=float) - np.asarray(func(zm), dtype=float)) / (2 * step)
-    return J
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
 
 
-def _fd_hessian(func, z: np.ndarray) -> np.ndarray:
-    """Central 4-point cross differences of a scalar function."""
-    n = z.size
-    H = np.empty((n, n))
-    steps = _FD2_STEP * np.maximum(1.0, np.abs(z))
-    f0 = float(func(z))
+def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, group: int = 1):
+    """fn(lam, x) at every row of the stack x, as an array (len(x),) + shape.
+
+    lam is one vector shared by every row or a stack with one row per row
+    of x.  A batched fn answers the whole stack in one call, and each row
+    that comes back non-finite is called again alone, as one point, so a
+    callable that raises only on a lone point (a declared system) raises
+    there.  Any other fn is called row by row.  The rows come in groups of
+    `group` consecutive rows, the calls that one point needs in the order
+    a lone evaluation makes them.  The first EqBundleError of a group ends
+    that group: its rows are left NaN and the error is stored under the
+    group index in errors, or raised when errors is None.  Groups already
+    in errors are skipped.
+    """
+    count = len(x)
+    raising = errors is None
+    errors = {} if raising else errors
+    if batched and count:
+        out = np.asarray(fn(lam, x), dtype=float).reshape((count,) + shape)
+        if not errors and np.isfinite(out).all():
+            return out
+        out = out.copy()
+        rerun = np.flatnonzero(~_finite_rows(out))
+    else:
+        out = np.full((count,) + shape, np.nan)
+        rerun = range(count)
+    stacked = np.ndim(lam) == 2
+    for row in rerun:
+        if row // group in errors:
+            continue
+        try:
+            out[row] = np.asarray(
+                fn(lam[row] if stacked else lam, x[row]), dtype=float
+            ).reshape(shape)
+        except EqBundleError as err:
+            if raising:
+                raise
+            errors[row // group] = err
+    for failed in errors:
+        out[failed * group:(failed + 1) * group] = np.nan
+    return out
+
+
+def _fd_jacobian(fn, lam, x: np.ndarray, wrt_lambda: bool, width: int, batched: bool, errors=None):
+    """Central differences of fn(lam, x) in x, or in lam, at every row of x.
+
+    Returns (len(x), width, d).  All points of all rows go to fn as one
+    stack, point after point in the order of a lone evaluation: column j
+    moved up, then down.  The steps and the arithmetic are those of the
+    column loop, so each block is bitwise the loop's.
+    """
+    z = np.broadcast_to(lam, (len(x), lam.shape[-1])) if wrt_lambda else x
+    count, dim = z.shape
+    steps = _FD_STEP * np.fmax(1.0, np.abs(z))
+    cols = np.arange(dim)
+    moved = np.repeat(z, 2 * dim, axis=0).reshape(count, dim, 2, dim)
+    moved[:, cols, 0, cols] = z + steps
+    moved[:, cols, 1, cols] = z - steps
+    moved = moved.reshape(-1, dim)
+    if wrt_lambda:
+        lam, x = moved, np.repeat(x, 2 * dim, axis=0)
+    else:
+        lam = np.repeat(lam, 2 * dim, axis=0) if lam.ndim == 2 else lam
+        x = moved
+    values = _rows(fn, lam, x, (width,), batched, errors, 2 * dim)
+    values = values.reshape(count, dim, 2, width)
+    J = (values[:, :, 0] - values[:, :, 1]) / (2 * steps)[:, :, None]
+    return np.ascontiguousarray(J.transpose(0, 2, 1))
+
+
+def _hessian_points(n: int):
+    """The points of a lone Hessian evaluation, in its call order, as moves
+    ((coordinate, sign), ...): x itself, then x + h_i e_i and x - h_i e_i
+    for each i, each followed by the four corners (x_i +- h_i, x_j +- h_j)
+    for j > i.  Also returns the indices of the +, - and corner points."""
+    moves = [()]
+    plus, minus, corners = [], [], []
     for i in range(n):
-        hi = steps[i]
-        zp = z.copy(); zp[i] += hi
-        zm = z.copy(); zm[i] -= hi
-        H[i, i] = (float(func(zp)) - 2 * f0 + float(func(zm))) / hi**2
+        plus.append(len(moves))
+        minus.append(len(moves) + 1)
+        moves += [((i, 1.0),), ((i, -1.0),)]
         for j in range(i + 1, n):
-            hj = steps[j]
-            zpp = z.copy(); zpp[i] += hi; zpp[j] += hj
-            zpm = z.copy(); zpm[i] += hi; zpm[j] -= hj
-            zmp = z.copy(); zmp[i] -= hi; zmp[j] += hj
-            zmm = z.copy(); zmm[i] -= hi; zmm[j] -= hj
-            val = (float(func(zpp)) - float(func(zpm)) - float(func(zmp)) + float(func(zmm))) / (4 * hi * hj)
-            H[i, j] = H[j, i] = val
+            corners.append(range(len(moves), len(moves) + 4))
+            moves += [
+                ((i, 1.0), (j, 1.0)), ((i, 1.0), (j, -1.0)),
+                ((i, -1.0), (j, 1.0)), ((i, -1.0), (j, -1.0)),
+            ]
+    return moves, plus, minus, np.array(corners, dtype=int).reshape(-1, 4).T
+
+
+def _fd_hessian(fn, x: np.ndarray, width: int, batched: bool, errors=None):
+    """Central 4-point cross differences of every component of fn(_, x) at
+    every row of x: (len(x), width, n, n).  The points go to fn as one
+    stack in the order of a lone evaluation; the arithmetic is the
+    per-entry formula's, squares included (h**2 is libm's pow)."""
+    count, n = x.shape
+    steps = _FD2_STEP * np.maximum(1.0, np.abs(x))
+    moves, plus, minus, corners = _hessian_points(n)
+    at, coord, sign = (
+        np.array(v) for v in zip(*[
+            (r, c, s) for r, move in enumerate(moves) for c, s in move
+        ])
+    )
+    points = np.repeat(x, len(moves), axis=0).reshape(count, len(moves), n)
+    points[:, at, coord] = x[:, coord] + sign * steps[:, coord]
+    values = _rows(
+        fn, _NO_LAMBDA, points.reshape(-1, n), (width,), batched, errors, len(moves)
+    ).reshape(count, len(moves), width)
+    f0 = values[:, :1]
+    squares = np.array([h ** 2 for h in steps.ravel().tolist()]).reshape(steps.shape)
+    H = np.empty((count, width, n, n))
+    diag = np.arange(n)
+    H[:, :, diag, diag] = np.swapaxes(
+        (values[:, plus] - 2 * f0 + values[:, minus]) / squares[:, :, None], 1, 2
+    )
+    ii, jj = np.triu_indices(n, 1)
+    pp, pm, mp, mm = corners
+    cross = np.swapaxes(
+        (values[:, pp] - values[:, pm] - values[:, mp] + values[:, mm])
+        / (4 * steps[:, ii] * steps[:, jj])[:, :, None],
+        1, 2,
+    )
+    H[:, :, ii, jj] = cross
+    H[:, :, jj, ii] = cross
     return H
 
 
@@ -237,53 +397,50 @@ def evaluate(
         if not sys.domain.contains(x, slack):
             raise InputError(f"x {x.tolist()} outside domain")
 
-    f_value = _check_finite(sys.f(lam, x), "f", u)
-    h_value = _check_finite(sys.h(x), "h", u)
-    analytic = True
-
-    if sys.jac_x_fn is not None:
-        jac_x = _check_finite(sys.jac_x_fn(lam, x), "jac_x", u)
-    else:
-        analytic = False
-        jac_x = _check_finite(_fd_jacobian(lambda xx: sys.f(lam, xx), x, sys.n), "jac_x", u)
-
-    if sys.jac_lambda_fn is not None:
-        jac_lambda = _check_finite(sys.jac_lambda_fn(lam, x), "jac_lambda", u)
-    else:
-        analytic = False
-        jac_lambda = _check_finite(
-            _fd_jacobian(lambda ll: sys.f(ll, x), lam, sys.n), "jac_lambda", u
-        )
-
-    if sys.jac_h_fn is not None:
-        jac_h = _check_finite(sys.jac_h_fn(x), "jac_h", u)
-    else:
-        analytic = False
-        jac_h = _check_finite(_fd_jacobian(sys.h, x, sys.k), "jac_h", u)
-
-    if sys.hess_h_fn is not None:
-        hess_h = _check_finite(sys.hess_h_fn(x), "hess_h", u)
-    else:
-        analytic = False
-        hess = np.empty((sys.k, sys.n, sys.n))
-        for l in range(sys.k):
-            hess[l] = _fd_hessian(lambda xx, l=l: np.asarray(sys.h(xx), dtype=float)[l], x)
-        hess_h = _check_finite(hess, "hess_h", u)
-
-    jac_x = jac_x.reshape(sys.n, sys.n)
-    jac_lambda = jac_lambda.reshape(sys.n, sys.m)
-    jac_h = jac_h.reshape(sys.k, sys.n)
-    hess_h = hess_h.reshape(sys.k, sys.n, sys.n)
+    f_value, h_value, jac_x, jac_lambda, jac_h, hess_h = (
+        block[0] for block in _evaluate_rows(sys, lam, x[None, :])
+    )
     return Evaluation(
         point=u,
-        f_value=f_value.reshape(sys.n),
+        f_value=f_value,
         jac_x=jac_x,
         jac_lambda=jac_lambda,
-        h_value=h_value.reshape(sys.k),
+        h_value=h_value,
         jac_h=jac_h,
         hess_h=hess_h,
-        derivative_source="analytic" if analytic else "finite-difference",
+        derivative_source="analytic" if sys.analytic else "finite-difference",
     )
+
+
+def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> tuple:
+    """evaluate's blocks (f, h, jac_x, jac_lambda, jac_h, hess_h) at every
+    row of the stack x, one stacked call per block; lam is shared or has a
+    row per row of x.  Raises the error that evaluate raises at the first
+    row where it raises: per row, the first failing block, in block order,
+    fails with its own error or as non-finite."""
+    errors: dict = {}
+
+    def checked(label, values):
+        for row in np.flatnonzero(~_finite_rows(values)):
+            if row not in errors:
+                at = lam[row] if lam.ndim == 2 else lam
+                errors[row] = EvaluationError(
+                    f"{label} evaluated to a non-finite value",
+                    where=(at.tolist(), x[row].tolist()),
+                )
+        return values
+
+    blocks = (
+        checked("f", sys.f_rows(lam, x, errors)),
+        checked("h", sys.h_rows(x, errors)),
+        checked("jac_x", sys.jac_x(lam, x, errors)),
+        checked("jac_lambda", sys.jac_lambda(lam, x, errors)),
+        checked("jac_h", sys.jac_h(x, errors)),
+        checked("hess_h", sys.hess_h(x, errors)),
+    )
+    if errors:
+        raise errors[min(errors)]
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -304,27 +461,29 @@ def first_integral_violation(
     """
     rng = np.random.default_rng(seed)
     pb = sys.parameter_box
-    worst = FirstIntegralViolation(0.0, pb[:, 0], sys.domain.box[:, 0], 0)
-    accepted = 0
+    lams, xs = [], []
     attempts = 0
     max_attempts = max(1000 * samples, 10000)
-    while accepted < samples:
-        if attempts >= max_attempts:
-            raise InputError(
-                f"could not draw {samples} domain points after {max_attempts} attempts; "
-                "domain constraints may leave (almost) no volume"
-            )
+    while len(xs) < samples and attempts < max_attempts:
         attempts += 1
         lam = pb[:, 0] + (pb[:, 1] - pb[:, 0]) * rng.random(sys.m)
         x = sys.domain.sample_box(rng, 1)[0]
-        if not sys.domain.contains(x):
-            continue
-        accepted += 1
-        ev = evaluate(sys, PointState(lam, x))
-        residuals = np.abs(ev.jac_h @ ev.f_value)
-        l = int(np.argmax(residuals))
-        if residuals[l] > worst.max_residual:
-            worst = FirstIntegralViolation(float(residuals[l]), lam, x, l)
+        if sys.domain.contains(x):
+            lams.append(lam)
+            xs.append(x)
+    worst = FirstIntegralViolation(0.0, pb[:, 0], sys.domain.box[:, 0], 0)
+    if xs:
+        f, _, _, _, jac_h, _ = _evaluate_rows(sys, np.array(lams), np.array(xs))
+        for i, (lam, x) in enumerate(zip(lams, xs)):
+            residuals = np.abs(jac_h[i] @ f[i])
+            l = int(np.argmax(residuals))
+            if residuals[l] > worst.max_residual:
+                worst = FirstIntegralViolation(float(residuals[l]), lam, x, l)
+    if len(xs) < samples:
+        raise InputError(
+            f"could not draw {samples} domain points after {max_attempts} attempts; "
+            "domain constraints may leave (almost) no volume"
+        )
     return worst
 
 
@@ -341,13 +500,13 @@ def check_first_integral_identity(sys: SystemSpec, samples: int = 200, seed: int
 def _builtin_planar() -> SystemSpec:
     def f(lam, x):
         out = np.zeros(x.shape)
-        out[..., 0] = -x[..., 0] + lam[0] * (x[..., 1] ** 2 - 1.0)
+        out[..., 0] = -x[..., 0] + lam[..., 0] * (x[..., 1] ** 2 - 1.0)
         return out
 
     def jac_x(lam, x):
         J = np.zeros(x.shape[:-1] + (2, 2))
         J[..., 0, 0] = -1.0
-        J[..., 0, 1] = 2.0 * lam[0] * x[..., 1]
+        J[..., 0, 1] = 2.0 * lam[..., 0] * x[..., 1]
         return J
 
     def jac_lambda(lam, x):
@@ -385,12 +544,12 @@ def _builtin_example2() -> SystemSpec:
         x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
         w = x2 - x0
         out = np.zeros(x.shape)
-        out[..., 0] = -lam[0] * x1 * w
-        out[..., 1] = lam[0] * x0 * w
+        out[..., 0] = -lam[..., 0] * x1 * w
+        out[..., 1] = lam[..., 0] * x0 * w
         return out
 
     def jac_x(lam, x):
-        a = lam[0]
+        a = lam[..., 0]
         x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
         J = np.zeros(x.shape[:-1] + (3, 3))
         J[..., 0, 0] = a * x1
@@ -455,13 +614,13 @@ def _builtin_rfmr(n: int) -> SystemSpec:
     def f(lam, x):
         xm = np.roll(x, 1, axis=-1)     # x_{i-1}
         xp = np.roll(x, -1, axis=-1)    # x_{i+1}
-        lm = np.roll(lam, 1)            # lam_{i-1}
+        lm = np.roll(lam, 1, axis=-1)            # lam_{i-1}
         return lm * xm * (1.0 - x) - lam * x * (1.0 - xp)
 
     def jac_x(lam, x):
         xm = np.roll(x, 1, axis=-1)
         xp = np.roll(x, -1, axis=-1)
-        lm = np.roll(lam, 1)
+        lm = np.roll(lam, 1, axis=-1)
         J = np.zeros(x.shape + (n,))
         J[..., idx, (idx - 1) % n] = lm * (1.0 - x)
         J[..., idx, idx] = -lm * xm - lam * (1.0 - xp)

@@ -31,9 +31,9 @@ from .errors import (
     InputError,
     TransportError,
 )
-from .finder import enumerate_level_points, _jac_h, _jac_x
+from .finder import enumerate_level_points
 from .linalg import kernel_basis, numeric_rank, solve_least_squares
-from .systems import PointState, SystemSpec, _fd_jacobian, evaluate
+from .systems import PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -109,12 +109,6 @@ class HolonomyReport:
             "permutation": list(self.permutation),
             "max_roundtrip_displacement": self.max_roundtrip_displacement,
         }
-
-
-def _jac_lambda(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if sys.jac_lambda_fn is not None:
-        return np.asarray(sys.jac_lambda_fn(lam, x), dtype=float).reshape(sys.n, sys.m)
-    return _fd_jacobian(lambda ll: sys.f(ll, x), lam, sys.n)
 
 
 def _canonical_columns(basis: np.ndarray) -> np.ndarray:
@@ -271,7 +265,7 @@ def _project_to_level(sys, lam, y, a0, tols, max_iter=10):
             raise ConvergenceError("projection residual is not finite")
         if np.linalg.norm(resid) <= target:
             return x, iteration
-        stacked = np.vstack([_jac_x(sys, lam, x), _jac_h(sys, x)])
+        stacked = np.vstack([sys.jac_x(lam, x), sys.jac_h(x)])
         x = x + solve_least_squares(stacked, -resid, rank_tol=tols.rank)
     resid = np.concatenate([
         np.asarray(sys.f(lam, x), dtype=float).reshape(-1),
@@ -326,8 +320,8 @@ def lift_curve(
     steps = 0
 
     def velocity(lam_t, y, lam_dot, t_report):
-        A = np.vstack([_jac_x(sys, lam_t, y), _jac_h(sys, y)])
-        b = np.concatenate([-_jac_lambda(sys, lam_t, y) @ lam_dot, np.zeros(sys.k)])
+        A = np.vstack([sys.jac_x(lam_t, y), sys.jac_h(y)])
+        b = np.concatenate([-sys.jac_lambda(lam_t, y) @ lam_dot, np.zeros(sys.k)])
         try:
             return solve_least_squares(A, b, rank_tol=tols.rank)
         except DegeneracyError as err:

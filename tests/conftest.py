@@ -4,8 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from eqbundle import builtin
+
+# Shared by the property tests: the same examples on every run, no example
+# database, and no deadline or too-slow check on the slower systems.
+# Apply with @settings(settings.get_profile("derandomized"), ...).
+settings.register_profile(
+    "derandomized",
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqbundle.errors import ExprDomainError, ExprError, InputError
 from eqbundle.expr import (
+    FUNCTIONS,
     Binary,
     Call,
     Const,
+    ExprAst,
     Unary,
     Var,
+    _eval_node,
     build_system_from_config,
+    compile_asts,
     eval_ast,
     parse,
     to_source,
@@ -265,3 +271,105 @@ def test_declaration_validation():
         build_system_from_config(base)
     with pytest.raises(InputError, match="mapping"):
         build_system_from_config([1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# compiled stacks against the tree-walker
+# ---------------------------------------------------------------------------
+
+# values that make the operations fault: zero divisors, log of a value
+# <= 0, negative bases to fractional powers, overflow of exp and ^
+AWKWARD = [0.0, -0.0, -1.5, -0.5, 0.5, 1.0, 2.5, 800.0, 1e200]
+
+leaves = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1000.0]).map(Const),
+    st.integers(0, 2).map(lambda i: Var(f"x{i + 1}", "x", i)),
+    st.integers(0, 1).map(lambda i: Var(f"l{i + 1}", "l", i)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(lambda c: Unary("-", c)),
+        st.builds(lambda fn, c: Call(fn, (c,)), st.sampled_from(sorted(FUNCTIONS)), children),
+        st.builds(Binary, st.sampled_from(list("+-*/^")), children, children),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=10)
+coordinates = st.one_of(st.sampled_from(AWKWARD), st.floats(-3.0, 3.0))
+
+
+def assert_matches_tree_walker(roots, lam, x):
+    """Every row of the compiled stack equals _eval_node bitwise, or is NaN
+    where _eval_node raises, and the row as one point raises the same."""
+    compiled = compile_asts([ExprAst(root, 3, 2) for root in roots], 3, 2)
+    values = compiled(lam, x)
+    assert values.shape == (len(x), len(roots))
+    faults = 0
+    for row in range(len(x)):
+        try:
+            expected = [_eval_node(root, lam[row], x[row]) for root in roots]
+        except ExprDomainError as err:
+            faults += 1
+            assert np.isnan(values[row]).all()
+            with pytest.raises(ExprDomainError) as again:
+                compiled(lam[row], x[row])
+            assert type(again.value) is type(err)
+            assert str(again.value) == str(err)
+            assert again.value.offset == err.offset
+            continue
+        assert np.array(expected).tobytes() == values[row].tobytes()
+        assert compiled(lam[row], x[row]).tobytes() == values[row].tobytes()
+    return faults
+
+
+@settings(settings.get_profile("derandomized"), max_examples=300)
+@given(
+    roots=st.lists(trees, min_size=1, max_size=3),
+    rows=st.lists(st.tuples(*[coordinates] * 5), min_size=1, max_size=16),
+)
+def test_compiled_rows_match_the_tree_walker(roots, rows):
+    rows = np.array(rows)
+    assert_matches_tree_walker(roots, rows[:, 3:], rows[:, :3])
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "1/x1",            # zero divisor
+        "1/(1/x1)",        # a fault whose value ends finite
+        "log(x1) + x2",    # log of a value <= 0
+        "x1^0.5",          # negative base, fractional power
+        "x1^(0-1)",        # zero to a negative power
+        "exp(x2*x3)",      # overflow
+        "x2^(x2*x3)",      # power overflow
+        "sqrt(x1) - abs(x2)",
+        "sin(x1)*cos(l1) - x3",
+    ],
+)
+def test_compiled_faulting_rows(source):
+    x = np.array([[0.0, 900.0, 1.0], [-0.0, 2.0, 1.0], [-2.0, 1.0, 0.5],
+                  [4.0, 3.0, 2.0], [0.25, -1.5, 0.0]])
+    lam = np.array([0.5, 1.0])
+    roots = [parse(source, 3, 2).root, parse("x1*l2", 3, 2).root]
+    faults = assert_matches_tree_walker(roots, np.tile(lam, (len(x), 1)), x)
+    assert 0 < faults < len(x) or source.startswith("sin")
+    # a shared lam and extra leading axes broadcast like a stack
+    compiled = compile_asts([parse(source, 3, 2)], 3, 2)
+    stacked = compiled(lam, x.reshape(5, 1, 3))
+    assert stacked.shape == (5, 1, 1)
+    assert stacked.tobytes() == compiled(np.tile(lam, (5, 1)), x).tobytes()
+
+
+@pytest.mark.parametrize("source", ["sin(x1)", "cos(x1)", "exp(x1)", "log(x1)", "x1^x2", "x1^2"])
+def test_compiled_functions_round_like_libm(source):
+    # numpy's vectorized exp, log and power differ from libm in the last
+    # bit on some inputs; the compiled stack must not
+    rng = np.random.default_rng(5)
+    x = np.column_stack([rng.uniform(0.01, 20.0, 4000), rng.uniform(-3.0, 3.0, 4000)])
+    lam = np.zeros((len(x), 1))
+    compiled = compile_asts([parse(source, 2, 1)], 2, 1)
+    root = parse(source, 2, 1).root
+    expected = np.array([_eval_node(root, lam[i], x[i]) for i in range(len(x))])
+    assert compiled(lam, x)[:, 0].tobytes() == expected.tobytes()
