@@ -130,9 +130,9 @@ def audit_point(
     ev = evaluate(sys, u, check_domain=False)
     n, k, m = sys.n, sys.k, sys.m
     at_equilibrium, residual = _is_equilibrium(ev, tols)
-    fd = ev.derivative_source != "analytic"
+    fd_lam, fd = sys.finite_difference("jac_lambda"), sys.finite_difference("jac_x")
 
-    rank_lam = numeric_rank(ev.jac_lambda, tols.rank, fd=fd)
+    rank_lam = numeric_rank(ev.jac_lambda, tols.rank, fd=fd_lam)
     expected_i = min(m, n - k)
     cond_i = CheckResult(
         passed=rank_lam.rank == expected_i,
@@ -173,7 +173,7 @@ def audit_point(
         ),
     )
 
-    full = numeric_rank(np.hstack([ev.jac_lambda, ev.jac_x]), tols.rank, fd=fd)
+    full = numeric_rank(np.hstack([ev.jac_lambda, ev.jac_x]), tols.rank, fd=fd_lam or fd)
 
     used = {
         "equilibrium": tols.equilibrium,
@@ -232,7 +232,7 @@ def audit_manifold_dimension(
     for u in equilibria:
         ev = evaluate(sys, u, check_domain=False)
         at_equilibrium, residual = _is_equilibrium(ev, tols)
-        fd = ev.derivative_source != "analytic"
+        fd = sys.finite_difference("jac_lambda", "jac_x")
         if not at_equilibrium:
             raise InputError(
                 f"point lambda = {u.lam.tolist()}, x = {u.x.tolist()} is not an "

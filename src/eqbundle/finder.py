@@ -7,6 +7,8 @@ Enumeration runs that solve from every point of a low-discrepancy
 sequence at once, as lanes of one lockstep kernel, deduplicates by
 clustering and audits only the kept points.  Fibers (k = 1 only) are
 traced by predictor-corrector continuation along the kernel of df/dx.
+The corrector, _correct, is undamped and local, and also corrects the
+steps of transport's lift; newton_lanes is the damped, global solve.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .linalg import (
     numeric_rank,
     solve_least_squares,
 )
-from .systems import PointState, SystemSpec
+from .systems import PointState, SystemSpec, _rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -181,18 +183,6 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def _lanewise(fn, x: np.ndarray, out: np.ndarray):
-    """out[i] = fn(x[i]) lane by lane.  A lane whose call raises an
-    EqBundleError keeps its fill value and lands in the error map."""
-    errors = {}
-    for row, y in enumerate(x):
-        try:
-            out[row] = fn(y)
-        except EqBundleError as err:
-            errors[row] = err
-    return out, errors
-
-
 class _LaneCalls:
     """Residual, stacked Jacobian and domain membership over a (b, n) stack.
 
@@ -222,9 +212,11 @@ class _LaneCalls:
     def in_domain(self, x: np.ndarray, slack: float):
         domain = self.sys.domain
         if not self.sys.batched:
-            return _lanewise(
-                lambda y: domain.contains(y, slack), x, np.zeros(len(x), dtype=bool)
+            errors: dict = {}
+            inside = _rows(
+                lambda _, y: domain.contains(y, slack), self.lam, x, (), False, errors
             )
+            return inside == 1.0, errors
         inside = np.all(
             (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
         )
@@ -379,8 +371,7 @@ def newton_lanes(
 def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
     """The reported point: level, stacked rank and audit at a converged x."""
     stacked = np.vstack([sys.jac_x(lam, x), sys.jac_h(x)])
-    fd = sys.jac_x_fn is None or sys.jac_h_fn is None
-    rank = numeric_rank(stacked, tols.rank, fd=fd)
+    rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
     state = PointState(lam, x)
     return EquilibriumPoint(
         state=state,
@@ -468,32 +459,50 @@ def enumerate_level_points(
     return points
 
 
-def _corrector(sys, lam, x_pred, tangent, tols, max_iter=8):
-    """Newton for [f; tangent . (y - x_pred)] = 0.  Returns (y, iterations)."""
-    y = x_pred.copy()
-    scale = 1.0 + float(np.linalg.norm(x_pred))
-    target = tols.newton * scale
-    for iteration in range(max_iter):
-        fv = np.asarray(sys.f(lam, y), dtype=float).reshape(-1)
-        resid = np.concatenate([fv, [float(tangent @ (y - x_pred))]])
+# Iteration cap of _correct.  Its callers treat more than 3 iterations as
+# a sign that the step was too long, so the cap only bounds wasted work.
+_CORRECTOR_ITERATIONS = 8
+
+
+def _correct(residual, jacobian, y0, tols):
+    """Undamped Gauss-Newton for residual(y) = 0 from a nearby y0: one
+    solve_least_squares(jacobian(y), -residual(y)) step per iteration
+    until ||residual(y)|| <= newton_tol * (1 + ||y0||).  Returns (y,
+    iterations, residual at y).  ConvergenceError on a non-finite residual
+    or no convergence, DegeneracyError on a rank-deficient Jacobian.
+    """
+    target = tols.newton * (1.0 + float(np.linalg.norm(y0)))
+    y = y0
+    for iteration in range(_CORRECTOR_ITERATIONS + 1):
+        resid = residual(y)
         if not np.all(np.isfinite(resid)):
             raise ConvergenceError("corrector residual is not finite")
         if np.linalg.norm(resid) <= target:
-            return y, iteration
-        jac = np.vstack([sys.jac_x(lam, y), tangent[None, :]])
-        step = solve_least_squares(jac, -resid, rank_tol=tols.rank)
-        y = y + step
-    fv = np.asarray(sys.f(lam, y), dtype=float).reshape(-1)
-    resid = np.concatenate([fv, [float(tangent @ (y - x_pred))]])
-    if np.linalg.norm(resid) <= target:
-        return y, max_iter
+            return y, iteration, resid
+        if iteration < _CORRECTOR_ITERATIONS:
+            y = y + solve_least_squares(jacobian(y), -resid, rank_tol=tols.rank)
     raise ConvergenceError(
-        f"fiber corrector did not converge, ||G|| = {np.linalg.norm(resid):.3e}"
+        f"corrector did not converge in {_CORRECTOR_ITERATIONS} iterations, "
+        f"||G|| = {np.linalg.norm(resid):.3e}"
     )
 
 
+def _slice(sys, lam, x_pred, tangent):
+    """Residual and Jacobian closures of [f(lam, y); tangent . (y - x_pred)]:
+    the fiber cut by the hyperplane through x_pred normal to tangent."""
+
+    def residual(y):
+        fv = np.asarray(sys.f(lam, y), dtype=float).reshape(-1)
+        return np.concatenate([fv, [float(tangent @ (y - x_pred))]])
+
+    def jacobian(y):
+        return np.vstack([sys.jac_x(lam, y), tangent[None, :]])
+
+    return residual, jacobian
+
+
 def _fiber_tangent(sys, lam, x, tols, location_note: str):
-    kernel = kernel_basis(sys.jac_x(lam, x), tols.rank, fd=sys.jac_x_fn is None)
+    kernel = kernel_basis(sys.jac_x(lam, x), tols.rank, fd=sys.finite_difference("jac_x"))
     if kernel.shape[1] != 1:
         raise BranchPointError(
             f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 "
@@ -518,7 +527,9 @@ def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_poin
         while step >= min_step:
             x_pred = x + step * tangent
             try:
-                y, iterations = _corrector(sys, lam, x_pred, tangent, tols)
+                y, iterations, _ = _correct(
+                    *_slice(sys, lam, x_pred, tangent), x_pred, tols
+                )
             except (ConvergenceError, DegeneracyError):
                 step *= 0.5
                 continue
@@ -577,7 +588,8 @@ def _refine_boundary(sys, lam, x_inside, tangent, step, tols):
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         try:
-            y, _ = _corrector(sys, lam, x_inside + mid * tangent, tangent, tols)
+            x_pred = x_inside + mid * tangent
+            y, _, _ = _correct(*_slice(sys, lam, x_pred, tangent), x_pred, tols)
         except (ConvergenceError, DegeneracyError):
             hi = mid
             continue
@@ -602,10 +614,11 @@ def trace_fiber(
 ) -> FiberTrace:
     """Trace the connected fiber of {f(lam, .) = 0} through x0 (k = 1 only).
 
-    Predictor along the unit kernel vector of df/dx, corrector = Newton
-    constrained orthogonal to the tangent, step doubling/halving on
-    corrector iteration count.  Ends either by closing into a circle or
-    by hitting the domain boundary in both directions (segment).
+    Predictor along the unit kernel vector of df/dx, corrector _correct
+    in the hyperplane orthogonal to the tangent.  A failed or wandering
+    correction is retried at half the step; more than 3 iterations halve
+    the next step, at most 1 doubles it.  Ends either by closing into a
+    circle or by hitting the domain boundary in both directions (segment).
     """
     if sys.k != 1:
         raise UnsupportedDimensionError(

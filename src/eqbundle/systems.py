@@ -172,6 +172,12 @@ class SystemSpec:
             for fn in (self.jac_x_fn, self.jac_lambda_fn, self.jac_h_fn, self.hess_h_fn)
         )
 
+    def finite_difference(self, *blocks: str) -> bool:
+        """Whether a matrix built from the named derivative blocks ("jac_x",
+        "jac_lambda", "jac_h", "hess_h") takes the finite-difference rank
+        floor: exactly when one of those blocks has no analytic callable."""
+        return any(getattr(self, f"{block}_fn") is None for block in blocks)
+
     # Values and derivative blocks.  Each takes one point x (n,) or a stack
     # (B, n) and returns the block, or the stack of blocks.  A block with
     # no analytic callable comes from central finite differences.  Without

@@ -12,8 +12,8 @@ and T_u E = V_u + H_u is a direct sum wherever kernel and image of df/dx
 intersect trivially.  Lifting a parameter curve horizontally means solving
 A(t) gamma'(t) = b(t) with A = [df/dx; dh/dx] and b = [-(df/dlambda)
 lambda'(t); 0]; the solver integrates that with a classical 4th-order
-stepper and projects back onto {f = 0, h = h(x0)} after every accepted
-step so errors do not compound.
+stepper and projects back onto {f = 0, h = h(x0)} with the fiber
+tracer's corrector after every step, so errors do not compound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     TransportError,
 )
-from .finder import enumerate_level_points
+from .finder import _correct, enumerate_level_points
 from .linalg import kernel_basis, numeric_rank, solve_least_squares
 from .systems import PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -152,10 +152,11 @@ def connection_frame(
         )
 
     ev = evaluate(sys, u, check_domain=False)
-    fd = ev.derivative_source != "analytic"
+    # the horizontal basis, and so the span, come from all three blocks
+    fd = sys.finite_difference("jac_lambda", "jac_x", "jac_h")
     m, n, k = sys.m, sys.n, sys.k
 
-    kernel_x = kernel_basis(ev.jac_x, tols.rank, fd=fd)       # (n, k)
+    kernel_x = kernel_basis(ev.jac_x, tols.rank, fd=sys.finite_difference("jac_x"))
     vertical = np.vstack([np.zeros((m, kernel_x.shape[1])), kernel_x])
 
     stacked = np.block([
@@ -247,37 +248,6 @@ def _as_waypoints(path, m: int, what: str) -> np.ndarray:
     return arr
 
 
-def _project_to_level(sys, lam, y, a0, tols, max_iter=10):
-    """Newton projection onto {f(lam, .) = 0, h = a0} from a nearby y.
-
-    Returns (projected point, iterations used).  Iteration count drives
-    the transport step-size controller.
-    """
-    scale = 1.0 + float(np.linalg.norm(y))
-    target = tols.newton * scale
-    x = y.copy()
-    for iteration in range(max_iter):
-        resid = np.concatenate([
-            np.asarray(sys.f(lam, x), dtype=float).reshape(-1),
-            np.asarray(sys.h(x), dtype=float).reshape(-1) - a0,
-        ])
-        if not np.all(np.isfinite(resid)):
-            raise ConvergenceError("projection residual is not finite")
-        if np.linalg.norm(resid) <= target:
-            return x, iteration
-        stacked = np.vstack([sys.jac_x(lam, x), sys.jac_h(x)])
-        x = x + solve_least_squares(stacked, -resid, rank_tol=tols.rank)
-    resid = np.concatenate([
-        np.asarray(sys.f(lam, x), dtype=float).reshape(-1),
-        np.asarray(sys.h(x), dtype=float).reshape(-1) - a0,
-    ])
-    if np.linalg.norm(resid) <= target:
-        return x, max_iter
-    raise ConvergenceError(
-        f"projection onto the level set stalled, ||F|| = {np.linalg.norm(resid):.3e}"
-    )
-
-
 def lift_curve(
     sys: SystemSpec,
     lambda_path,
@@ -290,10 +260,10 @@ def lift_curve(
     """Horizontal lift of a piecewise-linear parameter path from x0.
 
     Integrates the lifting system A(t) gamma' = b(t) by classical RK4
-    with the step halved whenever the post-step projection needs more
-    than 3 Newton iterations and doubled (capped) when it needs at most
-    one.  Every accepted point is projected back onto
-    {f(lambda(t), .) = 0, h = h(x0)}.
+    and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
+    finder._correct.  The step is rejected and halved when the projection
+    fails or needs more than 3 iterations, and the next one doubled
+    (capped) when it needs at most one.
     """
     waypoints = _as_waypoints(lambda_path, sys.m, "lambda_path")
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -356,8 +326,13 @@ def lift_curve(
             lam_next = lam_at(s + ds)
             t_next = (seg + s + ds) / segments
             try:
-                projected, iterations = _project_to_level(
-                    sys, lam_next, candidate, a0, tols
+                projected, iterations, resid = _correct(
+                    lambda y: np.concatenate([
+                        np.asarray(sys.f(lam_next, y), dtype=float).reshape(-1),
+                        np.asarray(sys.h(y), dtype=float).reshape(-1) - a0,
+                    ]),
+                    lambda y: np.vstack([sys.jac_x(lam_next, y), sys.jac_h(y)]),
+                    candidate, tols,
                 )
             except (ConvergenceError, DegeneracyError):
                 ds *= 0.5
@@ -376,9 +351,9 @@ def lift_curve(
             ts.append(t_next)
             lams.append(lam_next.copy())
             gammas.append(x.copy())
-            max_f = max(max_f, float(np.linalg.norm(np.asarray(sys.f(lam_next, x), dtype=float))))
-            drift = float(np.linalg.norm(np.asarray(sys.h(x), dtype=float).reshape(-1) - a0))
-            max_drift = max(max_drift, drift)
+            # the corrector's residual at x: [f(lam_next, x); h(x) - a0]
+            max_f = max(max_f, float(np.linalg.norm(resid[: sys.n])))
+            max_drift = max(max_drift, float(np.linalg.norm(resid[sys.n:])))
             if iterations <= 1:
                 ds = min(2.0 * ds, max_fraction)
 
