@@ -13,11 +13,14 @@ steps of transport's lift; newton_lanes is the damped, global solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
+# numpy loads numpy.random lazily; importing it here keeps that cost out of
+# the first find
+import numpy.random
 
 from .audit import AuditReport, audit_point
 from .errors import (
@@ -409,11 +412,59 @@ def newton_on_level_set(
     return _equilibrium_point(sys, lam, lanes.solution(0), lanes.residual_f[0], tols)
 
 
+def _first_primes(count: int) -> list:
+    primes: list = []
+    candidate = 2
+    while len(primes) < count:
+        for p in primes:
+            if candidate % p == 0:
+                break
+        else:
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
-    """The multistart sample: budget scrambled Halton points in the domain box."""
-    sampler = qmc.Halton(d=sys.n, scramble=True, seed=seed)
-    box = sys.domain.box
-    return qmc.scale(sampler.random(budget), box[:, 0], box[:, 1])
+    """The multistart sample: budget scrambled Halton points in the domain box.
+
+    Owen's random digit scrambling (arXiv:1706.02808), laid out so that
+    the sample is bitwise the reference Halton sampler's (pinned by
+    tests/test_oracles.py): coordinate i uses the i-th prime base b and
+    ceil(54 / log2(b)) - 1 digit permutations of range(b), shuffled in turn
+    by one default_rng(seed).  Point t sums perm_j(digit j of t) *
+    b^-(j+1) in increasing j, one term at a time, as a pairwise sum would
+    round differently, and the unit sample is scaled by
+    u * (hi - lo) + lo.  A box of zero width in a coordinate puts every
+    start on its edge.
+    """
+    d = sys.n
+    bases = _first_primes(d)
+    rng = np.random.default_rng(seed)
+    depth = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+    # terms[j, i, r] = perm_j(r) * b^-(j+1) for base b = bases[i], and 0
+    # past that base's depth, which leaves a sum unchanged
+    terms = np.zeros((depth[0], d, bases[-1]))
+    for i, (b, count) in enumerate(zip(bases, depth)):
+        perms = np.repeat(np.arange(b)[None], count, axis=0)
+        rng.permuted(perms, axis=1, out=perms)  # rng.shuffle row by row
+        weights = [1.0 / b]
+        for _ in range(count - 1):
+            weights.append(weights[-1] / b)
+        terms[:count, i, :b] = perms * np.array(weights)[:, None]
+    base, coords = np.array(bases), np.arange(d)
+    digits = np.repeat(np.arange(budget)[:, None], d, axis=1)
+    sample = np.zeros((budget, d))
+    # base 2 has the most digits; past (budget - 1).bit_length() of them
+    # every digit of every point is 0
+    used = (budget - 1).bit_length()
+    for j in range(used):
+        sample += terms[j, coords, digits % base]
+        digits //= base
+    for j in range(used, depth[0]):
+        sample += terms[j, :, 0]
+    lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
+    return sample * (hi - lo) + lo
 
 
 def enumerate_level_points(
@@ -513,11 +564,14 @@ def _fiber_tangent(sys, lam, x, tols, location_note: str):
     return tangent / np.linalg.norm(tangent)
 
 
-def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_points):
-    """March one direction.  Returns (points, closed) where closed means
-    the walk returned to x_start (circle)."""
+def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
+           max_points):
+    """March one direction.  Returns (points, f_norms, closed): f_norms[i]
+    is ||f(lam, points[i])|| (f_start at x_start) and closed means the walk
+    returned to x_start (circle)."""
     contains = sys.domain.contains
     points = [x_start.copy()]
+    f_norms = [f_start]
     tangent = t_start
     first_tangent = t_start
     step = step0
@@ -527,7 +581,7 @@ def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_poin
         while step >= min_step:
             x_pred = x + step * tangent
             try:
-                y, iterations, _ = _correct(
+                y, iterations, resid = _correct(
                     *_slice(sys, lam, x_pred, tangent), x_pred, tols
                 )
             except (ConvergenceError, DegeneracyError):
@@ -537,19 +591,20 @@ def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_poin
                 # corrector wandered to a different sheet; resolve finer
                 step *= 0.5
                 continue
-            advanced = (y, iterations)
+            advanced = (y, iterations, resid)
             break
         if advanced is None:
             raise ConvergenceError(
                 f"fiber step collapsed below {min_step:.1e} near x = {x.tolist()}"
             )
-        y, iterations = advanced
+        y, iterations, resid = advanced
 
         if not contains(y, slack=0.0):
             boundary = _refine_boundary(sys, lam, x, tangent, step, tols)
             if boundary is not None:
-                points.append(boundary)
-            return points, False
+                points.append(boundary[0])
+                f_norms.append(boundary[1])
+            return points, f_norms, False
 
         new_tangent = _fiber_tangent(
             sys, lam, y, tols, f"while tracing at x = {np.round(y, 6).tolist()}"
@@ -563,9 +618,11 @@ def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_poin
             and float(new_tangent @ first_tangent) > 0.9
         ):
             points.append(x_start.copy())
-            return points, True
+            f_norms.append(f_start)
+            return points, f_norms, True
 
         points.append(y)
+        f_norms.append(float(np.linalg.norm(resid[: sys.n])))
         tangent = new_tangent
         if iterations > 3:
             step = max(step * 0.5, min_step)
@@ -579,7 +636,8 @@ def _march(sys, lam, x_start, t_start, tols, step0, min_step, max_step, max_poin
 
 def _refine_boundary(sys, lam, x_inside, tangent, step, tols):
     """Bisect the step fraction between the last interior corrected point
-    and the first exterior one; returns the last interior point found."""
+    and the first exterior one; returns the last interior point found and
+    its ||f||, or None."""
     contains = sys.domain.contains
     lo, hi = 0.0, step
     best = None
@@ -589,13 +647,13 @@ def _refine_boundary(sys, lam, x_inside, tangent, step, tols):
         mid = 0.5 * (lo + hi)
         try:
             x_pred = x_inside + mid * tangent
-            y, _, _ = _correct(*_slice(sys, lam, x_pred, tangent), x_pred, tols)
+            y, _, resid = _correct(*_slice(sys, lam, x_pred, tangent), x_pred, tols)
         except (ConvergenceError, DegeneracyError):
             hi = mid
             continue
         if contains(y, slack=0.0):
             lo = mid
-            best = y
+            best = y, float(np.linalg.norm(resid[: sys.n]))
         else:
             hi = mid
     return best
@@ -628,11 +686,9 @@ def trace_fiber(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if lam.size != sys.m or x0.size != sys.n:
         raise InputError("lambda or x0 has the wrong length")
-    f0 = np.asarray(sys.f(lam, x0), dtype=float).reshape(-1)
-    if np.linalg.norm(f0) > tols.equilibrium * (1.0 + np.linalg.norm(x0)) * 10.0:
-        raise InputError(
-            f"x0 is not an equilibrium: ||f|| = {np.linalg.norm(f0):.3e}"
-        )
+    f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
+    if f0 > tols.equilibrium * (1.0 + np.linalg.norm(x0)) * 10.0:
+        raise InputError(f"x0 is not an equilibrium: ||f|| = {f0:.3e}")
     if not sys.domain.contains(x0, slack=tols.domain_slack):
         raise InputError(f"x0 {x0.tolist()} is not in the domain")
 
@@ -645,16 +701,16 @@ def trace_fiber(
     if initial_direction < 0:
         tangent = -tangent
 
-    forward, closed = _march(
-        sys, lam, x0, tangent, tols, step0, floor, cap, max_points
+    forward, f_norms, closed = _march(
+        sys, lam, x0, f0, tangent, tols, step0, floor, cap, max_points
     )
     if closed:
         points = np.asarray(forward)
         topology = "circle"
         boundary_distances = None
     else:
-        backward, closed_back = _march(
-            sys, lam, x0, -tangent, tols, step0, floor, cap, max_points
+        backward, back_norms, closed_back = _march(
+            sys, lam, x0, f0, -tangent, tols, step0, floor, cap, max_points
         )
         if closed_back:
             # hit the boundary one way but closed the other: inconsistent
@@ -662,16 +718,13 @@ def trace_fiber(
                 "fiber closed in one direction but met the boundary in the other"
             )
         points = np.asarray(backward[::-1] + forward[1:])
+        f_norms = back_norms + f_norms[1:]
         topology = "segment"
         boundary_distances = (
             float(sys.domain.boundary_distance(points[0])),
             float(sys.domain.boundary_distance(points[-1])),
         )
 
-    residual = 0.0
-    for row in points:
-        value = np.asarray(sys.f(lam, row), dtype=float)
-        residual = max(residual, float(np.linalg.norm(value)))
     arclength = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
     return FiberTrace(
         lam=lam,
@@ -679,5 +732,5 @@ def trace_fiber(
         topology=topology,
         arclength=arclength,
         endpoint_boundary_distances=boundary_distances,
-        max_f_residual=residual,
+        max_f_residual=max([0.0] + f_norms),
     )

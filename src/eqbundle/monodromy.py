@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EqBundleError, InputError, ResolutionError, TrackingError
 from .finder import newton_lanes
@@ -32,6 +31,7 @@ __all__ = [
     "track_matrix_loop",
     "eigen_along_fiber_loop",
     "stability_signature",
+    "assignment",
 ]
 
 _LEAVES_CSTAR = "winding undefined, path leaves C*"
@@ -157,6 +157,96 @@ def _chord_distance_to_origin(a: complex, b: complex) -> float:
     return abs(a + t * d)
 
 
+def assignment(cost: np.ndarray) -> np.ndarray:
+    """Columns of a minimum-cost perfect matching of a square cost matrix.
+
+    Row i is matched to column assignment(cost)[i].  Ties are broken as
+    the reference solver pinned by tests/test_oracles.py breaks them, so
+    tracks that meet exactly (a real pair turning complex) are always
+    matched the same way.  When the row minima lie in distinct columns and
+    each is attained once, that matching is the unique optimum and is
+    returned as it is.  Otherwise the shortest augmenting path solver of
+    Crouse (IEEE TAES 52(4), 2016) runs with the reference's tie rules:
+    the unscanned columns are scanned from the last one down, with the
+    scanned one replaced by the last, and among equally short paths one
+    that reaches a free column wins.
+    """
+    cost = np.asarray(cost, dtype=float)
+    p = cost.shape[0]
+    if cost.shape != (p, p):
+        raise InputError(f"expected a square cost matrix, got shape {cost.shape}")
+    cols = cost.argmin(axis=1)
+    # p entries equal their row's minimum exactly when every row minimum is
+    # attained once; a NaN row never counts
+    if (
+        len(set(cols.tolist())) == p
+        and np.count_nonzero(cost == cost.min(axis=1, keepdims=True)) == p
+    ):
+        return cols
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise InputError("cost matrix contains NaN or -inf")
+    return np.array(_shortest_augmenting_paths(cost.tolist()), dtype=np.intp)
+
+
+def _shortest_augmenting_paths(cost: list) -> list:
+    """Crouse's solver on a square matrix given as a list of rows, with
+    every reduced cost and dual update in the reference's order of
+    operations, in Python floats (IEEE doubles)."""
+    p = len(cost)
+    inf = float("inf")
+    u = [0.0] * p
+    v = [0.0] * p
+    path = [-1] * p
+    col4row = [-1] * p
+    row4col = [-1] * p
+    for cur_row in range(p):
+        # Dijkstra from cur_row over reduced costs, until a free column
+        min_val = 0.0
+        remaining = list(range(p - 1, -1, -1))
+        scanned_rows, scanned_cols = [], []
+        shortest = [inf] * p
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = inf
+            scanned_rows.append(i)
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                s = shortest[j]
+                r = min_val + row[j] - u_i - v[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise InputError("cost matrix admits no finite matching")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in scanned_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in scanned_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 class _LoopTracker:
     """Sequential fold that carries p eigenvalue tracks along the loop."""
 
@@ -180,8 +270,7 @@ class _LoopTracker:
     def match(self, candidates: np.ndarray) -> np.ndarray:
         predicted = 2.0 * self.values - self.previous
         cost = np.abs(predicted[:, None] - candidates[None, :])
-        _, cols = linear_sum_assignment(cost)
-        return candidates[cols]
+        return candidates[assignment(cost)]
 
     def accept(self, matched: np.ndarray, dargs: np.ndarray) -> None:
         self.accumulated += dargs
@@ -329,8 +418,7 @@ def track_matrix_loop(
                  refine, 0, max_refine, (i, i + 1))
 
     # closure: map each track back to the base spectrum it started from
-    cost = np.abs(tracker.values[:, None] - base[None, :])
-    _, cols = linear_sum_assignment(cost)
+    cols = assignment(np.abs(tracker.values[:, None] - base[None, :]))
     permutation = tuple(int(c) for c in cols)
     mismatch = float(np.max(np.abs(tracker.values - base[cols])))
     scale = float(np.max(np.abs(base)))

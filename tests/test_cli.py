@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,3 +362,24 @@ def test_matrix_loop_without_system(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert "system" not in data["config"]
     assert sorted(data["result"]["windings"]) == [-1, 1]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; numpy.random is imported eagerly so
+    # that the first find does not pay for its import
+    import eqbundle
+
+    src = os.path.dirname(os.path.dirname(eqbundle.__file__))
+    probe = (
+        "import sys, eqbundle, eqbundle.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print('numpy.random' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.split("\n")
+    assert out[0] == "[]"
+    assert out[1] == "True"

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from eqbundle import builtin
 from eqbundle.errors import (
     BranchPointError,
     ConvergenceError,
@@ -10,7 +12,12 @@ from eqbundle.errors import (
     InputError,
     UnsupportedDimensionError,
 )
-from eqbundle.finder import enumerate_level_points, newton_on_level_set, trace_fiber
+from eqbundle.finder import (
+    enumerate_level_points,
+    level_starts,
+    newton_on_level_set,
+    trace_fiber,
+)
 from eqbundle.systems import Domain, PointState, SystemSpec
 
 
@@ -231,3 +238,38 @@ def test_equilibrium_point_serializes(planar):
     assert data["transversal"] is True
     assert data["audit"]["is_equilibrium"] is True
     assert len(data["x"]) == 2
+
+
+def test_find_on_a_box_of_zero_width(planar):
+    # x1 is pinned to 0; at lambda = 0 the level h = 0.5 meets f = 0 at (0, 0.5)
+    pinned = dataclasses.replace(planar, domain=Domain(box=[[0.0, 0.0], [-1.0, 1.0]]))
+    assert np.all(level_starts(pinned, 32, 0)[:, 0] == 0.0)
+    points = enumerate_level_points(pinned, [0.0], [0.5], budget=32)
+    assert len(points) == 1
+    assert np.allclose(points[0].state.x, [0.0, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params, lam, x0, calls, count",
+    [
+        ("planar", {}, [0.5], [-0.5, 0.0], 305, 43),
+        ("rfmr", {"n": 3}, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 85, 25),
+    ],
+)
+def test_trace_reads_residuals_from_the_corrector(name, params, lam, x0, calls, count):
+    # f runs once at x0 and once per corrector iteration; the trace's
+    # max_f_residual reuses those values instead of one more call per point
+    sys = builtin(name, **params)
+    made = []
+
+    def f(lam, x):
+        made.append(1)
+        return sys.f(lam, x)
+
+    counted = trace_fiber(dataclasses.replace(sys, f=f), lam, x0)
+    plain = trace_fiber(sys, lam, x0)
+    assert len(made) == calls and len(counted.points) == count
+    assert counted.max_f_residual == plain.max_f_residual
+    assert counted.max_f_residual == max(
+        float(np.linalg.norm(sys.f(np.asarray(lam), row))) for row in plain.points
+    )
