@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .linalg import image_basis, kernel_basis, numeric_rank
-from .systems import Evaluation, PointState, SystemSpec, evaluate
+from .linalg import numeric_rank, rank_and_subspaces
+from .systems import Evaluation, PointState, SystemSpec, _evaluate_point, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -113,9 +113,9 @@ def check_structural_identity(sys: SystemSpec, u: PointState) -> float:
     return structural_identity_residual(evaluate(sys, u, check_domain=False))
 
 
-def _is_equilibrium(ev: Evaluation, tols: Tolerances) -> tuple:
-    residual = float(np.linalg.norm(ev.f_value))
-    scale = 1.0 + float(np.linalg.norm(ev.point.x))
+def _is_equilibrium(f_value: np.ndarray, x: np.ndarray, tols: Tolerances) -> tuple:
+    residual = float(np.linalg.norm(f_value))
+    scale = 1.0 + float(np.linalg.norm(x))
     return residual <= tols.equilibrium * scale, residual
 
 
@@ -127,9 +127,14 @@ def audit_point(
     Only evaluability is required, not domain membership, so equilibria
     just outside the working region can still be diagnosed.
     """
-    ev = evaluate(sys, u, check_domain=False)
+    return _audit(sys, evaluate(sys, u, check_domain=False), tols)[0]
+
+
+def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
+    """audit_point on an evaluation, and the kernel basis of df/dx from the
+    one SVD that decides cond_ii and cond_iii: (AuditReport, kernel)."""
     n, k, m = sys.n, sys.k, sys.m
-    at_equilibrium, residual = _is_equilibrium(ev, tols)
+    at_equilibrium, residual = _is_equilibrium(ev.f_value, ev.point.x, tols)
     fd_lam, fd = sys.finite_difference("jac_lambda"), sys.finite_difference("jac_x")
 
     rank_lam = numeric_rank(ev.jac_lambda, tols.rank, fd=fd_lam)
@@ -141,31 +146,23 @@ def audit_point(
         detail="rank of df/dlambda vs min(m, n-k); failure is a warning",
     )
 
-    rank_x = numeric_rank(ev.jac_x, tols.rank, fd=fd)
-    if at_equilibrium:
-        cond_ii = CheckResult(
-            passed=rank_x.rank == n - k,
-            rank=rank_x.rank,
-            expected=n - k,
-            detail="rank of df/dx vs n-k at an equilibrium",
-        )
-    else:
-        cond_ii = CheckResult(
-            passed=None,
-            rank=rank_x.rank,
-            expected=None,
-            detail="measured rank of df/dx off the equilibrium set (informational)",
-        )
+    rank_x, kernel, image = rank_and_subspaces(ev.jac_x, tols.rank, fd=fd)
+    cond_ii = CheckResult(
+        passed=rank_x.rank == n - k if at_equilibrium else None,
+        rank=rank_x.rank,
+        expected=n - k if at_equilibrium else None,
+        detail=(
+            "rank of df/dx vs n-k at an equilibrium"
+            if at_equilibrium
+            else "measured rank of df/dx off the equilibrium set (informational)"
+        ),
+    )
 
-    kernel = kernel_basis(ev.jac_x, tols.rank, fd=fd)
-    image = image_basis(ev.jac_x, tols.rank, fd=fd)
-    stacked = np.hstack([kernel, image]) if kernel.size or image.size else np.zeros((n, 0))
-    rank_ki = numeric_rank(stacked, tols.rank, fd=fd) if stacked.shape[1] else None
-    ki_rank = rank_ki.rank if rank_ki is not None else 0
-    direct_sum = ki_rank == n and stacked.shape[1] == n
+    # the full SVD's kernel and image bases have n columns together
+    rank_ki = numeric_rank(np.hstack([kernel, image]), tols.rank, fd=fd)
     cond_iii = CheckResult(
-        passed=direct_sum if at_equilibrium else None,
-        rank=ki_rank,
+        passed=rank_ki.rank == n if at_equilibrium else None,
+        rank=rank_ki.rank,
         expected=n,
         detail=(
             "rank of [kernel basis | image basis] of df/dx vs n"
@@ -179,11 +176,11 @@ def audit_point(
         "equilibrium": tols.equilibrium,
         "rank_jac_lambda": rank_lam.tol,
         "rank_jac_x": rank_x.tol,
-        "rank_kernel_image": rank_ki.tol if rank_ki is not None else None,
+        "rank_kernel_image": rank_ki.tol,
         "rank_full_jacobian": full.tol,
     }
     return AuditReport(
-        point=u,
+        point=ev.point,
         is_equilibrium=at_equilibrium,
         residual=residual,
         cond_i=cond_i,
@@ -192,7 +189,7 @@ def audit_point(
         structural_identity_residual=structural_identity_residual(ev),
         full_jacobian_rank=full.rank,
         tolerances=used,
-    )
+    ), kernel
 
 
 @dataclass(frozen=True)
@@ -229,17 +226,17 @@ def audit_manifold_dimension(
     (m+k)-dimensional manifold wherever this passes.
     """
     verdicts = []
+    fd = sys.finite_difference("jac_lambda", "jac_x")
     for u in equilibria:
-        ev = evaluate(sys, u, check_domain=False)
-        at_equilibrium, residual = _is_equilibrium(ev, tols)
-        fd = sys.finite_difference("jac_lambda", "jac_x")
+        f_value, jac_x, jac_lambda = _evaluate_point(sys, u, ("f", "jac_x", "jac_lambda"))
+        at_equilibrium, residual = _is_equilibrium(f_value, u.x, tols)
         if not at_equilibrium:
             raise InputError(
                 f"point lambda = {u.lam.tolist()}, x = {u.x.tolist()} is not an "
                 f"equilibrium: ||f|| = {residual:.3e} exceeds the tolerance "
                 f"{tols.equilibrium:.1e} * (1 + ||x||)"
             )
-        full = numeric_rank(np.hstack([ev.jac_lambda, ev.jac_x]), tols.rank, fd=fd)
+        full = numeric_rank(np.hstack([jac_lambda, jac_x]), tols.rank, fd=fd)
         expected = sys.n - sys.k
         kernel_dim = sys.m + sys.n - full.rank
         verdicts.append(

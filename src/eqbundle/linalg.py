@@ -1,9 +1,10 @@
 """Rank-revealing linear algebra with explicit tolerance reporting.
 
-Thin contracts over LAPACK (via numpy): every rank decision is made from a
-full SVD with the cutoff recorded next to the answer, least squares always
-goes through an orthogonal factorization (never the normal equations), and
-dense eigenvalues come back in a deterministic order.
+Thin contracts over LAPACK (via numpy): every rank decision applies one
+cutoff rule to singular values and records the cutoff next to the answer.
+A rank alone takes the singular values only, a rank with kernel and image
+one full SVD, least squares one thin SVD (never the normal equations).
+Dense eigenvalues come back in a deterministic order.
 """
 
 from __future__ import annotations
@@ -64,23 +65,17 @@ def default_rank_tol(shape, sigma_max: float) -> float:
 FD_NOISE_FLOOR = 50.0 * EPS ** (2.0 / 3.0)
 
 
-def fd_rank_tol(shape, sigma_max: float) -> float:
-    """Rank cutoff for matrices assembled from finite differences."""
-    return max(default_rank_tol(shape, sigma_max), FD_NOISE_FLOOR * max(1.0, sigma_max))
-
-
-def _svd_cutoff(shape, sigma_max: float, tol_override, fd: bool) -> float:
-    if tol_override is not None:
-        return float(tol_override)
-    if fd:
-        return fd_rank_tol(shape, sigma_max)
-    return default_rank_tol(shape, sigma_max)
-
-
 def _rank_report(shape, s: np.ndarray, tol_override, fd: bool) -> RankReport:
-    """The rank decision on the singular values s of a matrix of this shape."""
+    """The rank decision on the singular values s of a matrix of this shape:
+    tol_override when given, else the spectral-norm-scaled cutoff, raised
+    to the finite-difference noise floor when fd is set."""
     sigma_max = float(s[0]) if s.size else 0.0
-    tol = _svd_cutoff(shape, sigma_max, tol_override, fd)
+    if tol_override is not None:
+        tol = float(tol_override)
+    else:
+        tol = default_rank_tol(shape, sigma_max)
+        if fd:
+            tol = max(tol, FD_NOISE_FLOOR * max(1.0, sigma_max))
     rank = int(np.count_nonzero(s > tol))
     return RankReport(rank=rank, singular_values=tuple(float(v) for v in s), tol=tol)
 
@@ -121,8 +116,8 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise InputError("b contains non-finite entries")
-    if b.shape[0] != A.shape[0]:
-        raise InputError(f"incompatible shapes: A is {A.shape}, b has length {b.shape[0]}")
+    if b.shape[:1] != A.shape[:1]:
+        raise InputError(f"incompatible shapes: A is {A.shape}, b is {b.shape}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     report = _rank_report(A.shape, s, rank_tol, False)
     if report.rank < A.shape[1]:
@@ -148,17 +143,20 @@ def eigen_dense(M) -> np.ndarray:
     return vals[order]
 
 
+def rank_and_subspaces(M, tol_override: float | None = None, fd: bool = False) -> tuple:
+    """(RankReport, kernel, image) of M from one full SVD, the cutoff as in
+    numeric_rank; the bases are orthonormal columns of singular vectors."""
+    A = _as_matrix(M)
+    u, s, vt = np.linalg.svd(A)
+    report = _rank_report(A.shape, s, tol_override, fd)
+    return report, vt[report.rank:].T.copy(), u[:, :report.rank].copy()
+
+
 def kernel_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
     """Orthonormal basis of ker(M) as columns, from right singular vectors."""
-    A = _as_matrix(M)
-    _, s, vt = np.linalg.svd(A)
-    rank = _rank_report(A.shape, s, tol_override, fd).rank
-    return vt[rank:].T.copy()
+    return rank_and_subspaces(M, tol_override, fd)[1]
 
 
 def image_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
     """Orthonormal basis of im(M) as columns, from left singular vectors."""
-    A = _as_matrix(M)
-    u, s, _ = np.linalg.svd(A)
-    rank = _rank_report(A.shape, s, tol_override, fd).rank
-    return u[:, :rank].copy()
+    return rank_and_subspaces(M, tol_override, fd)[2]

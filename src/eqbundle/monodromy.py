@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EqBundleError, InputError, ResolutionError, TrackingError
 from .finder import newton_lanes
 from .linalg import eigen_dense
-from .systems import PointState, SystemSpec, evaluate
+from .systems import PointState, SystemSpec, _evaluate_point
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -475,15 +475,15 @@ def eigen_along_fiber_loop(
     matrices = []
     levels = []
     for i, x in enumerate(points):
-        ev = evaluate(sys, PointState(lam, x), check_domain=False)
-        residual = float(np.linalg.norm(ev.f_value))
+        f_value, h_value, jac_x = _evaluate_point(sys, PointState(lam, x), ("f", "h", "jac_x"))
+        residual = float(np.linalg.norm(f_value))
         scale = 1.0 + float(np.linalg.norm(x))
         if residual > 10.0 * tols.equilibrium * scale:
             raise InputError(
                 f"loop point {i} is not an equilibrium: ||f|| = {residual:.3e}"
             )
-        matrices.append(ev.jac_x)
-        levels.append(ev.h_value)
+        matrices.append(jac_x)
+        levels.append(h_value)
 
     payloads = list(zip(points, levels))
 
@@ -491,8 +491,8 @@ def eigen_along_fiber_loop(
         x_guess = 0.5 * (left[0] + right[0])
         a_mid = 0.5 * (left[1] + right[1])
         x_mid = newton_lanes(sys, lam, a_mid, x_guess[None, :], tols).solution(0)
-        ev = evaluate(sys, PointState(lam, x_mid), check_domain=False)
-        return (ev.point.x, ev.h_value), ev.jac_x
+        h_value, jac_x = _evaluate_point(sys, PointState(lam, x_mid), ("h", "jac_x"))
+        return (x_mid, h_value), jac_x
 
     return track_matrix_loop(
         matrices,

@@ -111,9 +111,9 @@ class Evaluation:
 
     point: PointState
     f_value: np.ndarray            # (n,)
+    h_value: np.ndarray            # (k,)
     jac_x: np.ndarray              # (n, n)
     jac_lambda: np.ndarray         # (n, m)
-    h_value: np.ndarray            # (k,)
     jac_h: np.ndarray              # (k, n)
     hess_h: np.ndarray             # (k, n, n)
     derivative_source: str         # "analytic" | "finite-difference"
@@ -377,6 +377,10 @@ def _fd_hessian(fn, x: np.ndarray, width: int, batched: bool, errors=None):
     return H
 
 
+# the blocks of an Evaluation, in field order, which is the order of computation
+_BLOCKS = ("f", "h", "jac_x", "jac_lambda", "jac_h", "hess_h")
+
+
 def evaluate(
     sys: SystemSpec,
     u: PointState,
@@ -391,39 +395,37 @@ def evaluate(
     (not domain membership) pass check_domain=False to skip the domain
     and parameter box tests.
     """
+    return Evaluation(
+        u,
+        *_evaluate_point(sys, u, _BLOCKS, slack if check_domain else None),
+        derivative_source="analytic" if sys.analytic else "finite-difference",
+    )
+
+
+def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, slack=None) -> tuple:
+    """The named blocks at the one point u, as _evaluate_rows computes them.
+    Raises InputError when lam or x has the wrong length and, unless slack
+    is None, when u falls outside the parameter box or domain by more."""
     lam, x = u.lam, u.x
     if lam.size != sys.m:
         raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
     if x.size != sys.n:
         raise InputError(f"x has length {x.size}, expected n = {sys.n}")
-    if check_domain:
+    if slack is not None:
         pb = sys.parameter_box
         if np.any(lam < pb[:, 0] - slack) or np.any(lam > pb[:, 1] + slack):
             raise InputError(f"lambda {lam.tolist()} outside parameter box")
         if not sys.domain.contains(x, slack):
             raise InputError(f"x {x.tolist()} outside domain")
-
-    f_value, h_value, jac_x, jac_lambda, jac_h, hess_h = (
-        block[0] for block in _evaluate_rows(sys, lam, x[None, :])
-    )
-    return Evaluation(
-        point=u,
-        f_value=f_value,
-        jac_x=jac_x,
-        jac_lambda=jac_lambda,
-        h_value=h_value,
-        jac_h=jac_h,
-        hess_h=hess_h,
-        derivative_source="analytic" if sys.analytic else "finite-difference",
-    )
+    return tuple(block[0] for block in _evaluate_rows(sys, lam, x[None, :], names))
 
 
-def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> tuple:
-    """evaluate's blocks (f, h, jac_x, jac_lambda, jac_h, hess_h) at every
-    row of the stack x, one stacked call per block; lam is shared or has a
-    row per row of x.  Raises the error that evaluate raises at the first
-    row where it raises: per row, the first failing block, in block order,
-    fails with its own error or as non-finite."""
+def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple) -> tuple:
+    """The blocks named in `names`, a subsequence of _BLOCKS, at every row of
+    the stack x, one stacked call per block; lam is shared or has a row per
+    row of x.  Blocks not named are not computed.  Raises the error of the
+    first row where one fails: per row, the first failing named block, in
+    block order, fails with its own error or as non-finite."""
     errors: dict = {}
 
     def checked(label, values):
@@ -436,14 +438,15 @@ def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray) -> tuple:
                 )
         return values
 
-    blocks = (
-        checked("f", sys.f_rows(lam, x, errors)),
-        checked("h", sys.h_rows(x, errors)),
-        checked("jac_x", sys.jac_x(lam, x, errors)),
-        checked("jac_lambda", sys.jac_lambda(lam, x, errors)),
-        checked("jac_h", sys.jac_h(x, errors)),
-        checked("hess_h", sys.hess_h(x, errors)),
-    )
+    compute = {
+        "f": lambda: sys.f_rows(lam, x, errors),
+        "h": lambda: sys.h_rows(x, errors),
+        "jac_x": lambda: sys.jac_x(lam, x, errors),
+        "jac_lambda": lambda: sys.jac_lambda(lam, x, errors),
+        "jac_h": lambda: sys.jac_h(x, errors),
+        "hess_h": lambda: sys.hess_h(x, errors),
+    }
+    blocks = tuple(checked(name, compute[name]()) for name in names)
     if errors:
         raise errors[min(errors)]
     return blocks
@@ -479,7 +482,7 @@ def first_integral_violation(
             xs.append(x)
     worst = FirstIntegralViolation(0.0, pb[:, 0], sys.domain.box[:, 0], 0)
     if xs:
-        f, _, _, _, jac_h, _ = _evaluate_rows(sys, np.array(lams), np.array(xs))
+        f, jac_h = _evaluate_rows(sys, np.array(lams), np.array(xs), ("f", "jac_h"))
         for i, (lam, x) in enumerate(zip(lams, xs)):
             residuals = np.abs(jac_h[i] @ f[i])
             l = int(np.argmax(residuals))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .audit import audit_point
+from .audit import _audit
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .finder import _correct, enumerate_level_points
 from .linalg import kernel_basis, numeric_rank, solve_least_squares
-from .systems import PointState, SystemSpec, evaluate
+from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -134,7 +134,12 @@ def connection_frame(
     kernel and image of df/dx are complementary; otherwise the splitting
     is not defined and a DegeneracyError carrying the audit is raised.
     """
-    report = audit_point(sys, u, tols)
+    return _frame(sys, evaluate(sys, u, check_domain=False), tols)
+
+
+def _frame(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> ConnectionFrame:
+    """connection_frame on an evaluation; V_u comes from the audit's SVD."""
+    report, kernel_x = _audit(sys, ev, tols)
     if not report.is_equilibrium:
         raise DegeneracyError(
             f"connection frame needs an equilibrium; ||f|| = {report.residual:.3e}",
@@ -151,24 +156,21 @@ def connection_frame(
             report=report,
         )
 
-    ev = evaluate(sys, u, check_domain=False)
     # the horizontal basis, and so the span, come from all three blocks
     fd = sys.finite_difference("jac_lambda", "jac_x", "jac_h")
-    m, n, k = sys.m, sys.n, sys.k
+    m, k = sys.m, sys.k
 
-    kernel_x = kernel_basis(ev.jac_x, tols.rank, fd=sys.finite_difference("jac_x"))
-    vertical = np.vstack([np.zeros((m, kernel_x.shape[1])), kernel_x])
+    # cond_ii passed, so the kernel of df/dx has k columns
+    vertical = np.vstack([np.zeros((m, k)), kernel_x])
 
     stacked = np.block([
         [ev.jac_lambda, ev.jac_x],
         [np.zeros((k, m)), ev.jac_h],
     ])
     horizontal = kernel_basis(stacked, tols.rank, fd=fd)      # (m+n, m)
-
-    if vertical.shape[1] != k or horizontal.shape[1] != m:
+    if horizontal.shape[1] != m:
         raise DegeneracyError(
-            f"subspace dimensions are off: vertical {vertical.shape[1]} "
-            f"(expected {k}), horizontal {horizontal.shape[1]} (expected {m})",
+            f"horizontal subspace has dimension {horizontal.shape[1]}, expected {m}",
             report=report,
         )
     span = numeric_rank(np.hstack([vertical, horizontal]), tols.rank, fd=fd)
@@ -180,16 +182,11 @@ def connection_frame(
 
     vertical = _canonical_columns(vertical)
     horizontal = _canonical_columns(horizontal)
-    overlap = (
-        float(np.max(np.abs(vertical.T @ horizontal)))
-        if vertical.size and horizontal.size
-        else 0.0
-    )
     return ConnectionFrame(
-        at=u,
+        at=ev.point,
         vertical_basis=vertical,
         horizontal_basis=horizontal,
-        max_mutual_overlap=overlap,
+        max_mutual_overlap=float(np.max(np.abs(vertical.T @ horizontal))),
     )
 
 
@@ -228,7 +225,7 @@ def metric_g(
                 f"{name} is not tangent to the equilibrium set: "
                 f"||J {name}|| = {residual:.3e}"
             )
-    frame = connection_frame(sys, u, tols)
+    frame = _frame(sys, ev, tols)
     phi_x = vertical_projector(frame, X)
     phi_y = vertical_projector(frame, Y)
     pi_x = (X - phi_x)[: sys.m]

@@ -53,3 +53,18 @@ def rfmr_circulant_eigenvalues(lam_value: float, c: float, n: int) -> np.ndarray
     w = np.exp(2j * np.pi / n)
     j = np.arange(n)
     return -lam_value + lam_value * c * w**j + lam_value * (1 - c) * w ** ((n - 1) * j)
+
+
+def count_calls(monkeypatch, name: str, *owners) -> list:
+    """Wrap the function `name` of each module or object in owners so that
+    every call appends `name` to the returned list, then calls through."""
+    calls = []
+    for owner in owners:
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls

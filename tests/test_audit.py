@@ -12,6 +12,8 @@ from eqbundle.audit import (
 from eqbundle.errors import InputError
 from eqbundle.systems import PointState, evaluate
 
+from conftest import count_calls
+
 
 def test_example2_symmetric_point(example2):
     u = PointState(np.array([1.0]), np.array([1.0, 1.0, 1.0]))
@@ -176,3 +178,16 @@ def test_report_serializes(example2):
         "rank_kernel_image", "rank_full_jacobian",
     }
     assert parsed["warnings"]
+
+
+def test_audit_point_takes_one_svd_of_df_dx(monkeypatch, rfmr3, example2):
+    # df/dlambda, df/dx (rank, kernel and image at once), the kernel-image
+    # stack and the full Jacobian: four SVDs, none of them repeated
+    svds = count_calls(monkeypatch, "svd", np.linalg)
+    for sys, u in (
+        (rfmr3, PointState([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])),
+        (example2, PointState([1.0], [1.0, 1.0, 1.0])),
+    ):
+        svds.clear()
+        audit_point(sys, u)
+        assert len(svds) == 4

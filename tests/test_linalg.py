@@ -73,9 +73,16 @@ def test_lstsq_rank_deficient_raises():
     assert exc.value.report.rank == 1
 
 
-def test_lstsq_shape_mismatch():
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        pytest.param(np.eye(2), np.array([1.0, 2.0, 3.0]), id="b-too-long"),
+        pytest.param(np.eye(1), 3.0, id="b-0d"),
+    ],
+)
+def test_lstsq_shape_mismatch(A, b):
     with pytest.raises(InputError):
-        solve_least_squares(np.eye(2), np.array([1.0, 2.0, 3.0]))
+        solve_least_squares(A, b)
 
 
 def test_lstsq_recovers_exact_solution():

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rfmr_circulant_eigenvalues
+from eqbundle import builtin
 from eqbundle.audit import audit_point
 from eqbundle.errors import InputError, ResolutionError, TrackingError
 from eqbundle.monodromy import (
@@ -272,3 +276,58 @@ def test_report_serialization():
     blob = json.loads(json.dumps(sp.as_dict(), sort_keys=True))
     assert blob["zeros"] == [[0.0, 0.0]]
     assert blob["nonzeros"] == [[-1.5, 0.0], [2.0, 0.0]]
+
+
+def test_fiber_loop_reads_no_parameter_or_hessian_blocks(rfmr3):
+    calls = {"jac_lambda": 0, "hess_h": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    sys = dataclasses.replace(
+        rfmr3,
+        jac_lambda_fn=counted("jac_lambda", rfmr3.jac_lambda_fn),
+        hess_h_fn=counted("hess_h", rfmr3.hess_h_fn),
+    )
+    # one coarse out-and-back leg on the diagonal, so the refiner runs too
+    pts = [np.full(3, c) for c in (0.1, 0.4, 0.1)]
+    report = eigen_along_fiber_loop(sys, [1.0, 1.0, 1.0], pts)
+    assert report.samples_used > len(pts)
+    assert calls == {"jac_lambda": 0, "hess_h": 0}
+
+
+@st.composite
+def circulant_ellipses(draw):
+    """An ellipse (r0 + rr cos t, c0 + rc sin t) in (rate, fill) that stays
+    on one side of c = 1/2, where conjugate rfmr eigenvalues never meet."""
+    lo, hi = draw(st.sampled_from([(0.08, 0.45), (0.55, 0.92)]))
+    c0 = draw(st.floats(lo + 0.02, hi - 0.02))
+    rc = draw(st.floats(0.1, 0.9)) * min(c0 - lo, hi - c0)
+    r0 = draw(st.floats(1.0, 2.5))
+    rr = draw(st.floats(0.1, 0.8)) * (r0 - 0.3)
+    return draw(st.integers(3, 6)), r0, rr, c0, rc, draw(st.integers(12, 48))
+
+
+@settings(settings.get_profile("derandomized"), max_examples=30)
+@given(loop=circulant_ellipses())
+def test_circulant_loops_have_trivial_monodromy(loop):
+    n, r0, rr, c0, rc, samples = loop
+    sys = builtin("rfmr", n=n)
+    t = 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
+    mats = [
+        sys.jac_x_fn(np.full(n, r0 + rr * np.cos(s)), np.full(n, c0 + rc * np.sin(s)))
+        for s in t
+    ]
+    report = track_matrix_loop(mats, k=1)
+    assert report.permutation == tuple(range(n - 1))
+    assert report.windings == (0,) * (n - 1)
+    # the base matrix sits at t = 0; the oracle's j = 0 value is the zero one
+    nonzeros = np.array(split_spectrum(mats[0], 1).nonzeros)
+    oracle = rfmr_circulant_eigenvalues(r0 + rr, c0, n)[1:]
+    assert nonzeros.size == oracle.size
+    distances = np.abs(nonzeros[:, None] - oracle[None, :])
+    assert distances.min(axis=0).max() < 1e-9 * (r0 + rr)
+    assert distances.min(axis=1).max() < 1e-9 * (r0 + rr)

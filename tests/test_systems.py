@@ -210,3 +210,37 @@ def test_first_integral_violation_reports_location():
     assert worst.max_residual == pytest.approx(1.0)
     assert worst.integral_index == 0
     assert worst.x.shape == (2,)
+
+
+def rotation_spec(calls: dict, hess_h_fn=None) -> SystemSpec:
+    """Rotation xdot = lam (-x2, x1) with h = |x|^2, called row by row,
+    with derivatives from finite differences and h's calls counted."""
+
+    def h(x):
+        calls["h"] += 1
+        return np.array([x[0] ** 2 + x[1] ** 2])
+
+    return SystemSpec(
+        name="rotation", n=2, m=1, k=1,
+        f=lambda lam, x: lam[0] * np.array([-x[1], x[0]]),
+        h=h,
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.5, 2.0]]),
+        hess_h_fn=hess_h_fn,
+    )
+
+
+def test_first_integral_violation_differences_h_only():
+    # f . grad h needs dh/dx alone: 2n calls of h per sample, no h values
+    # and no Hessian points
+    calls = {"h": 0}
+    worst = first_integral_violation(rotation_spec(calls), samples=7, seed=0)
+    assert worst.max_residual < 1e-9
+    assert calls["h"] == 2 * 2 * 7
+
+
+def test_first_integral_violation_ignores_the_hessian():
+    sys = rotation_spec({"h": 0}, hess_h_fn=lambda x: np.full((1, 2, 2), np.nan))
+    assert first_integral_violation(sys, samples=5, seed=0).max_residual < 1e-9
+    with pytest.raises(EvaluationError, match="hess_h"):
+        evaluate(sys, PointState([1.0], [0.3, 0.4]))

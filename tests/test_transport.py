@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from eqbundle import audit, transport
 from eqbundle.errors import DegeneracyError, HolonomyError, InputError, TransportError
 from eqbundle.linalg import numeric_rank, solve_least_squares
 from eqbundle.systems import Domain, PointState, SystemSpec
@@ -263,3 +265,19 @@ def test_transport_serialization(planar):
     report = holonomy_loop(planar, [[0.5], [0.9], [0.5]], [0.0], budget=30, seed=0)
     blob = json.loads(json.dumps(report.as_dict(), sort_keys=True))
     assert blob["permutation"] == [0]
+
+
+def test_frame_reuses_the_audit_factorization(monkeypatch, rfmr3):
+    # the audit's four SVDs, then the horizontal kernel and the span rank;
+    # V_u is the kernel of the audit's SVD of df/dx
+    svds = count_calls(monkeypatch, "svd", np.linalg)
+    connection_frame(rfmr3, PointState(ASYM_LAM, ASYM_X))
+    assert len(svds) == 6
+
+
+def test_metric_evaluates_the_point_once(monkeypatch, rfmr3):
+    u = PointState(ASYM_LAM, ASYM_X)
+    vertical = connection_frame(rfmr3, u).vertical_basis[:, 0]
+    evaluations = count_calls(monkeypatch, "evaluate", audit, transport)
+    metric_g(rfmr3, u, vertical, vertical)
+    assert len(evaluations) == 1
