@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .expr import build_system_from_config
+from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -158,9 +158,8 @@ def _echo_system(spec, system: Optional[SystemSpec]) -> Optional[dict]:
     assert system is not None
     decl.setdefault("name", system.name)
     decl.setdefault("parameter_box", [[float(a), float(b)] for a, b in system.parameter_box])
-    decl.setdefault("identity_tolerance", 1e-8)
-    decl.setdefault("identity_samples", 200)
-    decl.setdefault("identity_seed", 0)
+    for key, value in IDENTITY_DEFAULTS.items():
+        decl.setdefault(key, value)
     return {"declaration": decl}
 
 

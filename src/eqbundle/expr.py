@@ -448,14 +448,19 @@ def to_source(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# Defaults of the optional declaration keys that set the first-integral check;
+# configs echo a declaration with them filled in.
+IDENTITY_DEFAULTS = {"identity_tolerance": 1e-8, "identity_samples": 200, "identity_seed": 0}
+
+
 def build_system_from_config(decl: dict) -> SystemSpec:
     """Build a SystemSpec from a DSL declaration.
 
     Required keys: n, m, k, f (n expression strings), h (k expression
     strings), domain_box ((n, 2) array-like).  Optional: name,
-    parameter_box ((m, 2), default [0.25, 4] per coordinate),
-    identity_tolerance (default 1e-8), identity_samples (default 200),
-    identity_seed (default 0).
+    parameter_box ((m, 2), default [0.25, 4] per coordinate), and the
+    keys of IDENTITY_DEFAULTS: identity_tolerance, identity_samples,
+    identity_seed.
 
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
@@ -469,10 +474,7 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     missing = [key for key in ("n", "m", "k", "f", "h", "domain_box") if key not in decl]
     if missing:
         raise InputError(f"system declaration missing keys: {missing}")
-    known = {
-        "n", "m", "k", "f", "h", "domain_box", "name", "parameter_box",
-        "identity_tolerance", "identity_samples", "identity_seed",
-    }
+    known = {"n", "m", "k", "f", "h", "domain_box", "name", "parameter_box", *IDENTITY_DEFAULTS}
     unknown = sorted(set(decl) - known)
     if unknown:
         raise InputError(f"unknown system declaration keys: {unknown}")
@@ -513,10 +515,9 @@ def build_system_from_config(decl: dict) -> SystemSpec:
         batched=True,
     )
 
-    tolerance = float(decl.get("identity_tolerance", 1e-8))
-    samples = int(decl.get("identity_samples", 200))
-    seed = int(decl.get("identity_seed", 0))
-    worst = first_integral_violation(sys, samples=samples, seed=seed)
+    tolerance, samples, seed = (decl.get(key, value) for key, value in IDENTITY_DEFAULTS.items())
+    tolerance = float(tolerance)
+    worst = first_integral_violation(sys, samples=int(samples), seed=int(seed))
     if worst.max_residual > tolerance:
         raise InputError(
             "declared h is not a first integral: max |f . grad h| = "

@@ -31,13 +31,7 @@ from .errors import (
     InputError,
     UnsupportedDimensionError,
 )
-from .linalg import (
-    RankReport,
-    default_rank_tol,
-    kernel_basis,
-    numeric_rank,
-    solve_least_squares,
-)
+from .linalg import _rank_report, kernel_basis, numeric_rank, rank_cutoff, solve_least_squares
 from .systems import PointState, SystemSpec, _rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -313,19 +307,11 @@ def newton_lanes(
         lanes, jac = lanes[keep], jac[keep]
 
         u, s, vt = np.linalg.svd(jac, full_matrices=False)
-        if tols.rank is not None:
-            cutoff = np.full(lanes.size, float(tols.rank))
-        else:
-            cutoff = default_rank_tol(jac.shape[1:], s[:, 0])
         # s is descending: rank < n exactly when the last value is cut off
-        singular = s[:, -1] <= cutoff
+        singular = s[:, -1] <= rank_cutoff(jac.shape[1:], s[:, 0], tols.rank, False)
         if singular.any():
             for row in singular.nonzero()[0]:
-                details[int(lanes[row])] = RankReport(
-                    rank=int(np.count_nonzero(s[row] > cutoff[row])),
-                    singular_values=tuple(float(v) for v in s[row]),
-                    tol=float(cutoff[row]),
-                )
+                details[int(lanes[row])] = _rank_report(jac.shape[1:], s[row], tols.rank, False)
             stop(lanes[singular], SINGULAR, it)
             regular = ~singular
             lanes, u, s, vt = lanes[regular], u[regular], s[regular], vt[regular]

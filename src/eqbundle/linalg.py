@@ -53,11 +53,6 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def default_rank_tol(shape, sigma_max: float) -> float:
-    """Spectral-norm-scaled cutoff: max(rows, cols) * sigma_max * eps."""
-    return max(shape) * sigma_max * EPS
-
-
 # Central differences with step cbrt(eps) leave absolute noise of order
 # eps^(2/3) in every matrix entry (truncation and roundoff balance there),
 # so singular values of finite-difference Jacobians are meaningless below
@@ -65,17 +60,23 @@ def default_rank_tol(shape, sigma_max: float) -> float:
 FD_NOISE_FLOOR = 50.0 * EPS ** (2.0 / 3.0)
 
 
-def _rank_report(shape, s: np.ndarray, tol_override, fd: bool) -> RankReport:
-    """The rank decision on the singular values s of a matrix of this shape:
-    tol_override when given, else the spectral-norm-scaled cutoff, raised
+def rank_cutoff(shape, sigma_max, tol_override, fd: bool):
+    """The singular value cutoff for matrices of this shape whose largest
+    singular value is sigma_max (a float, or an array of one per matrix):
+    tol_override when given, else max(rows, cols) * sigma_max * eps, raised
     to the finite-difference noise floor when fd is set."""
-    sigma_max = float(s[0]) if s.size else 0.0
     if tol_override is not None:
-        tol = float(tol_override)
-    else:
-        tol = default_rank_tol(shape, sigma_max)
-        if fd:
-            tol = max(tol, FD_NOISE_FLOOR * max(1.0, sigma_max))
+        return np.full(np.shape(sigma_max), float(tol_override))
+    tol = max(shape) * sigma_max * EPS
+    if fd:
+        tol = np.maximum(tol, FD_NOISE_FLOOR * np.maximum(1.0, sigma_max))
+    return tol
+
+
+def _rank_report(shape, s: np.ndarray, tol_override, fd: bool) -> RankReport:
+    """The rank decision on the singular values s of a matrix of this shape,
+    with the cutoff of rank_cutoff."""
+    tol = float(rank_cutoff(shape, float(s[0]) if s.size else 0.0, tol_override, fd))
     rank = int(np.count_nonzero(s > tol))
     return RankReport(rank=rank, singular_values=tuple(float(v) for v in s), tol=tol)
 

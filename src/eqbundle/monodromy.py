@@ -5,9 +5,9 @@ eigenvalues (one per first integral); the remaining p = n - k eigenvalues are
 bounded away from zero.  Following those p eigenvalues continuously around a
 closed loop yields a permutation (which eigenvalue returns to which) and an
 integer winding number per track (net turns around 0 in the complex plane).
-This module splits spectra, tracks them along matrix loops with adaptive
-refinement, and reports the (permutation, windings) datum together with
-imaginary-axis crossing counts.
+This module splits spectra, tracks them along matrix and fiber loops in one
+refining loop that splits each sample's spectrum once, and reports the
+(permutation, windings) datum together with imaginary-axis crossing counts.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 _LEAVES_CSTAR = "winding undefined, path leaves C*"
-
-
-def _sorted_complex(values: np.ndarray) -> tuple[complex, ...]:
-    order = np.lexsort((values.imag, values.real))
-    return tuple(complex(v) for v in values[order])
 
 
 @dataclass(frozen=True)
@@ -88,31 +83,35 @@ def split_spectrum(
     n = J.shape[0]
     if not 0 <= k <= n:
         raise InputError(f"k = {k} is out of range for an {n} x {n} matrix")
-    eigs = eigen_dense(J)
-    moduli = np.abs(eigs)
-    rho = float(np.max(moduli)) if n else 0.0
-    if tol_zero is None:
-        tol_zero = tols.zero_factor * max(rho, np.finfo(float).tiny)
-    order = np.argsort(moduli, kind="stable")
-    zeros = eigs[order[:k]]
-    nonzeros = eigs[order[k:]]
-    if nonzeros.size:
-        largest_zero = float(np.max(np.abs(zeros))) if zeros.size else 0.0
-        denom = max(largest_zero, float(np.finfo(float).tiny))
-        gap_ratio = float(np.min(np.abs(nonzeros))) / denom
-        unreliable = bool(gap_ratio < tols.gap_min)
-    else:
-        gap_ratio = 0.0
-        unreliable = False
-    if zeros.size and float(np.max(np.abs(zeros))) > tol_zero:
-        unreliable = True
+    zeros, nonzeros, gap_ratio, tol_zero_used, unreliable = _split(J, k, tol_zero, tols)
     return SpectrumSplit(
-        zeros=_sorted_complex(zeros),
-        nonzeros=_sorted_complex(nonzeros),
+        zeros=tuple(complex(z) for z in zeros),
+        nonzeros=tuple(complex(z) for z in nonzeros),
         gap_ratio=gap_ratio,
-        tol_zero_used=float(tol_zero),
+        tol_zero_used=tol_zero_used,
         unreliable=unreliable,
     )
+
+
+def _split(J: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances) -> tuple:
+    """split_spectrum's fields for a valid (J, k), the zeros and nonzeros as
+    arrays in eigen_dense's (real, imag) order, so the spectrum is sorted once."""
+    eigs = eigen_dense(J)
+    moduli = np.abs(eigs)
+    tiny = float(np.finfo(float).tiny)
+    if tol_zero is None:
+        tol_zero = tols.zero_factor * max(float(np.max(moduli, initial=0.0)), tiny)
+    # the k smallest moduli, ties going to the earlier eigenvalue
+    is_zero = np.zeros(eigs.size, dtype=bool)
+    is_zero[np.argsort(moduli, kind="stable")[:k]] = True
+    largest_zero = float(np.max(moduli[is_zero], initial=0.0))
+    gap_ratio = 0.0
+    if k < eigs.size:
+        gap_ratio = float(np.min(moduli[~is_zero])) / max(largest_zero, tiny)
+    unreliable = (k < eigs.size and gap_ratio < tols.gap_min) or (
+        k > 0 and largest_zero > tol_zero
+    )
+    return eigs[is_zero], eigs[~is_zero], gap_ratio, float(tol_zero), bool(unreliable)
 
 
 @dataclass(frozen=True)
@@ -248,12 +247,16 @@ def _shortest_augmenting_paths(cost: list) -> list:
 
 
 class _LoopTracker:
-    """Sequential fold that carries p eigenvalue tracks along the loop."""
+    """Sequential fold that carries p eigenvalue tracks along the loop;
+    refine(left, right) gives the (payload, matrix) between two samples."""
 
-    def __init__(self, base: np.ndarray, k: int, tol_zero: float, tols: Tolerances):
+    def __init__(self, base: np.ndarray, k: int, tol_zero: float, tols: Tolerances,
+                 refine: Callable, max_refine: int):
         self.k = k
         self.tol_zero = tol_zero
         self.tols = tols
+        self.refine = refine
+        self.max_refine = max_refine
         self.values = base.copy()
         self.previous = base.copy()  # two-point history for extrapolation
         self.accumulated = np.zeros(base.size)
@@ -277,78 +280,64 @@ class _LoopTracker:
         self.previous = self.values
         self.values = matched
         self.min_distance = min(self.min_distance, float(np.min(np.abs(matched))))
+        # a sign of 0 (on the axis) neither counts nor resets the last sign
         signs = np.sign(matched.real).astype(int)
-        for i, s in enumerate(signs):
-            if s != 0:
-                if self.last_sign[i] != 0 and s != self.last_sign[i]:
-                    self.crossings[i] += 1
-                self.last_sign[i] = s
+        self.crossings += signs * self.last_sign < 0
+        self.last_sign = np.where(signs != 0, signs, self.last_sign)
         self.samples_used += 1
 
-
-def _advance(
-    tracker: _LoopTracker,
-    left_payload,
-    right_payload,
-    right_matrix: np.ndarray,
-    refine: Callable,
-    depth: int,
-    max_refine: int,
-    segment: tuple[int, int],
-) -> None:
-    split = split_spectrum(
-        right_matrix, tracker.k, tol_zero=tracker.tol_zero, tols=tracker.tols
-    )
-    if split.unreliable:
-        tracker.flag_once("unreliable zero/nonzero split encountered along the loop")
-    candidates = np.array(split.nonzeros, dtype=complex)
-    matched = tracker.match(candidates)
-    small = np.abs(matched) <= tracker.tol_zero
-    if np.any(small):
-        idx = int(np.argmax(small))
-        raise TrackingError(
-            f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
-            f"{abs(matched[idx]):.3e} <= tol_zero = {tracker.tol_zero:.3e}",
-            segment=segment,
+    def advance(self, left_payload, right_payload, right_matrix: np.ndarray,
+                depth: int, segment: tuple[int, int]) -> None:
+        _, candidates, _, _, unreliable = _split(
+            right_matrix, self.k, self.tol_zero, self.tols
         )
-    dargs = np.angle(matched * np.conj(tracker.values))
-    movement = float(np.max(np.abs(matched - tracker.values)))
-    if candidates.size > 1:
-        pair_gaps = np.abs(candidates[:, None] - candidates[None, :])
-        min_gap = float(np.min(pair_gaps[~np.eye(candidates.size, dtype=bool)]))
-    else:
-        min_gap = np.inf
-    needs_refine = np.any(np.abs(dargs) >= 0.5 * np.pi) or movement > 0.5 * min_gap
-    if needs_refine and depth < max_refine:
-        # a refiner that cannot produce a midpoint (e.g. Newton hits a
-        # singular point between the samples) degrades to the coarse step,
-        # whose certification below reports what actually went wrong
-        try:
-            mid_payload, mid_matrix = refine(left_payload, right_payload)
-        except EqBundleError:
-            mid_payload = mid_matrix = None
-        if mid_payload is not None:
-            _advance(tracker, left_payload, mid_payload, mid_matrix,
-                     refine, depth + 1, max_refine, segment)
-            _advance(tracker, mid_payload, right_payload, right_matrix,
-                     refine, depth + 1, max_refine, segment)
-            return
-    # accepting this increment as-is: certify it first
-    for i in range(matched.size):
-        if _chord_distance_to_origin(complex(tracker.values[i]),
-                                     complex(matched[i])) <= tracker.tol_zero:
+        if unreliable:
+            self.flag_once("unreliable zero/nonzero split encountered along the loop")
+        matched = self.match(candidates)
+        small = np.abs(matched) <= self.tol_zero
+        if np.any(small):
+            idx = int(np.argmax(small))
             raise TrackingError(
-                f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
-                f"within tol_zero = {tracker.tol_zero:.3e} of the origin",
+                f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
+                f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
                 segment=segment,
             )
-    if np.any(np.abs(dargs) >= 0.5 * np.pi):
-        raise ResolutionError(
-            "eigenvalue tracking could not certify an argument increment "
-            f"below pi/2 after {max_refine} refinement levels",
-            segment=segment,
-        )
-    tracker.accept(matched, dargs)
+        dargs = np.angle(matched * np.conj(self.values))
+        movement = float(np.max(np.abs(matched - self.values)))
+        if candidates.size > 1:
+            pair_gaps = np.abs(candidates[:, None] - candidates[None, :])
+            min_gap = float(np.min(pair_gaps[~np.eye(candidates.size, dtype=bool)]))
+        else:
+            min_gap = np.inf
+        needs_refine = np.any(np.abs(dargs) >= 0.5 * np.pi) or movement > 0.5 * min_gap
+        if needs_refine and depth < self.max_refine:
+            # a refiner that cannot produce a midpoint (e.g. Newton hits a
+            # singular point between the samples) degrades to the coarse step,
+            # whose certification below reports what actually went wrong
+            try:
+                mid_payload, mid_matrix = self.refine(left_payload, right_payload)
+            except EqBundleError:
+                pass
+            else:
+                self.advance(left_payload, mid_payload, mid_matrix, depth + 1, segment)
+                self.advance(mid_payload, right_payload, right_matrix, depth + 1, segment)
+                return
+        # accepting this increment as-is: certify it first
+        for i in range(matched.size):
+            if _chord_distance_to_origin(complex(self.values[i]),
+                                         complex(matched[i])) <= self.tol_zero:
+                raise TrackingError(
+                    f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
+                    f"within tol_zero = {self.tol_zero:.3e} of the origin",
+                    segment=segment,
+                )
+        if np.any(np.abs(dargs) >= 0.5 * np.pi):
+            raise ResolutionError(
+                "eigenvalue tracking could not certify an argument increment "
+                f"below pi/2 after {self.max_refine} refinement levels",
+                segment=segment,
+            )
+        self.accept(matched, dargs)
 
 
 def _blend_matrices(a: np.ndarray, b: np.ndarray):
@@ -356,49 +345,11 @@ def _blend_matrices(a: np.ndarray, b: np.ndarray):
     return mid, mid
 
 
-def track_matrix_loop(
-    matrices: Sequence[np.ndarray],
-    k: int = 0,
-    tol_zero: Optional[float] = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-    max_refine: int = 8,
-    _refine: Optional[Callable] = None,
-    _payloads: Optional[Sequence] = None,
-) -> EigenLoopReport:
-    """Track the nonzero eigenvalues along a closed loop of square matrices.
-
-    The first and last matrices must coincide.  Per step, the new nonzero
-    spectrum is matched to the existing tracks by optimal assignment against
-    a linear extrapolation of each track; intervals are refined (by linear
-    matrix blend, or the supplied refiner) whenever an argument increment
-    reaches pi/2 or the largest movement exceeds half the smallest gap
-    between new eigenvalues.  tol_zero is fixed once from the base matrix
-    (tols.zero_factor times its spectral radius); any tracked eigenvalue
-    whose modulus, or whose step chord, comes within tol_zero of the origin
-    aborts the loop, since its winding number is then undefined.
-    """
-    mats = [np.asarray(J, dtype=float) for J in matrices]
-    if len(mats) < 2:
-        raise InputError("a matrix loop needs at least two samples")
-    n = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    for J in mats:
-        if J.ndim != 2 or J.shape != (n, n):
-            raise InputError("all loop matrices must be square with equal shape")
-        if not np.all(np.isfinite(J)):
-            raise InputError("matrix entries must be finite")
-    closure = np.linalg.norm(mats[0] - mats[-1])
-    if closure > 1e-12 * (1.0 + np.linalg.norm(mats[0])):
-        raise InputError(
-            f"matrix loop must close: first and last matrices differ by {closure:.3e}"
-        )
-    if not 0 <= k <= n:
-        raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
-    if max_refine < 0:
-        raise InputError("max_refine must be non-negative")
-
-    base_split = split_spectrum(mats[0], k, tol_zero=tol_zero, tols=tols)
-    tol_fixed = base_split.tol_zero_used
-    base = np.array(base_split.nonzeros, dtype=complex)
+def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable, k: int,
+           tol_zero: Optional[float], tols: Tolerances, max_refine: int) -> EigenLoopReport:
+    """The monodromy datum of a closed loop of finite n x n matrices, for
+    0 <= k <= n and max_refine >= 0; refine takes payloads[i], payloads[i+1]."""
+    _, base, _, tol_fixed, unreliable = _split(matrices[0], k, tol_zero, tols)
     if base.size == 0:
         raise InputError("no nonzero eigenvalues to track (k equals the dimension)")
     if np.min(np.abs(base)) <= tol_fixed:
@@ -407,15 +358,11 @@ def track_matrix_loop(
             f"<= tol_zero = {tol_fixed:.3e}",
             segment=(0, 0),
         )
-    tracker = _LoopTracker(base, k, tol_fixed, tols)
-    if base_split.unreliable:
+    tracker = _LoopTracker(base, k, tol_fixed, tols, refine, max_refine)
+    if unreliable:
         tracker.flag_once("unreliable zero/nonzero split encountered along the loop")
-
-    refine = _refine if _refine is not None else _blend_matrices
-    payloads = list(_payloads) if _payloads is not None else mats
-    for i in range(len(mats) - 1):
-        _advance(tracker, payloads[i], payloads[i + 1], mats[i + 1],
-                 refine, 0, max_refine, (i, i + 1))
+    for i in range(len(matrices) - 1):
+        tracker.advance(payloads[i], payloads[i + 1], matrices[i + 1], 0, (i, i + 1))
 
     # closure: map each track back to the base spectrum it started from
     cols = assignment(np.abs(tracker.values[:, None] - base[None, :]))
@@ -441,6 +388,48 @@ def track_matrix_loop(
     )
 
 
+def track_matrix_loop(
+    matrices: Sequence[np.ndarray],
+    k: int = 0,
+    tol_zero: Optional[float] = None,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+    max_refine: int = 8,
+) -> EigenLoopReport:
+    """Track the nonzero eigenvalues along a closed loop of square matrices.
+
+    The first and last matrices must agree within 1e-12 relative to the
+    first's norm.  Each sample's spectrum is computed, sorted and split
+    once.  Per step, the new nonzero spectrum is matched to the existing
+    tracks by optimal assignment against a linear extrapolation of each
+    track; an interval is halved (by the linear blend of its two matrices)
+    whenever an argument increment reaches pi/2 or the largest movement
+    exceeds half the smallest gap between new eigenvalues.  tol_zero is
+    fixed once from the base matrix (tols.zero_factor times its spectral
+    radius); any tracked eigenvalue whose modulus, or whose step chord,
+    comes within tol_zero of the origin aborts the loop, since its winding
+    number is then undefined.
+    """
+    mats = [np.asarray(J, dtype=float) for J in matrices]
+    if len(mats) < 2:
+        raise InputError("a matrix loop needs at least two samples")
+    n = mats[0].shape[0] if mats[0].ndim == 2 else -1
+    for J in mats:
+        if J.ndim != 2 or J.shape != (n, n):
+            raise InputError("all loop matrices must be square with equal shape")
+        if not np.all(np.isfinite(J)):
+            raise InputError("matrix entries must be finite")
+    closure = np.linalg.norm(mats[0] - mats[-1])
+    if closure > 1e-12 * (1.0 + np.linalg.norm(mats[0])):
+        raise InputError(
+            f"matrix loop must close: first and last matrices differ by {closure:.3e}"
+        )
+    if not 0 <= k <= n:
+        raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
+    if max_refine < 0:
+        raise InputError("max_refine must be non-negative")
+    return _track(mats, mats, _blend_matrices, k, tol_zero, tols, max_refine)
+
+
 def eigen_along_fiber_loop(
     sys: SystemSpec,
     lam,
@@ -452,7 +441,8 @@ def eigen_along_fiber_loop(
     equilibria on one fiber.
 
     Every loop point must be an equilibrium of f(lam, .) within tolerance
-    and the first and last points must coincide.  When the tracker needs
+    and the first and last points must agree within 1e-9 relative to the
+    first's norm (their Jacobians need not agree more closely).  When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
     integral level by Newton at fixed lam.
@@ -485,7 +475,8 @@ def eigen_along_fiber_loop(
         matrices.append(jac_x)
         levels.append(h_value)
 
-    payloads = list(zip(points, levels))
+    if max_refine < 0:
+        raise InputError("max_refine must be non-negative")
 
     def refine(left, right):
         x_guess = 0.5 * (left[0] + right[0])
@@ -494,14 +485,7 @@ def eigen_along_fiber_loop(
         h_value, jac_x = _evaluate_point(sys, PointState(lam, x_mid), ("h", "jac_x"))
         return (x_mid, h_value), jac_x
 
-    return track_matrix_loop(
-        matrices,
-        k=sys.k,
-        tols=tols,
-        max_refine=max_refine,
-        _refine=refine,
-        _payloads=payloads,
-    )
+    return _track(matrices, list(zip(points, levels)), refine, sys.k, None, tols, max_refine)
 
 
 @dataclass(frozen=True)

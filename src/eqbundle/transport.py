@@ -374,12 +374,13 @@ def holonomy_loop(
 ) -> HolonomyReport:
     """Transport every point of E_lambda on the level set around a loop.
 
-    Enumerates the finite set at the base waypoint, lifts the loop from
-    each point, and matches the endpoints back by nearest neighbor within
-    the clustering radius.  The match must be a bijection.
+    The first and last waypoints must agree within 1e-9 relative to the
+    first's norm.  Enumerates the finite set at the base waypoint, lifts
+    the loop from each point, and matches the endpoints back by nearest
+    neighbor within the clustering radius.  The match must be a bijection.
     """
     waypoints = _as_waypoints(loop, sys.m, "loop")
-    if np.linalg.norm(waypoints[0] - waypoints[-1]) > 1e-12 * (
+    if np.linalg.norm(waypoints[0] - waypoints[-1]) > 1e-9 * (
         1.0 + np.linalg.norm(waypoints[0])
     ):
         raise InputError("loop must close: first and last waypoints differ")

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rfmr_circulant_eigenvalues
+from conftest import count_calls, rfmr_circulant_eigenvalues
 from eqbundle import builtin
 from eqbundle.audit import audit_point
 from eqbundle.errors import InputError, ResolutionError, TrackingError
+from eqbundle.linalg import eigen_dense
 from eqbundle.monodromy import (
     eigen_along_fiber_loop,
     split_spectrum,
@@ -331,3 +332,73 @@ def test_circulant_loops_have_trivial_monodromy(loop):
     distances = np.abs(nonzeros[:, None] - oracle[None, :])
     assert distances.min(axis=0).max() < 1e-9 * (r0 + rr)
     assert distances.min(axis=1).max() < 1e-9 * (r0 + rr)
+
+
+def test_fiber_loop_closes_at_the_point_rule(rfmr3):
+    # points that close within 1e-9 relative close the loop, though their
+    # Jacobians then differ by more than a matrix loop's 1e-12
+    pts = [np.full(3, c) for c in (0.1, 0.4, 0.1)]
+    closed = eigen_along_fiber_loop(rfmr3, [1.0, 1.0, 1.0], pts)
+    pts[-1] = pts[0] + np.array([1e-10, -1e-10, 0.0])
+    near = eigen_along_fiber_loop(rfmr3, [1.0, 1.0, 1.0], pts)
+    assert closed.flags == ()
+    assert (near.permutation, near.windings, near.flags) == (
+        closed.permutation, closed.windings, closed.flags
+    )
+
+
+def test_matrix_loop_sorts_each_spectrum_once(monkeypatch):
+    lexsorts = count_calls(monkeypatch, "lexsort", np)
+    eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
+    track_matrix_loop(rotation_family(64), k=0)
+    assert len(eigvals) == 133
+    assert len(lexsorts) == 133
+
+
+def _sorted_complex(values):
+    return tuple(complex(v) for v in values[np.lexsort((values.imag, values.real))])
+
+
+@st.composite
+def split_matrices(draw):
+    """(J, k): a real n x n matrix, n <= 8, with random float entries, small
+    integer entries, or a permuted block diagonal of exact zeros, repeated
+    reals and conjugate pairs; k in 0..n."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["float", "integer", "blocks"]))
+    if kind == "float":
+        J = np.array(draw(st.lists(st.floats(-4, 4), min_size=n * n, max_size=n * n)))
+    elif kind == "integer":
+        J = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)))
+    else:
+        J = np.zeros((n, n))
+        reals = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
+        i = 0
+        while i < n:
+            if i + 1 < n and draw(st.booleans()):
+                a, b = draw(reals), draw(st.sampled_from([1.0, 0.5, 2.0]))
+                J[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+                i += 2
+            else:
+                J[i, i] = draw(reals)
+                i += 1
+        perm = np.array(draw(st.permutations(range(n))))
+        J = J[perm][:, perm]
+    return J.reshape(n, n).astype(float), draw(st.integers(0, n))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).reshape(-1).tobytes()
+
+
+@settings(settings.get_profile("derandomized"), max_examples=200)
+@given(case=split_matrices())
+def test_split_keeps_the_sorted_spectrum_order(case):
+    # reference: the k smallest moduli (stable) are the zeros, and each
+    # part is re-sorted by (real, imag)
+    J, k = case
+    eigs = eigen_dense(J)
+    order = np.argsort(np.abs(eigs), kind="stable")
+    split = split_spectrum(J, k)
+    assert _bits(split.nonzeros) == _bits(_sorted_complex(eigs[order[k:]]))
+    assert _bits(split.zeros) == _bits(_sorted_complex(eigs[order[:k]]))

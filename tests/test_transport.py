@@ -281,3 +281,10 @@ def test_metric_evaluates_the_point_once(monkeypatch, rfmr3):
     evaluations = count_calls(monkeypatch, "evaluate", audit, transport)
     metric_g(rfmr3, u, vertical, vertical)
     assert len(evaluations) == 1
+
+
+def test_holonomy_loop_closes_at_the_config_rule(rfmr3):
+    # configs accept loops that close within 1e-9 relative; so does the call
+    loop = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [1 + 1e-10, 1, 1]]
+    report = holonomy_loop(rfmr3, loop, [1.5], budget=40, seed=0)
+    assert report.permutation == (0,)
