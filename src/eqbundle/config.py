@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, positive_int
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -96,14 +96,6 @@ def _closed(points: list, what: str) -> None:
         )
 
 
-def _positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer")
-    if value <= 0:
-        raise InputError(f"{what} must be positive")
-    return value
-
-
 def _non_negative_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer")
@@ -138,7 +130,7 @@ def _build_system(spec, command: str) -> Optional[SystemSpec]:
         for key, value in params.items():
             if key != "n":
                 raise InputError(f"unknown builtin parameter {key!r}")
-            params[key] = _positive_int(value, "system.n")
+            params[key] = positive_int(value, "system.n")
         return builtin(str(spec["builtin"]), **params)
     extra = set(spec) - {"declaration"}
     if extra:
@@ -252,7 +244,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
     elif command == "find":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = _positive_int(data.get("budget", 200), "budget")
+        fields["budget"] = positive_int(data.get("budget", 200), "budget")
         fields["seed"] = _non_negative_int(data.get("seed", 0), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
@@ -267,7 +259,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["min_step"] = _positive_float(
             data.get("min_step", 1e-12 * diameter), "min_step"
         )
-        fields["max_points"] = _positive_int(data.get("max_points", 20000), "max_points")
+        fields["max_points"] = positive_int(data.get("max_points", 20000), "max_points")
         direction = data.get("direction", 1)
         if direction not in (1, -1):
             raise InputError("direction must be 1 or -1")
@@ -289,7 +281,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         _closed(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = _positive_int(data.get("budget", 200), "budget")
+        fields["budget"] = positive_int(data.get("budget", 200), "budget")
         fields["seed"] = _non_negative_int(data.get("seed", 0), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):

@@ -4,10 +4,13 @@ Everything raised on purpose derives from EqBundleError.  InputError marks
 bad user input (configs, malformed expressions, dimension mismatches,
 violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
-map to CLI exit code 2.
+map to CLI exit code 2.  positive_int is the one check of a count given
+by a caller (a budget, an iteration cap, a config size).
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class EqBundleError(Exception):
@@ -94,3 +97,17 @@ class ResolutionError(TrackingError):
 
 class ConvergenceError(EqBundleError):
     """An iterative solve diverged or ran out of iterations."""
+
+
+def positive_int(value, what: str) -> int:
+    """value as an int: a positive Python or numpy integer, not a bool.
+    InputError for anything else, floats with integral values included."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer")
+    if out <= 0:
+        raise InputError(f"{what} must be positive")
+    return out

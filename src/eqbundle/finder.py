@@ -30,6 +30,7 @@ from .errors import (
     EqBundleError,
     InputError,
     UnsupportedDimensionError,
+    positive_int,
 )
 from .linalg import _rank_report, kernel_basis, numeric_rank, rank_cutoff, solve_least_squares
 from .systems import PointState, SystemSpec, _rows
@@ -175,6 +176,12 @@ class NewtonLanes:
         return self.x[lane].copy()
 
 
+# The line search's step scales 1, 1/2, ..., 2^-24 in the rounds that
+# newton_lanes evaluates as one stack each: 1, 2, 4, 8 and 10 trials, so no
+# lane evaluates more than about twice the trials it needs
+_ALPHA_ROUNDS = np.split(np.ldexp(1.0, -np.arange(25)), [1, 3, 7, 15])
+
+
 def _row_norm(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=1), the same arithmetic without its dispatch."""
     return np.sqrt(np.add.reduce(v * v, axis=1))
@@ -238,13 +245,19 @@ def newton_lanes(
     newton_tol * (1 + ||x0||) at the top of one of max_iter iterations.
     Each iteration takes the Newton step V diag(1/s) U^T (-F) from the SVD
     of the stacked Jacobian [df/dx; dh/dx], whose singular values also
-    decide its column rank.  The line search tries the step scaled by
-    1, 1/2, ..., 2^-24 and takes the first trial that stays in the domain
-    box inflated by 5 % of the diameter, is finite, and lowers ||F|| (or
-    meets the target).  Starts must lie in the domain and converged
-    points must lie in it too.  Every lane ends with one of
-    LANE_OUTCOMES; nothing is raised for a failed lane.
+    decide its column rank.  The line search scales the step by 1, 1/2,
+    ..., 2^-24 and takes the first trial that stays in the domain box
+    inflated by 5 % of the diameter, is finite, and lowers ||F|| (or meets
+    the target); a lane whose first such event is an evaluation error ends
+    with that error.  The trials run in rounds of 1, 2, 4, 8 and 10
+    scales, each round one stacked residual call for every lane still
+    searching, and a lane keeps the first trial of a round in that order,
+    so errors at trials a trial-by-trial search never reaches are
+    ignored.  Starts must lie in the domain and converged points must lie
+    in it too.  Every lane ends with one of LANE_OUTCOMES; nothing is
+    raised for a failed lane.
     """
+    max_iter = positive_int(max_iter, "max_iter")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     a = np.asarray(a, dtype=float).reshape(-1)
     x = np.array(starts, dtype=float)
@@ -320,27 +333,41 @@ def newton_lanes(
         coeff = np.matmul(-fs[:, None, :], u)[:, 0, :] / s
         step = np.matmul(np.swapaxes(vt, 1, 2), coeff[:, :, None])[:, :, 0]
         pending = np.ones(lanes.size, dtype=bool)
-        alpha = 1.0
-        for _ in range(25):
-            candidate = xs + alpha * step
-            trying = pending & ((candidate >= lo) & (candidate <= hi)).all(axis=1)
-            trial = np.full(fs.shape, np.nan)
+        for alphas in _ALPHA_ROUNDS:
+            rows = pending.nonzero()[0]
+            # trial j of pending lane rows[i] is row i * alphas.size + j
+            candidate = (xs[rows, None] + alphas[:, None] * step[rows, None]).reshape(
+                -1, step.shape[1]
+            )
+            trying = ((candidate >= lo) & (candidate <= hi)).all(axis=1)
+            trial = np.full((candidate.shape[0], calls.p), np.nan)
             trial[trying], errors = calls.residual(candidate[trying])
-            if errors:
-                rows = trying.nonzero()[0]
-                record(lanes[rows], errors, it)
-                pending[rows[list(errors)]] = False
             trial_norm = _row_norm(trial)
             # a skipped or non-finite trial has a NaN or infinite norm and
             # fails both comparisons
-            accept = (trial_norm < ns) | (trial_norm <= ts)
-            xs[accept], fs[accept], ns[accept] = (
-                candidate[accept], trial[accept], trial_norm[accept]
-            )
-            pending &= ~accept
+            by_lane = trial_norm.reshape(rows.size, alphas.size)
+            event = (by_lane < ns[rows, None]) | (by_lane <= ts[rows, None])
+            if errors:
+                # each error under the row of its trial in candidate
+                tried = trying.nonzero()[0]
+                raised = {int(tried[row]): err for row, err in errors.items()}
+                event.flat[list(raised)] = True
+            # per lane the first trial in alpha order that was accepted or
+            # raised, where a trial-by-trial search would have stopped
+            hit = event.any(axis=1)
+            first = np.arange(rows.size) * alphas.size + event.argmax(axis=1)
+            if errors:
+                failed = {
+                    rows[i]: raised[first[i]] for i in hit.nonzero()[0] if first[i] in raised
+                }
+                record(lanes, failed, it)
+                pending[list(failed)] = False
+                hit &= pending[rows]
+            take, first = rows[hit], first[hit]
+            xs[take], fs[take], ns[take] = candidate[first], trial[first], trial_norm[first]
+            pending[take] = False
             if not pending.any():
                 break
-            alpha *= 0.5
         else:
             stop(lanes[pending], LINE_SEARCH_STALLED, it)
         x[lanes], residual[lanes], norm[lanes] = xs, fs, ns
@@ -471,8 +498,7 @@ def enumerate_level_points(
     answer: either the level set carries no equilibria for this lambda
     or the budget missed every basin.
     """
-    if budget <= 0:
-        raise InputError(f"budget must be positive, got {budget}")
+    budget = positive_int(budget, "budget")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f

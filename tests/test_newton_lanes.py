@@ -1,5 +1,10 @@
 """The lockstep level-set Newton kernel: lane outcomes, lane independence,
-and the work enumerate_level_points does per kept point."""
+the line search's rounds against a trial-by-trial search, and the work
+enumerate_level_points does per kept point."""
+
+import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +32,21 @@ def assert_lane_alone_matches(sys, lam, level, starts, lanes):
         assert alone.x[0].tobytes() == lanes.x[i].tobytes()
         assert alone.status[0] == lanes.status[i]
         assert alone.iteration[0] == lanes.iteration[i]
+
+
+def assert_rounds_match_trial_by_trial(sys, lam, level, starts, lanes, **kwargs):
+    """The line search's rounds end every lane where a search that
+    evaluates one trial per stacked call ends it, errors included."""
+    one_per_round = np.split(np.ldexp(1.0, -np.arange(25)), 25)
+    with mock.patch.object(finder, "_ALPHA_ROUNDS", one_per_round):
+        serial = newton_lanes(sys, lam, level, starts, **kwargs)
+    assert serial.x.tobytes() == lanes.x.tobytes()
+    assert serial.residual.tobytes() == lanes.residual.tobytes()
+    assert serial.status.tolist() == lanes.status.tolist()
+    assert serial.iteration.tolist() == lanes.iteration.tolist()
+    assert [str(serial.error(i)) for i in range(len(starts))] == [
+        str(lanes.error(i)) for i in range(len(starts))
+    ]
 
 
 def test_empty_level_outcome_counts(example2):
@@ -60,6 +80,95 @@ def test_empty_level_outcome_counts(example2):
         assert str(err.value) == str(lanes.error(lane))
 
 
+def test_empty_level_line_search_runs_in_rounds(example2):
+    calls = [0]
+    f = example2.f
+
+    def counting(lam, x):
+        calls[0] += 1
+        return f(lam, x)
+
+    starts = level_starts(example2, 200, 0)
+    counted = dataclasses.replace(example2, f=counting)
+    lanes = newton_lanes(counted, [1.0], [2.0, 10.0], starts)
+    assert lanes.counts()["start outside domain"] == 152
+    assert lanes.counts()["max iterations"] == 47
+    assert lanes.counts()["line search stalled"] == 1
+    # the first residual, then per iteration at most one stacked call for
+    # each of the 5 rounds of line-search trials; trial by trial it was 1,106
+    assert calls[0] <= 1 + 5 * 50
+    assert_rounds_match_trial_by_trial(example2, [1.0], [2.0, 10.0], starts, lanes)
+
+
+def atan_system(band):
+    """A plain-callable spec with f = [atan(x1), 0] and h = x2 whose f
+    raises for x1 inside the open interval band.  From [2, 0] the full
+    Newton step overshoots, and the trials 1/2 and 1/4, which share a
+    line-search round, both lower ||F||."""
+    lo, hi = band
+
+    def f(lam, x):
+        if lo < x[0] < hi:
+            raise EvaluationError("f is undefined in the band", where=x.tolist())
+        return np.array([math.atan(x[0]), 0.0])
+
+    return SystemSpec(
+        name="atan", n=2, m=1, k=1,
+        f=f, h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-10.0, 10.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 1.0]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "band, outcome, x1",
+    [
+        # no trial raises: the lane takes alpha = 1/2, not 1/4
+        ((50.0, 60.0), "max iterations", -0.7678717943946585),
+        # the alpha = 1/2 trial raises before alpha = 1/4 is reached
+        ((-1.0, -0.5), "evaluation error", 2.0),
+        # alpha = 1/4 raises, but a trial-by-trial search stops at 1/2
+        ((0.5, 0.7), "max iterations", -0.7678717943946585),
+    ],
+)
+def test_line_search_takes_the_first_acceptable_trial(band, outcome, x1):
+    sys = atan_system(band)
+    lanes = newton_lanes(sys, [0.0], [0.0], [[2.0, 0.0]], max_iter=1)
+    assert_rounds_match_trial_by_trial(sys, [0.0], [0.0], [[2.0, 0.0]], lanes, max_iter=1)
+    assert LANE_OUTCOMES[lanes.status[0]] == outcome
+    assert lanes.x[0].tolist() == [x1, 0.0]
+    if outcome == "evaluation error":
+        assert str(lanes.error(0)) == (
+            "f is undefined in the band at [-0.7678717943946585, 0.0]"
+        )
+
+
+@pytest.mark.parametrize("max_iter", [-2, 0, 2.5, 3.0, True, "3"])
+def test_newton_rejects_a_bad_iteration_cap(rfmr3, max_iter):
+    # the start [0.5, 0.5, 0.5] is an exact solution, so only the cap can fail
+    with pytest.raises(InputError, match="max_iter must be"):
+        newton_on_level_set(rfmr3, [1.0, 1.0, 1.0], [1.5], [0.5] * 3, max_iter=max_iter)
+    with pytest.raises(InputError, match="max_iter must be"):
+        newton_lanes(rfmr3, [1.0, 1.0, 1.0], [1.5], [[0.5] * 3], max_iter=max_iter)
+
+
+def test_newton_takes_a_numpy_iteration_cap(rfmr3):
+    point = newton_on_level_set(
+        rfmr3, [1.0, 1.0, 1.0], [1.5], [0.5] * 3, max_iter=np.int64(50)
+    )
+    np.testing.assert_allclose(point.state.x, [0.5] * 3, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [2.5, 20.0, True])
+def test_enumerate_rejects_a_non_integer_budget(planar, budget):
+    with pytest.raises(InputError, match="budget must be an integer"):
+        enumerate_level_points(planar, [0.5], [0.0], budget=budget)
+    points = enumerate_level_points(planar, [0.5], [0.0], budget=np.int32(20))
+    assert [p.as_dict() for p in points] == [
+        p.as_dict() for p in enumerate_level_points(planar, [0.5], [0.0], budget=20)
+    ]
+
+
 def _draw_problem(data, name):
     sys = builtin("rfmr", n=int(name[4:])) if name.startswith("rfmr") else builtin(name)
     box = sys.parameter_box
@@ -91,6 +200,7 @@ def test_lane_is_independent_of_its_batch(name, seed, budget, data):
     starts = level_starts(sys, budget, seed)
     lanes = newton_lanes(sys, lam, level, starts)
     assert_lane_alone_matches(sys, lam, level, starts, lanes)
+    assert_rounds_match_trial_by_trial(sys, lam, level, starts, lanes)
 
 
 def banded_system():
@@ -119,6 +229,7 @@ def test_loop_adapter_fails_only_the_raising_lanes():
     starts = level_starts(sys, 40, 3)
     lanes = newton_lanes(sys, lam, level, starts)
     assert_lane_alone_matches(sys, lam, level, starts, lanes)
+    assert_rounds_match_trial_by_trial(sys, lam, level, starts, lanes)
 
     failed = np.flatnonzero(lanes.status == EVALUATION_ERROR)
     converged = np.flatnonzero(lanes.status == CONVERGED)
