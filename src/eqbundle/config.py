@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, positive_int
+from .errors import InputError, non_negative_int, positive_int
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -94,14 +94,6 @@ def _closed(points: list, what: str) -> None:
         raise InputError(
             f"loop must close: first and last {what} differ by {gap:.3e}"
         )
-
-
-def _non_negative_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer")
-    if value < 0:
-        raise InputError(f"{what} must be non-negative")
-    return value
 
 
 def _positive_float(value, what: str) -> float:
@@ -226,14 +218,14 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
             )
         default_k = system.k if system is not None else 0
         k = data.get("k", default_k)
-        k = _non_negative_int(k, "k")
+        k = non_negative_int(k, "k")
         if k > size:
             raise InputError(f"k = {k} is out of range for {size} x {size} matrices")
         fields["matrices"] = matrices
         fields["k"] = k
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else _positive_float(tol_zero, "tol_zero")
-        fields["max_refine"] = _non_negative_int(data.get("max_refine", 8), "max_refine")
+        fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
         return fields
 
     assert system is not None
@@ -245,7 +237,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
         fields["budget"] = positive_int(data.get("budget", 200), "budget")
-        fields["seed"] = _non_negative_int(data.get("seed", 0), "seed")
+        fields["seed"] = non_negative_int(data.get("seed", 0), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
@@ -282,7 +274,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
         fields["budget"] = positive_int(data.get("budget", 200), "budget")
-        fields["seed"] = _non_negative_int(data.get("seed", 0), "seed")
+        fields["seed"] = non_negative_int(data.get("seed", 0), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):
             fields[key] = _vector(_require(data, key, command), m, key, "m")
@@ -304,7 +296,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         ]
         _closed(points, "loop points")
         fields["loop_points"] = points
-        fields["max_refine"] = _non_negative_int(data.get("max_refine", 8), "max_refine")
+        fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
     return fields
 
 

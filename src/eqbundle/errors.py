@@ -4,8 +4,9 @@ Everything raised on purpose derives from EqBundleError.  InputError marks
 bad user input (configs, malformed expressions, dimension mismatches,
 violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
-map to CLI exit code 2.  positive_int is the one check of a count given
-by a caller (a budget, an iteration cap, a config size).
+map to CLI exit code 2.  positive_int and non_negative_int are the checks
+of a count given by a caller (a budget, an iteration cap, a config size, a
+seed).
 """
 
 from __future__ import annotations
@@ -99,15 +100,29 @@ class ConvergenceError(EqBundleError):
     """An iterative solve diverged or ran out of iterations."""
 
 
-def positive_int(value, what: str) -> int:
-    """value as an int: a positive Python or numpy integer, not a bool.
-    InputError for anything else, floats with integral values included."""
+def _as_int(value, what: str) -> int:
     try:
         out = operator.index(value)
     except TypeError:
         out = None
     if out is None or isinstance(value, bool):
         raise InputError(f"{what} must be an integer")
+    return out
+
+
+def positive_int(value, what: str) -> int:
+    """value as an int: a positive Python or numpy integer, not a bool.
+    InputError for anything else, floats with integral values included."""
+    out = _as_int(value, what)
     if out <= 0:
         raise InputError(f"{what} must be positive")
+    return out
+
+
+def non_negative_int(value, what: str) -> int:
+    """value as an int: a Python or numpy integer >= 0, not a bool.
+    InputError for anything else, as for positive_int."""
+    out = _as_int(value, what)
+    if out < 0:
+        raise InputError(f"{what} must be non-negative")
     return out

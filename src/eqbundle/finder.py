@@ -30,9 +30,17 @@ from .errors import (
     EqBundleError,
     InputError,
     UnsupportedDimensionError,
+    non_negative_int,
     positive_int,
 )
-from .linalg import _rank_report, kernel_basis, numeric_rank, rank_cutoff, solve_least_squares
+from .linalg import (
+    _all_finite,
+    _rank_report,
+    _solve_rows,
+    kernel_basis,
+    numeric_rank,
+    rank_cutoff,
+)
 from .systems import PointState, SystemSpec, _rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -187,8 +195,34 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
+def _lane_norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(row) of every row of v (B, p), bitwise.  The norm of a
+    lone vector is the square root of a BLAS dot, which _row_norm's pairwise
+    sum does not always reproduce; vecdot makes that dot per row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _in_domain_rows(sys: SystemSpec, x: np.ndarray, slack: float):
+    """sys.domain.contains(row, slack) at every row of x, as (inside, errors
+    {row: EqBundleError}): one vectorized test on a batched spec, and row by
+    row otherwise, where a constraint may raise."""
+    domain = sys.domain
+    if not sys.batched:
+        errors: dict = {}
+        inside = _rows(
+            lambda _, y: domain.contains(y, slack), np.zeros(0), x, (), False, errors
+        )
+        return inside == 1.0, errors
+    inside = np.logical_and.reduce(
+        (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
+    )
+    for g in domain.constraints:
+        inside &= g(x) <= slack
+    return inside, {}
+
+
 class _LaneCalls:
-    """Residual, stacked Jacobian and domain membership over a (b, n) stack.
+    """Residual and stacked Jacobian over a (b, n) stack.
 
     Each returns (values, errors {row: EqBundleError}), with the rows of
     failed lanes NaN.  Values and derivatives come from the spec's stacked
@@ -212,21 +246,6 @@ class _LaneCalls:
         jac_x = self.sys.jac_x(self.lam, x, errors)
         jac_h = self.sys.jac_h(x, errors)
         return np.concatenate([jac_x, jac_h], axis=1), errors
-
-    def in_domain(self, x: np.ndarray, slack: float):
-        domain = self.sys.domain
-        if not self.sys.batched:
-            errors: dict = {}
-            inside = _rows(
-                lambda _, y: domain.contains(y, slack), self.lam, x, (), False, errors
-            )
-            return inside == 1.0, errors
-        inside = np.all(
-            (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
-        )
-        for g in domain.constraints:
-            inside &= g(x) <= slack
-        return inside, {}
 
 
 def newton_lanes(
@@ -289,7 +308,7 @@ def newton_lanes(
     diameter = sys.domain.diameter()
     target = tols.newton * (1.0 + np.linalg.norm(x, axis=1))
     lanes = np.arange(count)
-    inside, errors = calls.in_domain(x, 1e-9 * diameter)
+    inside, errors = _in_domain_rows(sys, x, 1e-9 * diameter)
     stop(lanes[~inside], START_OUTSIDE_DOMAIN, 0)
     record(lanes, errors, 0)
     lanes = lanes[status == _RUNNING]
@@ -375,7 +394,9 @@ def newton_lanes(
     stop(lanes, MAX_ITERATIONS, max_iter)
 
     converged = (status == CONVERGED).nonzero()[0]
-    inside, errors = calls.in_domain(x[converged], tols.domain_slack * (1.0 + diameter))
+    inside, errors = _in_domain_rows(
+        sys, x[converged], tols.domain_slack * (1.0 + diameter)
+    )
     stop(converged[~inside], OUTSIDE_DOMAIN_AT_END)
     record(converged, errors)
     return NewtonLanes(
@@ -499,6 +520,7 @@ def enumerate_level_points(
     or the budget missed every basin.
     """
     budget = positive_int(budget, "budget")
+    seed = non_negative_int(seed, "seed")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f
@@ -526,42 +548,127 @@ def enumerate_level_points(
 # a sign that the step was too long, so the cap only bounds wasted work.
 _CORRECTOR_ITERATIONS = 8
 
+# The failures of a _correct lane after which its caller retries from a
+# closer start; any other error of a lane is fatal to it.
+_RETRY = (ConvergenceError, DegeneracyError)
 
-def _correct(residual, jacobian, y0, tols):
-    """Undamped Gauss-Newton for residual(y) = 0 from a nearby y0: one
-    solve_least_squares(jacobian(y), -residual(y)) step per iteration
-    until ||residual(y)|| <= newton_tol * (1 + ||y0||).  Returns (y,
-    iterations, residual at y).  ConvergenceError on a non-finite residual
-    or no convergence, DegeneracyError on a rank-deficient Jacobian.
+
+def _corrector_results(y0: np.ndarray, p: int) -> tuple:
+    count = len(y0)
+    return y0.copy(), np.zeros(count, dtype=int), np.full((count, p), np.nan)
+
+
+def _correct(residual, jacobian, y0, tols, *lane_args):
+    """Undamped Gauss-Newton for residual(y) = 0 from nearby starts, one
+    lane per row of y0 (B, n).
+
+    Each lane follows the rule of a lone solve: one solve_least_squares(
+    jacobian(y), -residual(y)) step per iteration until ||residual(y)|| <=
+    newton_tol * (1 + ||y0||), at most _CORRECTOR_ITERATIONS steps.  The
+    lanes run in lockstep.  residual(y, *args, errors) and jacobian(y,
+    *args, errors) evaluate the stack y of the running lanes, (R, p) and
+    (R, p, n), with args the lane_args (one row per lane) cut to those
+    lanes, and store the EqBundleError of a row they cannot evaluate under
+    that row in errors.  The steps of all running lanes are one batched SVD
+    solve.
+
+    Returns (y, iterations, resid, failed): per lane the corrected point,
+    the iteration at which it converged (a list) and the residual there,
+    and failed {lane: error} for the lanes that did not converge.  A lane
+    fails with ConvergenceError on a non-finite residual or no convergence
+    and with DegeneracyError on a rank-deficient Jacobian, after which
+    callers retry from a closer start (_RETRY); any other error, the
+    EqBundleError its evaluation raised or InputError on a non-finite
+    Jacobian, is fatal to the lane, as a lone call would propagate it.
     """
-    target = tols.newton * (1.0 + float(np.linalg.norm(y0)))
-    y = y0
+    count = len(y0)
+    target = tols.newton * (1.0 + _lane_norm(y0))
+    y, args = y0, lane_args
+    failed: dict = {}
+    # the lane of each row and (y, iterations, resid) of every lane, kept
+    # once a lane ends before the others
+    lanes = out = None
     for iteration in range(_CORRECTOR_ITERATIONS + 1):
-        resid = residual(y)
-        if not np.all(np.isfinite(resid)):
-            raise ConvergenceError("corrector residual is not finite")
-        if np.linalg.norm(resid) <= target:
-            return y, iteration, resid
-        if iteration < _CORRECTOR_ITERATIONS:
-            y = y + solve_least_squares(jacobian(y), -resid, rank_tol=tols.rank)
-    raise ConvergenceError(
-        f"corrector did not converge in {_CORRECTOR_ITERATIONS} iterations, "
-        f"||G|| = {np.linalg.norm(resid):.3e}"
-    )
+        errors: dict = {}
+        resid = residual(y, *args, errors)
+        norm = _lane_norm(resid)
+        done = norm <= target
+        converged = np.count_nonzero(done)
+        if lanes is None and not errors and converged == count:
+            return y, [iteration] * count, resid, failed
+        # a finite norm means a finite residual: without an error or a
+        # converged lane every lane just steps
+        if (
+            errors or converged or iteration == _CORRECTOR_ITERATIONS
+            or not _all_finite(norm)
+        ):
+            if lanes is None:
+                lanes, out = np.arange(count), _corrector_results(y0, resid.shape[1])
+            going = np.isfinite(resid).all(axis=1) & ~done
+            for row, err in errors.items():
+                failed[int(lanes[row])] = err
+                going[row] = done[row] = False
+            for row in np.flatnonzero(~going & ~done):
+                failed.setdefault(
+                    int(lanes[row]), ConvergenceError("corrector residual is not finite")
+                )
+            ended = lanes[done]
+            out[0][ended], out[1][ended], out[2][ended] = y[done], iteration, resid[done]
+            if iteration == _CORRECTOR_ITERATIONS:
+                for row in np.flatnonzero(going):
+                    failed[int(lanes[row])] = ConvergenceError(
+                        f"corrector did not converge in {_CORRECTOR_ITERATIONS} "
+                        f"iterations, ||G|| = {norm[row]:.3e}"
+                    )
+                break
+            y, resid, target, lanes, *args = (
+                a[going] for a in (y, resid, target, lanes, *args)
+            )
+            if not lanes.size:
+                break
+        errors = {}
+        step, deficient = _solve_rows(jacobian(y, *args, errors), -resid, tols.rank, errors)
+        y = y + step
+        if errors or deficient:
+            if lanes is None:
+                lanes, out = np.arange(count), _corrector_results(y0, resid.shape[1])
+            errors.update(deficient)
+            going = np.ones(lanes.size, dtype=bool)
+            for row, err in errors.items():
+                failed[int(lanes[row])] = err
+                going[row] = False
+            y, target, lanes, *args = (a[going] for a in (y, target, lanes, *args))
+            if not lanes.size:
+                break
+    return out[0], out[1].tolist(), out[2], failed
 
 
-def _slice(sys, lam, x_pred, tangent):
-    """Residual and Jacobian closures of [f(lam, y); tangent . (y - x_pred)]:
-    the fiber cut by the hyperplane through x_pred normal to tangent."""
+def _slice(sys, lam):
+    """Residual and Jacobian of [f(lam, y); tangent . (y - x_pred)] for
+    _correct, with lane arguments x_pred and tangent: each lane's fiber cut
+    by the hyperplane through its x_pred normal to its tangent."""
 
-    def residual(y):
-        fv = np.asarray(sys.f(lam, y), dtype=float).reshape(-1)
-        return np.concatenate([fv, [float(tangent @ (y - x_pred))]])
+    def residual(y, x_pred, tangent, errors):
+        cut = np.vecdot(y - x_pred, tangent)    # per row the lone BLAS dot
+        return np.concatenate([sys.f_rows(lam, y, errors), cut[:, None]], axis=1)
 
-    def jacobian(y):
-        return np.vstack([sys.jac_x(lam, y), tangent[None, :]])
+    def jacobian(y, x_pred, tangent, errors):
+        return np.concatenate([sys.jac_x(lam, y, errors), tangent[:, None]], axis=1)
 
     return residual, jacobian
+
+
+def _correct_slice(fiber_slice, x_pred, tangent, tols):
+    """_correct of one lane from x_pred on the fiber's slice there: (y,
+    iterations, residual), or None when a retry may help; a fatal error of
+    the lane is raised."""
+    x_pred, tangent = x_pred[None], tangent[None]
+    y, iterations, resid, failed = _correct(*fiber_slice, x_pred, tols, x_pred, tangent)
+    if failed:
+        if isinstance(failed[0], _RETRY):
+            return None
+        raise failed[0]
+    return y[0], iterations[0], resid[0]
 
 
 def _fiber_tangent(sys, lam, x, tols, location_note: str):
@@ -582,6 +689,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     is ||f(lam, points[i])|| (f_start at x_start) and closed means the walk
     returned to x_start (circle)."""
     contains = sys.domain.contains
+    fiber_slice = _slice(sys, lam)
     points = [x_start.copy()]
     f_norms = [f_start]
     tangent = t_start
@@ -591,19 +699,15 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
         x = points[-1]
         advanced = None
         while step >= min_step:
-            x_pred = x + step * tangent
-            try:
-                y, iterations, resid = _correct(
-                    *_slice(sys, lam, x_pred, tangent), x_pred, tols
-                )
-            except (ConvergenceError, DegeneracyError):
+            corrected = _correct_slice(fiber_slice, x + step * tangent, tangent, tols)
+            if corrected is None:
                 step *= 0.5
                 continue
-            if np.linalg.norm(y - x) > 2.0 * step:
+            if np.linalg.norm(corrected[0] - x) > 2.0 * step:
                 # corrector wandered to a different sheet; resolve finer
                 step *= 0.5
                 continue
-            advanced = (y, iterations, resid)
+            advanced = corrected
             break
         if advanced is None:
             raise ConvergenceError(
@@ -612,7 +716,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
         y, iterations, resid = advanced
 
         if not contains(y, slack=0.0):
-            boundary = _refine_boundary(sys, lam, x, tangent, step, tols)
+            boundary = _refine_boundary(sys, fiber_slice, x, tangent, step, tols)
             if boundary is not None:
                 points.append(boundary[0])
                 f_norms.append(boundary[1])
@@ -646,7 +750,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     )
 
 
-def _refine_boundary(sys, lam, x_inside, tangent, step, tols):
+def _refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
     """Bisect the step fraction between the last interior corrected point
     and the first exterior one; returns the last interior point found and
     its ||f||, or None."""
@@ -657,12 +761,11 @@ def _refine_boundary(sys, lam, x_inside, tangent, step, tols):
     resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        try:
-            x_pred = x_inside + mid * tangent
-            y, _, resid = _correct(*_slice(sys, lam, x_pred, tangent), x_pred, tols)
-        except (ConvergenceError, DegeneracyError):
+        corrected = _correct_slice(fiber_slice, x_inside + mid * tangent, tangent, tols)
+        if corrected is None:
             hi = mid
             continue
+        y, _, resid = corrected
         if contains(y, slack=0.0):
             lo = mid
             best = y, float(np.linalg.norm(resid[: sys.n]))

@@ -9,6 +9,7 @@ Dense eigenvalues come back in a deterministic order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ class RankReport:
             "singular_values": list(self.singular_values),
             "tol": self.tol,
         }
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite, from one sum: a NaN or infinite entry
+    makes the sum non-finite.  A sum that overflows reads as non-finite
+    too, so a False calls for an entrywise check, never for a failure."""
+    return math.isfinite(np.add.reduce(values, axis=None))
 
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -128,6 +136,51 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
         )
     coeff = (u.T @ b) / s.reshape((-1,) + (1,) * (b.ndim - 1))
     return vt.T @ coeff
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
+    """solve_least_squares(A[i], b[i], rank_tol) at every row i of the
+    stacks A (B, p, q) and b (B, p), bitwise, with one batched SVD.
+
+    Rows already in errors are skipped.  A row whose A or b is not finite
+    gets solve_least_squares' InputError in errors.  Returns (x, deficient):
+    x (B, q), NaN where a row was not solved, and deficient {row:
+    DegeneracyError} for the rows whose A is column rank deficient.
+    """
+    count, shape = len(A), A.shape[1:]
+    rows = None                 # every row, until one is left out
+    if errors or not (_all_finite(A) and _all_finite(b)):
+        bad_A = ~np.isfinite(A).all(axis=(1, 2))
+        bad_b = ~np.isfinite(b).all(axis=1)
+        for row in range(count):
+            if row not in errors and (bad_A[row] or bad_b[row]):
+                errors[row] = InputError(
+                    f"{'A' if bad_A[row] else 'b'} contains non-finite entries"
+                )
+        rows = np.array([row for row in range(count) if row not in errors], dtype=int)
+        A, b = A[rows], b[rows]
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    deficient = {}
+    # s is descending: rank < q exactly when the last value is cut off
+    cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)
+    if np.count_nonzero(cut):
+        rows = np.arange(count) if rows is None else rows
+        for i in np.flatnonzero(cut):
+            report = _rank_report(shape, s[i], rank_tol, False)
+            deficient[int(rows[i])] = DegeneracyError(
+                "least squares matrix is column rank deficient "
+                f"(rank {report.rank} < {shape[1]})",
+                report=report,
+            )
+        keep = ~cut
+        u, s, vt, b, rows = u[keep], s[keep], vt[keep], b[keep], rows[keep]
+    coeff = np.matmul(b[:, None, :], u)[:, 0, :] / s
+    x = np.matmul(vt.transpose(0, 2, 1), coeff[:, :, None])[:, :, 0]
+    if rows is None:
+        return x, deficient
+    out = np.full((count, shape[1]), np.nan)
+    out[rows] = x
+    return out, deficient
 
 
 def eigen_dense(M) -> np.ndarray:

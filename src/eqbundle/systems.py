@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EqBundleError, EvaluationError, InputError
+from .linalg import _all_finite
 
 DEFAULT_DOMAIN_SLACK = 1e-9
 
@@ -254,10 +255,12 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
     """fn(lam, x) at every row of the stack x, as an array (len(x),) + shape.
 
     lam is one vector shared by every row or a stack with one row per row
-    of x.  A batched fn answers the whole stack in one call, and each row
-    that comes back non-finite is called again alone, as one point, so a
-    callable that raises only on a lone point (a declared system) raises
-    there.  Any other fn is called row by row.  The rows come in groups of
+    of x.  A batched fn answers a stack of two or more rows in one call,
+    and each row that comes back non-finite is called again alone, as one
+    point, so a callable that raises only on a lone point (a declared
+    system) raises there.  Any other fn, or a stack of one row, is called
+    row by row: one point is the same value, and the builtins compute it
+    faster than a stack of one.  The rows come in groups of
     `group` consecutive rows, the calls that one point needs in the order
     a lone evaluation makes them.  The first EqBundleError of a group ends
     that group: its rows are left NaN and the error is stored under the
@@ -267,9 +270,18 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
     count = len(x)
     raising = errors is None
     errors = {} if raising else errors
-    if batched and count:
+    if count == 1 and not errors:
+        try:
+            value = fn(lam[0] if lam.ndim == 2 else lam, x[0])
+        except EqBundleError as err:
+            if raising:
+                raise
+            errors[0] = err
+            return np.full((1,) + shape, np.nan)
+        return np.asarray(value, dtype=float).reshape((1,) + shape)
+    if batched and count > 1:
         out = np.asarray(fn(lam, x), dtype=float).reshape((count,) + shape)
-        if not errors and np.isfinite(out).all():
+        if not errors and _all_finite(out):
             return out
         out = out.copy()
         rerun = np.flatnonzero(~_finite_rows(out))

@@ -13,7 +13,9 @@ intersect trivially.  Lifting a parameter curve horizontally means solving
 A(t) gamma'(t) = b(t) with A = [df/dx; dh/dx] and b = [-(df/dlambda)
 lambda'(t); 0]; the solver integrates that with a classical 4th-order
 stepper and projects back onto {f = 0, h = h(x0)} with the fiber
-tracer's corrector after every step, so errors do not compound.
+tracer's corrector after every step, so errors do not compound.  Lifts
+that do not depend on each other (the points of a holonomy, the two first
+legs of a cocycle) run as lanes of one lockstep kernel, lift_lanes.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import numpy as np
 
 from .audit import _audit
 from .errors import (
-    ConvergenceError,
     DegeneracyError,
+    EqBundleError,
     HolonomyError,
     InputError,
     TransportError,
 )
-from .finder import _correct, enumerate_level_points
-from .linalg import kernel_basis, numeric_rank, solve_least_squares
+from .finder import _RETRY, _correct, _in_domain_rows, _lane_norm, enumerate_level_points
+from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -256,12 +258,16 @@ def lift_curve(
 ) -> TransportResult:
     """Horizontal lift of a piecewise-linear parameter path from x0.
 
-    Integrates the lifting system A(t) gamma' = b(t) by classical RK4
-    and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
-    finder._correct.  The step is rejected and halved when the projection
-    fails or needs more than 3 iterations, and the next one doubled
-    (capped) when it needs at most one.
+    The one-lane call of lift_lanes, which documents the integration and
+    its step rules; a failed lift raises the lane's error.
     """
+    return lift_lanes(
+        sys, [lambda_path], [x0], tols, initial_fraction, max_fraction, min_fraction
+    )[0]
+
+
+def _lane_start(sys: SystemSpec, lambda_path, x0, tols: Tolerances) -> tuple:
+    """(waypoints, x0, ||f(lambda_0, x0)||, h(x0)) of one validated lane."""
     waypoints = _as_waypoints(lambda_path, sys.m, "lambda_path")
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != sys.n:
@@ -274,94 +280,228 @@ def lift_curve(
         )
     if not sys.domain.contains(x, slack=tols.domain_slack):
         raise InputError(f"x0 {x.tolist()} is not in the domain")
-
     a0 = np.asarray(sys.h(x), dtype=float).reshape(-1)
-    segments = len(waypoints) - 1
+    return waypoints, x, float(np.linalg.norm(f0)), a0
+
+
+def _velocity(sys: SystemSpec, lam, y, lam_dot, tols: Tolerances, t_mid) -> tuple:
+    """The lifting system's solution at every row of the stack y: (velocity,
+    errors {row: error}).  Every error ends its lane: an evaluation error,
+    a non-finite A or b (InputError), or a TransportError at t_mid(row)
+    when A = [df/dx; dh/dx] is column rank deficient."""
+    errors: dict = {}
+    A = np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
+    # -(df/dlambda) lambda', negated before the product as in a lone solve
+    drive = np.matmul(-sys.jac_lambda(lam, y, errors), lam_dot[:, :, None])[:, :, 0]
+    b = np.concatenate([drive, np.zeros((len(y), sys.k))], axis=1)
+    velocity, deficient = _solve_rows(A, b, tols.rank, errors)
+    for row, err in deficient.items():
+        errors[row] = TransportError(
+            f"stacked Jacobian lost full column rank: {err}", t=t_mid(row), report=err.report
+        )
+    return velocity, errors
+
+
+class _Lane:
+    """One lane of lift_lanes: its path, where it is on it, its step, and
+    what it has recorded."""
+
+    __slots__ = (
+        "index", "path", "segments", "a0", "seg", "s", "ds",
+        "ts", "lams", "gammas", "max_f", "max_drift", "steps",
+    )
+
+    def __init__(self, index, path, x0, f0_norm, a0, ds):
+        self.index, self.path, self.segments, self.a0 = index, path, len(path) - 1, a0
+        self.seg, self.s, self.ds = 0, 0.0, ds
+        self.ts, self.lams, self.gammas = [0.0], [path[0].copy()], [x0.copy()]
+        self.max_f, self.max_drift, self.steps = f0_norm, 0.0, 0
+
+    def t(self, ahead: float) -> float:
+        """The path parameter in [0, 1] at s + ahead on the current segment."""
+        return (self.seg + self.s + ahead) / self.segments
+
+    def result(self) -> TransportResult:
+        return TransportResult(
+            t=np.asarray(self.ts),
+            lambda_path=np.asarray(self.lams),
+            gamma=np.asarray(self.gammas),
+            max_f_residual=self.max_f,
+            max_h_drift=self.max_drift,
+            steps_taken=self.steps,
+        )
+
+
+# sigma of the RK4 stages as s + ds * c: s, s + ds/2 and s + ds, exactly
+_STAGE_SIGMAS = np.array([0.0, 0.5, 1.0])
+
+
+def lift_lanes(
+    sys: SystemSpec,
+    paths,
+    x0s,
+    tols: Tolerances = DEFAULT_TOLERANCES,
+    initial_fraction: float = 0.05,
+    max_fraction: float = 0.25,
+    min_fraction: float = 1e-10,
+) -> list:
+    """Horizontal lifts of piecewise-linear parameter paths, lane i lifting
+    paths[i] from x0s[i]; returns one TransportResult per lane.
+
+    Each lane integrates the lifting system A(t) gamma' = b(t) by classical
+    RK4 and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
+    finder._correct.  On each segment of its path a lane starts with the
+    step initial_fraction of the segment.  A step is rejected and halved
+    when the projection fails or needs more than 3 iterations, and the
+    next one is doubled, up to max_fraction, when it needs at most one.  A
+    step below min_fraction, a rank-deficient lifting system or a
+    projected point outside the domain ends the lane with a
+    TransportError.
+
+    The lanes advance in lockstep: each RK4 stage makes one stacked
+    jac_x/jac_h/jac_lambda call and one batched SVD solve for all running
+    lanes, and each corrector iteration one stacked call.  Every lane keeps
+    its own segment, position and step, so its result is bitwise that of
+    a lone lift.  When lanes fail, the error of the first failed lane in
+    lane order is raised, validation errors included: the error that
+    lifting the lanes one after another would raise.  Lanes after a failed
+    one are dropped at once.  InputError unless the fractions are finite
+    and 0 < min_fraction <= initial_fraction <= max_fraction.
+    """
+    if not 0.0 < min_fraction <= initial_fraction <= max_fraction < np.inf:
+        raise InputError(
+            "step fractions must be finite with 0 < min_fraction <= "
+            f"initial_fraction <= max_fraction, got {min_fraction}, "
+            f"{initial_fraction}, {max_fraction}"
+        )
+    paths, x0s = list(paths), list(x0s)
+    if len(paths) != len(x0s):
+        raise InputError(f"{len(paths)} paths for {len(x0s)} starting points")
+    failed: dict = {}
+    lanes = []
+    for index, (path, x0) in enumerate(zip(paths, x0s)):
+        try:
+            lanes.append(_Lane(index, *_lane_start(sys, path, x0, tols), initial_fraction))
+        except EqBundleError as err:
+            failed[index] = err
+            break
+    results = list(lanes)
+    n = sys.n
     domain_slack = tols.domain_slack * (1.0 + sys.domain.diameter())
 
-    ts = [0.0]
-    lams = [waypoints[0].copy()]
-    gammas = [x.copy()]
-    max_f = float(np.linalg.norm(f0))
-    max_drift = 0.0
-    steps = 0
+    def residual(y, lam, a0, errors):
+        return np.concatenate(
+            [sys.f_rows(lam, y, errors), sys.h_rows(y, errors) - a0], axis=1
+        )
 
-    def velocity(lam_t, y, lam_dot, t_report):
-        A = np.vstack([sys.jac_x(lam_t, y), sys.jac_h(y)])
-        b = np.concatenate([-sys.jac_lambda(lam_t, y) @ lam_dot, np.zeros(sys.k)])
-        try:
-            return solve_least_squares(A, b, rank_tol=tols.rank)
-        except DegeneracyError as err:
-            raise TransportError(
-                f"stacked Jacobian lost full column rank: {err}",
-                t=t_report,
-                report=err.report,
-            ) from err
+    def jacobian(y, lam, a0, errors):
+        return np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
 
-    for seg in range(segments):
-        lam_from, lam_to = waypoints[seg], waypoints[seg + 1]
-        lam_dot = lam_to - lam_from
-        s = 0.0
-        ds = initial_fraction
-        while s < 1.0 - 1e-14:
-            ds = min(ds, 1.0 - s)
-            if ds < min_fraction:
-                raise TransportError(
-                    "transport step collapsed", t=(seg + s) / segments
+    def t_mid(row):
+        return lanes[row].t(0.5 * lanes[row].ds)
+
+    # the stacks of the running lanes, a row each; a lane's lam_from and
+    # lam_dot change only when it starts a new segment
+    x = np.array([lane.gammas[0] for lane in lanes]).reshape(-1, n)
+    lam_from = np.array([lane.path[0] for lane in lanes]).reshape(-1, sys.m)
+    lam_dot = np.array([lane.path[1] - lane.path[0] for lane in lanes]).reshape(-1, sys.m)
+    a0 = np.array([lane.a0 for lane in lanes]).reshape(-1, sys.k)
+    while lanes:
+        # a failure before the corrector ends its lane, drops the rows
+        # after it and reruns the round for the rows before it, which
+        # recomputes the same values
+        failure = None
+        for row, lane in enumerate(lanes):
+            lane.ds = min(lane.ds, 1.0 - lane.s)
+            if lane.ds < min_fraction:
+                failure = row, TransportError("transport step collapsed", t=lane.t(0.0))
+                break
+        if failure is None:
+            s, ds = np.array([(lane.s, lane.ds) for lane in lanes]).T
+            sigma = s[:, None] + ds[:, None] * _STAGE_SIGMAS
+            # lambda at the stages, lam_from + sigma * lam_dot: (rows, 3, m)
+            lam_t = lam_from[:, None] + sigma[:, :, None] * lam_dot[:, None]
+            half = (0.5 * ds)[:, None]
+            k = []
+            for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
+                y = x if scale is None else x + scale * k[-1]
+                velocity, errors = _velocity(sys, lam_t[:, stage], y, lam_dot, tols, t_mid)
+                if errors:
+                    failure = min(errors.items(), key=lambda item: item[0])
+                    break
+                k.append(velocity)
+        if failure is not None:
+            row, err = failure
+            failed[lanes[row].index] = err
+            lanes, x, lam_from, lam_dot, a0 = (
+                v[:row] for v in (lanes, x, lam_from, lam_dot, a0)
+            )
+            continue
+
+        k1, k2, k3, k4 = k
+        candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam_next = lam_t[:, 2]
+        y, iterations, resid, errors = _correct(
+            residual, jacobian, candidate, tols, lam_next, a0
+        )
+        # a lane whose projection failed or took more than 3 iterations
+        # retries at half the step; the others took it, if it stayed inside
+        taken = [
+            row for row, its in enumerate(iterations) if its <= 3 and row not in errors
+        ]
+        inside, raised = _in_domain_rows(
+            sys, y if len(taken) == len(lanes) else y[taken], domain_slack
+        )
+        outside = {}    # row: the error its domain test raised, or None
+        if np.count_nonzero(inside) < len(taken):
+            outside = {taken[i]: raised.get(i) for i in np.flatnonzero(~inside)}
+        # the corrector's residual at y: [f(lam_next, y); h(y) - a0]
+        norm_f = _lane_norm(resid[:, :n])
+        norm_drift = _lane_norm(resid[:, n:])
+
+        going = []
+        for row, lane in enumerate(lanes):
+            err = errors.get(row)
+            if err is not None and not isinstance(err, _RETRY):
+                failed[lane.index] = err
+                break
+            if row in outside:
+                failed[lane.index] = outside[row] or TransportError(
+                    f"lift exited the domain at x = {y[row].tolist()}", t=lane.t(lane.ds)
                 )
-            t_mid = (seg + s + 0.5 * ds) / segments
-
-            def lam_at(sigma):
-                return lam_from + sigma * lam_dot
-
-            k1 = velocity(lam_at(s), x, lam_dot, t_mid)
-            k2 = velocity(lam_at(s + 0.5 * ds), x + 0.5 * ds * k1, lam_dot, t_mid)
-            k3 = velocity(lam_at(s + 0.5 * ds), x + 0.5 * ds * k2, lam_dot, t_mid)
-            k4 = velocity(lam_at(s + ds), x + ds * k3, lam_dot, t_mid)
-            candidate = x + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-            lam_next = lam_at(s + ds)
-            t_next = (seg + s + ds) / segments
-            try:
-                projected, iterations, resid = _correct(
-                    lambda y: np.concatenate([
-                        np.asarray(sys.f(lam_next, y), dtype=float).reshape(-1),
-                        np.asarray(sys.h(y), dtype=float).reshape(-1) - a0,
-                    ]),
-                    lambda y: np.vstack([sys.jac_x(lam_next, y), sys.jac_h(y)]),
-                    candidate, tols,
-                )
-            except (ConvergenceError, DegeneracyError):
-                ds *= 0.5
+                break
+            if err is not None or iterations[row] > 3:
+                lane.ds *= 0.5
+                going.append(row)
                 continue
-            if iterations > 3:
-                ds *= 0.5
-                continue
-            if not sys.domain.contains(projected, slack=domain_slack):
-                raise TransportError(
-                    f"lift exited the domain at x = {projected.tolist()}",
-                    t=t_next,
-                )
-            x = projected
-            s += ds
-            steps += 1
-            ts.append(t_next)
-            lams.append(lam_next.copy())
-            gammas.append(x.copy())
-            # the corrector's residual at x: [f(lam_next, x); h(x) - a0]
-            max_f = max(max_f, float(np.linalg.norm(resid[: sys.n])))
-            max_drift = max(max_drift, float(np.linalg.norm(resid[sys.n:])))
-            if iterations <= 1:
-                ds = min(2.0 * ds, max_fraction)
+            lane.ts.append(lane.t(lane.ds))
+            lane.lams.append(lam_next[row])
+            lane.gammas.append(y[row])
+            lane.max_f = max(lane.max_f, float(norm_f[row]))
+            lane.max_drift = max(lane.max_drift, float(norm_drift[row]))
+            lane.steps += 1
+            lane.s += lane.ds
+            if iterations[row] <= 1:
+                lane.ds = min(2.0 * lane.ds, max_fraction)
+            if not lane.s < 1.0 - 1e-14:
+                lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
+                if lane.seg == lane.segments:
+                    continue
+                start = lane.path[lane.seg]
+                lam_from[row], lam_dot[row] = start, lane.path[lane.seg + 1] - start
+            going.append(row)
+        if len(taken) < len(lanes):
+            retry = np.ones(len(lanes), dtype=bool)
+            retry[taken] = False
+            y = np.where(retry[:, None], x, y)
+        x = y
+        if len(going) < len(lanes):
+            lanes = [lanes[row] for row in going]
+            x, lam_from, lam_dot, a0 = (v[going] for v in (x, lam_from, lam_dot, a0))
 
-    return TransportResult(
-        t=np.asarray(ts),
-        lambda_path=np.asarray(lams),
-        gamma=np.asarray(gammas),
-        max_f_residual=max_f,
-        max_h_drift=max_drift,
-        steps_taken=steps,
-    )
+    if failed:
+        raise failed[min(failed)]
+    return [lane.result() for lane in results]
 
 
 def holonomy_loop(
@@ -376,8 +516,10 @@ def holonomy_loop(
 
     The first and last waypoints must agree within 1e-9 relative to the
     first's norm.  Enumerates the finite set at the base waypoint, lifts
-    the loop from each point, and matches the endpoints back by nearest
-    neighbor within the clustering radius.  The match must be a bijection.
+    the loop from all its points at once, as lanes of lift_lanes, and
+    matches the endpoints back by nearest neighbor within the clustering
+    radius.  The match must be a bijection.  A failed lift raises the
+    error of the first point, in enumeration order, whose lift fails.
     """
     waypoints = _as_waypoints(loop, sys.m, "loop")
     if np.linalg.norm(waypoints[0] - waypoints[-1]) > 1e-9 * (
@@ -394,11 +536,8 @@ def holonomy_loop(
         )
     before = np.asarray([p.state.x for p in points])
 
-    after = []
-    for p in points:
-        result = lift_curve(sys, waypoints, p.state.x, tols)
-        after.append(result.gamma[-1])
-    after = np.asarray(after)
+    lifts = lift_lanes(sys, [waypoints] * len(points), [p.state.x for p in points], tols)
+    after = np.asarray([result.gamma[-1] for result in lifts])
 
     radius = tols.cluster * sys.domain.diameter()
     permutation = []
@@ -440,7 +579,9 @@ def check_cocycle(
     """Deviation between transporting 1 -> 3 directly and via 2.
 
     paths, when given, is (path_1_to_2, path_2_to_3, path_1_to_3); the
-    defaults are straight segments.  Returns the endpoint distance.
+    defaults are straight segments.  Returns the endpoint distance.  The
+    direct and the 1 -> 2 lifts run as two lanes of lift_lanes, then the
+    2 -> 3 lift; a failure raises the first error in that order.
     """
     l1 = np.asarray(lambda1, dtype=float).reshape(-1)
     l2 = np.asarray(lambda2, dtype=float).reshape(-1)
@@ -460,7 +601,6 @@ def check_cocycle(
         if np.linalg.norm(path[0] - start) > 1e-9 or np.linalg.norm(path[-1] - end) > 1e-9:
             raise InputError(f"{name} does not connect its declared endpoints")
 
-    direct = lift_curve(sys, p13, x0, tols).gamma[-1]
-    via = lift_curve(sys, p12, x0, tols).gamma[-1]
-    composed = lift_curve(sys, p23, via, tols).gamma[-1]
-    return float(np.linalg.norm(direct - composed))
+    direct, via = lift_lanes(sys, [p13, p12], [x0, x0], tols)
+    composed = lift_curve(sys, p23, via.gamma[-1], tols)
+    return float(np.linalg.norm(direct.gamma[-1] - composed.gamma[-1]))

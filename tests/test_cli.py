@@ -60,15 +60,47 @@ def test_find_minimal_defaults(tmp_path, capsys):
     assert np.allclose(result["points"][0]["x"], [0.5, 0.5, 0.5], atol=1e-9)
 
 
+HOLONOMY_EXAMPLE2 = {
+    "system": {"builtin": "example2"},
+    "command": "holonomy",
+    "loop": [[1.0], [2.5], [1.0]],
+    "level": [2.0, 6.125],
+    "budget": 32,
+}
+
+COCYCLE_RFMR = {
+    "system": {"builtin": "rfmr", "n": 3},
+    "command": "cocycle",
+    "lambda1": [1.0, 1.0, 1.0],
+    "lambda2": [1.2, 1.0, 1.0],
+    "lambda3": [1.1, 1.3, 1.0],
+    "x0": [0.5, 0.5, 0.5],
+}
+
+
 def test_byte_identical_runs(tmp_path):
-    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
-    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["find", "--config", cfg, "--output", out1]) == 0
-    assert main(["find", "--config", cfg, "--output", out2]) == 0
-    blob1 = open(out1, "rb").read()
-    blob2 = open(out2, "rb").read()
-    # the echoed output path differs; normalize it before comparing
-    assert blob1.replace(b"a.json", b"x.json") == blob2.replace(b"b.json", b"x.json")
+    # the second run is a fresh interpreter with another hash seed; the
+    # holonomy and cocycle runs go through the lockstep lift
+    import eqbundle
+
+    src = os.path.dirname(os.path.dirname(eqbundle.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="271828")
+    for name, payload in (
+        ("find", FIND_RFMR), ("holonomy", HOLONOMY_EXAMPLE2), ("cocycle", COCYCLE_RFMR)
+    ):
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main([name, "--config", cfg, "--output", out1]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "eqbundle.cli", name, "--config", cfg, "--output", out2],
+            env=env, check=True, timeout=120,
+        )
+        blob1 = open(out1, "rb").read()
+        blob2 = open(out2, "rb").read()
+        assert b'"result"' in blob1
+        # the echoed output path differs; normalize it before comparing
+        assert blob1.replace(b"a.json", b"x.json") == blob2.replace(b"b.json", b"x.json")
 
 
 def test_audit_example2_cond_i_warning(tmp_path, capsys):
@@ -277,6 +309,22 @@ def test_transport_csv_columns(tmp_path):
     assert last[0] == pytest.approx(1.0)
     assert last[1] == pytest.approx(0.9)
     assert np.allclose(last[2:], [-0.9, 0.0], atol=1e-8)
+
+
+def test_transport_rejects_unordered_step_fractions(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "lift.json",
+        {
+            "system": {"builtin": "rfmr", "n": 3},
+            "command": "transport",
+            "path": [[1.0] * 3, [2.0] * 3],
+            "x0": [0.4] * 3,
+            "initial_fraction": 2.0,
+        },
+    )
+    assert main(["transport", "--config", cfg]) == 1
+    assert "initial_fraction <= max_fraction" in capsys.readouterr().err
 
 
 def test_csv_rejected_for_pointwise_commands(tmp_path, capsys):

@@ -1,0 +1,260 @@
+"""The lockstep lift kernel: lanes equal lone lifts byte for byte, the first
+failed lane's error wins in lane order, the work the lanes share, and the
+checks of the step fractions."""
+
+import dataclasses
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import count_calls
+from eqbundle import builtin, transport
+from eqbundle.errors import EqBundleError, InputError, TransportError
+from eqbundle.expr import build_system_from_config
+from eqbundle.finder import _lane_norm, newton_on_level_set
+from eqbundle.systems import SystemSpec
+from eqbundle.tolerances import DEFAULT_TOLERANCES
+from eqbundle.transport import check_cocycle, holonomy_loop, lift_curve, lift_lanes
+
+RFMR3 = builtin("rfmr", n=3)
+EXAMPLE2 = builtin("example2")
+PLANAR = builtin("planar")
+RATES = st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3)
+
+
+def two_roots() -> SystemSpec:
+    """f1 = -(x1 - lam c)(x1 + 1.5 lam c), c = x2^2 - 1, f2 = 0, h = x2 on
+    the unit disk: two equilibria per level, x1 = lam c < 0 and x1 = -1.5
+    lam c > 0.  Raising lam drives both out of the disk, the positive one
+    first.  Its derivatives are finite differences."""
+
+    def f(lam, x):
+        c = x[..., 1] ** 2 - 1.0
+        out = np.zeros(x.shape)
+        out[..., 0] = -(x[..., 0] - lam[..., 0] * c) * (x[..., 0] + 1.5 * lam[..., 0] * c)
+        return out
+
+    return SystemSpec(
+        name="two-roots", n=2, m=1, k=1,
+        f=f, h=lambda x: x[..., [1]],
+        domain=PLANAR.domain,
+        parameter_box=np.array([[0.1, 4.0]]),
+        batched=True,
+    )
+
+
+def same_result(a, b) -> bool:
+    return (
+        a.t.tobytes() == b.t.tobytes()
+        and a.lambda_path.tobytes() == b.lambda_path.tobytes()
+        and a.gamma.tobytes() == b.gamma.tobytes()
+        and a.max_f_residual == b.max_f_residual
+        and a.max_h_drift == b.max_h_drift
+        and a.steps_taken == b.steps_taken
+    )
+
+
+def outcome(call):
+    """(result, None) of a call, or (None, (type, message, t)) of its error."""
+    try:
+        return call(), None
+    except EqBundleError as err:
+        return None, (type(err), str(err), getattr(err, "t", None))
+
+
+@st.composite
+def rfmr_lane(draw):
+    lam1, lam2 = draw(RATES), draw(RATES)
+    level = draw(st.floats(0.6, 2.4))
+    x0 = newton_on_level_set(RFMR3, lam1, [level], np.full(3, level / 3.0)).state.x
+    return [lam1, lam2, lam1], x0
+
+
+@st.composite
+def example2_lane(draw):
+    # a point (u, v, u) of the equilibrium plane inside both level bands
+    u = draw(st.floats(0.5, 0.8)) * draw(st.sampled_from([-1.0, 1.0]))
+    v = draw(st.floats(0.95, 1.1)) * draw(st.sampled_from([-1.0, 1.0]))
+    path = [[draw(st.floats(0.5, 3.0))] for _ in range(draw(st.integers(2, 3)))]
+    return path, [u, v, u]
+
+
+@st.composite
+def planar_lane(draw, far=1.0):
+    y = draw(st.floats(-0.9, 0.9))
+    lams = [draw(st.floats(0.1, far)) for _ in range(draw(st.integers(2, 3)))]
+    return [[v] for v in lams], [lams[0] * (y * y - 1.0), y]
+
+
+@st.composite
+def failing_lane(draw, name):
+    """A lane that fails: off its equilibrium (validation), or on planar a
+    path that drives it out of the unit disk."""
+    if name == "planar" and draw(st.booleans()):
+        y = draw(st.floats(-0.5, 0.5))
+        return [[0.5], [draw(st.floats(2.5, 4.0))]], [0.5 * (y * y - 1.0), y]
+    good = {"rfmr3": rfmr_lane, "example2": example2_lane, "planar": planar_lane}[name]
+    path, x0 = draw(good())
+    return path, np.asarray(x0) + np.array([0.25, -0.1, 0.0])[: len(x0)]
+
+
+SYSTEMS = {"rfmr3": (RFMR3, rfmr_lane), "example2": (EXAMPLE2, example2_lane),
+           "planar": (PLANAR, planar_lane)}
+
+
+@settings(settings.get_profile("derandomized"), max_examples=20)
+@given(data=st.data())
+def test_lanes_equal_lone_lifts(data):
+    name = data.draw(st.sampled_from(sorted(SYSTEMS)))
+    sys, lane = SYSTEMS[name]
+    # at the tight corrector target rfmr(3) lanes need different corrector
+    # iterations, so their steps drift apart
+    tols = DEFAULT_TOLERANCES.replace(newton=data.draw(st.sampled_from([1e-10, 1e-14])))
+    lanes = data.draw(st.lists(lane(), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(lanes)))
+        lanes.insert(at, data.draw(failing_lane(name)))
+    paths = [path for path, _ in lanes]
+    starts = [x0 for _, x0 in lanes]
+    alone = [outcome(lambda p=p, x=x: lift_curve(sys, p, x, tols)) for p, x in lanes]
+    first = next((i for i, (_, err) in enumerate(alone) if err is not None), None)
+    together, error = outcome(lambda: lift_lanes(sys, paths, starts, tols))
+    if first is None:
+        assert error is None
+        assert all(same_result(a, b) for (a, _), b in zip(alone, together))
+    else:
+        # the error of the first failed lane in lane order, t included
+        assert error == alone[first][1]
+        if first:
+            ahead = lift_lanes(sys, paths[:first], starts[:first], tols)
+            assert all(same_result(a, b) for (a, _), b in zip(alone, ahead))
+
+
+def test_lane_norm_is_the_lone_norm():
+    # a lone norm is a BLAS dot; a pairwise row sum differs from it in some
+    # rows of every length from 2 on
+    rng = np.random.default_rng(0)
+    for n in range(1, 41):
+        rows = rng.standard_normal((50, n + 2)) * 10.0 ** rng.integers(-8, 3, size=(50, 1))
+        for v in (rows, rows[:, 2:]):
+            lone = np.array([np.linalg.norm(r) for r in v])
+            assert _lane_norm(v).tobytes() == lone.tobytes()
+
+
+def test_declared_lanes_equal_lone_lifts():
+    # finite-difference blocks of compiled expressions, with a lam row per
+    # lane; and the same spec called point by point, as plain callables are
+    ring = build_system_from_config({
+        "n": 3, "m": 3, "k": 1, "domain_box": [[0.0, 1.0]] * 3, "h": ["x1+x2+x3"],
+        "f": [f"l{(i - 1) % 3 + 1}*x{(i - 1) % 3 + 1}*(1-x{i + 1})"
+              f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % 3 + 1})" for i in range(3)],
+    })
+    paths = [
+        [[1.0] * 3, [2.0, 1.5, 1.0], [1.0] * 3],
+        [[1.5] * 3, [0.75] * 3],
+        [[1.0] * 3, [1.2] * 3],
+    ]
+    starts = [[0.3] * 3, [0.5] * 3, [0.45] * 3]
+    alone = [lift_curve(ring, p, x) for p, x in zip(paths, starts)]
+    for sys in (ring, dataclasses.replace(ring, batched=False)):
+        assert all(map(same_result, alone, lift_lanes(sys, paths, starts)))
+
+
+def test_holonomy_raises_the_first_point_s_error():
+    # the second point leaves the disk first; the first point's later
+    # failure is the one a point-by-point run raises
+    sys = two_roots()
+    loop = [[0.4], [2.0], [0.4]]
+    found = transport.enumerate_level_points(sys, [0.4], [0.5], budget=64)
+    points = [p.state.x for p in found]
+    assert len(points) == 2 and points[0][0] < 0.0 < points[1][0]
+    lone = [outcome(lambda x=x: lift_curve(sys, loop, x))[1] for x in points]
+    assert lone[0][0] is TransportError and lone[1][0] is TransportError
+    assert lone[0][2] > lone[1][2]
+    assert outcome(lambda: holonomy_loop(sys, loop, [0.5], budget=64))[1] == lone[0]
+
+
+def test_cocycle_raises_errors_in_lift_order():
+    sys = two_roots()
+    x0 = [1.125 * 0.4, 0.5]       # the positive equilibrium at lam = 0.4
+    # both first legs fail, the 1 -> 2 leg earlier in lockstep; the
+    # direct lift is the first of a sequential run
+    direct = outcome(lambda: lift_curve(sys, [[0.4], [1.0]], x0))[1]
+    via = outcome(lambda: lift_curve(sys, [[0.4], [2.0]], x0))[1]
+    assert direct is not None and via is not None and direct != via
+    assert outcome(lambda: check_cocycle(sys, [0.4], [2.0], [1.0], x0))[1] == direct
+    # the direct lift succeeds: the 1 -> 2 leg's error
+    assert outcome(lambda: lift_curve(sys, [[0.4], [0.5]], x0))[1] is None
+    assert outcome(lambda: check_cocycle(sys, [0.4], [2.0], [0.5], x0))[1] == via
+
+
+def lift_work(monkeypatch, sys):
+    """A copy of sys whose analytic jac_x is counted, and a record of the
+    np.linalg.svd and jac_x calls made inside each lift_lanes call."""
+    holder = SimpleNamespace(jac_x_fn=sys.jac_x_fn)
+    jac_x = count_calls(monkeypatch, "jac_x_fn", holder)
+    svd = count_calls(monkeypatch, "svd", np.linalg)
+    real, per_call = transport.lift_lanes, []
+
+    def counted(*args, **kwargs):
+        before = len(svd), len(jac_x)
+        result = real(*args, **kwargs)
+        per_call.append((len(svd) - before[0], len(jac_x) - before[1]))
+        return result
+
+    monkeypatch.setattr(transport, "lift_lanes", counted)
+    return dataclasses.replace(sys, jac_x_fn=holder.jac_x_fn), per_call
+
+
+def test_holonomy_lifts_its_points_in_stacked_calls(monkeypatch, example2):
+    # 4 points, 12 steps each, 4 RK4 stages a step: one SVD and one jac_x
+    # call per stage for all 4 points (192 of each lifting them one by one);
+    # the lift is stationary, so the corrector needs no step
+    sys, per_call = lift_work(monkeypatch, example2)
+    report = holonomy_loop(sys, [[1.0], [2.5], [1.0]], [2.0, 6.125], budget=200)
+    assert len(report.points_before) == 4
+    assert per_call == [(48, 48)]
+
+
+def test_cocycle_legs_share_their_stacked_calls(monkeypatch, planar):
+    # the direct and 1 -> 2 lifts of planar take the same steps, so the
+    # two lanes cost what one lone lift costs; then the 2 -> 3 lift
+    sys, per_call = lift_work(monkeypatch, planar)
+    x0 = [-0.5, 0.0]
+    lone = lift_curve(sys, [[0.5], [0.9]], x0)
+    assert lift_curve(sys, [[0.5], [0.7]], x0).steps_taken == lone.steps_taken
+    check_cocycle(sys, [0.5], [0.7], [0.9], x0)
+    assert per_call[2] == per_call[0] == (4 * lone.steps_taken,) * 2
+
+
+@pytest.mark.parametrize(
+    "fractions, message",
+    [
+        ({"initial_fraction": 2.0}, "initial_fraction <= max_fraction"),
+        ({"initial_fraction": 0.5, "max_fraction": 0.1}, "got 1e-10, 0.5, 0.1"),
+        ({"min_fraction": 0.1}, "0 < min_fraction <= initial_fraction"),
+        ({"initial_fraction": float("nan")}, "must be finite"),
+        ({"max_fraction": float("inf")}, "must be finite"),
+        ({"min_fraction": 0.0}, "0 < min_fraction"),
+    ],
+)
+def test_step_fractions_must_be_ordered(rfmr3, fractions, message):
+    # each was accepted before: 2.0 crossed the segment in one step, 0.5
+    # over a cap of 0.1 took a first step of 0.5, min 0.1 over the initial
+    # 0.05 reported a collapsed step, and NaN a non-finite matrix
+    with pytest.raises(InputError, match=message):
+        lift_curve(rfmr3, [[1.0] * 3, [2.0] * 3], [0.4] * 3, **fractions)
+
+
+def test_lift_lanes_validates_its_lanes(planar):
+    with pytest.raises(InputError, match="2 paths for 1 starting points"):
+        lift_lanes(planar, [[[0.5], [0.9]]] * 2, [[-0.5, 0.0]])
+    assert lift_lanes(planar, [], []) == []
+    # a lane that fails validation after a lane that fails to lift: the
+    # lift's error, as lifting them one after another raises it
+    exits = ([[0.5], [3.0]], [-0.5, 0.0])
+    with pytest.raises(TransportError, match="exited the domain"):
+        lift_lanes(planar, [exits[0], [[0.5]]], [exits[1], [-0.5, 0.0]])

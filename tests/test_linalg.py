@@ -11,7 +11,7 @@ from eqbundle import (
     numeric_rank,
     solve_least_squares,
 )
-from eqbundle.linalg import image_basis
+from eqbundle.linalg import _solve_rows, image_basis
 
 # Jacobian of the example2 vector field at lam=1, x=(1,1,1), written out by hand:
 # rows (lam*y, -lam*(z-x), -lam*y), (lam*z-2*lam*x, 0, lam*x), (0, 0, 0).
@@ -94,6 +94,32 @@ def test_lstsq_recovers_exact_solution():
         x0 = rng.standard_normal(cols)
         x = solve_least_squares(A, A @ x0)
         assert np.allclose(x, x0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-3])
+def test_stacked_solve_is_the_lone_solve_row_by_row(rank_tol):
+    # bitwise, with each failing row's lone error: a non-finite A, a
+    # non-finite b, a rank-deficient A; a row already failed is skipped
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((7, 5, 3))
+    b = rng.standard_normal((7, 5))
+    A[1, 2, 0] = np.nan
+    b[3, 4] = np.inf
+    A[4, :, 2] = A[4, :, 0]
+    errors = {5: "skipped"}
+    x, deficient = _solve_rows(A, b, rank_tol, errors)
+    assert np.isnan(x[[1, 3, 4, 5]]).all()
+    assert errors.pop(5) == "skipped"
+    assert {row: str(err) for row, err in errors.items()} == {
+        1: "A contains non-finite entries", 3: "b contains non-finite entries"
+    }
+    for row in (0, 2, 6):
+        assert x[row].tobytes() == solve_least_squares(A[row], b[row], rank_tol).tobytes()
+    with pytest.raises(DegeneracyError) as lone:
+        solve_least_squares(A[4], b[4], rank_tol)
+    assert list(deficient) == [4]
+    assert str(deficient[4]) == str(lone.value)
+    assert deficient[4].report == lone.value.report
 
 
 def test_eigen_sorted_real():

@@ -23,6 +23,7 @@ from eqbundle.finder import (
     newton_on_level_set,
 )
 from eqbundle.systems import Domain, SystemSpec
+from eqbundle.transport import holonomy_loop
 
 
 def assert_lane_alone_matches(sys, lam, level, starts, lanes):
@@ -166,6 +167,21 @@ def test_enumerate_rejects_a_non_integer_budget(planar, budget):
     points = enumerate_level_points(planar, [0.5], [0.0], budget=np.int32(20))
     assert [p.as_dict() for p in points] == [
         p.as_dict() for p in enumerate_level_points(planar, [0.5], [0.0], budget=20)
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+def test_seed_must_be_a_non_negative_integer(planar, seed):
+    with pytest.raises(InputError, match="seed must be"):
+        enumerate_level_points(planar, [0.5], [0.2], budget=20, seed=seed)
+    with pytest.raises(InputError, match="seed must be"):
+        holonomy_loop(planar, [[0.5], [0.9], [0.5]], [0.2], budget=20, seed=seed)
+
+
+def test_enumerate_takes_a_numpy_seed(planar):
+    points = enumerate_level_points(planar, [0.5], [0.2], budget=20, seed=np.int64(3))
+    assert [p.as_dict() for p in points] == [
+        p.as_dict() for p in enumerate_level_points(planar, [0.5], [0.2], budget=20, seed=3)
     ]
 
 
