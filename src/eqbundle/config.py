@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, non_negative_int, positive_int
+from .errors import InputError, non_negative_int, positive_float, positive_int
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -94,16 +94,6 @@ def _closed(points: list, what: str) -> None:
         raise InputError(
             f"loop must close: first and last {what} differ by {gap:.3e}"
         )
-
-
-def _positive_float(value, what: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be a number") from None
-    if not np.isfinite(out) or out <= 0.0:
-        raise InputError(f"{what} must be positive and finite")
-    return out
 
 
 def _build_system(spec, command: str) -> Optional[SystemSpec]:
@@ -224,7 +214,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["matrices"] = matrices
         fields["k"] = k
         tol_zero = data.get("tol_zero")
-        fields["tol_zero"] = None if tol_zero is None else _positive_float(tol_zero, "tol_zero")
+        fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
         fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
         return fields
 
@@ -242,13 +232,13 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         diameter = system.domain.diameter()
-        fields["initial_step"] = _positive_float(
+        fields["initial_step"] = positive_float(
             data.get("initial_step", 0.01 * diameter), "initial_step"
         )
-        fields["max_step"] = _positive_float(
+        fields["max_step"] = positive_float(
             data.get("max_step", 0.05 * diameter), "max_step"
         )
-        fields["min_step"] = _positive_float(
+        fields["min_step"] = positive_float(
             data.get("min_step", 1e-12 * diameter), "min_step"
         )
         fields["max_points"] = positive_int(data.get("max_points", 20000), "max_points")
@@ -259,13 +249,13 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
     elif command == "transport":
         fields["path"] = _waypoints(_require(data, "path", command), m, "path")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
-        fields["initial_fraction"] = _positive_float(
+        fields["initial_fraction"] = positive_float(
             data.get("initial_fraction", 0.05), "initial_fraction"
         )
-        fields["max_fraction"] = _positive_float(
+        fields["max_fraction"] = positive_float(
             data.get("max_fraction", 0.25), "max_fraction"
         )
-        fields["min_fraction"] = _positive_float(
+        fields["min_fraction"] = positive_float(
             data.get("min_fraction", 1e-10), "min_fraction"
         )
     elif command == "holonomy":

@@ -6,11 +6,12 @@ violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
 map to CLI exit code 2.  positive_int and non_negative_int are the checks
 of a count given by a caller (a budget, an iteration cap, a config size, a
-seed).
+seed), positive_float that of a step or a tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -125,4 +126,16 @@ def non_negative_int(value, what: str) -> int:
     out = _as_int(value, what)
     if out < 0:
         raise InputError(f"{what} must be non-negative")
+    return out
+
+
+def positive_float(value, what: str) -> float:
+    """value as a float: a finite number > 0.  InputError for anything
+    else."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number") from None
+    if not math.isfinite(out) or out <= 0.0:
+        raise InputError(f"{what} must be positive and finite")
     return out

@@ -23,7 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExprDomainError, ExprError, InputError
+from .errors import (
+    ExprDomainError,
+    ExprError,
+    InputError,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from .systems import Domain, SystemSpec, first_integral_violation
 
 FUNCTIONS = {
@@ -456,11 +463,13 @@ IDENTITY_DEFAULTS = {"identity_tolerance": 1e-8, "identity_samples": 200, "ident
 def build_system_from_config(decl: dict) -> SystemSpec:
     """Build a SystemSpec from a DSL declaration.
 
-    Required keys: n, m, k, f (n expression strings), h (k expression
-    strings), domain_box ((n, 2) array-like).  Optional: name,
-    parameter_box ((m, 2), default [0.25, 4] per coordinate), and the
-    keys of IDENTITY_DEFAULTS: identity_tolerance, identity_samples,
-    identity_seed.
+    Required keys: n, m, k (positive integers), f (a list of n expression
+    strings), h (a list of k expression strings), domain_box ((n, 2)
+    finite numbers).  Optional: name, parameter_box ((m, 2) finite
+    numbers, default [0.25, 4] per coordinate), and the keys of
+    IDENTITY_DEFAULTS: identity_tolerance (a positive finite number),
+    identity_samples (a positive integer) and identity_seed (an integer
+    >= 0).  Anything else is an InputError.
 
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
@@ -479,13 +488,9 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     if unknown:
         raise InputError(f"unknown system declaration keys: {unknown}")
 
-    n, m, k = int(decl["n"]), int(decl["m"]), int(decl["k"])
-    f_sources = list(decl["f"])
-    h_sources = list(decl["h"])
-    if len(f_sources) != n:
-        raise InputError(f"expected {n} f-expressions, got {len(f_sources)}")
-    if len(h_sources) != k:
-        raise InputError(f"expected {k} h-expressions, got {len(h_sources)}")
+    n, m, k = (positive_int(decl[key], f"declaration {key}") for key in "nmk")
+    f_sources = _sources(decl["f"], n, "f")
+    h_sources = _sources(decl["h"], k, "h")
 
     f_asts = [parse(src, n, m) for src in f_sources]
     h_asts = [parse(src, n, m) for src in h_sources]
@@ -503,10 +508,8 @@ def build_system_from_config(decl: dict) -> SystemSpec:
                 f"(found one in {ast.source!r})"
             )
 
-    domain = Domain(box=np.asarray(decl["domain_box"], dtype=float))
-    parameter_box = np.asarray(
-        decl.get("parameter_box", [[0.25, 4.0]] * m), dtype=float
-    )
+    domain = Domain(box=_box(decl["domain_box"], "domain_box"))
+    parameter_box = _box(decl.get("parameter_box", [[0.25, 4.0]] * m), "parameter_box")
     sys = SystemSpec(
         name=str(decl.get("name", "expr-system")),
         n=n, m=m, k=k, f=f, h=h,
@@ -516,8 +519,10 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     )
 
     tolerance, samples, seed = (decl.get(key, value) for key, value in IDENTITY_DEFAULTS.items())
-    tolerance = float(tolerance)
-    worst = first_integral_violation(sys, samples=int(samples), seed=int(seed))
+    tolerance = positive_float(tolerance, "identity_tolerance")
+    samples = positive_int(samples, "identity_samples")
+    seed = non_negative_int(seed, "identity_seed")
+    worst = first_integral_violation(sys, samples=samples, seed=seed)
     if worst.max_residual > tolerance:
         raise InputError(
             "declared h is not a first integral: max |f . grad h| = "
@@ -526,6 +531,27 @@ def build_system_from_config(decl: dict) -> SystemSpec:
             f"(integral index {worst.integral_index})"
         )
     return sys
+
+
+def _sources(value, count: int, key: str) -> list:
+    """The expression strings of f or h: a list of count strings."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(src, str) for src in value):
+        raise InputError(f"declaration {key} must be a list of expression strings")
+    if len(value) != count:
+        raise InputError(f"expected {count} {key}-expressions, got {len(value)}")
+    return list(value)
+
+
+def _box(value, key: str) -> np.ndarray:
+    """A declared box as a float array of finite numbers; its shape is
+    checked where it is used."""
+    try:
+        box = np.asarray(value)
+    except ValueError:          # a ragged nesting
+        box = None
+    if box is None or box.dtype.kind not in "iuf" or not np.all(np.isfinite(box)):
+        raise InputError(f"declaration {key} must be an array of finite numbers")
+    return box.astype(float)
 
 
 def _uses_parameter(node) -> bool:

@@ -3,6 +3,8 @@
 The square solve targets F(x) = [f(lambda, x); h(x) - a] = 0 whose
 stacked Jacobian [df/dx; dh/dx] has full column rank n at transversal
 points, so a least-squares Newton step is the exact Newton step there.
+_level_set defines F and that Jacobian once, for newton_lanes and for
+transport's lift, and every step is one batched linalg._solve_rows call.
 Enumeration runs that solve from every point of a low-discrepancy
 sequence at once, as lanes of one lockstep kernel, deduplicates by
 clustering and audits only the kept points.  Fibers (k = 1 only) are
@@ -33,14 +35,7 @@ from .errors import (
     non_negative_int,
     positive_int,
 )
-from .linalg import (
-    _all_finite,
-    _rank_report,
-    _solve_rows,
-    kernel_basis,
-    numeric_rank,
-    rank_cutoff,
-)
+from .linalg import _all_finite, _solve_rows, kernel_basis, numeric_rank
 from .systems import PointState, SystemSpec, _rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -190,15 +185,10 @@ class NewtonLanes:
 _ALPHA_ROUNDS = np.split(np.ldexp(1.0, -np.arange(25)), [1, 3, 7, 15])
 
 
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=1), the same arithmetic without its dispatch."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
-
-
 def _lane_norm(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(row) of every row of v (B, p), bitwise.  The norm of a
-    lone vector is the square root of a BLAS dot, which _row_norm's pairwise
-    sum does not always reproduce; vecdot makes that dot per row."""
+    lone vector is the square root of a BLAS dot, which a pairwise sum of
+    squares does not always reproduce; vecdot makes that dot per row."""
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -221,31 +211,21 @@ def _in_domain_rows(sys: SystemSpec, x: np.ndarray, slack: float):
     return inside, {}
 
 
-class _LaneCalls:
-    """Residual and stacked Jacobian over a (b, n) stack.
+def _level_set(sys: SystemSpec) -> tuple:
+    """(residual, jacobian) of the level-set system at every row of a stack
+    y (R, n): residual(y, lam, a, errors) is F = [f(lam, y); h(y) - a] (R,
+    n + k) and jacobian(y, lam, a, errors) [df/dx; dh/dx] (R, n + k, n), a
+    unused.  lam and a are one shared vector or one row per row of y.  As
+    in the spec's stacked accessors, a row fails with the error of a lone
+    evaluation: NaN, with its EqBundleError in errors (raised when None)."""
 
-    Each returns (values, errors {row: EqBundleError}), with the rows of
-    failed lanes NaN.  Values and derivatives come from the spec's stacked
-    accessors: one call for the whole stack on a batched spec, whose
-    non-finite rows are then re-run alone, and lane by lane otherwise, so
-    a lane fails with the error of a lone solve either way.
-    """
+    def residual(y, lam, a, errors):
+        return np.concatenate([sys.f_rows(lam, y, errors), sys.h_rows(y, errors) - a], axis=1)
 
-    def __init__(self, sys: SystemSpec, lam: np.ndarray, a: np.ndarray):
-        self.sys, self.lam, self.a = sys, lam, a
-        self.p = sys.n + sys.k
+    def jacobian(y, lam, a, errors):
+        return np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
 
-    def residual(self, x: np.ndarray):
-        errors: dict = {}
-        f = self.sys.f_rows(self.lam, x, errors)
-        h = self.sys.h_rows(x, errors)
-        return np.concatenate([f, h - self.a], axis=1), errors
-
-    def jacobian(self, x: np.ndarray):
-        errors: dict = {}
-        jac_x = self.sys.jac_x(self.lam, x, errors)
-        jac_h = self.sys.jac_h(x, errors)
-        return np.concatenate([jac_x, jac_h], axis=1), errors
+    return residual, jacobian
 
 
 def newton_lanes(
@@ -262,19 +242,21 @@ def newton_lanes(
     lane follows exactly the rule of a lone solve, so its result does not
     depend on the batch it ran in.  A lane converges when ||F|| <=
     newton_tol * (1 + ||x0||) at the top of one of max_iter iterations.
-    Each iteration takes the Newton step V diag(1/s) U^T (-F) from the SVD
-    of the stacked Jacobian [df/dx; dh/dx], whose singular values also
-    decide its column rank.  The line search scales the step by 1, 1/2,
-    ..., 2^-24 and takes the first trial that stays in the domain box
-    inflated by 5 % of the diameter, is finite, and lowers ||F|| (or meets
-    the target); a lane whose first such event is an evaluation error ends
-    with that error.  The trials run in rounds of 1, 2, 4, 8 and 10
-    scales, each round one stacked residual call for every lane still
-    searching, and a lane keeps the first trial of a round in that order,
-    so errors at trials a trial-by-trial search never reaches are
-    ignored.  Starts must lie in the domain and converged points must lie
-    in it too.  Every lane ends with one of LANE_OUTCOMES; nothing is
-    raised for a failed lane.
+    F and its Jacobian [df/dx; dh/dx] come from _level_set, as in the
+    lift's corrector.  Each iteration takes the least-squares Newton step
+    of all running lanes in one _solve_rows call, whose batched SVD also
+    decides each Jacobian's column rank: a lane ends as singular on a rank
+    deficient Jacobian and with its InputError on a non-finite one.  The
+    line search scales the step by 1, 1/2, ..., 2^-24 and takes the first
+    trial that stays in the domain box inflated by 5 % of the diameter, is
+    finite, and lowers ||F|| (or meets the target); a lane whose first
+    such event is an evaluation error ends with that error.  The trials
+    run in rounds of 1, 2, 4, 8 and 10 scales, each round one stacked
+    residual call for every lane still searching, and a lane keeps the
+    first trial of a round in that order, so errors at trials a
+    trial-by-trial search never reaches are ignored.  Starts must lie in
+    the domain and converged points must lie in it too.  Every lane ends
+    with one of LANE_OUTCOMES; nothing is raised for a failed lane.
     """
     max_iter = positive_int(max_iter, "max_iter")
     lam = np.asarray(lam, dtype=float).reshape(-1)
@@ -286,11 +268,11 @@ def newton_lanes(
         raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
     if x.ndim != 2 or x.shape[1] != sys.n:
         raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
-    calls = _LaneCalls(sys, lam, a)
+    level_residual, level_jacobian = _level_set(sys)
     count = x.shape[0]
     status = np.full(count, _RUNNING)
     iteration = np.zeros(count, dtype=int)
-    residual = np.full((count, calls.p), np.nan)
+    residual = np.full((count, sys.n + sys.k), np.nan)
     norm = np.full(count, np.nan)
     details: dict = {}
 
@@ -313,12 +295,13 @@ def newton_lanes(
     record(lanes, errors, 0)
     lanes = lanes[status == _RUNNING]
 
-    values, errors = calls.residual(x[lanes])
+    errors = {}
+    values = level_residual(x[lanes], lam, a, errors)
     residual[lanes] = values
     stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
     record(lanes, errors, 0)
     lanes = lanes[status[lanes] == _RUNNING]
-    norm[lanes] = _row_norm(residual[lanes])
+    norm[lanes] = _lane_norm(residual[lanes])
 
     margin = 0.05 * diameter
     lo, hi = sys.domain.box[:, 0] - margin, sys.domain.box[:, 1] + margin
@@ -329,28 +312,18 @@ def newton_lanes(
         if not lanes.size:
             break
 
-        jac, errors = calls.jacobian(x[lanes])
-        broken = lanes[~np.isfinite(jac).all(axis=(1, 2))]
-        for lane in broken:
-            details[int(lane)] = InputError("A contains non-finite entries")
-        stop(broken, EVALUATION_ERROR, it)
+        errors = {}
+        jac = level_jacobian(x[lanes], lam, a, errors)
+        # a non-finite Jacobian is an InputError in errors
+        step, deficient = _solve_rows(jac, -residual[lanes], tols.rank, errors)
         record(lanes, errors, it)
+        for row, err in deficient.items():
+            details[int(lanes[row])] = err.report
+            stop(lanes[row], SINGULAR, it)
         keep = status[lanes] == _RUNNING
-        lanes, jac = lanes[keep], jac[keep]
-
-        u, s, vt = np.linalg.svd(jac, full_matrices=False)
-        # s is descending: rank < n exactly when the last value is cut off
-        singular = s[:, -1] <= rank_cutoff(jac.shape[1:], s[:, 0], tols.rank, False)
-        if singular.any():
-            for row in singular.nonzero()[0]:
-                details[int(lanes[row])] = _rank_report(jac.shape[1:], s[row], tols.rank, False)
-            stop(lanes[singular], SINGULAR, it)
-            regular = ~singular
-            lanes, u, s, vt = lanes[regular], u[regular], s[regular], vt[regular]
+        lanes, step = lanes[keep], step[keep]
 
         xs, fs, ns, ts = x[lanes], residual[lanes], norm[lanes], target[lanes]
-        coeff = np.matmul(-fs[:, None, :], u)[:, 0, :] / s
-        step = np.matmul(np.swapaxes(vt, 1, 2), coeff[:, :, None])[:, :, 0]
         pending = np.ones(lanes.size, dtype=bool)
         for alphas in _ALPHA_ROUNDS:
             rows = pending.nonzero()[0]
@@ -359,9 +332,10 @@ def newton_lanes(
                 -1, step.shape[1]
             )
             trying = ((candidate >= lo) & (candidate <= hi)).all(axis=1)
-            trial = np.full((candidate.shape[0], calls.p), np.nan)
-            trial[trying], errors = calls.residual(candidate[trying])
-            trial_norm = _row_norm(trial)
+            trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
+            errors = {}
+            trial[trying] = level_residual(candidate[trying], lam, a, errors)
+            trial_norm = _lane_norm(trial)
             # a skipped or non-finite trial has a NaN or infinite norm and
             # fails both comparisons
             by_lane = trial_norm.reshape(rows.size, alphas.size)
@@ -407,7 +381,8 @@ def newton_lanes(
 
 def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
     """The reported point: level, stacked rank and audit at a converged x."""
-    stacked = np.vstack([sys.jac_x(lam, x), sys.jac_h(x)])
+    _, jacobian = _level_set(sys)
+    stacked = jacobian(x[None], lam, None, None)[0]
     rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
     state = PointState(lam, x)
     return EquilibriumPoint(

@@ -631,29 +631,24 @@ def _builtin_rfmr(n: int) -> SystemSpec:
     if n < 3:
         raise InputError(f"rfmr needs n >= 3 sites, got n = {n}")
     idx = np.arange(n)
+    # x[..., prev] is x_{i-1} and x[..., succ] is x_{i+1}, cyclically
+    prev, succ = (idx - 1) % n, (idx + 1) % n
 
     def f(lam, x):
-        xm = np.roll(x, 1, axis=-1)     # x_{i-1}
-        xp = np.roll(x, -1, axis=-1)    # x_{i+1}
-        lm = np.roll(lam, 1, axis=-1)            # lam_{i-1}
-        return lm * xm * (1.0 - x) - lam * x * (1.0 - xp)
+        return lam[..., prev] * x[..., prev] * (1.0 - x) - lam * x * (1.0 - x[..., succ])
 
     def jac_x(lam, x):
-        xm = np.roll(x, 1, axis=-1)
-        xp = np.roll(x, -1, axis=-1)
-        lm = np.roll(lam, 1, axis=-1)
+        lm = lam[..., prev]
         J = np.zeros(x.shape + (n,))
-        J[..., idx, (idx - 1) % n] = lm * (1.0 - x)
-        J[..., idx, idx] = -lm * xm - lam * (1.0 - xp)
-        J[..., idx, (idx + 1) % n] = lam * x
+        J[..., idx, prev] = lm * (1.0 - x)
+        J[..., idx, idx] = -lm * x[..., prev] - lam * (1.0 - x[..., succ])
+        J[..., idx, succ] = lam * x
         return J
 
     def jac_lambda(lam, x):
-        xm = np.roll(x, 1, axis=-1)
-        xp = np.roll(x, -1, axis=-1)
         J = np.zeros(x.shape + (n,))
-        J[..., idx, (idx - 1) % n] = xm * (1.0 - x)
-        J[..., idx, idx] += -x * (1.0 - xp)
+        J[..., idx, prev] = x[..., prev] * (1.0 - x)
+        J[..., idx, idx] += -x * (1.0 - x[..., succ])
         return J
 
     def h(x):

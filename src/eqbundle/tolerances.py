@@ -3,11 +3,13 @@
 Every cutoff that the library consults lives here so that reports can echo
 the exact values used and the CLI can override any of them uniformly
 (--tol-<name> <value> maps onto the field <name>, dashes for underscores).
+Every value must be a finite number >= 0; rank may also be None.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -33,6 +35,20 @@ class Tolerances:
     zero_factor: float = 1e-7
     # minimal (smallest nonzero)/(largest zero) ratio before flagging a split
     gap_min: float = 10.0
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.name == "rank":
+                continue
+            try:
+                valid = math.isfinite(value) and value >= 0.0
+            except TypeError:
+                valid = False
+            if not valid:
+                raise InputError(
+                    f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}"
+                )
 
     def replace(self, **overrides) -> "Tolerances":
         names = {f.name for f in dataclasses.fields(self)}

@@ -33,7 +33,9 @@ from .errors import (
     InputError,
     TransportError,
 )
-from .finder import _RETRY, _correct, _in_domain_rows, _lane_norm, enumerate_level_points
+from .finder import (
+    _RETRY, _correct, _in_domain_rows, _lane_norm, _level_set, enumerate_level_points,
+)
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -284,13 +286,15 @@ def _lane_start(sys: SystemSpec, lambda_path, x0, tols: Tolerances) -> tuple:
     return waypoints, x, float(np.linalg.norm(f0)), a0
 
 
-def _velocity(sys: SystemSpec, lam, y, lam_dot, tols: Tolerances, t_mid) -> tuple:
+def _velocity(sys: SystemSpec, jacobian, lam, y, lam_dot, tols: Tolerances, t_mid) -> tuple:
     """The lifting system's solution at every row of the stack y: (velocity,
-    errors {row: error}).  Every error ends its lane: an evaluation error,
-    a non-finite A or b (InputError), or a TransportError at t_mid(row)
-    when A = [df/dx; dh/dx] is column rank deficient."""
+    errors {row: error}).  A = [df/dx; dh/dx] is the level-set Jacobian,
+    the jacobian of _level_set(sys), and the solve is linalg._solve_rows.
+    Every error ends its lane: an evaluation error, a non-finite A or b
+    (InputError), or a TransportError at t_mid(row) when A is column rank
+    deficient."""
     errors: dict = {}
-    A = np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
+    A = jacobian(y, lam, None, errors)
     # -(df/dlambda) lambda', negated before the product as in a lone solve
     drive = np.matmul(-sys.jac_lambda(lam, y, errors), lam_dot[:, :, None])[:, :, 0]
     b = np.concatenate([drive, np.zeros((len(y), sys.k))], axis=1)
@@ -388,14 +392,7 @@ def lift_lanes(
     results = list(lanes)
     n = sys.n
     domain_slack = tols.domain_slack * (1.0 + sys.domain.diameter())
-
-    def residual(y, lam, a0, errors):
-        return np.concatenate(
-            [sys.f_rows(lam, y, errors), sys.h_rows(y, errors) - a0], axis=1
-        )
-
-    def jacobian(y, lam, a0, errors):
-        return np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
+    residual, jacobian = _level_set(sys)
 
     def t_mid(row):
         return lanes[row].t(0.5 * lanes[row].ds)
@@ -425,7 +422,9 @@ def lift_lanes(
             k = []
             for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
                 y = x if scale is None else x + scale * k[-1]
-                velocity, errors = _velocity(sys, lam_t[:, stage], y, lam_dot, tols, t_mid)
+                velocity, errors = _velocity(
+                    sys, jacobian, lam_t[:, stage], y, lam_dot, tols, t_mid
+                )
                 if errors:
                     failure = min(errors.items(), key=lambda item: item[0])
                     break

@@ -9,6 +9,7 @@ import pytest
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict, load_config
 from eqbundle.errors import InputError
+from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 RFMR3_DECL = {
     "n": 3,
@@ -350,6 +351,58 @@ def test_flag_overrides(tmp_path, capsys):
     assert data["config"]["seed"] == 5
     assert data["tolerances_used"]["cluster"] == 1e-3
     assert data["result"]["count"] == 1
+
+
+def test_bad_declaration_size_is_an_input_error(tmp_path, capsys):
+    # "n": "two" used to escape main as a bare ValueError
+    cfg = write_config(
+        tmp_path,
+        "bad_n.json",
+        {
+            "system": {"declaration": dict(RFMR3_DECL, n="two")},
+            "command": "find",
+            "lambda": [1, 1, 1],
+            "level": [1.5],
+        },
+    )
+    assert main(["find", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: declaration n must be an integer\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+def test_non_finite_or_negative_tolerance_exits_1(tmp_path, capsys, value):
+    # a NaN tolerance used to run the command and then fail to serialize
+    # the envelope with a bare ValueError
+    message = (
+        f"error: tolerance 'newton' must be a finite number >= 0, got {float(value)!r}\n"
+    )
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    assert main(["find", "--config", cfg, f"--tol-newton={value}"]) == 1
+    assert capsys.readouterr().err == message
+    path = tmp_path / "tol.json"
+    path.write_text(
+        json.dumps(dict(FIND_RFMR, tolerances={"newton": float(value)}), allow_nan=True)
+    )
+    assert main(["find", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_tolerances_are_finite_and_non_negative():
+    for name in ("newton", "rank", "cluster", "gap_min"):
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InputError, match=f"tolerance '{name}' must be"):
+                Tolerances(**{name: value})
+            with pytest.raises(InputError, match=f"tolerance '{name}' must be"):
+                DEFAULT_TOLERANCES.replace(**{name: value})
+    with pytest.raises(InputError, match="tolerance 'newton' must be"):
+        config_from_dict(dict(FIND_RFMR, tolerances={"newton": "nan"}))
+    with pytest.raises(InputError, match="tolerance 'cluster' must be"):
+        config_from_dict(dict(FIND_RFMR, tolerances={"cluster": None}))
+    # 0 is a valid value, and rank alone may be None
+    assert DEFAULT_TOLERANCES.replace(cluster=0.0, rank=0.0).cluster == 0.0
+    assert DEFAULT_TOLERANCES.replace(rank=None).rank is None
 
 
 def test_parse_error_reports_location(tmp_path, capsys):

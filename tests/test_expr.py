@@ -273,6 +273,75 @@ def test_declaration_validation():
         build_system_from_config([1, 2, 3])
 
 
+# planar's f with h = x1, which is not a first integral of it
+PLANAR_FAKE_H = {
+    "n": 2, "m": 1, "k": 1,
+    "f": ["-x1 + l1*(x2^2 - 1)", "0"], "h": ["x1"],
+    "domain_box": [[-1.0, 1.0], [-1.0, 1.0]],
+}
+
+
+def test_fake_first_integral_is_rejected_by_default():
+    with pytest.raises(InputError, match=r"max \|f . grad h\| = 4.537e\+00"):
+        build_system_from_config(PLANAR_FAKE_H)
+
+
+@pytest.mark.parametrize(
+    "key, value, text",
+    [
+        ("n", "two", "declaration n must be an integer"),
+        ("n", 2.5, "declaration n must be an integer"),
+        ("m", 0, "declaration m must be positive"),
+        ("k", None, "declaration k must be an integer"),
+    ],
+)
+def test_declaration_sizes_are_positive_integers(key, value, text):
+    # a bare int() raised ValueError or TypeError here, or cut 2.5 to 2
+    with pytest.raises(InputError, match=text):
+        build_system_from_config(dict(PLANAR_FAKE_H, **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "key, value, text",
+    [
+        ("identity_samples", 0, "identity_samples must be positive"),
+        ("identity_samples", 2.5, "identity_samples must be an integer"),
+        ("identity_tolerance", float("nan"), "identity_tolerance must be positive and finite"),
+        ("identity_tolerance", "tiny", "identity_tolerance must be a number"),
+        ("identity_seed", -1, "identity_seed must be non-negative"),
+    ],
+)
+def test_identity_settings_are_checked(key, value, text):
+    # no samples or a NaN tolerance accepted the fake first integral
+    with pytest.raises(InputError, match=text):
+        build_system_from_config(dict(PLANAR_FAKE_H, **{key: value}))
+
+
+@pytest.mark.parametrize("value", [None, "-x2", ["-x2", 1], {"a": "x1"}])
+def test_expressions_must_be_a_list_of_strings(value):
+    with pytest.raises(InputError, match="declaration f must be a list of expression strings"):
+        build_system_from_config(dict(RFMR3_DECL, f=value))
+    with pytest.raises(InputError, match="declaration h must be a list of expression strings"):
+        build_system_from_config(dict(RFMR3_DECL, h=value))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [["a", 1.0], [0.0, 1.0], [0.0, 1.0]],
+        [[0.0, 1.0], [0.0], [0.0, 1.0]],
+        [[0.0, float("inf")], [0.0, 1.0], [0.0, 1.0]],
+        [[False, True], [False, True], [False, True]],
+        None,
+    ],
+)
+def test_boxes_must_be_finite_numbers(value):
+    with pytest.raises(InputError, match="domain_box must be an array of finite numbers"):
+        build_system_from_config(dict(RFMR3_DECL, domain_box=value))
+    with pytest.raises(InputError, match="parameter_box must be an array of finite numbers"):
+        build_system_from_config(dict(RFMR3_DECL, parameter_box=value))
+
+
 # ---------------------------------------------------------------------------
 # compiled stacks against the tree-walker
 # ---------------------------------------------------------------------------

@@ -296,3 +296,46 @@ def test_enumerate_rejects_wrong_lengths(planar):
         enumerate_level_points(planar, [0.5], [0.0, 0.0], budget=20)
     with pytest.raises(InputError, match=r"starts must have shape \(B, 2\)"):
         newton_lanes(planar, [0.5], [0.0], [0.0, 0.0])
+
+
+def test_non_finite_jacobian_lane():
+    # a plain-callable spec whose df/dx is infinite for x1 > 0.5 and raises
+    # for x1 < -0.5: each lane ends as its lone solve does
+    def f(lam, x):
+        return np.array([x[0] ** 3 + x[0] - lam[0], 0.0])
+
+    def jac_x(lam, x):
+        if x[0] < -0.5:
+            raise EvaluationError("df/dx is undefined", where=x.tolist())
+        if x[0] > 0.5:
+            return np.full((2, 2), np.inf)
+        return np.array([[3.0 * x[0] ** 2 + 1.0, 0.0], [0.0, 0.0]])
+
+    sys = SystemSpec(
+        name="cubic", n=2, m=1, k=1,
+        f=f, h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=jac_x,
+    )
+    starts = np.array([[0.9, 0.0], [-0.9, 0.0], [0.1, 0.0]])
+    lanes = newton_lanes(sys, [0.2], [0.0], starts)
+    assert_lane_alone_matches(sys, [0.2], [0.0], starts, lanes)
+    assert [LANE_OUTCOMES[code] for code in lanes.status] == [
+        "evaluation error", "evaluation error", "converged",
+    ]
+    assert lanes.iteration.tolist()[:2] == [0, 0]
+
+    inf_error = lanes.error(0)
+    assert type(inf_error) is InputError
+    assert str(inf_error) == "A contains non-finite entries"
+    with pytest.raises(InputError, match="A contains non-finite entries"):
+        newton_on_level_set(sys, [0.2], [0.0], starts[0])
+
+    raised = lanes.error(1)
+    assert type(raised) is EvaluationError
+    assert str(raised) == "df/dx is undefined at [-0.9, 0.0]"
+
+    alone = newton_on_level_set(sys, [0.2], [0.0], starts[2])
+    assert alone.state.x.tobytes() == lanes.x[2].tobytes()
+    assert np.linalg.norm(lanes.residual[2]) <= 1e-10 * (1.0 + np.linalg.norm(starts[2]))

@@ -244,3 +244,36 @@ def test_first_integral_violation_ignores_the_hessian():
     assert first_integral_violation(sys, samples=5, seed=0).max_residual < 1e-9
     with pytest.raises(EvaluationError, match="hess_h"):
         evaluate(sys, PointState([1.0], [0.3, 0.4]))
+
+
+def _rolled_rfmr(lam, x):
+    """f, df/dx and df/dlambda of rfmr(n) with the sites shifted by np.roll."""
+    n = x.shape[-1]
+    idx = np.arange(n)
+    xm, xp, lm = np.roll(x, 1, axis=-1), np.roll(x, -1, axis=-1), np.roll(lam, 1, axis=-1)
+    f = lm * xm * (1.0 - x) - lam * x * (1.0 - xp)
+    jac_x = np.zeros(x.shape + (n,))
+    jac_x[..., idx, (idx - 1) % n] = lm * (1.0 - x)
+    jac_x[..., idx, idx] = -lm * xm - lam * (1.0 - xp)
+    jac_x[..., idx, (idx + 1) % n] = lam * x
+    jac_lambda = np.zeros(x.shape + (n,))
+    jac_lambda[..., idx, (idx - 1) % n] = xm * (1.0 - x)
+    jac_lambda[..., idx, idx] += -x * (1.0 - xp)
+    return f, jac_x, jac_lambda
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rfmr_equals_the_rolled_formula(n):
+    # the builtin indexes the neighbouring sites; the values are bitwise
+    # those of shifting the whole vector with np.roll
+    sys = builtin("rfmr", n=n)
+    rng = np.random.default_rng(n)
+    lams = rng.uniform(0.25, 4.0, (7, n))
+    xs = rng.uniform(0.0, 1.0, (7, n))
+    cases = [(lams[0], xs[0]), (lams[0], xs), (lams, xs)]
+    for lam, x in cases:
+        expected = _rolled_rfmr(lam, x)
+        got = (sys.f(lam, x), sys.jac_x_fn(lam, x), sys.jac_lambda_fn(lam, x))
+        for ours, theirs in zip(got, expected):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
