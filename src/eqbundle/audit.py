@@ -120,14 +120,16 @@ def _is_equilibrium(f_value: np.ndarray, x: np.ndarray, tols: Tolerances) -> tup
 
 
 def audit_point(
-    sys: SystemSpec, u: PointState, tols: Tolerances = DEFAULT_TOLERANCES
+    sys: SystemSpec, u, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> AuditReport:
-    """Run all pointwise checks at u.  Never raises on a failed condition.
+    """Run all pointwise checks at u, a PointState or an Evaluation already
+    made there.  Never raises on a failed condition.
 
     Only evaluability is required, not domain membership, so equilibria
     just outside the working region can still be diagnosed.
     """
-    return _audit(sys, evaluate(sys, u, check_domain=False), tols)[0]
+    ev = u if isinstance(u, Evaluation) else evaluate(sys, u, check_domain=False)
+    return _audit(sys, ev, tols)[0]
 
 
 def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:

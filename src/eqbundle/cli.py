@@ -5,9 +5,11 @@ Usage: eqbundle <command> --config <path> [--output <path>] [--seed <int>]
 
 The config file is a JSON object holding the system, the command, and its
 inputs; flags override the matching config scalars (flag > config >
-default).  The report envelope goes to the output path when one is set,
-otherwise to stdout.  Exit codes: 0 success, 1 invalid input, 2 a
-degeneracy or numerical failure detected by the computation.
+default).  The report envelope, a result or an error, goes to the output
+path when one is set (<path>.json for the format "both"), otherwise to
+stdout, as does the error envelope of a csv run.  Exit codes: 0 success,
+1 invalid input, 2 a degeneracy or numerical failure detected by the
+computation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .audit import audit_point
-from .config import COMMANDS, RunConfig, config_from_dict, load_config_dict
+from .config import (
+    COMMANDS, RunConfig, _materialize_output, config_from_dict, load_config_dict,
+)
 from .errors import EqBundleError, InputError
 from .finder import enumerate_level_points, trace_fiber
 from .monodromy import eigen_along_fiber_loop, track_matrix_loop
@@ -175,6 +179,17 @@ def run_config(config: RunConfig):
     raise InputError(f"unknown command {command!r}")
 
 
+def _write_envelope(output: dict, envelope: dict) -> None:
+    """The envelope's JSON to the output path for the format json, to
+    <path>.json for both, and to stdout without a path or for csv."""
+    text = canonical_json(envelope)
+    path, fmt = output["path"], output["format"]
+    if path is None or fmt == "csv":
+        sys.stdout.write(text)
+    else:
+        write_text_atomic(path + ".json" if fmt == "both" else path, text)
+
+
 def _emit(config: RunConfig, result: dict, artifact) -> None:
     output = config.settings["output"]
     path, fmt = output["path"], output["format"]
@@ -182,11 +197,7 @@ def _emit(config: RunConfig, result: dict, artifact) -> None:
         config.command, config.settings, config.tolerances, result=result
     )
     if fmt in ("json", "both"):
-        text = canonical_json(envelope)
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            write_text_atomic(path + ".json" if fmt == "both" else path, text)
+        _write_envelope(output, envelope)
     if fmt in ("csv", "both"):
         csv_text = (
             fiber_trace_csv(artifact)
@@ -219,24 +230,37 @@ def _error_payload(exc: EqBundleError) -> dict:
     return payload
 
 
-def _emit_error(config: Optional[RunConfig], command: str, exc: EqBundleError) -> None:
+def _emit_error(
+    config: Optional[RunConfig], raw: Optional[dict], command: str, exc: EqBundleError
+) -> None:
+    """The error envelope of a run.  Without a validated config it echoes
+    the raw config (null if unread or not valid JSON) and null tolerances,
+    and goes where the raw output block says, or else to stdout."""
     sys.stderr.write(f"error: {exc}\n")
-    if config is None:
+    if config is not None:
+        envelope = build_envelope(
+            command, config.settings, config.tolerances, error=_error_payload(exc)
+        )
+        _write_envelope(config.settings["output"], envelope)
         return
-    envelope = build_envelope(
-        command, config.settings, config.tolerances, error=_error_payload(exc)
-    )
-    text = canonical_json(envelope)
-    output = config.settings["output"]
-    if output["path"] is not None and output["format"] == "json":
-        write_text_atomic(output["path"], text)
-    else:
-        sys.stdout.write(text)
+    envelope = build_envelope(command, raw, None, error=_error_payload(exc))
+    try:
+        canonical_json(envelope)
+    except ValueError:          # a NaN or infinite value in the raw config
+        envelope["config"] = None
+    output = {"path": None, "format": "json"}
+    if raw is not None:
+        try:
+            output = _materialize_output(raw.get("output"), command)
+        except InputError:
+            pass
+    _write_envelope(output, envelope)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config: Optional[RunConfig] = None
+    raw = None
     try:
         raw = load_config_dict(args.config)
         _apply_flag_overrides(raw, args)
@@ -251,10 +275,10 @@ def main(argv=None) -> int:
         _emit(config, result, artifact)
         return 0
     except InputError as exc:
-        _emit_error(config, args.command, exc)
+        _emit_error(config, raw, args.command, exc)
         return 1
     except EqBundleError as exc:
-        _emit_error(config, args.command, exc)
+        _emit_error(config, raw, args.command, exc)
         return 2
 
 

@@ -13,9 +13,10 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import InputError, non_negative_int, positive_float, positive_int
+from .errors import (
+    InputError, closed_loop, finite_vector, matrix_loop, non_negative_int, positive_float,
+    positive_int, step_bounds, unit_sign, waypoint_path,
+)
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -70,30 +71,11 @@ def _require(data: dict, key: str, command: str):
 
 
 def _vector(value, length: int, what: str, dim_name: str) -> list:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size != length:
-        raise InputError(
-            f"dimension mismatch: {what} has shape {arr.shape}, "
-            f"expected a vector of length {dim_name} = {length}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} must be finite")
-    return [float(v) for v in arr]
+    return finite_vector(value, length, what, dim_name).tolist()
 
 
-def _waypoints(value, m: int, what: str) -> list:
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        raise InputError(f"{what} needs at least two waypoints")
-    return [_vector(row, m, f"{what} waypoint {i}", "m") for i, row in enumerate(value)]
-
-
-def _closed(points: list, what: str) -> None:
-    first = np.asarray(points[0])
-    gap = float(np.linalg.norm(first - np.asarray(points[-1])))
-    if gap > 1e-9 * (1.0 + float(np.linalg.norm(first))):
-        raise InputError(
-            f"loop must close: first and last {what} differ by {gap:.3e}"
-        )
+def _waypoints(value, length: int, what: str, dim_name: str) -> list:
+    return waypoint_path(value, length, what, dim_name).tolist()
 
 
 def _build_system(spec, command: str) -> Optional[SystemSpec]:
@@ -185,34 +167,17 @@ def _materialize_output(value, command: str) -> dict:
 def _materialize_command_fields(data: dict, command: str, system: Optional[SystemSpec]) -> dict:
     fields: dict = {}
     if command == "track-matrix-loop":
-        raw = _require(data, "matrices", command)
-        if not isinstance(raw, (list, tuple)) or len(raw) < 2:
-            raise InputError("'matrices' needs at least two entries")
-        matrices = []
-        size = None
-        for i, entry in enumerate(raw):
-            mat = np.asarray(entry, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise InputError(f"matrix {i} is not square")
-            if size is None:
-                size = mat.shape[0]
-            elif mat.shape[0] != size:
-                raise InputError("all matrices must share one shape")
-            if not np.all(np.isfinite(mat)):
-                raise InputError(f"matrix {i} has non-finite entries")
-            matrices.append([[float(v) for v in row] for row in mat])
+        default_k = system.k if system is not None else 0
+        matrices, fields["k"] = matrix_loop(
+            _require(data, "matrices", command), data.get("k", default_k)
+        )
+        size = len(matrices[0])
         if system is not None and size != system.n:
             raise InputError(
                 f"dimension mismatch: matrices are {size} x {size}, "
                 f"the system has n = {system.n}"
             )
-        default_k = system.k if system is not None else 0
-        k = data.get("k", default_k)
-        k = non_negative_int(k, "k")
-        if k > size:
-            raise InputError(f"k = {k} is out of range for {size} x {size} matrices")
-        fields["matrices"] = matrices
-        fields["k"] = k
+        fields["matrices"] = [mat.tolist() for mat in matrices]
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
         fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
@@ -232,35 +197,28 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         diameter = system.domain.diameter()
-        fields["initial_step"] = positive_float(
-            data.get("initial_step", 0.01 * diameter), "initial_step"
-        )
-        fields["max_step"] = positive_float(
-            data.get("max_step", 0.05 * diameter), "max_step"
-        )
-        fields["min_step"] = positive_float(
-            data.get("min_step", 1e-12 * diameter), "min_step"
+        fields["min_step"], fields["initial_step"], fields["max_step"] = step_bounds(
+            data.get("min_step", 1e-12 * diameter),
+            data.get("initial_step", 0.01 * diameter),
+            data.get("max_step", 0.05 * diameter),
+            "step",
         )
         fields["max_points"] = positive_int(data.get("max_points", 20000), "max_points")
-        direction = data.get("direction", 1)
-        if direction not in (1, -1):
-            raise InputError("direction must be 1 or -1")
-        fields["direction"] = int(direction)
+        fields["direction"] = unit_sign(data.get("direction", 1), "direction")
     elif command == "transport":
-        fields["path"] = _waypoints(_require(data, "path", command), m, "path")
+        fields["path"] = _waypoints(_require(data, "path", command), m, "path", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
-        fields["initial_fraction"] = positive_float(
-            data.get("initial_fraction", 0.05), "initial_fraction"
-        )
-        fields["max_fraction"] = positive_float(
-            data.get("max_fraction", 0.25), "max_fraction"
-        )
-        fields["min_fraction"] = positive_float(
-            data.get("min_fraction", 1e-10), "min_fraction"
+        fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
+            step_bounds(
+                data.get("min_fraction", 1e-10),
+                data.get("initial_fraction", 0.05),
+                data.get("max_fraction", 0.25),
+                "fraction",
+            )
         )
     elif command == "holonomy":
-        loop = _waypoints(_require(data, "loop", command), m, "loop")
-        _closed(loop, "waypoints")
+        loop = _waypoints(_require(data, "loop", command), m, "loop", "m")
+        closed_loop(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
         fields["budget"] = positive_int(data.get("budget", 200), "budget")
@@ -275,16 +233,11 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         else:
             if not isinstance(paths, (list, tuple)) or len(paths) != 3:
                 raise InputError("'paths' must hold exactly three parameter paths")
-            fields["paths"] = [_waypoints(p, m, f"paths[{i}]") for i, p in enumerate(paths)]
+            fields["paths"] = [_waypoints(p, m, f"paths[{i}]", "m") for i, p in enumerate(paths)]
     elif command == "eigen-loop":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
-        raw = _require(data, "loop_points", command)
-        if not isinstance(raw, (list, tuple)) or len(raw) < 2:
-            raise InputError("'loop_points' needs at least two points")
-        points = [
-            _vector(row, n, f"loop point {i}", "n") for i, row in enumerate(raw)
-        ]
-        _closed(points, "loop points")
+        points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")
+        closed_loop(points, "loop points")
         fields["loop_points"] = points
         fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
     return fields

@@ -4,15 +4,17 @@ Everything raised on purpose derives from EqBundleError.  InputError marks
 bad user input (configs, malformed expressions, dimension mismatches,
 violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
-map to CLI exit code 2.  positive_int and non_negative_int are the checks
-of a count given by a caller (a budget, an iteration cap, a config size, a
-seed), positive_float that of a step or a tolerance.
+map to CLI exit code 2.  The functions after the classes are the one
+check of each kind of caller input (a count, a step, a vector, a path, a
+loop), shared by the config and the library entry points.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+
+import numpy as np
 
 
 class EqBundleError(Exception):
@@ -139,3 +141,91 @@ def positive_float(value, what: str) -> float:
     if not math.isfinite(out) or out <= 0.0:
         raise InputError(f"{what} must be positive and finite")
     return out
+
+
+def unit_sign(value, what: str) -> int:
+    """value as an int, 1 or -1, with positive_int's integer rule."""
+    out = _as_int(value, what)
+    if out not in (1, -1):
+        raise InputError(f"{what} must be 1 or -1")
+    return out
+
+
+def step_bounds(low, initial, high, unit: str) -> tuple:
+    """The min_, initial_ and max_ bounds of the step named unit as floats
+    with 0 < low <= initial <= high < inf."""
+    rule = f"0 < min_{unit} <= initial_{unit} <= max_{unit}"
+    try:
+        low, initial, high = float(low), float(initial), float(high)
+    except (TypeError, ValueError):
+        raise InputError(f"step bounds must be numbers with {rule}") from None
+    if not 0.0 < low <= initial <= high < math.inf:
+        raise InputError(
+            f"step bounds must be finite with {rule}, got {low}, {initial}, {high}"
+        )
+    return low, initial, high
+
+
+def finite_array(value, what: str) -> np.ndarray:
+    """value as a float array of finite numbers; a string, a mapping, None,
+    a bool, a ragged nesting, NaN or inf is an InputError."""
+    try:
+        out = np.asarray(value)
+    except ValueError:          # a ragged nesting
+        out = None
+    if out is None or out.dtype.kind not in "iuf" or not np.all(np.isfinite(out)):
+        raise InputError(f"{what} must be an array of finite numbers")
+    return out.astype(float, copy=False)
+
+
+def finite_vector(value, length: int, what: str, dim_name: str) -> np.ndarray:
+    """value as a finite_array of shape (length,), length being dim_name."""
+    out = finite_array(value, what)
+    if out.shape != (length,):
+        got = f"length {out.size}" if out.ndim == 1 else f"shape {out.shape}"
+        raise InputError(
+            f"dimension mismatch: {what} has {got}, "
+            f"expected a vector of length {dim_name} = {length}"
+        )
+    return out
+
+
+def _entries(value, what: str, kind: str) -> list:
+    """The entries of a list, tuple or array of at least two."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = list(value)
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise InputError(f"{what} needs at least two {kind}")
+    return value
+
+
+def waypoint_path(value, length: int, what: str, dim_name: str) -> np.ndarray:
+    """value as a (W, length) array of W >= 2 waypoints, each a finite_vector."""
+    return np.array([
+        finite_vector(row, length, f"{what} waypoint {i}", dim_name)
+        for i, row in enumerate(_entries(value, what, "waypoints"))
+    ])
+
+
+def closed_loop(points, what: str, rel: float = 1e-9) -> None:
+    """InputError unless the first and last of points (vectors or matrices)
+    agree within rel relative to the first's norm."""
+    first = np.asarray(points[0])
+    gap = float(np.linalg.norm(first - np.asarray(points[-1])))
+    if gap > rel * (1.0 + float(np.linalg.norm(first))):
+        raise InputError(f"loop must close: first and last {what} differ by {gap:.3e}")
+
+
+def matrix_loop(value, k) -> tuple:
+    """(matrices, k): at least two finite n x n float arrays, the first and
+    last within 1e-12 relative (closed_loop), and k with 0 <= k <= n."""
+    entries = _entries(value, "a matrix loop", "matrices")
+    mats = [finite_array(entry, f"matrix {i}") for i, entry in enumerate(entries)]
+    n = len(mats[0]) if mats[0].ndim == 2 else -1
+    if any(mat.shape != (n, n) for mat in mats):
+        raise InputError("all loop matrices must be square with equal shape")
+    closed_loop(mats, "matrices", 1e-12)
+    k = non_negative_int(k, "k")
+    if k > n:
+        raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
+    return mats, k

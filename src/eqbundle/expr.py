@@ -27,6 +27,8 @@ from .errors import (
     ExprDomainError,
     ExprError,
     InputError,
+    finite_array,
+    finite_vector,
     non_negative_int,
     positive_float,
     positive_int,
@@ -294,13 +296,8 @@ def _eval_node(node, lam, x) -> float:
 
 def eval_ast(ast: ExprAst, lam, x) -> float:
     """Evaluate a parsed expression at (lam, x)."""
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != ast.n or lam.size != ast.m:
-        raise InputError(
-            f"dimension mismatch: expression declared n={ast.n}, m={ast.m}; "
-            f"got x of length {x.size}, lambda of length {lam.size}"
-        )
+    lam = finite_vector(lam, ast.m, "lambda", "m")
+    x = finite_vector(x, ast.n, "x", "n")
     return _eval_node(ast.root, lam, x)
 
 
@@ -543,15 +540,9 @@ def _sources(value, count: int, key: str) -> list:
 
 
 def _box(value, key: str) -> np.ndarray:
-    """A declared box as a float array of finite numbers; its shape is
-    checked where it is used."""
-    try:
-        box = np.asarray(value)
-    except ValueError:          # a ragged nesting
-        box = None
-    if box is None or box.dtype.kind not in "iuf" or not np.all(np.isfinite(box)):
-        raise InputError(f"declaration {key} must be an array of finite numbers")
-    return box.astype(float)
+    """A declared box as a finite_array; its shape is checked where it is
+    used."""
+    return finite_array(value, f"declaration {key}")
 
 
 def _uses_parameter(node) -> bool:

@@ -32,11 +32,14 @@ from .errors import (
     EqBundleError,
     InputError,
     UnsupportedDimensionError,
+    finite_vector,
     non_negative_int,
     positive_int,
+    step_bounds,
+    unit_sign,
 )
 from .linalg import _all_finite, _solve_rows, kernel_basis, numeric_rank
-from .systems import PointState, SystemSpec, _rows
+from .systems import PointState, SystemSpec, _rows, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -380,16 +383,16 @@ def newton_lanes(
 
 
 def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
-    """The reported point: level, stacked rank and audit at a converged x."""
-    _, jacobian = _level_set(sys)
-    stacked = jacobian(x[None], lam, None, None)[0]
+    """The reported point: level, stacked rank and audit at a converged x,
+    all from one evaluation."""
+    ev = evaluate(sys, PointState(lam, x), check_domain=False)
+    stacked = np.concatenate([ev.jac_x, ev.jac_h])
     rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
-    state = PointState(lam, x)
     return EquilibriumPoint(
-        state=state,
+        state=ev.point,
         residual_f=float(residual_f),
-        level=np.asarray(sys.h(x), dtype=float).reshape(-1),
-        audit=audit_point(sys, state, tols),
+        level=ev.h_value,
+        audit=audit_point(sys, ev, tols),
         stacked_rank=rank.rank,
         transversal=rank.rank == sys.n,
     )
@@ -749,6 +752,19 @@ def _refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
     return best
 
 
+def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
+    """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift: x0 a
+    finite n-vector, an equilibrium at lam within 10 tols.equilibrium
+    (1 + ||x0||), and inside the domain."""
+    x0 = finite_vector(x0, sys.n, "x0", "n")
+    f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
+    if f0 > 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x0)):
+        raise InputError(f"x0 is not an equilibrium: ||f|| = {f0:.3e}")
+    if not sys.domain.contains(x0, slack=tols.domain_slack):
+        raise InputError(f"x0 {x0.tolist()} is not in the domain")
+    return x0, f0
+
+
 def trace_fiber(
     sys: SystemSpec,
     lam,
@@ -767,29 +783,27 @@ def trace_fiber(
     correction is retried at half the step; more than 3 iterations halve
     the next step, at most 1 doubles it.  Ends either by closing into a
     circle or by hitting the domain boundary in both directions (segment).
+    The steps default to 0.01, 0.05 and 1e-12 times the domain diameter
+    and must satisfy 0 < min_step <= initial_step <= max_step; the
+    initial direction is 1 or -1.
     """
     if sys.k != 1:
         raise UnsupportedDimensionError(
             f"fiber tracing needs k = 1, system has k = {sys.k}"
         )
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if lam.size != sys.m or x0.size != sys.n:
-        raise InputError("lambda or x0 has the wrong length")
-    f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
-    if f0 > tols.equilibrium * (1.0 + np.linalg.norm(x0)) * 10.0:
-        raise InputError(f"x0 is not an equilibrium: ||f|| = {f0:.3e}")
-    if not sys.domain.contains(x0, slack=tols.domain_slack):
-        raise InputError(f"x0 {x0.tolist()} is not in the domain")
-
+    lam = finite_vector(lam, sys.m, "lambda", "m")
     diameter = sys.domain.diameter()
-    step0 = initial_step if initial_step is not None else 0.01 * diameter
-    cap = max_step if max_step is not None else 0.05 * diameter
-    floor = min_step if min_step is not None else 1e-12 * diameter
+    floor, step0, cap = step_bounds(
+        1e-12 * diameter if min_step is None else min_step,
+        0.01 * diameter if initial_step is None else initial_step,
+        0.05 * diameter if max_step is None else max_step,
+        "step",
+    )
+    max_points = positive_int(max_points, "max_points")
+    sign = unit_sign(initial_direction, "initial_direction")
+    x0, f0 = _continuation_start(sys, lam, x0, tols)
 
-    tangent = _fiber_tangent(sys, lam, x0, tols, "at the starting point")
-    if initial_direction < 0:
-        tangent = -tangent
+    tangent = sign * _fiber_tangent(sys, lam, x0, tols, "at the starting point")
 
     forward, f_norms, closed = _march(
         sys, lam, x0, f0, tangent, tols, step0, floor, cap, max_points

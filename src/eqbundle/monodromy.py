@@ -17,7 +17,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EqBundleError, InputError, ResolutionError, TrackingError
+from .errors import (
+    EqBundleError, InputError, ResolutionError, TrackingError, closed_loop, finite_array,
+    finite_vector, matrix_loop, non_negative_int, waypoint_path,
+)
 from .finder import newton_lanes
 from .linalg import eigen_dense
 from .systems import PointState, SystemSpec, _evaluate_point
@@ -75,13 +78,12 @@ def split_spectrum(
     zero exceeds tol_zero or the zero/nonzero modulus gap is narrower than
     tols.gap_min.
     """
-    J = np.asarray(J, dtype=float)
+    J = finite_array(J, "J")
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise InputError(f"expected a square matrix, got shape {J.shape}")
-    if not np.all(np.isfinite(J)):
-        raise InputError("matrix entries must be finite")
     n = J.shape[0]
-    if not 0 <= k <= n:
+    k = non_negative_int(k, "k")
+    if k > n:
         raise InputError(f"k = {k} is out of range for an {n} x {n} matrix")
     zeros, nonzeros, gap_ratio, tol_zero_used, unreliable = _split(J, k, tol_zero, tols)
     return SpectrumSplit(
@@ -409,24 +411,8 @@ def track_matrix_loop(
     comes within tol_zero of the origin aborts the loop, since its winding
     number is then undefined.
     """
-    mats = [np.asarray(J, dtype=float) for J in matrices]
-    if len(mats) < 2:
-        raise InputError("a matrix loop needs at least two samples")
-    n = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    for J in mats:
-        if J.ndim != 2 or J.shape != (n, n):
-            raise InputError("all loop matrices must be square with equal shape")
-        if not np.all(np.isfinite(J)):
-            raise InputError("matrix entries must be finite")
-    closure = np.linalg.norm(mats[0] - mats[-1])
-    if closure > 1e-12 * (1.0 + np.linalg.norm(mats[0])):
-        raise InputError(
-            f"matrix loop must close: first and last matrices differ by {closure:.3e}"
-        )
-    if not 0 <= k <= n:
-        raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
-    if max_refine < 0:
-        raise InputError("max_refine must be non-negative")
+    mats, k = matrix_loop(matrices, k)
+    max_refine = non_negative_int(max_refine, "max_refine")
     return _track(mats, mats, _blend_matrices, k, tol_zero, tols, max_refine)
 
 
@@ -447,20 +433,10 @@ def eigen_along_fiber_loop(
     projected back onto the equilibrium set at the interpolated first
     integral level by Newton at fixed lam.
     """
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if lam.size != sys.m:
-        raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
-    points = [np.asarray(x, dtype=float).reshape(-1) for x in loop_points]
-    if len(points) < 2:
-        raise InputError("a fiber loop needs at least two points")
-    for x in points:
-        if x.size != sys.n:
-            raise InputError(f"loop point has length {x.size}, expected n = {sys.n}")
-    closure = np.linalg.norm(points[0] - points[-1])
-    if closure > 1e-9 * (1.0 + np.linalg.norm(points[0])):
-        raise InputError(
-            f"loop must close: first and last points differ by {closure:.3e}"
-        )
+    lam = finite_vector(lam, sys.m, "lambda", "m")
+    points = waypoint_path(loop_points, sys.n, "loop_points", "n")
+    closed_loop(points, "loop points")
+    max_refine = non_negative_int(max_refine, "max_refine")
 
     matrices = []
     levels = []
@@ -474,9 +450,6 @@ def eigen_along_fiber_loop(
             )
         matrices.append(jac_x)
         levels.append(h_value)
-
-    if max_refine < 0:
-        raise InputError("max_refine must be non-negative")
 
     def refine(left, right):
         x_guess = 0.5 * (left[0] + right[0])

@@ -39,16 +39,18 @@ def canonical_json(payload: dict) -> str:
 
 def build_envelope(
     command: str,
-    config: dict,
-    tolerances: Tolerances,
+    config: Optional[dict],
+    tolerances: Optional[Tolerances],
     result: Optional[dict] = None,
     error: Optional[dict] = None,
 ) -> dict:
+    """The envelope of a run; config and tolerances are None only in the
+    error envelope of a rejected config."""
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
-        "tolerances_used": tolerances.as_dict(),
+        "tolerances_used": None if tolerances is None else tolerances.as_dict(),
     }
     if error is not None:
         envelope["error"] = error

@@ -32,9 +32,14 @@ from .errors import (
     HolonomyError,
     InputError,
     TransportError,
+    closed_loop,
+    finite_vector,
+    step_bounds,
+    waypoint_path,
 )
 from .finder import (
-    _RETRY, _correct, _in_domain_rows, _lane_norm, _level_set, enumerate_level_points,
+    _RETRY, _continuation_start, _correct, _in_domain_rows, _lane_norm, _level_set,
+    enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, evaluate
@@ -214,12 +219,8 @@ def metric_g(
     Phi is the oblique projector onto the vertical space along the
     horizontal space and dpi drops the x block.
     """
-    X = np.asarray(X, dtype=float).reshape(-1)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    if X.size != sys.m + sys.n or Y.size != sys.m + sys.n:
-        raise InputError(
-            f"tangent vectors must have length m + n = {sys.m + sys.n}"
-        )
+    X = finite_vector(X, sys.m + sys.n, "X", "m + n")
+    Y = finite_vector(Y, sys.m + sys.n, "Y", "m + n")
     ev = evaluate(sys, u, check_domain=False)
     jac_full = np.hstack([ev.jac_lambda, ev.jac_x])
     for name, vec in (("X", X), ("Y", Y)):
@@ -235,18 +236,6 @@ def metric_g(
     pi_x = (X - phi_x)[: sys.m]
     pi_y = (Y - phi_y)[: sys.m]
     return float(phi_x @ phi_y + pi_x @ pi_y)
-
-
-def _as_waypoints(path, m: int, what: str) -> np.ndarray:
-    arr = np.asarray(path, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != m or arr.shape[0] < 2:
-        raise InputError(
-            f"{what} must be a sequence of at least 2 waypoints in R^{m}, "
-            f"got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} contains non-finite entries")
-    return arr
 
 
 def lift_curve(
@@ -270,20 +259,9 @@ def lift_curve(
 
 def _lane_start(sys: SystemSpec, lambda_path, x0, tols: Tolerances) -> tuple:
     """(waypoints, x0, ||f(lambda_0, x0)||, h(x0)) of one validated lane."""
-    waypoints = _as_waypoints(lambda_path, sys.m, "lambda_path")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != sys.n:
-        raise InputError(f"x0 has length {x.size}, expected n = {sys.n}")
-    f0 = np.asarray(sys.f(waypoints[0], x), dtype=float)
-    if np.linalg.norm(f0) > 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x)):
-        raise InputError(
-            f"x0 is not an equilibrium at the first waypoint: "
-            f"||f|| = {np.linalg.norm(f0):.3e}"
-        )
-    if not sys.domain.contains(x, slack=tols.domain_slack):
-        raise InputError(f"x0 {x.tolist()} is not in the domain")
-    a0 = np.asarray(sys.h(x), dtype=float).reshape(-1)
-    return waypoints, x, float(np.linalg.norm(f0)), a0
+    waypoints = waypoint_path(lambda_path, sys.m, "lambda_path", "m")
+    x, f0 = _continuation_start(sys, waypoints[0], x0, tols)
+    return waypoints, x, f0, np.asarray(sys.h(x), dtype=float).reshape(-1)
 
 
 def _velocity(sys: SystemSpec, jacobian, lam, y, lam_dot, tols: Tolerances, t_mid) -> tuple:
@@ -372,12 +350,9 @@ def lift_lanes(
     one are dropped at once.  InputError unless the fractions are finite
     and 0 < min_fraction <= initial_fraction <= max_fraction.
     """
-    if not 0.0 < min_fraction <= initial_fraction <= max_fraction < np.inf:
-        raise InputError(
-            "step fractions must be finite with 0 < min_fraction <= "
-            f"initial_fraction <= max_fraction, got {min_fraction}, "
-            f"{initial_fraction}, {max_fraction}"
-        )
+    min_fraction, initial_fraction, max_fraction = step_bounds(
+        min_fraction, initial_fraction, max_fraction, "fraction"
+    )
     paths, x0s = list(paths), list(x0s)
     if len(paths) != len(x0s):
         raise InputError(f"{len(paths)} paths for {len(x0s)} starting points")
@@ -520,11 +495,8 @@ def holonomy_loop(
     radius.  The match must be a bijection.  A failed lift raises the
     error of the first point, in enumeration order, whose lift fails.
     """
-    waypoints = _as_waypoints(loop, sys.m, "loop")
-    if np.linalg.norm(waypoints[0] - waypoints[-1]) > 1e-9 * (
-        1.0 + np.linalg.norm(waypoints[0])
-    ):
-        raise InputError("loop must close: first and last waypoints differ")
+    waypoints = waypoint_path(loop, sys.m, "loop", "m")
+    closed_loop(waypoints, "waypoints")
     a = np.asarray(a, dtype=float).reshape(-1)
     base = waypoints[0]
 
@@ -582,16 +554,16 @@ def check_cocycle(
     direct and the 1 -> 2 lifts run as two lanes of lift_lanes, then the
     2 -> 3 lift; a failure raises the first error in that order.
     """
-    l1 = np.asarray(lambda1, dtype=float).reshape(-1)
-    l2 = np.asarray(lambda2, dtype=float).reshape(-1)
-    l3 = np.asarray(lambda3, dtype=float).reshape(-1)
+    l1 = finite_vector(lambda1, sys.m, "lambda1", "m")
+    l2 = finite_vector(lambda2, sys.m, "lambda2", "m")
+    l3 = finite_vector(lambda3, sys.m, "lambda3", "m")
     if paths is None:
         paths = (np.array([l1, l2]), np.array([l2, l3]), np.array([l1, l3]))
     if len(paths) != 3:
         raise InputError("paths must be (path_1_to_2, path_2_to_3, path_1_to_3)")
-    p12 = _as_waypoints(paths[0], sys.m, "path_1_to_2")
-    p23 = _as_waypoints(paths[1], sys.m, "path_2_to_3")
-    p13 = _as_waypoints(paths[2], sys.m, "path_1_to_3")
+    p12 = waypoint_path(paths[0], sys.m, "path_1_to_2", "m")
+    p23 = waypoint_path(paths[1], sys.m, "path_2_to_3", "m")
+    p13 = waypoint_path(paths[2], sys.m, "path_1_to_3", "m")
     for path, start, end, name in (
         (p12, l1, l2, "path_1_to_2"),
         (p23, l2, l3, "path_2_to_3"),

@@ -289,6 +289,56 @@ def test_trace_fiber_csv_round_trip(tmp_path):
     assert rows[-1] == report["points"][-1]
 
 
+def test_error_envelopes_go_where_the_result_goes(tmp_path, capsys):
+    base = str(tmp_path / "trace")
+    trace = {
+        "system": {"builtin": "planar"},
+        "command": "trace-fiber",
+        "lambda": [0.5],
+        "x0": [-0.5, 0.0],
+        "output": {"path": base, "format": "both"},
+    }
+    cfg = write_config(tmp_path, "trace.json", trace)
+    assert main(["trace-fiber", "--config", cfg]) == 0
+    assert "result" in json.loads(open(base + ".json").read())
+    # a failed run's envelope replaces the result in <path>.json
+    cfg = write_config(tmp_path, "short.json", dict(trace, max_points=3))
+    assert main(["trace-fiber", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(open(base + ".json").read())["error"]
+    assert error["type"] == "ConvergenceError"
+    assert captured.err == f"error: {error['message']}\n"
+    # csv puts the CSV at the path, so the envelope goes to stdout
+    out = str(tmp_path / "short.csv")
+    short_csv = dict(trace, max_points=3, output={"path": out, "format": "csv"})
+    cfg = write_config(tmp_path, "short_csv.json", short_csv)
+    assert main(["trace-fiber", "--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConvergenceError"
+    assert not os.path.exists(out)
+
+
+def test_rejected_config_envelope(tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    bad = dict(FIND_RFMR, budget=0, output={"path": out})
+    cfg = write_config(tmp_path, "bad.json", bad)
+    assert main(["find", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: budget must be positive\n"
+    envelope = json.loads(open(out).read())
+    assert envelope["config"] == bad and envelope["tolerances_used"] is None
+    assert envelope["error"] == {"type": "InputError", "message": "budget must be positive"}
+    # a config canonical JSON cannot encode echoes as null; a config that
+    # cannot be read has none
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(FIND_RFMR, level=[float("nan")]), allow_nan=True))
+    assert main(["find", "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["config"] is None
+    assert main(["find", "--config", str(tmp_path / "missing.json")]) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["config"] is None and envelope["command"] == "find"
+
+
 def test_transport_csv_columns(tmp_path):
     out = str(tmp_path / "lift.csv")
     cfg = write_config(
@@ -368,7 +418,13 @@ def test_bad_declaration_size_is_an_input_error(tmp_path, capsys):
     assert main(["find", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: declaration n must be an integer\n"
-    assert captured.out == ""
+    assert json.loads(captured.out) == {
+        "schema_version": 1,
+        "command": "find",
+        "config": json.loads(open(cfg).read()),
+        "tolerances_used": None,
+        "error": {"type": "InputError", "message": "declaration n must be an integer"},
+    }
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
-from eqbundle import builtin, transport
+from eqbundle import builtin, finder, transport
 from eqbundle.errors import EqBundleError, InputError, TransportError
 from eqbundle.expr import build_system_from_config
 from eqbundle.finder import _lane_norm, newton_on_level_set
@@ -247,6 +247,24 @@ def test_step_fractions_must_be_ordered(rfmr3, fractions, message):
     # 0.05 reported a collapsed step, and NaN a non-finite matrix
     with pytest.raises(InputError, match=message):
         lift_curve(rfmr3, [[1.0] * 3, [2.0] * 3], [0.4] * 3, **fractions)
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ({"initial_step": 0.9, "max_step": 0.05}, "initial_step <= max_step"),
+        ({"min_step": 0.1, "initial_step": 0.01}, "0 < min_step <= initial_step"),
+        ({"max_step": float("inf")}, "must be finite"),
+        ({"min_step": 0.0}, "0 < min_step"),
+        ({"initial_step": "0.1x"}, "step bounds must be numbers"),
+    ],
+)
+def test_trace_steps_must_be_ordered(steps, message):
+    # the fiber tracer's steps follow the lift's rule; before, 0.9 over a
+    # cap of 0.05 took a first step of 0.9, and a min_step over the
+    # initial step reported a collapsed step (exit 2)
+    with pytest.raises(InputError, match=message):
+        finder.trace_fiber(PLANAR, [0.5], [-0.5, 0.0], **steps)
 
 
 def test_lift_lanes_validates_its_lanes(planar):

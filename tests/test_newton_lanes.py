@@ -288,6 +288,29 @@ def test_audit_and_stacked_rank_once_per_kept_point(monkeypatch, rfmr3, example2
     assert calls == {"audit_point": 4, "numeric_rank": 4}
 
 
+def test_one_evaluation_per_kept_point(rfmr3):
+    # the point's audit, stacked rank and level come from one evaluation,
+    # so each block of the system is called once
+    calls = []
+
+    def counted(name):
+        real = getattr(rfmr3, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    blocks = ("f", "h", "jac_x_fn", "jac_lambda_fn", "jac_h_fn", "hess_h_fn")
+    sys = dataclasses.replace(rfmr3, **{name: counted(name) for name in blocks})
+    point = finder._equilibrium_point(
+        sys, np.ones(3), np.full(3, 0.5), 0.0, finder.DEFAULT_TOLERANCES
+    )
+    assert point.transversal and point.audit.is_equilibrium
+    assert sorted(calls) == sorted(blocks)
+
+
 def test_enumerate_rejects_wrong_lengths(planar):
     # a wrong length is an input error, not a level without equilibria
     with pytest.raises(InputError, match="lambda has length 2"):
