@@ -15,7 +15,9 @@ computation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 from typing import Optional
 
@@ -235,26 +237,31 @@ def _emit_error(
 ) -> None:
     """The error envelope of a run.  Without a validated config it echoes
     the raw config (null if unread or not valid JSON) and null tolerances,
-    and goes where the raw output block says, or else to stdout."""
+    and goes where the raw output block says, or else to stdout.  For the
+    format both it removes an existing <path>.csv, which an earlier run left."""
     sys.stderr.write(f"error: {exc}\n")
     if config is not None:
         envelope = build_envelope(
             command, config.settings, config.tolerances, error=_error_payload(exc)
         )
-        _write_envelope(config.settings["output"], envelope)
-        return
-    envelope = build_envelope(command, raw, None, error=_error_payload(exc))
-    try:
-        canonical_json(envelope)
-    except ValueError:          # a NaN or infinite value in the raw config
-        envelope["config"] = None
-    output = {"path": None, "format": "json"}
-    if raw is not None:
+        output = config.settings["output"]
+    else:
+        envelope = build_envelope(command, raw, None, error=_error_payload(exc))
         try:
-            output = _materialize_output(raw.get("output"), command)
-        except InputError:
-            pass
+            canonical_json(envelope)
+        except ValueError:          # a NaN or infinite value in the raw config
+            envelope["config"] = None
+        output = {"path": None, "format": "json"}
+        if raw is not None:
+            try:
+                output = _materialize_output(raw.get("output"), command)
+            except InputError:
+                pass
     _write_envelope(output, envelope)
+    if output["format"] == "both" and output["path"] is not None:
+        # <path>.json and <path>.csv describe one run: drop an earlier run's CSV
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(output["path"] + ".csv")
 
 
 def main(argv=None) -> int:

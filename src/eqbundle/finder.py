@@ -32,6 +32,7 @@ from .errors import (
     EqBundleError,
     InputError,
     UnsupportedDimensionError,
+    finite_array,
     finite_vector,
     non_negative_int,
     positive_int,
@@ -260,17 +261,27 @@ def newton_lanes(
     trial-by-trial search never reaches are ignored.  Starts must lie in
     the domain and converged points must lie in it too.  Every lane ends
     with one of LANE_OUTCOMES; nothing is raised for a failed lane.
+
+    lam, a and starts must be finite (InputError otherwise).  The level a
+    is one k-vector shared by every lane, which stays 1-D throughout, or a
+    (B, k) stack with one level per lane, whose row i is the level of lane
+    i in every residual: each lane then ends as a lone solve at its own
+    level does.
     """
     max_iter = positive_int(max_iter, "max_iter")
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    x = np.array(starts, dtype=float)
+    lam = finite_array(lam, "lambda").reshape(-1)
+    a = finite_array(a, "level a")
+    x = finite_array(starts, "starts").copy()
     if lam.size != sys.m:
         raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
-    if a.size != sys.k:
-        raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
     if x.ndim != 2 or x.shape[1] != sys.n:
         raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
+    if a.ndim != 2:
+        a = a.reshape(-1)
+        if a.size != sys.k:
+            raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
+    elif a.shape != (len(x), sys.k):
+        raise InputError(f"a per-lane level must have shape ({len(x)}, {sys.k}), got {a.shape}")
     level_residual, level_jacobian = _level_set(sys)
     count = x.shape[0]
     status = np.full(count, _RUNNING)
@@ -299,7 +310,7 @@ def newton_lanes(
     lanes = lanes[status == _RUNNING]
 
     errors = {}
-    values = level_residual(x[lanes], lam, a, errors)
+    values = level_residual(x[lanes], lam, a if a.ndim == 1 else a[lanes], errors)
     residual[lanes] = values
     stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
     record(lanes, errors, 0)
@@ -337,7 +348,8 @@ def newton_lanes(
             trying = ((candidate >= lo) & (candidate <= hi)).all(axis=1)
             trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
             errors = {}
-            trial[trying] = level_residual(candidate[trying], lam, a, errors)
+            levels = a if a.ndim == 1 else a[np.repeat(lanes[rows], alphas.size)[trying]]
+            trial[trying] = level_residual(candidate[trying], lam, levels, errors)
             trial_norm = _lane_norm(trial)
             # a skipped or non-finite trial has a NaN or infinite norm and
             # fails both comparisons
@@ -416,8 +428,8 @@ def newton_on_level_set(
     column rank of the stacked Jacobian is recorded as a transversality
     certificate instead of raised.
     """
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    lam = finite_array(lam, "lambda").reshape(-1)
+    x = finite_array(x0, "x0").reshape(-1)
     if x.size != sys.n:
         raise InputError(f"x0 has length {x.size}, expected n = {sys.n}")
     lanes = newton_lanes(sys, lam, a, x[None, :], tols, max_iter)
@@ -499,7 +511,7 @@ def enumerate_level_points(
     """
     budget = positive_int(budget, "budget")
     seed = non_negative_int(seed, "seed")
-    lam = np.asarray(lam, dtype=float).reshape(-1)
+    lam = finite_array(lam, "lambda").reshape(-1)
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f
     radius = tols.cluster * sys.domain.diameter()

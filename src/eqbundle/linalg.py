@@ -52,10 +52,10 @@ def _all_finite(values: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(values, axis=None))
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+def _as_matrix(M, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise InputError(f"{name} must be 2-dimensional, got shape {A.shape}")
+    if A.ndim != ndim:
+        raise InputError(f"{name} must be {ndim}-dimensional, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InputError(f"{name} contains non-finite entries")
     return A
@@ -187,14 +187,16 @@ def eigen_dense(M) -> np.ndarray:
     """All eigenvalues of a square matrix, sorted by (real, imag).
 
     For real input the values come from LAPACK's real Schur path, so
-    complex eigenvalues appear in exact conjugate pairs.
+    complex eigenvalues appear in exact conjugate pairs.  A stack (S, n, n)
+    gives one sorted row per matrix (S, n) from one eigvals call, each row
+    bit for bit the matrix's own eigen_dense.
     """
-    A = _as_matrix(M)
-    if A.shape[0] != A.shape[1]:
+    A = _as_matrix(M, ndim=3 if np.ndim(M) == 3 else 2)
+    if A.shape[-2] != A.shape[-1]:
         raise InputError(f"matrix must be square, got shape {A.shape}")
     vals = np.linalg.eigvals(A)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def rank_and_subspaces(M, tol_override: float | None = None, fd: bool = False) -> tuple:

@@ -6,8 +6,9 @@ bounded away from zero.  Following those p eigenvalues continuously around a
 closed loop yields a permutation (which eigenvalue returns to which) and an
 integer winding number per track (net turns around 0 in the complex plane).
 This module splits spectra, tracks them along matrix and fiber loops in one
-refining loop that splits each sample's spectrum once, and reports the
-(permutation, windings) datum together with imaginary-axis crossing counts.
+refining loop that splits each sample's spectrum once, in stacks of
+samples, and reports the (permutation, windings) datum together with
+imaginary-axis crossing counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .finder import newton_lanes
 from .linalg import eigen_dense
-from .systems import PointState, SystemSpec, _evaluate_point
+from .systems import PointState, SystemSpec, _evaluate_point, _evaluate_rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _LEAVES_CSTAR = "winding undefined, path leaves C*"
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -85,35 +87,53 @@ def split_spectrum(
     k = non_negative_int(k, "k")
     if k > n:
         raise InputError(f"k = {k} is out of range for an {n} x {n} matrix")
-    zeros, nonzeros, gap_ratio, tol_zero_used, unreliable = _split(J, k, tol_zero, tols)
+    zeros, nonzeros, gap_ratio, unreliable, _, tol_zero_used = _split(
+        eigen_dense(J)[None], k, tol_zero, tols
+    )
     return SpectrumSplit(
-        zeros=tuple(complex(z) for z in zeros),
-        nonzeros=tuple(complex(z) for z in nonzeros),
-        gap_ratio=gap_ratio,
+        zeros=tuple(complex(z) for z in zeros[0]),
+        nonzeros=tuple(complex(z) for z in nonzeros[0]),
+        gap_ratio=float(gap_ratio[0]),
         tol_zero_used=tol_zero_used,
-        unreliable=unreliable,
+        unreliable=bool(unreliable[0]),
     )
 
 
-def _split(J: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances) -> tuple:
-    """split_spectrum's fields for a valid (J, k), the zeros and nonzeros as
-    arrays in eigen_dense's (real, imag) order, so the spectrum is sorted once."""
-    eigs = eigen_dense(J)
+def _split(eigs: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances) -> tuple:
+    """split_spectrum's fields for every row of a stack of spectra (S, n),
+    each in eigen_dense's (real, imag) order, so a spectrum is sorted once:
+    zeros (S, k) and nonzeros (S, n - k), each keeping that order,
+    gap_ratio (S,), unreliable (S,), min_gap (S,), the smallest distance
+    between two nonzeros of a row (inf for fewer than two), and tol_zero,
+    taken from the first row when None."""
+    count, n = eigs.shape
     moduli = np.abs(eigs)
-    tiny = float(np.finfo(float).tiny)
     if tol_zero is None:
-        tol_zero = tols.zero_factor * max(float(np.max(moduli, initial=0.0)), tiny)
-    # the k smallest moduli, ties going to the earlier eigenvalue
-    is_zero = np.zeros(eigs.size, dtype=bool)
-    is_zero[np.argsort(moduli, kind="stable")[:k]] = True
-    largest_zero = float(np.max(moduli[is_zero], initial=0.0))
-    gap_ratio = 0.0
-    if k < eigs.size:
-        gap_ratio = float(np.min(moduli[~is_zero])) / max(largest_zero, tiny)
-    unreliable = (k < eigs.size and gap_ratio < tols.gap_min) or (
-        k > 0 and largest_zero > tol_zero
+        tol_zero = tols.zero_factor * max(float(np.max(moduli[0], initial=0.0)), _TINY)
+    # the k smallest moduli of a row, ties going to the earlier eigenvalue
+    is_zero = np.zeros(eigs.shape, dtype=bool)
+    np.put_along_axis(
+        is_zero, np.argsort(moduli, axis=1, kind="stable")[:, :k], True, axis=1
     )
-    return eigs[is_zero], eigs[~is_zero], gap_ratio, float(tol_zero), bool(unreliable)
+    zeros = eigs[is_zero].reshape(count, k)
+    nonzeros = eigs[~is_zero].reshape(count, n - k)
+    largest_zero = np.max(moduli[is_zero].reshape(count, k), axis=1, initial=0.0)
+    unreliable = (k > 0) & (largest_zero > tol_zero)
+    gap_ratio = np.zeros(count)
+    if k < n:
+        # inf or NaN past the float range, as a lone float division gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap_ratio = np.min(moduli[~is_zero].reshape(count, n - k), axis=1) / np.maximum(
+                largest_zero, _TINY
+            )
+        unreliable |= gap_ratio < tols.gap_min
+    min_gap = np.full(count, np.inf)
+    if n - k > 1:
+        gaps = np.abs(nonzeros[:, :, None] - nonzeros[:, None, :])
+        diagonal = np.arange(n - k)
+        gaps[:, diagonal, diagonal] = np.inf
+        min_gap = gaps.min(axis=(1, 2))
+    return zeros, nonzeros, gap_ratio, unreliable, min_gap, float(tol_zero)
 
 
 @dataclass(frozen=True)
@@ -248,9 +268,71 @@ def _shortest_augmenting_paths(cost: list) -> list:
     return col4row
 
 
+@dataclass(eq=False)
+class _Sample:
+    """A loop sample: the refiner's payload and its nonzero spectrum, split
+    once.  A sample whose spectrum could not be computed holds that error
+    instead, which the fold raises if it reaches the sample.  Samples
+    compare and hash by identity, so a pair of them keys the cache."""
+
+    payload: object
+    nonzeros: np.ndarray
+    unreliable: bool
+    min_gap: float
+    error: Optional[Exception]
+
+
+def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
+             tols: Tolerances) -> tuple:
+    """(samples, tol_zero): a _Sample per payload, the spectra of all the
+    matrices from one eigen_dense stack and split by one _split, tol_zero
+    taken from the first when None.  When the stack fails, each matrix is
+    taken alone, so one that fails (a non-finite blend, or LAPACK not
+    converging) keeps its own error."""
+    errors: dict = {}
+    try:
+        spectra = eigen_dense(np.asarray(matrices))
+    except (InputError, np.linalg.LinAlgError):
+        spectra = np.full((len(payloads), len(matrices[0])), np.nan, dtype=complex)
+        for i, matrix in enumerate(matrices):
+            try:
+                spectra[i] = eigen_dense(matrix)
+            except (InputError, np.linalg.LinAlgError) as err:
+                errors[i] = err
+    _, nonzeros, _, unreliable, min_gap, tol_zero = _split(spectra, k, tol_zero, tols)
+    samples = [
+        _Sample(payload, nonzeros[i], bool(unreliable[i]), float(min_gap[i]), errors.get(i))
+        for i, payload in enumerate(payloads)
+    ]
+    return samples, tol_zero
+
+
+def _refinement_certain(pairs: list) -> np.ndarray:
+    """Whether advance refines each (left, right) pair of samples whatever
+    the tracks' matching, as the tracks are the left spectrum in some order:
+    - the directed Hausdorff distance from the left spectrum to the right
+      one exceeds half the right one's min_gap, and bounds movement below;
+    - or some left eigenvalue is at an argument increment of pi/2 or more
+      from every right one, so its track's increment is one too."""
+    left = np.array([left.nonzeros for left, _ in pairs])[:, :, None]
+    right = np.array([right.nonzeros for _, right in pairs])[:, None, :]
+    half_gap = 0.5 * np.array([right.min_gap for _, right in pairs])
+    # a prediction only decides what is computed early, so an overflow
+    # here (a huge eigenvalue times another) changes no result
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.abs(right - left).min(axis=2).max(axis=1) > half_gap
+        turned = np.abs(np.angle(right * np.conj(left))) >= 0.5 * np.pi
+    return far | turned.all(axis=2).any(axis=1)
+
+
 class _LoopTracker:
-    """Sequential fold that carries p eigenvalue tracks along the loop;
-    refine(left, right) gives the (payload, matrix) between two samples."""
+    """Sequential fold that carries p eigenvalue tracks along the loop.
+
+    refine(lefts, rights) gives, per pair of payloads, the (payload,
+    matrix) of their midpoint or the EqBundleError of a midpoint that
+    cannot be made.  prefetch refines the pairs that the fold is certain
+    to refine, one batch per depth, into a cache that advance reads; a
+    pair not in it is refined alone, as a batch of one."""
 
     def __init__(self, base: np.ndarray, k: int, tol_zero: float, tols: Tolerances,
                  refine: Callable, max_refine: int):
@@ -259,6 +341,7 @@ class _LoopTracker:
         self.tols = tols
         self.refine = refine
         self.max_refine = max_refine
+        self.midpoints: dict = {}  # (left, right) -> _Sample or EqBundleError
         self.values = base.copy()
         self.previous = base.copy()  # two-point history for extrapolation
         self.accumulated = np.zeros(base.size)
@@ -271,6 +354,35 @@ class _LoopTracker:
     def flag_once(self, message: str) -> None:
         if message not in self.flags:
             self.flags.append(message)
+
+    def midpoints_of(self, pairs: list) -> list:
+        """The midpoint _Sample of each (left, right) pair, or its EqBundleError."""
+        made = self.refine([left.payload for left, _ in pairs],
+                           [right.payload for _, right in pairs])
+        rows = [i for i, mid in enumerate(made) if not isinstance(mid, EqBundleError)]
+        if rows:
+            samples, _ = _samples([made[i][0] for i in rows], [made[i][1] for i in rows],
+                                  self.k, self.tol_zero, self.tols)
+            for i, sample in zip(rows, samples):
+                made[i] = sample
+        return made
+
+    def prefetch(self, pairs: list) -> None:
+        """Refine, one batch per depth below max_refine, the pairs whose
+        refinement _refinement_certain predicts, then their halves."""
+        for _ in range(self.max_refine):
+            if pairs:
+                pairs = [pair for pair, sure in zip(pairs, _refinement_certain(pairs)) if sure]
+            if not pairs:
+                return
+            mids = self.midpoints_of(pairs)
+            self.midpoints.update(zip(pairs, mids))
+            pairs = [
+                half
+                for (left, right), mid in zip(pairs, mids)
+                if isinstance(mid, _Sample) and mid.error is None
+                for half in ((left, mid), (mid, right))
+            ]
 
     def match(self, candidates: np.ndarray) -> np.ndarray:
         predicted = 2.0 * self.values - self.previous
@@ -288,14 +400,13 @@ class _LoopTracker:
         self.last_sign = np.where(signs != 0, signs, self.last_sign)
         self.samples_used += 1
 
-    def advance(self, left_payload, right_payload, right_matrix: np.ndarray,
-                depth: int, segment: tuple[int, int]) -> None:
-        _, candidates, _, _, unreliable = _split(
-            right_matrix, self.k, self.tol_zero, self.tols
-        )
-        if unreliable:
+    def advance(self, left: _Sample, right: _Sample, depth: int,
+                segment: tuple[int, int]) -> None:
+        if right.error is not None:
+            raise right.error
+        if right.unreliable:
             self.flag_once("unreliable zero/nonzero split encountered along the loop")
-        matched = self.match(candidates)
+        matched = self.match(right.nonzeros)
         small = np.abs(matched) <= self.tol_zero
         if np.any(small):
             idx = int(np.argmax(small))
@@ -306,23 +417,17 @@ class _LoopTracker:
             )
         dargs = np.angle(matched * np.conj(self.values))
         movement = float(np.max(np.abs(matched - self.values)))
-        if candidates.size > 1:
-            pair_gaps = np.abs(candidates[:, None] - candidates[None, :])
-            min_gap = float(np.min(pair_gaps[~np.eye(candidates.size, dtype=bool)]))
-        else:
-            min_gap = np.inf
-        needs_refine = np.any(np.abs(dargs) >= 0.5 * np.pi) or movement > 0.5 * min_gap
+        needs_refine = np.any(np.abs(dargs) >= 0.5 * np.pi) or movement > 0.5 * right.min_gap
         if needs_refine and depth < self.max_refine:
             # a refiner that cannot produce a midpoint (e.g. Newton hits a
             # singular point between the samples) degrades to the coarse step,
             # whose certification below reports what actually went wrong
-            try:
-                mid_payload, mid_matrix = self.refine(left_payload, right_payload)
-            except EqBundleError:
-                pass
-            else:
-                self.advance(left_payload, mid_payload, mid_matrix, depth + 1, segment)
-                self.advance(mid_payload, right_payload, right_matrix, depth + 1, segment)
+            mid = self.midpoints.pop((left, right), None)
+            if mid is None:
+                mid = self.midpoints_of([(left, right)])[0]
+            if isinstance(mid, _Sample):
+                self.advance(left, mid, depth + 1, segment)
+                self.advance(mid, right, depth + 1, segment)
                 return
         # accepting this increment as-is: certify it first
         for i in range(matched.size):
@@ -342,16 +447,21 @@ class _LoopTracker:
         self.accept(matched, dargs)
 
 
-def _blend_matrices(a: np.ndarray, b: np.ndarray):
-    mid = 0.5 * (a + b)
-    return mid, mid
+def _blend_matrices(lefts: list, rights: list) -> list:
+    # a blend past the float range is an error only if the fold reaches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = 0.5 * (np.asarray(lefts) + np.asarray(rights))
+    return [(mid, mid) for mid in mids]
 
 
 def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable, k: int,
            tol_zero: Optional[float], tols: Tolerances, max_refine: int) -> EigenLoopReport:
     """The monodromy datum of a closed loop of finite n x n matrices, for
-    0 <= k <= n and max_refine >= 0; refine takes payloads[i], payloads[i+1]."""
-    _, base, _, tol_fixed, unreliable = _split(matrices[0], k, tol_zero, tols)
+    0 <= k <= n and max_refine >= 0; refine takes lists of payloads."""
+    samples, tol_fixed = _samples(list(payloads), matrices, k, tol_zero, tols)
+    if samples[0].error is not None:
+        raise samples[0].error
+    base = samples[0].nonzeros
     if base.size == 0:
         raise InputError("no nonzero eigenvalues to track (k equals the dimension)")
     if np.min(np.abs(base)) <= tol_fixed:
@@ -361,10 +471,12 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
             segment=(0, 0),
         )
     tracker = _LoopTracker(base, k, tol_fixed, tols, refine, max_refine)
-    if unreliable:
+    if samples[0].unreliable:
         tracker.flag_once("unreliable zero/nonzero split encountered along the loop")
-    for i in range(len(matrices) - 1):
-        tracker.advance(payloads[i], payloads[i + 1], matrices[i + 1], 0, (i, i + 1))
+    pairs = list(zip(samples, samples[1:]))
+    tracker.prefetch(pairs)
+    for i, (left, right) in enumerate(pairs):
+        tracker.advance(left, right, 0, (i, i + 1))
 
     # closure: map each track back to the base spectrum it started from
     cols = assignment(np.abs(tracker.values[:, None] - base[None, :]))
@@ -405,11 +517,17 @@ def track_matrix_loop(
     tracks by optimal assignment against a linear extrapolation of each
     track; an interval is halved (by the linear blend of its two matrices)
     whenever an argument increment reaches pi/2 or the largest movement
-    exceeds half the smallest gap between new eigenvalues.  tol_zero is
-    fixed once from the base matrix (tols.zero_factor times its spectral
-    radius); any tracked eigenvalue whose modulus, or whose step chord,
-    comes within tol_zero of the origin aborts the loop, since its winding
-    number is then undefined.
+    exceeds half the smallest gap between new eigenvalues.  The spectra
+    come in stacks, one eigvals call for the given matrices and one per
+    refinement depth for the blends of every interval whose halving is
+    certain whatever the matching (_refinement_certain); the sequential
+    fold reads those and blends an interval the prediction missed on its
+    own, so the result is that of halving one interval at a time.  A
+    blend that is not finite raises its InputError when the fold reaches
+    it.  tol_zero is fixed once from the base matrix (tols.zero_factor
+    times its spectral radius); any tracked eigenvalue whose modulus, or
+    whose step chord, comes within tol_zero of the origin aborts the loop,
+    since its winding number is then undefined.
     """
     mats, k = matrix_loop(matrices, k)
     max_refine = non_negative_int(max_refine, "max_refine")
@@ -428,37 +546,69 @@ def eigen_along_fiber_loop(
 
     Every loop point must be an equilibrium of f(lam, .) within tolerance
     and the first and last points must agree within 1e-9 relative to the
-    first's norm (their Jacobians need not agree more closely).  When the tracker needs
+    first's norm (their Jacobians need not agree more closely).  The loop
+    points are evaluated in one stack.  When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
-    integral level by Newton at fixed lam.
+    integral level by Newton at fixed lam.  The midpoints of one
+    refinement depth that the tracker is certain to need are solved as
+    the lanes of one newton_lanes call, each at its own level, and
+    evaluated and split in one stack; a midpoint it needs beyond those
+    is solved alone.  A midpoint whose lane fails, or whose evaluation
+    fails, leaves its interval unhalved, as a lone solve that raised did.
     """
     lam = finite_vector(lam, sys.m, "lambda", "m")
     points = waypoint_path(loop_points, sys.n, "loop_points", "n")
     closed_loop(points, "loop points")
     max_refine = non_negative_int(max_refine, "max_refine")
 
-    matrices = []
-    levels = []
-    for i, x in enumerate(points):
-        f_value, h_value, jac_x = _evaluate_point(sys, PointState(lam, x), ("f", "h", "jac_x"))
-        residual = float(np.linalg.norm(f_value))
+    evaluated = _blocks_at(sys, lam, points, ("f", "h", "jac_x"))
+    for i, (x, blocks) in enumerate(zip(points, evaluated)):
+        if isinstance(blocks, EqBundleError):
+            raise blocks
+        residual = float(np.linalg.norm(blocks[0]))
         scale = 1.0 + float(np.linalg.norm(x))
         if residual > 10.0 * tols.equilibrium * scale:
             raise InputError(
                 f"loop point {i} is not an equilibrium: ||f|| = {residual:.3e}"
             )
-        matrices.append(jac_x)
-        levels.append(h_value)
 
-    def refine(left, right):
-        x_guess = 0.5 * (left[0] + right[0])
-        a_mid = 0.5 * (left[1] + right[1])
-        x_mid = newton_lanes(sys, lam, a_mid, x_guess[None, :], tols).solution(0)
-        h_value, jac_x = _evaluate_point(sys, PointState(lam, x_mid), ("h", "jac_x"))
-        return (x_mid, h_value), jac_x
+    def refine(lefts, rights):
+        # each midpoint solved at the mean level of its pair, as one lane
+        starts = 0.5 * (np.array([x for x, _ in lefts]) + np.array([x for x, _ in rights]))
+        levels = 0.5 * (np.array([a for _, a in lefts]) + np.array([a for _, a in rights]))
+        lanes = newton_lanes(sys, lam, levels, starts, tols)
+        made = [lanes.error(i) for i in range(len(starts))]
+        solved = [i for i, error in enumerate(made) if error is None]
+        if solved:
+            x_mid = lanes.x[solved]
+            for i, x, blocks in zip(solved, x_mid, _blocks_at(sys, lam, x_mid, ("h", "jac_x"))):
+                if isinstance(blocks, EqBundleError):
+                    made[i] = blocks
+                else:
+                    made[i] = (x, blocks[0]), blocks[1]
+        return made
 
-    return _track(matrices, list(zip(points, levels)), refine, sys.k, None, tols, max_refine)
+    payloads = [(x, h_value) for x, (_, h_value, _) in zip(points, evaluated)]
+    matrices = [jac_x for _, _, jac_x in evaluated]
+    return _track(matrices, payloads, refine, sys.k, None, tols, max_refine)
+
+
+def _blocks_at(sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple) -> list:
+    """Per row of x, the named blocks as _evaluate_point gives them, or the
+    row's EqBundleError: one _evaluate_rows stack, and when it fails one
+    evaluation per row, so that each row keeps its own error."""
+    try:
+        return list(zip(*_evaluate_rows(sys, lam, x, names)))
+    except EqBundleError:
+        pass
+    blocks: list = []
+    for row in x:
+        try:
+            blocks.append(_evaluate_point(sys, PointState(lam, row), names))
+        except EqBundleError as err:
+            blocks.append(err)
+    return blocks
 
 
 @dataclass(frozen=True)

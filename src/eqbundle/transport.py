@@ -33,6 +33,7 @@ from .errors import (
     InputError,
     TransportError,
     closed_loop,
+    finite_array,
     finite_vector,
     step_bounds,
     waypoint_path,
@@ -497,7 +498,7 @@ def holonomy_loop(
     """
     waypoints = waypoint_path(loop, sys.m, "loop", "m")
     closed_loop(waypoints, "waypoints")
-    a = np.asarray(a, dtype=float).reshape(-1)
+    a = finite_array(a, "level a").reshape(-1)
     base = waypoints[0]
 
     points = enumerate_level_points(sys, base, a, budget=budget, seed=seed, tols=tols)

@@ -318,6 +318,28 @@ def test_error_envelopes_go_where_the_result_goes(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_failed_run_leaves_no_stale_csv(tmp_path, capsys):
+    # with the format both, <path>.json and <path>.csv describe one run
+    base = str(tmp_path / "trace")
+    trace = {
+        "system": {"builtin": "planar"},
+        "command": "trace-fiber",
+        "lambda": [0.5],
+        "x0": [-0.5, 0.0],
+        "output": {"path": base, "format": "both"},
+    }
+    assert main(["trace-fiber", "--config", write_config(tmp_path, "a.json", trace)]) == 0
+    assert os.path.exists(base + ".csv")
+    cfg = write_config(tmp_path, "short.json", dict(trace, max_points=3))
+    assert main(["trace-fiber", "--config", cfg]) == 2
+    assert json.loads(open(base + ".json").read())["error"]["type"] == "ConvergenceError"
+    assert not os.path.exists(base + ".csv")
+    # and a failure with no earlier CSV writes the envelope alone
+    assert main(["trace-fiber", "--config", cfg]) == 2
+    assert not os.path.exists(base + ".csv")
+    capsys.readouterr()
+
+
 def test_rejected_config_envelope(tmp_path, capsys):
     out = str(tmp_path / "out.json")
     bad = dict(FIND_RFMR, budget=0, output={"path": out})

@@ -153,6 +153,22 @@ def test_eigen_product_matches_determinant():
         assert abs(prod - det) <= 1e-8 * max(1.0, abs(det))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 19, 20])
+def test_eigen_stack_rows_equal_each_matrix(n):
+    # one eigvals call on a stack gives every matrix's own sorted spectrum,
+    # bit for bit: the tracker stacks spectra on that
+    rng = np.random.default_rng(n)
+    for count in (1, 2, 7):
+        stack = rng.standard_normal((count, n, n)) * 10.0 ** rng.integers(-3, 4)
+        rows = eigen_dense(stack)
+        assert rows.shape == (count, n)
+        assert rows.tobytes() == np.array([eigen_dense(M) for M in stack]).tobytes()
+    with pytest.raises(InputError, match="square"):
+        eigen_dense(np.ones((2, n, n + 1)))
+    with pytest.raises(InputError, match="non-finite"):
+        eigen_dense(np.full((2, n, n), np.inf))
+
+
 def test_kernel_and_image_of_example2_jacobian():
     K = kernel_basis(EX2_JAC)
     assert K.shape == (3, 2)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, rfmr_circulant_eigenvalues
-from eqbundle import builtin
+from eqbundle import builtin, monodromy
 from eqbundle.audit import audit_point
-from eqbundle.errors import InputError, ResolutionError, TrackingError
+from eqbundle.errors import (
+    EqBundleError, EvaluationError, InputError, ResolutionError, TrackingError,
+)
 from eqbundle.linalg import eigen_dense
 from eqbundle.monodromy import (
     eigen_along_fiber_loop,
@@ -347,12 +349,53 @@ def test_fiber_loop_closes_at_the_point_rule(rfmr3):
     )
 
 
+def count_rows(monkeypatch, owner, name: str, rows_of) -> list:
+    """Wrap owner.name so that every call appends rows_of(its first
+    argument), the number of matrices or spectra it takes, to the list."""
+    rows = []
+    real = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        rows.append(rows_of(first))
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return rows
+
+
 def test_matrix_loop_sorts_each_spectrum_once(monkeypatch):
-    lexsorts = count_calls(monkeypatch, "lexsort", np)
-    eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
-    track_matrix_loop(rotation_family(64), k=0)
-    assert len(eigvals) == 133
-    assert len(lexsorts) == 133
+    # every sample's spectrum is computed and sorted once: the coarse
+    # samples in one stack, the midpoints in one stack per refinement depth
+    eigvals = count_rows(
+        monkeypatch, np.linalg, "eigvals", lambda a: len(a) if np.ndim(a) == 3 else 1
+    )
+    lexsorts = count_rows(
+        monkeypatch, np, "lexsort", lambda keys: len(keys[0]) if np.ndim(keys[0]) == 2 else 1
+    )
+    report = track_matrix_loop(rotation_family(64), k=0)
+    assert report.samples_used == 99
+    assert sum(eigvals) == sum(lexsorts) == 99
+    assert len(eigvals) == len(lexsorts) <= 1 + 8
+
+
+def test_fiber_loop_solves_each_depth_as_one_batch(monkeypatch):
+    # the midpoints of one refinement depth are the lanes of one
+    # newton_lanes call (a lone call per midpoint made 4 calls), at most
+    # max_refine calls when every refinement was prefetched, and every
+    # solved midpoint is a sample of the loop
+    sys = builtin("rfmr", n=6)
+    lanes = []
+    real = monodromy.newton_lanes
+
+    def counted(sys, lam, a, starts, *args):
+        lanes.append(len(starts))
+        return real(sys, lam, a, starts, *args)
+
+    monkeypatch.setattr(monodromy, "newton_lanes", counted)
+    pts = [np.full(6, c) for c in (0.2, 0.45, 0.2)]
+    report = eigen_along_fiber_loop(sys, np.full(6, 1.5), pts)
+    assert report.samples_used == len(pts) + sum(lanes)
+    assert lanes == [2, 1, 1]
 
 
 def _sorted_complex(values):
@@ -402,3 +445,130 @@ def test_split_keeps_the_sorted_spectrum_order(case):
     split = split_spectrum(J, k)
     assert _bits(split.nonzeros) == _bits(_sorted_complex(eigs[order[k:]]))
     assert _bits(split.zeros) == _bits(_sorted_complex(eigs[order[:k]]))
+
+
+def _outcome(run):
+    """run()'s report, or the type and message of its error."""
+    try:
+        return run()
+    except EqBundleError as err:
+        return type(err).__name__, str(err)
+
+
+def assert_prefetch_changes_nothing(run):
+    """run() gives what it gives when the prefetch is off, so that the fold
+    refines every pair alone, one at a time, as a recursive tracker does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy._LoopTracker, "prefetch", lambda self, pairs: None)
+        alone = _outcome(run)
+    prefetched = _outcome(run)
+    assert prefetched == alone
+    return prefetched
+
+
+def plane_rotations(turn, samples):
+    return [
+        np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        for t in turn * (np.arange(samples + 1) % samples)
+    ]
+
+
+@pytest.mark.parametrize("samples, max_refine", [(4, 1), (8, 8), (64, 8), (256, 2), (9, 3)])
+def test_prefetch_keeps_rotation_family_reports(samples, max_refine):
+    # an odd sample count misses s = pi, so the tracks turn back there
+    report = assert_prefetch_changes_nothing(
+        lambda: track_matrix_loop(rotation_family(samples), k=0, max_refine=max_refine)
+    )
+    assert sorted(report.windings) == ([0, 0] if samples % 2 else [-1, 1])
+
+
+def test_prefetch_keeps_a_resolution_error():
+    # rotations by 4 pi / 5 per sample: one halving level cannot certify
+    # the argument increments, two can
+    mats = plane_rotations(0.8 * np.pi, 5)
+    kind, message = assert_prefetch_changes_nothing(
+        lambda: track_matrix_loop(mats, k=0, max_refine=1)
+    )
+    assert kind == "ResolutionError" and "after 1 refinement levels" in message
+    report = assert_prefetch_changes_nothing(lambda: track_matrix_loop(mats, k=0, max_refine=2))
+    assert report.samples_used > len(mats)
+
+
+@st.composite
+def out_and_back_loops(draw):
+    """rfmr(n) at uniform rate r along the diagonal, from fill c0 to c1 in
+    one to three legs and back, on either side of 1/2 or across it."""
+    n = draw(st.integers(3, 6))
+    lo, hi = draw(st.sampled_from([(0.05, 0.45), (0.55, 0.95), (0.05, 0.95)]))
+    c0, c1 = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    legs = draw(st.integers(1, 3))
+    out = [c0 + (c1 - c0) * j / legs for j in range(legs + 1)]
+    fills = out + out[-2::-1]
+    return n, draw(st.floats(0.5, 3.0)), fills, draw(st.sampled_from([1, 2, 8]))
+
+
+@settings(settings.get_profile("derandomized"), max_examples=30)
+@given(loop=out_and_back_loops())
+def test_prefetch_keeps_fiber_loop_reports(loop):
+    n, rate, fills, max_refine = loop
+    sys = builtin("rfmr", n=n)
+    pts = [np.full(n, c) for c in fills]
+    assert_prefetch_changes_nothing(
+        lambda: eigen_along_fiber_loop(sys, np.full(n, rate), pts, max_refine=max_refine)
+    )
+
+
+@pytest.mark.parametrize("block", ["f", "jac_x_fn"])
+def test_prefetch_keeps_failed_midpoints(rfmr3, block):
+    # rfmr(3) whose f (so the midpoint's Newton lane fails) or df/dx (so its
+    # evaluation fails after Newton) raises near x = (1/4, 1/4, 1/4): the
+    # coarse step over that midpoint is certified as it stands, and a loop
+    # point there fails the loop
+    failures = []
+    real = getattr(rfmr3, block)
+
+    def banded(lam, x):
+        if abs(x[0] - 0.25) < 0.01:
+            failures.append(x[0])
+            raise EvaluationError("undefined near 1/4", where=x.tolist())
+        return real(lam, x)
+
+    sys = dataclasses.replace(rfmr3, batched=False, **{block: banded})
+    for fills, samples_used in (
+        ((0.1, 0.4, 0.1), 3),               # both midpoints fail
+        ((0.1, 0.4, 0.7, 0.4, 0.1), 17),
+        ((0.05, 0.25, 0.45, 0.25, 0.05), None),
+    ):
+        failures.clear()
+        pts = [np.full(3, c) for c in fills]
+        outcome = assert_prefetch_changes_nothing(
+            lambda: eigen_along_fiber_loop(sys, np.ones(3), pts)
+        )
+        assert failures
+        if samples_used is None:
+            assert outcome == ("EvaluationError", "undefined near 1/4 at [0.25, 0.25, 0.25]")
+        else:
+            assert outcome.samples_used == samples_used
+
+
+def test_prefetched_non_finite_blend_is_raised_only_when_reached(monkeypatch):
+    # the eigenvalue 1 of the first step passes through 0, so the loop ends
+    # there; the prefetch has already blended the last interval, whose two
+    # 1.5e308 entries sum past the float range
+    deferred = []
+    real = monodromy._samples
+
+    def spy(*args):
+        samples, tol_zero = real(*args)
+        deferred.extend(str(s.error) for s in samples if s.error is not None)
+        return samples, tol_zero
+
+    monkeypatch.setattr(monodromy, "_samples", spy)
+    base = np.diag([1.0, 2.0])
+    huge = np.diag([1.5e308, 1.0])
+    mats = [base, np.diag([-1.0, 2.0]), huge, huge * [1.0, -1.0], base]
+    kind, message = assert_prefetch_changes_nothing(
+        lambda: track_matrix_loop(mats, k=0, tol_zero=1e-3)
+    )
+    assert kind == "TrackingError" and "(between samples 0 and 1)" in message
+    assert "matrix contains non-finite entries" in deferred

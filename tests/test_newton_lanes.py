@@ -185,17 +185,19 @@ def test_enumerate_takes_a_numpy_seed(planar):
     ]
 
 
+def _draw_level(data, sys):
+    if sys.name == "planar":
+        return [data.draw(st.floats(-1.2, 1.2))]
+    if sys.name == "example2":
+        return [data.draw(st.floats(1.0, 3.0)), data.draw(st.floats(5.0, 15.0))]
+    return [data.draw(st.floats(0.0, float(sys.n)))]
+
+
 def _draw_problem(data, name):
     sys = builtin("rfmr", n=int(name[4:])) if name.startswith("rfmr") else builtin(name)
     box = sys.parameter_box
     lam = [data.draw(st.floats(lo, hi)) for lo, hi in box]
-    if name == "planar":
-        level = [data.draw(st.floats(-1.2, 1.2))]
-    elif name == "example2":
-        level = [data.draw(st.floats(1.0, 3.0)), data.draw(st.floats(5.0, 15.0))]
-    else:
-        level = [data.draw(st.floats(0.0, float(sys.n)))]
-    return sys, lam, level
+    return sys, lam, _draw_level(data, sys)
 
 
 @settings(
@@ -217,6 +219,29 @@ def test_lane_is_independent_of_its_batch(name, seed, budget, data):
     lanes = newton_lanes(sys, lam, level, starts)
     assert_lane_alone_matches(sys, lam, level, starts, lanes)
     assert_rounds_match_trial_by_trial(sys, lam, level, starts, lanes)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=40)
+@given(
+    name=st.sampled_from(["planar", "rfmr3", "rfmr4", "rfmr5", "rfmr6"]),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 12),
+    data=st.data(),
+)
+def test_per_lane_levels_match_lone_solves(name, seed, budget, data):
+    # a (B, k) level gives every lane what a lone solve at its level gives
+    sys, lam, _ = _draw_problem(data, name)
+    levels = np.array([_draw_level(data, sys) for _ in range(budget)])
+    starts = level_starts(sys, budget, seed)
+    lanes = newton_lanes(sys, lam, levels, starts)
+    for i in range(budget):
+        alone = newton_lanes(sys, lam, levels[i], starts[i:i + 1])
+        assert alone.x[0].tobytes() == lanes.x[i].tobytes()
+        assert alone.status[0] == lanes.status[i]
+        assert alone.iteration[0] == lanes.iteration[i]
+        assert alone.residual[0].tobytes() == lanes.residual[i].tobytes()
+        assert str(alone.error(0)) == str(lanes.error(i))
+    assert_rounds_match_trial_by_trial(sys, lam, levels, starts, lanes)
 
 
 def banded_system():
@@ -319,6 +344,30 @@ def test_enumerate_rejects_wrong_lengths(planar):
         enumerate_level_points(planar, [0.5], [0.0, 0.0], budget=20)
     with pytest.raises(InputError, match=r"starts must have shape \(B, 2\)"):
         newton_lanes(planar, [0.5], [0.0], [0.0, 0.0])
+
+
+def test_per_lane_level_needs_a_row_per_lane(planar):
+    with pytest.raises(InputError, match=r"per-lane level must have shape \(2, 1\)"):
+        newton_lanes(planar, [0.5], [[0.0], [0.1], [0.2]], [[0.0, 0.0], [0.1, 0.1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys: enumerate_level_points(sys, [0.5], "abc", budget=20),
+        lambda sys: enumerate_level_points(sys, [0.5], [math.nan], budget=20),
+        lambda sys: enumerate_level_points(sys, ["x"], [0.0], budget=20),
+        lambda sys: holonomy_loop(sys, [[0.5], [0.9], [0.5]], [math.nan]),
+        lambda sys: holonomy_loop(sys, [[0.5], [0.9], [0.5]], "abc"),
+        lambda sys: newton_lanes(sys, [0.5], [[0.0], [math.inf]], np.zeros((2, 2))),
+        lambda sys: newton_lanes(sys, [0.5], [0.0], [[0.0, math.nan]]),
+        lambda sys: newton_on_level_set(sys, [0.5], [0.0], ["a", 0.0]),
+    ],
+)
+def test_malformed_levels_are_input_errors(planar, call):
+    # not a bare ValueError, nor "no equilibria found on level [nan]"
+    with pytest.raises(InputError, match="must be an array of finite numbers"):
+        call(planar)
 
 
 def test_non_finite_jacobian_lane():
