@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_vector
 from .linalg import numeric_rank, rank_and_subspaces
 from .systems import Evaluation, PointState, SystemSpec, _evaluate_point, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -126,10 +126,15 @@ def audit_point(
     made there.  Never raises on a failed condition.
 
     Only evaluability is required, not domain membership, so equilibria
-    just outside the working region can still be diagnosed.
+    just outside the working region can still be diagnosed.  A PointState
+    must be finite, with lambda of length m and x of length n (InputError
+    otherwise).
     """
-    ev = u if isinstance(u, Evaluation) else evaluate(sys, u, check_domain=False)
-    return _audit(sys, ev, tols)[0]
+    if isinstance(u, Evaluation):
+        return _audit(sys, u, tols)[0]
+    finite_vector(u.lam, sys.m, "lambda", "m")
+    finite_vector(u.x, sys.n, "x", "n")
+    return _audit(sys, evaluate(sys, u, check_domain=False), tols)[0]
 
 
 def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:

@@ -491,6 +491,22 @@ def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
     return sample * (hi - lo) + lo
 
 
+def _cluster_representatives(x, quality, converged, radius) -> list:
+    """The lanes kept from the converged ones: in order of (quality, x),
+    each lane farther than radius from every lane kept before it.  A
+    stable lexsort over those keys orders finite rows as sorting the
+    tuples does, and each kept lane drops every remaining lane within
+    radius with one _lane_norm call."""
+    lanes = np.flatnonzero(converged)
+    remaining = lanes[np.lexsort(np.vstack([x[lanes, ::-1].T, quality[lanes]]))]
+    kept: list = []
+    while remaining.size:
+        best, remaining = remaining[0], remaining[1:]
+        kept.append(best)
+        remaining = remaining[_lane_norm(x[remaining] - x[best]) > radius]
+    return kept
+
+
 def enumerate_level_points(
     sys: SystemSpec,
     lam,
@@ -514,16 +530,9 @@ def enumerate_level_points(
     lam = finite_array(lam, "lambda").reshape(-1)
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f
-    radius = tols.cluster * sys.domain.diameter()
-    # keep the best-converged representative of each cluster
-    by_quality = sorted(
-        np.flatnonzero(lanes.status == CONVERGED),
-        key=lambda i: (residual_f[i], tuple(lanes.x[i])),
+    kept = _cluster_representatives(
+        lanes.x, residual_f, lanes.status == CONVERGED, tols.cluster * sys.domain.diameter()
     )
-    kept: list = []
-    for i in by_quality:
-        if all(np.linalg.norm(lanes.x[i] - lanes.x[j]) > radius for j in kept):
-            kept.append(i)
     points = [
         _equilibrium_point(sys, lam, lanes.x[i].copy(), residual_f[i], tols)
         for i in kept

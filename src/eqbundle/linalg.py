@@ -5,11 +5,19 @@ cutoff rule to singular values and records the cutoff next to the answer.
 A rank alone takes the singular values only, a rank with kernel and image
 one full SVD, least squares one thin SVD (never the normal equations).
 Dense eigenvalues come back in a deterministic order.
+
+A wide stack of least-squares solves (_solve_rows) takes its batched SVD
+in contiguous chunks, one per usable CPU, on threads: each matrix still
+goes through its own LAPACK call, so every row is bit for bit what the
+one batched call gives, whatever the CPU count.  Only stacks whose work
+reaches _SPLIT_WORK are split; there is no option to set.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +146,82 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     return vt.T @ coeff
 
 
+# The SVD work, rows * p * q**2, of a stack (rows, p, q) from which
+# _svd_rows splits it across the CPUs.  Handing a chunk to a thread has a
+# fixed cost: on a 2-core machine, splitting every stack of work 2,000 or
+# more made the (<= 200, 5, 3) stacks of example2 and its empty levels
+# about 10 % slower, while any threshold from 20,000 to 200,000 gave
+# rfmr(10) and rfmr(20) the same saving.  100,000 keeps the small stacks
+# on the calling thread with margin.
+_SPLIT_WORK = 100_000
+
+_pool = None                    # ThreadPoolExecutor, made on the first split
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads: a pool inherited
+    # with idle workers would queue work that no thread ever takes
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_pool():
+    """The split's thread pool, started on first use: one worker fewer
+    than the machine has CPUs, since the calling thread takes a chunk."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="eqbundle-svd"
+            )
+        return _pool
+
+
+def _svd_rows(A: np.ndarray) -> tuple:
+    """np.linalg.svd(A, full_matrices=False) of a stack A (B, p, q), bit for
+    bit.  A stack whose work B * p * q**2 reaches _SPLIT_WORK is split into
+    contiguous chunks, one per usable CPU but none with less than half that
+    work: the calling thread takes the first and the pool the others, and
+    u, s and vt are concatenated in row order.  numpy releases the GIL
+    inside each LAPACK call, and each matrix takes the same call in a chunk
+    as in the whole stack."""
+    count, p, q = A.shape
+    parts = 2 * count * p * q * q // _SPLIT_WORK
+    if parts >= 2:
+        parts = min(parts, count, _usable_cpus())
+    if parts < 2:
+        return np.linalg.svd(A, full_matrices=False)
+    chunks = np.array_split(A, parts)
+    pool = _worker_pool()
+    futures = [pool.submit(np.linalg.svd, chunk, full_matrices=False) for chunk in chunks[1:]]
+    try:
+        first = np.linalg.svd(chunks[0], full_matrices=False)
+    finally:
+        # every chunk finishes before this call returns or raises
+        rest = [future.result() for future in futures]
+    return tuple(np.concatenate(part) for part in zip(first, *rest))
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     """solve_least_squares(A[i], b[i], rank_tol) at every row i of the
-    stacks A (B, p, q) and b (B, p), bitwise, with one batched SVD.
+    stacks A (B, p, q) and b (B, p), bitwise, with one batched SVD, which
+    _svd_rows splits across the CPUs when the stack is wide; the rows and
+    their bits do not depend on the split.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors.  Returns (x, deficient):
@@ -159,7 +240,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
                 )
         rows = np.array([row for row in range(count) if row not in errors], dtype=int)
         A, b = A[rows], b[rows]
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    u, s, vt = _svd_rows(A)
     deficient = {}
     # s is descending: rank < q exactly when the last value is cut off
     cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)

@@ -40,6 +40,9 @@ __all__ = [
 
 _LEAVES_CSTAR = "winding undefined, path leaves C*"
 _TINY = float(np.finfo(float).tiny)
+# The fold squares distances between eigenvalues and multiplies them in
+# pairs: moduli below this keep both (4e300 at most) inside the float range.
+_LARGEST_MODULUS = 1e150
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,18 @@ class _Sample:
     nonzeros: np.ndarray
     unreliable: bool
     min_gap: float
+    largest: float              # the largest modulus in nonzeros
     error: Optional[Exception]
+
+
+def _check_moduli(sample: _Sample, segment: tuple) -> None:
+    """InputError when the fold reaches a sample whose eigenvalues are too
+    large for it to square their distances."""
+    if sample.largest >= _LARGEST_MODULUS:
+        raise InputError(
+            f"eigenvalue tracking needs moduli below {_LARGEST_MODULUS:.0e}, and the "
+            f"loop reaches {sample.largest:.3e} (between samples {segment[0]} and {segment[1]})"
+        )
 
 
 def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
@@ -300,8 +314,10 @@ def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
             except (InputError, np.linalg.LinAlgError) as err:
                 errors[i] = err
     _, nonzeros, _, unreliable, min_gap, tol_zero = _split(spectra, k, tol_zero, tols)
+    largest = np.max(np.abs(nonzeros), axis=1, initial=0.0)
     samples = [
-        _Sample(payload, nonzeros[i], bool(unreliable[i]), float(min_gap[i]), errors.get(i))
+        _Sample(payload, nonzeros[i], bool(unreliable[i]), float(min_gap[i]),
+                float(largest[i]), errors.get(i))
         for i, payload in enumerate(payloads)
     ]
     return samples, tol_zero
@@ -404,6 +420,7 @@ class _LoopTracker:
                 segment: tuple[int, int]) -> None:
         if right.error is not None:
             raise right.error
+        _check_moduli(right, segment)
         if right.unreliable:
             self.flag_once("unreliable zero/nonzero split encountered along the loop")
         matched = self.match(right.nonzeros)
@@ -461,6 +478,7 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
     samples, tol_fixed = _samples(list(payloads), matrices, k, tol_zero, tols)
     if samples[0].error is not None:
         raise samples[0].error
+    _check_moduli(samples[0], (0, 0))
     base = samples[0].nonzeros
     if base.size == 0:
         raise InputError("no nonzero eigenvalues to track (k equals the dimension)")

@@ -102,8 +102,15 @@ class PointState:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
+        # only converted: a point is built for every evaluation, and the
+        # entry points check finiteness and lengths
+        try:
+            lam = np.asarray(self.lam, dtype=float).reshape(-1)
+            x = np.asarray(self.x, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise InputError("a point's lambda and x must be arrays of numbers") from None
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,19 @@ def test_example2_symmetric_point(example2):
     assert report.full_jacobian_rank == 1
 
 
+@pytest.mark.parametrize("lam, x, message", [
+    ([0.5], ["x", 0], "a point's lambda and x must be arrays of numbers"),
+    ([0.5], [[0.0], [0.0, 1.0]], "a point's lambda and x must be arrays of numbers"),
+    ({"l": 1}, [0.0, 0.0], "a point's lambda and x must be arrays of numbers"),
+    ([0.5], [np.nan, 0.0], "x must be an array of finite numbers"),
+    ([np.inf], [0.0, 0.0], "lambda must be an array of finite numbers"),
+    ([0.5], [0.0], "x has length 1, expected a vector of length n = 2"),
+])
+def test_malformed_points_are_input_errors(planar, lam, x, message):
+    with pytest.raises(InputError, match=message):
+        audit_point(planar, PointState(lam, x))
+
+
 def test_planar_audit(planar):
     u = PointState(np.array([0.5]), np.array([-0.5, 0.0]))
     report = audit_point(planar, u)

@@ -9,6 +9,7 @@ import pytest
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict, load_config
 from eqbundle.errors import InputError
+from eqbundle.monodromy import track_matrix_loop
 from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 RFMR3_DECL = {
@@ -338,6 +339,21 @@ def test_failed_run_leaves_no_stale_csv(tmp_path, capsys):
     assert main(["trace-fiber", "--config", cfg]) == 2
     assert not os.path.exists(base + ".csv")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("huge", [1e200, 1.5e308])
+def test_matrix_loop_too_large_to_track_exit1(tmp_path, capsys, huge):
+    # the fold squares eigenvalue distances, which overflowed a Python float
+    mats = [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, huge]],
+            [[-1.0, 0.0], [0.0, huge]], [[1.0, 0.0], [0.0, 2.0]]]
+    with pytest.raises(InputError, match=r"moduli below 1e\+150.*between samples 0 and 1"):
+        track_matrix_loop([np.array(m) for m in mats], k=0, tol_zero=1e-3)
+    raw = {"command": "track-matrix-loop", "matrices": mats, "k": 0, "tol_zero": 1e-3}
+    assert main(["track-matrix-loop", "--config", write_config(tmp_path, "big.json", raw)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "InputError" and f"error: {error['message']}\n" == captured.err
 
 
 def test_rejected_config_envelope(tmp_path, capsys):

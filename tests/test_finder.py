@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqbundle import builtin
 from eqbundle.errors import (
@@ -13,6 +15,7 @@ from eqbundle.errors import (
     UnsupportedDimensionError,
 )
 from eqbundle.finder import (
+    _cluster_representatives,
     enumerate_level_points,
     level_starts,
     newton_on_level_set,
@@ -273,3 +276,40 @@ def test_trace_reads_residuals_from_the_corrector(name, params, lam, x0, calls, 
     assert counted.max_f_residual == max(
         float(np.linalg.norm(sys.f(np.asarray(lam), row))) for row in plain.points
     )
+
+
+def sorted_loop_representatives(x, quality, converged, radius) -> list:
+    """The reference clustering: sort the converged lanes by the tuple
+    (quality, x...), keep each lane farther than radius from all kept."""
+    by_quality = sorted(
+        np.flatnonzero(converged), key=lambda i: (quality[i], tuple(x[i]))
+    )
+    kept: list = []
+    for i in by_quality:
+        if all(np.linalg.norm(x[i] - x[j]) > radius for j in kept):
+            kept.append(i)
+    return kept
+
+
+@settings(settings.get_profile("derandomized"), max_examples=200)
+@given(data=st.data())
+def test_cluster_representatives_match_the_sorted_loop(data):
+    # clusters of lanes around a few centres, spread about the radius, with
+    # repeated lanes and repeated qualities so that every sort key ties
+    n = data.draw(st.integers(1, 4), label="n")
+    radius = data.draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), label="radius")
+    centres = data.draw(st.integers(1, 5), label="centres")
+    count = data.draw(st.integers(0, 60), label="lanes")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    spread = radius * rng.choice([0.0, 0.5, 1.0, 2.0], size=(count, 1))
+    x = rng.integers(-2, 3, size=(centres, n)).astype(float)[rng.integers(centres, size=count)]
+    x += spread * rng.standard_normal((count, n)) / np.sqrt(n)
+    quality = rng.choice([0.0, 1e-15, 3e-13, 1e-10], size=count)
+    for i in range(1, count):
+        if rng.random() < 0.2:  # an exact repeat of an earlier lane
+            j = int(rng.integers(i))
+            x[i], quality[i] = x[j], quality[j]
+    converged = rng.random(count) < 0.8
+    kept = _cluster_representatives(x, quality, converged, radius)
+    assert [int(i) for i in kept] == sorted_loop_representatives(x, quality, converged, radius)

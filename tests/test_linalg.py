@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,10 @@ from eqbundle import (
     numeric_rank,
     solve_least_squares,
 )
+from eqbundle import linalg
 from eqbundle.linalg import _solve_rows, image_basis
+
+from conftest import count_calls
 
 # Jacobian of the example2 vector field at lam=1, x=(1,1,1), written out by hand:
 # rows (lam*y, -lam*(z-x), -lam*y), (lam*z-2*lam*x, 0, lam*x), (0, 0, 0).
@@ -120,6 +127,92 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(rank_tol):
     assert list(deficient) == [4]
     assert str(deficient[4]) == str(lone.value)
     assert deficient[4].report == lone.value.report
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_solve_is_the_unsplit_solve_row_by_row(monkeypatch, cpus):
+    # a stack past the split's work threshold, with a skipped row, non-finite
+    # rows and rank-deficient rows in the first and the last chunk
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((41, 21, 20))
+    b = rng.standard_normal((41, 21))
+    A[2, 5, 7] = np.nan
+    b[30, 0] = -np.inf
+    A[3, :, 19] = A[3, :, 4]
+    A[38, :, 0] = 0.0
+    assert len(A) * 21 * 20**2 >= linalg._SPLIT_WORK
+    results = {}
+    for count in (1, cpus):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda count=count: count)
+        svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+        errors = {17: "skipped"}
+        results[count] = (_solve_rows(A, b, None, errors), errors)
+        monkeypatch.undo()
+        assert len(svds) == count
+    (x, deficient), errors = results[cpus]
+    (x1, deficient1), errors1 = results[1]
+    assert x.tobytes() == x1.tobytes()
+    assert {row: str(err) for row, err in errors.items()} == {
+        row: str(err) for row, err in errors1.items()
+    } == {2: "A contains non-finite entries", 30: "b contains non-finite entries", 17: "skipped"}
+    assert list(deficient) == list(deficient1) == [3, 38]
+    for row in (3, 38):
+        assert deficient[row].report == deficient1[row].report
+        with pytest.raises(DegeneracyError) as lone:
+            solve_least_squares(A[row], b[row])
+        assert deficient[row].report == lone.value.report
+    for row in set(range(len(A))) - {2, 3, 17, 30, 38}:
+        assert x[row].tobytes() == solve_least_squares(A[row], b[row]).tobytes()
+
+
+def test_concurrent_splits_share_one_pool(monkeypatch):
+    # more calling threads than cores, switching often: every call gets
+    # the unsplit bits, and the first splits start one pool between them
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 30, 21, 20))
+    b = rng.standard_normal((6, 30, 21))
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+    expected = [_solve_rows(A[i], b[i], None, {})[0].tobytes() for i in range(6)]
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(linalg, "_pool", None)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    results = [None] * 6
+
+    def solve(i):
+        for _ in range(3):
+            results[i] = _solve_rows(A[i], b[i], None, {})[0].tobytes()
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert len(made) == 1
+
+
+def test_small_stacks_stay_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+    rng = np.random.default_rng(3)
+    _solve_rows(rng.standard_normal((200, 5, 3)), rng.standard_normal((200, 5)), None, {})
+    _solve_rows(rng.standard_normal((1, 21, 20)), rng.standard_normal((1, 21)), None, {})
+    assert len(svds) == 2
 
 
 def test_eigen_sorted_real():

@@ -3,7 +3,10 @@ the line search's rounds against a trial-by-trial search, and the work
 enumerate_level_points does per kept point."""
 
 import dataclasses
+import json
 import math
+import multiprocessing
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqbundle import builtin, finder
+from eqbundle import builtin, finder, linalg
 from eqbundle.errors import ConvergenceError, EvaluationError, InputError
 from eqbundle.finder import (
     CONVERGED,
@@ -24,6 +27,8 @@ from eqbundle.finder import (
 )
 from eqbundle.systems import Domain, SystemSpec
 from eqbundle.transport import holonomy_loop
+
+from conftest import count_calls
 
 
 def assert_lane_alone_matches(sys, lam, level, starts, lanes):
@@ -411,3 +416,111 @@ def test_non_finite_jacobian_lane():
     alone = newton_on_level_set(sys, [0.2], [0.0], starts[2])
     assert alone.state.x.tobytes() == lanes.x[2].tobytes()
     assert np.linalg.norm(lanes.residual[2]) <= 1e-10 * (1.0 + np.linalg.norm(starts[2]))
+
+
+# an rfmr(20) find of the benchmark's shape: its wide Newton stacks split
+RFMR20 = dict(lam=[1.7] * 20, a=[20 * 0.35])
+
+
+def split_counts(monkeypatch, run) -> list:
+    """run(), with each _svd_rows call's count of np.linalg.svd calls."""
+    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+    real = linalg._svd_rows
+    counts = []
+
+    def counted(A):
+        before = len(svds)
+        out = real(A)
+        counts.append(len(svds) - before)
+        return out
+
+    monkeypatch.setattr(linalg, "_svd_rows", counted)
+    run()
+    return counts
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_find_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    # 3 CPUs give uneven chunks; the rows of every stacked solve and every
+    # byte of the points stay those of the unsplit solve
+    sys = builtin("rfmr", n=20)
+    runs = {}
+    for count in (1, cpus):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda count=count: count)
+        rows = []
+        real = finder._solve_rows
+        monkeypatch.setattr(
+            finder, "_solve_rows", lambda A, *rest: rows.append(len(A)) or real(A, *rest)
+        )
+        found = []
+        splits = split_counts(
+            monkeypatch, lambda: found.extend(enumerate_level_points(sys, **RFMR20))
+        )
+        monkeypatch.undo()
+        points = json.dumps([p.as_dict() for p in found])
+        runs[count] = (points, b"".join(p.state.x.tobytes() for p in found), rows, splits)
+    assert runs[cpus][:3] == runs[1][:3]
+    assert set(runs[1][3]) == {1} and max(runs[cpus][3]) == cpus
+    assert json.loads(runs[1][0])[0]["x"] == pytest.approx([0.35] * 20)
+
+
+@pytest.mark.parametrize("system, lam, a", [
+    ({"n": 3}, [1.0, 1.0, 1.0], [1.5]),     # the benchmark's first job
+    ({"n": 10}, [1.7] * 10, [3.5]),
+    ({"n": 20}, RFMR20["lam"], RFMR20["a"]),
+])
+def test_only_wide_stacks_split(monkeypatch, system, lam, a):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    counts = split_counts(
+        monkeypatch,
+        lambda: enumerate_level_points(builtin("rfmr", **system), lam, a),
+    )
+    assert counts and (2 in counts) == (system["n"] > 3)
+    assert set(counts) <= {1, 2}
+
+
+def test_empty_example2_level_never_splits(monkeypatch, example2):
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    counts = split_counts(
+        monkeypatch, lambda: enumerate_level_points(example2, [1.0], [1.0, 5.0])
+    )
+    assert counts and set(counts) == {1}
+
+
+def _rfmr20_x() -> bytes:
+    sys = builtin("rfmr", n=20)
+    starts = level_starts(sys, 200, 0)
+    return newton_lanes(sys, RFMR20["lam"], RFMR20["a"], starts).x.tobytes()
+
+
+def _send_rfmr20_x(conn):
+    conn.send(_rfmr20_x())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
+)
+def test_child_forked_after_a_split_solves(monkeypatch):
+    # the child has none of the parent's worker threads, so a pool that
+    # came along with the fork would take work and never do it
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    expected = _rfmr20_x()
+    assert linalg._pool is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_rfmr20_x, args=(send,))
+    with warnings.catch_warnings():
+        # Python 3.12 warns on a fork of a process that has threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not finish its solve"
+        assert receive.recv() == expected
+        child.join(60)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
