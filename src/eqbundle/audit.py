@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, finite_vector
+from .errors import InputError
 from .linalg import numeric_rank, rank_and_subspaces
 from .systems import Evaluation, PointState, SystemSpec, _evaluate_point, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -119,6 +119,14 @@ def _is_equilibrium(f_value: np.ndarray, x: np.ndarray, tols: Tolerances) -> tup
     return residual <= tols.equilibrium * scale, residual
 
 
+def _near_equilibrium(f_norm: float, x, tols: Tolerances, what: str) -> None:
+    """InputError unless ||f|| = f_norm at the point x named what is within
+    10 tols.equilibrium (1 + ||x||): the bound on the start of a fiber trace
+    or a lift and on the points of an eigenvalue loop."""
+    if f_norm > 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x)):
+        raise InputError(f"{what} is not an equilibrium: ||f|| = {f_norm:.3e}")
+
+
 def audit_point(
     sys: SystemSpec, u, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> AuditReport:
@@ -128,12 +136,10 @@ def audit_point(
     Only evaluability is required, not domain membership, so equilibria
     just outside the working region can still be diagnosed.  A PointState
     must be finite, with lambda of length m and x of length n (InputError
-    otherwise).
+    otherwise, as at every evaluation).
     """
     if isinstance(u, Evaluation):
         return _audit(sys, u, tols)[0]
-    finite_vector(u.lam, sys.m, "lambda", "m")
-    finite_vector(u.x, sys.n, "x", "n")
     return _audit(sys, evaluate(sys, u, check_domain=False), tols)[0]
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    InputError, closed_loop, finite_vector, matrix_loop, non_negative_int, positive_float,
-    positive_int, step_bounds, unit_sign, waypoint_path,
+    InputError, closed_loop, cocycle_paths, finite_vector, matrix_loop, non_negative_int,
+    positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
 )
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .systems import SystemSpec, builtin
@@ -231,9 +231,9 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         if paths is None:
             fields["paths"] = None
         else:
-            if not isinstance(paths, (list, tuple)) or len(paths) != 3:
-                raise InputError("'paths' must hold exactly three parameter paths")
-            fields["paths"] = [_waypoints(p, m, f"paths[{i}]", "m") for i, p in enumerate(paths)]
+            fields["paths"] = [
+                _waypoints(p, m, f"paths[{i}]", "m") for i, p in enumerate(cocycle_paths(paths))
+            ]
     elif command == "eigen-loop":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")

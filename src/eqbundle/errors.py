@@ -207,6 +207,18 @@ def waypoint_path(value, length: int, what: str, dim_name: str) -> np.ndarray:
     ])
 
 
+def cocycle_paths(value) -> list:
+    """The entries of a cocycle's paths: a list, tuple or array of exactly
+    three, each still to be checked as a waypoint_path."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = list(value)
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise InputError(
+            "paths must hold exactly three parameter paths (1 -> 2, 2 -> 3, 1 -> 3)"
+        )
+    return list(value)
+
+
 def closed_loop(points, what: str, rel: float = 1e-9) -> None:
     """InputError unless the first and last of points (vectors or matrices)
     agree within rel relative to the first's norm."""

@@ -10,7 +10,8 @@ sequence at once, as lanes of one lockstep kernel, deduplicates by
 clustering and audits only the kept points.  Fibers (k = 1 only) are
 traced by predictor-corrector continuation along the kernel of df/dx.
 The corrector, _correct, is undamped and local, and also corrects the
-steps of transport's lift; newton_lanes is the damped, global solve.
+steps of transport's lift; one rule, _step_rule, retries, accepts or
+grows the steps of both.  newton_lanes is the damped, global solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 # the first find
 import numpy.random
 
-from .audit import AuditReport, audit_point
+from .audit import AuditReport, _near_equilibrium, audit_point
 from .errors import (
     BranchPointError,
     ConvergenceError,
@@ -543,13 +544,26 @@ def enumerate_level_points(
     return points
 
 
-# Iteration cap of _correct.  Its callers treat more than 3 iterations as
-# a sign that the step was too long, so the cap only bounds wasted work.
+# Iteration cap of _correct.  _step_rule retries a step after more than
+# 3 iterations; the cap lets the fiber's boundary bisection take a few more.
 _CORRECTOR_ITERATIONS = 8
 
 # The failures of a _correct lane after which its caller retries from a
 # closer start; any other error of a lane is fatal to it.
 _RETRY = (ConvergenceError, DegeneracyError)
+
+
+def _step_rule(failed, iterations, moved, length) -> tuple:
+    """The fiber tracer's and the lift's one rule on corrected steps, per
+    lane (arrays) or for one step (scalars): (retry, grow).  Retry a step
+    at half length when its correction failed with a _RETRY error, took
+    more than 3 iterations, or landed farther (moved) from the step's
+    start than twice the predictor's length, a jump to another branch.
+    Else accept it, and double the next step up to its cap (grow) when
+    the correction took at most 1 iteration; grow is read on accepted
+    steps only.  A start off its fiber would count its own offset as a
+    move, so the lift corrects its start before the first step."""
+    return failed | (iterations > 3) | (moved > 2.0 * length), iterations <= 1
 
 
 def _corrector_results(y0: np.ndarray, p: int) -> tuple:
@@ -659,15 +673,13 @@ def _slice(sys, lam):
 
 def _correct_slice(fiber_slice, x_pred, tangent, tols):
     """_correct of one lane from x_pred on the fiber's slice there: (y,
-    iterations, residual), or None when a retry may help; a fatal error of
-    the lane is raised."""
+    iterations, residual, failed), failed when a retry may help; a fatal
+    error of the lane is raised."""
     x_pred, tangent = x_pred[None], tangent[None]
     y, iterations, resid, failed = _correct(*fiber_slice, x_pred, tols, x_pred, tangent)
-    if failed:
-        if isinstance(failed[0], _RETRY):
-            return None
+    if failed and not isinstance(failed[0], _RETRY):
         raise failed[0]
-    return y[0], iterations[0], resid[0]
+    return y[0], iterations[0], resid[0], bool(failed)
 
 
 def _fiber_tangent(sys, lam, x, tols, location_note: str):
@@ -696,23 +708,18 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     step = step0
     while len(points) < max_points:
         x = points[-1]
-        advanced = None
-        while step >= min_step:
-            corrected = _correct_slice(fiber_slice, x + step * tangent, tangent, tols)
-            if corrected is None:
-                step *= 0.5
-                continue
-            if np.linalg.norm(corrected[0] - x) > 2.0 * step:
-                # corrector wandered to a different sheet; resolve finer
-                step *= 0.5
-                continue
-            advanced = corrected
-            break
-        if advanced is None:
-            raise ConvergenceError(
-                f"fiber step collapsed below {min_step:.1e} near x = {x.tolist()}"
+        while True:
+            if step < min_step:
+                raise ConvergenceError(
+                    f"fiber step collapsed below {min_step:.1e} near x = {x.tolist()}"
+                )
+            y, iterations, resid, failed = _correct_slice(
+                fiber_slice, x + step * tangent, tangent, tols
             )
-        y, iterations, resid = advanced
+            retry, grow = _step_rule(failed, iterations, np.linalg.norm(y - x), step)
+            if not retry:
+                break
+            step *= 0.5
 
         if not contains(y, slack=0.0):
             boundary = _refine_boundary(sys, fiber_slice, x, tangent, step, tols)
@@ -739,9 +746,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
         points.append(y)
         f_norms.append(float(np.linalg.norm(resid[: sys.n])))
         tangent = new_tangent
-        if iterations > 3:
-            step = max(step * 0.5, min_step)
-        elif iterations <= 1:
+        if grow:
             step = min(step * 2.0, max_step)
     raise ConvergenceError(
         f"fiber trace exceeded {max_points} points without closing or "
@@ -760,12 +765,8 @@ def _refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
     resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        corrected = _correct_slice(fiber_slice, x_inside + mid * tangent, tangent, tols)
-        if corrected is None:
-            hi = mid
-            continue
-        y, _, resid = corrected
-        if contains(y, slack=0.0):
+        y, _, resid, failed = _correct_slice(fiber_slice, x_inside + mid * tangent, tangent, tols)
+        if not failed and contains(y, slack=0.0):
             lo = mid
             best = y, float(np.linalg.norm(resid[: sys.n]))
         else:
@@ -775,12 +776,11 @@ def _refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
 
 def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
     """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift: x0 a
-    finite n-vector, an equilibrium at lam within 10 tols.equilibrium
-    (1 + ||x0||), and inside the domain."""
+    finite n-vector, an equilibrium at lam (_near_equilibrium), and inside
+    the domain."""
     x0 = finite_vector(x0, sys.n, "x0", "n")
     f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
-    if f0 > 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x0)):
-        raise InputError(f"x0 is not an equilibrium: ||f|| = {f0:.3e}")
+    _near_equilibrium(f0, x0, tols, "x0")
     if not sys.domain.contains(x0, slack=tols.domain_slack):
         raise InputError(f"x0 {x0.tolist()} is not in the domain")
     return x0, f0
@@ -800,10 +800,11 @@ def trace_fiber(
     """Trace the connected fiber of {f(lam, .) = 0} through x0 (k = 1 only).
 
     Predictor along the unit kernel vector of df/dx, corrector _correct
-    in the hyperplane orthogonal to the tangent.  A failed or wandering
-    correction is retried at half the step; more than 3 iterations halve
-    the next step, at most 1 doubles it.  Ends either by closing into a
-    circle or by hitting the domain boundary in both directions (segment).
+    in the hyperplane orthogonal to the tangent.  The lift's rule,
+    _step_rule with the step as the predictor's length, retries a step at half
+    length or keeps it and may double the next, up to max_step.  Ends
+    either by closing into a circle or by hitting the domain boundary in
+    both directions (segment).
     The steps default to 0.01, 0.05 and 1e-12 times the domain diameter
     and must satisfy 0 < min_step <= initial_step <= max_step; the
     initial direction is 1 or -1.

@@ -18,13 +18,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .audit import _near_equilibrium
 from .errors import (
     EqBundleError, InputError, ResolutionError, TrackingError, closed_loop, finite_array,
     finite_vector, matrix_loop, non_negative_int, waypoint_path,
 )
 from .finder import newton_lanes
 from .linalg import eigen_dense
-from .systems import PointState, SystemSpec, _evaluate_point, _evaluate_rows
+from .systems import SystemSpec, _evaluate_rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -580,16 +581,12 @@ def eigen_along_fiber_loop(
     closed_loop(points, "loop points")
     max_refine = non_negative_int(max_refine, "max_refine")
 
-    evaluated = _blocks_at(sys, lam, points, ("f", "h", "jac_x"))
-    for i, (x, blocks) in enumerate(zip(points, evaluated)):
-        if isinstance(blocks, EqBundleError):
-            raise blocks
-        residual = float(np.linalg.norm(blocks[0]))
-        scale = 1.0 + float(np.linalg.norm(x))
-        if residual > 10.0 * tols.equilibrium * scale:
-            raise InputError(
-                f"loop point {i} is not an equilibrium: ||f|| = {residual:.3e}"
-            )
+    failed: dict = {}
+    f_values, h_values, matrices = _evaluate_rows(sys, lam, points, ("f", "h", "jac_x"), failed)
+    for i, (x, f_value) in enumerate(zip(points, f_values)):
+        if i in failed:
+            raise failed[i]
+        _near_equilibrium(float(np.linalg.norm(f_value)), x, tols, f"loop point {i}")
 
     def refine(lefts, rights):
         # each midpoint solved at the mean level of its pair, as one lane
@@ -599,34 +596,14 @@ def eigen_along_fiber_loop(
         made = [lanes.error(i) for i in range(len(starts))]
         solved = [i for i, error in enumerate(made) if error is None]
         if solved:
-            x_mid = lanes.x[solved]
-            for i, x, blocks in zip(solved, x_mid, _blocks_at(sys, lam, x_mid, ("h", "jac_x"))):
-                if isinstance(blocks, EqBundleError):
-                    made[i] = blocks
-                else:
-                    made[i] = (x, blocks[0]), blocks[1]
+            x_mid, errors = lanes.x[solved], {}
+            h_mid, jac_mid = _evaluate_rows(sys, lam, x_mid, ("h", "jac_x"), errors)
+            for row, i in enumerate(solved):
+                made[i] = errors.get(row) or ((x_mid[row], h_mid[row]), jac_mid[row])
         return made
 
-    payloads = [(x, h_value) for x, (_, h_value, _) in zip(points, evaluated)]
-    matrices = [jac_x for _, _, jac_x in evaluated]
-    return _track(matrices, payloads, refine, sys.k, None, tols, max_refine)
-
-
-def _blocks_at(sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple) -> list:
-    """Per row of x, the named blocks as _evaluate_point gives them, or the
-    row's EqBundleError: one _evaluate_rows stack, and when it fails one
-    evaluation per row, so that each row keeps its own error."""
-    try:
-        return list(zip(*_evaluate_rows(sys, lam, x, names)))
-    except EqBundleError:
-        pass
-    blocks: list = []
-    for row in x:
-        try:
-            blocks.append(_evaluate_point(sys, PointState(lam, row), names))
-        except EqBundleError as err:
-            blocks.append(err)
-    return blocks
+    payloads = list(zip(points, h_values))
+    return _track(list(matrices), payloads, refine, sys.k, None, tols, max_refine)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EqBundleError, EvaluationError, InputError
+from .errors import EqBundleError, EvaluationError, InputError, finite_vector
 from .linalg import _all_finite
 
 DEFAULT_DOMAIN_SLACK = 1e-9
@@ -408,11 +408,12 @@ def evaluate(
 ) -> Evaluation:
     """Evaluate f, h and all derivative blocks at u = (lam, x).
 
-    Raises InputError when u falls outside the domain or parameter box by
-    more than `slack`, and EvaluationError when any evaluator returns a
-    non-finite value.  Pointwise diagnostics that only need evaluability
-    (not domain membership) pass check_domain=False to skip the domain
-    and parameter box tests.
+    Raises InputError when lam or x is not a finite vector of length m or
+    n, or u falls outside the domain or parameter box by more than `slack`,
+    and EvaluationError when any evaluator returns a non-finite value.
+    Pointwise diagnostics that only need evaluability (not domain
+    membership) pass check_domain=False to skip the domain and parameter
+    box tests.
     """
     return Evaluation(
         u,
@@ -423,13 +424,11 @@ def evaluate(
 
 def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, slack=None) -> tuple:
     """The named blocks at the one point u, as _evaluate_rows computes them.
-    Raises InputError when lam or x has the wrong length and, unless slack
-    is None, when u falls outside the parameter box or domain by more."""
-    lam, x = u.lam, u.x
-    if lam.size != sys.m:
-        raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
-    if x.size != sys.n:
-        raise InputError(f"x has length {x.size}, expected n = {sys.n}")
+    Raises InputError unless lam and x are finite vectors of lengths m and
+    n and, unless slack is None, when u falls outside the parameter box or
+    domain by more."""
+    lam = finite_vector(u.lam, sys.m, "lambda", "m")
+    x = finite_vector(u.x, sys.n, "x", "n")
     if slack is not None:
         pb = sys.parameter_box
         if np.any(lam < pb[:, 0] - slack) or np.any(lam > pb[:, 1] + slack):
@@ -439,13 +438,18 @@ def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, slack=None) ->
     return tuple(block[0] for block in _evaluate_rows(sys, lam, x[None, :], names))
 
 
-def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple) -> tuple:
+def _evaluate_rows(
+    sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple, errors=None
+) -> tuple:
     """The blocks named in `names`, a subsequence of _BLOCKS, at every row of
     the stack x, one stacked call per block; lam is shared or has a row per
-    row of x.  Blocks not named are not computed.  Raises the error of the
-    first row where one fails: per row, the first failing named block, in
-    block order, fails with its own error or as non-finite."""
-    errors: dict = {}
+    row of x.  Blocks not named are not computed.  A row fails with the
+    error _evaluate_point raises there: the first failing named block, in
+    block order, fails with its own error or as non-finite.  Each failed
+    row's error is stored under the row in errors, or, when errors is None,
+    the first row's is raised."""
+    raising = errors is None
+    errors = {} if raising else errors
 
     def checked(label, values):
         for row in np.flatnonzero(~_finite_rows(values)):
@@ -466,7 +470,7 @@ def _evaluate_rows(sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple
         "hess_h": lambda: sys.hess_h(x, errors),
     }
     blocks = tuple(checked(name, compute[name]()) for name in names)
-    if errors:
+    if raising and errors:
         raise errors[min(errors)]
     return blocks
 

@@ -33,6 +33,7 @@ from .errors import (
     InputError,
     TransportError,
     closed_loop,
+    cocycle_paths,
     finite_array,
     finite_vector,
     step_bounds,
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .finder import (
     _RETRY, _continuation_start, _correct, _in_domain_rows, _lane_norm, _level_set,
-    enumerate_level_points,
+    _step_rule, enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, evaluate
@@ -334,12 +335,13 @@ def lift_lanes(
     Each lane integrates the lifting system A(t) gamma' = b(t) by classical
     RK4 and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
     finder._correct.  On each segment of its path a lane starts with the
-    step initial_fraction of the segment.  A step is rejected and halved
-    when the projection fails or needs more than 3 iterations, and the
-    next one is doubled, up to max_fraction, when it needs at most one.  A
-    step below min_fraction, a rank-deficient lifting system or a
-    projected point outside the domain ends the lane with a
-    TransportError.
+    step initial_fraction of the segment.  The fiber tracer's rule,
+    finder._step_rule with the RK4 increment as the predictor, retries a
+    step at half length or keeps it and may double the next, up to
+    max_fraction; a start that misses the corrector's tolerance is first
+    projected the same way (gamma still starts at x0).  A step below
+    min_fraction, a rank-deficient lifting system or a projected point
+    outside the domain ends the lane with a TransportError.
 
     The lanes advance in lockstep: each RK4 stage makes one stacked
     jac_x/jac_h/jac_lambda call and one batched SVD solve for all running
@@ -379,6 +381,11 @@ def lift_lanes(
     lam_from = np.array([lane.path[0] for lane in lanes]).reshape(-1, sys.m)
     lam_dot = np.array([lane.path[1] - lane.path[0] for lane in lanes]).reshape(-1, sys.m)
     a0 = np.array([lane.a0 for lane in lanes]).reshape(-1, sys.k)
+    # every step starts at a corrector output; a start whose projection
+    # fails is kept, and the loop meets its error
+    off = np.flatnonzero([lane.max_f for lane in lanes] > tols.newton * (1.0 + _lane_norm(x)))
+    if off.size:
+        x[off] = _correct(residual, jacobian, x[off], tols, lam_from[off], a0[off])[0]
     while lanes:
         # a failure before the corrector ends its lane, drops the rows
         # after it and reruns the round for the rows before it, which
@@ -419,17 +426,16 @@ def lift_lanes(
         y, iterations, resid, errors = _correct(
             residual, jacobian, candidate, tols, lam_next, a0
         )
-        # a lane whose projection failed or took more than 3 iterations
-        # retries at half the step; the others took it, if it stayed inside
-        taken = [
-            row for row, its in enumerate(iterations) if its <= 3 and row not in errors
-        ]
-        inside, raised = _in_domain_rows(
-            sys, y if len(taken) == len(lanes) else y[taken], domain_slack
+        # finder's step rule; the lanes it does not retry took the step, if
+        # it stayed inside
+        retry, grow = _step_rule(
+            np.isin(np.arange(len(lanes)), list(errors)), np.array(iterations),
+            _lane_norm(y - x), _lane_norm(candidate - x),
         )
-        outside = {}    # row: the error its domain test raised, or None
-        if np.count_nonzero(inside) < len(taken):
-            outside = {taken[i]: raised.get(i) for i in np.flatnonzero(~inside)}
+        taken = np.flatnonzero(~retry)
+        inside, raised = _in_domain_rows(sys, y[taken], domain_slack)
+        # row: the error its domain test raised, or None
+        outside = {taken[i]: raised.get(i) for i in np.flatnonzero(~inside)}
         # the corrector's residual at y: [f(lam_next, y); h(y) - a0]
         norm_f = _lane_norm(resid[:, :n])
         norm_drift = _lane_norm(resid[:, n:])
@@ -445,7 +451,7 @@ def lift_lanes(
                     f"lift exited the domain at x = {y[row].tolist()}", t=lane.t(lane.ds)
                 )
                 break
-            if err is not None or iterations[row] > 3:
+            if retry[row]:
                 lane.ds *= 0.5
                 going.append(row)
                 continue
@@ -456,7 +462,7 @@ def lift_lanes(
             lane.max_drift = max(lane.max_drift, float(norm_drift[row]))
             lane.steps += 1
             lane.s += lane.ds
-            if iterations[row] <= 1:
+            if grow[row]:
                 lane.ds = min(2.0 * lane.ds, max_fraction)
             if not lane.s < 1.0 - 1e-14:
                 lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
@@ -465,11 +471,7 @@ def lift_lanes(
                 start = lane.path[lane.seg]
                 lam_from[row], lam_dot[row] = start, lane.path[lane.seg + 1] - start
             going.append(row)
-        if len(taken) < len(lanes):
-            retry = np.ones(len(lanes), dtype=bool)
-            retry[taken] = False
-            y = np.where(retry[:, None], x, y)
-        x = y
+        x = np.where(retry[:, None], x, y)
         if len(going) < len(lanes):
             lanes = [lanes[row] for row in going]
             x, lam_from, lam_dot, a0 = (v[going] for v in (x, lam_from, lam_dot, a0))
@@ -560,16 +562,11 @@ def check_cocycle(
     l3 = finite_vector(lambda3, sys.m, "lambda3", "m")
     if paths is None:
         paths = (np.array([l1, l2]), np.array([l2, l3]), np.array([l1, l3]))
-    if len(paths) != 3:
-        raise InputError("paths must be (path_1_to_2, path_2_to_3, path_1_to_3)")
-    p12 = waypoint_path(paths[0], sys.m, "path_1_to_2", "m")
-    p23 = waypoint_path(paths[1], sys.m, "path_2_to_3", "m")
-    p13 = waypoint_path(paths[2], sys.m, "path_1_to_3", "m")
-    for path, start, end, name in (
-        (p12, l1, l2, "path_1_to_2"),
-        (p23, l2, l3, "path_2_to_3"),
-        (p13, l1, l3, "path_1_to_3"),
-    ):
+    names = ("path_1_to_2", "path_2_to_3", "path_1_to_3")
+    p12, p23, p13 = (
+        waypoint_path(path, sys.m, name, "m") for path, name in zip(cocycle_paths(paths), names)
+    )
+    for path, start, end, name in zip((p12, p23, p13), (l1, l2, l1), (l2, l3, l3), names):
         if np.linalg.norm(path[0] - start) > 1e-9 or np.linalg.norm(path[-1] - end) > 1e-9:
             raise InputError(f"{name} does not connect its declared endpoints")
 

@@ -1,0 +1,99 @@
+"""Golden envelopes: one CLI run per file, compared by tests/test_golden.py.
+
+Each entry of CONFIGS is a raw config; its golden file <name>.json holds
+the envelope that `eqbundle <command> --config <file>` prints for it.
+Rewriting a golden file is a deliberate output change, to be logged in
+CHANGES.md with the fields that moved.
+
+Usage: PYTHONPATH=src python tests/golden/regenerate.py [name ...]
+(every entry when no name is given).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from eqbundle.cli import main
+
+GOLDEN = os.path.dirname(os.path.abspath(__file__))
+
+
+def _ring(n: int) -> dict:
+    """The rfmr(n) ring declared as expressions."""
+    f = [
+        f"l{(i - 1) % n + 1}*x{(i - 1) % n + 1}*(1-x{i + 1})"
+        f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % n + 1})"
+        for i in range(n)
+    ]
+    return {"declaration": {
+        "n": n, "m": n, "k": 1, "f": f,
+        "h": ["+".join(f"x{i + 1}" for i in range(n))],
+        "domain_box": [[0.0, 1.0]] * n, "name": f"ring{n}",
+    }}
+
+
+RFMR3 = {"builtin": "rfmr", "n": 3}
+
+CONFIGS = {
+    "trace-fiber-planar": {
+        "system": {"builtin": "planar"}, "command": "trace-fiber",
+        "lambda": [0.5], "x0": [-0.455, 0.3],
+    },
+    "trace-fiber-rfmr3": {
+        "system": RFMR3, "command": "trace-fiber",
+        "lambda": [1.5] * 3, "x0": [0.4] * 3,
+    },
+    "transport-rfmr3": {
+        "system": RFMR3, "command": "transport",
+        "path": [[1.2] * 3, [2.0, 1.0, 1.6], [1.2] * 3], "x0": [0.4] * 3,
+    },
+    "transport-ring3": {
+        "system": _ring(3), "command": "transport",
+        "path": [[1.2] * 3, [2.0, 1.0, 1.6], [1.2] * 3], "x0": [0.4] * 3,
+    },
+    "holonomy-example2": {
+        "system": {"builtin": "example2"}, "command": "holonomy",
+        "loop": [[1.0], [2.5], [1.0]], "level": [2.0, 6.125], "budget": 32,
+    },
+    "cocycle-rfmr3": {
+        "system": RFMR3, "command": "cocycle",
+        "lambda1": [1.5] * 3, "lambda2": [2.0, 1.0, 2.5], "lambda3": [0.8, 1.7, 1.2],
+        "x0": [0.4] * 3,
+    },
+    "eigen-loop-rfmr3": {
+        "system": RFMR3, "command": "eigen-loop",
+        "lambda": [1.5] * 3,
+        "loop_points": [[c] * 3 for c in (0.15, 0.275, 0.4, 0.275, 0.15)],
+    },
+}
+
+
+def envelope(name: str) -> str:
+    """The envelope text that the CLI prints for CONFIGS[name]; it must exit 0."""
+    raw = CONFIGS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as handle:
+            json.dump(raw, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([raw["command"], "--config", path])
+    if code != 0:
+        raise RuntimeError(f"{name}: exit {code}\n{out.getvalue()}")
+    return out.getvalue()
+
+
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or CONFIGS:
+        with open(golden_path(name), "w") as handle:
+            handle.write(envelope(name))
+        print(f"wrote {golden_path(name)}")

@@ -11,6 +11,7 @@ from eqbundle.audit import (
 )
 from eqbundle.errors import InputError
 from eqbundle.systems import PointState, evaluate
+from eqbundle.transport import connection_frame, metric_g
 
 from conftest import count_calls
 
@@ -204,3 +205,25 @@ def test_audit_point_takes_one_svd_of_df_dx(monkeypatch, rfmr3, example2):
         svds.clear()
         audit_point(sys, u)
         assert len(svds) == 4
+
+
+NON_FINITE_ENTRIES = {
+    "evaluate": lambda sys, u: evaluate(sys, u, check_domain=False),
+    "connection_frame": connection_frame,
+    "metric_g": lambda sys, u: metric_g(sys, u, np.zeros(3), np.zeros(3)),
+    "check_structural_identity": check_structural_identity,
+    "audit_manifold_dimension": lambda sys, u: audit_manifold_dimension(sys, [u]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRIES))
+@pytest.mark.parametrize("lam, x, message", [
+    ([0.5], [np.nan, 0.0], "x must be an array of finite numbers"),
+    ([0.5], [0.0, -np.inf], "x must be an array of finite numbers"),
+    ([np.nan], [0.0, 0.0], "lambda must be an array of finite numbers"),
+])
+def test_every_point_entry_rejects_a_non_finite_point(planar, entry, lam, x, message):
+    # the point is rejected before f is evaluated there, which would raise
+    # EvaluationError
+    with pytest.raises(InputError, match=message):
+        NON_FINITE_ENTRIES[entry](planar, PointState(lam, x))

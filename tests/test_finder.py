@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqbundle import builtin
+from eqbundle import builtin, finder
 from eqbundle.errors import (
     BranchPointError,
     ConvergenceError,
@@ -313,3 +313,26 @@ def test_cluster_representatives_match_the_sorted_loop(data):
     converged = rng.random(count) < 0.8
     kept = _cluster_representatives(x, quality, converged, radius)
     assert [int(i) for i in kept] == sorted_loop_representatives(x, quality, converged, radius)
+
+
+def test_trace_retries_a_step_that_needs_more_than_3_iterations(monkeypatch, rfmr3):
+    # with steps of 0.3 d one correction on this fiber of level 1.5 takes 4
+    # iterations; that step is retried at half length, as in the lift, so
+    # no kept step took more than 3 (the boundary bisection may)
+    made = {}
+    correct = finder._correct
+
+    def recorded(residual, jacobian, y0, tols, *lane_args):
+        out = correct(residual, jacobian, y0, tols, *lane_args)
+        made.setdefault(out[0][0].tobytes(), []).append(out[1][0])
+        return out
+
+    monkeypatch.setattr(finder, "_correct", recorded)
+    d = rfmr3.domain.diameter()
+    x0 = [0.6804283510948735, 0.378412903358974, 0.4411587455461525]
+    trace = trace_fiber(rfmr3, [1.0, 2.0, 3.0], x0, initial_step=0.3 * d, max_step=0.3 * d)
+    assert trace.topology == "segment"
+    assert any(4 in iterations for iterations in made.values())
+    steps = [made[p.tobytes()] for p in trace.points[1:-1] if p.tobytes() in made]
+    assert len(steps) == len(trace.points) - 3      # all but the ends and x0
+    assert all(max(iterations) <= 3 for iterations in steps)

@@ -49,6 +49,7 @@ TWO = "needs at least two waypoints"
 STEPS = r"step bounds must be finite with 0 < min_step <= initial_step <= max_step"
 FRACTIONS = "0 < min_fraction <= initial_fraction <= max_fraction"
 INTEGER = "must be an integer"
+PATHS = "paths must hold exactly three parameter paths"
 
 # (base, overrides, message): the message is a regex that the config's and
 # the library's error both match
@@ -111,6 +112,10 @@ CASES = [
     ("track-matrix-loop", {"max_refine": -1}, "max_refine must be non-negative"),
     ("track-matrix-loop", {"k": 1.5}, f"k {INTEGER}"),
     ("track-matrix-loop", {"k": 3}, "k = 3 is out of range for 2 x 2 matrices"),
+    # cocycle's three paths
+    ("cocycle", {"paths": 5}, PATHS),
+    ("cocycle", {"paths": "abc"}, PATHS),
+    ("cocycle", {"paths": [[[0.5], [0.7]], [[0.7], [0.9]]]}, PATHS),
 ]
 
 

@@ -15,7 +15,7 @@ from eqbundle import builtin, finder, transport
 from eqbundle.errors import EqBundleError, InputError, TransportError
 from eqbundle.expr import build_system_from_config
 from eqbundle.finder import _lane_norm, newton_on_level_set
-from eqbundle.systems import SystemSpec
+from eqbundle.systems import Domain, SystemSpec
 from eqbundle.tolerances import DEFAULT_TOLERANCES
 from eqbundle.transport import check_cocycle, holonomy_loop, lift_curve, lift_lanes
 
@@ -42,6 +42,35 @@ def two_roots() -> SystemSpec:
         f=f, h=lambda x: x[..., [1]],
         domain=PLANAR.domain,
         parameter_box=np.array([[0.1, 4.0]]),
+        batched=True,
+    )
+
+
+STEP_CENTRE, STEP_SHARPNESS, STEP_HEIGHT = 1.0123, 2000.0, 0.3
+
+
+def step_root(lam: float) -> float:
+    return STEP_HEIGHT * np.tanh(STEP_SHARPNESS * (lam - STEP_CENTRE))
+
+
+def step_system() -> SystemSpec:
+    """f1 = x1 - 0.3 tanh(2000 (lam - 1.0123)), f2 = 0, h = x2: one
+    equilibrium per level, which jumps by 0.6 across lam = 1.0123 within a
+    width of about 1e-3.  An RK4 step whose stages all miss that width
+    predicts no move, and its correction lands 0.6 away in one iteration."""
+
+    def f(lam, x):
+        out = np.zeros(x.shape)
+        out[..., 0] = x[..., 0] - STEP_HEIGHT * np.tanh(
+            STEP_SHARPNESS * (lam[..., 0] - STEP_CENTRE)
+        )
+        return out
+
+    return SystemSpec(
+        name="step", n=2, m=1, k=1,
+        f=f, h=lambda x: x[..., [1]],
+        domain=Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 2.0]]),
         batched=True,
     )
 
@@ -90,22 +119,29 @@ def planar_lane(draw, far=1.0):
 
 
 @st.composite
+def step_lane(draw):
+    # paths in [0.5, 1.5], most of them across the jump
+    lams = [draw(st.floats(0.5, 1.5)) for _ in range(draw(st.integers(2, 3)))]
+    return [[v] for v in lams], [step_root(lams[0]), draw(st.floats(-0.9, 0.9))]
+
+
+@st.composite
 def failing_lane(draw, name):
     """A lane that fails: off its equilibrium (validation), or on planar a
     path that drives it out of the unit disk."""
     if name == "planar" and draw(st.booleans()):
         y = draw(st.floats(-0.5, 0.5))
         return [[0.5], [draw(st.floats(2.5, 4.0))]], [0.5 * (y * y - 1.0), y]
-    good = {"rfmr3": rfmr_lane, "example2": example2_lane, "planar": planar_lane}[name]
-    path, x0 = draw(good())
+    path, x0 = draw(SYSTEMS[name][1]())
     return path, np.asarray(x0) + np.array([0.25, -0.1, 0.0])[: len(x0)]
 
 
+# the step system's lanes retry the steps that jump (step_system)
 SYSTEMS = {"rfmr3": (RFMR3, rfmr_lane), "example2": (EXAMPLE2, example2_lane),
-           "planar": (PLANAR, planar_lane)}
+           "planar": (PLANAR, planar_lane), "step": (step_system(), step_lane)}
 
 
-@settings(settings.get_profile("derandomized"), max_examples=20)
+@settings(settings.get_profile("derandomized"), max_examples=27)
 @given(data=st.data())
 def test_lanes_equal_lone_lifts(data):
     name = data.draw(st.sampled_from(sorted(SYSTEMS)))
@@ -131,6 +167,55 @@ def test_lanes_equal_lone_lifts(data):
         if first:
             ahead = lift_lanes(sys, paths[:first], starts[:first], tols)
             assert all(same_result(a, b) for (a, _), b in zip(alone, ahead))
+
+
+def test_lift_retries_a_step_that_lands_far_beyond_its_increment(monkeypatch):
+    # the first step across the jump has an RK4 increment of 0 and a
+    # correction that moves 0.6: it is retried, every kept step lands
+    # within twice its increment, and the lift still ends on the root
+    sys = step_system()
+    made = []       # per projection: (lambda, RK4 candidate, corrected point)
+    correct = transport._correct
+
+    def recorded(residual, jacobian, y0, tols, lam_next, a0):
+        out = correct(residual, jacobian, y0, tols, lam_next, a0)
+        made.append((lam_next[0].tobytes(), y0[0], out[0][0].tobytes()))
+        return out
+
+    monkeypatch.setattr(transport, "_correct", recorded)
+    result = lift_curve(sys, [[0.5], [1.5]], [step_root(0.5), 0.2])
+    # lambda rises along the path, so the projection that made step i is
+    # the first one after step i - 1's at lambda_path[i + 1] and gamma[i + 1]
+    kept, step = [], 0
+    for lam, candidate, y in made:
+        if (lam, y) == (result.lambda_path[step + 1].tobytes(), result.gamma[step + 1].tobytes()):
+            kept.append(candidate)
+            step += 1
+    assert step == result.steps_taken
+    for start, candidate, end in zip(result.gamma, kept, result.gamma[1:]):
+        assert np.linalg.norm(end - start) <= 2.0 * np.linalg.norm(candidate - start)
+    assert len(made) > step             # the steps across the jump were retried
+    assert abs(result.gamma[-1][0] - step_root(1.5)) < 1e-12
+
+
+@pytest.mark.parametrize("name, path, x0, end, tolerances", [
+    # example2's equilibria do not move with lambda; planar's do not on
+    # the path's first, constant segment
+    ("example2", [[1.0], [2.5], [1.0]], [0.5, 1.0, 0.5 + 5e-10], [0.5, 1.0, 0.5], {}),
+    ("planar", [[0.5], [0.5], [0.9]], [-0.455 + 5e-9, 0.3], [-0.819, 0.3], {}),
+    # the loop ends on the equilibrium of x0's own level set h = h(x0)
+    ("example2", [[1.0], [2.5], [1.0]], [0.5, 1.0, 0.5 + 1e-6], [0.500001, 0.9999995, 0.500001],
+     {"equilibrium": 1e-6}),
+    ("example2", [[1.0], [2.5], [1.0]], [0.5, 1.0, 0.5 + 5e-10], [0.5, 1.0, 0.5],
+     {"cluster": 1e-12}),
+])
+def test_a_start_just_off_its_equilibrium_still_lifts(name, path, x0, end, tolerances):
+    # the start's offset, up to what its equilibrium bound allows, is
+    # corrected before the first step, whose RK4 increment is (near) zero:
+    # no step lands farther than twice that, so none is retried to collapse
+    tols = dataclasses.replace(DEFAULT_TOLERANCES, **tolerances)
+    result = lift_curve(builtin(name), path, x0, tols)
+    assert np.allclose(result.gamma[-1], end, rtol=0.0, atol=1e-8)
 
 
 def test_lane_norm_is_the_lone_norm():
