@@ -122,8 +122,9 @@ def _is_equilibrium(f_value: np.ndarray, x: np.ndarray, tols: Tolerances) -> tup
 def _near_equilibrium(f_norm: float, x, tols: Tolerances, what: str) -> None:
     """InputError unless ||f|| = f_norm at the point x named what is within
     10 tols.equilibrium (1 + ||x||): the bound on the start of a fiber trace
-    or a lift and on the points of an eigenvalue loop."""
-    if f_norm > 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x)):
+    or a lift and on the points of an eigenvalue loop.  A NaN ||f|| is no
+    equilibrium."""
+    if not f_norm <= 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x)):
         raise InputError(f"{what} is not an equilibrium: ||f|| = {f_norm:.3e}")
 
 

@@ -171,7 +171,7 @@ def run_config(config: RunConfig):
         return report.as_dict(), None
     if command == "track-matrix-loop":
         report = track_matrix_loop(
-            [np.asarray(m) for m in fields["matrices"]],
+            np.asarray(fields["matrices"]),
             k=fields["k"],
             tol_zero=fields["tol_zero"],
             tols=tols,

@@ -171,13 +171,13 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         matrices, fields["k"] = matrix_loop(
             _require(data, "matrices", command), data.get("k", default_k)
         )
-        size = len(matrices[0])
+        size = matrices.shape[1]
         if system is not None and size != system.n:
             raise InputError(
                 f"dimension mismatch: matrices are {size} x {size}, "
                 f"the system has n = {system.n}"
             )
-        fields["matrices"] = [mat.tolist() for mat in matrices]
+        fields["matrices"] = matrices.tolist()
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
         fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")

@@ -229,15 +229,36 @@ def closed_loop(points, what: str, rel: float = 1e-9) -> None:
 
 
 def matrix_loop(value, k) -> tuple:
-    """(matrices, k): at least two finite n x n float arrays, the first and
-    last within 1e-12 relative (closed_loop), and k with 0 <= k <= n."""
+    """(matrices, k): a float stack (W, n, n) of W >= 2 finite matrices,
+    the first and last within 1e-12 relative (closed_loop), and k with
+    0 <= k <= n.  The loop is checked as one array; a loop that fails that
+    check is checked matrix by matrix, which names the first bad one."""
     entries = _entries(value, "a matrix loop", "matrices")
-    mats = [finite_array(entry, f"matrix {i}") for i, entry in enumerate(entries)]
-    n = len(mats[0]) if mats[0].ndim == 2 else -1
-    if any(mat.shape != (n, n) for mat in mats):
-        raise InputError("all loop matrices must be square with equal shape")
+    try:
+        mats = finite_array(entries, "a matrix loop")
+    except InputError:
+        mats = None
+    stacked = (
+        mats is not None and mats.ndim == 3 and mats.shape[1] == mats.shape[2]
+        and not _boolean_entry(entries, mats)
+    )
+    if not stacked:
+        mats = [finite_array(entry, f"matrix {i}") for i, entry in enumerate(entries)]
+        n = len(mats[0]) if mats[0].ndim == 2 else -1
+        if any(mat.shape != (n, n) for mat in mats):
+            raise InputError("all loop matrices must be square with equal shape")
+        mats = np.array(mats)
+    n = mats.shape[1]
     closed_loop(mats, "matrices", 1e-12)
     k = non_negative_int(k, "k")
     if k > n:
         raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
     return mats, k
+
+
+def _boolean_entry(entries: list, stack: np.ndarray) -> bool:
+    """Whether an entry that finite_array rejects alone, as a boolean array,
+    hides in the numeric stack of the loop: only a matrix of zeros and ones
+    can be one."""
+    binary = ((stack == 0.0) | (stack == 1.0)).all(axis=(1, 2))
+    return any(np.asarray(entries[i]).dtype.kind == "b" for i in np.flatnonzero(binary))

@@ -41,7 +41,7 @@ from .errors import (
     unit_sign,
 )
 from .linalg import _all_finite, _solve_rows, kernel_basis, numeric_rank
-from .systems import PointState, SystemSpec, _rows, evaluate
+from .systems import PointState, SystemSpec, _in_domain_rows, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -195,25 +195,6 @@ def _lane_norm(v: np.ndarray) -> np.ndarray:
     lone vector is the square root of a BLAS dot, which a pairwise sum of
     squares does not always reproduce; vecdot makes that dot per row."""
     return np.sqrt(np.vecdot(v, v))
-
-
-def _in_domain_rows(sys: SystemSpec, x: np.ndarray, slack: float):
-    """sys.domain.contains(row, slack) at every row of x, as (inside, errors
-    {row: EqBundleError}): one vectorized test on a batched spec, and row by
-    row otherwise, where a constraint may raise."""
-    domain = sys.domain
-    if not sys.batched:
-        errors: dict = {}
-        inside = _rows(
-            lambda _, y: domain.contains(y, slack), np.zeros(0), x, (), False, errors
-        )
-        return inside == 1.0, errors
-    inside = np.logical_and.reduce(
-        (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
-    )
-    for g in domain.constraints:
-        inside &= g(x) <= slack
-    return inside, {}
 
 
 def _level_set(sys: SystemSpec) -> tuple:

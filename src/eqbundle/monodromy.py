@@ -13,6 +13,7 @@ imaginary-axis crossing counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -182,6 +183,17 @@ def _chord_distance_to_origin(a: complex, b: complex) -> float:
     return abs(a + t * d)
 
 
+def _chord_clears(start: np.ndarray, end: np.ndarray, step: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Whether each chord, given by the moduli of its ends and its length,
+    stays farther than tol from 0 by the bound dist(0, [a, b]) >=
+    max(|a|, |b|) - |b - a|, with a relative margin of 1e-12 (and an
+    absolute one of the smallest normal float) far above the rounding of
+    the moduli and of _chord_distance_to_origin, so a cleared chord is one
+    that _chord_distance_to_origin puts above tol."""
+    return np.maximum(start, end) * (1.0 - 1e-12) - step * (1.0 + 1e-12) > tol + _TINY
+
+
 def assignment(cost: np.ndarray) -> np.ndarray:
     """Columns of a minimum-cost perfect matching of a square cost matrix.
 
@@ -194,12 +206,18 @@ def assignment(cost: np.ndarray) -> np.ndarray:
     Crouse (IEEE TAES 52(4), 2016) runs with the reference's tie rules:
     the unscanned columns are scanned from the last one down, with the
     scanned one replaced by the last, and among equally short paths one
-    that reaches a free column wins.
+    that reaches a free column wins.  A 2 x 2 cost without NaN or -inf
+    skips both: _two_rows is that solver unrolled for two rows.
     """
     cost = np.asarray(cost, dtype=float)
     p = cost.shape[0]
     if cost.shape != (p, p):
         raise InputError(f"expected a square cost matrix, got shape {cost.shape}")
+    if p == 2:
+        (a, b), (c, d) = cost.tolist()
+        # a cost with NaN or -inf is left to the certificate and its check
+        if -math.inf < a and -math.inf < b and -math.inf < c and -math.inf < d:
+            return np.array(_two_rows(a, b, c, d), dtype=np.intp)
     cols = cost.argmin(axis=1)
     # p entries equal their row's minimum exactly when every row minimum is
     # attained once; a NaN row never counts
@@ -211,6 +229,26 @@ def assignment(cost: np.ndarray) -> np.ndarray:
     if np.isnan(cost).any() or (cost == -np.inf).any():
         raise InputError("cost matrix contains NaN or -inf")
     return np.array(_shortest_augmenting_paths(cost.tolist()), dtype=np.intp)
+
+
+def _two_rows(a: float, b: float, c: float, d: float) -> tuple:
+    """_shortest_augmenting_paths on the cost [[a, b], [c, d]] (no NaN or
+    -inf), unrolled: its comparisons, in its scan order, on the reduced
+    costs it forms, so ties and near ties go the same way."""
+    if a <= b:                      # row 0 takes column 0, then row 1 ...
+        if c < d:                   # ... reaches it too, and row 0 moves on
+            moved = c + b - a       # row 0's reduced cost of column 1
+            cols, last = ((1, 0) if moved < d else (0, 1)), min(moved, d)
+        else:
+            cols, last = (0, 1), d
+    elif c <= d:                    # row 0 takes column 1, row 1 column 0
+        cols, last = (1, 0), c
+    else:                           # row 1 reaches column 1 too, row 0 moves on
+        moved = d + a - b
+        cols, last = ((0, 1) if moved < c else (1, 0)), min(moved, c)
+    if min(a, b) == math.inf or last == math.inf:
+        raise InputError("cost matrix admits no finite matching")
+    return cols
 
 
 def _shortest_augmenting_paths(cost: list) -> list:
@@ -360,11 +398,12 @@ class _LoopTracker:
         self.max_refine = max_refine
         self.midpoints: dict = {}  # (left, right) -> _Sample or EqBundleError
         self.values = base.copy()
+        self.moduli = np.abs(base)
         self.previous = base.copy()  # two-point history for extrapolation
         self.accumulated = np.zeros(base.size)
         self.crossings = np.zeros(base.size, dtype=int)
-        self.last_sign = np.sign(base.real).astype(int)
-        self.min_distance = float(np.min(np.abs(base)))
+        self.last_sign = np.sign(base.real)
+        self.min_distance = float(self.moduli.min())
         self.samples_used = 1
         self.flags: list[str] = []
 
@@ -406,15 +445,17 @@ class _LoopTracker:
         cost = np.abs(predicted[:, None] - candidates[None, :])
         return candidates[assignment(cost)]
 
-    def accept(self, matched: np.ndarray, dargs: np.ndarray) -> None:
+    def accept(self, matched: np.ndarray, moduli: np.ndarray, dargs: np.ndarray,
+               nearest: float) -> None:
         self.accumulated += dargs
         self.previous = self.values
         self.values = matched
-        self.min_distance = min(self.min_distance, float(np.min(np.abs(matched))))
+        self.moduli = moduli
+        self.min_distance = min(self.min_distance, nearest)
         # a sign of 0 (on the axis) neither counts nor resets the last sign
-        signs = np.sign(matched.real).astype(int)
+        signs = np.sign(matched.real)
         self.crossings += signs * self.last_sign < 0
-        self.last_sign = np.where(signs != 0, signs, self.last_sign)
+        self.last_sign = np.where(signs != 0.0, signs, self.last_sign)
         self.samples_used += 1
 
     def advance(self, left: _Sample, right: _Sample, depth: int,
@@ -425,18 +466,20 @@ class _LoopTracker:
         if right.unreliable:
             self.flag_once("unreliable zero/nonzero split encountered along the loop")
         matched = self.match(right.nonzeros)
-        small = np.abs(matched) <= self.tol_zero
-        if np.any(small):
-            idx = int(np.argmax(small))
+        moduli = np.abs(matched)
+        nearest = float(moduli.min())
+        if nearest <= self.tol_zero:
+            idx = int((moduli <= self.tol_zero).argmax())
             raise TrackingError(
                 f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
                 f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
                 segment=segment,
             )
-        dargs = np.angle(matched * np.conj(self.values))
-        movement = float(np.max(np.abs(matched - self.values)))
-        needs_refine = np.any(np.abs(dargs) >= 0.5 * np.pi) or movement > 0.5 * right.min_gap
-        if needs_refine and depth < self.max_refine:
+        turns = matched * self.values.conj()
+        dargs = np.arctan2(turns.imag, turns.real)     # np.angle's arithmetic
+        steps = np.abs(matched - self.values)
+        turned = float(np.abs(dargs).max()) >= 0.5 * np.pi
+        if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
             # a refiner that cannot produce a midpoint (e.g. Newton hits a
             # singular point between the samples) degrades to the coarse step,
             # whose certification below reports what actually went wrong
@@ -447,22 +490,25 @@ class _LoopTracker:
                 self.advance(left, mid, depth + 1, segment)
                 self.advance(mid, right, depth + 1, segment)
                 return
-        # accepting this increment as-is: certify it first
-        for i in range(matched.size):
-            if _chord_distance_to_origin(complex(self.values[i]),
-                                         complex(matched[i])) <= self.tol_zero:
-                raise TrackingError(
-                    f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
-                    f"within tol_zero = {self.tol_zero:.3e} of the origin",
-                    segment=segment,
-                )
-        if np.any(np.abs(dargs) >= 0.5 * np.pi):
+        # accepting this increment as-is: certify it first, exactly for
+        # the tracks whose chord the modulus bound does not clear
+        cleared = _chord_clears(self.moduli, moduli, steps, self.tol_zero)
+        if not cleared.all():
+            for i in np.flatnonzero(~cleared).tolist():
+                if _chord_distance_to_origin(complex(self.values[i]),
+                                             complex(matched[i])) <= self.tol_zero:
+                    raise TrackingError(
+                        f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
+                        f"within tol_zero = {self.tol_zero:.3e} of the origin",
+                        segment=segment,
+                    )
+        if turned:
             raise ResolutionError(
                 "eigenvalue tracking could not certify an argument increment "
                 f"below pi/2 after {self.max_refine} refinement levels",
                 segment=segment,
             )
-        self.accept(matched, dargs)
+        self.accept(matched, moduli, dargs, nearest)
 
 
 def _blend_matrices(lefts: list, rights: list) -> list:

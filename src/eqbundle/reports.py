@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -33,8 +34,70 @@ __all__ = [
 
 def canonical_json(payload: dict) -> str:
     """Serialize to deterministic JSON: sorted keys, 2-space indent,
-    trailing newline, non-finite numbers rejected."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    trailing newline, non-finite numbers rejected.
+
+    The text is byte for byte json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n".  Dicts with str keys, lists, tuples and JSON
+    scalars are walked here with the stdlib's own scalar encoders; anything
+    else (a NaN or inf, a key that is not a str, a type JSON lacks, a
+    cycle) is left to json.dumps, which raises its ValueError or TypeError.
+    """
+    try:
+        return _encode(payload, "\n") + "\n"
+    except (_Unwalked, TypeError, RecursionError):
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class _Unwalked(Exception):
+    """A value that canonical_json leaves to json.dumps."""
+
+
+def _encode(value, newline: str) -> str:
+    """The JSON text of value nested at the indent that newline ends in,
+    with the type tests of the stdlib encoder in its order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if "n" in text:             # nan, inf or -inf
+            raise _Unwalked
+        return text
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        body = None
+        if isinstance(value[0], float):
+            # a list of floats in one join, the rest item by item
+            try:
+                body = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:
+                pass
+            else:
+                if "n" in body:
+                    raise _Unwalked
+        if body is None:
+            body = ("," + inner).join([_encode(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # TypeError from encode_basestring_ascii at a key that is not a str
+        body = ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _encode(item, inner)
+            for key, item in sorted(value.items())
+        ])
+        return "{" + inner + body + newline + "}"
+    raise _Unwalked
 
 
 def build_envelope(

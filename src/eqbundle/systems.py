@@ -312,6 +312,25 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
     return out
 
 
+def _in_domain_rows(sys: SystemSpec, x: np.ndarray, slack: float):
+    """sys.domain.contains(row, slack) at every row of x, as (inside, errors
+    {row: EqBundleError}): one vectorized test on a batched spec, and row by
+    row otherwise, where a constraint may raise."""
+    domain = sys.domain
+    if not sys.batched:
+        errors: dict = {}
+        inside = _rows(
+            lambda _, y: domain.contains(y, slack), np.zeros(0), x, (), False, errors
+        )
+        return inside == 1.0, errors
+    inside = np.logical_and.reduce(
+        (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
+    )
+    for g in domain.constraints:
+        inside &= g(x) <= slack
+    return inside, {}
+
+
 def _fd_jacobian(fn, lam, x: np.ndarray, wrt_lambda: bool, width: int, batched: bool, errors=None):
     """Central differences of fn(lam, x) in x, or in lam, at every row of x.
 
@@ -493,16 +512,26 @@ def first_integral_violation(
     """
     rng = np.random.default_rng(seed)
     pb = sys.parameter_box
+    lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
     lams, xs = [], []
     attempts = 0
     max_attempts = max(1000 * samples, 10000)
     while len(xs) < samples and attempts < max_attempts:
-        attempts += 1
-        lam = pb[:, 0] + (pb[:, 1] - pb[:, 0]) * rng.random(sys.m)
-        x = sys.domain.sample_box(rng, 1)[0]
-        if sys.domain.contains(x):
-            lams.append(lam)
-            xs.append(x)
+        # a block of attempts, each row the m lambda draws and then the n x
+        # draws of one attempt, so the stream is that of one attempt at a
+        # time.  A domain tested row by row gets no more rows than samples
+        # still needed, so each of its calls is one that a lone attempt makes.
+        needed = samples - len(xs)
+        count = min(max(needed, 256) if sys.batched else needed, max_attempts - attempts)
+        draws = rng.random((count, sys.m + sys.n))
+        attempts += count
+        x = lo + (hi - lo) * draws[:, sys.m:]
+        inside, errors = _in_domain_rows(sys, x, DEFAULT_DOMAIN_SLACK)
+        if errors:
+            raise errors[min(errors)]
+        kept = np.flatnonzero(inside)[:needed]
+        lams.extend(pb[:, 0] + (pb[:, 1] - pb[:, 0]) * draws[kept, : sys.m])
+        xs.extend(x[kept])
     worst = FirstIntegralViolation(0.0, pb[:, 0], sys.domain.box[:, 0], 0)
     if xs:
         f, jac_h = _evaluate_rows(sys, np.array(lams), np.array(xs), ("f", "jac_h"))

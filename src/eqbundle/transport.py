@@ -40,11 +40,11 @@ from .errors import (
     waypoint_path,
 )
 from .finder import (
-    _RETRY, _continuation_start, _correct, _in_domain_rows, _lane_norm, _level_set,
+    _RETRY, _continuation_start, _correct, _lane_norm, _level_set,
     _step_rule, enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
-from .systems import Evaluation, PointState, SystemSpec, evaluate
+from .systems import Evaluation, PointState, SystemSpec, _in_domain_rows, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,6 +36,31 @@ def _ring(n: int) -> dict:
         "h": ["+".join(f"x{i + 1}" for i in range(n))],
         "domain_box": [[0.0, 1.0]] * n, "name": f"ring{n}",
     }}
+
+
+def _rotation(rho: float, samples: int) -> list:
+    """A loop of 2 x 2 matrices with eigenvalues rho exp(+-i s), s = 2 pi j /
+    samples: the pair is a double real eigenvalue at s = 0 and s = pi, so
+    the tracker meets exact ties there."""
+    return [
+        [[0.0, rho], [-rho, 2.0 * rho * math.cos(2.0 * math.pi * (j % samples) / samples)]]
+        for j in range(samples + 1)
+    ]
+
+
+def _rfmr_jacobians(n: int, samples: int) -> list:
+    """df/dx of rfmr(n) at uniform rate r and fill c, around the (r, c) loop
+    r = 1.8 + 0.6 cos t, c = 0.3 + 0.1 sin t."""
+    loop = []
+    for j in range(samples + 1):
+        t = 2.0 * math.pi * (j % samples) / samples
+        r, c = 1.8 + 0.6 * math.cos(t), 0.3 + 0.1 * math.sin(t)
+        loop.append([
+            [r * (1.0 - c) if col == (row - 1) % n else -r if col == row
+             else r * c if col == (row + 1) % n else 0.0 for col in range(n)]
+            for row in range(n)
+        ])
+    return loop
 
 
 RFMR3 = {"builtin": "rfmr", "n": 3}
@@ -69,6 +95,23 @@ CONFIGS = {
         "system": RFMR3, "command": "eigen-loop",
         "lambda": [1.5] * 3,
         "loop_points": [[c] * 3 for c in (0.15, 0.275, 0.4, 0.275, 0.15)],
+    },
+    "track-matrix-loop-rotation": {
+        "command": "track-matrix-loop", "matrices": _rotation(1.25, 24), "k": 0,
+    },
+    "track-matrix-loop-rfmr5": {
+        "command": "track-matrix-loop", "matrices": _rfmr_jacobians(5, 16), "k": 1,
+    },
+    "find-rfmr3": {
+        "system": RFMR3, "command": "find", "lambda": [1.5] * 3, "level": [1.2],
+        "budget": 40,
+    },
+    "find-example2": {
+        "system": {"builtin": "example2"}, "command": "find", "lambda": [1.5],
+        "level": [2.0, 6.125], "budget": 40,
+    },
+    "audit-rfmr3": {
+        "system": RFMR3, "command": "audit", "lambda": [1.5] * 3, "x": [0.4] * 3,
     },
 }
 

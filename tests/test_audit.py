@@ -9,9 +9,11 @@ from eqbundle.audit import (
     audit_point,
     check_structural_identity,
 )
-from eqbundle.errors import InputError
-from eqbundle.systems import PointState, evaluate
-from eqbundle.transport import connection_frame, metric_g
+from eqbundle.errors import EvaluationError, InputError
+from eqbundle.finder import trace_fiber
+from eqbundle.monodromy import eigen_along_fiber_loop
+from eqbundle.systems import Domain, PointState, SystemSpec, evaluate
+from eqbundle.transport import connection_frame, lift_curve, metric_g
 
 from conftest import count_calls
 
@@ -227,3 +229,38 @@ def test_every_point_entry_rejects_a_non_finite_point(planar, entry, lam, x, mes
     # EvaluationError
     with pytest.raises(InputError, match=message):
         NON_FINITE_ENTRIES[entry](planar, PointState(lam, x))
+
+
+def _nan_at_start_system():
+    """A plain-callable planar system whose f is NaN at x = (0.1, 0) only."""
+    def f(lam, x):
+        if x[0] == 0.1 and x[1] == 0.0:
+            return np.array([np.nan, 0.0])
+        return np.array([-x[0] + lam[0] * (x[1] ** 2 - 1.0), 0.0])
+
+    return SystemSpec(
+        name="nan-start", n=2, m=1, k=1, f=f,
+        h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 1.0]]),
+    )
+
+
+NAN_STARTS = {
+    "trace_fiber": lambda sys: trace_fiber(sys, [0.5], [0.1, 0.0]),
+    "lift_curve": lambda sys: lift_curve(sys, [[0.5], [0.6]], [0.1, 0.0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_STARTS))
+def test_a_nan_f_is_not_an_equilibrium(entry):
+    with pytest.raises(InputError, match=r"x0 is not an equilibrium: \|\|f\|\| = nan"):
+        NAN_STARTS[entry](_nan_at_start_system())
+
+
+def test_an_eigen_loop_point_with_a_nan_f_is_rejected_there():
+    # the loop points are evaluated in one checked stack, whose error for
+    # the point comes before the equilibrium check
+    loop = [[-0.5, 0.0], [0.1, 0.0], [-0.5, 0.0]]
+    with pytest.raises(EvaluationError, match=r"f evaluated to a non-finite value at \(\[0.5\], \[0.1, 0.0\]\)"):
+        eigen_along_fiber_loop(_nan_at_start_system(), [0.5], loop)

@@ -6,7 +6,11 @@ floats to 1e-12 relative.  The fields of RESIDUALS, which the solvers
 control only down to the Newton tolerance, also match within that
 tolerance (the envelope's tolerances_used.newton): their golden values
 are rounding noise (1e-16 to 1e-10) that a BLAS which rounds differently
-moves.  A missing golden file is a failure.
+moves.  So are an audit's rank cutoffs at a solved point, eps-scaled
+largest singular values: where the matrix vanishes on the equilibrium
+set (example2's df/dlambda) the cutoff is noise of 1e-30, and the rank
+decisions they feed are compared exactly.  A missing golden file is a
+failure.
 """
 
 import importlib.util
@@ -22,9 +26,12 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 
-# residuals, drifts and displacements of converged solves
+# residuals, drifts and displacements of converged solves, and the rank
+# cutoffs of an audit at a solved point
 RESIDUALS = frozenset({
     "max_f_residual", "max_h_drift", "deviation", "max_roundtrip_displacement",
+    "residual", "residual_f", "structural_identity_residual",
+    "rank_full_jacobian", "rank_jac_lambda", "rank_jac_x", "rank_kernel_image",
 })
 
 

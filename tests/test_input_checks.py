@@ -9,9 +9,13 @@ path, and the CLI must exit 1 with an `error:` line and an error envelope.
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqbundle import builtin
+from conftest import count_calls
+from eqbundle import builtin, config, errors, monodromy
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict
 from eqbundle.errors import InputError
@@ -89,6 +93,11 @@ CASES = [
     ("track-matrix-loop", {"matrices": [I2, I3, I2]}, "square with equal shape"),
     ("track-matrix-loop", {"matrices": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "square"),
     ("track-matrix-loop", {"matrices": [I2, [[NAN, 0.0], [0.0, 1.0]]]}, f"matrix 1 {FINITE}"),
+    ("track-matrix-loop", {"matrices": [I2, I2, [[1.0, INF], [0.0, 1.0]]]}, f"matrix 2 {FINITE}"),
+    ("track-matrix-loop", {"matrices": [I2, [[True, False], [False, True]], I2]}, f"matrix 1 {FINITE}"),
+    ("track-matrix-loop", {"matrices": [I2, [[1.0, 0.0], [0.0]], I2]}, f"matrix 1 {FINITE}"),
+    ("track-matrix-loop", {"matrices": [I2, None, I2]}, f"matrix 1 {FINITE}"),
+    ("track-matrix-loop", {"matrices": [[1.0, 0.0], [1.0, 0.0]]}, "square with equal shape"),
     # step bounds
     ("trace-fiber", {"initial_step": 0.9, "max_step": 0.05}, STEPS),
     ("trace-fiber", {"min_step": 0.1, "initial_step": 0.01}, STEPS),
@@ -184,3 +193,55 @@ def test_valid_bases_pass_the_checks():
     # the table's failures come from its overrides alone
     for base in BASE:
         config_from_dict(raw_config(base, {}))
+
+
+def _matrix_loop_one_by_one(value, k) -> tuple:
+    """errors.matrix_loop as it was before it checked the loop as one array:
+    every matrix alone, then the shapes."""
+    entries = errors._entries(value, "a matrix loop", "matrices")
+    mats = [errors.finite_array(entry, f"matrix {i}") for i, entry in enumerate(entries)]
+    n = len(mats[0]) if mats[0].ndim == 2 else -1
+    if any(mat.shape != (n, n) for mat in mats):
+        raise InputError("all loop matrices must be square with equal shape")
+    errors.closed_loop(mats, "matrices", 1e-12)
+    k = errors.non_negative_int(k, "k")
+    if k > n:
+        raise InputError(f"k = {k} is out of range for {n} x {n} matrices")
+    return mats, k
+
+
+MATRIX_ENTRIES = st.sampled_from([
+    I2, I2, [[2.0, 1.0], [0.0, 3.0]], [[2, 1], [0, 3]], np.eye(2), np.eye(2, dtype=int),
+    np.eye(2, dtype=bool), [[True, False], [False, True]], [[True, 0.5], [0.0, 1.0]],
+    np.eye(2, dtype=np.float32), [[NAN, 0.0], [0.0, 1.0]], [[1.0, -INF], [0.0, 1.0]],
+    I3, [[1.0, 0.0]], [[1.0, 0.0], [0.0]], [1.0, 0.0], None, "ab", [["a", 1.0], [0.0, 1.0]],
+    np.eye(2) * (1.0 + 1.0j), [[0.0, 0.0], [0.0, 0.0]],
+])
+
+
+def _verdict(check, loop, k):
+    try:
+        mats, k = check(loop, k)
+    except InputError as err:
+        return str(err)
+    return np.array(mats).tolist(), np.array(mats).dtype.str, k
+
+
+@settings(settings.get_profile("derandomized"), max_examples=80)
+@given(loop=st.lists(MATRIX_ENTRIES, min_size=0, max_size=5), k=st.integers(0, 3))
+def test_matrix_loop_checks_as_each_matrix_alone(loop, k):
+    # the loop closes on its first matrix, so each loop reaches the shapes
+    if loop:
+        loop = loop + [loop[0]]
+    assert _verdict(errors.matrix_loop, loop, k) == _verdict(_matrix_loop_one_by_one, loop, k)
+
+
+def test_a_valid_matrix_loop_takes_one_finiteness_test_per_check(tmp_path, capsys, monkeypatch):
+    finite = count_calls(monkeypatch, "finite_array", errors)
+    loops = count_calls(monkeypatch, "matrix_loop", config, monodromy)
+    raw = raw_config("track-matrix-loop", {"matrices": [I2, [[0.0, 2.0], [-2.0, 0.0]], I2]})
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(raw))
+    assert main([raw["command"], "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["permutation"] == [0, 1]
+    assert len(loops) == 2 and len(finite) == len(loops)

@@ -572,3 +572,140 @@ def test_prefetched_non_finite_blend_is_raised_only_when_reached(monkeypatch):
     )
     assert kind == "TrackingError" and "(between samples 0 and 1)" in message
     assert "matrix contains non-finite entries" in deferred
+
+
+def test_no_rotation_family_loop_reaches_the_solver(monkeypatch):
+    # the rotation family's pair meets at s = 0 and s = pi, where the 2 x 2
+    # costs tie exactly; the unrolled two-row pass answers every step
+    solves = count_calls(monkeypatch, "_shortest_augmenting_paths", monodromy)
+    costs = count_calls(monkeypatch, "assignment", monodromy)
+    for samples in (8, 24, 64, 256):
+        report = track_matrix_loop(rotation_family(samples), k=0)
+        assert sorted(report.windings) == [-1, 1]
+    assert len(costs) > 500 and solves == []
+
+
+def test_rfmr20_eigen_loop_takes_no_exact_chord_test(monkeypatch):
+    # every accepted step of the tracks is cleared by the modulus bound
+    chords = count_calls(monkeypatch, "_chord_distance_to_origin", monodromy)
+    cleared = count_calls(monkeypatch, "_chord_clears", monodromy)
+    pts = [np.full(20, c) for c in (0.2, 0.31, 0.42, 0.31, 0.2)]
+    report = eigen_along_fiber_loop(builtin("rfmr", n=20), np.full(20, 1.5), pts)
+    assert report.windings == (0,) * 19 and report.samples_used > len(pts)
+    assert len(cleared) == report.samples_used - 1 and chords == []
+
+
+def test_an_uncleared_step_takes_the_exact_chord_test(monkeypatch):
+    # without refinement the eigenvalue 1 steps to -1 across the origin:
+    # its chord is not cleared, and the exact test raises as it always did
+    chords = count_calls(monkeypatch, "_chord_distance_to_origin", monodromy)
+    mats = [np.diag([1.0, 5.0]), np.diag([-1.0, 5.0]), np.diag([1.0, 5.0])]
+    with pytest.raises(TrackingError, match=(
+        r"path leaves C\*: the step of tracked eigenvalue 0 passes within "
+        r"tol_zero = 5\.000e-07 of the origin \(between samples 0 and 1\)"
+    )):
+        track_matrix_loop(mats, k=0, max_refine=0)
+    assert chords == ["_chord_distance_to_origin"]
+
+
+def _graze(draw, scale):
+    """(a, b) on a line that passes 10^e * scale from the origin."""
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    offset = 10.0 ** draw(st.floats(-18.0, 0.0)) * scale
+    along = [draw(st.floats(-2.0, 2.0)) * scale for _ in range(2)]
+    turn = complex(np.cos(angle), np.sin(angle))
+    return tuple(turn * complex(t, offset) for t in along)
+
+
+@st.composite
+def chords(draw):
+    """A step (a, b) of a track: a segment that grazes 0, one on a ray from
+    0 (where the bound is exact, so only its margin covers rounding), one
+    much longer than |a|, or any, at moduli from 1e-300 to 1e149."""
+    scale = 10.0 ** draw(st.floats(-300.0, 148.0))
+    kind = draw(st.sampled_from(["graze", "ray", "long", "any"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "graze":
+        return _graze(draw, scale)
+    if kind == "ray":
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        a = complex(np.cos(angle), np.sin(angle)) * scale
+        return a, a * (1.0 + 10.0 ** draw(st.floats(-16.0, 0.0)))
+    a = complex(draw(unit), draw(unit)) * scale
+    if kind == "long":
+        return a, a + complex(draw(unit), draw(unit)) * scale * 10.0 ** draw(st.floats(1.0, 8.0))
+    return a, complex(draw(unit), draw(unit)) * scale
+
+
+@settings(settings.get_profile("derandomized"), max_examples=120)
+@given(chord=chords(), slack=st.sampled_from([1.0, 1.0 + 2.0 ** -52, 2.0]))
+def test_the_chord_bound_clears_no_flagged_track(chord, slack):
+    a, b = chord
+    if max(abs(a), abs(b)) >= 1e150 or a == 0 or b == 0:
+        return
+    tol = slack * monodromy._chord_distance_to_origin(a, b)
+    ends = np.array([a, b])
+    moduli = np.abs(ends)
+    clears = monodromy._chord_clears(moduli[:1], moduli[1:], np.abs(ends[1:] - ends[:1]), tol)
+    assert not clears[0]
+
+
+def test_the_chord_bound_clears_a_short_step_far_from_zero():
+    a, b = np.array([1.0 + 1.0j]), np.array([1.001 + 1.002j])
+    assert monodromy._chord_clears(np.abs(a), np.abs(b), np.abs(b - a), 1e-7).all()
+    assert not monodromy._chord_clears(np.abs(a), np.abs(b), np.abs(b - a), 1.42).any()
+
+
+def _reference_assignment(cost):
+    """assignment as it was before its 2 x 2 pass: the certificate, then
+    the NaN and -inf check, then the shortest augmenting path solver."""
+    cost = np.asarray(cost, dtype=float)
+    p = cost.shape[0]
+    cols = cost.argmin(axis=1)
+    if (
+        len(set(cols.tolist())) == p
+        and np.count_nonzero(cost == cost.min(axis=1, keepdims=True)) == p
+    ):
+        return tuple(cols.tolist())
+    if np.isnan(cost).any() or (cost == -np.inf).any():
+        raise InputError("cost matrix contains NaN or -inf")
+    return tuple(monodromy._shortest_augmenting_paths(cost.tolist()))
+
+
+def _matching(solve, cost):
+    try:
+        return tuple(int(c) for c in solve(cost))
+    except InputError as err:
+        return str(err)
+
+
+def test_two_rows_equal_the_solver_on_small_integer_costs():
+    for entries in np.ndindex(4, 4, 4, 4):
+        cost = np.array(entries, dtype=float).reshape(2, 2)
+        assert _matching(monodromy.assignment, cost) == _matching(_reference_assignment, cost)
+
+
+@st.composite
+def near_tie_costs(draw):
+    """2 x 2 costs around one value, a few ulps, a relative 1e-15 or a unit
+    apart, with some entries inf, -inf or NaN."""
+    base = draw(st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 3.7, 1e10, 1e300]))
+    ulp = np.spacing(base) if base else 5e-324
+    entries = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(["ulps", "ulps", "ulps", "relative", "unit", "special"]))
+        if kind == "ulps":
+            entries.append(base + draw(st.integers(-3, 3)) * ulp)
+        elif kind == "relative":
+            entries.append(base * (1.0 + draw(st.floats(-1e-15, 1e-15))))
+        elif kind == "unit":
+            entries.append(base + draw(st.integers(-2, 2)))
+        else:
+            entries.append(draw(st.sampled_from([np.inf, np.inf, -np.inf, np.nan])))
+    return np.array(entries).reshape(2, 2)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=100)
+@given(cost=near_tie_costs())
+def test_two_rows_equal_the_solver_on_near_ties(cost):
+    assert _matching(monodromy.assignment, cost) == _matching(_reference_assignment, cost)

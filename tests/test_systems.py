@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqbundle import (
     EvaluationError,
@@ -13,7 +17,7 @@ from eqbundle import (
     eigen_dense,
     evaluate,
 )
-from eqbundle.systems import Domain, first_integral_violation
+from eqbundle.systems import Domain, _evaluate_rows, first_integral_violation
 
 from conftest import rfmr_circulant_eigenvalues, strip_jacobians
 
@@ -277,3 +281,81 @@ def test_rfmr_equals_the_rolled_formula(n):
         for ours, theirs in zip(got, expected):
             assert ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes()
+
+
+def _violation_one_attempt_at_a_time(sys, samples, seed):
+    """first_integral_violation as it drew before its blocks: per attempt
+    m lambda draws, then one x from the box, kept when the domain holds it."""
+    rng = np.random.default_rng(seed)
+    pb = sys.parameter_box
+    lams, xs = [], []
+    attempts = 0
+    max_attempts = max(1000 * samples, 10000)
+    while len(xs) < samples and attempts < max_attempts:
+        attempts += 1
+        lam = pb[:, 0] + (pb[:, 1] - pb[:, 0]) * rng.random(sys.m)
+        x = sys.domain.sample_box(rng, 1)[0]
+        if sys.domain.contains(x):
+            lams.append(lam)
+            xs.append(x)
+    if len(xs) < samples:
+        return "cap"
+    worst = (0.0, pb[:, 0].tolist(), sys.domain.box[:, 0].tolist(), 0)
+    f, jac_h = _evaluate_rows(sys, np.array(lams), np.array(xs), ("f", "jac_h"))
+    for i, (lam, x) in enumerate(zip(lams, xs)):
+        residuals = np.abs(jac_h[i] @ f[i])
+        l = int(np.argmax(residuals))
+        if residuals[l] > worst[0]:
+            worst = (float(residuals[l]), lam.tolist(), x.tolist(), l)
+    return worst
+
+
+def _sliver_spec() -> SystemSpec:
+    """A drifting field (so the residuals differ), evaluated in stacks, on
+    a box whose one constraint leaves a sliver of 1e-6 of it."""
+    return SystemSpec(
+        name="sliver", n=2, m=2, k=1,
+        f=lambda lam, x: np.stack([lam[..., 0] * x[..., 1], lam[..., 1] - x[..., 0]], axis=-1),
+        h=lambda x: (x[..., 0] ** 2 + x[..., 1])[..., None],
+        domain=Domain(
+            box=np.array([[-1.0, 1.0], [0.0, 2.0]]),
+            constraints=(lambda x: 0.999999 - x[..., 0],),
+        ),
+        parameter_box=np.array([[0.5, 2.0], [-1.0, 1.0]]),
+        batched=True,
+    )
+
+
+IDENTITY_DOMAINS = {
+    "box": lambda: builtin("rfmr", n=3),
+    "constrained": lambda: builtin("example2"),
+    "constrained-plain": lambda: dataclasses.replace(builtin("planar"), batched=False),
+}
+
+
+def assert_identity_samples_are_the_lone_attempts(sys, samples, seed):
+    """first_integral_violation gives what the one-attempt loop gives;
+    returns that."""
+    expected = _violation_one_attempt_at_a_time(sys, samples, seed)
+    if expected == "cap":
+        with pytest.raises(InputError, match=f"could not draw {samples} domain points after"):
+            first_integral_violation(sys, samples, seed)
+        return expected
+    worst = first_integral_violation(sys, samples, seed)
+    assert (
+        worst.max_residual, worst.lam.tolist(), worst.x.tolist(), worst.integral_index
+    ) == expected
+    return expected
+
+
+@pytest.mark.parametrize("domain", sorted(IDENTITY_DOMAINS))
+@settings(settings.get_profile("derandomized"), max_examples=8)
+@given(samples=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_identity_samples_are_the_lone_attempts(domain, samples, seed):
+    assert_identity_samples_are_the_lone_attempts(IDENTITY_DOMAINS[domain](), samples, seed)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=1)
+@given(samples=st.integers(1, 10), seed=st.integers(0, 2**32))
+def test_identity_sampling_hits_the_lone_attempts_cap(samples, seed):
+    assert assert_identity_samples_are_the_lone_attempts(_sliver_spec(), samples, seed) == "cap"
