@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     InputError, closed_loop, cocycle_paths, finite_vector, matrix_loop, non_negative_int,
     positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
@@ -56,12 +58,15 @@ __all__ = ["COMMANDS", "RunConfig", "config_from_dict", "load_config", "load_con
 class RunConfig:
     """A validated run: the command, the built system (absent only for
     matrix-loop runs given without one), the effective tolerances, and the
-    fully materialized settings dict that reports echo back."""
+    fully materialized settings dict that reports echo back.  A matrix-loop
+    run also keeps its checked (W, n, n) stack, which the settings echo as
+    nested lists."""
 
     command: str
     system: Optional[SystemSpec]
     tolerances: Tolerances
     settings: dict
+    _matrices: Optional[np.ndarray] = dataclasses.field(default=None, repr=False, compare=False)
 
 
 def _require(data: dict, key: str, command: str):
@@ -177,7 +182,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
                 f"dimension mismatch: matrices are {size} x {size}, "
                 f"the system has n = {system.n}"
             )
-        fields["matrices"] = matrices.tolist()
+        fields["matrices"] = matrices
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
         fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
@@ -263,6 +268,9 @@ def config_from_dict(data) -> RunConfig:
     tolerances, tol_echo = _materialize_tolerances(data.get("tolerances"))
     output = _materialize_output(data.get("output"), command)
     fields = _materialize_command_fields(data, command, system)
+    matrices = fields.get("matrices")
+    if matrices is not None:
+        fields["matrices"] = matrices.tolist()
 
     settings = {"command": command}
     echoed_system = _echo_system(data.get("system"), system)
@@ -272,7 +280,8 @@ def config_from_dict(data) -> RunConfig:
     settings["tolerances"] = tol_echo
     settings["output"] = output
     return RunConfig(
-        command=command, system=system, tolerances=tolerances, settings=settings
+        command=command, system=system, tolerances=tolerances, settings=settings,
+        _matrices=matrices,
     )
 
 

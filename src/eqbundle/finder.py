@@ -7,8 +7,12 @@ _level_set defines F and that Jacobian once, for newton_lanes and for
 transport's lift, and every step is one batched linalg._solve_rows call.
 Enumeration runs that solve from every point of a low-discrepancy
 sequence at once, as lanes of one lockstep kernel, deduplicates by
-clustering and audits only the kept points.  Fibers (k = 1 only) are
-traced by predictor-corrector continuation along the kernel of df/dx.
+clustering and audits only the kept points.  A lane whose ||F|| stays far
+above its target and falls by less than 1 % in 5 iterations ends early
+with the outcome "no progress", so a level that carries no equilibria
+costs a few iterations per start, not the iteration cap.  Fibers (k = 1
+only) are traced by predictor-corrector continuation along the kernel of
+df/dx.
 The corrector, _correct, is undamped and local, and also corrects the
 steps of transport's lift; one rule, _step_rule, retries, accepts or
 grows the steps of both.  newton_lanes is the damped, global solve.
@@ -109,6 +113,7 @@ LANE_OUTCOMES = (
     "max iterations",
     "outside the domain at the end",
     "evaluation error",
+    "no progress",
 )
 (
     CONVERGED,
@@ -119,6 +124,7 @@ LANE_OUTCOMES = (
     MAX_ITERATIONS,
     OUTSIDE_DOMAIN_AT_END,
     EVALUATION_ERROR,
+    NO_PROGRESS,
 ) = range(len(LANE_OUTCOMES))
 _RUNNING = -1
 
@@ -174,6 +180,11 @@ class NewtonLanes:
             )
         if code == OUTSIDE_DOMAIN_AT_END:
             return ConvergenceError(f"Newton converged to {x.tolist()} outside the domain")
+        if code == NO_PROGRESS:
+            return ConvergenceError(
+                f"Newton made no progress in {_STALL_WINDOW} iterations, "
+                f"||F|| = {norm:.3e} at iteration {at}"
+            )
         return self.details[lane]
 
     def solution(self, lane: int) -> np.ndarray:
@@ -188,6 +199,16 @@ class NewtonLanes:
 # newton_lanes evaluates as one stack each: 1, 2, 4, 8 and 10 trials, so no
 # lane evaluates more than about twice the trials it needs
 _ALPHA_ROUNDS = np.split(np.ldexp(1.0, -np.arange(25)), [1, 3, 7, 15])
+
+# A lane ends as "no progress" at the top of iteration it >= _STALL_WINDOW
+# when ||F|| is above _STALL_FACTOR times its target and above _STALL_DROP
+# times its ||F|| at iteration it - _STALL_WINDOW: Gauss-Newton crawling
+# toward a minimum of ||F|| that is not a root (Dennis & Schnabel, Numerical
+# Methods for Unconstrained Optimization and Nonlinear Equations, 1983,
+# ch. 7).  Near a root ||F|| falls far faster than 1 % in 5 iterations.
+_STALL_WINDOW = 5
+_STALL_DROP = 0.99
+_STALL_FACTOR = 1e3
 
 
 def _lane_norm(v: np.ndarray) -> np.ndarray:
@@ -240,7 +261,11 @@ def newton_lanes(
     run in rounds of 1, 2, 4, 8 and 10 scales, each round one stacked
     residual call for every lane still searching, and a lane keeps the
     first trial of a round in that order, so errors at trials a
-    trial-by-trial search never reaches are ignored.  Starts must lie in
+    trial-by-trial search never reaches are ignored.  A lane that makes no
+    progress ends early, as "no progress", at the top of iteration it >= 5
+    when ||F|| exceeds 1e3 times its target and 0.99 times the lane's
+    ||F|| at iteration it - 5: far from any root, the lane is crawling
+    toward a minimum of ||F|| that is not zero.  Starts must lie in
     the domain and converged points must lie in it too.  Every lane ends
     with one of LANE_OUTCOMES; nothing is raised for a failed lane.
 
@@ -301,10 +326,23 @@ def newton_lanes(
 
     margin = 0.05 * diameter
     lo, hi = sys.domain.box[:, 0] - margin, sys.domain.box[:, 1] + margin
+    # ||F|| of every lane at the top of the last _STALL_WINDOW iterations:
+    # at the top of iteration it, row it % _STALL_WINDOW still holds that
+    # of iteration it - _STALL_WINDOW
+    recent = np.empty((_STALL_WINDOW, count))
     for it in range(max_iter):
         done = norm[lanes] <= target[lanes]
         stop(lanes[done], CONVERGED, it)
         lanes = lanes[~done]
+        slot = it % _STALL_WINDOW
+        if it >= _STALL_WINDOW:
+            now = norm[lanes]
+            stalled = (now > _STALL_FACTOR * target[lanes]) & (
+                now > _STALL_DROP * recent[slot, lanes]
+            )
+            stop(lanes[stalled], NO_PROGRESS, it)
+            lanes = lanes[~stalled]
+        recent[slot, lanes] = norm[lanes]
         if not lanes.size:
             break
 
@@ -405,7 +443,8 @@ def newton_on_level_set(
     The one-lane call of newton_lanes, which documents the iteration.  A
     failed lane raises its typed error: InputError for a start outside
     the domain or a non-finite F(x0), DegeneracyError for a singular
-    Newton system, ConvergenceError for a stalled line search, too many
+    Newton system, ConvergenceError for a stalled line search, no
+    progress in 5 iterations while ||F|| is far above its target, too many
     iterations or a solution outside the domain.  At the solution the
     column rank of the stacked Jacobian is recorded as a transversality
     certificate instead of raised.

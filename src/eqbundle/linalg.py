@@ -121,29 +121,24 @@ def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> Rank
 
 
 def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
-    """Minimize |A x - b| for a full-column-rank A.
+    """Minimize |A x - b| for a full-column-rank A (p, q) and a vector b (p).
 
-    One thin SVD A = U diag(s) V^T decides the column rank, with the
-    cutoff of numeric_rank, and gives the solution V diag(1/s) U^T b; the
-    normal equations are never formed.  Raises DegeneracyError carrying
-    the RankReport when A is column rank deficient, since the minimizer
-    is then not unique.
+    The one-row call of _solve_rows: one thin SVD A = U diag(s) V^T decides
+    the column rank, with the cutoff of numeric_rank, and gives the
+    solution V diag(1/s) U^T b; the normal equations are never formed.
+    Raises DegeneracyError carrying the RankReport when A is column rank
+    deficient, since the minimizer is then not unique.
     """
     A = _as_matrix(A, "A")
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise InputError("b contains non-finite entries")
-    if b.shape[:1] != A.shape[:1]:
+    if b.shape != A.shape[:1]:
         raise InputError(f"incompatible shapes: A is {A.shape}, b is {b.shape}")
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    report = _rank_report(A.shape, s, rank_tol, False)
-    if report.rank < A.shape[1]:
-        raise DegeneracyError(
-            f"least squares matrix is column rank deficient (rank {report.rank} < {A.shape[1]})",
-            report=report,
-        )
-    coeff = (u.T @ b) / s.reshape((-1,) + (1,) * (b.ndim - 1))
-    return vt.T @ coeff
+    x, deficient = _solve_rows(A[None], b[None], rank_tol, {})
+    if deficient:
+        raise deficient[0]
+    return x[0]
 
 
 # The SVD work, rows * p * q**2, of a stack (rows, p, q) from which
@@ -218,10 +213,11 @@ def _svd_rows(A: np.ndarray) -> tuple:
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
-    """solve_least_squares(A[i], b[i], rank_tol) at every row i of the
-    stacks A (B, p, q) and b (B, p), bitwise, with one batched SVD, which
-    _svd_rows splits across the CPUs when the stack is wide; the rows and
-    their bits do not depend on the split.
+    """The least-squares solve of solve_least_squares(A[i], b[i], rank_tol)
+    at every row i of the stacks A (B, p, q) and b (B, p), with one
+    batched SVD, which _svd_rows splits across the CPUs when the stack is
+    wide; the rows and their bits do not depend on the split or on the
+    other rows.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors.  Returns (x, deficient):
@@ -292,8 +288,3 @@ def rank_and_subspaces(M, tol_override: float | None = None, fd: bool = False) -
 def kernel_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
     """Orthonormal basis of ker(M) as columns, from right singular vectors."""
     return rank_and_subspaces(M, tol_override, fd)[1]
-
-
-def image_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
-    """Orthonormal basis of im(M) as columns, from left singular vectors."""
-    return rank_and_subspaces(M, tol_override, fd)[2]

@@ -89,10 +89,6 @@ class Domain:
             dist = min(dist, abs(float(val)) / scale)
         return dist
 
-    def sample_box(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        return lo + (hi - lo) * rng.random((count, self.dim))
-
 
 @dataclass(frozen=True)
 class PointState:

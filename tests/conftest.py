@@ -68,3 +68,9 @@ def count_calls(monkeypatch, name: str, *owners) -> list:
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def sample_box(domain, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count points drawn uniformly from the domain's box."""
+    lo, hi = domain.box[:, 0], domain.box[:, 1]
+    return lo + (hi - lo) * rng.random((count, domain.dim))

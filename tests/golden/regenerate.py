@@ -110,6 +110,11 @@ CONFIGS = {
         "system": {"builtin": "example2"}, "command": "find", "lambda": [1.5],
         "level": [2.0, 6.125], "budget": 40,
     },
+    # h2 > 4 h1: the level carries no equilibria, so the envelope has count 0
+    "find-example2-empty": {
+        "system": {"builtin": "example2"}, "command": "find", "lambda": [1.0],
+        "level": [2.0, 10.0],
+    },
     "audit-rfmr3": {
         "system": RFMR3, "command": "audit", "lambda": [1.5] * 3, "x": [0.4] * 3,
     },

@@ -16,7 +16,7 @@ from eqbundle import (
     solve_least_squares,
 )
 from eqbundle import linalg
-from eqbundle.linalg import _solve_rows, image_basis
+from eqbundle.linalg import _solve_rows, rank_and_subspaces
 
 from conftest import count_calls
 
@@ -271,7 +271,7 @@ def test_kernel_and_image_of_example2_jacobian():
     for v in (np.array([1.0, 0.0, 1.0]) / np.sqrt(2), np.array([0.0, 1.0, 0.0])):
         assert np.linalg.norm(K @ (K.T @ v) - v) < 1e-12
 
-    I = image_basis(EX2_JAC)
+    I = rank_and_subspaces(EX2_JAC)[2]
     assert I.shape == (3, 1)
     expected = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
     assert abs(abs(I[:, 0] @ expected) - 1.0) < 1e-12

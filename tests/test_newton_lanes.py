@@ -64,26 +64,38 @@ def test_empty_level_outcome_counts(example2):
         "start outside domain": 152,
         "non-finite residual": 0,
         "singular": 0,
-        "line search stalled": 1,
-        "max iterations": 47,
+        "line search stalled": 0,
+        "max iterations": 0,
         "outside the domain at the end": 0,
         "evaluation error": 0,
+        "no progress": 48,
     }
     assert list(lanes.counts()) == list(LANE_OUTCOMES)
     assert enumerate_level_points(example2, [1.0], level, budget=200, seed=0) == []
 
-    # the one-lane call raises the typed error of each outcome
+
+@pytest.mark.parametrize(
+    "outcome, level, max_iter, kind, text",
+    [
+        ("start outside domain", [2.0, 10.0], 50, InputError, "is not in the domain"),
+        (
+            "no progress", [2.0, 10.0], 50, ConvergenceError,
+            r"made no progress in 5 iterations, \|\|F\|\| = 9.522e-01 at iteration 13",
+        ),
+        # no lane can make no progress before iteration 5
+        ("max iterations", [2.0, 10.0], 5, ConvergenceError, "did not converge in 5 iterations"),
+        ("line search stalled", [3.0, 13.0], 50, ConvergenceError, "stalled at iteration 9"),
+    ],
+)
+def test_empty_level_lane_raises_its_typed_error(example2, outcome, level, max_iter, kind, text):
+    # the one-lane call raises the typed error of the first lane that ends so
     starts = level_starts(example2, 200, 0)
-    for outcome, kind, text in (
-        ("start outside domain", InputError, "is not in the domain"),
-        ("line search stalled", ConvergenceError, "line search stalled at iteration 42"),
-        ("max iterations", ConvergenceError, "did not converge in 50 iterations"),
-    ):
-        lane = int(np.flatnonzero(lanes.status == LANE_OUTCOMES.index(outcome))[0])
-        assert isinstance(lanes.error(lane), kind)
-        with pytest.raises(kind, match=text) as err:
-            newton_on_level_set(example2, [1.0], level, starts[lane])
-        assert str(err.value) == str(lanes.error(lane))
+    lanes = newton_lanes(example2, [1.0], level, starts, max_iter=max_iter)
+    lane = int(np.flatnonzero(lanes.status == LANE_OUTCOMES.index(outcome))[0])
+    assert isinstance(lanes.error(lane), kind)
+    with pytest.raises(kind, match=text) as err:
+        newton_on_level_set(example2, [1.0], level, starts[lane], max_iter=max_iter)
+    assert str(err.value) == str(lanes.error(lane))
 
 
 def test_empty_level_line_search_runs_in_rounds(example2):
@@ -98,11 +110,12 @@ def test_empty_level_line_search_runs_in_rounds(example2):
     counted = dataclasses.replace(example2, f=counting)
     lanes = newton_lanes(counted, [1.0], [2.0, 10.0], starts)
     assert lanes.counts()["start outside domain"] == 152
-    assert lanes.counts()["max iterations"] == 47
-    assert lanes.counts()["line search stalled"] == 1
+    assert lanes.counts()["no progress"] == 48
     # the first residual, then per iteration at most one stacked call for
-    # each of the 5 rounds of line-search trials; trial by trial it was 1,106
-    assert calls[0] <= 1 + 5 * 50
+    # each of the 5 rounds of line-search trials, until the last lane makes
+    # no progress at iteration 30
+    assert lanes.iteration.max() == 30
+    assert calls[0] <= 124
     assert_rounds_match_trial_by_trial(example2, [1.0], [2.0, 10.0], starts, lanes)
 
 
@@ -247,6 +260,25 @@ def test_per_lane_levels_match_lone_solves(name, seed, budget, data):
         assert alone.residual[0].tobytes() == lanes.residual[i].tobytes()
         assert str(alone.error(0)) == str(lanes.error(i))
     assert_rounds_match_trial_by_trial(sys, lam, levels, starts, lanes)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=40)
+@given(
+    name=st.sampled_from(["planar", "example2", "rfmr3"]),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 80),
+    data=st.data(),
+)
+def test_no_progress_rule_leaves_the_points_unchanged(name, seed, budget, data):
+    # a window past max_iter turns the rule off: every point keeps its bits
+    sys, lam, level = _draw_problem(data, name)
+    found = enumerate_level_points(sys, lam, level, budget=budget, seed=seed)
+    with mock.patch.object(finder, "_STALL_WINDOW", 51):
+        without = enumerate_level_points(sys, lam, level, budget=budget, seed=seed)
+    assert json.dumps([p.as_dict() for p in found]) == json.dumps(
+        [p.as_dict() for p in without]
+    )
+    assert [p.state.x.tobytes() for p in found] == [p.state.x.tobytes() for p in without]
 
 
 def banded_system():
