@@ -170,8 +170,11 @@ def run_config(config: RunConfig):
         )
         return report.as_dict(), None
     if command == "track-matrix-loop":
+        matrices = config._matrices
+        if matrices is None:
+            matrices = np.asarray(fields["matrices"])
         report = track_matrix_loop(
-            config._matrices,
+            matrices,
             k=fields["k"],
             tol_zero=fields["tol_zero"],
             tols=tols,

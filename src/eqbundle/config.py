@@ -59,14 +59,18 @@ class RunConfig:
     """A validated run: the command, the built system (absent only for
     matrix-loop runs given without one), the effective tolerances, and the
     fully materialized settings dict that reports echo back.  A matrix-loop
-    run also keeps its checked (W, n, n) stack, which the settings echo as
-    nested lists."""
+    run made by config_from_dict also keeps the checked (W, n, n) stack
+    that its settings echo as nested lists; a RunConfig built any other
+    way, dataclasses.replace included, has none, and run_config reads
+    the stack from the settings."""
 
     command: str
     system: Optional[SystemSpec]
     tolerances: Tolerances
     settings: dict
-    _matrices: Optional[np.ndarray] = dataclasses.field(default=None, repr=False, compare=False)
+    _matrices: Optional[np.ndarray] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _require(data: dict, key: str, command: str):
@@ -279,10 +283,11 @@ def config_from_dict(data) -> RunConfig:
     settings.update(fields)
     settings["tolerances"] = tol_echo
     settings["output"] = output
-    return RunConfig(
-        command=command, system=system, tolerances=tolerances, settings=settings,
-        _matrices=matrices,
+    config = RunConfig(
+        command=command, system=system, tolerances=tolerances, settings=settings
     )
+    object.__setattr__(config, "_matrices", matrices)
+    return config
 
 
 def load_config(path: str) -> RunConfig:

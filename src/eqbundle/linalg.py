@@ -121,24 +121,36 @@ def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> Rank
 
 
 def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
-    """Minimize |A x - b| for a full-column-rank A (p, q) and a vector b (p).
+    """Minimize |A x - b| for a full-column-rank A (p, q) and a b (p, ...),
+    each b[:, j, ...] a right-hand side of its own x[:, j, ...].
 
-    The one-row call of _solve_rows: one thin SVD A = U diag(s) V^T decides
-    the column rank, with the cutoff of numeric_rank, and gives the
-    solution V diag(1/s) U^T b; the normal equations are never formed.
-    Raises DegeneracyError carrying the RankReport when A is column rank
-    deficient, since the minimizer is then not unique.
+    The call of _solve_rows with one row per right-hand side: one thin SVD
+    A = U diag(s) V^T decides the column rank, with the cutoff of
+    numeric_rank, and gives the solution V diag(1/s) U^T b; the normal
+    equations are never formed.  Raises DegeneracyError carrying the
+    RankReport when A is column rank deficient, since the minimizer is
+    then not unique.
     """
     A = _as_matrix(A, "A")
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise InputError("b contains non-finite entries")
-    if b.shape != A.shape[:1]:
+    if b.shape[:1] != A.shape[:1]:
         raise InputError(f"incompatible shapes: A is {A.shape}, b is {b.shape}")
-    x, deficient = _solve_rows(A[None], b[None], rank_tol, {})
+    (p, q), tail = A.shape, b.shape[1:]
+    if p < q:
+        # a wide A has fewer singular values than columns, so none is cut
+        # off in _solve_rows, and its rank is short all the same
+        raise _deficient(A.shape, np.linalg.svd(A, full_matrices=False)[1], rank_tol)
+    if q == 0:
+        return np.zeros((0,) + tail)
+    columns = b.reshape(p, -1).T
+    # without a right-hand side, one zero row still decides the rank
+    rows = columns if len(columns) else np.zeros((1, p))
+    x, deficient = _solve_rows(np.broadcast_to(A, (len(rows), p, q)), rows, rank_tol, {})
     if deficient:
         raise deficient[0]
-    return x[0]
+    return x[: len(columns)].T.reshape((q,) + tail)
 
 
 # The SVD work, rows * p * q**2, of a stack (rows, p, q) from which
@@ -212,12 +224,22 @@ def _svd_rows(A: np.ndarray) -> tuple:
     return tuple(np.concatenate(part) for part in zip(first, *rest))
 
 
+def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
+    """The error of a least-squares matrix of this shape whose singular
+    values s leave it column rank deficient."""
+    report = _rank_report(shape, s, rank_tol, False)
+    return DegeneracyError(
+        f"least squares matrix is column rank deficient (rank {report.rank} < {shape[1]})",
+        report=report,
+    )
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     """The least-squares solve of solve_least_squares(A[i], b[i], rank_tol)
-    at every row i of the stacks A (B, p, q) and b (B, p), with one
-    batched SVD, which _svd_rows splits across the CPUs when the stack is
-    wide; the rows and their bits do not depend on the split or on the
-    other rows.
+    at every row i of the stacks A (B, p, q), p >= q > 0, and b (B, p),
+    with one batched SVD, which _svd_rows splits across the CPUs when the
+    stack is wide; the rows and their bits do not depend on the split or
+    on the other rows.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors.  Returns (x, deficient):
@@ -243,12 +265,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     if np.count_nonzero(cut):
         rows = np.arange(count) if rows is None else rows
         for i in np.flatnonzero(cut):
-            report = _rank_report(shape, s[i], rank_tol, False)
-            deficient[int(rows[i])] = DegeneracyError(
-                "least squares matrix is column rank deficient "
-                f"(rank {report.rank} < {shape[1]})",
-                report=report,
-            )
+            deficient[int(rows[i])] = _deficient(shape, s[i], rank_tol)
         keep = ~cut
         u, s, vt, b, rows = u[keep], s[keep], vt[keep], b[keep], rows[keep]
     coeff = np.matmul(b[:, None, :], u)[:, 0, :] / s

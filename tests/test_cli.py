@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from eqbundle import cli
 from eqbundle.cli import main
-from eqbundle.config import config_from_dict, load_config
+from eqbundle.config import RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
 from eqbundle.monodromy import track_matrix_loop
 from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -133,6 +135,28 @@ def test_track_matrix_loop_rotation(tmp_path, capsys):
     assert sorted(result["windings"]) == [-1, 1]
     assert result["permutation"] == [0, 1]
     assert result["crossings"] == [2, 2]
+
+
+def test_matrix_loop_run_config_built_directly(monkeypatch):
+    # a RunConfig made by its constructor or by dataclasses.replace has no
+    # checked stack of its own, and runs from the matrices in its settings
+    parsed = config_from_dict(rotation_config(64))
+    stacks = []
+    real = cli.track_matrix_loop
+    monkeypatch.setattr(
+        cli, "track_matrix_loop", lambda mats, **kw: stacks.append(mats) or real(mats, **kw)
+    )
+    built = RunConfig(
+        command=parsed.command, system=parsed.system,
+        tolerances=parsed.tolerances, settings=parsed.settings,
+    )
+    results = [
+        cli.run_config(run)[0]
+        for run in (parsed, built, dataclasses.replace(parsed, tolerances=parsed.tolerances))
+    ]
+    assert results[0] == results[1] == results[2]
+    assert stacks[0] is parsed._matrices
+    assert all(np.array_equal(stack, stacks[0]) for stack in stacks[1:])
 
 
 def test_dimension_mismatch_exit_code(tmp_path, capsys):

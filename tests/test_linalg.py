@@ -81,9 +81,46 @@ def test_lstsq_rank_deficient_raises():
 
 
 @pytest.mark.parametrize(
+    "A, rank, values",
+    [
+        pytest.param([[1.0, 1.0]], 1, (np.sqrt(2.0),), id="1x2"),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], 2, (2.0, 1.0), id="2x3"),
+        pytest.param(np.zeros((0, 2)), 0, (), id="0x2"),
+    ],
+)
+def test_lstsq_wide_matrix_is_rank_deficient(A, rank, values):
+    # a wide A has fewer singular values than columns: none is cut off,
+    # and its column rank is short all the same
+    A = np.asarray(A)
+    message = rf"column rank deficient \(rank {rank} < {A.shape[1]}\)"
+    with pytest.raises(DegeneracyError, match=message) as exc:
+        solve_least_squares(A, np.ones(len(A)))
+    report = exc.value.report
+    assert report.rank == rank
+    assert report.singular_values == pytest.approx(values, abs=1e-15)
+    assert report.tol == pytest.approx(numeric_rank(A).tol)
+
+
+def test_lstsq_solves_each_column_of_a_matrix_b():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 3))
+    b = rng.standard_normal((6, 4))
+    x = solve_least_squares(A, b)
+    assert x.shape == (3, 4)
+    for j in range(4):
+        assert np.allclose(x[:, j], solve_least_squares(A, b[:, j]), rtol=0.0, atol=1e-14)
+    assert solve_least_squares(A, b[:, :0]).shape == (3, 0)
+    assert solve_least_squares(np.zeros((6, 0)), b).shape == (0, 4)
+    # the rank is decided with no right-hand side too
+    with pytest.raises(DegeneracyError, match=r"rank 1 < 2"):
+        solve_least_squares(np.ones((3, 2)), np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize(
     "A, b",
     [
         pytest.param(np.eye(2), np.array([1.0, 2.0, 3.0]), id="b-too-long"),
+        pytest.param(np.eye(2), np.ones((3, 2)), id="b-2d-too-long"),
         pytest.param(np.eye(1), 3.0, id="b-0d"),
     ],
 )
