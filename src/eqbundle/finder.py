@@ -12,10 +12,11 @@ above its target and falls by less than 1 % in 5 iterations ends early
 with the outcome "no progress", so a level that carries no equilibria
 costs a few iterations per start, not the iteration cap.  Fibers (k = 1
 only) are traced by predictor-corrector continuation along the kernel of
-df/dx.
+df/dx, in one loop that also bisects the step that leaves the domain.
 The corrector, _correct, is undamped and local, and also corrects the
-steps of transport's lift; one rule, _step_rule, retries, accepts or
-grows the steps of both.  newton_lanes is the damped, global solve.
+steps of transport's lift; it marks each failed lane for retry or gives
+its fatal error.  One rule, _step_rule, retries, accepts or grows the
+steps of both.  newton_lanes is the damped, global solve.
 """
 
 from __future__ import annotations
@@ -568,27 +569,23 @@ def enumerate_level_points(
 # 3 iterations; the cap lets the fiber's boundary bisection take a few more.
 _CORRECTOR_ITERATIONS = 8
 
-# The failures of a _correct lane after which its caller retries from a
-# closer start; any other error of a lane is fatal to it.
-_RETRY = (ConvergenceError, DegeneracyError)
 
-
-def _step_rule(failed, iterations, moved, length) -> tuple:
+def _step_rule(retry, iterations, moved, length) -> tuple:
     """The fiber tracer's and the lift's one rule on corrected steps, per
-    lane (arrays) or for one step (scalars): (retry, grow).  Retry a step
-    at half length when its correction failed with a _RETRY error, took
-    more than 3 iterations, or landed farther (moved) from the step's
-    start than twice the predictor's length, a jump to another branch.
-    Else accept it, and double the next step up to its cap (grow) when
-    the correction took at most 1 iteration; grow is read on accepted
-    steps only.  A start off its fiber would count its own offset as a
-    move, so the lift corrects its start before the first step."""
-    return failed | (iterations > 3) | (moved > 2.0 * length), iterations <= 1
+    lane: (retry, grow), boolean arrays.  Retry a step at half length when
+    _correct marked its lane for retry, its correction took more than 3
+    iterations, or it landed farther (moved) from the step's start than
+    twice the predictor's length, a jump to another branch.  Else accept
+    it, and double the next step up to its cap (grow) when the correction
+    took at most 1 iteration; grow is read on accepted steps only.  A
+    start off its fiber would count its own offset as a move, so the lift
+    corrects its start before the first step."""
+    return retry | (iterations > 3) | (moved > 2.0 * length), iterations <= 1
 
 
 def _corrector_results(y0: np.ndarray, p: int) -> tuple:
     count = len(y0)
-    return y0.copy(), np.zeros(count, dtype=int), np.full((count, p), np.nan)
+    return y0.copy(), np.zeros(count, dtype=int), np.full((count, p), np.nan), np.ones(count, bool)
 
 
 def _correct(residual, jacobian, y0, tols, *lane_args):
@@ -605,21 +602,22 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
     that row in errors.  The steps of all running lanes are one batched SVD
     solve.
 
-    Returns (y, iterations, resid, failed): per lane the corrected point,
-    the iteration at which it converged (a list) and the residual there,
-    and failed {lane: error} for the lanes that did not converge.  A lane
-    fails with ConvergenceError on a non-finite residual or no convergence
-    and with DegeneracyError on a rank-deficient Jacobian, after which
-    callers retry from a closer start (_RETRY); any other error, the
-    EqBundleError its evaluation raised or InputError on a non-finite
-    Jacobian, is fatal to the lane, as a lone call would propagate it.
+    Returns (y, iterations, resid, retry, fatal): per lane the corrected
+    point, the iteration at which it converged and the residual there
+    (arrays); retry, a boolean mask of the lanes that a closer start may
+    fix: a non-finite residual, a rank-deficient Jacobian or no convergence
+    in _CORRECTOR_ITERATIONS; and fatal {lane: error} for every other
+    failed lane: the EqBundleError its evaluation raised, whatever its
+    class, or InputError on a non-finite Jacobian, which a lone call would
+    propagate.  A failed lane keeps its start as y.
     """
     count = len(y0)
     target = tols.newton * (1.0 + _lane_norm(y0))
     y, args = y0, lane_args
-    failed: dict = {}
-    # the lane of each row and (y, iterations, resid) of every lane, kept
-    # once a lane ends before the others
+    fatal: dict = {}
+    # the lane of each row and (y, iterations, resid, retry) of every lane,
+    # kept once a lane ends before the others; a lane stays marked for
+    # retry unless it converges or fails fatally
     lanes = out = None
     for iteration in range(_CORRECTOR_ITERATIONS + 1):
         errors: dict = {}
@@ -628,7 +626,7 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
         done = norm <= target
         converged = np.count_nonzero(done)
         if lanes is None and not errors and converged == count:
-            return y, [iteration] * count, resid, failed
+            return y, np.full(count, iteration), resid, np.zeros(count, dtype=bool), fatal
         # a finite norm means a finite residual: without an error or a
         # converged lane every lane just steps
         if (
@@ -639,20 +637,12 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
                 lanes, out = np.arange(count), _corrector_results(y0, resid.shape[1])
             going = np.isfinite(resid).all(axis=1) & ~done
             for row, err in errors.items():
-                failed[int(lanes[row])] = err
+                fatal[int(lanes[row])] = err
                 going[row] = done[row] = False
-            for row in np.flatnonzero(~going & ~done):
-                failed.setdefault(
-                    int(lanes[row]), ConvergenceError("corrector residual is not finite")
-                )
             ended = lanes[done]
             out[0][ended], out[1][ended], out[2][ended] = y[done], iteration, resid[done]
+            out[3][ended] = False
             if iteration == _CORRECTOR_ITERATIONS:
-                for row in np.flatnonzero(going):
-                    failed[int(lanes[row])] = ConvergenceError(
-                        f"corrector did not converge in {_CORRECTOR_ITERATIONS} "
-                        f"iterations, ||G|| = {norm[row]:.3e}"
-                    )
                 break
             y, resid, target, lanes, *args = (
                 a[going] for a in (y, resid, target, lanes, *args)
@@ -665,15 +655,16 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
         if errors or deficient:
             if lanes is None:
                 lanes, out = np.arange(count), _corrector_results(y0, resid.shape[1])
-            errors.update(deficient)
             going = np.ones(lanes.size, dtype=bool)
+            going[list(deficient)] = False
             for row, err in errors.items():
-                failed[int(lanes[row])] = err
+                fatal[int(lanes[row])] = err
                 going[row] = False
             y, target, lanes, *args = (a[going] for a in (y, target, lanes, *args))
             if not lanes.size:
                 break
-    return out[0], out[1].tolist(), out[2], failed
+    out[3][list(fatal)] = False
+    return (*out, fatal)
 
 
 def _slice(sys, lam):
@@ -689,17 +680,6 @@ def _slice(sys, lam):
         return np.concatenate([sys.jac_x(lam, y, errors), tangent[:, None]], axis=1)
 
     return residual, jacobian
-
-
-def _correct_slice(fiber_slice, x_pred, tangent, tols):
-    """_correct of one lane from x_pred on the fiber's slice there: (y,
-    iterations, residual, failed), failed when a retry may help; a fatal
-    error of the lane is raised."""
-    x_pred, tangent = x_pred[None], tangent[None]
-    y, iterations, resid, failed = _correct(*fiber_slice, x_pred, tols, x_pred, tangent)
-    if failed and not isinstance(failed[0], _RETRY):
-        raise failed[0]
-    return y[0], iterations[0], resid[0], bool(failed)
 
 
 def _fiber_tangent(sys, lam, x, tols, location_note: str):
@@ -718,35 +698,59 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
            max_points):
     """March one direction.  Returns (points, f_norms, closed): f_norms[i]
     is ||f(lam, points[i])|| (f_start at x_start) and closed means the walk
-    returned to x_start (circle)."""
+    returned to x_start (circle).  Each round corrects one prediction x +
+    along * tangent from the last accepted point x, one lane of _correct,
+    and raises the lane's fatal error.  along is the step, which _step_rule
+    halves or accepts; once a step has left the domain, it is the midpoint
+    of the bracket that bisects that step, where a correction marked for
+    retry counts as outside, down to boundary_refine * max(1, step)."""
     contains = sys.domain.contains
     fiber_slice = _slice(sys, lam)
     points = [x_start.copy()]
     f_norms = [f_start]
-    tangent = t_start
-    first_tangent = t_start
+    x = x_start
+    tangent = first_tangent = t_start
     step = step0
+    # the bisection's bracket, resolution and last inside point with its
+    # ||f||, once a step has left the domain
+    bracket = boundary = None
     while len(points) < max_points:
-        x = points[-1]
-        while True:
+        if bracket is None:
             if step < min_step:
                 raise ConvergenceError(
                     f"fiber step collapsed below {min_step:.1e} near x = {x.tolist()}"
                 )
-            y, iterations, resid, failed = _correct_slice(
-                fiber_slice, x + step * tangent, tangent, tols
-            )
-            retry, grow = _step_rule(failed, iterations, np.linalg.norm(y - x), step)
-            if not retry:
-                break
+            along = step
+        else:
+            lo, hi = bracket
+            if hi - lo <= resolution:
+                if boundary is not None:
+                    points.append(boundary[0])
+                    f_norms.append(boundary[1])
+                return points, f_norms, False
+            along = 0.5 * (lo + hi)
+        x_pred = (x + along * tangent)[None]
+        y, iterations, resid, retry, fatal = _correct(
+            *fiber_slice, x_pred, tols, x_pred, tangent[None]
+        )
+        if fatal:
+            raise fatal[0]
+        if bracket is not None:
+            if retry[0] or not contains(y[0], slack=0.0):
+                bracket = lo, along
+            else:
+                bracket = along, hi
+                boundary = y[0], float(np.linalg.norm(resid[0, : sys.n]))
+            continue
+        retry, grow = _step_rule(retry, iterations, _lane_norm(y - x), step)
+        if retry[0]:
             step *= 0.5
-
+            continue
+        y = y[0]
         if not contains(y, slack=0.0):
-            boundary = _refine_boundary(sys, fiber_slice, x, tangent, step, tols)
-            if boundary is not None:
-                points.append(boundary[0])
-                f_norms.append(boundary[1])
-            return points, f_norms, False
+            bracket = 0.0, step
+            resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
+            continue
 
         new_tangent = _fiber_tangent(
             sys, lam, y, tols, f"while tracing at x = {np.round(y, 6).tolist()}"
@@ -764,34 +768,14 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             return points, f_norms, True
 
         points.append(y)
-        f_norms.append(float(np.linalg.norm(resid[: sys.n])))
-        tangent = new_tangent
-        if grow:
+        f_norms.append(float(np.linalg.norm(resid[0, : sys.n])))
+        x, tangent = y, new_tangent
+        if grow[0]:
             step = min(step * 2.0, max_step)
     raise ConvergenceError(
         f"fiber trace exceeded {max_points} points without closing or "
         "reaching the boundary"
     )
-
-
-def _refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
-    """Bisect the step fraction between the last interior corrected point
-    and the first exterior one; returns the last interior point found and
-    its ||f||, or None."""
-    contains = sys.domain.contains
-    lo, hi = 0.0, step
-    best = None
-    # parameter resolution relative to the step that crossed the boundary
-    resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        y, _, resid, failed = _correct_slice(fiber_slice, x_inside + mid * tangent, tangent, tols)
-        if not failed and contains(y, slack=0.0):
-            lo = mid
-            best = y, float(np.linalg.norm(resid[: sys.n]))
-        else:
-            hi = mid
-    return best
 
 
 def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:

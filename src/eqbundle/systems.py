@@ -65,7 +65,7 @@ class Domain:
 
     def contains(self, x, slack: float = DEFAULT_DOMAIN_SLACK) -> bool:
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.box[:, 0] - slack) or np.any(x > self.box[:, 1] + slack):
+        if not np.all((x >= self.box[:, 0] - slack) & (x <= self.box[:, 1] + slack)):
             return False
         return all(g(x) <= slack for g in self.constraints)
 
@@ -531,11 +531,11 @@ def first_integral_violation(
     worst = FirstIntegralViolation(0.0, pb[:, 0], sys.domain.box[:, 0], 0)
     if xs:
         f, jac_h = _evaluate_rows(sys, np.array(lams), np.array(xs), ("f", "jac_h"))
-        for i, (lam, x) in enumerate(zip(lams, xs)):
-            residuals = np.abs(jac_h[i] @ f[i])
-            l = int(np.argmax(residuals))
-            if residuals[l] > worst.max_residual:
-                worst = FirstIntegralViolation(float(residuals[l]), lam, x, l)
+        residuals = np.abs(np.matmul(jac_h, f[:, :, None])[:, :, 0])
+        # the first sample, then its first integral, at the maximum
+        i, l = divmod(int(np.argmax(residuals)), sys.k)
+        if residuals[i, l] > 0.0:
+            worst = FirstIntegralViolation(float(residuals[i, l]), lams[i], xs[i], l)
     if len(xs) < samples:
         raise InputError(
             f"could not draw {samples} domain points after {max_attempts} attempts; "

@@ -40,8 +40,8 @@ from .errors import (
     waypoint_path,
 )
 from .finder import (
-    _RETRY, _continuation_start, _correct, _lane_norm, _level_set,
-    _step_rule, enumerate_level_points,
+    _continuation_start, _correct, _lane_norm, _level_set, _step_rule,
+    enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, _in_domain_rows, evaluate
@@ -339,9 +339,11 @@ def lift_lanes(
     finder._step_rule with the RK4 increment as the predictor, retries a
     step at half length or keeps it and may double the next, up to
     max_fraction; a start that misses the corrector's tolerance is first
-    projected the same way (gamma still starts at x0).  A step below
-    min_fraction, a rank-deficient lifting system or a projected point
-    outside the domain ends the lane with a TransportError.
+    projected the same way (gamma still starts at x0).  A correction that
+    fails fatally, an evaluation error of any class included, ends the lane
+    with its error.  A step below min_fraction, a rank-deficient lifting
+    system or a projected point outside the domain ends the lane with a
+    TransportError.
 
     The lanes advance in lockstep: each RK4 stage makes one stacked
     jac_x/jac_h/jac_lambda call and one batched SVD solve for all running
@@ -423,14 +425,13 @@ def lift_lanes(
         k1, k2, k3, k4 = k
         candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         lam_next = lam_t[:, 2]
-        y, iterations, resid, errors = _correct(
+        y, iterations, resid, retry, fatal = _correct(
             residual, jacobian, candidate, tols, lam_next, a0
         )
         # finder's step rule; the lanes it does not retry took the step, if
         # it stayed inside
         retry, grow = _step_rule(
-            np.isin(np.arange(len(lanes)), list(errors)), np.array(iterations),
-            _lane_norm(y - x), _lane_norm(candidate - x),
+            retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
         )
         taken = np.flatnonzero(~retry)
         inside, raised = _in_domain_rows(sys, y[taken], domain_slack)
@@ -442,9 +443,8 @@ def lift_lanes(
 
         going = []
         for row, lane in enumerate(lanes):
-            err = errors.get(row)
-            if err is not None and not isinstance(err, _RETRY):
-                failed[lane.index] = err
+            if row in fatal:
+                failed[lane.index] = fatal[row]
                 break
             if row in outside:
                 failed[lane.index] = outside[row] or TransportError(

@@ -11,6 +11,8 @@ from eqbundle.errors import (
     BranchPointError,
     ConvergenceError,
     DegeneracyError,
+    EqBundleError,
+    EvaluationError,
     InputError,
     UnsupportedDimensionError,
 )
@@ -22,6 +24,7 @@ from eqbundle.finder import (
     trace_fiber,
 )
 from eqbundle.systems import Domain, PointState, SystemSpec
+from eqbundle.tolerances import Tolerances
 
 
 def bisect_root(func, lo, hi, tol=1e-14):
@@ -336,3 +339,288 @@ def test_trace_retries_a_step_that_needs_more_than_3_iterations(monkeypatch, rfm
     steps = [made[p.tobytes()] for p in trace.points[1:-1] if p.tobytes() in made]
     assert len(steps) == len(trace.points) - 3      # all but the ends and x0
     assert all(max(iterations) <= 3 for iterations in steps)
+
+
+def test_trace_retries_a_correction_that_does_not_converge(monkeypatch, rfmr3):
+    # with the corrector capped at 2 iterations, a correction that needs 3
+    # ends marked for retry, and the tracer retries that step at half length
+    rules = []      # per stepping round: (marked for retry, step)
+    rule = finder._step_rule
+
+    def recorded(retry, iterations, moved, length):
+        rules.append((bool(retry[0]), length))
+        return rule(retry, iterations, moved, length)
+
+    monkeypatch.setattr(finder, "_step_rule", recorded)
+    d = rfmr3.domain.diameter()
+    x0 = [0.6804283510948735, 0.378412903358974, 0.4411587455461525]
+
+    def trace():
+        rules.clear()
+        return trace_fiber(rfmr3, [1.0, 2.0, 3.0], x0, initial_step=0.3 * d, max_step=0.3 * d)
+
+    trace()
+    assert not any(marked for marked, _ in rules)     # uncapped, every lane converges
+    monkeypatch.setattr(finder, "_CORRECTOR_ITERATIONS", 2)
+    assert trace().topology == "segment"
+    marked = [i for i, (retry, _) in enumerate(rules) if retry]
+    assert marked
+    for i in marked:
+        assert rules[i + 1][1] == 0.5 * rules[i][1]
+
+
+@pytest.mark.parametrize("error", [EvaluationError, ConvergenceError, DegeneracyError])
+def test_an_evaluation_error_ends_the_trace(error):
+    # an error raised by a plain callable, of any class, is the lane's
+    # fatal error: the trace raises it and does not retry the step
+    sys = circle_fiber_system()
+    raised = []
+
+    def f(lam, x):
+        if x[0] > 0.45:
+            raised.append(error("the field is undefined past x1 = 0.45"))
+            raise raised[-1]
+        return sys.f(lam, x)
+
+    with pytest.raises(error, match="undefined past") as caught:
+        trace_fiber(dataclasses.replace(sys, f=f), [1.0], [0.0, 0.5])
+    assert caught.value is raised[-1]
+    assert len(raised) == 1
+
+
+# The tracer as it was before its steps and its boundary bisection shared
+# one loop: a stepping loop, a bisection loop and a one-lane corrector
+# wrapper, here on _correct's (retry, fatal) contract.  trace_fiber must
+# give what it gives, bit for bit.
+
+
+def reference_correct_slice(fiber_slice, x_pred, tangent, tols):
+    x_pred, tangent = x_pred[None], tangent[None]
+    y, iterations, resid, retry, fatal = finder._correct(
+        *fiber_slice, x_pred, tols, x_pred, tangent
+    )
+    if fatal:
+        raise fatal[0]
+    return y[0], iterations[0], resid[0], bool(retry[0])
+
+
+def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
+                    max_points):
+    contains = sys.domain.contains
+    fiber_slice = finder._slice(sys, lam)
+    points = [x_start.copy()]
+    f_norms = [f_start]
+    tangent = t_start
+    first_tangent = t_start
+    step = step0
+    while len(points) < max_points:
+        x = points[-1]
+        while True:
+            if step < min_step:
+                raise ConvergenceError(
+                    f"fiber step collapsed below {min_step:.1e} near x = {x.tolist()}"
+                )
+            y, iterations, resid, failed = reference_correct_slice(
+                fiber_slice, x + step * tangent, tangent, tols
+            )
+            retry, grow = finder._step_rule(failed, iterations, np.linalg.norm(y - x), step)
+            if not retry:
+                break
+            step *= 0.5
+
+        if not contains(y, slack=0.0):
+            boundary = reference_refine_boundary(sys, fiber_slice, x, tangent, step, tols)
+            if boundary is not None:
+                points.append(boundary[0])
+                f_norms.append(boundary[1])
+            return points, f_norms, False
+
+        new_tangent = finder._fiber_tangent(
+            sys, lam, y, tols, f"while tracing at x = {np.round(y, 6).tolist()}"
+        )
+        if float(new_tangent @ tangent) < 0.0:
+            new_tangent = -new_tangent
+
+        if (
+            len(points) >= 5
+            and np.linalg.norm(y - x_start) < 0.5 * step
+            and float(new_tangent @ first_tangent) > 0.9
+        ):
+            points.append(x_start.copy())
+            f_norms.append(f_start)
+            return points, f_norms, True
+
+        points.append(y)
+        f_norms.append(float(np.linalg.norm(resid[: sys.n])))
+        tangent = new_tangent
+        if grow:
+            step = min(step * 2.0, max_step)
+    raise ConvergenceError(
+        f"fiber trace exceeded {max_points} points without closing or "
+        "reaching the boundary"
+    )
+
+
+def reference_refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
+    contains = sys.domain.contains
+    lo, hi = 0.0, step
+    best = None
+    resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        y, _, resid, failed = reference_correct_slice(
+            fiber_slice, x_inside + mid * tangent, tangent, tols
+        )
+        if not failed and contains(y, slack=0.0):
+            lo = mid
+            best = y, float(np.linalg.norm(resid[: sys.n]))
+        else:
+            hi = mid
+    return best
+
+
+MARCH = finder._march
+TRACED = {
+    "planar": builtin("planar"), "rfmr3": builtin("rfmr", n=3), "circle": circle_fiber_system(),
+}
+
+
+def draw_fiber_start(data, name):
+    """(lambda, x0) with x0 an equilibrium at lambda, from closed forms."""
+    if name == "planar":
+        lam = data.draw(st.floats(0.05, 1.0), label="lambda")
+        x2 = data.draw(st.floats(-0.95, 0.95), label="x2")
+        return [lam], [lam * (x2 ** 2 - 1.0), x2]
+    if name == "circle":
+        angle = data.draw(st.floats(0.0, 2.0 * np.pi), label="angle")
+        return [data.draw(st.floats(0.25, 4.0), label="lambda")], [
+            0.5 * np.cos(angle), 0.5 * np.sin(angle)
+        ]
+    # rfmr: the rates that make every flow lam_i x_i (1 - x_{i+1}) equal 1
+    x = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3), label="x"))
+    return (1.0 / (x * (1.0 - np.roll(x, -1)))).tolist(), x.tolist()
+
+
+def traced_outcome(march, sys, lam, x0, tols, steps):
+    """trace_fiber with _march replaced by march: (every march's points,
+    ||f|| values and closure, or its error; the trace, or its error)."""
+    marches = []
+
+    def recorded(*args):
+        try:
+            points, f_norms, closed = march(*args)
+        except EqBundleError as err:
+            marches.append((type(err), str(err)))
+            raise
+        marches.append((np.array(points).tobytes(), np.array(f_norms).tobytes(), closed))
+        return points, f_norms, closed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finder, "_march", recorded)
+        try:
+            trace = trace_fiber(sys, lam, x0, tols, **steps)
+        except EqBundleError as err:
+            return marches, (type(err), str(err))
+    return marches, (
+        trace.points.tobytes(), trace.topology, trace.arclength,
+        trace.endpoint_boundary_distances, trace.max_f_residual,
+    )
+
+
+@settings(settings.get_profile("derandomized"), max_examples=12)
+@given(data=st.data())
+def test_trace_equals_the_two_loop_tracer(data):
+    # steps of up to 0.6 d make the corrector retry, a bisection to a
+    # resolution of 1e-15 takes about 50 rounds, and a floor of half the
+    # first step or a cap of 6 points ends some traces with their errors
+    name = data.draw(st.sampled_from(sorted(TRACED)), label="system")
+    sys = TRACED[name]
+    lam, x0 = draw_fiber_start(data, name)
+    d = sys.domain.diameter()
+    cap = d * data.draw(st.sampled_from([0.05, 0.3, 0.6]), label="max_step")
+    initial = cap * data.draw(st.sampled_from([1.0, 0.25]), label="initial_step")
+    steps = {
+        "initial_step": initial,
+        "max_step": cap,
+        "min_step": data.draw(st.sampled_from([1e-12 * d, initial / 2]), label="min_step"),
+        "max_points": data.draw(st.sampled_from([20000, 6]), label="max_points"),
+        "initial_direction": data.draw(st.sampled_from([1, -1]), label="direction"),
+    }
+    tols = Tolerances(boundary_refine=data.draw(st.sampled_from([1e-10, 1e-3, 0.0])))
+    assert traced_outcome(MARCH, sys, lam, x0, tols, steps) == traced_outcome(
+        reference_march, sys, lam, x0, tols, steps
+    )
+
+
+def test_correct_marks_each_failed_lane_for_retry_or_fatal():
+    # lanes of g(y) = y - 1 from y = 0.5, one per outcome, in lockstep
+    kinds = np.array([
+        "converges", "non-finite", "deficient", "slow", "raises", "bad jacobian", "converges",
+    ])
+    evaluated = []      # the kinds of the rows of each residual call
+    raised = ConvergenceError("raised by the residual")
+
+    def residual(y, kind, errors):
+        evaluated.append(set(kind))
+        g = y - 1.0
+        g[kind == "non-finite"] = np.nan
+        for row in np.flatnonzero(kind == "raises"):
+            errors[row] = raised
+            g[row] = np.nan
+        return g
+
+    def jacobian(y, kind, errors):
+        jac = np.ones((len(y), 1, 1))
+        jac[kind == "deficient"] = 0.0
+        jac[kind == "slow"] = 10.0          # a tenth of each Newton step
+        jac[kind == "bad jacobian"] = np.inf
+        return jac
+
+    y0 = np.full((len(kinds), 1), 0.5)
+    y, iterations, resid, retry, fatal = finder._correct(
+        residual, jacobian, y0, Tolerances(), kinds
+    )
+    assert retry.tolist() == [False, True, True, True, False, False, False]
+    assert sorted(fatal) == [4, 5]
+    assert fatal[4] is raised
+    assert isinstance(fatal[5], InputError)
+    assert y[:, 0].tolist() == [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0]
+    assert iterations[[0, 6]].tolist() == [1, 1]
+    assert resid[[0, 6], 0].tolist() == [0.0, 0.0]
+    # a lane ends at its failure: the residual never sees it again
+    assert evaluated[1] == {"converges", "slow"}
+    assert evaluated[2:] == [{"slow"}] * (finder._CORRECTOR_ITERATIONS - 1)
+
+
+def band_system():
+    """f = (x2 - 1/4, 0) on the box [-1, 1]^2: the fiber through (x1, 1/4)
+    is the line x2 = 1/4, and f is NaN on its stretch 0.96 < x1 < 0.99."""
+
+    def f(lam, x):
+        if 0.96 < x[0] < 0.99:
+            return np.full(2, np.nan)
+        return np.array([x[1] - 0.25, 0.0])
+
+    return SystemSpec(
+        name="band", n=2, m=1, k=1, f=f,
+        h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    )
+
+
+def test_boundary_bisection_counts_a_failed_correction_as_outside():
+    # steps of 0.3 reach x1 = 1.2 outside; the bisection from 0.9 meets
+    # the NaN stretch at 0.975, whose failed correction counts as outside
+    # although its start is inside, so the trace ends just before 0.96
+    sys = band_system()
+    steps = {"initial_step": 0.3, "max_step": 0.3}
+    trace = trace_fiber(sys, [0.5], [0.0, 0.25], **steps)
+    assert trace.topology == "segment"
+    low, high = sorted(trace.points[[0, -1], 0])
+    assert low == pytest.approx(-1.0, abs=1e-9)
+    assert 0.96 - 1e-9 < high <= 0.96
+    assert trace.max_f_residual == 0.0
+    outcome = traced_outcome(MARCH, sys, [0.5], [0.0, 0.25], Tolerances(), steps)
+    assert outcome == traced_outcome(reference_march, sys, [0.5], [0.0, 0.25], Tolerances(), steps)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from eqbundle import builtin, finder, transport
-from eqbundle.errors import EqBundleError, InputError, TransportError
+from eqbundle.errors import (
+    ConvergenceError,
+    DegeneracyError,
+    EqBundleError,
+    EvaluationError,
+    InputError,
+    TransportError,
+)
 from eqbundle.expr import build_system_from_config
 from eqbundle.finder import _lane_norm, newton_on_level_set
 from eqbundle.systems import Domain, SystemSpec
@@ -361,3 +368,53 @@ def test_lift_lanes_validates_its_lanes(planar):
     exits = ([[0.5], [3.0]], [-0.5, 0.0])
     with pytest.raises(TransportError, match="exited the domain"):
         lift_lanes(planar, [exits[0], [[0.5]]], [exits[1], [-0.5, 0.0]])
+
+
+def test_lift_retries_a_correction_that_does_not_converge(monkeypatch):
+    # with the corrector capped at 1 iteration, a correction that needs 2
+    # ends marked for retry, and the lift retries that step at half length:
+    # on the path from (1, 1, 1) to (1, 2, 3) lambda_2 - 1 is the path
+    # parameter at the step's end
+    made = []       # per step correction: (path parameter, marked for retry)
+    correct = transport._correct
+
+    def recorded(residual, jacobian, y0, tols, lam_next, a0):
+        out = correct(residual, jacobian, y0, tols, lam_next, a0)
+        made.append((lam_next[0, 1] - 1.0, bool(out[3][0])))
+        return out
+
+    monkeypatch.setattr(transport, "_correct", recorded)
+    path, x0 = [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]], [0.5, 0.5, 0.5]
+    lift_curve(RFMR3, path, x0, initial_fraction=0.5, max_fraction=1.0)
+    assert not any(marked for _, marked in made)     # uncapped, every lane converges
+    made.clear()
+    monkeypatch.setattr(finder, "_CORRECTOR_ITERATIONS", 1)
+    result = lift_curve(RFMR3, path, x0, initial_fraction=0.5, max_fraction=1.0)
+    assert result.t[-1] == 1.0
+    assert any(marked for _, marked in made)
+    start = 0.0
+    for (t, marked), (t_next, _) in zip(made, made[1:]):
+        if marked:
+            assert t_next - start == pytest.approx(0.5 * (t - start), abs=1e-15)
+        else:
+            start = t
+    assert len(made) == result.steps_taken + sum(marked for _, marked in made)
+
+
+@pytest.mark.parametrize("error", [EvaluationError, ConvergenceError, DegeneracyError])
+def test_an_evaluation_error_ends_the_lift(error):
+    # an error raised by a plain callable, of any class, is the lane's
+    # fatal error: the lift raises it and does not retry the step
+    raised = []
+
+    def f(lam, x):
+        if lam[0] > 0.7:
+            raised.append(error("the field is undefined past lambda = 0.7"))
+            raise raised[-1]
+        return PLANAR.f(lam, x)
+
+    sys = dataclasses.replace(PLANAR, f=f, batched=False)
+    with pytest.raises(error, match="undefined past") as caught:
+        lift_curve(sys, [[0.5], [0.9]], [-0.455, 0.3])
+    assert caught.value is raised[-1]
+    assert len(raised) == 1

@@ -17,7 +17,8 @@ from eqbundle import (
     eigen_dense,
     evaluate,
 )
-from eqbundle.systems import Domain, _evaluate_rows, first_integral_violation
+from eqbundle.expr import build_system_from_config
+from eqbundle.systems import Domain, _evaluate_rows, _in_domain_rows, first_integral_violation
 
 from conftest import rfmr_circulant_eigenvalues, sample_box, strip_jacobians
 
@@ -359,3 +360,73 @@ def test_identity_samples_are_the_lone_attempts(domain, samples, seed):
 @given(samples=st.integers(1, 10), seed=st.integers(0, 2**32))
 def test_identity_sampling_hits_the_lone_attempts_cap(samples, seed):
     assert assert_identity_samples_are_the_lone_attempts(_sliver_spec(), samples, seed) == "cap"
+
+
+# a point inside each domain, from which the rows below replace one
+# coordinate by NaN or an infinity
+INSIDE = {"rfmr": [0.5, 0.5, 0.5], "example2": [0.5, 1.0, 0.5], "planar": [0.2, 0.3]}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
+@pytest.mark.parametrize("name", ["rfmr", "example2", "planar"])
+def test_contains_and_in_domain_rows_agree_on_non_finite_rows(name, batched):
+    # rfmr's domain is a box alone, example2's and planar's have
+    # constraints; both routes reject every row with a NaN or an infinity
+    sys = dataclasses.replace(_make(name), batched=batched)
+    base = np.array(INSIDE[name])
+    rows = [base]
+    for value in (np.nan, np.inf, -np.inf):
+        for i in range(sys.n):
+            row = base.copy()
+            row[i] = value
+            rows.append(row)
+    inside, errors = _in_domain_rows(sys, np.array(rows), 1e-9)
+    assert not errors
+    assert inside.tolist() == [sys.domain.contains(row, 1e-9) for row in rows]
+    assert inside.tolist() == [True] + [False] * (len(rows) - 1)
+
+
+def _declared_ring(n: int) -> SystemSpec:
+    """rfmr(n) written as expressions."""
+    return build_system_from_config({
+        "n": n, "m": n, "k": 1,
+        "f": [
+            f"l{(i - 1) % n + 1}*x{(i - 1) % n + 1}*(1-x{i + 1})"
+            f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % n + 1})"
+            for i in range(n)
+        ],
+        "h": ["+".join(f"x{i + 1}" for i in range(n))],
+        "domain_box": [[0.0, 1.0]] * n,
+    })
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _declared_ring(4), lambda: builtin("example2"), lambda: builtin("rfmr", n=5),
+], ids=["declared-ring4", "example2", "rfmr5"])
+def test_identity_residuals_equal_the_sample_loop(make):
+    # the stacked residuals and their argmax give the loop's worst sample
+    # and integral bit for bit; example2 has k = 2
+    assert_identity_samples_are_the_lone_attempts(make(), 2000, 7)
+
+
+@pytest.mark.parametrize("case", ["tied", "zero"])
+def test_identity_residual_ties_and_zeros_match_the_loop(case):
+    # every residual equal: the first sample and its first integral; every
+    # residual 0: the default result
+    if case == "tied":
+        f = lambda lam, x: np.array([1.0, 0.0, 0.0])
+        jac_h = lambda x: np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    else:
+        f = lambda lam, x: np.zeros(3)
+        jac_h = lambda x: np.eye(3)[:2]
+    sys = SystemSpec(
+        name=case, n=3, m=1, k=2, f=f, h=lambda x: x[:2],
+        domain=Domain(box=np.array([[-1.0, 1.0]] * 3)),
+        parameter_box=np.array([[0.0, 1.0]]),
+        jac_h_fn=jac_h,
+    )
+    expected = assert_identity_samples_are_the_lone_attempts(sys, 50, 3)
+    if case == "tied":
+        assert (expected[0], expected[3]) == (1.0, 0)
+    else:
+        assert expected == (0.0, [0.0], [-1.0, -1.0, -1.0], 0)
