@@ -71,25 +71,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> None:
+    """Merge the flags into the config's blocks.  A block that is present
+    and neither null nor an object is left for config_from_dict to reject."""
+
+    def merge(block: str, values: dict) -> None:
+        current = raw.get(block)
+        if values and (current is None or isinstance(current, dict)):
+            raw[block] = {**(current or {}), **values}
+
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.output is not None:
-        output = raw.get("output")
-        if not isinstance(output, dict):
-            output = {}
-        output["path"] = args.output
-        raw["output"] = output
-    overrides = {}
-    for name in _tolerance_flags():
-        value = getattr(args, f"tol_{name}")
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        tolerances = raw.get("tolerances")
-        if not isinstance(tolerances, dict):
-            tolerances = {}
-        tolerances.update(overrides)
-        raw["tolerances"] = tolerances
+    merge("output", {} if args.output is None else {"path": args.output})
+    flags = {name: getattr(args, f"tol_{name}") for name in _tolerance_flags()}
+    merge("tolerances", {name: value for name, value in flags.items() if value is not None})
 
 
 def run_config(config: RunConfig):

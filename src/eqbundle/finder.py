@@ -4,19 +4,19 @@ The square solve targets F(x) = [f(lambda, x); h(x) - a] = 0 whose
 stacked Jacobian [df/dx; dh/dx] has full column rank n at transversal
 points, so a least-squares Newton step is the exact Newton step there.
 _level_set defines F and that Jacobian once, for newton_lanes and for
-transport's lift, and every step is one batched linalg._solve_rows call.
-Enumeration runs that solve from every point of a low-discrepancy
-sequence at once, as lanes of one lockstep kernel, deduplicates by
-clustering and audits only the kept points.  A lane whose ||F|| stays far
-above its target and falls by less than 1 % in 5 iterations ends early
-with the outcome "no progress", so a level that carries no equilibria
-costs a few iterations per start, not the iteration cap.  Fibers (k = 1
-only) are traced by predictor-corrector continuation along the kernel of
-df/dx, in one loop that also bisects the step that leaves the domain.
-The corrector, _correct, is undamped and local, and also corrects the
-steps of transport's lift; it marks each failed lane for retry or gives
-its fatal error.  One rule, _step_rule, retries, accepts or grows the
-steps of both.  newton_lanes is the damped, global solve.
+_correct, and every step is one batched linalg._solve_rows call.
+Enumeration runs the damped, global newton_lanes from every point of a
+low-discrepancy sequence at once, as lanes of one lockstep kernel,
+deduplicates by clustering and audits only the kept points.  A lane
+whose ||F|| stays far above its target and falls by less than 1 % in 5
+iterations ends early as "no progress", so an empty level costs a few
+iterations per start, not the iteration cap.  Fibers (k = 1 only) are
+traced by predictor-corrector continuation along the kernel of df/dx,
+in one loop that also bisects the step that leaves the domain.  The
+undamped, local _correct makes every local projection: the tracer's
+steps, the lift's starts and steps, and the eigen-loop's midpoints; it
+marks each failed lane for retry or gives its fatal error.  One rule,
+_step_rule, retries, accepts or grows the tracer's and the lift's steps.
 """
 
 from __future__ import annotations
@@ -246,10 +246,12 @@ def newton_lanes(
 ) -> NewtonLanes:
     """Damped Newton for [f(lam, x); h(x) - a] = 0 from every row of starts.
 
-    The starts advance in lockstep as lanes of one (B, n) array, but each
-    lane follows exactly the rule of a lone solve, so its result does not
-    depend on the batch it ran in.  A lane converges when ||F|| <=
-    newton_tol * (1 + ||x0||) at the top of one of max_iter iterations.
+    The global solve of enumerate_level_points and newton_on_level_set,
+    for starts that may lie far from a root.  The starts advance in
+    lockstep as lanes of one (B, n) array, but each lane follows exactly
+    the rule of a lone solve, so its result does not depend on the batch
+    it ran in.  A lane converges when ||F|| <= newton_tol * (1 + ||x0||)
+    at the top of one of max_iter iterations.
     F and its Jacobian [df/dx; dh/dx] come from _level_set, as in the
     lift's corrector.  Each iteration takes the least-squares Newton step
     of all running lanes in one _solve_rows call, whose batched SVD also
@@ -270,26 +272,19 @@ def newton_lanes(
     the domain and converged points must lie in it too.  Every lane ends
     with one of LANE_OUTCOMES; nothing is raised for a failed lane.
 
-    lam, a and starts must be finite (InputError otherwise).  The level a
-    is one k-vector shared by every lane, which stays 1-D throughout, or a
-    (B, k) stack with one level per lane, whose row i is the level of lane
-    i in every residual: each lane then ends as a lone solve at its own
-    level does.
+    lam, a and starts must be finite (InputError otherwise); the level a
+    is one k-vector shared by every lane.
     """
     max_iter = positive_int(max_iter, "max_iter")
     lam = finite_array(lam, "lambda").reshape(-1)
-    a = finite_array(a, "level a")
+    a = finite_array(a, "level a").reshape(-1)
     x = finite_array(starts, "starts").copy()
     if lam.size != sys.m:
         raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
     if x.ndim != 2 or x.shape[1] != sys.n:
         raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
-    if a.ndim != 2:
-        a = a.reshape(-1)
-        if a.size != sys.k:
-            raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
-    elif a.shape != (len(x), sys.k):
-        raise InputError(f"a per-lane level must have shape ({len(x)}, {sys.k}), got {a.shape}")
+    if a.size != sys.k:
+        raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
     level_residual, level_jacobian = _level_set(sys)
     count = x.shape[0]
     status = np.full(count, _RUNNING)
@@ -318,7 +313,7 @@ def newton_lanes(
     lanes = lanes[status == _RUNNING]
 
     errors = {}
-    values = level_residual(x[lanes], lam, a if a.ndim == 1 else a[lanes], errors)
+    values = level_residual(x[lanes], lam, a, errors)
     residual[lanes] = values
     stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
     record(lanes, errors, 0)
@@ -369,8 +364,7 @@ def newton_lanes(
             trying = ((candidate >= lo) & (candidate <= hi)).all(axis=1)
             trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
             errors = {}
-            levels = a if a.ndim == 1 else a[np.repeat(lanes[rows], alphas.size)[trying]]
-            trial[trying] = level_residual(candidate[trying], lam, levels, errors)
+            trial[trying] = level_residual(candidate[trying], lam, a, errors)
             trial_norm = _lane_norm(trial)
             # a skipped or non-finite trial has a NaN or infinite norm and
             # fails both comparisons
@@ -591,6 +585,11 @@ def _corrector_results(y0: np.ndarray, p: int) -> tuple:
 def _correct(residual, jacobian, y0, tols, *lane_args):
     """Undamped Gauss-Newton for residual(y) = 0 from nearby starts, one
     lane per row of y0 (B, n).
+
+    The one local projection: the tracer's steps onto _slice, and the
+    lift's starts and steps and the eigen-loop's midpoints onto
+    _level_set.  No lane is damped, has its start tested against the
+    domain or ends for lack of progress.
 
     Each lane follows the rule of a lone solve: one solve_least_squares(
     jacobian(y), -residual(y)) step per iteration until ||residual(y)|| <=

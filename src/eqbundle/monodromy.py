@@ -7,8 +7,8 @@ closed loop yields a permutation (which eigenvalue returns to which) and an
 integer winding number per track (net turns around 0 in the complex plane).
 This module splits spectra, tracks them along matrix and fiber loops in one
 refining loop that splits each sample's spectrum once, in stacks of
-samples, and reports the (permutation, windings) datum together with
-imaginary-axis crossing counts.
+samples (fiber loop midpoints are finder._correct lanes), and reports the
+(permutation, windings) datum with imaginary-axis crossing counts.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import numpy as np
 
 from .audit import _near_equilibrium
 from .errors import (
-    EqBundleError, InputError, ResolutionError, TrackingError, closed_loop, finite_array,
-    finite_vector, matrix_loop, non_negative_int, waypoint_path,
+    ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError, closed_loop,
+    finite_array, finite_vector, matrix_loop, non_negative_int, waypoint_path,
 )
-from .finder import newton_lanes
+from .finder import _correct, _level_set
 from .linalg import eigen_dense
-from .systems import SystemSpec, _evaluate_rows
+from .systems import SystemSpec, _evaluate_rows, _in_domain_rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -615,12 +615,12 @@ def eigen_along_fiber_loop(
     points are evaluated in one stack.  When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
-    integral level by Newton at fixed lam.  The midpoints of one
-    refinement depth that the tracker is certain to need are solved as
-    the lanes of one newton_lanes call, each at its own level, and
-    evaluated and split in one stack; a midpoint it needs beyond those
-    is solved alone.  A midpoint whose lane fails, or whose evaluation
-    fails, leaves its interval unhalved, as a lone solve that raised did.
+    integral level, at fixed lam, by the undamped local corrector
+    finder._correct.  The midpoints of one refinement depth that the
+    tracker is certain to need are the lanes of one _correct call, each
+    at its own level, evaluated and split in one stack; one it needs
+    beyond those is corrected alone.  A midpoint whose lane fails, ends
+    outside the domain or fails to evaluate leaves its interval unhalved.
     """
     lam = finite_vector(lam, sys.m, "lambda", "m")
     points = waypoint_path(loop_points, sys.n, "loop_points", "n")
@@ -635,18 +635,18 @@ def eigen_along_fiber_loop(
         _near_equilibrium(float(np.linalg.norm(f_value)), x, tols, f"loop point {i}")
 
     def refine(lefts, rights):
-        # each midpoint solved at the mean level of its pair, as one lane
+        # each midpoint corrected at the mean level of its pair, as one lane
         starts = 0.5 * (np.array([x for x, _ in lefts]) + np.array([x for x, _ in rights]))
         levels = 0.5 * (np.array([a for _, a in lefts]) + np.array([a for _, a in rights]))
-        lanes = newton_lanes(sys, lam, levels, starts, tols)
-        made = [lanes.error(i) for i in range(len(starts))]
-        solved = [i for i, error in enumerate(made) if error is None]
-        if solved:
-            x_mid, errors = lanes.x[solved], {}
-            h_mid, jac_mid = _evaluate_rows(sys, lam, x_mid, ("h", "jac_x"), errors)
-            for row, i in enumerate(solved):
-                made[i] = errors.get(row) or ((x_mid[row], h_mid[row]), jac_mid[row])
-        return made
+        lams = np.broadcast_to(lam, (len(starts), sys.m))
+        x_mid, _, _, retry, errors = _correct(*_level_set(sys), starts, tols, lams, levels)
+        slack = tols.domain_slack * (1.0 + sys.domain.diameter())
+        inside, raised = _in_domain_rows(sys, x_mid, slack)
+        errors.update(raised)
+        for i in np.flatnonzero(retry | ~inside).tolist():
+            errors.setdefault(i, ConvergenceError(f"no midpoint near {starts[i].tolist()}"))
+        h_mid, jac_mid = _evaluate_rows(sys, lam, x_mid, ("h", "jac_x"), errors)
+        return [errors.get(i) or ((x_mid[i], h_mid[i]), jac_mid[i]) for i in range(len(starts))]
 
     payloads = list(zip(points, h_values))
     return _track(list(matrices), payloads, refine, sys.k, None, tols, max_refine)

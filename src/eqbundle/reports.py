@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -124,12 +125,18 @@ def build_envelope(
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file in the destination directory plus rename, so a
-    crash never leaves a half-written report."""
+    crash never leaves a half-written report.  The report gets the mode
+    open(path, "w") gives: an existing file's, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eqbundle-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         try:

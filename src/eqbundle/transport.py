@@ -389,9 +389,8 @@ def lift_lanes(
     if off.size:
         x[off] = _correct(residual, jacobian, x[off], tols, lam_from[off], a0[off])[0]
     while lanes:
-        # a failure before the corrector ends its lane, drops the rows
-        # after it and reruns the round for the rows before it, which
-        # recomputes the same values
+        # a failure ends its lane, drops the rows after it and reruns the
+        # round for the rows before it, which recomputes the same values
         failure = None
         for row, lane in enumerate(lanes):
             lane.ds = min(lane.ds, 1.0 - lane.s)
@@ -414,6 +413,29 @@ def lift_lanes(
                     failure = min(errors.items(), key=lambda item: item[0])
                     break
                 k.append(velocity)
+        if failure is None:
+            k1, k2, k3, k4 = k
+            candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            lam_next = lam_t[:, 2]
+            y, iterations, resid, retry, fatal = _correct(
+                residual, jacobian, candidate, tols, lam_next, a0
+            )
+            # finder's step rule; the lanes it does not retry took the step,
+            # if it stayed inside
+            retry, grow = _step_rule(
+                retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
+            )
+            taken = np.flatnonzero(~retry)
+            inside, raised = _in_domain_rows(sys, y[taken], domain_slack)
+            # a row's fatal error wins over its domain test's outcome
+            ended = {int(taken[i]): raised.get(i) for i in np.flatnonzero(~inside)}
+            ended.update(fatal)
+            if ended:
+                row = min(ended)
+                failure = row, ended[row] or TransportError(
+                    f"lift exited the domain at x = {y[row].tolist()}",
+                    t=lanes[row].t(lanes[row].ds),
+                )
         if failure is not None:
             row, err = failure
             failed[lanes[row].index] = err
@@ -422,35 +444,12 @@ def lift_lanes(
             )
             continue
 
-        k1, k2, k3, k4 = k
-        candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lam_next = lam_t[:, 2]
-        y, iterations, resid, retry, fatal = _correct(
-            residual, jacobian, candidate, tols, lam_next, a0
-        )
-        # finder's step rule; the lanes it does not retry took the step, if
-        # it stayed inside
-        retry, grow = _step_rule(
-            retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
-        )
-        taken = np.flatnonzero(~retry)
-        inside, raised = _in_domain_rows(sys, y[taken], domain_slack)
-        # row: the error its domain test raised, or None
-        outside = {taken[i]: raised.get(i) for i in np.flatnonzero(~inside)}
         # the corrector's residual at y: [f(lam_next, y); h(y) - a0]
         norm_f = _lane_norm(resid[:, :n])
         norm_drift = _lane_norm(resid[:, n:])
 
         going = []
         for row, lane in enumerate(lanes):
-            if row in fatal:
-                failed[lane.index] = fatal[row]
-                break
-            if row in outside:
-                failed[lane.index] = outside[row] or TransportError(
-                    f"lift exited the domain at x = {y[row].tolist()}", t=lane.t(lane.ds)
-                )
-                break
             if retry[row]:
                 lane.ds *= 0.5
                 going.append(row)

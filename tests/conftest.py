@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from eqbundle import builtin
+from eqbundle.systems import Domain, SystemSpec
 
 # Shared by the property tests: the same examples on every run, no example
 # database, and no deadline or too-slow check on the slower systems.
@@ -39,6 +40,23 @@ def strip_jacobians(sys):
     """Copy of a system with all analytic derivative blocks removed."""
     return dataclasses.replace(
         sys, jac_x_fn=None, jac_lambda_fn=None, jac_h_fn=None, hess_h_fn=None
+    )
+
+
+def circle_fiber_system():
+    # f vanishes exactly on the circle x^2 + y^2 = 1/4 (and at the origin,
+    # which is a separate component); h = x^2 + y^2
+    def f(lam, x):
+        g = x[0] ** 2 + x[1] ** 2 - 0.25
+        return np.array([-lam[0] * g * x[1], lam[0] * g * x[0]])
+
+    def h(x):
+        return np.array([x[0] ** 2 + x[1] ** 2])
+
+    return SystemSpec(
+        name="circle-fiber", n=2, m=1, k=1, f=f, h=h,
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.25, 4.0]]),
     )
 
 

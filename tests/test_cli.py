@@ -465,6 +465,16 @@ def test_flag_overrides(tmp_path, capsys):
     assert data["result"]["count"] == 1
 
 
+@pytest.mark.parametrize("block, flag", [("tolerances", "--tol-newton"), ("output", "--output")])
+def test_a_flag_leaves_a_malformed_block_to_be_rejected(tmp_path, capsys, block, flag):
+    # a flag merges into a block that is an object or absent; it used to
+    # replace any other value with a fresh object, so the run exited 0
+    cfg = write_config(tmp_path, "find.json", dict(FIND_RFMR, **{block: 5}))
+    value = str(tmp_path / "out.json") if block == "output" else "1e-8"
+    assert main(["find", "--config", cfg, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: '{block}' must be an object\n"
+
+
 def test_bad_declaration_size_is_an_input_error(tmp_path, capsys):
     # "n": "two" used to escape main as a bare ValueError
     cfg = write_config(

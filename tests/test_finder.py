@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import circle_fiber_system
 from eqbundle import builtin, finder
 from eqbundle.errors import (
     BranchPointError,
@@ -37,23 +38,6 @@ def bisect_root(func, lo, hi, tol=1e-14):
         else:
             lo, flo = mid, func(mid)
     return 0.5 * (lo + hi)
-
-
-def circle_fiber_system():
-    # f vanishes exactly on the circle x^2 + y^2 = 1/4 (and at the origin,
-    # which is a separate component); h = x^2 + y^2
-    def f(lam, x):
-        g = x[0] ** 2 + x[1] ** 2 - 0.25
-        return np.array([-lam[0] * g * x[1], lam[0] * g * x[0]])
-
-    def h(x):
-        return np.array([x[0] ** 2 + x[1] ** 2])
-
-    return SystemSpec(
-        name="circle-fiber", n=2, m=1, k=1, f=f, h=h,
-        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
-        parameter_box=np.array([[0.25, 4.0]]),
-    )
 
 
 def test_newton_planar(planar):

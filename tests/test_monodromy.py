@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, rfmr_circulant_eigenvalues
+from conftest import circle_fiber_system, count_calls, rfmr_circulant_eigenvalues
 from eqbundle import builtin, monodromy
 from eqbundle.audit import audit_point
 from eqbundle.errors import (
     EqBundleError, EvaluationError, InputError, ResolutionError, TrackingError,
 )
+from eqbundle.finder import newton_lanes
 from eqbundle.linalg import eigen_dense
 from eqbundle.monodromy import (
     eigen_along_fiber_loop,
@@ -380,22 +381,85 @@ def test_matrix_loop_sorts_each_spectrum_once(monkeypatch):
 
 def test_fiber_loop_solves_each_depth_as_one_batch(monkeypatch):
     # the midpoints of one refinement depth are the lanes of one
-    # newton_lanes call (a lone call per midpoint made 4 calls), at most
+    # _correct call (a lone call per midpoint made 4 calls), at most
     # max_refine calls when every refinement was prefetched, and every
-    # solved midpoint is a sample of the loop
+    # corrected midpoint is a sample of the loop
     sys = builtin("rfmr", n=6)
     lanes = []
-    real = monodromy.newton_lanes
+    real = monodromy._correct
 
-    def counted(sys, lam, a, starts, *args):
+    def counted(residual, jacobian, starts, *args):
         lanes.append(len(starts))
-        return real(sys, lam, a, starts, *args)
+        return real(residual, jacobian, starts, *args)
 
-    monkeypatch.setattr(monodromy, "newton_lanes", counted)
+    monkeypatch.setattr(monodromy, "_correct", counted)
     pts = [np.full(6, c) for c in (0.2, 0.45, 0.2)]
     report = eigen_along_fiber_loop(sys, np.full(6, 1.5), pts)
     assert report.samples_used == len(pts) + sum(lanes)
     assert lanes == [2, 1, 1]
+
+
+@st.composite
+def curved_fiber_loops(draw):
+    """(sys, lam, points): a closed loop of equilibria on a curved fiber,
+    whose chords' midpoints are off the fiber.  Out and back along planar's
+    parabola x1 = lam (x2^2 - 1) in one to three legs; 6 to 16 equal arcs
+    of the circle system's fiber r = 1/2 (4 arcs make newton_lanes damp a
+    first step); or 3 to 12 arcs of a circle of radius 0.02 to 0.15 on
+    example2's equilibrium plane x1 = x3, well inside its domain."""
+    name = draw(st.sampled_from(["planar", "circle", "example2"]))
+    if name == "planar":
+        lam = draw(st.floats(0.05, 1.0))
+        ends = [draw(st.floats(-0.9, 0.0)), draw(st.floats(0.1, 0.9))]
+        if draw(st.booleans()):
+            ends.reverse()
+        legs = draw(st.integers(1, 3))
+        out = [ends[0] + (ends[1] - ends[0]) * j / legs for j in range(legs + 1)]
+        points = [np.array([lam * (y * y - 1.0), y]) for y in out + out[-2::-1]]
+        return builtin("planar"), [lam], points
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    lam = draw(st.floats(0.25, 4.0))
+    if name == "circle":
+        arcs = draw(st.integers(6, 16))
+        angles = phase + 2.0 * np.pi * np.arange(arcs) / arcs
+        points = [0.5 * np.array([np.cos(t), np.sin(t)]) for t in angles]
+        return circle_fiber_system(), [lam], points + points[:1]
+    radius = draw(st.floats(0.02, 0.15))
+    arcs = draw(st.integers(3, 12))
+    angles = phase + 2.0 * np.pi * np.arange(arcs) / arcs
+    points = []
+    for t in angles:
+        u, v = 0.55 + radius * np.cos(t), 1.18 + radius * np.sin(t)
+        points.append(np.array([u, v, u]))
+    return builtin("example2"), [lam], points + points[:1]
+
+
+@settings(settings.get_profile("derandomized"), max_examples=20)
+@given(loop=curved_fiber_loops())
+def test_fiber_loop_midpoints_equal_lone_newton_solves(loop):
+    # every midpoint of two refinement depths, corrected as a lane of one
+    # _correct call per depth, succeeds or fails with a lone newton_lanes
+    # solve at its pair's mean level and equals it bit for bit; each takes
+    # Newton steps, but neither the corrector's cap nor damping is reached
+    sys, lam, points = loop
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "_track", lambda matrices, payloads, refine, *args: (
+            payloads, refine
+        ))
+        payloads, refine = eigen_along_fiber_loop(sys, lam, points)
+    pairs = list(zip(payloads, payloads[1:]))
+    for _ in range(2):
+        made = refine([left for left, _ in pairs], [right for _, right in pairs])
+        halves = []
+        for (left, right), mid in zip(pairs, made):
+            start, level = 0.5 * (left[0] + right[0]), 0.5 * (left[1] + right[1])
+            alone = newton_lanes(sys, lam, level, start[None])
+            assert isinstance(mid, EqBundleError) == (alone.error(0) is not None)
+            if alone.error(0) is None:
+                assert alone.iteration[0] >= 1
+                assert mid[0][0].tobytes() == alone.x[0].tobytes()
+                halves += [(left, mid[0]), (mid[0], right)]
+        pairs = halves
 
 
 def _sorted_complex(values):

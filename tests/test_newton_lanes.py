@@ -241,29 +241,6 @@ def test_lane_is_independent_of_its_batch(name, seed, budget, data):
 
 @settings(settings.get_profile("derandomized"), max_examples=40)
 @given(
-    name=st.sampled_from(["planar", "rfmr3", "rfmr4", "rfmr5", "rfmr6"]),
-    seed=st.integers(0, 2**16),
-    budget=st.integers(1, 12),
-    data=st.data(),
-)
-def test_per_lane_levels_match_lone_solves(name, seed, budget, data):
-    # a (B, k) level gives every lane what a lone solve at its level gives
-    sys, lam, _ = _draw_problem(data, name)
-    levels = np.array([_draw_level(data, sys) for _ in range(budget)])
-    starts = level_starts(sys, budget, seed)
-    lanes = newton_lanes(sys, lam, levels, starts)
-    for i in range(budget):
-        alone = newton_lanes(sys, lam, levels[i], starts[i:i + 1])
-        assert alone.x[0].tobytes() == lanes.x[i].tobytes()
-        assert alone.status[0] == lanes.status[i]
-        assert alone.iteration[0] == lanes.iteration[i]
-        assert alone.residual[0].tobytes() == lanes.residual[i].tobytes()
-        assert str(alone.error(0)) == str(lanes.error(i))
-    assert_rounds_match_trial_by_trial(sys, lam, levels, starts, lanes)
-
-
-@settings(settings.get_profile("derandomized"), max_examples=40)
-@given(
     name=st.sampled_from(["planar", "example2", "rfmr3"]),
     seed=st.integers(0, 2**16),
     budget=st.integers(1, 80),
@@ -381,11 +358,9 @@ def test_enumerate_rejects_wrong_lengths(planar):
         enumerate_level_points(planar, [0.5], [0.0, 0.0], budget=20)
     with pytest.raises(InputError, match=r"starts must have shape \(B, 2\)"):
         newton_lanes(planar, [0.5], [0.0], [0.0, 0.0])
-
-
-def test_per_lane_level_needs_a_row_per_lane(planar):
-    with pytest.raises(InputError, match=r"per-lane level must have shape \(2, 1\)"):
-        newton_lanes(planar, [0.5], [[0.0], [0.1], [0.2]], [[0.0, 0.0], [0.1, 0.1]])
+    # one level for every lane: a (B, k) stack of levels is not a level
+    with pytest.raises(InputError, match="level a has length 2"):
+        newton_lanes(planar, [0.5], [[0.0], [0.1]], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
-"""canonical_json against the stdlib encoder it stands in for."""
+"""canonical_json against the stdlib encoder it stands in for, and the
+atomic report writer."""
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqbundle.reports import canonical_json
+from eqbundle.reports import canonical_json, write_text_atomic
 
 
 def stdlib(payload) -> str:
@@ -94,3 +97,23 @@ def test_a_cycle_is_the_stdlib_error():
     payload["a"].append(payload)
     with pytest.raises(ValueError, match="Circular reference detected"):
         canonical_json(payload)
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)], ids=["022", "002", "077"]
+)
+def test_a_report_gets_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    # a new report gets 0o666 less the umask, and a replaced one keeps its
+    # mode, as open(path, "w") gives them; both were the temp file's 0600
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("old")
+    kept.chmod(0o640)
+    old = os.umask(umask)
+    try:
+        write_text_atomic(str(new), "{}")
+        write_text_atomic(str(kept), "{}")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(new.stat().st_mode) == mode
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert new.read_text() == kept.read_text() == "{}"
