@@ -230,12 +230,14 @@ def _error_payload(exc: EqBundleError) -> dict:
 
 
 def _emit_error(
-    config: Optional[RunConfig], raw: Optional[dict], command: str, exc: EqBundleError
+    config: Optional[RunConfig], raw: Optional[dict], args: argparse.Namespace, exc: EqBundleError
 ) -> None:
     """The error envelope of a run.  Without a validated config it echoes
     the raw config (null if unread or not valid JSON) and null tolerances,
-    and goes where the raw output block says, or else to stdout.  For the
-    format both it removes an existing <path>.csv, which an earlier run left."""
+    and goes where the raw output block says, else to the --output path,
+    else to stdout.  For the format both it removes an existing
+    <path>.csv, which an earlier run left."""
+    command = args.command
     sys.stderr.write(f"error: {exc}\n")
     if config is not None:
         envelope = build_envelope(
@@ -248,7 +250,7 @@ def _emit_error(
             canonical_json(envelope)
         except ValueError:          # a NaN or infinite value in the raw config
             envelope["config"] = None
-        output = {"path": None, "format": "json"}
+        output = {"path": args.output, "format": "json"}
         if raw is not None:
             try:
                 output = _materialize_output(raw.get("output"), command)
@@ -278,12 +280,9 @@ def main(argv=None) -> int:
         result, artifact = run_config(config)
         _emit(config, result, artifact)
         return 0
-    except InputError as exc:
-        _emit_error(config, raw, args.command, exc)
-        return 1
     except EqBundleError as exc:
-        _emit_error(config, raw, args.command, exc)
-        return 2
+        _emit_error(config, raw, args, exc)
+        return 1 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

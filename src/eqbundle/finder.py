@@ -254,7 +254,8 @@ def newton_lanes(
     at the top of one of max_iter iterations.
     F and its Jacobian [df/dx; dh/dx] come from _level_set, as in the
     lift's corrector.  Each iteration takes the least-squares Newton step
-    of all running lanes in one _solve_rows call, whose batched SVD also
+    of all running lanes in one _solve_rows call (a batched QR with a rank
+    certificate from n = 8 columns, else a batched SVD), which also
     decides each Jacobian's column rank: a lane ends as singular on a rank
     deficient Jacobian and with its InputError on a non-finite one.  The
     line search scales the step by 1, 1/2, ..., 2^-24 and takes the first
@@ -598,8 +599,8 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
     *args, errors) evaluate the stack y of the running lanes, (R, p) and
     (R, p, n), with args the lane_args (one row per lane) cut to those
     lanes, and store the EqBundleError of a row they cannot evaluate under
-    that row in errors.  The steps of all running lanes are one batched SVD
-    solve.
+    that row in errors.  The steps of all running lanes are one _solve_rows
+    call, by QR or by SVD as the column count n decides.
 
     Returns (y, iterations, resid, retry, fatal): per lane the corrected
     point, the iteration at which it converged and the residual there

@@ -3,21 +3,27 @@
 Thin contracts over LAPACK (via numpy): every rank decision applies one
 cutoff rule to singular values and records the cutoff next to the answer.
 A rank alone takes the singular values only, a rank with kernel and image
-one full SVD, least squares one thin SVD (never the normal equations).
-Dense eigenvalues come back in a deterministic order.
+one full SVD.  Dense eigenvalues come back in a deterministic order.
 
-A wide stack of least-squares solves (_solve_rows) takes its batched SVD
-in contiguous chunks, one per usable CPU, on threads: each matrix still
-goes through its own LAPACK call, so every row is bit for bit what the
-one batched call gives, whatever the CPU count.  Only stacks whose work
-reaches _SPLIT_WORK are split; there is no option to set.
+Least squares (_solve_rows, and solve_least_squares, its one-row call)
+never forms the normal equations, and takes one route per column count
+q.  With q < _QR_COLUMNS one thin SVD A = U diag(s) V^T decides the
+column rank and gives V diag(1/s) U^T b.  With q >= _QR_COLUMNS one
+Householder QR of [A | b] gives x = R^-1 (Q^T b) (Golub & Van Loan,
+Matrix Computations, 4th ed., 5.3), and a certificate proves that the
+SVD's rank decision would find A full rank:
+
+    1 / ||R^-1||_F > 2 (rank_cutoff(shape, ||A||_F, rank_tol) + p q eps ||A||_F).
+
+A row the certificate does not clear takes the SVD route, which decides
+its rank and reports a deficient one.  Every row of a stack takes the
+same calls as it would alone, so its route and its bits do not depend on
+the other rows.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +130,13 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     """Minimize |A x - b| for a full-column-rank A (p, q) and a b (p, ...),
     each b[:, j, ...] a right-hand side of its own x[:, j, ...].
 
-    The call of _solve_rows with one row per right-hand side: one thin SVD
-    A = U diag(s) V^T decides the column rank, with the cutoff of
-    numeric_rank, and gives the solution V diag(1/s) U^T b; the normal
-    equations are never formed.  Raises DegeneracyError carrying the
-    RankReport when A is column rank deficient, since the minimizer is
-    then not unique.
+    The call of _solve_rows with one row per right-hand side, so it takes
+    the route of its column count q (see the module docstring): one thin
+    SVD below _QR_COLUMNS columns, else one QR whose certificate, when it
+    fails, hands the solve to the SVD.  The rank is decided with the cutoff
+    of numeric_rank; the normal equations are never formed.  Raises
+    DegeneracyError carrying the RankReport when A is column rank
+    deficient, since the minimizer is then not unique.
     """
     A = _as_matrix(A, "A")
     b = np.asarray(b, dtype=float)
@@ -153,77 +160,6 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     return x[: len(columns)].T.reshape((q,) + tail)
 
 
-# The SVD work, rows * p * q**2, of a stack (rows, p, q) from which
-# _svd_rows splits it across the CPUs.  Handing a chunk to a thread has a
-# fixed cost: on a 2-core machine, splitting every stack of work 2,000 or
-# more made the (<= 200, 5, 3) stacks of example2 and its empty levels
-# about 10 % slower, while any threshold from 20,000 to 200,000 gave
-# rfmr(10) and rfmr(20) the same saving.  100,000 keeps the small stacks
-# on the calling thread with margin.
-_SPLIT_WORK = 100_000
-
-_pool = None                    # ThreadPoolExecutor, made on the first split
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child has none of the parent's threads: a pool inherited
-    # with idle workers would queue work that no thread ever takes
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_pool():
-    """The split's thread pool, started on first use: one worker fewer
-    than the machine has CPUs, since the calling thread takes a chunk."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="eqbundle-svd"
-            )
-        return _pool
-
-
-def _svd_rows(A: np.ndarray) -> tuple:
-    """np.linalg.svd(A, full_matrices=False) of a stack A (B, p, q), bit for
-    bit.  A stack whose work B * p * q**2 reaches _SPLIT_WORK is split into
-    contiguous chunks, one per usable CPU but none with less than half that
-    work: the calling thread takes the first and the pool the others, and
-    u, s and vt are concatenated in row order.  numpy releases the GIL
-    inside each LAPACK call, and each matrix takes the same call in a chunk
-    as in the whole stack."""
-    count, p, q = A.shape
-    parts = 2 * count * p * q * q // _SPLIT_WORK
-    if parts >= 2:
-        parts = min(parts, count, _usable_cpus())
-    if parts < 2:
-        return np.linalg.svd(A, full_matrices=False)
-    chunks = np.array_split(A, parts)
-    pool = _worker_pool()
-    futures = [pool.submit(np.linalg.svd, chunk, full_matrices=False) for chunk in chunks[1:]]
-    try:
-        first = np.linalg.svd(chunks[0], full_matrices=False)
-    finally:
-        # every chunk finishes before this call returns or raises
-        rest = [future.result() for future in futures]
-    return tuple(np.concatenate(part) for part in zip(first, *rest))
-
-
 def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
     """The error of a least-squares matrix of this shape whose singular
     values s leave it column rank deficient."""
@@ -234,12 +170,50 @@ def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
     )
 
 
+# The least column count of the QR route.  On a 2-core x86 machine numpy's
+# qr and inv wrappers cost 10-20 us more per one-row call than svd's at
+# q <= 5 and reach parity at q = 10, while a 200-row stack at q = 8 takes
+# 0.8 ms by QR against 3.6 ms by SVD.
+_QR_COLUMNS = 8
+
+
+def _qr_rows(A: np.ndarray, b: np.ndarray, rank_tol) -> tuple:
+    """(x, certified) for the finite stacks A (B, p, q), p >= q, and b
+    (B, p): x = R^-1 (Q^T b) from one Householder QR of [A | b], and
+    certified marks the rows that pass the certificate of the module
+    docstring, a proof that the SVD rule of _solve_rows finds A full rank.
+    1 / ||R^-1||_F is at most the least singular value of R and ||A||_F at
+    least the largest of A; p q eps ||A||_F bounds the QR's backward error
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+    19.4), and the factor 2 covers the error of the computed inverse and
+    the SVD's own rounding.  A row whose R is exactly singular, or whose
+    figures overflow, is not certified; its x means nothing."""
+    count, p, q = A.shape
+    r = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
+    R = r[:, :q, :q]
+    # inv raises for the whole stack when one R has a zero on its diagonal
+    singular = ~np.diagonal(R, axis1=1, axis2=2).all(axis=1)
+    if singular.any():
+        R = np.where(singular[:, None, None], np.eye(q), R)
+    # an overflow or an inf * 0 can only leave its row uncertified
+    with np.errstate(all="ignore"):
+        inverse = np.linalg.inv(R)
+        x = np.matmul(inverse, r[:, :q, q:])[:, :, 0]
+        norm = np.sqrt((A * A).reshape(count, -1).sum(axis=1))
+        bound = rank_cutoff((p, q), norm, rank_tol, False) + p * q * EPS * norm
+        inverse_norm = np.sqrt((inverse * inverse).reshape(count, -1).sum(axis=1))
+        certified = 2.0 * bound * inverse_norm < 1.0
+    return x, certified & ~singular
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     """The least-squares solve of solve_least_squares(A[i], b[i], rank_tol)
-    at every row i of the stacks A (B, p, q), p >= q > 0, and b (B, p),
-    with one batched SVD, which _svd_rows splits across the CPUs when the
-    stack is wide; the rows and their bits do not depend on the split or
-    on the other rows.
+    at every row i of the stacks A (B, p, q), p >= q > 0, and b (B, p).
+    With q >= _QR_COLUMNS the rows take one batched QR (_qr_rows), and
+    those it does not certify full rank, like every row of a narrower
+    stack, one batched thin SVD, which decides the rank with the cutoff of
+    numeric_rank and gives V diag(1/s) U^T b.  A row's route and bits do
+    not depend on the other rows.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors.  Returns (x, deficient):
@@ -258,7 +232,17 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
                 )
         rows = np.array([row for row in range(count) if row not in errors], dtype=int)
         A, b = A[rows], b[rows]
-    u, s, vt = _svd_rows(A)
+    if not len(A):
+        return np.full((count, shape[1]), np.nan), {}
+    out = None                  # (count, q) once the QR route leaves rows
+    if shape[1] >= _QR_COLUMNS:
+        x, certified = _qr_rows(A, b, rank_tol)
+        if certified.all():
+            return _placed(x, rows, count), {}
+        rows = np.arange(count) if rows is None else rows
+        out = _placed(x[certified], rows[certified], count)
+        A, b, rows = A[~certified], b[~certified], rows[~certified]
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
     deficient = {}
     # s is descending: rank < q exactly when the last value is cut off
     cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)
@@ -270,11 +254,18 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
         u, s, vt, b, rows = u[keep], s[keep], vt[keep], b[keep], rows[keep]
     coeff = np.matmul(b[:, None, :], u)[:, 0, :] / s
     x = np.matmul(vt.transpose(0, 2, 1), coeff[:, :, None])[:, :, 0]
-    if rows is None:
-        return x, deficient
-    out = np.full((count, shape[1]), np.nan)
+    return _placed(x, rows, count, out), deficient
+
+
+def _placed(x: np.ndarray, rows, count: int, out=None) -> np.ndarray:
+    """x (R, q) written at the given rows of out (count, q), a new array of
+    NaN when None; rows None stands for every row in order."""
+    if rows is None and out is None:
+        return x
+    if out is None:
+        out = np.full((count, x.shape[1]), np.nan)
     out[rows] = x
-    return out, deficient
+    return out
 
 
 def eigen_dense(M) -> np.ndarray:

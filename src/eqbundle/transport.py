@@ -346,10 +346,10 @@ def lift_lanes(
     TransportError.
 
     The lanes advance in lockstep: each RK4 stage makes one stacked
-    jac_x/jac_h/jac_lambda call and one batched SVD solve for all running
-    lanes, and each corrector iteration one stacked call.  Every lane keeps
-    its own segment, position and step, so its result is bitwise that of
-    a lone lift.  When lanes fail, the error of the first failed lane in
+    jac_x/jac_h/jac_lambda call and one batched least-squares solve for
+    all running lanes, and each corrector iteration one stacked call.
+    Every lane keeps its own segment, position and step, so its result is
+    bitwise that of a lone lift.  When lanes fail, the error of the first failed lane in
     lane order is raised, validation errors included: the error that
     lifting the lanes one after another would raise.  Lanes after a failed
     one are dropped at once.  InputError unless the fractions are finite

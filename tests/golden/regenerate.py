@@ -106,6 +106,11 @@ CONFIGS = {
         "system": RFMR3, "command": "find", "lambda": [1.5] * 3, "level": [1.2],
         "budget": 40,
     },
+    # ten columns: every Newton step takes the QR route of linalg._solve_rows
+    "find-rfmr10": {
+        "system": {"builtin": "rfmr", "n": 10}, "command": "find",
+        "lambda": [1.7] * 10, "level": [3.5],
+    },
     "find-example2": {
         "system": {"builtin": "example2"}, "command": "find", "lambda": [1.5],
         "level": [2.0, 6.125], "budget": 40,

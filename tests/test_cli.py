@@ -475,6 +475,25 @@ def test_a_flag_leaves_a_malformed_block_to_be_rejected(tmp_path, capsys, block,
     assert capsys.readouterr().err == f"error: '{block}' must be an object\n"
 
 
+def test_an_unreadable_output_block_sends_the_error_to_the_output_flag(tmp_path, capsys):
+    # the error envelope went to stdout whenever the output block was
+    # malformed, though --output named a path; a config that cannot be
+    # read goes to that path too
+    out = tmp_path / "flag.json"
+    cfg = write_config(tmp_path, "find.json", dict(FIND_RFMR, output=5))
+    assert main(["find", "--config", cfg, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: 'output' must be an object\n"
+    envelope = json.loads(out.read_text())
+    assert envelope["error"] == {"type": "InputError", "message": "'output' must be an object"}
+    assert envelope["config"] == dict(FIND_RFMR, output=5)
+    missing = str(tmp_path / "missing.json")
+    assert main(["find", "--config", missing, "--output", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    envelope = json.loads(out.read_text())
+    assert envelope["config"] is None and envelope["error"]["type"] == "InputError"
+
+
 def test_bad_declaration_size_is_an_input_error(tmp_path, capsys):
     # "n": "two" used to escape main as a bare ValueError
     cfg = write_config(

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import concurrent.futures
-import sys
-import threading
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqbundle import (
     DegeneracyError,
@@ -16,9 +14,7 @@ from eqbundle import (
     solve_least_squares,
 )
 from eqbundle import linalg
-from eqbundle.linalg import _solve_rows, rank_and_subspaces
-
-from conftest import count_calls
+from eqbundle.linalg import RankReport, _solve_rows, rank_and_subspaces
 
 # Jacobian of the example2 vector field at lam=1, x=(1,1,1), written out by hand:
 # rows (lam*y, -lam*(z-x), -lam*y), (lam*z-2*lam*x, 0, lam*x), (0, 0, 0).
@@ -140,116 +136,105 @@ def test_lstsq_recovers_exact_solution():
         assert np.allclose(x, x0, atol=1e-9)
 
 
-@pytest.mark.parametrize("rank_tol", [None, 1e-3])
-def test_stacked_solve_is_the_lone_solve_row_by_row(rank_tol):
+@pytest.mark.parametrize(
+    "shape, rank_tol",
+    [
+        pytest.param((7, 5, 3), None, id="None"),
+        pytest.param((7, 5, 3), 1e-3, id="0.001"),
+        pytest.param((41, 21, 20), None, id="qr-None"),
+        pytest.param((41, 21, 20), 1e-3, id="qr-0.001"),
+    ],
+)
+def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
     # bitwise, with each failing row's lone error: a non-finite A, a
-    # non-finite b, a rank-deficient A; a row already failed is skipped
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((7, 5, 3))
-    b = rng.standard_normal((7, 5))
-    A[1, 2, 0] = np.nan
-    b[3, 4] = np.inf
-    A[4, :, 2] = A[4, :, 0]
-    errors = {5: "skipped"}
+    # non-finite b, rank-deficient rows; a row already failed is skipped.
+    # The 20-column stack takes the QR route, and its zero column gives an
+    # exactly singular R, which must not end the other rows' solves.
+    if shape[2] < linalg._QR_COLUMNS:
+        rng = np.random.default_rng(7)
+        A, b = rng.standard_normal(shape), rng.standard_normal(shape[:2])
+        A[1, 2, 0] = np.nan
+        b[3, 4] = np.inf
+        A[4, :, 2] = A[4, :, 0]
+        nan_A, inf_b, rank_deficient, skipped = 1, 3, [4], 5
+    else:
+        rng = np.random.default_rng(11)
+        A, b = rng.standard_normal(shape), rng.standard_normal(shape[:2])
+        A[2, 5, 7] = np.nan
+        b[30, 0] = -np.inf
+        A[3, :, 19] = A[3, :, 4]
+        A[38, :, 0] = 0.0
+        nan_A, inf_b, rank_deficient, skipped = 2, 30, [3, 38], 17
+    errors = {skipped: "skipped"}
     x, deficient = _solve_rows(A, b, rank_tol, errors)
-    assert np.isnan(x[[1, 3, 4, 5]]).all()
-    assert errors.pop(5) == "skipped"
+    failed = {nan_A, inf_b, skipped, *rank_deficient}
+    assert np.isnan(x[sorted(failed)]).all()
+    assert errors.pop(skipped) == "skipped"
     assert {row: str(err) for row, err in errors.items()} == {
-        1: "A contains non-finite entries", 3: "b contains non-finite entries"
+        nan_A: "A contains non-finite entries", inf_b: "b contains non-finite entries"
     }
-    for row in (0, 2, 6):
+    for row in set(range(len(A))) - failed:
         assert x[row].tobytes() == solve_least_squares(A[row], b[row], rank_tol).tobytes()
-    with pytest.raises(DegeneracyError) as lone:
-        solve_least_squares(A[4], b[4], rank_tol)
-    assert list(deficient) == [4]
-    assert str(deficient[4]) == str(lone.value)
-    assert deficient[4].report == lone.value.report
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_split_solve_is_the_unsplit_solve_row_by_row(monkeypatch, cpus):
-    # a stack past the split's work threshold, with a skipped row, non-finite
-    # rows and rank-deficient rows in the first and the last chunk
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((41, 21, 20))
-    b = rng.standard_normal((41, 21))
-    A[2, 5, 7] = np.nan
-    b[30, 0] = -np.inf
-    A[3, :, 19] = A[3, :, 4]
-    A[38, :, 0] = 0.0
-    assert len(A) * 21 * 20**2 >= linalg._SPLIT_WORK
-    results = {}
-    for count in (1, cpus):
-        monkeypatch.setattr(linalg, "_usable_cpus", lambda count=count: count)
-        svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
-        errors = {17: "skipped"}
-        results[count] = (_solve_rows(A, b, None, errors), errors)
-        monkeypatch.undo()
-        assert len(svds) == count
-    (x, deficient), errors = results[cpus]
-    (x1, deficient1), errors1 = results[1]
-    assert x.tobytes() == x1.tobytes()
-    assert {row: str(err) for row, err in errors.items()} == {
-        row: str(err) for row, err in errors1.items()
-    } == {2: "A contains non-finite entries", 30: "b contains non-finite entries", 17: "skipped"}
-    assert list(deficient) == list(deficient1) == [3, 38]
-    for row in (3, 38):
-        assert deficient[row].report == deficient1[row].report
+    assert list(deficient) == rank_deficient
+    for row in rank_deficient:
         with pytest.raises(DegeneracyError) as lone:
-            solve_least_squares(A[row], b[row])
+            solve_least_squares(A[row], b[row], rank_tol)
+        assert str(deficient[row]) == str(lone.value)
         assert deficient[row].report == lone.value.report
-    for row in set(range(len(A))) - {2, 3, 17, 30, 38}:
-        assert x[row].tobytes() == solve_least_squares(A[row], b[row]).tobytes()
 
 
-def test_concurrent_splits_share_one_pool(monkeypatch):
-    # more calling threads than cores, switching often: every call gets
-    # the unsplit bits, and the first splits start one pool between them
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((6, 30, 21, 20))
-    b = rng.standard_normal((6, 30, 21))
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
-    expected = [_solve_rows(A[i], b[i], None, {})[0].tobytes() for i in range(6)]
-    made = []
+@settings(settings.get_profile("derandomized"), max_examples=20)
+@given(
+    q=st.sampled_from([8, 10, 20]),
+    extra=st.sampled_from([1, 2]),
+    rank_tol=st.sampled_from([None, 1e-6]),
+    offset=st.floats(0.0, 0.25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qr_certificate_clears_only_full_rank_rows(q, extra, rank_tol, offset, seed):
+    # A = U diag(s) V^T, one row per least singular value swept from 1e-3
+    # to 1e3 times the SVD rule's cutoff.  A row the certificate clears is
+    # full rank under that rule, and clears only with a margin of 2 over
+    # the bound; every other row takes the SVD route and, when deficient,
+    # fails with the error and RankReport of that route.
+    rng = np.random.default_rng(seed)
+    p = q + extra
+    s = np.sort(rng.uniform(0.5, 2.0, q))[::-1]
+    cutoff = max(p, q) * s[0] * linalg.EPS if rank_tol is None else rank_tol
+    exponents = np.linspace(-3.0, 3.0, 25) + offset
+    A = np.empty((len(exponents), p, q))
+    for row, exponent in enumerate(exponents):
+        U = np.linalg.qr(rng.standard_normal((p, q)))[0]
+        V = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        A[row] = (U * np.append(s[:-1], cutoff * 10.0**exponent)) @ V.T
+    b = rng.standard_normal((len(A), p))
 
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(linalg, "_pool", None)
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
-    results = [None] * 6
-
-    def solve(i):
-        for _ in range(3):
-            results[i] = _solve_rows(A[i], b[i], None, {})[0].tobytes()
-
-    threads = [threading.Thread(target=solve, args=(i,)) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == expected
-    assert len(made) == 1
-
-
-def test_small_stacks_stay_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
-    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
-    rng = np.random.default_rng(3)
-    _solve_rows(rng.standard_normal((200, 5, 3)), rng.standard_normal((200, 5)), None, {})
-    _solve_rows(rng.standard_normal((1, 21, 20)), rng.standard_normal((1, 21)), None, {})
-    assert len(svds) == 2
+    x, certified = linalg._qr_rows(A, b, rank_tol)
+    x_stack, deficient = _solve_rows(A, b, rank_tol, {})
+    for row in range(len(A)):
+        values = np.linalg.svd(A[row], full_matrices=False)[1]
+        tol = max(p, q) * values[0] * linalg.EPS if rank_tol is None else rank_tol
+        rank = int(np.count_nonzero(values > tol))
+        norm = np.linalg.norm(A[row])
+        bound = (max(p, q) * norm * linalg.EPS if rank_tol is None else rank_tol)
+        bound += p * q * linalg.EPS * norm
+        if certified[row]:
+            assert rank == q
+            assert values[-1] > 1.9 * bound
+        if rank == q:
+            lone = solve_least_squares(A[row], b[row], rank_tol)
+            assert x_stack[row].tobytes() == lone.tobytes()
+            assert row not in deficient
+            continue
+        assert np.isnan(x_stack[row]).all()
+        report = RankReport(rank, tuple(float(v) for v in values), float(tol))
+        assert deficient[row].report == report
+        assert str(deficient[row]) == (
+            f"least squares matrix is column rank deficient (rank {rank} < {q})"
+        )
+        with pytest.raises(DegeneracyError) as lone:
+            solve_least_squares(A[row], b[row], rank_tol)
+        assert lone.value.report == report and str(lone.value) == str(deficient[row])
 
 
 def test_eigen_sorted_real():
