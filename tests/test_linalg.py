@@ -16,6 +16,8 @@ from eqbundle import (
 from eqbundle import linalg
 from eqbundle.linalg import RankReport, _solve_rows, rank_and_subspaces
 
+from conftest import count_calls
+
 # Jacobian of the example2 vector field at lam=1, x=(1,1,1), written out by hand:
 # rows (lam*y, -lam*(z-x), -lam*y), (lam*z-2*lam*x, 0, lam*x), (0, 0, 0).
 EX2_JAC = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -235,6 +237,46 @@ def test_qr_certificate_clears_only_full_rank_rows(q, extra, rank_tol, offset, s
         with pytest.raises(DegeneracyError) as lone:
             solve_least_squares(A[row], b[row], rank_tol)
         assert lone.value.report == report and str(lone.value) == str(deficient[row])
+
+
+def test_failed_wide_stack_makes_no_lapack_call(monkeypatch):
+    # every row of a 10-column stack is skipped or not finite, so neither
+    # route has a row to factor
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((4, 11, 10)), rng.standard_normal((4, 11))
+    A[0, 3, 3], b[1, 0], A[2, 0, 9] = np.nan, np.inf, -np.inf
+    calls = count_calls(monkeypatch, "qr", linalg.np.linalg)
+    calls += count_calls(monkeypatch, "inv", linalg.np.linalg)
+    calls += count_calls(monkeypatch, "svd", linalg.np.linalg)
+    errors = {3: "skipped"}
+    x, deficient = _solve_rows(A, b, None, errors)
+    assert calls == [] and deficient == {}
+    assert x.shape == (4, 10) and np.isnan(x).all()
+    assert sorted(errors) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-3])
+def test_qr_route_at_extreme_scales_is_the_lone_solve(rank_tol):
+    # rows whose norms overflow, whose R^-1 overflows, and a zero row: the
+    # certificate leaves each to the SVD route without a RuntimeWarning,
+    # and each row is its lone solve or fails with the lone solve's error
+    rng = np.random.default_rng(13)
+    base, b = rng.standard_normal((12, 10)), rng.standard_normal(12)
+    scales = [1.0, 1e160, 1e300, 1e-160, 1e-300, 0.0]
+    A = np.stack([scale * base for scale in scales])
+    b = np.stack([b] * len(scales))
+    x, deficient = _solve_rows(A, b, rank_tol, {})
+    for row in range(len(A)):
+        if row in deficient:
+            assert np.isnan(x[row]).all()
+            with pytest.raises(DegeneracyError) as lone:
+                solve_least_squares(A[row], b[row], rank_tol)
+            assert str(deficient[row]) == str(lone.value)
+            assert deficient[row].report == lone.value.report
+        else:
+            lone = solve_least_squares(A[row], b[row], rank_tol)
+            assert x[row].tobytes() == lone.tobytes()
+    assert 0 not in deficient and len(scales) - 1 in deficient
 
 
 def test_eigen_sorted_real():

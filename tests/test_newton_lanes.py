@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqbundle import builtin, finder
+from eqbundle import builtin, finder, linalg
 from eqbundle.errors import ConvergenceError, EvaluationError, InputError
 from eqbundle.finder import (
     CONVERGED,
@@ -26,6 +26,8 @@ from eqbundle.finder import (
 )
 from eqbundle.systems import Domain, SystemSpec
 from eqbundle.transport import holonomy_loop
+
+from conftest import count_calls
 
 
 def assert_lane_alone_matches(sys, lam, level, starts, lanes):
@@ -429,6 +431,23 @@ def test_find_starts_no_thread():
     found = enumerate_level_points(builtin("rfmr", n=20), [1.7] * 20, [20 * 0.35])
     assert threading.active_count() == before
     assert [p.state.x.tolist() for p in found] == [pytest.approx([0.35] * 20)]
+
+
+@pytest.mark.parametrize("system, lam, a", [
+    ({"n": 3}, [1.0, 1.0, 1.0], [1.5]),     # the benchmark's first job
+    ({"n": 10}, [1.7] * 10, [3.5]),
+    ({"n": 20}, [1.7] * 20, [20 * 0.35]),
+])
+def test_only_wide_stacks_take_the_qr_route(monkeypatch, system, lam, a):
+    # the route depends on the column count alone: an n-column Newton
+    # stack goes by QR exactly when n >= 8, and every find still solves
+    qrs = count_calls(monkeypatch, "_qr_rows", linalg)
+    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+    n = system["n"]
+    found = enumerate_level_points(builtin("rfmr", n=n), lam, a)
+    assert [p.state.x.tolist() for p in found] == [pytest.approx([a[0] / n] * n)]
+    assert bool(qrs) == (n >= linalg._QR_COLUMNS)
+    assert svds
 
 
 @pytest.mark.parametrize("n", [10, 20])
