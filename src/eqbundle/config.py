@@ -99,11 +99,8 @@ def _build_system(spec, command: str) -> Optional[SystemSpec]:
             "'system' must contain exactly one of 'builtin' or 'declaration'"
         )
     if "builtin" in spec:
-        params = {key: value for key, value in spec.items() if key != "builtin"}
-        for key, value in params.items():
-            if key != "n":
-                raise InputError(f"unknown builtin parameter {key!r}")
-            params[key] = positive_int(value, "system.n")
+        # a dict not read from JSON may have other keys than strings
+        params = {str(key): value for key, value in spec.items() if key != "builtin"}
         return builtin(str(spec["builtin"]), **params)
     extra = set(spec) - {"declaration"}
     if extra:
@@ -133,20 +130,7 @@ def _materialize_tolerances(overrides) -> tuple[Tolerances, dict]:
         overrides = {}
     if not isinstance(overrides, dict):
         raise InputError("'tolerances' must be an object")
-    valid = {field.name for field in dataclasses.fields(Tolerances)}
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise InputError(f"unknown tolerance names: {unknown}")
-    cleaned = {}
-    for key, value in overrides.items():
-        if value is None:
-            cleaned[key] = None
-        else:
-            try:
-                cleaned[key] = float(value)
-            except (TypeError, ValueError):
-                raise InputError(f"tolerance {key!r} must be a number") from None
-    tols = DEFAULT_TOLERANCES.replace(**cleaned)
+    tols = DEFAULT_TOLERANCES.replace(**{str(key): value for key, value in overrides.items()})
     return tols, tols.as_dict()
 
 

@@ -45,7 +45,7 @@ from .errors import (
     step_bounds,
     unit_sign,
 )
-from .linalg import _all_finite, _solve_rows, kernel_basis, numeric_rank
+from .linalg import _solve_rows, kernel_basis, numeric_rank
 from .systems import PointState, SystemSpec, _in_domain_rows, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -631,7 +631,7 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
         # converged lane every lane just steps
         if (
             errors or converged or iteration == _CORRECTOR_ITERATIONS
-            or not _all_finite(norm)
+            or not np.isfinite(norm).all()
         ):
             if lanes is None:
                 lanes, out = np.arange(count), _corrector_results(y0, resid.shape[1])

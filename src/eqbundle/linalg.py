@@ -23,7 +23,6 @@ the other rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +58,6 @@ class RankReport:
         }
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """Whether every entry is finite, from one sum: a NaN or infinite entry
-    makes the sum non-finite.  A sum that overflows reads as non-finite
-    too, so a False calls for an entrywise check, never for a failure."""
-    return math.isfinite(np.add.reduce(values, axis=None))
-
-
 def _as_matrix(M, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != ndim:
@@ -85,11 +77,14 @@ FD_NOISE_FLOOR = 50.0 * EPS ** (2.0 / 3.0)
 def rank_cutoff(shape, sigma_max, tol_override, fd: bool):
     """The singular value cutoff for matrices of this shape whose largest
     singular value is sigma_max (a float, or an array of one per matrix):
-    tol_override when given, else max(rows, cols) * sigma_max * eps, raised
-    to the finite-difference noise floor when fd is set."""
+    tol_override when given, else max(rows, cols) * eps * sigma_max, raised
+    to the finite-difference noise floor when fd is set.  In that order the
+    product overflows only where the cutoff does, and, eps being a power
+    of two, it is (max(rows, cols) * sigma_max) * eps bit for bit wherever
+    that is finite and normal."""
     if tol_override is not None:
         return np.full(np.shape(sigma_max), float(tol_override))
-    tol = max(shape) * sigma_max * EPS
+    tol = max(shape) * EPS * sigma_max
     if fd:
         tol = np.maximum(tol, FD_NOISE_FLOOR * np.maximum(1.0, sigma_max))
     return tol
@@ -112,7 +107,7 @@ def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> Rank
         Matrix with finite entries.
     tol_override : float, optional
         Absolute singular value cutoff.  When omitted the cutoff is
-        ``max(p, q) * sigma_max * eps``, raised to the finite-difference
+        ``max(p, q) * eps * sigma_max``, raised to the finite-difference
         noise floor when ``fd`` is set.
     fd : bool
         Declare that M came from finite differences, so singular values
@@ -216,13 +211,15 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     not depend on the other rows.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
-    gets solve_least_squares' InputError in errors.  Returns (x, deficient):
+    gets solve_least_squares' InputError in errors; the test is np.isfinite,
+    entry by entry, so finite entries near the float limit pass it without
+    a warning.  Returns (x, deficient):
     x (B, q), NaN where a row was not solved, and deficient {row:
     DegeneracyError} for the rows whose A is column rank deficient.
     """
     count, shape = len(A), A.shape[1:]
     rows = None                 # every row, until one is left out
-    if errors or not (_all_finite(A) and _all_finite(b)):
+    if errors or not (np.isfinite(A).all() and np.isfinite(b).all()):
         bad_A = ~np.isfinite(A).all(axis=(1, 2))
         bad_b = ~np.isfinite(b).all(axis=1)
         for row in range(count):

@@ -22,7 +22,7 @@ import numpy as np
 from .audit import _near_equilibrium
 from .errors import (
     ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError, closed_loop,
-    finite_array, finite_vector, matrix_loop, non_negative_int, waypoint_path,
+    finite_array, finite_vector, matrix_loop, non_negative_int, positive_float, waypoint_path,
 )
 from .finder import _correct, _level_set
 from .linalg import eigen_dense
@@ -80,10 +80,10 @@ def split_spectrum(
 ) -> SpectrumSplit:
     """Classify the k smallest-modulus eigenvalues of J as structural zeros.
 
-    tol_zero defaults to tols.zero_factor times the spectral radius.  The
-    split never fails; instead it is flagged unreliable when a classified
-    zero exceeds tol_zero or the zero/nonzero modulus gap is narrower than
-    tols.gap_min.
+    tol_zero, a positive finite number, defaults to tols.zero_factor times
+    the spectral radius.  The split never fails; instead it is flagged
+    unreliable when a classified zero exceeds tol_zero or the zero/nonzero
+    modulus gap is narrower than tols.gap_min.
     """
     J = finite_array(J, "J")
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
@@ -92,6 +92,7 @@ def split_spectrum(
     k = non_negative_int(k, "k")
     if k > n:
         raise InputError(f"k = {k} is out of range for an {n} x {n} matrix")
+    tol_zero = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
     zeros, nonzeros, gap_ratio, unreliable, _, tol_zero_used = _split(
         eigen_dense(J)[None], k, tol_zero, tols
     )
@@ -589,12 +590,14 @@ def track_matrix_loop(
     fold reads those and blends an interval the prediction missed on its
     own, so the result is that of halving one interval at a time.  A
     blend that is not finite raises its InputError when the fold reaches
-    it.  tol_zero is fixed once from the base matrix (tols.zero_factor
-    times its spectral radius); any tracked eigenvalue whose modulus, or
-    whose step chord, comes within tol_zero of the origin aborts the loop,
-    since its winding number is then undefined.
+    it.  tol_zero, a positive finite number, is fixed once from the base
+    matrix when not given (tols.zero_factor times its spectral radius);
+    any tracked eigenvalue whose modulus, or whose step chord, comes
+    within tol_zero of the origin aborts the loop, since its winding
+    number is then undefined.
     """
     mats, k = matrix_loop(matrices, k)
+    tol_zero = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
     max_refine = non_negative_int(max_refine, "max_refine")
     return _track(mats, mats, _blend_matrices, k, tol_zero, tols, max_refine)
 

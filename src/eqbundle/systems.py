@@ -30,8 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EqBundleError, EvaluationError, InputError, finite_vector
-from .linalg import _all_finite
+from .errors import (
+    EqBundleError, EvaluationError, InputError, finite_vector, non_negative_int, positive_int,
+)
 
 DEFAULT_DOMAIN_SLACK = 1e-9
 
@@ -284,7 +285,7 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
         return np.asarray(value, dtype=float).reshape((1,) + shape)
     if batched and count > 1:
         out = np.asarray(fn(lam, x), dtype=float).reshape((count,) + shape)
-        if not errors and _all_finite(out):
+        if not errors and np.isfinite(out).all():
             return out
         out = out.copy()
         rerun = np.flatnonzero(~_finite_rows(out))
@@ -545,7 +546,9 @@ def first_integral_violation(
 
 
 def check_first_integral_identity(sys: SystemSpec, samples: int = 200, seed: int = 0) -> float:
-    """Max |f . grad h_l| over seeded random domain samples."""
+    """Max |f . grad h_l| over seeded random domain samples: samples a
+    positive integer, seed a non-negative one."""
+    samples, seed = positive_int(samples, "samples"), non_negative_int(seed, "seed")
     return first_integral_violation(sys, samples, seed).max_residual
 
 
@@ -715,18 +718,19 @@ _BUILTINS = {
 
 
 def builtin(name: str, **params) -> SystemSpec:
-    """Construct a built-in system: planar, example2, or rfmr (needs n)."""
+    """Construct a built-in system: planar, example2, or rfmr (needs n, an
+    integer >= 3)."""
     if name not in _BUILTINS:
         raise InputError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(_BUILTINS))}"
         )
     if name == "rfmr":
-        if "n" not in params:
-            raise InputError("builtin 'rfmr' requires the site count n")
         extra = set(params) - {"n"}
         if extra:
             raise InputError(f"unknown parameters for 'rfmr': {sorted(extra)}")
-        return _BUILTINS[name](int(params["n"]))
+        if "n" not in params:
+            raise InputError("builtin 'rfmr' requires the site count n")
+        return _BUILTINS[name](positive_int(params["n"], "n"))
     if params:
         raise InputError(f"builtin {name!r} takes no parameters, got {sorted(params)}")
     return _BUILTINS[name]()

@@ -3,13 +3,17 @@
 Every cutoff that the library consults lives here so that reports can echo
 the exact values used and the CLI can override any of them uniformly
 (--tol-<name> <value> maps onto the field <name>, dashes for underscores).
-Every value must be a finite number >= 0; rank may also be None.
+Every value must be a finite number >= 0, not a bool, and is stored as a
+float; rank may also be None.  __post_init__ is the one check of a value,
+and replace the one check of a name, for the config, the flags and the
+library alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -21,7 +25,7 @@ class Tolerances:
     equilibrium: float = 1e-9
     # Newton convergence: |F| <= newton * (1 + |x0|)
     newton: float = 1e-10
-    # SVD rank cutoff; None means max(shape) * sigma_max * eps
+    # SVD rank cutoff; None means max(shape) * eps * sigma_max
     rank: float | None = None
     # dedup radius for multistart results, scaled by domain diameter
     cluster: float = 1e-6
@@ -41,14 +45,16 @@ class Tolerances:
             value = getattr(self, field.name)
             if value is None and field.name == "rank":
                 continue
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
             try:
-                valid = math.isfinite(value) and value >= 0.0
-            except TypeError:
-                valid = False
-            if not valid:
+                out = float(value) if number else math.nan
+            except OverflowError:       # an int past the float range
+                out = math.inf
+            if not 0.0 <= out < math.inf:
                 raise InputError(
                     f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}"
                 )
+            object.__setattr__(self, field.name, out)
 
     def replace(self, **overrides) -> "Tolerances":
         names = {f.name for f in dataclasses.fields(self)}

@@ -7,6 +7,11 @@ CHANGES.md with the fields that moved.
 
 Usage: PYTHONPATH=src python tests/golden/regenerate.py [name ...]
 (every entry when no name is given).
+
+    PYTHONPATH=src python tests/golden/regenerate.py --config name file [format]
+
+writes the config CONFIGS[name] to file instead, with the output format
+given, for a run of the installed `eqbundle` on it.
 """
 
 from __future__ import annotations
@@ -131,8 +136,7 @@ def envelope(name: str) -> str:
     raw = CONFIGS[name]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
-        with open(path, "w") as handle:
-            json.dump(raw, handle)
+        write_config(name, path)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main([raw["command"], "--config", path])
@@ -145,7 +149,17 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN, f"{name}.json")
 
 
+def write_config(name: str, path: str, fmt=None) -> None:
+    """CONFIGS[name] as JSON to path, with the output format fmt if given."""
+    raw = CONFIGS[name] if fmt is None else dict(CONFIGS[name], output={"format": fmt})
+    with open(path, "w") as handle:
+        json.dump(raw, handle)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--config"]:
+        write_config(*sys.argv[2:])
+        sys.exit()
     for name in sys.argv[1:] or CONFIGS:
         with open(golden_path(name), "w") as handle:
             handle.write(envelope(name))

@@ -11,6 +11,7 @@ from eqbundle import cli
 from eqbundle.cli import main
 from eqbundle.config import RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
+from eqbundle.linalg import EPS
 from eqbundle.monodromy import track_matrix_loop
 from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -597,6 +598,58 @@ def test_config_validation_errors():
                 "matrices": [np.eye(3).tolist()] * 2,
             }
         )
+
+
+def _declared(f: list, parameter_box: list) -> dict:
+    """A declared system on the box [-1, 1]^2 with h = x2."""
+    return {"declaration": {
+        "n": 2, "m": 1, "k": 1, "f": f, "h": ["x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": parameter_box,
+    }}
+
+
+# at l1 = 1 the fiber of x1^2 = l1 x2^2 is two lines crossing at the origin;
+# the fiber of x1^3 = l1 x2^2 through (0.25, 0.125) ends in a cusp there
+CROSS = _declared(["x1*x1 - l1*x2*x2", "0"], [[-1, 1]])
+CUSP = _declared(["x1*x1*x1 - l1*x2*x2", "0"], [[0.5, 1]])
+
+# (config, error type, message prefix, evidence): runs that fail in the
+# computation, with the error envelope's fields besides type and message
+FAILED_RUNS = [
+    ({"system": CROSS, "command": "trace-fiber", "lambda": [1], "x0": [0, 0]},
+     "BranchPointError", "kernel of df/dx has dimension 2, expected 1 at the starting point",
+     {"location": {"lambda": [1.0], "x": [0.0, 0.0]}}),
+    # the lift's velocity solve: A = [df/dx; dh/dx] is 3 x 2 and of rank 1
+    ({"system": CROSS, "command": "transport", "path": [[0], [1]], "x0": [0, 0.5]},
+     "TransportError", "stacked Jacobian lost full column rank: least squares matrix is "
+     "column rank deficient (rank 1 < 2) (t = 0.025)",
+     {"t": 0.025, "report": {"rank": 1, "singular_values": [pytest.approx(1.0), 0.0],
+                             "tol": pytest.approx(3 * EPS)}}),
+    ({"system": CROSS, "command": "transport", "path": [[1], [-1]], "x0": [0.5, 0.5]},
+     "TransportError", "transport step collapsed (t = 0.5", {"t": pytest.approx(0.5)}),
+    ({"system": CUSP, "command": "trace-fiber", "lambda": [1], "x0": [0.25, 0.125]},
+     "ConvergenceError", "fiber step collapsed below 2.8e-12 near x = ", {}),
+    ({"command": "track-matrix-loop", "matrices": [[[1, 0], [0, 1e-9]]] * 2, "k": 0},
+     "TrackingError", "winding undefined, path leaves C*: a base nonzero eigenvalue "
+     "already has modulus <= tol_zero = 1.000e-07 (between samples 0 and 0)",
+     {"segment": [0, 0]}),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, kind, message, evidence", FAILED_RUNS,
+    ids=[f"{raw['command']}-{kind}" for raw, kind, *_ in FAILED_RUNS],
+)
+def test_a_failed_computation_exits_2_with_its_evidence(
+    tmp_path, capsys, raw, kind, message, evidence
+):
+    cfg = write_config(tmp_path, "failed.json", raw)
+    assert main([raw["command"], "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert captured.err == f"error: {error['message']}\n"
+    assert error.pop("type") == kind and error.pop("message").startswith(message)
+    assert error == evidence
 
 
 def test_load_config_missing_file(tmp_path):

@@ -17,6 +17,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +86,16 @@ def test_rule_is_relative_and_strict_on_the_rest():
     assert mismatches(drift, {"r": {"max_h_drift": 9e-11, "gamma": [0.4]}}, newton=1e-10) == []
     assert mismatches(drift, {"r": {"max_h_drift": 2e-10, "gamma": [0.4]}}, newton=1e-10)
     assert mismatches(drift, {"r": {"max_h_drift": 2.2e-16, "gamma": [0.4 + 1e-11]}}, newton=1e-10)
+
+
+def test_config_mode_writes_the_named_config(tmp_path):
+    # the mode that the console-script steps of CI run before `eqbundle`
+    src = os.path.abspath(os.path.join(os.path.dirname(_HERE), os.pardir, os.pardir, "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, _HERE, "--config", "trace-fiber-planar", str(out), "both"],
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60,
+    )
+    expected = dict(golden.CONFIGS["trace-fiber-planar"], output={"format": "both"})
+    assert json.loads(out.read_text()) == expected

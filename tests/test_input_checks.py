@@ -1,9 +1,11 @@
 """One table of malformed inputs, each given to the config, to the CLI and to
 the library entry point that takes the same value.
 
-Every rule has one implementation in eqbundle.errors, so each case must
+Every rule has one implementation (in eqbundle.errors, or Tolerances for
+a tolerance and builtin for a builtin's parameters), so each case must
 raise InputError with the same message (up to the input's name) on every
 path, and the CLI must exit 1 with an `error:` line and an error envelope.
+A second table holds the library arguments that no config field reaches.
 """
 
 import json
@@ -15,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
-from eqbundle import builtin, config, errors, monodromy
+from eqbundle import (
+    DEFAULT_TOLERANCES, Tolerances, builtin, check_first_integral_identity, config, errors,
+    monodromy,
+)
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict
 from eqbundle.errors import InputError
 from eqbundle.finder import trace_fiber
-from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
+from eqbundle.monodromy import eigen_along_fiber_loop, split_spectrum, track_matrix_loop
 from eqbundle.transport import check_cocycle, holonomy_loop, lift_curve
 
 NAN, INF = float("nan"), float("inf")
@@ -54,6 +59,8 @@ STEPS = r"step bounds must be finite with 0 < min_step <= initial_step <= max_st
 FRACTIONS = "0 < min_fraction <= initial_fraction <= max_fraction"
 INTEGER = "must be an integer"
 PATHS = "paths must hold exactly three parameter paths"
+TOLERANCE = "must be a finite number >= 0, got"
+TOL_ZERO = "tol_zero must be positive and finite"
 
 # (base, overrides, message): the message is a regex that the config's and
 # the library's error both match
@@ -125,6 +132,24 @@ CASES = [
     ("cocycle", {"paths": 5}, PATHS),
     ("cocycle", {"paths": "abc"}, PATHS),
     ("cocycle", {"paths": [[[0.5], [0.7]], [[0.7], [0.9]]]}, PATHS),
+    # tolerances: numbers, neither bools nor strings, with known names
+    ("trace-fiber", {"tolerances": {"rank": True}}, f"tolerance 'rank' {TOLERANCE} True"),
+    ("trace-fiber", {"tolerances": {"equilibrium": False}}, f"'equilibrium' {TOLERANCE} False"),
+    ("transport", {"tolerances": {"newton": "1e-8"}}, f"tolerance 'newton' {TOLERANCE} '1e-8'"),
+    ("holonomy", {"tolerances": {"cluster": None}}, f"tolerance 'cluster' {TOLERANCE} None"),
+    ("eigen-loop", {"tolerances": {"wat": 1.0, "newton": 1.0}}, "unknown tolerance name: 'wat'"),
+    # a builtin's parameters
+    ("transport3", {"system": {"builtin": "rfmr", "n": 3.7}}, f"^n {INTEGER}"),
+    ("transport3", {"system": {"builtin": "rfmr", "n": "5"}}, f"^n {INTEGER}"),
+    ("transport3", {"system": {"builtin": "rfmr", "n": 0}}, "^n must be positive"),
+    ("transport3", {"system": {"builtin": "rfmr", "n": 2}}, "rfmr needs n >= 3 sites"),
+    ("transport3", {"system": {"builtin": "rfmr", "m": "x"}}, r"parameters for 'rfmr': \['m'\]"),
+    ("transport3", {"system": {"builtin": "rfmr"}}, "'rfmr' requires the site count n"),
+    ("transport", {"system": {"builtin": "planar", "n": 2}}, "'planar' takes no parameters"),
+    # the zero threshold of a matrix loop
+    ("track-matrix-loop", {"tol_zero": -1.0}, TOL_ZERO),
+    ("track-matrix-loop", {"tol_zero": NAN}, TOL_ZERO),
+    ("track-matrix-loop", {"tol_zero": "abc"}, "tol_zero must be a number"),
 ]
 
 
@@ -136,9 +161,11 @@ def raw_config(base: str, overrides: dict) -> dict:
 def call_library(raw: dict):
     """The library entry point of raw's command on raw's values, unchecked."""
     command = raw["command"]
+    tols = DEFAULT_TOLERANCES.replace(**raw.get("tolerances", {}))
     if command == "track-matrix-loop":
         return track_matrix_loop(
-            raw["matrices"], k=raw["k"], max_refine=raw.get("max_refine", 8)
+            raw["matrices"], k=raw["k"], tol_zero=raw.get("tol_zero"), tols=tols,
+            max_refine=raw.get("max_refine", 8),
         )
     spec = dict(raw["system"])
     sys = builtin(spec.pop("builtin"), **spec)
@@ -149,7 +176,8 @@ def call_library(raw: dict):
             if key in raw
         }
         return trace_fiber(
-            sys, raw["lambda"], raw["x0"], initial_direction=raw.get("direction", 1), **given
+            sys, raw["lambda"], raw["x0"], tols=tols,
+            initial_direction=raw.get("direction", 1), **given
         )
     if command == "transport":
         given = {
@@ -157,17 +185,17 @@ def call_library(raw: dict):
             for key in ("initial_fraction", "max_fraction", "min_fraction")
             if key in raw
         }
-        return lift_curve(sys, raw["path"], raw["x0"], **given)
+        return lift_curve(sys, raw["path"], raw["x0"], tols=tols, **given)
     if command == "holonomy":
-        return holonomy_loop(sys, raw["loop"], raw["level"], budget=20)
+        return holonomy_loop(sys, raw["loop"], raw["level"], budget=20, tols=tols)
     if command == "cocycle":
         return check_cocycle(
             sys, raw["lambda1"], raw["lambda2"], raw["lambda3"], raw["x0"],
-            paths=raw.get("paths"),
+            paths=raw.get("paths"), tols=tols,
         )
     assert command == "eigen-loop"
     return eigen_along_fiber_loop(
-        sys, raw["lambda"], raw["loop_points"], max_refine=raw.get("max_refine", 8)
+        sys, raw["lambda"], raw["loop_points"], tols=tols, max_refine=raw.get("max_refine", 8)
     )
 
 
@@ -187,6 +215,45 @@ def test_each_rule_is_one_input_error(tmp_path, capsys, base, overrides, message
     error = json.loads(captured.out)["error"]
     assert error["type"] == "InputError"
     assert f"error: {error['message']}\n" == captured.err
+
+
+# library entry points whose arguments no config field reaches:
+# (id, call, message)
+LIBRARY_CASES = [
+    ("split-tol-zero-negative", lambda: split_spectrum(np.eye(2), 0, tol_zero=-1.0), TOL_ZERO),
+    ("split-tol-zero-nan", lambda: split_spectrum(np.eye(2), 0, tol_zero=NAN), TOL_ZERO),
+    ("identity-samples-0", lambda: check_first_integral_identity(builtin("planar"), 0),
+     "samples must be positive"),
+    ("identity-samples-negative", lambda: check_first_integral_identity(builtin("planar"), -5),
+     "samples must be positive"),
+    ("identity-samples-fraction", lambda: check_first_integral_identity(builtin("planar"), 2.5),
+     f"samples {INTEGER}"),
+    ("identity-seed-negative",
+     lambda: check_first_integral_identity(builtin("planar"), 10, seed=-1),
+     "seed must be non-negative"),
+    ("tolerances-bool", lambda: Tolerances(rank=True), f"tolerance 'rank' {TOLERANCE} True"),
+    ("tolerances-numpy-bool", lambda: Tolerances(gap_min=np.True_),
+     f"tolerance 'gap_min' {TOLERANCE} np.True_"),
+    ("tolerances-huge-int", lambda: Tolerances(newton=10 ** 400), f"'newton' {TOLERANCE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [case[1:] for case in LIBRARY_CASES], ids=[case[0] for case in LIBRARY_CASES]
+)
+def test_each_library_rule_is_one_input_error(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_tolerances_are_stored_as_floats():
+    # an int is a number, which the config and the constructor keep as a float
+    raw = raw_config("transport3", {"tolerances": {"newton": 1, "rank": 0}})
+    echo = config_from_dict(raw).settings["tolerances"]
+    assert (echo["newton"], echo["rank"]) == (1.0, 0.0) and type(echo["newton"]) is float
+    tols = Tolerances(newton=np.int64(1), rank=None, gap_min=np.float32(0.5))
+    assert (type(tols.newton), tols.rank, type(tols.gap_min)) == (float, None, float)
+    assert tols == DEFAULT_TOLERANCES.replace(newton=1.0, gap_min=0.5)
 
 
 def test_valid_bases_pass_the_checks():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from eqbundle import (
     solve_least_squares,
 )
 from eqbundle import linalg
-from eqbundle.linalg import RankReport, _solve_rows, rank_and_subspaces
+from eqbundle.linalg import EPS, RankReport, _solve_rows, rank_and_subspaces, rank_cutoff
 
 from conftest import count_calls
 
@@ -44,6 +46,24 @@ def test_rank_tol_override():
     report = numeric_rank(np.diag([1.0, 1e-9]), tol_override=1e-6)
     assert report.rank == 1
     assert report.tol == 1e-6
+
+
+def test_rank_near_the_float_limit():
+    # max(shape) * sigma_max overflows here, and the cutoff itself does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = numeric_rank(np.eye(3) * 1e308)
+    assert report.rank == 3 and report.tol == 3 * EPS * 1e308
+
+
+def test_cutoff_is_the_old_product_bit_for_bit():
+    # eps is a power of two, so scaling by it commutes with the rounding of
+    # max(shape) * sigma_max wherever that product is finite and normal
+    sigma = np.geomspace(1e-250, 1e300, 20001)
+    for size in (1, 2, 3, 8, 9, 20, 21):
+        old = size * sigma * EPS
+        assert rank_cutoff((size, 1), sigma, None, False).tobytes() == old.tobytes()
+        assert rank_cutoff((1, size), float(sigma[-1]), None, False) == old[-1]
 
 
 def test_rank_rejects_non_finite():
@@ -277,6 +297,46 @@ def test_qr_route_at_extreme_scales_is_the_lone_solve(rank_tol):
             lone = solve_least_squares(A[row], b[row], rank_tol)
             assert x[row].tobytes() == lone.tobytes()
     assert 0 not in deficient and len(scales) - 1 in deficient
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-3])
+@pytest.mark.parametrize("stack", ["finite", "infinite"])
+def test_stack_near_the_float_limit_solves_without_a_warning(stack, rank_tol):
+    # the finite stack: a row whose entries sum past the float range and a
+    # full-rank row whose max(shape) * sigma_max does; the other stack
+    # holds both +inf and -inf.  Each row is its lone solve or fails with
+    # the lone solve's error, and no row raises a warning.
+    rng = np.random.default_rng(19)
+    base, b = rng.standard_normal((9, 8)), rng.standard_normal(9)
+    if stack == "finite":
+        q = np.linalg.qr(base)[0]        # orthonormal columns
+        A = np.stack([base, np.full((9, 8), 1.7e308), 5e307 * q])
+    else:
+        A = np.stack([base, base, base])
+        A[0, 0, 0], A[2, 4, 3] = np.inf, -np.inf
+    b = np.stack([b] * len(A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors: dict = {}
+        x, deficient = _solve_rows(A, b, rank_tol, errors)
+        for row in range(len(A)):
+            failure = errors.get(row) or deficient.get(row)
+            if failure is not None:
+                assert np.isnan(x[row]).all()
+                with pytest.raises(type(failure)) as lone:
+                    solve_least_squares(A[row], b[row], rank_tol)
+                assert str(lone.value) == str(failure)
+                assert getattr(lone.value, "report", None) == getattr(failure, "report", None)
+            else:
+                lone = solve_least_squares(A[row], b[row], rank_tol)
+                assert x[row].tobytes() == lone.tobytes()
+    if stack == "finite":
+        assert not errors and list(deficient) == [1]
+        # the full-rank row is solved: x = q^T b / 5e307
+        assert np.allclose(5e307 * x[2], q.T @ b[2], rtol=1e-12, atol=0.0)
+    else:
+        assert sorted(errors) == [0, 2] and not deficient
+        assert str(errors[0]) == "A contains non-finite entries"
 
 
 def test_eigen_sorted_real():

@@ -231,6 +231,20 @@ def test_holonomy_validations(planar):
         holonomy_loop(planar, [[0.5], [0.9], [0.5]], [5.0], budget=20, seed=0)
 
 
+def test_holonomy_rejects_two_lifts_onto_one_point(example2, monkeypatch):
+    # every lane ends where the first one does: each endpoint matches the
+    # first point, and the matching is not a bijection
+    lift_lanes = transport.lift_lanes
+
+    def collapsed(sys, paths, starts, tols):
+        lifts = lift_lanes(sys, paths, starts, tols)
+        return [lifts[0]] * len(lifts)
+
+    monkeypatch.setattr(transport, "lift_lanes", collapsed)
+    with pytest.raises(HolonomyError, match=r"not a bijection: \[0, 0, 0, 0\]$"):
+        holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=200, seed=0)
+
+
 def test_holonomy_matching_radius(rfmr3):
     # a zero matching radius rejects even a perfect roundtrip
     loop = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [1, 2, 1], [1, 1, 1]]
