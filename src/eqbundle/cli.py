@@ -5,7 +5,8 @@ Usage: eqbundle <command> --config <path> [--output <path>] [--seed <int>]
 
 The config file is a JSON object holding the system, the command, and its
 inputs; flags override the matching config scalars (flag > config >
-default).  The report envelope, a result or an error, goes to the output
+default).  A flag's text is read as the config value it spells and checked
+as one.  The report envelope, a result or an error, goes to the output
 path when one is set (<path>.json for the format "both"), otherwise to
 stdout, as does the error envelope of a csv run.  Exit codes: 0 success,
 1 invalid input, 2 a degeneracy or numerical failure detected by the
@@ -58,21 +59,33 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", required=True, help="path to a JSON run config")
         sub.add_argument("--output", default=None, help="override the output path")
-        sub.add_argument("--seed", type=int, default=None, help="override the seed")
+        sub.add_argument("--seed", default=None, help="override the seed")
         for name in _tolerance_flags():
             sub.add_argument(
                 f"--tol-{name.replace('_', '-')}",
                 dest=f"tol_{name}",
-                type=float,
                 default=None,
                 help=f"override tolerance {name!r}",
             )
     return parser
 
 
+def _flag_value(text: str):
+    """The config value a flag's text spells: an int, else a float, else
+    null for the word null, else the text itself.  config_from_dict then
+    checks it as it checks the same value in the file."""
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return None if text == "null" else text
+
+
 def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> None:
-    """Merge the flags into the config's blocks.  A block that is present
-    and neither null nor an object is left for config_from_dict to reject."""
+    """Merge the flags, read by _flag_value, into the config's blocks.  A
+    block that is present and neither null nor an object is left for
+    config_from_dict to reject."""
 
     def merge(block: str, values: dict) -> None:
         current = raw.get(block)
@@ -80,10 +93,10 @@ def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> None:
             raw[block] = {**(current or {}), **values}
 
     if args.seed is not None:
-        raw["seed"] = args.seed
+        raw["seed"] = _flag_value(args.seed)
     merge("output", {} if args.output is None else {"path": args.output})
     flags = {name: getattr(args, f"tol_{name}") for name in _tolerance_flags()}
-    merge("tolerances", {name: value for name, value in flags.items() if value is not None})
+    merge("tolerances", {name: _flag_value(v) for name, v in flags.items() if v is not None})
 
 
 def run_config(config: RunConfig):

@@ -20,8 +20,14 @@ from .errors import (
     positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
 )
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
+from .finder import (
+    DEFAULT_BUDGET, DEFAULT_SEED, INITIAL_DIRECTION, INITIAL_STEP_FRACTION, MAX_FIBER_POINTS,
+    MAX_STEP_FRACTION, MIN_STEP_FRACTION,
+)
+from .monodromy import MAX_REFINE
 from .systems import SystemSpec, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .transport import INITIAL_FRACTION, MAX_FRACTION, MIN_FRACTION
 
 COMMANDS = (
     "audit",
@@ -173,7 +179,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["matrices"] = matrices
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
-        fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
+        fields["max_refine"] = non_negative_int(data.get("max_refine", MAX_REFINE), "max_refine")
         return fields
 
     assert system is not None
@@ -184,28 +190,28 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
     elif command == "find":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(data.get("budget", 200), "budget")
-        fields["seed"] = non_negative_int(data.get("seed", 0), "seed")
+        fields["budget"] = positive_int(data.get("budget", DEFAULT_BUDGET), "budget")
+        fields["seed"] = non_negative_int(data.get("seed", DEFAULT_SEED), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         diameter = system.domain.diameter()
         fields["min_step"], fields["initial_step"], fields["max_step"] = step_bounds(
-            data.get("min_step", 1e-12 * diameter),
-            data.get("initial_step", 0.01 * diameter),
-            data.get("max_step", 0.05 * diameter),
+            data.get("min_step", MIN_STEP_FRACTION * diameter),
+            data.get("initial_step", INITIAL_STEP_FRACTION * diameter),
+            data.get("max_step", MAX_STEP_FRACTION * diameter),
             "step",
         )
-        fields["max_points"] = positive_int(data.get("max_points", 20000), "max_points")
-        fields["direction"] = unit_sign(data.get("direction", 1), "direction")
+        fields["max_points"] = positive_int(data.get("max_points", MAX_FIBER_POINTS), "max_points")
+        fields["direction"] = unit_sign(data.get("direction", INITIAL_DIRECTION), "direction")
     elif command == "transport":
         fields["path"] = _waypoints(_require(data, "path", command), m, "path", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
             step_bounds(
-                data.get("min_fraction", 1e-10),
-                data.get("initial_fraction", 0.05),
-                data.get("max_fraction", 0.25),
+                data.get("min_fraction", MIN_FRACTION),
+                data.get("initial_fraction", INITIAL_FRACTION),
+                data.get("max_fraction", MAX_FRACTION),
                 "fraction",
             )
         )
@@ -214,8 +220,8 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         closed_loop(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(data.get("budget", 200), "budget")
-        fields["seed"] = non_negative_int(data.get("seed", 0), "seed")
+        fields["budget"] = positive_int(data.get("budget", DEFAULT_BUDGET), "budget")
+        fields["seed"] = non_negative_int(data.get("seed", DEFAULT_SEED), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):
             fields[key] = _vector(_require(data, key, command), m, key, "m")
@@ -232,7 +238,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")
         closed_loop(points, "loop points")
         fields["loop_points"] = points
-        fields["max_refine"] = non_negative_int(data.get("max_refine", 8), "max_refine")
+        fields["max_refine"] = non_negative_int(data.get("max_refine", MAX_REFINE), "max_refine")
     return fields
 
 

@@ -33,7 +33,7 @@ from .errors import (
     positive_float,
     positive_int,
 )
-from .systems import Domain, SystemSpec, first_integral_violation
+from .systems import IDENTITY_SAMPLES, IDENTITY_SEED, Domain, SystemSpec, first_integral_violation
 
 FUNCTIONS = {
     "sin": math.sin,
@@ -454,7 +454,11 @@ def to_source(node) -> str:
 
 # Defaults of the optional declaration keys that set the first-integral check;
 # configs echo a declaration with them filled in.
-IDENTITY_DEFAULTS = {"identity_tolerance": 1e-8, "identity_samples": 200, "identity_seed": 0}
+IDENTITY_DEFAULTS = {
+    "identity_tolerance": 1e-8,
+    "identity_samples": IDENTITY_SAMPLES,
+    "identity_seed": IDENTITY_SEED,
+}
 
 
 def build_system_from_config(decl: dict) -> SystemSpec:

@@ -236,13 +236,17 @@ def _level_set(sys: SystemSpec) -> tuple:
     return residual, jacobian
 
 
+# newton_lanes' iteration cap
+NEWTON_MAX_ITER = 50
+
+
 def newton_lanes(
     sys: SystemSpec,
     lam,
     a,
     starts,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    max_iter: int = 50,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> NewtonLanes:
     """Damped Newton for [f(lam, x); h(x) - a] = 0 from every row of starts.
 
@@ -270,7 +274,8 @@ def newton_lanes(
     when ||F|| exceeds 1e3 times its target and 0.99 times the lane's
     ||F|| at iteration it - 5: far from any root, the lane is crawling
     toward a minimum of ||F|| that is not zero.  Starts must lie in
-    the domain and converged points must lie in it too.  Every lane ends
+    the domain within tols.domain_slack times its diameter, and converged
+    points within tols.domain_slack times (1 + diameter).  Every lane ends
     with one of LANE_OUTCOMES; nothing is raised for a failed lane.
 
     lam, a and starts must be finite (InputError otherwise); the level a
@@ -308,7 +313,7 @@ def newton_lanes(
     diameter = sys.domain.diameter()
     target = tols.newton * (1.0 + np.linalg.norm(x, axis=1))
     lanes = np.arange(count)
-    inside, errors = _in_domain_rows(sys, x, 1e-9 * diameter)
+    inside, errors = _in_domain_rows(sys, x, tols.domain_slack * diameter)
     stop(lanes[~inside], START_OUTSIDE_DOMAIN, 0)
     record(lanes, errors, 0)
     lanes = lanes[status == _RUNNING]
@@ -432,7 +437,7 @@ def newton_on_level_set(
     a,
     x0,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    max_iter: int = 50,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> EquilibriumPoint:
     """Damped Newton for [f(lam, x); h(x) - a] = 0 from x0, audited.
 
@@ -524,12 +529,18 @@ def _cluster_representatives(x, quality, converged, radius) -> list:
     return kept
 
 
+# the multistart of enumerate_level_points and holonomy_loop: the number of
+# starts and the seed of their sample
+DEFAULT_BUDGET = 200
+DEFAULT_SEED = 0
+
+
 def enumerate_level_points(
     sys: SystemSpec,
     lam,
     a,
-    budget: int = 200,
-    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> list:
     """Multistart Newton from a scrambled Halton sequence.
@@ -790,6 +801,14 @@ def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
     return x0, f0
 
 
+# trace_fiber's defaults: the min, initial and max steps as fractions of the
+# domain diameter, the cap on the points of one direction, and the first
+# direction
+MIN_STEP_FRACTION, INITIAL_STEP_FRACTION, MAX_STEP_FRACTION = 1e-12, 0.01, 0.05
+MAX_FIBER_POINTS = 20000
+INITIAL_DIRECTION = 1
+
+
 def trace_fiber(
     sys: SystemSpec,
     lam,
@@ -798,8 +817,8 @@ def trace_fiber(
     initial_step: Optional[float] = None,
     max_step: Optional[float] = None,
     min_step: Optional[float] = None,
-    max_points: int = 20000,
-    initial_direction: int = 1,
+    max_points: int = MAX_FIBER_POINTS,
+    initial_direction: int = INITIAL_DIRECTION,
 ) -> FiberTrace:
     """Trace the connected fiber of {f(lam, .) = 0} through x0 (k = 1 only).
 
@@ -809,9 +828,10 @@ def trace_fiber(
     length or keeps it and may double the next, up to max_step.  Ends
     either by closing into a circle or by hitting the domain boundary in
     both directions (segment).
-    The steps default to 0.01, 0.05 and 1e-12 times the domain diameter
-    and must satisfy 0 < min_step <= initial_step <= max_step; the
-    initial direction is 1 or -1.
+    The steps default to INITIAL_STEP_FRACTION, MAX_STEP_FRACTION and
+    MIN_STEP_FRACTION times the domain diameter and must satisfy
+    0 < min_step <= initial_step <= max_step; the initial direction is 1
+    or -1.
     """
     if sys.k != 1:
         raise UnsupportedDimensionError(
@@ -820,9 +840,9 @@ def trace_fiber(
     lam = finite_vector(lam, sys.m, "lambda", "m")
     diameter = sys.domain.diameter()
     floor, step0, cap = step_bounds(
-        1e-12 * diameter if min_step is None else min_step,
-        0.01 * diameter if initial_step is None else initial_step,
-        0.05 * diameter if max_step is None else max_step,
+        MIN_STEP_FRACTION * diameter if min_step is None else min_step,
+        INITIAL_STEP_FRACTION * diameter if initial_step is None else initial_step,
+        MAX_STEP_FRACTION * diameter if max_step is None else max_step,
         "step",
     )
     max_points = positive_int(max_points, "max_points")

@@ -568,12 +568,16 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
     )
 
 
+# the refinement depth of track_matrix_loop and eigen_along_fiber_loop
+MAX_REFINE = 8
+
+
 def track_matrix_loop(
     matrices: Sequence[np.ndarray],
     k: int = 0,
     tol_zero: Optional[float] = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    max_refine: int = 8,
+    max_refine: int = MAX_REFINE,
 ) -> EigenLoopReport:
     """Track the nonzero eigenvalues along a closed loop of square matrices.
 
@@ -607,7 +611,7 @@ def eigen_along_fiber_loop(
     lam,
     loop_points: Sequence,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    max_refine: int = 8,
+    max_refine: int = MAX_REFINE,
 ) -> EigenLoopReport:
     """Track the nonzero Jacobian eigenvalues along a closed loop of
     equilibria on one fiber.

@@ -34,6 +34,7 @@ from .errors import (
     EqBundleError, EvaluationError, InputError, finite_vector, non_negative_int, positive_int,
 )
 
+# the slack of Domain.contains and evaluate, and Tolerances.domain_slack's default
 DEFAULT_DOMAIN_SLACK = 1e-9
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))        # first derivatives
@@ -499,8 +500,14 @@ class FirstIntegralViolation:
     integral_index: int
 
 
+# the sample of first_integral_violation and check_first_integral_identity:
+# its size and its seed
+IDENTITY_SAMPLES = 200
+IDENTITY_SEED = 0
+
+
 def first_integral_violation(
-    sys: SystemSpec, samples: int = 200, seed: int = 0
+    sys: SystemSpec, samples: int = IDENTITY_SAMPLES, seed: int = IDENTITY_SEED
 ) -> FirstIntegralViolation:
     """Worst |f . grad h_l| over seeded random domain points.
 
@@ -545,7 +552,9 @@ def first_integral_violation(
     return worst
 
 
-def check_first_integral_identity(sys: SystemSpec, samples: int = 200, seed: int = 0) -> float:
+def check_first_integral_identity(
+    sys: SystemSpec, samples: int = IDENTITY_SAMPLES, seed: int = IDENTITY_SEED
+) -> float:
     """Max |f . grad h_l| over seeded random domain samples: samples a
     positive integer, seed a non-negative one."""
     samples, seed = positive_int(samples, "samples"), non_negative_int(seed, "seed")

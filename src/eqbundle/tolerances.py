@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
+from .systems import DEFAULT_DOMAIN_SLACK
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class Tolerances:
     cluster: float = 1e-6
     # fiber endpoint refinement: bisect the step parameter down to this
     boundary_refine: float = 1e-10
-    # domain membership slack for evaluation and final point checks
-    domain_slack: float = 1e-9
+    # domain membership slack for start, evaluation and final point checks
+    domain_slack: float = DEFAULT_DOMAIN_SLACK
     # tangency residual allowed for metric arguments: |J v| <= tangent * (1 + |v|)
     tangent: float = 1e-8
     # eigenvalue split: |mu| <= zero_factor * spectral_radius counts as zero

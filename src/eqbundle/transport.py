@@ -40,8 +40,8 @@ from .errors import (
     waypoint_path,
 )
 from .finder import (
-    _continuation_start, _correct, _lane_norm, _level_set, _step_rule,
-    enumerate_level_points,
+    DEFAULT_BUDGET, DEFAULT_SEED, _continuation_start, _correct, _lane_norm, _level_set,
+    _step_rule, enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, _in_domain_rows, evaluate
@@ -240,14 +240,18 @@ def metric_g(
     return float(phi_x @ phi_y + pi_x @ pi_y)
 
 
+# lift_lanes' default steps, as fractions of a segment of the path
+MIN_FRACTION, INITIAL_FRACTION, MAX_FRACTION = 1e-10, 0.05, 0.25
+
+
 def lift_curve(
     sys: SystemSpec,
     lambda_path,
     x0,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    initial_fraction: float = 0.05,
-    max_fraction: float = 0.25,
-    min_fraction: float = 1e-10,
+    initial_fraction: float = INITIAL_FRACTION,
+    max_fraction: float = MAX_FRACTION,
+    min_fraction: float = MIN_FRACTION,
 ) -> TransportResult:
     """Horizontal lift of a piecewise-linear parameter path from x0.
 
@@ -325,9 +329,9 @@ def lift_lanes(
     paths,
     x0s,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    initial_fraction: float = 0.05,
-    max_fraction: float = 0.25,
-    min_fraction: float = 1e-10,
+    initial_fraction: float = INITIAL_FRACTION,
+    max_fraction: float = MAX_FRACTION,
+    min_fraction: float = MIN_FRACTION,
 ) -> list:
     """Horizontal lifts of piecewise-linear parameter paths, lane i lifting
     paths[i] from x0s[i]; returns one TransportResult per lane.
@@ -484,8 +488,8 @@ def holonomy_loop(
     sys: SystemSpec,
     loop,
     a,
-    budget: int = 200,
-    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+    seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> HolonomyReport:
     """Transport every point of E_lambda on the level set around a loop.

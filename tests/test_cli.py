@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -12,8 +13,12 @@ from eqbundle.cli import main
 from eqbundle.config import RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
 from eqbundle.linalg import EPS
-from eqbundle.monodromy import track_matrix_loop
+from eqbundle.finder import enumerate_level_points, trace_fiber
+from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
+from eqbundle.reports import canonical_json
+from eqbundle.systems import builtin
 from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
+from eqbundle.transport import holonomy_loop, lift_curve
 
 RFMR3_DECL = {
     "n": 3,
@@ -537,6 +542,53 @@ def test_non_finite_or_negative_tolerance_exits_1(tmp_path, capsys, value):
     assert capsys.readouterr().err == message
 
 
+def test_a_flag_that_spells_no_number_is_an_input_error(tmp_path, capsys):
+    # argparse converted the flag, so "abc" was a usage error: exit 2, no
+    # error line and no envelope; the config's check now names it
+    message = "tolerance 'newton' must be a finite number >= 0, got 'abc'"
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    assert main(["find", "--config", cfg, "--tol-newton", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    envelope = json.loads(captured.out)
+    assert envelope["error"] == {"type": "InputError", "message": message}
+    assert envelope["config"] == dict(FIND_RFMR, tolerances={"newton": "abc"})
+    assert main(["find", "--config", cfg, "--seed", "2.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be an integer\n"
+    assert json.loads(captured.out)["config"] == dict(FIND_RFMR, seed=2.5)
+
+
+def test_a_flag_sets_rank_back_to_null(tmp_path, capsys):
+    cfg = write_config(tmp_path, "find.json", dict(FIND_RFMR, tolerances={"rank": 1e-12}))
+    assert main(["find", "--config", cfg, "--tol-rank", "null"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["tolerances_used"]["rank"] is None
+    assert '"rank": null' in canonical_json(data)
+
+
+def test_a_flag_value_runs_as_the_same_value_in_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    assert main(["find", "--config", cfg, "--tol-newton", "1e-8", "--seed", "3"]) == 0
+    by_flag = capsys.readouterr().out
+    cfg = write_config(
+        tmp_path, "file.json", dict(FIND_RFMR, seed=3, tolerances={"newton": 1e-8})
+    )
+    assert main(["find", "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+def test_the_parser_keeps_every_override_as_text():
+    # no argparse converter: the config's checks are the only rules
+    names = [field.name for field in dataclasses.fields(Tolerances)]
+    argv = ["find", "--config", "c.json", "--seed", "2.5"]
+    for name in names:
+        argv += [f"--tol-{name.replace('_', '-')}", "abc"]
+    args = cli._build_parser().parse_args(argv)
+    assert args.seed == "2.5"
+    assert [getattr(args, f"tol_{name}") for name in names] == ["abc"] * len(names)
+
+
 def test_tolerances_are_finite_and_non_negative():
     for name in ("newton", "rank", "cluster", "gap_min"):
         for value in (float("nan"), float("inf"), -1.0):
@@ -684,3 +736,65 @@ def test_import_loads_no_scipy():
     ).stdout.split("\n")
     assert out[0] == "[]"
     assert out[1] == "True"
+
+
+def _find_rfmr():
+    points = enumerate_level_points(builtin("rfmr", n=3), [1, 1, 1], [1.5])
+    return {"count": len(points), "points": [p.as_dict() for p in points]}
+
+
+FIBER_LOOP = [[c] * 3 for c in (0.15, 0.275, 0.4, 0.275, 0.15)]
+LIFT_PATH = [[1.2] * 3, [2.0, 1.0, 1.6]]
+
+# (minimal config, the library call with no optional argument): the result
+# of a run whose config gives no optional field is the library's default run
+MINIMAL_RUNS = [
+    (FIND_RFMR, _find_rfmr),
+    ({"system": {"builtin": "planar"}, "command": "trace-fiber",
+      "lambda": [0.5], "x0": [-0.455, 0.3]},
+     lambda: trace_fiber(builtin("planar"), [0.5], [-0.455, 0.3]).as_dict()),
+    ({"system": {"builtin": "rfmr", "n": 3}, "command": "transport",
+      "path": LIFT_PATH, "x0": [0.4] * 3},
+     lambda: lift_curve(builtin("rfmr", n=3), LIFT_PATH, [0.4] * 3).as_dict()),
+    ({"system": {"builtin": "example2"}, "command": "holonomy",
+      "loop": [[1.0], [2.5], [1.0]], "level": [2.0, 6.125]},
+     lambda: holonomy_loop(builtin("example2"), [[1.0], [2.5], [1.0]], [2.0, 6.125]).as_dict()),
+    ({"system": {"builtin": "rfmr", "n": 3}, "command": "eigen-loop",
+      "lambda": [1.5] * 3, "loop_points": FIBER_LOOP},
+     lambda: eigen_along_fiber_loop(builtin("rfmr", n=3), [1.5] * 3, FIBER_LOOP).as_dict()),
+    (rotation_config(8),
+     lambda: track_matrix_loop(rotation_config(8)["matrices"]).as_dict()),
+]
+MINIMAL_IDS = [raw["command"] for raw, _ in MINIMAL_RUNS]
+
+
+@pytest.mark.parametrize("raw, library", MINIMAL_RUNS, ids=MINIMAL_IDS)
+def test_the_echoed_defaults_are_the_library_defaults(raw, library):
+    result, _ = cli.run_config(config_from_dict(raw))
+    assert canonical_json(result) == canonical_json(library())
+
+
+# command: (library function, {echoed field: its parameter})
+SIGNATURE_DEFAULTS = {
+    "find": (enumerate_level_points, {"budget": "budget", "seed": "seed"}),
+    "trace-fiber": (trace_fiber, {"max_points": "max_points", "direction": "initial_direction"}),
+    "transport": (lift_curve, {
+        "initial_fraction": "initial_fraction", "max_fraction": "max_fraction",
+        "min_fraction": "min_fraction",
+    }),
+    "holonomy": (holonomy_loop, {"budget": "budget", "seed": "seed"}),
+    "eigen-loop": (eigen_along_fiber_loop, {"max_refine": "max_refine"}),
+    "track-matrix-loop": (track_matrix_loop, {
+        "k": "k", "tol_zero": "tol_zero", "max_refine": "max_refine",
+    }),
+}
+
+
+@pytest.mark.parametrize("raw", [raw for raw, _ in MINIMAL_RUNS], ids=MINIMAL_IDS)
+def test_each_echoed_default_is_the_signature_default(raw):
+    function, fields = SIGNATURE_DEFAULTS[raw["command"]]
+    parameters = inspect.signature(function).parameters
+    settings = config_from_dict(raw).settings
+    assert {field: settings[field] for field in fields} == {
+        field: parameters[param].default for field, param in fields.items()
+    }

@@ -25,6 +25,7 @@ from eqbundle.finder import (
     newton_on_level_set,
 )
 from eqbundle.systems import Domain, SystemSpec
+from eqbundle.tolerances import DEFAULT_TOLERANCES
 from eqbundle.transport import holonomy_loop
 
 from conftest import count_calls
@@ -116,6 +117,22 @@ def test_empty_level_line_search_runs_in_rounds(example2):
     assert lanes.iteration.max() == 30
     assert calls[0] <= 124
     assert_rounds_match_trial_by_trial(example2, [1.0], [2.0, 10.0], starts, lanes)
+
+
+def test_start_test_takes_the_domain_slack(planar):
+    # the start test took 1e-9 * diameter whatever tols.domain_slack was.
+    # These starts lie 5e-8 out along rays of the unit disk: their
+    # constraint value, about 1e-7, is above the default slack times the
+    # diameter 2 sqrt(2) and below 1e-6 times it
+    starts = np.array([[0.6, 0.8], [-0.8, 0.6], [0.28, -0.96]]) * (1.0 + 5e-8)
+    assert (planar.domain.constraints[0](starts) > 1e-9 * planar.domain.diameter()).all()
+    lanes = newton_lanes(planar, [0.5], [0.3], starts)
+    assert lanes.counts()["start outside domain"] == 3
+    assert all("is not in the domain" in str(lanes.error(i)) for i in range(3))
+    wide = DEFAULT_TOLERANCES.replace(domain_slack=1e-6)
+    lanes = newton_lanes(planar, [0.5], [0.3], starts, wide)
+    assert lanes.counts()["start outside domain"] == 0
+    assert lanes.counts()["converged"] == 3
 
 
 def atan_system(band):
