@@ -49,6 +49,10 @@ def _tolerance_flags() -> list[str]:
     return [field.name for field in dataclasses.fields(Tolerances)]
 
 
+def _tolerance_flag(name: str) -> str:
+    return f"--tol-{name.replace('_', '-')}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqbundle",
@@ -62,12 +66,26 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", default=None, help="override the seed")
         for name in _tolerance_flags():
             sub.add_argument(
-                f"--tol-{name.replace('_', '-')}",
+                _tolerance_flag(name),
                 dest=f"tol_{name}",
                 default=None,
                 help=f"override tolerance {name!r}",
             )
     return parser
+
+
+def _joined_flag_values(argv: list) -> list:
+    """argv with --seed or --tol-<name> and a next argument that starts with
+    one "-" joined as --flag=value: argparse reads -1e-3 or -inf after a
+    flag as an option, and after "=" as the flag's value."""
+    flags = {"--seed", *map(_tolerance_flag, _tolerance_flags())}
+    joined: list = []
+    for arg in argv:
+        if joined and joined[-1] in flags and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _flag_value(text: str):
@@ -277,7 +295,9 @@ def _emit_error(
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _joined_flag_values(sys.argv[1:] if argv is None else argv)
+    )
     config: Optional[RunConfig] = None
     raw = None
     try:

@@ -85,6 +85,12 @@ def _require(data: dict, key: str, command: str):
     return data[key]
 
 
+def _optional(data: dict, key: str, default):
+    """The value of an optional field; null means the same as absent."""
+    value = data.get(key)
+    return default if value is None else value
+
+
 def _vector(value, length: int, what: str, dim_name: str) -> list:
     return finite_vector(value, length, what, dim_name).tolist()
 
@@ -168,7 +174,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
     if command == "track-matrix-loop":
         default_k = system.k if system is not None else 0
         matrices, fields["k"] = matrix_loop(
-            _require(data, "matrices", command), data.get("k", default_k)
+            _require(data, "matrices", command), _optional(data, "k", default_k)
         )
         size = matrices.shape[1]
         if system is not None and size != system.n:
@@ -179,7 +185,9 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["matrices"] = matrices
         tol_zero = data.get("tol_zero")
         fields["tol_zero"] = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
-        fields["max_refine"] = non_negative_int(data.get("max_refine", MAX_REFINE), "max_refine")
+        fields["max_refine"] = non_negative_int(
+            _optional(data, "max_refine", MAX_REFINE), "max_refine"
+        )
         return fields
 
     assert system is not None
@@ -190,28 +198,32 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
     elif command == "find":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(data.get("budget", DEFAULT_BUDGET), "budget")
-        fields["seed"] = non_negative_int(data.get("seed", DEFAULT_SEED), "seed")
+        fields["budget"] = positive_int(_optional(data, "budget", DEFAULT_BUDGET), "budget")
+        fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         diameter = system.domain.diameter()
         fields["min_step"], fields["initial_step"], fields["max_step"] = step_bounds(
-            data.get("min_step", MIN_STEP_FRACTION * diameter),
-            data.get("initial_step", INITIAL_STEP_FRACTION * diameter),
-            data.get("max_step", MAX_STEP_FRACTION * diameter),
+            _optional(data, "min_step", MIN_STEP_FRACTION * diameter),
+            _optional(data, "initial_step", INITIAL_STEP_FRACTION * diameter),
+            _optional(data, "max_step", MAX_STEP_FRACTION * diameter),
             "step",
         )
-        fields["max_points"] = positive_int(data.get("max_points", MAX_FIBER_POINTS), "max_points")
-        fields["direction"] = unit_sign(data.get("direction", INITIAL_DIRECTION), "direction")
+        fields["max_points"] = positive_int(
+            _optional(data, "max_points", MAX_FIBER_POINTS), "max_points"
+        )
+        fields["direction"] = unit_sign(
+            _optional(data, "direction", INITIAL_DIRECTION), "direction"
+        )
     elif command == "transport":
         fields["path"] = _waypoints(_require(data, "path", command), m, "path", "m")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
             step_bounds(
-                data.get("min_fraction", MIN_FRACTION),
-                data.get("initial_fraction", INITIAL_FRACTION),
-                data.get("max_fraction", MAX_FRACTION),
+                _optional(data, "min_fraction", MIN_FRACTION),
+                _optional(data, "initial_fraction", INITIAL_FRACTION),
+                _optional(data, "max_fraction", MAX_FRACTION),
                 "fraction",
             )
         )
@@ -220,8 +232,8 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         closed_loop(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(data.get("budget", DEFAULT_BUDGET), "budget")
-        fields["seed"] = non_negative_int(data.get("seed", DEFAULT_SEED), "seed")
+        fields["budget"] = positive_int(_optional(data, "budget", DEFAULT_BUDGET), "budget")
+        fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):
             fields[key] = _vector(_require(data, key, command), m, key, "m")
@@ -238,7 +250,9 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")
         closed_loop(points, "loop points")
         fields["loop_points"] = points
-        fields["max_refine"] = non_negative_int(data.get("max_refine", MAX_REFINE), "max_refine")
+        fields["max_refine"] = non_negative_int(
+            _optional(data, "max_refine", MAX_REFINE), "max_refine"
+        )
     return fields
 
 

@@ -9,11 +9,23 @@ Least squares (_solve_rows, and solve_least_squares, its one-row call)
 never forms the normal equations, and takes one route per column count
 q.  With q < _QR_COLUMNS one thin SVD A = U diag(s) V^T decides the
 column rank and gives V diag(1/s) U^T b.  With q >= _QR_COLUMNS one
-Householder QR of [A | b] gives x = R^-1 (Q^T b) (Golub & Van Loan,
-Matrix Computations, 4th ed., 5.3), and a certificate proves that the
-SVD's rank decision would find A full rank:
+Householder QR of [A | b] and one back substitution give x = R^-1 (Q^T b)
+(Golub & Van Loan, Matrix Computations, 4th ed., 5.3), and a certificate
+proves that the SVD's rank decision would find A full rank:
 
-    1 / ||R^-1||_F > 2 (rank_cutoff(shape, ||A||_F, rank_tol) + p q eps ||A||_F).
+    1 / (sqrt(q) max(y)) > 2 (rank_cutoff(shape, ||A||_F, rank_tol) + p q eps ||A||_F)
+
+for y = M(R)^-1 e, where the comparison matrix M(R) has |r_ii| on its
+diagonal and -|r_ij| above it.  The proof (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed.): |R^-1| <= M(R)^-1 entrywise (Thm
+8.12), so ||R^-1||_2 <= sqrt(q) ||R^-1||_inf <= sqrt(q) max(y), and the
+left side is at most the least singular value of R.  ||A||_F is at least
+the largest singular value of A, and p q eps ||A||_F bounds the QR's
+backward error (Thm 19.4); below 1e-150 the squares of ||A||_F may
+underflow, and such a row is not certified.  y_i = (1 + sum_j>i |r_ij|
+y_j) / |r_ii| adds nonnegative terms only, so the computed y is within
+about q (q + 1) eps of the exact one, relative, and the factor 2 covers
+that and the SVD's own rounding.  No inverse is formed.
 
 A row the certificate does not clear takes the SVD route, which decides
 its rank and reports a deficient one.  Every row of a stack takes the
@@ -165,10 +177,12 @@ def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
     )
 
 
-# The least column count of the QR route.  On a 2-core x86 machine numpy's
-# qr and inv wrappers cost 10-20 us more per one-row call than svd's at
-# q <= 5 and reach parity at q = 10, while a 200-row stack at q = 8 takes
-# 0.8 ms by QR against 3.6 ms by SVD.
+# The least column count of the QR route.  On a shared 2-core x86 machine
+# (numpy 2.4, best of 25), one (q + 1, q) row of _solve_rows takes 36, 53,
+# 55 and 82 us by QR against 19, 29, 32 and 77 us by SVD at q = 3, 8, 10
+# and 20, most of it the back substitution's numpy calls, while a 200-row
+# stack takes 0.18, 0.57, 0.77 and 2.5 ms by QR against 0.54, 2.3, 3.2 and
+# 12.0 ms by SVD.
 _QR_COLUMNS = 8
 
 
@@ -177,28 +191,27 @@ def _qr_rows(A: np.ndarray, b: np.ndarray, rank_tol) -> tuple:
     (B, p): x = R^-1 (Q^T b) from one Householder QR of [A | b], and
     certified marks the rows that pass the certificate of the module
     docstring, a proof that the SVD rule of _solve_rows finds A full rank.
-    1 / ||R^-1||_F is at most the least singular value of R and ||A||_F at
-    least the largest of A; p q eps ||A||_F bounds the QR's backward error
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
-    19.4), and the factor 2 covers the error of the computed inverse and
-    the SVD's own rounding.  A row whose R is exactly singular, or whose
-    figures overflow, is not certified; its x means nothing."""
+    One back substitution gives x and y = M(R)^-1 e: with the right-hand
+    sides appended to R and |R| and a last unknown of -1, each step is one
+    vecdot per row, the BLAS dot of a lone row, and one division.  A row
+    whose R is singular, whose figures overflow or whose ||A||_F may
+    underflow (below 1e-150) is not certified; its x means nothing."""
     count, p, q = A.shape
-    r = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
-    R = r[:, :q, :q]
-    # inv raises for the whole stack when one R has a zero on its diagonal
-    singular = ~np.diagonal(R, axis1=1, axis2=2).all(axis=1)
-    if singular.any():
-        R = np.where(singular[:, None, None], np.eye(q), R)
-    # an overflow or an inf * 0 can only leave its row uncertified
+    h = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="raw")[0]
+    r = h.swapaxes(1, 2)[:, :q]     # [R | Q^T b] on and above the diagonal
+    T = np.array([r, np.abs(r)])
+    T[1, ..., q] = -1.0             # [|R| | -e]
+    # with v_q = -1, v_i = (T_i,i+1: . v_i+1:) / d_i is x_i and y_i
+    d = T.diagonal(0, 2, 3) * [[[-1.0]], [[1.0]]]     # -r_ii and |r_ii|
+    v = np.full((2, count, q + 1), -1.0)
+    # a zero r_ii, an overflow or an inf * 0 can only leave its row uncertified
     with np.errstate(all="ignore"):
-        inverse = np.linalg.inv(R)
-        x = np.matmul(inverse, r[:, :q, q:])[:, :, 0]
+        for i in range(q - 1, -1, -1):
+            v[..., i] = np.vecdot(T[..., i, i + 1:], v[..., i + 1:]) / d[..., i]
         norm = np.sqrt((A * A).reshape(count, -1).sum(axis=1))
         bound = rank_cutoff((p, q), norm, rank_tol, False) + p * q * EPS * norm
-        inverse_norm = np.sqrt((inverse * inverse).reshape(count, -1).sum(axis=1))
-        certified = 2.0 * bound * inverse_norm < 1.0
-    return x, certified & ~singular
+        certified = 2.0 * q ** 0.5 * bound * v[1, :, :q].max(axis=1) < 1.0
+    return v[0, :, :q], certified & (norm > 1e-150)
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:

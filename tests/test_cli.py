@@ -559,6 +559,26 @@ def test_a_flag_that_spells_no_number_is_an_input_error(tmp_path, capsys):
     assert json.loads(captured.out)["config"] == dict(FIND_RFMR, seed=2.5)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol-newton", "-1e-3", "tolerance 'newton' must be a finite number >= 0, got -0.001"),
+    ("--tol-newton", "-inf", "tolerance 'newton' must be a finite number >= 0, got -inf"),
+    ("--seed", "-1", "seed must be non-negative"),
+])
+def test_a_flag_value_with_a_leading_minus_reaches_the_config(
+    tmp_path, capsys, flag, value, message
+):
+    # argparse read -1e-3 or -inf after a flag as an option: exit 2 with
+    # usage text, no error line and no envelope.  Either spelling now
+    # gives the config's error and envelope.
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    assert main(["find", "--config", cfg, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert json.loads(captured.out)["error"] == {"type": "InputError", "message": message}
+    assert main(["find", "--config", cfg, f"{flag}={value}"]) == 1
+    assert capsys.readouterr() == captured
+
+
 def test_a_flag_sets_rank_back_to_null(tmp_path, capsys):
     cfg = write_config(tmp_path, "find.json", dict(FIND_RFMR, tolerances={"rank": 1e-12}))
     assert main(["find", "--config", cfg, "--tol-rank", "null"]) == 0

@@ -36,6 +36,7 @@ I2, I3 = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0,
 
 # a valid config of each command; a case overrides some of its fields
 BASE = {
+    "find": {"system": PLANAR, "lambda": [0.5], "level": [0.0]},
     "trace-fiber": {"system": PLANAR, "lambda": [0.5], "x0": X0},
     "transport": {"system": PLANAR, "path": [[0.5], [0.9]], "x0": X0},
     "transport3": {
@@ -116,7 +117,7 @@ CASES = [
     ("trace-fiber", {"max_points": "3"}, f"max_points {INTEGER}"),
     ("trace-fiber", {"max_points": 2.5}, f"max_points {INTEGER}"),
     ("trace-fiber", {"max_points": True}, f"max_points {INTEGER}"),
-    ("trace-fiber", {"max_points": None}, f"max_points {INTEGER}"),
+    ("trace-fiber", {"max_points": [3]}, f"max_points {INTEGER}"),
     ("trace-fiber", {"max_points": 0}, "max_points must be positive"),
     ("trace-fiber", {"direction": "a"}, f"direction {INTEGER}"),
     ("trace-fiber", {"direction": 2}, "direction must be 1 or -1"),
@@ -124,7 +125,7 @@ CASES = [
     ("track-matrix-loop", {"max_refine": "3"}, f"max_refine {INTEGER}"),
     ("track-matrix-loop", {"max_refine": 2.5}, f"max_refine {INTEGER}"),
     ("track-matrix-loop", {"max_refine": True}, f"max_refine {INTEGER}"),
-    ("track-matrix-loop", {"max_refine": None}, f"max_refine {INTEGER}"),
+    ("track-matrix-loop", {"max_refine": [3]}, f"max_refine {INTEGER}"),
     ("track-matrix-loop", {"max_refine": -1}, "max_refine must be non-negative"),
     ("track-matrix-loop", {"k": 1.5}, f"k {INTEGER}"),
     ("track-matrix-loop", {"k": 3}, "k = 3 is out of range for 2 x 2 matrices"),
@@ -244,6 +245,33 @@ LIBRARY_CASES = [
 def test_each_library_rule_is_one_input_error(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+# every optional command field, which null leaves at its default
+OPTIONAL_FIELDS = [
+    *(("find", key) for key in ("budget", "seed")),
+    *(("holonomy", key) for key in ("budget", "seed")),
+    *(("trace-fiber", key)
+      for key in ("min_step", "initial_step", "max_step", "max_points", "direction")),
+    *(("transport", key) for key in ("min_fraction", "initial_fraction", "max_fraction")),
+    ("cocycle", "paths"),
+    ("eigen-loop", "max_refine"),
+    *(("track-matrix-loop", key) for key in ("k", "tol_zero", "max_refine")),
+]
+
+
+@pytest.mark.parametrize("base, key", OPTIONAL_FIELDS)
+def test_a_null_optional_field_is_the_field_left_out(base, key):
+    # null and a missing key give the same run and the same echo; each
+    # other command field is required
+    raw = {name: value for name, value in raw_config(base, {}).items() if name != key}
+    left_out = config_from_dict(raw)
+    null = config_from_dict(dict(raw, **{key: None}))
+    assert (null.settings, null.tolerances) == (left_out.settings, left_out.tolerances)
+    optional = {name for command, name in OPTIONAL_FIELDS if command == base}
+    for name in config._COMMAND_KEYS[base] - optional:
+        with pytest.raises(InputError, match=f"requires the field '{name}'"):
+            config_from_dict({k: v for k, v in raw.items() if k != name})
 
 
 def test_tolerances_are_stored_as_floats():

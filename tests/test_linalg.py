@@ -265,14 +265,59 @@ def test_failed_wide_stack_makes_no_lapack_call(monkeypatch):
     rng = np.random.default_rng(5)
     A, b = rng.standard_normal((4, 11, 10)), rng.standard_normal((4, 11))
     A[0, 3, 3], b[1, 0], A[2, 0, 9] = np.nan, np.inf, -np.inf
-    calls = count_calls(monkeypatch, "qr", linalg.np.linalg)
-    calls += count_calls(monkeypatch, "inv", linalg.np.linalg)
-    calls += count_calls(monkeypatch, "svd", linalg.np.linalg)
+    calls = [count_calls(monkeypatch, name, linalg.np.linalg) for name in ("qr", "inv", "svd")]
     errors = {3: "skipped"}
     x, deficient = _solve_rows(A, b, None, errors)
-    assert calls == [] and deficient == {}
+    assert calls == [[], [], []] and deficient == {}
     assert x.shape == (4, 10) and np.isnan(x).all()
     assert sorted(errors) == [0, 1, 2, 3]
+
+
+def test_a_qr_route_stack_makes_one_qr_call_and_no_inverse(monkeypatch):
+    # one raw-mode QR of the whole stack, then back substitution: LAPACK
+    # forms no inverse and solves no general system
+    rng = np.random.default_rng(29)
+    A, b = rng.standard_normal((50, 21, 20)), rng.standard_normal((50, 21))
+    names = ("qr", "inv", "solve", "svd")
+    calls = [count_calls(monkeypatch, name, linalg.np.linalg) for name in names]
+    x, deficient = _solve_rows(A, b, None, {})
+    assert [len(call) for call in calls] == [1, 0, 0, 0] and deficient == {}
+    for row in range(len(A)):
+        reference = np.linalg.lstsq(A[row], b[row], rcond=None)[0]
+        assert np.allclose(x[row], reference, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("q, certified", [(20, True), (40, False)])
+def test_comparison_bound_clears_a_unit_triangle_up_to_its_slack(monkeypatch, q, certified):
+    # A = Q triu(ones) has R = +-triu(ones): its least singular value is
+    # above 0.5, since ||R^-1||_2 <= 2, but y = M(R)^-1 e reaches 2^(q-1).
+    # At q = 20 the certificate clears the row all the same; at q = 40 it
+    # hands it to the SVD, which finds it full rank, and x is still the
+    # lone solve's bits.
+    rng = np.random.default_rng(23)
+    p = q + 1
+    A = (np.linalg.qr(rng.standard_normal((p, q)))[0] @ np.triu(np.ones((q, q))))[None]
+    b = rng.standard_normal((1, p))
+    assert np.linalg.svd(A[0], compute_uv=False)[-1] > 0.5
+    assert linalg._qr_rows(A, b, None)[1].tolist() == [certified]
+    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+    x, deficient = _solve_rows(A, b, None, {})
+    assert deficient == {} and len(svds) == (0 if certified else 1)
+    assert x[0].tobytes() == solve_least_squares(A[0], b[0]).tobytes()
+    assert np.allclose(x[0], np.linalg.lstsq(A[0], b[0])[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-140, 1e-155, 1e-170, 1e-200])
+def test_a_tiny_rank_deficient_row_is_not_certified(scale):
+    # the squares of ||A||_F underflow below about 1e-154, and a zero bound
+    # would clear any R; y alone is not squared, so it stays finite.  The
+    # row goes to the SVD, which finds the repeated column.
+    rng = np.random.default_rng(1)
+    A, b = rng.standard_normal((11, 10)), rng.standard_normal(11)
+    A[:, 9] = A[:, 4]
+    assert not linalg._qr_rows(scale * A[None], b[None], None)[1][0]
+    with pytest.raises(DegeneracyError, match=r"rank 9 < 10"):
+        solve_least_squares(scale * A, b)
 
 
 @pytest.mark.parametrize("rank_tol", [None, 1e-3])
