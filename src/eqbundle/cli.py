@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        sub = subparsers.add_parser(command)
+        # flags are spelled in full: --tol-newt is no flag, and gets no value
+        sub = subparsers.add_parser(command, allow_abbrev=False)
         sub.add_argument("--config", required=True, help="path to a JSON run config")
         sub.add_argument("--output", default=None, help="override the output path")
         sub.add_argument("--seed", default=None, help="override the seed")

@@ -5,8 +5,8 @@ bad user input (configs, malformed expressions, dimension mismatches,
 violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
 map to CLI exit code 2.  The functions after the classes are the one
-check of each kind of caller input (a count, a step, a vector, a path, a
-loop), shared by the config and the library entry points.
+check of each kind of caller input (a count, a step, an array, a box, a
+path, a loop), shared by the config and the library entry points.
 """
 
 from __future__ import annotations
@@ -187,6 +187,18 @@ def finite_vector(value, length: int, what: str, dim_name: str) -> np.ndarray:
             f"dimension mismatch: {what} has {got}, "
             f"expected a vector of length {dim_name} = {length}"
         )
+    return out
+
+
+def box(value, rows, what: str) -> np.ndarray:
+    """value as a finite_array of shape (rows, 2), any row count when rows
+    is None, with lo <= hi in each row [lo, hi]."""
+    out = finite_array(value, what)
+    if out.ndim != 2 or out.shape[1] != 2 or rows not in (None, out.shape[0]):
+        expected = "(rows, 2)" if rows is None else f"({rows}, 2)"
+        raise InputError(f"{what} must have shape {expected}, got {out.shape}")
+    if np.any(out[:, 0] > out[:, 1]):
+        raise InputError(f"{what} has lo > hi")
     return out
 
 

@@ -27,7 +27,6 @@ from .errors import (
     ExprDomainError,
     ExprError,
     InputError,
-    finite_array,
     finite_vector,
     non_negative_int,
     positive_float,
@@ -239,8 +238,7 @@ def parse(source: str, n: int, m: int) -> ExprAst:
     """Parse one expression for a system with n states and m parameters."""
     if not isinstance(source, str) or not source.strip():
         raise InputError("expression source must be a non-empty string")
-    if n < 1 or m < 1:
-        raise InputError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n, m = positive_int(n, "n"), positive_int(m, "m")
     return ExprAst(root=_Parser(source, n, m).parse(), n=n, m=m, source=source)
 
 
@@ -466,8 +464,8 @@ def build_system_from_config(decl: dict) -> SystemSpec:
 
     Required keys: n, m, k (positive integers), f (a list of n expression
     strings), h (a list of k expression strings), domain_box ((n, 2)
-    finite numbers).  Optional: name, parameter_box ((m, 2) finite
-    numbers, default [0.25, 4] per coordinate), and the keys of
+    finite numbers, lo <= hi in each row).  Optional: name, parameter_box
+    ((m, 2) as domain_box, default [0.25, 4] per coordinate), and the keys of
     IDENTITY_DEFAULTS: identity_tolerance (a positive finite number),
     identity_samples (a positive integer) and identity_seed (an integer
     >= 0).  Anything else is an InputError.
@@ -509,12 +507,11 @@ def build_system_from_config(decl: dict) -> SystemSpec:
                 f"(found one in {ast.source!r})"
             )
 
-    domain = Domain(box=_box(decl["domain_box"], "domain_box"))
-    parameter_box = _box(decl.get("parameter_box", [[0.25, 4.0]] * m), "parameter_box")
     sys = SystemSpec(
         name=str(decl.get("name", "expr-system")),
         n=n, m=m, k=k, f=f, h=h,
-        domain=domain, parameter_box=parameter_box,
+        domain=Domain(box=decl["domain_box"]),
+        parameter_box=decl.get("parameter_box", [[0.25, 4.0]] * m),
         metadata={"f": f_sources, "h": h_sources},
         batched=True,
     )
@@ -541,12 +538,6 @@ def _sources(value, count: int, key: str) -> list:
     if len(value) != count:
         raise InputError(f"expected {count} {key}-expressions, got {len(value)}")
     return list(value)
-
-
-def _box(value, key: str) -> np.ndarray:
-    """A declared box as a finite_array; its shape is checked where it is
-    used."""
-    return finite_array(value, f"declaration {key}")
 
 
 def _uses_parameter(node) -> bool:

@@ -273,10 +273,10 @@ def newton_lanes(
     progress ends early, as "no progress", at the top of iteration it >= 5
     when ||F|| exceeds 1e3 times its target and 0.99 times the lane's
     ||F|| at iteration it - 5: far from any root, the lane is crawling
-    toward a minimum of ||F|| that is not zero.  Starts must lie in
-    the domain within tols.domain_slack times its diameter, and converged
-    points within tols.domain_slack times (1 + diameter).  Every lane ends
-    with one of LANE_OUTCOMES; nothing is raised for a failed lane.
+    toward a minimum of ||F|| that is not zero.  Starts and converged
+    points must lie in the domain within the one slack of _in_domain_rows,
+    which scales domain_slack by 1 + diameter.  Every lane ends with one
+    of LANE_OUTCOMES; nothing is raised for a failed lane.
 
     lam, a and starts must be finite (InputError otherwise); the level a
     is one k-vector shared by every lane.
@@ -313,7 +313,7 @@ def newton_lanes(
     diameter = sys.domain.diameter()
     target = tols.newton * (1.0 + np.linalg.norm(x, axis=1))
     lanes = np.arange(count)
-    inside, errors = _in_domain_rows(sys, x, tols.domain_slack * diameter)
+    inside, errors = _in_domain_rows(sys, x, tols)
     stop(lanes[~inside], START_OUTSIDE_DOMAIN, 0)
     record(lanes, errors, 0)
     lanes = lanes[status == _RUNNING]
@@ -404,9 +404,7 @@ def newton_lanes(
     stop(lanes, MAX_ITERATIONS, max_iter)
 
     converged = (status == CONVERGED).nonzero()[0]
-    inside, errors = _in_domain_rows(
-        sys, x[converged], tols.domain_slack * (1.0 + diameter)
-    )
+    inside, errors = _in_domain_rows(sys, x[converged], tols)
     stop(converged[~inside], OUTSIDE_DOMAIN_AT_END)
     record(converged, errors)
     return NewtonLanes(
@@ -792,12 +790,13 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
 def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
     """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift: x0 a
     finite n-vector, an equilibrium at lam (_near_equilibrium), and inside
-    the domain."""
+    the domain within the slack of _in_domain_rows."""
     x0 = finite_vector(x0, sys.n, "x0", "n")
     f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
     _near_equilibrium(f0, x0, tols, "x0")
-    if not sys.domain.contains(x0, slack=tols.domain_slack):
-        raise InputError(f"x0 {x0.tolist()} is not in the domain")
+    inside, errors = _in_domain_rows(sys, x0[None], tols)
+    if not inside[0]:
+        raise errors.get(0) or InputError(f"x0 {x0.tolist()} is not in the domain")
     return x0, f0
 
 

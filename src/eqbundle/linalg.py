@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, finite_array
 
 EPS = float(np.finfo(float).eps)
 
@@ -70,12 +70,12 @@ class RankReport:
         }
 
 
-def _as_matrix(M, name: str = "matrix", ndim: int = 2) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
-    if A.ndim != ndim:
-        raise InputError(f"{name} must be {ndim}-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InputError(f"{name} contains non-finite entries")
+def _as_matrix(M, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """M as a finite_array of one matrix, or when stacked also of a stack."""
+    A = finite_array(M, name)
+    if A.ndim != 2 and not (stacked and A.ndim == 3):
+        dims = "2- or 3" if stacked else "2"
+        raise InputError(f"{name} must be {dims}-dimensional, got shape {A.shape}")
     return A
 
 
@@ -146,9 +146,7 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     deficient, since the minimizer is then not unique.
     """
     A = _as_matrix(A, "A")
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise InputError("b contains non-finite entries")
+    b = finite_array(b, "b")
     if b.shape[:1] != A.shape[:1]:
         raise InputError(f"incompatible shapes: A is {A.shape}, b is {b.shape}")
     (p, q), tail = A.shape, b.shape[1:]
@@ -238,7 +236,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
         for row in range(count):
             if row not in errors and (bad_A[row] or bad_b[row]):
                 errors[row] = InputError(
-                    f"{'A' if bad_A[row] else 'b'} contains non-finite entries"
+                    f"{'A' if bad_A[row] else 'b'} must be an array of finite numbers"
                 )
         rows = np.array([row for row in range(count) if row not in errors], dtype=int)
         A, b = A[rows], b[rows]
@@ -286,7 +284,7 @@ def eigen_dense(M) -> np.ndarray:
     gives one sorted row per matrix (S, n) from one eigvals call, each row
     bit for bit the matrix's own eigen_dense.
     """
-    A = _as_matrix(M, ndim=3 if np.ndim(M) == 3 else 2)
+    A = _as_matrix(M, stacked=True)
     if A.shape[-2] != A.shape[-1]:
         raise InputError(f"matrix must be square, got shape {A.shape}")
     vals = np.linalg.eigvals(A)

@@ -627,7 +627,8 @@ def eigen_along_fiber_loop(
     tracker is certain to need are the lanes of one _correct call, each
     at its own level, evaluated and split in one stack; one it needs
     beyond those is corrected alone.  A midpoint whose lane fails, ends
-    outside the domain or fails to evaluate leaves its interval unhalved.
+    outside the domain (the slack of systems._in_domain_rows) or fails to
+    evaluate leaves its interval unhalved.
     """
     lam = finite_vector(lam, sys.m, "lambda", "m")
     points = waypoint_path(loop_points, sys.n, "loop_points", "n")
@@ -647,8 +648,7 @@ def eigen_along_fiber_loop(
         levels = 0.5 * (np.array([a for _, a in lefts]) + np.array([a for _, a in rights]))
         lams = np.broadcast_to(lam, (len(starts), sys.m))
         x_mid, _, _, retry, errors = _correct(*_level_set(sys), starts, tols, lams, levels)
-        slack = tols.domain_slack * (1.0 + sys.domain.diameter())
-        inside, raised = _in_domain_rows(sys, x_mid, slack)
+        inside, raised = _in_domain_rows(sys, x_mid, tols)
         errors.update(raised)
         for i in np.flatnonzero(retry | ~inside).tolist():
             errors.setdefault(i, ConvergenceError(f"no midpoint near {starts[i].tolist()}"))

@@ -31,11 +31,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    EqBundleError, EvaluationError, InputError, finite_vector, non_negative_int, positive_int,
+    EqBundleError, EvaluationError, InputError, box, finite_vector, non_negative_int,
+    positive_int,
 )
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-# the slack of Domain.contains and evaluate, and Tolerances.domain_slack's default
-DEFAULT_DOMAIN_SLACK = 1e-9
+# the slack of Domain.contains and evaluate
+DEFAULT_DOMAIN_SLACK = DEFAULT_TOLERANCES.domain_slack
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))        # first derivatives
 _FD2_STEP = float(np.finfo(float).eps ** 0.25)        # second derivatives
@@ -51,12 +53,7 @@ class Domain:
     constraint_names: tuple = ()
 
     def __post_init__(self):
-        box = np.asarray(self.box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise InputError(f"domain box must have shape (n, 2), got {box.shape}")
-        if np.any(box[:, 0] > box[:, 1]):
-            raise InputError("domain box has lo > hi")
-        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "box", box(self.box, None, "domain_box"))
 
     @property
     def dim(self) -> int:
@@ -75,18 +72,13 @@ class Domain:
         """Distance to the nearest box face or constraint surface.
 
         Implicit constraints use the first-order estimate |g| / |grad g|
-        with a finite-difference gradient.
+        with the central-difference gradient of _fd_jacobian.
         """
         x = np.asarray(x, dtype=float)
         dist = float(np.min(np.minimum(x - self.box[:, 0], self.box[:, 1] - x)))
         for g in self.constraints:
             val = g(x)
-            grad = np.array([
-                (g(x + h * e) - g(x - h * e)) / (2 * h)
-                for h, e in zip(
-                    _FD_STEP * np.maximum(1.0, np.abs(x)), np.eye(x.size)
-                )
-            ])
+            grad = _fd_jacobian(lambda _, y: g(y), _NO_LAMBDA, x[None], False, 1, False)[0, 0]
             scale = max(float(np.linalg.norm(grad)), 1e-12)
             dist = min(dist, abs(float(val)) / scale)
         return dist
@@ -156,20 +148,17 @@ class SystemSpec:
     batched: bool = False
 
     def __post_init__(self):
-        pb = np.asarray(self.parameter_box, dtype=float)
-        if pb.shape != (self.m, 2):
-            raise InputError(
-                f"parameter box must have shape ({self.m}, 2), got {pb.shape}"
-            )
-        object.__setattr__(self, "parameter_box", pb)
+        for key in "nmk":
+            object.__setattr__(self, key, positive_int(getattr(self, key), key))
+        if self.k >= self.n:
+            raise InputError(f"need 1 <= k < n; got n={self.n}, k={self.k}")
         if self.domain.dim != self.n:
             raise InputError(
                 f"domain dimension {self.domain.dim} does not match n = {self.n}"
             )
-        if not (self.n >= 1 and self.m >= 1 and 1 <= self.k < self.n):
-            raise InputError(
-                f"need n >= 1, m >= 1, 1 <= k < n; got n={self.n}, m={self.m}, k={self.k}"
-            )
+        object.__setattr__(
+            self, "parameter_box", box(self.parameter_box, self.m, "parameter_box")
+        )
 
     @property
     def analytic(self) -> bool:
@@ -310,11 +299,15 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
     return out
 
 
-def _in_domain_rows(sys: SystemSpec, x: np.ndarray, slack: float):
+def _in_domain_rows(sys: SystemSpec, x: np.ndarray, tols: Tolerances):
     """sys.domain.contains(row, slack) at every row of x, as (inside, errors
     {row: EqBundleError}): one vectorized test on a batched spec, and row by
-    row otherwise, where a constraint may raise."""
+    row otherwise, where a constraint may raise.  slack is
+    tols.domain_slack * (1 + domain diameter), the one slack of every point
+    a command takes or makes: Newton's starts and converged points, the
+    starts of a fiber trace or a lift, lift steps and eigen-loop midpoints."""
     domain = sys.domain
+    slack = tols.domain_slack * (1.0 + domain.diameter())
     if not sys.batched:
         errors: dict = {}
         inside = _rows(
@@ -530,7 +523,7 @@ def first_integral_violation(
         draws = rng.random((count, sys.m + sys.n))
         attempts += count
         x = lo + (hi - lo) * draws[:, sys.m:]
-        inside, errors = _in_domain_rows(sys, x, DEFAULT_DOMAIN_SLACK)
+        inside, errors = _in_domain_rows(sys, x, DEFAULT_TOLERANCES)
         if errors:
             raise errors[min(errors)]
         kept = np.flatnonzero(inside)[:needed]

@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
-from .systems import DEFAULT_DOMAIN_SLACK
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,9 @@ class Tolerances:
     cluster: float = 1e-6
     # fiber endpoint refinement: bisect the step parameter down to this
     boundary_refine: float = 1e-10
-    # domain membership slack for start, evaluation and final point checks
-    domain_slack: float = DEFAULT_DOMAIN_SLACK
+    # domain membership slack, scaled by 1 + domain diameter, for every
+    # point a command takes or makes (systems._in_domain_rows)
+    domain_slack: float = 1e-9
     # tangency residual allowed for metric arguments: |J v| <= tangent * (1 + |v|)
     tangent: float = 1e-8
     # eigenvalue split: |mu| <= zero_factor * spectral_radius counts as zero

@@ -204,7 +204,7 @@ def _frame(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> ConnectionFrame
 def vertical_projector(frame: ConnectionFrame, vector: np.ndarray) -> np.ndarray:
     """Oblique projection of a tangent vector onto V_u along H_u."""
     basis = np.hstack([frame.vertical_basis, frame.horizontal_basis])
-    coeff = solve_least_squares(basis, np.asarray(vector, dtype=float).reshape(-1))
+    coeff = solve_least_squares(basis, finite_vector(vector, len(basis), "vector", "m + n"))
     return frame.vertical_basis @ coeff[: frame.vertical_basis.shape[1]]
 
 
@@ -347,7 +347,8 @@ def lift_lanes(
     fails fatally, an evaluation error of any class included, ends the lane
     with its error.  A step below min_fraction, a rank-deficient lifting
     system or a projected point outside the domain ends the lane with a
-    TransportError.
+    TransportError.  Starts and projected points are tested against the
+    domain with the slack of systems._in_domain_rows.
 
     The lanes advance in lockstep: each RK4 stage makes one stacked
     jac_x/jac_h/jac_lambda call and one batched least-squares solve for
@@ -375,7 +376,6 @@ def lift_lanes(
             break
     results = list(lanes)
     n = sys.n
-    domain_slack = tols.domain_slack * (1.0 + sys.domain.diameter())
     residual, jacobian = _level_set(sys)
 
     def t_mid(row):
@@ -430,7 +430,7 @@ def lift_lanes(
                 retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
             )
             taken = np.flatnonzero(~retry)
-            inside, raised = _in_domain_rows(sys, y[taken], domain_slack)
+            inside, raised = _in_domain_rows(sys, y[taken], tols)
             # a row's fatal error wins over its domain test's outcome
             ended = {int(taken[i]): raised.get(i) for i in np.flatnonzero(~inside)}
             ended.update(fatal)

@@ -579,6 +579,21 @@ def test_a_flag_value_with_a_leading_minus_reaches_the_config(
     assert capsys.readouterr() == captured
 
 
+@pytest.mark.parametrize("value", ["1e-3", "-1e-3"])
+def test_an_abbreviated_flag_is_a_usage_error(tmp_path, capsys, value):
+    # flags are spelled in full: an abbreviation is an unrecognized
+    # argument whatever its value, exit 2 with nothing on stdout, so a
+    # value that starts with "-" cannot make it mean something else
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    with pytest.raises(SystemExit) as usage:
+        main(["find", "--config", cfg, "--tol-newt", value])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --tol-newt" in captured.err
+    assert main(["find", "--config", cfg, "--tol-newton", "-1e-3"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "InputError"
+
+
 def test_a_flag_sets_rank_back_to_null(tmp_path, capsys):
     cfg = write_config(tmp_path, "find.json", dict(FIND_RFMR, tolerances={"rank": 1e-12}))
     assert main(["find", "--config", cfg, "--tol-rank", "null"]) == 0

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from eqbundle import (
-    DEFAULT_TOLERANCES, Tolerances, builtin, check_first_integral_identity, config, errors,
-    monodromy,
+    DEFAULT_TOLERANCES, Domain, PointState, SystemSpec, Tolerances, builtin,
+    check_first_integral_identity, config, connection_frame, eigen_dense, errors, kernel_basis,
+    monodromy, numeric_rank, parse, solve_least_squares, vertical_projector,
 )
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict
@@ -218,6 +219,35 @@ def test_each_rule_is_one_input_error(tmp_path, capsys, base, overrides, message
     assert f"error: {error['message']}\n" == captured.err
 
 
+# a declared planar system, and the overrides of its declaration that make
+# it an input error: (overrides, message)
+DECLARED = {
+    "n": 2, "m": 1, "k": 1,
+    "f": ["-x1 + l1*(x2^2 - 1)", "0"],
+    "h": ["x2"],
+    "domain_box": [[-1.0, 1.0], [-1.0, 1.0]],
+}
+DECLARED_CASES = [
+    ({"parameter_box": [[1, 0]]}, "^parameter_box has lo > hi"),
+    ({"domain_box": [[1.0, -1.0], [-1.0, 1.0]]}, "^domain_box has lo > hi"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", DECLARED_CASES)
+def test_each_declared_box_rule_is_one_input_error(tmp_path, capsys, overrides, message):
+    raw = dict(BASE["find"], command="find", system={"declaration": dict(DECLARED, **overrides)})
+    with pytest.raises(InputError, match=message):
+        config_from_dict(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["find", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "InputError"
+    assert f"error: {error['message']}\n" == captured.err
+    config_from_dict(dict(raw, system={"declaration": DECLARED}))
+
+
 # library entry points whose arguments no config field reaches:
 # (id, call, message)
 LIBRARY_CASES = [
@@ -236,7 +266,43 @@ LIBRARY_CASES = [
     ("tolerances-numpy-bool", lambda: Tolerances(gap_min=np.True_),
      f"tolerance 'gap_min' {TOLERANCE} np.True_"),
     ("tolerances-huge-int", lambda: Tolerances(newton=10 ** 400), f"'newton' {TOLERANCE}"),
+    # matrices and vectors of the linear algebra: finite numbers, not bools
+    ("rank-text", lambda: numeric_rank("abc"), f"^matrix {FINITE}"),
+    ("rank-ragged", lambda: numeric_rank([[1], [2, 3]]), f"^matrix {FINITE}"),
+    ("rank-bool", lambda: numeric_rank([[True, False], [False, True]]), f"^matrix {FINITE}"),
+    ("eigen-text", lambda: eigen_dense([["a"]]), f"^matrix {FINITE}"),
+    ("solve-text-b", lambda: solve_least_squares(I2, ["x", "y"]), f"^b {FINITE}"),
+    ("solve-bool-b", lambda: solve_least_squares(I2, [True, False]), f"^b {FINITE}"),
+    ("projector-text", lambda: vertical_projector(_frame(), "ab"), f"^vector {FINITE}"),
+    ("kernel-mapping", lambda: kernel_basis({"a": 1}), f"^matrix {FINITE}"),
+    ("split-bool", lambda: split_spectrum([[True]], 0), f"^J {FINITE}"),
+    # boxes: finite numbers, (rows, 2), lo <= hi
+    ("domain-text", lambda: Domain(box="ab"), f"^domain_box {FINITE}"),
+    ("domain-nan", lambda: Domain(box=[[0.0, NAN]]), f"^domain_box {FINITE}"),
+    ("domain-inf", lambda: Domain(box=[[-1.0, INF], [-1.0, 1.0]]), f"^domain_box {FINITE}"),
+    ("parameter-box-text", lambda: _spec(parameter_box="x"), f"^parameter_box {FINITE}"),
+    ("parameter-box-nan", lambda: _spec(parameter_box=[[0.0, NAN]]), f"^parameter_box {FINITE}"),
+    ("parameter-box-reversed", lambda: _spec(parameter_box=[[1.0, 0.0]]),
+     "^parameter_box has lo > hi"),
+    # dimensions: positive integers, not bools
+    ("parse-text-n", lambda: parse("x1", "a", 1), f"^n {INTEGER}"),
+    ("parse-bool-n", lambda: parse("x1", True, 1), f"^n {INTEGER}"),
+    ("spec-text-n", lambda: _spec(n="2"), f"^n {INTEGER}"),
 ]
+
+
+def _frame():
+    """The connection frame of planar at lambda = 0.5, x = X0."""
+    return connection_frame(builtin("planar"), PointState([0.5], X0))
+
+
+def _spec(**fields) -> SystemSpec:
+    """planar's spec built again with the given fields in place of its own."""
+    spec = builtin("planar")
+    given = {name: getattr(spec, name) for name in ("n", "m", "k", "parameter_box")}
+    return SystemSpec(
+        name="planar", f=spec.f, h=spec.h, domain=spec.domain, **dict(given, **fields)
+    )
 
 
 @pytest.mark.parametrize(

@@ -193,7 +193,8 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
     assert np.isnan(x[sorted(failed)]).all()
     assert errors.pop(skipped) == "skipped"
     assert {row: str(err) for row, err in errors.items()} == {
-        nan_A: "A contains non-finite entries", inf_b: "b contains non-finite entries"
+        nan_A: "A must be an array of finite numbers",
+        inf_b: "b must be an array of finite numbers",
     }
     for row in set(range(len(A))) - failed:
         assert x[row].tobytes() == solve_least_squares(A[row], b[row], rank_tol).tobytes()
@@ -381,7 +382,7 @@ def test_stack_near_the_float_limit_solves_without_a_warning(stack, rank_tol):
         assert np.allclose(5e307 * x[2], q.T @ b[2], rtol=1e-12, atol=0.0)
     else:
         assert sorted(errors) == [0, 2] and not deficient
-        assert str(errors[0]) == "A contains non-finite entries"
+        assert str(errors[0]) == "A must be an array of finite numbers"
 
 
 def test_eigen_sorted_real():
@@ -427,7 +428,7 @@ def test_eigen_stack_rows_equal_each_matrix(n):
         assert rows.tobytes() == np.array([eigen_dense(M) for M in stack]).tobytes()
     with pytest.raises(InputError, match="square"):
         eigen_dense(np.ones((2, n, n + 1)))
-    with pytest.raises(InputError, match="non-finite"):
+    with pytest.raises(InputError, match="must be an array of finite numbers"):
         eigen_dense(np.full((2, n, n), np.inf))
 
 

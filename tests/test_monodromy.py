@@ -635,7 +635,7 @@ def test_prefetched_non_finite_blend_is_raised_only_when_reached(monkeypatch):
         lambda: track_matrix_loop(mats, k=0, tol_zero=1e-3)
     )
     assert kind == "TrackingError" and "(between samples 0 and 1)" in message
-    assert "matrix contains non-finite entries" in deferred
+    assert "matrix must be an array of finite numbers" in deferred
 
 
 def test_no_rotation_family_loop_reaches_the_solver(monkeypatch):

@@ -26,7 +26,7 @@ from eqbundle.finder import (
 )
 from eqbundle.systems import Domain, SystemSpec
 from eqbundle.tolerances import DEFAULT_TOLERANCES
-from eqbundle.transport import holonomy_loop
+from eqbundle.transport import holonomy_loop, lift_curve
 
 from conftest import count_calls
 
@@ -428,8 +428,8 @@ def test_non_finite_jacobian_lane():
 
     inf_error = lanes.error(0)
     assert type(inf_error) is InputError
-    assert str(inf_error) == "A contains non-finite entries"
-    with pytest.raises(InputError, match="A contains non-finite entries"):
+    assert str(inf_error) == "A must be an array of finite numbers"
+    with pytest.raises(InputError, match="A must be an array of finite numbers"):
         newton_on_level_set(sys, [0.2], [0.0], starts[0])
 
     raised = lanes.error(1)
@@ -475,3 +475,24 @@ def test_qr_route_lane_is_independent_of_its_batch(n):
     lanes = newton_lanes(sys, lam, level, starts)
     assert np.count_nonzero(lanes.status == CONVERGED) >= 11
     assert_lane_alone_matches(sys, lam, level, starts, lanes)
+
+
+@pytest.mark.parametrize("c", [0.5e-6, 2e-6, 5e-6])
+def test_newton_and_the_lift_share_one_domain_slack(c):
+    # x = (-sqrt(1 + c), 0) is an equilibrium of planar at lambda = sqrt(1 + c),
+    # outside the unit disk by c in its constraint.  Newton's start test and
+    # the lift's start test take the one slack, 1e-6 * (1 + 2 sqrt 2), so a
+    # point that Newton keeps is a point the lift may start from.
+    sys = builtin("planar")
+    tols = DEFAULT_TOLERANCES.replace(domain_slack=1e-6)
+    lam = math.sqrt(1.0 + c)
+    x = [-lam, 0.0]
+    lanes = newton_lanes(sys, [lam], [0.0], np.array([x]), tols)
+    newton_keeps = LANE_OUTCOMES[lanes.status[0]] == "converged"
+    try:
+        lift_curve(sys, [[lam], [0.9]], x, tols)
+        lift_starts = True
+    except InputError as err:
+        assert "is not in the domain" in str(err)
+        lift_starts = False
+    assert newton_keeps == lift_starts == (c < 1e-6 * (1.0 + 2.0 * math.sqrt(2.0)))

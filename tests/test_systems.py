@@ -12,6 +12,7 @@ from eqbundle import (
     InputError,
     PointState,
     SystemSpec,
+    Tolerances,
     builtin,
     check_first_integral_identity,
     eigen_dense,
@@ -380,9 +381,10 @@ def test_contains_and_in_domain_rows_agree_on_non_finite_rows(name, batched):
             row = base.copy()
             row[i] = value
             rows.append(row)
-    inside, errors = _in_domain_rows(sys, np.array(rows), 1e-9)
+    inside, errors = _in_domain_rows(sys, np.array(rows), Tolerances(domain_slack=1e-9))
     assert not errors
-    assert inside.tolist() == [sys.domain.contains(row, 1e-9) for row in rows]
+    slack = 1e-9 * (1.0 + sys.domain.diameter())
+    assert inside.tolist() == [sys.domain.contains(row, slack) for row in rows]
     assert inside.tolist() == [True] + [False] * (len(rows) - 1)
 
 
