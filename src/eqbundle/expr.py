@@ -512,7 +512,6 @@ def build_system_from_config(decl: dict) -> SystemSpec:
         n=n, m=m, k=k, f=f, h=h,
         domain=Domain(box=decl["domain_box"]),
         parameter_box=decl.get("parameter_box", [[0.25, 4.0]] * m),
-        metadata={"f": f_sources, "h": h_sources},
         batched=True,
     )
 

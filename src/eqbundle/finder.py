@@ -551,6 +551,15 @@ def enumerate_level_points(
     answer: either the level set carries no equilibria for this lambda
     or the budget missed every basin.
     """
+    return [
+        _equilibrium_point(sys, lam, x, residual_f, tols)
+        for x, residual_f in _level_points(sys, lam, a, budget, seed, tols)
+    ]
+
+
+def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> list:
+    """The (x, ||f||) pairs of the points enumerate_level_points reports,
+    in its order, without their evaluation or audit."""
     budget = positive_int(budget, "budget")
     seed = non_negative_int(seed, "seed")
     lam = finite_array(lam, "lambda").reshape(-1)
@@ -559,13 +568,10 @@ def enumerate_level_points(
     kept = _cluster_representatives(
         lanes.x, residual_f, lanes.status == CONVERGED, tols.cluster * sys.domain.diameter()
     )
-    points = [
-        _equilibrium_point(sys, lam, lanes.x[i].copy(), residual_f[i], tols)
-        for i in kept
-    ]
+    points = [(lanes.x[i].copy(), residual_f[i]) for i in kept]
     # lexicographic output order; rounding first makes the order stable
     # when distinct solutions share coordinates up to solver noise
-    points.sort(key=lambda e: (tuple(np.round(e.state.x, 9)), tuple(e.state.x)))
+    points.sort(key=lambda p: (tuple(np.round(p[0], 9)), tuple(p[0])))
     return points
 
 

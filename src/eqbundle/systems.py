@@ -25,7 +25,7 @@ rfmr        ring transport chain, n >= 3 sites, m = n rates, k = 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,12 +36,24 @@ from .errors import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-# the slack of Domain.contains and evaluate
-DEFAULT_DOMAIN_SLACK = DEFAULT_TOLERANCES.domain_slack
-
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))        # first derivatives
 _FD2_STEP = float(np.finfo(float).eps ** 0.25)        # second derivatives
 _NO_LAMBDA = np.zeros(0)                              # lam of the h callables
+
+
+def _diameter(box: np.ndarray) -> float:
+    return float(np.linalg.norm(box[:, 1] - box[:, 0]))
+
+
+def _slack(box: np.ndarray, tols: Tolerances) -> float:
+    """The membership slack of a box: domain_slack * (1 + its diameter)."""
+    return tols.domain_slack * (1.0 + _diameter(box))
+
+
+def _in_box(x: np.ndarray, box: np.ndarray, slack: float):
+    """lo - slack <= x <= hi + slack in every coordinate, for a point x
+    (n,) or for each row of a stack (B, n)."""
+    return np.logical_and.reduce((x >= box[:, 0] - slack) & (x <= box[:, 1] + slack), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,6 @@ class Domain:
 
     box: np.ndarray                               # (n, 2) columns lo, hi
     constraints: tuple = ()                       # callables R^n -> float
-    constraint_names: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "box", box(self.box, None, "domain_box"))
@@ -60,13 +71,23 @@ class Domain:
         return self.box.shape[0]
 
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
+        return _diameter(self.box)
 
-    def contains(self, x, slack: float = DEFAULT_DOMAIN_SLACK) -> bool:
+    def contains(self, x, slack: Optional[float] = None):
+        """Whether x is in the box within slack, lo - slack <= x <= hi +
+        slack, with g(x) <= slack for every constraint g: a bool for a point
+        (n,), no constraint called once a test fails, or one bool per row
+        for a stack (B, n), each constraint called on the stack.  slack None
+        is _in_domain_rows' domain_slack * (1 + diameter) at the defaults."""
+        if slack is None:
+            slack = _slack(self.box, DEFAULT_TOLERANCES)
         x = np.asarray(x, dtype=float)
-        if not np.all((x >= self.box[:, 0] - slack) & (x <= self.box[:, 1] + slack)):
-            return False
-        return all(g(x) <= slack for g in self.constraints)
+        inside = _in_box(x, self.box, slack)
+        if x.ndim == 1:
+            return bool(inside) and all(g(x) <= slack for g in self.constraints)
+        for g in self.constraints:
+            inside &= g(x) <= slack
+        return inside
 
     def boundary_distance(self, x) -> float:
         """Distance to the nearest box face or constraint surface.
@@ -138,7 +159,6 @@ class SystemSpec:
     jac_lambda_fn: Optional[Callable] = None
     jac_h_fn: Optional[Callable] = None
     hess_h_fn: Optional[Callable] = None
-    metadata: dict = field(default_factory=dict)
     # f, h, the derivative callables and the domain constraints all accept
     # a stack x of shape (..., n) and map over its leading axes; lam is
     # then one vector (m,) or a stack (..., m) that broadcasts against x.
@@ -300,26 +320,19 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
 
 
 def _in_domain_rows(sys: SystemSpec, x: np.ndarray, tols: Tolerances):
-    """sys.domain.contains(row, slack) at every row of x, as (inside, errors
-    {row: EqBundleError}): one vectorized test on a batched spec, and row by
-    row otherwise, where a constraint may raise.  slack is
-    tols.domain_slack * (1 + domain diameter), the one slack of every point
-    a command takes or makes: Newton's starts and converged points, the
-    starts of a fiber trace or a lift, lift steps and eigen-loop midpoints."""
+    """sys.domain.contains(x, slack) at every row of x, as (inside, errors
+    {row: EqBundleError}): one stacked call on a batched spec, and row by
+    row otherwise, where a constraint may raise.  slack is tols.domain_slack
+    * (1 + domain diameter), the one slack of every point a command takes
+    or makes (Newton's starts and converged points, the starts of a fiber
+    trace or a lift, lift steps and eigen-loop midpoints) and of evaluate."""
     domain = sys.domain
-    slack = tols.domain_slack * (1.0 + domain.diameter())
-    if not sys.batched:
-        errors: dict = {}
-        inside = _rows(
-            lambda _, y: domain.contains(y, slack), np.zeros(0), x, (), False, errors
-        )
-        return inside == 1.0, errors
-    inside = np.logical_and.reduce(
-        (x >= domain.box[:, 0] - slack) & (x <= domain.box[:, 1] + slack), axis=1
-    )
-    for g in domain.constraints:
-        inside &= g(x) <= slack
-    return inside, {}
+    slack = _slack(domain.box, tols)
+    if sys.batched:
+        return domain.contains(x, slack), {}
+    errors: dict = {}
+    inside = _rows(lambda _, y: domain.contains(y, slack), _NO_LAMBDA, x, (), False, errors)
+    return inside == 1.0, errors
 
 
 def _fd_jacobian(fn, lam, x: np.ndarray, wrt_lambda: bool, width: int, batched: bool, errors=None):
@@ -349,57 +362,34 @@ def _fd_jacobian(fn, lam, x: np.ndarray, wrt_lambda: bool, width: int, batched: 
     return np.ascontiguousarray(J.transpose(0, 2, 1))
 
 
-def _hessian_points(n: int):
-    """The points of a lone Hessian evaluation, in its call order, as moves
-    ((coordinate, sign), ...): x itself, then x + h_i e_i and x - h_i e_i
-    for each i, each followed by the four corners (x_i +- h_i, x_j +- h_j)
-    for j > i.  Also returns the indices of the +, - and corner points."""
-    moves = [()]
-    plus, minus, corners = [], [], []
-    for i in range(n):
-        plus.append(len(moves))
-        minus.append(len(moves) + 1)
-        moves += [((i, 1.0),), ((i, -1.0),)]
-        for j in range(i + 1, n):
-            corners.append(range(len(moves), len(moves) + 4))
-            moves += [
-                ((i, 1.0), (j, 1.0)), ((i, 1.0), (j, -1.0)),
-                ((i, -1.0), (j, 1.0)), ((i, -1.0), (j, -1.0)),
-            ]
-    return moves, plus, minus, np.array(corners, dtype=int).reshape(-1, 4).T
-
-
 def _fd_hessian(fn, x: np.ndarray, width: int, batched: bool, errors=None):
     """Central 4-point cross differences of every component of fn(_, x) at
-    every row of x: (len(x), width, n, n).  The points go to fn as one
-    stack in the order of a lone evaluation; the arithmetic is the
-    per-entry formula's, squares included (h**2 is libm's pow)."""
+    every row of x: (len(x), width, n, n).  Each row's points, one group of
+    the stack passed to fn, are x, x + h_i e_i for every i, x - h_i e_i for
+    every i, and the corners (+ +, + -, - +, - -) of (x_i, x_j) for each
+    pair i < j.  The arithmetic is the per-entry formula's, squares
+    included (h**2 is libm's pow)."""
     count, n = x.shape
     steps = _FD2_STEP * np.maximum(1.0, np.abs(x))
-    moves, plus, minus, corners = _hessian_points(n)
-    at, coord, sign = (
-        np.array(v) for v in zip(*[
-            (r, c, s) for r, move in enumerate(moves) for c, s in move
-        ])
-    )
-    points = np.repeat(x, len(moves), axis=0).reshape(count, len(moves), n)
-    points[:, at, coord] = x[:, coord] + sign * steps[:, coord]
+    at, up, down = x[:, None], (x + steps)[:, None], (x - steps)[:, None]
+    coords = np.arange(n)
+    ii, jj = np.triu_indices(n, 1)
+    axial, on_i, on_j = (coords == c[:, None] for c in (coords, ii, jj))
+    corners = [np.where(on_i, a, np.where(on_j, b, at)) for a in (up, down) for b in (up, down)]
+    points = np.concatenate([
+        at, np.where(axial, up, at), np.where(axial, down, at),
+        np.stack(corners, axis=2).reshape(count, -1, n),
+    ], axis=1)
     values = _rows(
-        fn, _NO_LAMBDA, points.reshape(-1, n), (width,), batched, errors, len(moves)
-    ).reshape(count, len(moves), width)
-    f0 = values[:, :1]
+        fn, _NO_LAMBDA, points.reshape(-1, n), (width,), batched, errors, points.shape[1]
+    ).reshape(count, -1, width)
+    f0, plus, minus = values[:, :1], values[:, 1:n + 1], values[:, n + 1:2 * n + 1]
+    pp, pm, mp, mm = np.moveaxis(values[:, 2 * n + 1:].reshape(count, -1, 4, width), 2, 0)
     squares = np.array([h ** 2 for h in steps.ravel().tolist()]).reshape(steps.shape)
     H = np.empty((count, width, n, n))
-    diag = np.arange(n)
-    H[:, :, diag, diag] = np.swapaxes(
-        (values[:, plus] - 2 * f0 + values[:, minus]) / squares[:, :, None], 1, 2
-    )
-    ii, jj = np.triu_indices(n, 1)
-    pp, pm, mp, mm = corners
+    H[:, :, coords, coords] = np.swapaxes((plus - 2 * f0 + minus) / squares[:, :, None], 1, 2)
     cross = np.swapaxes(
-        (values[:, pp] - values[:, pm] - values[:, mp] + values[:, mm])
-        / (4 * steps[:, ii] * steps[:, jj])[:, :, None],
-        1, 2,
+        (pp - pm - mp + mm) / (4 * steps[:, ii] * steps[:, jj])[:, :, None], 1, 2
     )
     H[:, :, ii, jj] = cross
     H[:, :, jj, ii] = cross
@@ -413,38 +403,40 @@ _BLOCKS = ("f", "h", "jac_x", "jac_lambda", "jac_h", "hess_h")
 def evaluate(
     sys: SystemSpec,
     u: PointState,
-    slack: float = DEFAULT_DOMAIN_SLACK,
+    tols: Tolerances = DEFAULT_TOLERANCES,
     check_domain: bool = True,
 ) -> Evaluation:
     """Evaluate f, h and all derivative blocks at u = (lam, x).
 
     Raises InputError when lam or x is not a finite vector of length m or
-    n, or u falls outside the domain or parameter box by more than `slack`,
-    and EvaluationError when any evaluator returns a non-finite value.
-    Pointwise diagnostics that only need evaluability (not domain
-    membership) pass check_domain=False to skip the domain and parameter
-    box tests.
+    n, or u falls outside the parameter box or the domain by more than
+    tols.domain_slack * (1 + its diameter), the slack of every point a
+    command at tols takes or makes, and EvaluationError when any evaluator
+    returns a non-finite value.  Pointwise diagnostics that only need
+    evaluability (not domain membership) pass check_domain=False to skip
+    the domain and parameter box tests.
     """
     return Evaluation(
         u,
-        *_evaluate_point(sys, u, _BLOCKS, slack if check_domain else None),
+        *_evaluate_point(sys, u, _BLOCKS, tols if check_domain else None),
         derivative_source="analytic" if sys.analytic else "finite-difference",
     )
 
 
-def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, slack=None) -> tuple:
+def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, tols=None) -> tuple:
     """The named blocks at the one point u, as _evaluate_rows computes them.
     Raises InputError unless lam and x are finite vectors of lengths m and
-    n and, unless slack is None, when u falls outside the parameter box or
-    domain by more."""
+    n and, unless tols is None, when lam or x is outside the parameter box
+    or the domain by the slack of _in_domain_rows (or a constraint's error)."""
     lam = finite_vector(u.lam, sys.m, "lambda", "m")
     x = finite_vector(u.x, sys.n, "x", "n")
-    if slack is not None:
+    if tols is not None:
         pb = sys.parameter_box
-        if np.any(lam < pb[:, 0] - slack) or np.any(lam > pb[:, 1] + slack):
+        if not _in_box(lam, pb, _slack(pb, tols)):
             raise InputError(f"lambda {lam.tolist()} outside parameter box")
-        if not sys.domain.contains(x, slack):
-            raise InputError(f"x {x.tolist()} outside domain")
+        inside, errors = _in_domain_rows(sys, x[None], tols)
+        if not inside[0]:
+            raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))
     return tuple(block[0] for block in _evaluate_rows(sys, lam, x[None, :], names))
 
 
@@ -590,7 +582,6 @@ def _builtin_planar() -> SystemSpec:
     domain = Domain(
         box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         constraints=(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0,),
-        constraint_names=("unit_disk",),
     )
     return SystemSpec(
         name="planar", n=2, m=1, k=1,
@@ -657,7 +648,6 @@ def _builtin_example2() -> SystemSpec:
             lambda x: 5.0 - h(x)[..., 1],
             lambda x: h(x)[..., 1] - 15.0,
         ),
-        constraint_names=("h1_low", "h1_high", "h2_low", "h2_high"),
     )
     return SystemSpec(
         name="example2", n=3, m=1, k=2,
@@ -707,7 +697,6 @@ def _builtin_rfmr(n: int) -> SystemSpec:
         f=f, h=h, domain=domain,
         parameter_box=np.column_stack([np.full(n, 0.25), np.full(n, 4.0)]),
         jac_x_fn=jac_x, jac_lambda_fn=jac_lambda, jac_h_fn=jac_h, hess_h_fn=hess_h,
-        metadata={"sites": n},
         batched=True,
     )
 

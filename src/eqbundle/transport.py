@@ -39,9 +39,10 @@ from .errors import (
     step_bounds,
     waypoint_path,
 )
+# enumerate_level_points is re-exported: the multistart that a holonomy runs
 from .finder import (
-    DEFAULT_BUDGET, DEFAULT_SEED, _continuation_start, _correct, _lane_norm, _level_set,
-    _step_rule, enumerate_level_points,
+    DEFAULT_BUDGET, DEFAULT_SEED, _continuation_start, _correct, _lane_norm, _level_points,
+    _level_set, _step_rule, enumerate_level_points,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank, solve_least_squares
 from .systems import Evaluation, PointState, SystemSpec, _in_domain_rows, evaluate
@@ -495,10 +496,11 @@ def holonomy_loop(
     """Transport every point of E_lambda on the level set around a loop.
 
     The first and last waypoints must agree within 1e-9 relative to the
-    first's norm.  Enumerates the finite set at the base waypoint, lifts
-    the loop from all its points at once, as lanes of lift_lanes, and
-    matches the endpoints back by nearest neighbor within the clustering
-    radius.  The match must be a bijection.  A failed lift raises the
+    first's norm.  Finds the points of enumerate_level_points at the base
+    waypoint, without evaluating or auditing them, lifts the loop from all
+    of them at once, as lanes of lift_lanes, and matches the endpoints back
+    by nearest neighbor within the clustering radius.  The match must be a
+    bijection.  A failed lift raises the
     error of the first point, in enumeration order, whose lift fails.
     """
     waypoints = waypoint_path(loop, sys.m, "loop", "m")
@@ -506,14 +508,14 @@ def holonomy_loop(
     a = finite_array(a, "level a").reshape(-1)
     base = waypoints[0]
 
-    points = enumerate_level_points(sys, base, a, budget=budget, seed=seed, tols=tols)
+    points = [x for x, _ in _level_points(sys, base, a, budget, seed, tols)]
     if not points:
         raise InputError(
             f"no equilibria found on level {a.tolist()} at lambda = {base.tolist()}"
         )
-    before = np.asarray([p.state.x for p in points])
+    before = np.asarray(points)
 
-    lifts = lift_lanes(sys, [waypoints] * len(points), [p.state.x for p in points], tols)
+    lifts = lift_lanes(sys, [waypoints] * len(points), points, tols)
     after = np.asarray([result.gamma[-1] for result in lifts])
 
     radius = tols.cluster * sys.domain.diameter()

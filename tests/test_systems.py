@@ -16,10 +16,12 @@ from eqbundle import (
     builtin,
     check_first_integral_identity,
     eigen_dense,
+    enumerate_level_points,
     evaluate,
 )
 from eqbundle.expr import build_system_from_config
 from eqbundle.systems import Domain, _evaluate_rows, _in_domain_rows, first_integral_violation
+from eqbundle.tolerances import DEFAULT_TOLERANCES
 
 from conftest import rfmr_circulant_eigenvalues, sample_box, strip_jacobians
 
@@ -177,6 +179,71 @@ def test_evaluate_rejects_outside_domain(planar):
         evaluate(planar, PointState([0.5, 0.5], [0.0, 0.0]))  # wrong m
     with pytest.raises(InputError):
         evaluate(planar, PointState([0.5], [0.0, 0.0, 0.0]))  # wrong n
+
+
+def test_evaluate_accepts_every_point_find_returns(planar):
+    # the level 1 + 1.5e-9 puts x = (1.5e-9, 1 + 1.5e-9) 3e-9 outside the
+    # disk, within the domain slack scaled by 1 + diameter
+    tols = Tolerances()
+    points = enumerate_level_points(planar, [0.5], [1 + 1.5e-9], tols=tols)
+    assert points and planar.domain.constraints[0](points[0].state.x) > 2e-9
+    for point in points:
+        assert evaluate(planar, point.state).point is point.state
+        assert evaluate(planar, point.state, tols).point is point.state
+
+
+def test_evaluate_tests_lambda_within_the_scaled_slack(planar):
+    # the parameter box [0, 1] has diameter 1
+    s = DEFAULT_TOLERANCES.domain_slack * 2
+    evaluate(planar, PointState([1 + 0.5 * s], [0.0, 0.0]))
+    with pytest.raises(InputError, match=r"lambda \[.*\] outside parameter box"):
+        evaluate(planar, PointState([1 + 2 * s], [0.0, 0.0]))
+
+
+def _hessian_by_entry(h, x):
+    """The per-entry central differences of h at the one point x."""
+    n = len(x)
+    steps = [np.finfo(float).eps ** 0.25 * max(1.0, abs(v)) for v in x]
+
+    def at(*moves):
+        y = x.copy()
+        for i, sign in moves:
+            y[i] = x[i] + steps[i] if sign > 0 else x[i] - steps[i]
+        return h(y)
+
+    f0 = h(x)
+    H = np.empty((len(f0), n, n))
+    for i in range(n):
+        H[:, i, i] = (at((i, 1)) - 2 * f0 + at((i, -1))) / steps[i] ** 2
+        for j in range(i + 1, n):
+            H[:, i, j] = H[:, j, i] = (
+                at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
+            ) / (4 * steps[i] * steps[j])
+    return H
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_fd_hessian_is_bitwise_the_per_entry_formula(n, batched):
+    k = min(2, n - 1)
+
+    def h(x):
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., -1]
+        return np.stack(
+            [x0 * x1 * x2 + x0 * x0 * x0, 1.0 / (2.0 + x0 * x0 + x1 * x2)][:k], axis=-1
+        )
+
+    sys = SystemSpec(
+        name="cubic", n=n, m=1, k=k,
+        f=lambda lam, x: np.zeros(np.shape(x)), h=h,
+        domain=Domain(box=[[-5.0, 5.0]] * n), parameter_box=[[0.0, 1.0]],
+        batched=batched,
+    )
+    x = np.random.default_rng(n).uniform(-4.0, 4.0, (7, n))
+    expected = np.array([_hessian_by_entry(h, row) for row in x])
+    assert sys.hess_h(x).tobytes() == expected.tobytes()
+    assert sys.hess_h(x[2]).tobytes() == expected[2].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -385,6 +452,7 @@ def test_contains_and_in_domain_rows_agree_on_non_finite_rows(name, batched):
     assert not errors
     slack = 1e-9 * (1.0 + sys.domain.diameter())
     assert inside.tolist() == [sys.domain.contains(row, slack) for row in rows]
+    assert inside.tolist() == sys.domain.contains(np.array(rows), slack).tolist()
     assert inside.tolist() == [True] + [False] * (len(rows) - 1)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from eqbundle import audit, transport
+from eqbundle import audit, finder, systems, transport
 from eqbundle.errors import DegeneracyError, HolonomyError, InputError, TransportError
 from eqbundle.linalg import numeric_rank, solve_least_squares
 from eqbundle.systems import Domain, PointState, SystemSpec
@@ -295,6 +295,18 @@ def test_metric_evaluates_the_point_once(monkeypatch, rfmr3):
     evaluations = count_calls(monkeypatch, "evaluate", audit, transport)
     metric_g(rfmr3, u, vertical, vertical)
     assert len(evaluations) == 1
+
+
+def test_holonomy_lifts_its_points_without_evaluating_or_auditing_them(
+    monkeypatch, example2
+):
+    # the lift needs the enumerated x's alone: no derivative blocks are
+    # evaluated and no audit is made at the base waypoint
+    evaluations = count_calls(monkeypatch, "evaluate", systems, finder, audit, transport)
+    audits = count_calls(monkeypatch, "_audit", audit, transport)
+    report = holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=200, seed=0)
+    assert report.permutation == (0, 1, 2, 3)
+    assert evaluations == [] and audits == []
 
 
 def test_holonomy_loop_closes_at_the_config_rule(rfmr3):
