@@ -31,13 +31,7 @@ from .config import (
 from .errors import EqBundleError, InputError
 from .finder import enumerate_level_points, trace_fiber
 from .monodromy import eigen_along_fiber_loop, track_matrix_loop
-from .reports import (
-    build_envelope,
-    canonical_json,
-    fiber_trace_csv,
-    transport_csv,
-    write_text_atomic,
-)
+from .reports import CSV_RENDERERS, build_envelope, canonical_json, write_text_atomic
 from .systems import PointState
 from .tolerances import Tolerances
 from .transport import check_cocycle, holonomy_loop, lift_curve
@@ -210,35 +204,26 @@ def run_config(config: RunConfig):
     raise InputError(f"unknown command {command!r}")
 
 
-def _write_envelope(output: dict, envelope: dict) -> None:
-    """The envelope's JSON to the output path for the format json, to
-    <path>.json for both, and to stdout without a path or for csv."""
-    text = canonical_json(envelope)
+def _write(output: dict, kind: str, text: str) -> None:
+    """Text of a kind, "json" or "csv", to <path>.<kind> for the format
+    both, to the path for the format kind, and otherwise to stdout: without
+    a path, and for the envelope of a csv run."""
     path, fmt = output["path"], output["format"]
-    if path is None or fmt == "csv":
+    if path is None or fmt not in (kind, "both"):
         sys.stdout.write(text)
     else:
-        write_text_atomic(path + ".json" if fmt == "both" else path, text)
+        write_text_atomic(f"{path}.{kind}" if fmt == "both" else path, text)
 
 
 def _emit(config: RunConfig, result: dict, artifact) -> None:
     output = config.settings["output"]
-    path, fmt = output["path"], output["format"]
-    envelope = build_envelope(
-        config.command, config.settings, config.tolerances, result=result
-    )
-    if fmt in ("json", "both"):
-        _write_envelope(output, envelope)
-    if fmt in ("csv", "both"):
-        csv_text = (
-            fiber_trace_csv(artifact)
-            if config.command == "trace-fiber"
-            else transport_csv(artifact)
+    if output["format"] != "csv":
+        envelope = build_envelope(
+            config.command, config.settings, config.tolerances, result=result
         )
-        if path is None:
-            sys.stdout.write(csv_text)
-        else:
-            write_text_atomic(path + ".csv" if fmt == "both" else path, csv_text)
+        _write(output, "json", canonical_json(envelope))
+    if output["format"] != "json":
+        _write(output, "csv", CSV_RENDERERS[config.command](artifact))
 
 
 def _error_payload(exc: EqBundleError) -> dict:
@@ -288,7 +273,7 @@ def _emit_error(
                 output = _materialize_output(raw.get("output"), command)
             except InputError:
                 pass
-    _write_envelope(output, envelope)
+    _write(output, "json", canonical_json(envelope))
     if output["format"] == "both" and output["path"] is not None:
         # <path>.json and <path>.csv describe one run: drop an earlier run's CSV
         with contextlib.suppress(FileNotFoundError):
@@ -304,13 +289,12 @@ def main(argv=None) -> int:
     try:
         raw = load_config_dict(args.config)
         _apply_flag_overrides(raw, args)
-        config = config_from_dict(raw)
-        if config.command != args.command:
-            config = None
+        if raw.get("command") not in (None, args.command):
             raise InputError(
                 f"config command {raw.get('command')!r} does not match "
                 f"the invoked subcommand {args.command!r}"
             )
+        config = config_from_dict(raw)
         result, artifact = run_config(config)
         _emit(config, result, artifact)
         return 0

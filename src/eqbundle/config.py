@@ -25,20 +25,10 @@ from .finder import (
     MAX_STEP_FRACTION, MIN_STEP_FRACTION,
 )
 from .monodromy import MAX_REFINE
-from .systems import SystemSpec, builtin
+from .reports import CSV_RENDERERS
+from .systems import SystemSpec, _admit_lambda, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .transport import INITIAL_FRACTION, MAX_FRACTION, MIN_FRACTION
-
-COMMANDS = (
-    "audit",
-    "find",
-    "trace-fiber",
-    "transport",
-    "holonomy",
-    "cocycle",
-    "eigen-loop",
-    "track-matrix-loop",
-)
 
 _TOP_LEVEL_KEYS = {"system", "command", "tolerances", "output"}
 _COMMAND_KEYS = {
@@ -56,6 +46,7 @@ _COMMAND_KEYS = {
     "eigen-loop": {"lambda", "loop_points", "max_refine"},
     "track-matrix-loop": {"matrices", "k", "tol_zero", "max_refine"},
 }
+COMMANDS = tuple(_COMMAND_KEYS)
 
 __all__ = ["COMMANDS", "RunConfig", "config_from_dict", "load_config", "load_config_dict"]
 
@@ -99,11 +90,32 @@ def _waypoints(value, length: int, what: str, dim_name: str) -> list:
     return waypoint_path(value, length, what, dim_name).tolist()
 
 
-def _build_system(spec, command: str) -> Optional[SystemSpec]:
+def _parameter(value, system: SystemSpec, tols: Tolerances, what: str) -> list:
+    """A lambda of the command: a finite vector of length m in the
+    parameter box, as _admit_lambda admits it."""
+    lam = finite_vector(value, system.m, what, "m")
+    _admit_lambda(system, lam, tols, what)
+    return lam.tolist()
+
+
+def _parameter_path(value, system: SystemSpec, tols: Tolerances, what: str) -> list:
+    """A waypoint_path of lambdas, each waypoint admitted as _parameter
+    admits a lambda and named as waypoint_path names it."""
+    path = waypoint_path(value, system.m, what, "m")
+    for i, lam in enumerate(path):
+        _admit_lambda(system, lam, tols, f"{what} waypoint {i}")
+    return path.tolist()
+
+
+def _build_system(spec, command: str) -> tuple:
+    """The system of a config's 'system' entry and the entry's echo: (None,
+    None) without one, which only track-matrix-loop may omit.  A builtin
+    echoes its name and n; a declaration echoes itself with its name,
+    parameter box and identity-check defaults filled in."""
     if spec is None:
         if command != "track-matrix-loop":
             raise InputError(f"command {command!r} requires a 'system' entry")
-        return None
+        return None, None
     if not isinstance(spec, dict):
         raise InputError("'system' must be an object")
     if ("builtin" in spec) == ("declaration" in spec):
@@ -113,28 +125,21 @@ def _build_system(spec, command: str) -> Optional[SystemSpec]:
     if "builtin" in spec:
         # a dict not read from JSON may have other keys than strings
         params = {str(key): value for key, value in spec.items() if key != "builtin"}
-        return builtin(str(spec["builtin"]), **params)
-    extra = set(spec) - {"declaration"}
-    if extra:
-        raise InputError(f"unknown system keys: {sorted(extra)}")
-    return build_system_from_config(spec["declaration"])
-
-
-def _echo_system(spec, system: Optional[SystemSpec]) -> Optional[dict]:
-    if spec is None:
-        return None
-    if "builtin" in spec:
+        system = builtin(str(spec["builtin"]), **params)
         echo = {"builtin": str(spec["builtin"])}
         if "n" in spec:
             echo["n"] = int(spec["n"])
-        return echo
+        return system, echo
+    extra = set(spec) - {"declaration"}
+    if extra:
+        raise InputError(f"unknown system keys: {sorted(extra)}")
+    system = build_system_from_config(spec["declaration"])
     decl = dict(spec["declaration"])
-    assert system is not None
     decl.setdefault("name", system.name)
     decl.setdefault("parameter_box", [[float(a), float(b)] for a, b in system.parameter_box])
     for key, value in IDENTITY_DEFAULTS.items():
         decl.setdefault(key, value)
-    return {"declaration": decl}
+    return system, {"declaration": decl}
 
 
 def _materialize_tolerances(overrides) -> tuple[Tolerances, dict]:
@@ -160,16 +165,16 @@ def _materialize_output(value, command: str) -> dict:
     fmt = value.get("format", "json")
     if fmt not in ("json", "csv", "both"):
         raise InputError(f"unknown output format {fmt!r} (json, csv, or both)")
-    if fmt in ("csv", "both") and command not in ("trace-fiber", "transport"):
-        raise InputError(
-            "csv output is only available for trace-fiber and transport"
-        )
+    if fmt in ("csv", "both") and command not in CSV_RENDERERS:
+        raise InputError(f"csv output is only available for {' and '.join(CSV_RENDERERS)}")
     if fmt == "both" and path is None:
         raise InputError("output format 'both' requires an output path")
     return {"path": path, "format": fmt}
 
 
-def _materialize_command_fields(data: dict, command: str, system: Optional[SystemSpec]) -> dict:
+def _materialize_command_fields(
+    data: dict, command: str, system: Optional[SystemSpec], tols: Tolerances
+) -> dict:
     fields: dict = {}
     if command == "track-matrix-loop":
         default_k = system.k if system is not None else 0
@@ -196,12 +201,12 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
         fields["x"] = _vector(_require(data, "x", command), n, "x", "n")
     elif command == "find":
-        fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
+        fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
         fields["budget"] = positive_int(_optional(data, "budget", DEFAULT_BUDGET), "budget")
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "trace-fiber":
-        fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
+        fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         diameter = system.domain.diameter()
         fields["min_step"], fields["initial_step"], fields["max_step"] = step_bounds(
@@ -217,7 +222,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
             _optional(data, "direction", INITIAL_DIRECTION), "direction"
         )
     elif command == "transport":
-        fields["path"] = _waypoints(_require(data, "path", command), m, "path", "m")
+        fields["path"] = _parameter_path(_require(data, "path", command), system, tols, "path")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
             step_bounds(
@@ -228,7 +233,7 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
             )
         )
     elif command == "holonomy":
-        loop = _waypoints(_require(data, "loop", command), m, "loop", "m")
+        loop = _parameter_path(_require(data, "loop", command), system, tols, "loop")
         closed_loop(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
@@ -236,17 +241,18 @@ def _materialize_command_fields(data: dict, command: str, system: Optional[Syste
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):
-            fields[key] = _vector(_require(data, key, command), m, key, "m")
+            fields[key] = _parameter(_require(data, key, command), system, tols, key)
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         paths = data.get("paths")
         if paths is None:
             fields["paths"] = None
         else:
             fields["paths"] = [
-                _waypoints(p, m, f"paths[{i}]", "m") for i, p in enumerate(cocycle_paths(paths))
+                _parameter_path(p, system, tols, f"paths[{i}]")
+                for i, p in enumerate(cocycle_paths(paths))
             ]
     elif command == "eigen-loop":
-        fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
+        fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")
         closed_loop(points, "loop points")
         fields["loop_points"] = points
@@ -272,18 +278,17 @@ def config_from_dict(data) -> RunConfig:
     if unknown:
         raise InputError(f"unknown configuration keys for {command!r}: {unknown}")
 
-    system = _build_system(data.get("system"), command)
+    system, system_echo = _build_system(data.get("system"), command)
     tolerances, tol_echo = _materialize_tolerances(data.get("tolerances"))
     output = _materialize_output(data.get("output"), command)
-    fields = _materialize_command_fields(data, command, system)
+    fields = _materialize_command_fields(data, command, system, tolerances)
     matrices = fields.get("matrices")
     if matrices is not None:
         fields["matrices"] = matrices.tolist()
 
     settings = {"command": command}
-    echoed_system = _echo_system(data.get("system"), system)
-    if echoed_system is not None:
-        settings["system"] = echoed_system
+    if system_echo is not None:
+        settings["system"] = system_echo
     settings.update(fields)
     settings["tolerances"] = tol_echo
     settings["output"] = output

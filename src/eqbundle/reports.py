@@ -24,6 +24,7 @@ from .transport import TransportResult
 SCHEMA_VERSION = 1
 
 __all__ = [
+    "CSV_RENDERERS",
     "SCHEMA_VERSION",
     "build_envelope",
     "canonical_json",
@@ -187,3 +188,7 @@ def transport_csv(result: TransportResult) -> str:
         values = np.concatenate([[t], lam, x])
         lines.append(",".join(_g17(v) for v in values))
     return "\n".join(lines) + "\n"
+
+
+# the commands that write CSV, each with its renderer of run_config's artifact
+CSV_RENDERERS = {"trace-fiber": fiber_trace_csv, "transport": transport_csv}

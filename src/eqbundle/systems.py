@@ -78,10 +78,24 @@ class Domain:
         slack, with g(x) <= slack for every constraint g: a bool for a point
         (n,), no constraint called once a test fails, or one bool per row
         for a stack (B, n), each constraint called on the stack.  slack None
-        is _in_domain_rows' domain_slack * (1 + diameter) at the defaults."""
+        is _in_domain_rows' domain_slack * (1 + diameter) at the defaults.
+        A row with a NaN is not inside.  Raises InputError when x is not an
+        array of numbers (text, a mapping, a ragged nesting) or its last
+        axis is not of length n; the test reads only x's dtype and shape."""
         if slack is None:
             slack = _slack(self.box, DEFAULT_TOLERANCES)
-        x = np.asarray(x, dtype=float)
+        try:
+            x = np.asarray(x)
+        except ValueError:          # a ragged nesting
+            x = None
+        if x is None or x.dtype.kind not in "iuf":
+            raise InputError("x must be an array of numbers")
+        if x.shape[-1:] != (self.dim,):
+            raise InputError(
+                f"dimension mismatch: x has shape {x.shape}, "
+                f"expected a point or rows of length n = {self.dim}"
+            )
+        x = x.astype(float, copy=False)
         inside = _in_box(x, self.box, slack)
         if x.ndim == 1:
             return bool(inside) and all(g(x) <= slack for g in self.constraints)
@@ -93,9 +107,10 @@ class Domain:
         """Distance to the nearest box face or constraint surface.
 
         Implicit constraints use the first-order estimate |g| / |grad g|
-        with the central-difference gradient of _fd_jacobian.
+        with the central-difference gradient of _fd_jacobian.  Raises
+        InputError unless x is a finite vector of length n.
         """
-        x = np.asarray(x, dtype=float)
+        x = finite_vector(x, self.dim, "x", "n")
         dist = float(np.min(np.minimum(x - self.box[:, 0], self.box[:, 1] - x)))
         for g in self.constraints:
             val = g(x)
@@ -411,10 +426,12 @@ def evaluate(
     Raises InputError when lam or x is not a finite vector of length m or
     n, or u falls outside the parameter box or the domain by more than
     tols.domain_slack * (1 + its diameter), the slack of every point a
-    command at tols takes or makes, and EvaluationError when any evaluator
-    returns a non-finite value.  Pointwise diagnostics that only need
-    evaluability (not domain membership) pass check_domain=False to skip
-    the domain and parameter box tests.
+    command at tols takes or makes (the lambda test is _admit_lambda's,
+    which the config applies to every lambda a command takes), and
+    EvaluationError when any evaluator returns a non-finite value.
+    Pointwise diagnostics that only need evaluability (not domain
+    membership) pass check_domain=False to skip the domain and parameter
+    box tests.
     """
     return Evaluation(
         u,
@@ -423,17 +440,26 @@ def evaluate(
     )
 
 
+def _admit_lambda(sys: SystemSpec, lam: np.ndarray, tols: Tolerances, what: str) -> None:
+    """The one rule of a lambda that a command takes: raises InputError
+    "{what} {lambda} outside parameter box" unless lam lies in the
+    parameter box within tols.domain_slack * (1 + box diameter), the slack
+    _in_domain_rows gives x.  lam is a checked finite vector of length m."""
+    pb = sys.parameter_box
+    if not _in_box(lam, pb, _slack(pb, tols)):
+        raise InputError(f"{what} {lam.tolist()} outside parameter box")
+
+
 def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, tols=None) -> tuple:
     """The named blocks at the one point u, as _evaluate_rows computes them.
     Raises InputError unless lam and x are finite vectors of lengths m and
-    n and, unless tols is None, when lam or x is outside the parameter box
-    or the domain by the slack of _in_domain_rows (or a constraint's error)."""
+    n and, unless tols is None, when _admit_lambda refuses lam or x is
+    outside the domain by the slack of _in_domain_rows (or a constraint's
+    error)."""
     lam = finite_vector(u.lam, sys.m, "lambda", "m")
     x = finite_vector(u.x, sys.n, "x", "n")
     if tols is not None:
-        pb = sys.parameter_box
-        if not _in_box(lam, pb, _slack(pb, tols)):
-            raise InputError(f"lambda {lam.tolist()} outside parameter box")
+        _admit_lambda(sys, lam, tols, "lambda")
         inside, errors = _in_domain_rows(sys, x[None], tols)
         if not inside[0]:
             raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))

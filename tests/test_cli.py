@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from eqbundle import cli
+from conftest import count_calls
+from eqbundle import cli, config
 from eqbundle.cli import main
 from eqbundle.config import RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
@@ -833,3 +834,27 @@ def test_each_echoed_default_is_the_signature_default(raw):
     assert {field: settings[field] for field in fields} == {
         field: parameters[param].default for field, param in fields.items()
     }
+
+
+def test_the_subcommand_is_checked_before_the_config(tmp_path, capsys, monkeypatch):
+    # a transport config whose declared h is no first integral of f, run as
+    # find: the mismatch is reported, and no system is built
+    raw = {
+        "system": {"declaration": {
+            "n": 2, "m": 1, "k": 1, "f": ["x2", "0"], "h": ["x1"],
+            "domain_box": [[-1, 1], [-1, 1]],
+        }},
+        "command": "transport", "path": [[0.5], [0.9]], "x0": [0.0, 0.5],
+    }
+    with pytest.raises(InputError, match="declared h is not a first integral"):
+        config_from_dict(raw)
+    builds = count_calls(monkeypatch, "build_system_from_config", config)
+    cfg = write_config(tmp_path, "transport.json", raw)
+    assert main(["find", "--config", cfg]) == 1
+    message = "config command 'transport' does not match the invoked subcommand 'find'"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    envelope = json.loads(captured.out)
+    assert envelope["error"] == {"type": "InputError", "message": message}
+    assert envelope["config"] == raw and envelope["tolerances_used"] is None
+    assert builds == []

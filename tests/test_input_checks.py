@@ -288,6 +288,20 @@ LIBRARY_CASES = [
     ("parse-text-n", lambda: parse("x1", "a", 1), f"^n {INTEGER}"),
     ("parse-bool-n", lambda: parse("x1", True, 1), f"^n {INTEGER}"),
     ("spec-text-n", lambda: _spec(n="2"), f"^n {INTEGER}"),
+    # points of a domain: numbers, with a last axis of length n
+    ("contains-length", lambda: builtin("planar").domain.contains([0.1, 0.2, 0.3]),
+     r"^dimension mismatch: x has shape \(3,\)"),
+    ("contains-rows-length", lambda: builtin("planar").domain.contains([[0.1, 0.2, 0.3]]),
+     r"^dimension mismatch: x has shape \(1, 3\)"),
+    ("contains-text", lambda: builtin("planar").domain.contains("ab"),
+     "^x must be an array of numbers"),
+    ("contains-mapping", lambda: builtin("planar").domain.contains({"a": 1}),
+     "^x must be an array of numbers"),
+    ("boundary-distance-length",
+     lambda: builtin("planar").domain.boundary_distance([0.1, 0.2, 0.3]),
+     "^dimension mismatch: x has length 3"),
+    ("boundary-distance-text", lambda: builtin("planar").domain.boundary_distance("ab"),
+     f"^x {FINITE}"),
 ]
 
 
@@ -406,3 +420,57 @@ def test_a_valid_matrix_loop_takes_one_finiteness_test_per_check(tmp_path, capsy
     assert main([raw["command"], "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["permutation"] == [0, 1]
     assert len(loops) == 2 and len(finite) == len(loops)
+
+
+# a lambda outside the parameter box, for each command that takes one:
+# (base, overrides, message).  The library entry points do not test it.
+OUTSIDE_BOX = "outside parameter box$"
+LAMBDA_CASES = [
+    ("find", {"lambda": [7.5]}, rf"^lambda \[7\.5\] {OUTSIDE_BOX}"),
+    ("trace-fiber", {"lambda": [-0.5]}, rf"^lambda \[-0\.5\] {OUTSIDE_BOX}"),
+    ("transport", {"path": [[0.5], [3.0]]}, rf"^path waypoint 1 \[3\.0\] {OUTSIDE_BOX}"),
+    ("holonomy", {"loop": [[0.5], [3.0], [0.5]]}, rf"^loop waypoint 1 \[3\.0\] {OUTSIDE_BOX}"),
+    ("cocycle", {"lambda2": [1.5]}, rf"^lambda2 \[1\.5\] {OUTSIDE_BOX}"),
+    ("cocycle", {"paths": [[[0.5], [3.0], [0.7]], [[0.7], [0.9]], [[0.5], [0.9]]]},
+     rf"^paths\[0\] waypoint 1 \[3\.0\] {OUTSIDE_BOX}"),
+    ("eigen-loop", {"lambda": [5.0]}, rf"^lambda \[5\.0\] {OUTSIDE_BOX}"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, overrides, message", LAMBDA_CASES,
+    ids=[f"{base}-{next(iter(overrides))}" for base, overrides, _ in LAMBDA_CASES],
+)
+def test_a_command_takes_lambda_only_inside_the_parameter_box(
+    tmp_path, capsys, base, overrides, message
+):
+    raw = raw_config(base, overrides)
+    with pytest.raises(InputError, match=message):
+        config_from_dict(raw)
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(raw))
+    assert main([raw["command"], "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    envelope = json.loads(captured.out)
+    assert envelope["config"] == raw and envelope["tolerances_used"] is None
+    assert envelope["error"]["type"] == "InputError"
+    assert captured.err == f"error: {envelope['error']['message']}\n"
+
+
+@pytest.mark.parametrize("tolerances", [{}, {"domain_slack": 1e-3}])
+def test_a_command_tests_lambda_within_the_scaled_slack_of_its_run(tolerances):
+    # the slack of evaluate's test at the run's tolerances; planar's
+    # parameter box [0, 1] has diameter 1
+    s = DEFAULT_TOLERANCES.replace(**tolerances).domain_slack * 2
+    config_from_dict(raw_config("find", {"lambda": [1 + 0.5 * s], "tolerances": tolerances}))
+    with pytest.raises(InputError, match=rf"^lambda \[.*\] {OUTSIDE_BOX}"):
+        config_from_dict(raw_config("find", {"lambda": [1 + 2 * s], "tolerances": tolerances}))
+
+
+def test_audit_takes_a_lambda_outside_the_parameter_box(tmp_path, capsys):
+    # an audit diagnoses any point
+    raw = {"system": PLANAR, "command": "audit", "lambda": [7.5], "x": X0}
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(raw))
+    assert main(["audit", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["lambda"] == [7.5]
