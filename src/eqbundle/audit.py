@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EvaluationError, InputError
 from .linalg import numeric_rank, rank_and_subspaces
-from .systems import Evaluation, PointState, SystemSpec, _evaluate_point, evaluate
+from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -113,9 +113,16 @@ def check_structural_identity(sys: SystemSpec, u: PointState) -> float:
     return structural_identity_residual(evaluate(sys, u, check_domain=False))
 
 
-def _is_equilibrium(f_value: np.ndarray, x: np.ndarray, tols: Tolerances) -> tuple:
-    residual = float(np.linalg.norm(f_value))
-    scale = 1.0 + float(np.linalg.norm(x))
+def _is_equilibrium(ev: Evaluation, tols: Tolerances) -> tuple:
+    """(whether ev is at an equilibrium, ||f||).  EvaluationError when ||f||
+    overflows although every entry of f is finite."""
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(ev.f_value))
+    if not np.isfinite(residual):
+        raise EvaluationError(
+            "||f|| is not finite", where=(ev.point.lam.tolist(), ev.point.x.tolist())
+        )
+    scale = 1.0 + float(np.linalg.norm(ev.point.x))
     return residual <= tols.equilibrium * scale, residual
 
 
@@ -137,7 +144,8 @@ def audit_point(
     Only evaluability is required, not domain membership, so equilibria
     just outside the working region can still be diagnosed.  A PointState
     must be finite, with lambda of length m and x of length n (InputError
-    otherwise, as at every evaluation).
+    otherwise, as at every evaluation).  An ||f|| that overflows, although
+    every entry of f is finite, is an EvaluationError.
     """
     if isinstance(u, Evaluation):
         return _audit(sys, u, tols)[0]
@@ -148,7 +156,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
     """audit_point on an evaluation, and the kernel basis of df/dx from the
     one SVD that decides cond_ii and cond_iii: (AuditReport, kernel)."""
     n, k, m = sys.n, sys.k, sys.m
-    at_equilibrium, residual = _is_equilibrium(ev.f_value, ev.point.x, tols)
+    at_equilibrium, residual = _is_equilibrium(ev, tols)
     fd_lam, fd = sys.finite_difference("jac_lambda"), sys.finite_difference("jac_x")
 
     rank_lam = numeric_rank(ev.jac_lambda, tols.rank, fd=fd_lam)
@@ -237,29 +245,26 @@ def audit_manifold_dimension(
     """Certify rank([df/dlambda | df/dx]) = n-k at each equilibrium.
 
     Equivalently dim ker J = m+k: the equilibrium set is locally an
-    (m+k)-dimensional manifold wherever this passes.
+    (m+k)-dimensional manifold wherever this passes.  Each point's
+    audit_point decides the equilibrium test and gives the rank.
     """
     verdicts = []
-    fd = sys.finite_difference("jac_lambda", "jac_x")
     for u in equilibria:
-        f_value, jac_x, jac_lambda = _evaluate_point(sys, u, ("f", "jac_x", "jac_lambda"))
-        at_equilibrium, residual = _is_equilibrium(f_value, u.x, tols)
-        if not at_equilibrium:
+        report = audit_point(sys, u, tols)
+        if not report.is_equilibrium:
             raise InputError(
                 f"point lambda = {u.lam.tolist()}, x = {u.x.tolist()} is not an "
-                f"equilibrium: ||f|| = {residual:.3e} exceeds the tolerance "
+                f"equilibrium: ||f|| = {report.residual:.3e} exceeds the tolerance "
                 f"{tols.equilibrium:.1e} * (1 + ||x||)"
             )
-        full = numeric_rank(np.hstack([jac_lambda, jac_x]), tols.rank, fd=fd)
-        expected = sys.n - sys.k
-        kernel_dim = sys.m + sys.n - full.rank
+        rank = report.full_jacobian_rank
         verdicts.append(
             DimensionVerdict(
                 point=u,
-                passed=full.rank == expected,
-                full_jacobian_rank=full.rank,
-                expected_rank=expected,
-                kernel_dimension=kernel_dim,
+                passed=rank == sys.n - sys.k,
+                full_jacobian_rank=rank,
+                expected_rank=sys.n - sys.k,
+                kernel_dimension=sys.m + sys.n - rank,
                 expected_kernel_dimension=sys.m + sys.k,
             )
         )

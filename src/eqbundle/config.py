@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    InputError, closed_loop, cocycle_paths, finite_vector, matrix_loop, non_negative_int,
-    positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
+    InputError, closed_loop, cocycle_paths, finite_vector, known_keys, matrix_loop,
+    non_negative_int, positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
 )
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .finder import (
@@ -130,9 +130,7 @@ def _build_system(spec, command: str) -> tuple:
         if "n" in spec:
             echo["n"] = int(spec["n"])
         return system, echo
-    extra = set(spec) - {"declaration"}
-    if extra:
-        raise InputError(f"unknown system keys: {sorted(extra)}")
+    known_keys(spec, {"declaration"}, "system keys")
     system = build_system_from_config(spec["declaration"])
     decl = dict(spec["declaration"])
     decl.setdefault("name", system.name)
@@ -156,9 +154,7 @@ def _materialize_output(value, command: str) -> dict:
         value = {}
     if not isinstance(value, dict):
         raise InputError("'output' must be an object")
-    unknown = sorted(set(value) - {"path", "format"})
-    if unknown:
-        raise InputError(f"unknown output keys: {unknown}")
+    known_keys(value, {"path", "format"}, "output keys")
     path = value.get("path")
     if path is not None and not isinstance(path, str):
         raise InputError("output path must be a string")
@@ -274,9 +270,7 @@ def config_from_dict(data) -> RunConfig:
             f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})"
         )
     allowed = _TOP_LEVEL_KEYS | _COMMAND_KEYS[command]
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise InputError(f"unknown configuration keys for {command!r}: {unknown}")
+    known_keys(data, allowed, f"configuration keys for {command!r}")
 
     system, system_echo = _build_system(data.get("system"), command)
     tolerances, tol_echo = _materialize_tolerances(data.get("tolerances"))

@@ -5,8 +5,9 @@ bad user input (configs, malformed expressions, dimension mismatches,
 violated preconditions) and maps to CLI exit code 1.  All other subclasses
 describe numerical or structural failures discovered while computing and
 map to CLI exit code 2.  The functions after the classes are the one
-check of each kind of caller input (a count, a step, an array, a box, a
-path, a loop), shared by the config and the library entry points.
+check of each kind of caller input (a mapping's keys, a count, a step, an
+array, a box, a path, a loop), shared by the config and the library entry
+points.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class ResolutionError(TrackingError):
 
 class ConvergenceError(EqBundleError):
     """An iterative solve diverged or ran out of iterations."""
+
+
+def known_keys(keys, allowed, what: str) -> None:
+    """InputError "unknown {what}: [...]", the keys sorted by their text,
+    unless every key is in allowed."""
+    unknown = sorted(set(keys) - set(allowed), key=str)
+    if unknown:
+        raise InputError(f"unknown {what}: {unknown}")
 
 
 def _as_int(value, what: str) -> int:

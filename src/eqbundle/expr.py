@@ -28,6 +28,7 @@ from .errors import (
     ExprError,
     InputError,
     finite_vector,
+    known_keys,
     non_negative_int,
     positive_float,
     positive_int,
@@ -464,11 +465,11 @@ def build_system_from_config(decl: dict) -> SystemSpec:
 
     Required keys: n, m, k (positive integers), f (a list of n expression
     strings), h (a list of k expression strings), domain_box ((n, 2)
-    finite numbers, lo <= hi in each row).  Optional: name, parameter_box
-    ((m, 2) as domain_box, default [0.25, 4] per coordinate), and the keys of
-    IDENTITY_DEFAULTS: identity_tolerance (a positive finite number),
-    identity_samples (a positive integer) and identity_seed (an integer
-    >= 0).  Anything else is an InputError.
+    finite numbers, lo <= hi in each row).  Optional: name (a string),
+    parameter_box ((m, 2) as domain_box, default [0.25, 4] per coordinate),
+    and the keys of IDENTITY_DEFAULTS: identity_tolerance (a positive
+    finite number), identity_samples (a positive integer) and identity_seed
+    (an integer >= 0).  Anything else is an InputError.
 
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
@@ -483,11 +484,12 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     if missing:
         raise InputError(f"system declaration missing keys: {missing}")
     known = {"n", "m", "k", "f", "h", "domain_box", "name", "parameter_box", *IDENTITY_DEFAULTS}
-    unknown = sorted(set(decl) - known)
-    if unknown:
-        raise InputError(f"unknown system declaration keys: {unknown}")
+    known_keys(decl, known, "system declaration keys")
 
     n, m, k = (positive_int(decl[key], f"declaration {key}") for key in "nmk")
+    name = decl.get("name", "expr-system")
+    if not isinstance(name, str):
+        raise InputError("declaration name must be a string")
     f_sources = _sources(decl["f"], n, "f")
     h_sources = _sources(decl["h"], k, "h")
 
@@ -508,7 +510,7 @@ def build_system_from_config(decl: dict) -> SystemSpec:
             )
 
     sys = SystemSpec(
-        name=str(decl.get("name", "expr-system")),
+        name=name,
         n=n, m=m, k=k, f=f, h=h,
         domain=Domain(box=decl["domain_box"]),
         parameter_box=decl.get("parameter_box", [[0.25, 4.0]] * m),

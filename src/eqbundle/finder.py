@@ -46,7 +46,7 @@ from .errors import (
     unit_sign,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank
-from .systems import PointState, SystemSpec, _in_domain_rows, evaluate
+from .systems import PointState, SystemSpec, _in_box, _in_domain_rows, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -278,15 +278,14 @@ def newton_lanes(
     which scales domain_slack by 1 + diameter.  Every lane ends with one
     of LANE_OUTCOMES; nothing is raised for a failed lane.
 
-    lam, a and starts must be finite (InputError otherwise); the level a
-    is one k-vector shared by every lane.
+    lam must be a finite vector of length m, and a and starts finite
+    (InputError otherwise); the level a is one k-vector shared by every
+    lane.
     """
     max_iter = positive_int(max_iter, "max_iter")
-    lam = finite_array(lam, "lambda").reshape(-1)
+    lam = finite_vector(lam, sys.m, "lambda", "m")
     a = finite_array(a, "level a").reshape(-1)
     x = finite_array(starts, "starts").copy()
-    if lam.size != sys.m:
-        raise InputError(f"lambda has length {lam.size}, expected m = {sys.m}")
     if x.ndim != 2 or x.shape[1] != sys.n:
         raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
     if a.size != sys.k:
@@ -327,7 +326,6 @@ def newton_lanes(
     norm[lanes] = _lane_norm(residual[lanes])
 
     margin = 0.05 * diameter
-    lo, hi = sys.domain.box[:, 0] - margin, sys.domain.box[:, 1] + margin
     # ||F|| of every lane at the top of the last _STALL_WINDOW iterations:
     # at the top of iteration it, row it % _STALL_WINDOW still holds that
     # of iteration it - _STALL_WINDOW
@@ -367,7 +365,7 @@ def newton_lanes(
             candidate = (xs[rows, None] + alphas[:, None] * step[rows, None]).reshape(
                 -1, step.shape[1]
             )
-            trying = ((candidate >= lo) & (candidate <= hi)).all(axis=1)
+            trying = _in_box(candidate, sys.domain.box, margin)
             trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
             errors = {}
             trial[trying] = level_residual(candidate[trying], lam, a, errors)
@@ -448,10 +446,7 @@ def newton_on_level_set(
     column rank of the stacked Jacobian is recorded as a transversality
     certificate instead of raised.
     """
-    lam = finite_array(lam, "lambda").reshape(-1)
-    x = finite_array(x0, "x0").reshape(-1)
-    if x.size != sys.n:
-        raise InputError(f"x0 has length {x.size}, expected n = {sys.n}")
+    x = finite_vector(x0, sys.n, "x0", "n")
     lanes = newton_lanes(sys, lam, a, x[None, :], tols, max_iter)
     return _equilibrium_point(sys, lam, lanes.solution(0), lanes.residual_f[0], tols)
 
@@ -562,7 +557,6 @@ def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> li
     in its order, without their evaluation or audit."""
     budget = positive_int(budget, "budget")
     seed = non_negative_int(seed, "seed")
-    lam = finite_array(lam, "lambda").reshape(-1)
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f
     kept = _cluster_representatives(

@@ -45,6 +45,8 @@ _TINY = float(np.finfo(float).tiny)
 # The fold squares distances between eigenvalues and multiplies them in
 # pairs: moduli below this keep both (4e300 at most) inside the float range.
 _LARGEST_MODULUS = 1e150
+# the midpoint of _LoopTracker.midpoints_of that repeats an endpoint's spectrum
+_REPEATED_SPECTRUM = EqBundleError("the midpoint repeats an endpoint's spectrum")
 
 
 @dataclass(frozen=True)
@@ -413,15 +415,22 @@ class _LoopTracker:
             self.flags.append(message)
 
     def midpoints_of(self, pairs: list) -> list:
-        """The midpoint _Sample of each (left, right) pair, or its EqBundleError."""
+        """The midpoint _Sample of each (left, right) pair, or its EqBundleError.
+        A midpoint whose nonzero spectrum equals its left or its right
+        endpoint's exactly refines nothing, and counts as one that could not
+        be made: it is _REPEATED_SPECTRUM.  The blends of a matrix loop get
+        there once the halving reaches float resolution."""
         made = self.refine([left.payload for left, _ in pairs],
                            [right.payload for _, right in pairs])
         rows = [i for i, mid in enumerate(made) if not isinstance(mid, EqBundleError)]
         if rows:
             samples, _ = _samples([made[i][0] for i in rows], [made[i][1] for i in rows],
                                   self.k, self.tol_zero, self.tols)
-            for i, sample in zip(rows, samples):
-                made[i] = sample
+            ends = np.array([[end.nonzeros for end in pairs[i]] for i in rows])
+            mids = np.array([sample.nonzeros for sample in samples])[:, None]
+            repeats = (mids == ends).all(axis=2).any(axis=1)
+            for i, sample, repeat in zip(rows, samples, repeats):
+                made[i] = _REPEATED_SPECTRUM if repeat else sample
         return made
 
     def prefetch(self, pairs: list) -> None:

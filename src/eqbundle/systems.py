@@ -31,8 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    EqBundleError, EvaluationError, InputError, box, finite_vector, non_negative_int,
-    positive_int,
+    EqBundleError, EvaluationError, InputError, box, finite_vector, known_keys,
+    non_negative_int, positive_int,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -433,9 +433,16 @@ def evaluate(
     membership) pass check_domain=False to skip the domain and parameter
     box tests.
     """
+    lam = finite_vector(u.lam, sys.m, "lambda", "m")
+    x = finite_vector(u.x, sys.n, "x", "n")
+    if check_domain:
+        _admit_lambda(sys, lam, tols, "lambda")
+        inside, errors = _in_domain_rows(sys, x[None], tols)
+        if not inside[0]:
+            raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))
     return Evaluation(
         u,
-        *_evaluate_point(sys, u, _BLOCKS, tols if check_domain else None),
+        *(block[0] for block in _evaluate_rows(sys, lam, x[None], _BLOCKS)),
         derivative_source="analytic" if sys.analytic else "finite-difference",
     )
 
@@ -450,32 +457,16 @@ def _admit_lambda(sys: SystemSpec, lam: np.ndarray, tols: Tolerances, what: str)
         raise InputError(f"{what} {lam.tolist()} outside parameter box")
 
 
-def _evaluate_point(sys: SystemSpec, u: PointState, names: tuple, tols=None) -> tuple:
-    """The named blocks at the one point u, as _evaluate_rows computes them.
-    Raises InputError unless lam and x are finite vectors of lengths m and
-    n and, unless tols is None, when _admit_lambda refuses lam or x is
-    outside the domain by the slack of _in_domain_rows (or a constraint's
-    error)."""
-    lam = finite_vector(u.lam, sys.m, "lambda", "m")
-    x = finite_vector(u.x, sys.n, "x", "n")
-    if tols is not None:
-        _admit_lambda(sys, lam, tols, "lambda")
-        inside, errors = _in_domain_rows(sys, x[None], tols)
-        if not inside[0]:
-            raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))
-    return tuple(block[0] for block in _evaluate_rows(sys, lam, x[None, :], names))
-
-
 def _evaluate_rows(
     sys: SystemSpec, lam: np.ndarray, x: np.ndarray, names: tuple, errors=None
 ) -> tuple:
     """The blocks named in `names`, a subsequence of _BLOCKS, at every row of
     the stack x, one stacked call per block; lam is shared or has a row per
     row of x.  Blocks not named are not computed.  A row fails with the
-    error _evaluate_point raises there: the first failing named block, in
-    block order, fails with its own error or as non-finite.  Each failed
-    row's error is stored under the row in errors, or, when errors is None,
-    the first row's is raised."""
+    error evaluate raises there: the first failing named block, in block
+    order, fails with its own error or as non-finite.  Each failed row's
+    error is stored under the row in errors, or, when errors is None, the
+    first row's is raised."""
     raising = errors is None
     errors = {} if raising else errors
 
@@ -742,9 +733,7 @@ def builtin(name: str, **params) -> SystemSpec:
             f"unknown builtin {name!r}; available: {', '.join(sorted(_BUILTINS))}"
         )
     if name == "rfmr":
-        extra = set(params) - {"n"}
-        if extra:
-            raise InputError(f"unknown parameters for 'rfmr': {sorted(extra)}")
+        known_keys(params, {"n"}, "parameters for 'rfmr'")
         if "n" not in params:
             raise InputError("builtin 'rfmr' requires the site count n")
         return _BUILTINS[name](positive_int(params["n"], "n"))

@@ -340,7 +340,8 @@ def lift_lanes(
     Each lane integrates the lifting system A(t) gamma' = b(t) by classical
     RK4 and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
     finder._correct.  On each segment of its path a lane starts with the
-    step initial_fraction of the segment.  The fiber tracer's rule,
+    step initial_fraction of the segment, and the segment ends once less
+    than min_fraction of it is left.  The fiber tracer's rule,
     finder._step_rule with the RK4 increment as the predictor, retries a
     step at half length or keeps it and may double the next, up to
     max_fraction; a start that misses the corrector's tolerance is first
@@ -468,7 +469,7 @@ def lift_lanes(
             lane.s += lane.ds
             if grow[row]:
                 lane.ds = min(2.0 * lane.ds, max_fraction)
-            if not lane.s < 1.0 - 1e-14:
+            if 1.0 - lane.s < min_fraction:
                 lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
                 if lane.seg == lane.segments:
                     continue
