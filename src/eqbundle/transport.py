@@ -340,8 +340,9 @@ def lift_lanes(
     Each lane integrates the lifting system A(t) gamma' = b(t) by classical
     RK4 and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
     finder._correct.  On each segment of its path a lane starts with the
-    step initial_fraction of the segment, and the segment ends once less
-    than min_fraction of it is left.  The fiber tracer's rule,
+    step initial_fraction of the segment, and every segment ends at its
+    waypoint: a step that would leave less than min_fraction of the segment
+    is lengthened to the segment's end.  The fiber tracer's rule,
     finder._step_rule with the RK4 increment as the predictor, retries a
     step at half length or keeps it and may double the next, up to
     max_fraction; a start that misses the corrector's tolerance is first
@@ -399,10 +400,15 @@ def lift_lanes(
         # round for the rows before it, which recomputes the same values
         failure = None
         for row, lane in enumerate(lanes):
-            lane.ds = min(lane.ds, 1.0 - lane.s)
+            rest = 1.0 - lane.s
+            lane.ds = min(lane.ds, rest)
             if lane.ds < min_fraction:
                 failure = row, TransportError("transport step collapsed", t=lane.t(0.0))
                 break
+            # a step that would leave less than min_fraction of the segment
+            # and not end it runs to the segment's end instead
+            if rest - lane.ds < min_fraction and lane.s + lane.ds < 1.0 - 1e-14:
+                lane.ds = rest
         if failure is None:
             s, ds = np.array([(lane.s, lane.ds) for lane in lanes]).T
             sigma = s[:, None] + ds[:, None] * _STAGE_SIGMAS
@@ -469,7 +475,7 @@ def lift_lanes(
             lane.s += lane.ds
             if grow[row]:
                 lane.ds = min(2.0 * lane.ds, max_fraction)
-            if 1.0 - lane.s < min_fraction:
+            if not lane.s < 1.0 - 1e-14:
                 lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
                 if lane.seg == lane.segments:
                     continue

@@ -1,20 +1,23 @@
 """One regression row per input that once ended without an answer or with a
-wrong one: a matrix loop refined past float resolution, a lift whose
-summed steps leave a sliver of a segment, an audit whose ||f|| overflows,
+wrong one: a matrix or fiber loop refined past float resolution, a lift whose
+steps would leave a sliver of a segment, an audit whose ||f|| overflows,
 a declaration whose name is not a string, and a config key that is not
 text.  Each now ends in a report or in a typed error, and the CLI writes
 an envelope for either."""
 
 import importlib.util
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from eqbundle.cli import main, run_config
 from eqbundle.config import config_from_dict
 from eqbundle.errors import InputError
-from eqbundle.monodromy import track_matrix_loop
+from eqbundle.expr import build_system_from_config
+from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
 from eqbundle.systems import builtin
 from eqbundle.transport import lift_curve
 
@@ -46,18 +49,50 @@ def test_rotation_loop_winds_at_any_refinement_depth(max_refine):
     assert result["windings"] == [-1, 1] and result["samples_used"] == 215
 
 
-def test_lift_ends_a_segment_once_less_than_min_fraction_is_left(tmp_path, capsys):
+# a fiber loop with the rotation's exact ties: at lambda = rho the Jacobian's
+# nonzero eigenvalues are rho exp(+-i x3), a double real one at x3 = 0 and pi
+TIES = build_system_from_config({
+    "n": 3, "m": 1, "k": 1, "f": ["l1*x2", "-l1*x1 + 2*l1*cos(x3)*x2", "0"],
+    "h": ["x3"], "domain_box": [[-1, 1], [-1, 1], [-1, 4]], "name": "ties",
+})
+
+
+@pytest.mark.parametrize("max_refine", [49, 10**30])
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_fiber_loop_with_ties_winds_at_any_refinement_depth(max_refine, offset):
+    # corrected midpoints reach float resolution too; an offset of 1e-9 puts
+    # the loop points off the corrector's tolerance, inside the equilibrium
+    # bound, so every midpoint next to one of them is projected
+    points = [[offset, 0.0, s] for s in (0.0, 0.8, 1.6, 2.4, math.pi, 2.4, 1.6, 0.8, 0.0)]
+    report = eigen_along_fiber_loop(TIES, [1.25], points, max_refine=max_refine)
+    assert report.windings == (-1, 1) and report.samples_used == 152
+    assert eigen_along_fiber_loop(TIES, [1.25], points).windings == (-1, 1)
+
+
+def test_lift_runs_a_step_that_would_leave_a_sliver_to_the_waypoint(tmp_path, capsys):
     # 400 steps of 0.0025 sum to 1 - 1e-14, whose clipped last step was
     # below min_fraction: "transport step collapsed"
     lift = lift_curve(builtin("planar"), [[0.2], [0.9]], [-0.15, 0.5],
                       initial_fraction=0.0025, max_fraction=0.0025)
-    assert lift.steps_taken == 400
+    assert lift.steps_taken == 400 and lift.t[-1] == 1.0
     code, envelope = run_main(tmp_path, capsys, {
         "system": {"builtin": "planar"}, "command": "transport",
         "path": [[0.2], [0.9]], "x0": [-0.15, 0.5],
         "initial_fraction": 0.0025, "max_fraction": 0.0025,
     })
     assert code == 0 and envelope["result"]["steps_taken"] == 400
+
+
+@pytest.mark.parametrize("path", [[[0.2], [0.9]], [[0.2], [0.9], [0.4]]])
+def test_a_lift_ends_every_segment_at_its_waypoint(path):
+    # with min = initial = max = 0.6 a first step of 0.6 would leave 0.4,
+    # less than min_fraction, so each segment is one step to its waypoint
+    lift = lift_curve(builtin("planar"), path, [-0.15, 0.5], initial_fraction=0.6,
+                      max_fraction=0.6, min_fraction=0.6)
+    segments = len(path) - 1
+    assert lift.steps_taken == segments
+    np.testing.assert_array_equal(lift.t, np.linspace(0.0, 1.0, segments + 1))
+    np.testing.assert_allclose(lift.lambda_path, path, rtol=1e-15)
 
 
 def test_an_overflowing_residual_norm_is_an_evaluation_error(tmp_path, capsys):
