@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    InputError, closed_loop, cocycle_paths, finite_vector, known_keys, matrix_loop,
-    non_negative_int, positive_float, positive_int, step_bounds, unit_sign, waypoint_path,
+    COUNT_LIMIT, InputError, closed_loop, cocycle_paths, finite_vector, known_keys, matrix_loop,
+    non_negative_int, positive_float, positive_int, stack_count, step_bounds, unit_sign,
+    waypoint_path,
 )
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .finder import (
@@ -28,7 +29,7 @@ from .monodromy import MAX_REFINE
 from .reports import CSV_RENDERERS
 from .systems import SystemSpec, _admit_lambda, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .transport import INITIAL_FRACTION, MAX_FRACTION, MIN_FRACTION
+from .transport import MAX_FRACTION, MIN_FRACTION, lift_fractions
 
 _TOP_LEVEL_KEYS = {"system", "command", "tolerances", "output"}
 _COMMAND_KEYS = {
@@ -199,7 +200,7 @@ def _materialize_command_fields(
     elif command == "find":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(_optional(data, "budget", DEFAULT_BUDGET), "budget")
+        fields["budget"] = stack_count(_optional(data, "budget", DEFAULT_BUDGET), "budget", n)
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
@@ -212,7 +213,7 @@ def _materialize_command_fields(
             "step",
         )
         fields["max_points"] = positive_int(
-            _optional(data, "max_points", MAX_FIBER_POINTS), "max_points"
+            _optional(data, "max_points", MAX_FIBER_POINTS), "max_points", COUNT_LIMIT
         )
         fields["direction"] = unit_sign(
             _optional(data, "direction", INITIAL_DIRECTION), "direction"
@@ -221,11 +222,10 @@ def _materialize_command_fields(
         fields["path"] = _parameter_path(_require(data, "path", command), system, tols, "path")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
         fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
-            step_bounds(
+            lift_fractions(
                 _optional(data, "min_fraction", MIN_FRACTION),
-                _optional(data, "initial_fraction", INITIAL_FRACTION),
+                _optional(data, "initial_fraction", None),
                 _optional(data, "max_fraction", MAX_FRACTION),
-                "fraction",
             )
         )
     elif command == "holonomy":
@@ -233,7 +233,7 @@ def _materialize_command_fields(
         closed_loop(loop, "waypoints")
         fields["loop"] = loop
         fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
-        fields["budget"] = positive_int(_optional(data, "budget", DEFAULT_BUDGET), "budget")
+        fields["budget"] = stack_count(_optional(data, "budget", DEFAULT_BUDGET), "budget", n)
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):

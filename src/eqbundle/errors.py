@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import Optional
 
 import numpy as np
 
@@ -122,13 +123,34 @@ def _as_int(value, what: str) -> int:
     return out
 
 
-def positive_int(value, what: str) -> int:
-    """value as an int: a positive Python or numpy integer, not a bool.
-    InputError for anything else, floats with integral values included."""
+# upper bounds of the size fields, far above what a run needs, so that no
+# size reaches numpy's array size limit: a dimension (n, m or k), and a
+# count of starts, fiber points or identity samples.  At n = 100 the
+# multistart's Halton digit table (finder.level_starts) is 23 MB.
+DIMENSION_LIMIT, COUNT_LIMIT = 100, 10**5
+# the most entries of a stack of n x n matrices, one per start of a
+# multistart (its Jacobians) or per identity sample: 2^22 float64
+# entries, 32 MiB a stack
+STACK_LIMIT = 2**22
+
+
+def positive_int(value, what: str, most: Optional[int] = None) -> int:
+    """value as an int: a positive Python or numpy integer, not a bool, and
+    not above most when most is given.  InputError for anything else,
+    floats with integral values included."""
     out = _as_int(value, what)
     if out <= 0:
         raise InputError(f"{what} must be positive")
+    if most is not None and out > most:
+        raise InputError(f"{what} must be at most {most}")
     return out
+
+
+def stack_count(value, what: str, n: int) -> int:
+    """value as positive_int, a count of stacked n x n matrices: at most
+    COUNT_LIMIT, and at most STACK_LIMIT // n**2 so that one stack of them
+    stays within STACK_LIMIT entries."""
+    return positive_int(value, what, min(COUNT_LIMIT, STACK_LIMIT // (n * n)))
 
 
 def non_negative_int(value, what: str) -> int:

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DIMENSION_LIMIT,
     ExprDomainError,
     ExprError,
     InputError,
@@ -32,6 +33,7 @@ from .errors import (
     non_negative_int,
     positive_float,
     positive_int,
+    stack_count,
 )
 from .systems import IDENTITY_SAMPLES, IDENTITY_SEED, Domain, SystemSpec, first_integral_violation
 
@@ -463,13 +465,14 @@ IDENTITY_DEFAULTS = {
 def build_system_from_config(decl: dict) -> SystemSpec:
     """Build a SystemSpec from a DSL declaration.
 
-    Required keys: n, m, k (positive integers), f (a list of n expression
-    strings), h (a list of k expression strings), domain_box ((n, 2)
-    finite numbers, lo <= hi in each row).  Optional: name (a string),
-    parameter_box ((m, 2) as domain_box, default [0.25, 4] per coordinate),
-    and the keys of IDENTITY_DEFAULTS: identity_tolerance (a positive
-    finite number), identity_samples (a positive integer) and identity_seed
-    (an integer >= 0).  Anything else is an InputError.
+    Required keys: n, m, k (positive integers up to DIMENSION_LIMIT), f
+    (a list of n expression strings), h (a list of k expression strings),
+    domain_box ((n, 2) finite numbers, lo <= hi in each row).  Optional:
+    name (a string), parameter_box ((m, 2) as domain_box, default [0.25,
+    4] per coordinate), and the keys of IDENTITY_DEFAULTS:
+    identity_tolerance (a positive finite number), identity_samples (a
+    positive integer within errors.stack_count's bound at n) and
+    identity_seed (an integer >= 0).  Anything else is an InputError.
 
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
@@ -486,7 +489,9 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     known = {"n", "m", "k", "f", "h", "domain_box", "name", "parameter_box", *IDENTITY_DEFAULTS}
     known_keys(decl, known, "system declaration keys")
 
-    n, m, k = (positive_int(decl[key], f"declaration {key}") for key in "nmk")
+    n, m, k = (
+        positive_int(decl[key], f"declaration {key}", DIMENSION_LIMIT) for key in "nmk"
+    )
     name = decl.get("name", "expr-system")
     if not isinstance(name, str):
         raise InputError("declaration name must be a string")
@@ -519,7 +524,7 @@ def build_system_from_config(decl: dict) -> SystemSpec:
 
     tolerance, samples, seed = (decl.get(key, value) for key, value in IDENTITY_DEFAULTS.items())
     tolerance = positive_float(tolerance, "identity_tolerance")
-    samples = positive_int(samples, "identity_samples")
+    samples = stack_count(samples, "identity_samples", n)
     seed = non_negative_int(seed, "identity_seed")
     worst = first_integral_violation(sys, samples=samples, seed=seed)
     if worst.max_residual > tolerance:

@@ -32,6 +32,7 @@ import numpy.random
 
 from .audit import AuditReport, _near_equilibrium, audit_point
 from .errors import (
+    COUNT_LIMIT,
     BranchPointError,
     ConvergenceError,
     DegeneracyError,
@@ -42,6 +43,7 @@ from .errors import (
     finite_vector,
     non_negative_int,
     positive_int,
+    stack_count,
     step_bounds,
     unit_sign,
 )
@@ -538,7 +540,8 @@ def enumerate_level_points(
 ) -> list:
     """Multistart Newton from a scrambled Halton sequence.
 
-    All budget starts run as lanes of one newton_lanes call.  Converged
+    All budget starts run as lanes of one newton_lanes call; budget is
+    bounded by errors.stack_count, as it stacks budget Jacobians.  Converged
     points are deduplicated by clustering with radius cluster_tol *
     domain diameter, keeping the best-converged representative, and only
     the kept points are audited.  They are returned sorted
@@ -555,7 +558,7 @@ def enumerate_level_points(
 def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> list:
     """The (x, ||f||) pairs of the points enumerate_level_points reports,
     in its order, without their evaluation or audit."""
-    budget = positive_int(budget, "budget")
+    budget = stack_count(budget, "budget", sys.n)
     seed = non_negative_int(seed, "seed")
     lanes = newton_lanes(sys, lam, a, level_starts(sys, budget, seed), tols)
     residual_f = lanes.residual_f
@@ -583,7 +586,8 @@ def _step_rule(retry, iterations, moved, length) -> tuple:
     it, and double the next step up to its cap (grow) when the correction
     took at most 1 iteration; grow is read on accepted steps only.  A
     start off its fiber would count its own offset as a move, so the lift
-    corrects its start before the first step."""
+    corrects its start before the first step; the lift also retries a step
+    whose predictor leaves the domain (transport.lift_lanes)."""
     return retry | (iterations > 3) | (moved > 2.0 * length), iterations <= 1
 
 
@@ -844,7 +848,7 @@ def trace_fiber(
         MAX_STEP_FRACTION * diameter if max_step is None else max_step,
         "step",
     )
-    max_points = positive_int(max_points, "max_points")
+    max_points = positive_int(max_points, "max_points", COUNT_LIMIT)
     sign = unit_sign(initial_direction, "initial_direction")
     x0, f0 = _continuation_start(sys, lam, x0, tols)
 

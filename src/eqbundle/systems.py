@@ -31,8 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    EqBundleError, EvaluationError, InputError, box, finite_vector, known_keys,
-    non_negative_int, positive_int,
+    DIMENSION_LIMIT, EqBundleError, EvaluationError, InputError, box,
+    finite_vector, known_keys, non_negative_int, positive_int, stack_count,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -558,8 +558,10 @@ def check_first_integral_identity(
     sys: SystemSpec, samples: int = IDENTITY_SAMPLES, seed: int = IDENTITY_SEED
 ) -> float:
     """Max |f . grad h_l| over seeded random domain samples: samples a
-    positive integer, seed a non-negative one."""
-    samples, seed = positive_int(samples, "samples"), non_negative_int(seed, "seed")
+    positive integer within errors.stack_count's bound at n, seed a
+    non-negative one."""
+    samples = stack_count(samples, "samples", sys.n)
+    seed = non_negative_int(seed, "seed")
     return first_integral_violation(sys, samples, seed).max_residual
 
 
@@ -727,7 +729,7 @@ _BUILTINS = {
 
 def builtin(name: str, **params) -> SystemSpec:
     """Construct a built-in system: planar, example2, or rfmr (needs n, an
-    integer >= 3)."""
+    integer from 3 to DIMENSION_LIMIT)."""
     if name not in _BUILTINS:
         raise InputError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(_BUILTINS))}"
@@ -736,7 +738,7 @@ def builtin(name: str, **params) -> SystemSpec:
         known_keys(params, {"n"}, "parameters for 'rfmr'")
         if "n" not in params:
             raise InputError("builtin 'rfmr' requires the site count n")
-        return _BUILTINS[name](positive_int(params["n"], "n"))
+        return _BUILTINS[name](positive_int(params["n"], "n", DIMENSION_LIMIT))
     if params:
         raise InputError(f"builtin {name!r} takes no parameters, got {sorted(params)}")
     return _BUILTINS[name]()

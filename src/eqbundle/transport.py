@@ -241,8 +241,19 @@ def metric_g(
     return float(phi_x @ phi_y + pi_x @ pi_y)
 
 
-# lift_lanes' default steps, as fractions of a segment of the path
-MIN_FRACTION, INITIAL_FRACTION, MAX_FRACTION = 1e-10, 0.05, 0.25
+# lift_lanes' default step bounds, as fractions of a segment of the path;
+# the first step defaults to max_fraction (lift_fractions)
+MIN_FRACTION, MAX_FRACTION = 1e-10, 1.0
+
+
+def lift_fractions(min_fraction, initial_fraction, max_fraction) -> tuple:
+    """lift_lanes' step fractions as floats (min, initial, max), with an
+    initial_fraction of None meaning max_fraction: a lane first tries each
+    segment whole.  InputError unless they are finite and 0 < min_fraction
+    <= initial_fraction <= max_fraction."""
+    if initial_fraction is None:
+        initial_fraction = max_fraction
+    return step_bounds(min_fraction, initial_fraction, max_fraction, "fraction")
 
 
 def lift_curve(
@@ -250,7 +261,7 @@ def lift_curve(
     lambda_path,
     x0,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    initial_fraction: float = INITIAL_FRACTION,
+    initial_fraction: Optional[float] = None,
     max_fraction: float = MAX_FRACTION,
     min_fraction: float = MIN_FRACTION,
 ) -> TransportResult:
@@ -308,7 +319,7 @@ class _Lane:
 
     def t(self, ahead: float) -> float:
         """The path parameter in [0, 1] at s + ahead on the current segment."""
-        return (self.seg + self.s + ahead) / self.segments
+        return (self.seg + (self.s + ahead)) / self.segments
 
     def result(self) -> TransportResult:
         return TransportResult(
@@ -330,7 +341,7 @@ def lift_lanes(
     paths,
     x0s,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    initial_fraction: float = INITIAL_FRACTION,
+    initial_fraction: Optional[float] = None,
     max_fraction: float = MAX_FRACTION,
     min_fraction: float = MIN_FRACTION,
 ) -> list:
@@ -339,19 +350,26 @@ def lift_lanes(
 
     Each lane integrates the lifting system A(t) gamma' = b(t) by classical
     RK4 and projects every step onto {f(lambda(t), .) = 0, h = h(x0)} with
-    finder._correct.  On each segment of its path a lane starts with the
-    step initial_fraction of the segment, and every segment ends at its
-    waypoint: a step that would leave less than min_fraction of the segment
-    is lengthened to the segment's end.  The fiber tracer's rule,
-    finder._step_rule with the RK4 increment as the predictor, retries a
-    step at half length or keeps it and may double the next, up to
-    max_fraction; a start that misses the corrector's tolerance is first
+    finder._correct.  Steps are fractions of a segment of the path, set by
+    the corrector: the fiber tracer's rule, finder._step_rule with the RK4
+    increment as the predictor, retries a step at half length or keeps it
+    and may double the next, up to max_fraction.  A step whose RK4
+    candidate lies outside the domain (or whose domain test raises) is
+    retried as well, while half of it is at least min_fraction: the jump
+    test measures a move against the predictor's own length, which a wild
+    predictor inflates.  Each segment starts with the step
+    initial_fraction, which defaults to max_fraction (lift_fractions), so
+    by default a lane first tries each segment whole.  Every segment ends
+    exactly at its waypoint, t and lambda included: a step that would
+    leave less than min_fraction of the segment (or 1e-14 of it) runs to
+    its end.  A start that misses the corrector's tolerance is first
     projected the same way (gamma still starts at x0).  A correction that
-    fails fatally, an evaluation error of any class included, ends the lane
-    with its error.  A step below min_fraction, a rank-deficient lifting
-    system or a projected point outside the domain ends the lane with a
-    TransportError.  Starts and projected points are tested against the
-    domain with the slack of systems._in_domain_rows.
+    fails fatally, an evaluation error of any class included, ends the
+    lane with its error, unless the step is retried for its candidate.  A
+    step below min_fraction, a rank-deficient lifting system or a
+    projected point outside the domain ends the lane with a
+    TransportError.  Starts, candidates and projected points are tested
+    against the domain with the slack of systems._in_domain_rows.
 
     The lanes advance in lockstep: each RK4 stage makes one stacked
     jac_x/jac_h/jac_lambda call and one batched least-squares solve for
@@ -360,11 +378,10 @@ def lift_lanes(
     bitwise that of a lone lift.  When lanes fail, the error of the first failed lane in
     lane order is raised, validation errors included: the error that
     lifting the lanes one after another would raise.  Lanes after a failed
-    one are dropped at once.  InputError unless the fractions are finite
-    and 0 < min_fraction <= initial_fraction <= max_fraction.
+    one are dropped at once.  The fractions are checked by lift_fractions.
     """
-    min_fraction, initial_fraction, max_fraction = step_bounds(
-        min_fraction, initial_fraction, max_fraction, "fraction"
+    min_fraction, initial_fraction, max_fraction = lift_fractions(
+        min_fraction, initial_fraction, max_fraction
     )
     paths, x0s = list(paths), list(x0s)
     if len(paths) != len(x0s):
@@ -405,15 +422,19 @@ def lift_lanes(
             if lane.ds < min_fraction:
                 failure = row, TransportError("transport step collapsed", t=lane.t(0.0))
                 break
-            # a step that would leave less than min_fraction of the segment
-            # and not end it runs to the segment's end instead
-            if rest - lane.ds < min_fraction and lane.s + lane.ds < 1.0 - 1e-14:
+            # a step that would leave less than min_fraction (or 1e-14) of
+            # the segment runs to its end: s + (1 - s) is exactly 1
+            if rest - lane.ds < max(min_fraction, 1e-14):
                 lane.ds = rest
         if failure is None:
             s, ds = np.array([(lane.s, lane.ds) for lane in lanes]).T
             sigma = s[:, None] + ds[:, None] * _STAGE_SIGMAS
             # lambda at the stages, lam_from + sigma * lam_dot: (rows, 3, m)
             lam_t = lam_from[:, None] + sigma[:, :, None] * lam_dot[:, None]
+            # a step that ends its segment ends at the waypoint itself,
+            # which lam_from + lam_dot can miss by a rounding
+            for row in np.flatnonzero(sigma[:, 2] == 1.0):
+                lam_t[row, 2] = lanes[row].path[lanes[row].seg + 1]
             half = (0.5 * ds)[:, None]
             k = []
             for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
@@ -428,6 +449,13 @@ def lift_lanes(
         if failure is None:
             k1, k2, k3, k4 = k
             candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # a candidate outside the domain (or whose domain test raises)
+            # is retried, whatever its correction does: _step_rule measures
+            # a jump against the predictor's own length, which a wild
+            # predictor inflates.  A step that cannot be halved is judged
+            # by its corrected point, so a lift that leaves the domain
+            # ends there as having exited it
+            outside = ~_in_domain_rows(sys, candidate, tols)[0] & (ds >= 2.0 * min_fraction)
             lam_next = lam_t[:, 2]
             y, iterations, resid, retry, fatal = _correct(
                 residual, jacobian, candidate, tols, lam_next, a0
@@ -437,11 +465,12 @@ def lift_lanes(
             retry, grow = _step_rule(
                 retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
             )
+            retry |= outside
             taken = np.flatnonzero(~retry)
             inside, raised = _in_domain_rows(sys, y[taken], tols)
             # a row's fatal error wins over its domain test's outcome
             ended = {int(taken[i]): raised.get(i) for i in np.flatnonzero(~inside)}
-            ended.update(fatal)
+            ended.update((row, err) for row, err in fatal.items() if not outside[row])
             if ended:
                 row = min(ended)
                 failure = row, ended[row] or TransportError(
@@ -475,7 +504,7 @@ def lift_lanes(
             lane.s += lane.ds
             if grow[row]:
                 lane.ds = min(2.0 * lane.ds, max_fraction)
-            if not lane.s < 1.0 - 1e-14:
+            if lane.s == 1.0:
                 lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
                 if lane.seg == lane.segments:
                     continue

@@ -19,7 +19,7 @@ from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
 from eqbundle.reports import canonical_json
 from eqbundle.systems import builtin
 from eqbundle.tolerances import DEFAULT_TOLERANCES, Tolerances
-from eqbundle.transport import holonomy_loop, lift_curve
+from eqbundle.transport import holonomy_loop, lift_curve, lift_fractions
 
 RFMR3_DECL = {
     "n": 3,
@@ -710,8 +710,8 @@ FAILED_RUNS = [
     # the lift's velocity solve: A = [df/dx; dh/dx] is 3 x 2 and of rank 1
     ({"system": CROSS, "command": "transport", "path": [[0], [1]], "x0": [0, 0.5]},
      "TransportError", "stacked Jacobian lost full column rank: least squares matrix is "
-     "column rank deficient (rank 1 < 2) (t = 0.025)",
-     {"t": 0.025, "report": {"rank": 1, "singular_values": [pytest.approx(1.0), 0.0],
+     "column rank deficient (rank 1 < 2) (t = 0.5)",
+     {"t": 0.5, "report": {"rank": 1, "singular_values": [pytest.approx(1.0), 0.0],
                              "tol": pytest.approx(3 * EPS)}}),
     ({"system": CROSS, "command": "transport", "path": [[1], [-1]], "x0": [0.5, 0.5]},
      "TransportError", "transport step collapsed (t = 0.5", {"t": pytest.approx(0.5)}),
@@ -815,8 +815,8 @@ SIGNATURE_DEFAULTS = {
     "find": (enumerate_level_points, {"budget": "budget", "seed": "seed"}),
     "trace-fiber": (trace_fiber, {"max_points": "max_points", "direction": "initial_direction"}),
     "transport": (lift_curve, {
-        "initial_fraction": "initial_fraction", "max_fraction": "max_fraction",
-        "min_fraction": "min_fraction",
+        "min_fraction": "min_fraction", "initial_fraction": "initial_fraction",
+        "max_fraction": "max_fraction",
     }),
     "holonomy": (holonomy_loop, {"budget": "budget", "seed": "seed"}),
     "eigen-loop": (eigen_along_fiber_loop, {"max_refine": "max_refine"}),
@@ -831,9 +831,11 @@ def test_each_echoed_default_is_the_signature_default(raw):
     function, fields = SIGNATURE_DEFAULTS[raw["command"]]
     parameters = inspect.signature(function).parameters
     settings = config_from_dict(raw).settings
-    assert {field: settings[field] for field in fields} == {
-        field: parameters[param].default for field, param in fields.items()
-    }
+    defaults = {field: parameters[param].default for field, param in fields.items()}
+    if raw["command"] == "transport":
+        # lift_curve's initial_fraction of None is resolved by lift_fractions
+        defaults = dict(zip(defaults, lift_fractions(*defaults.values())))
+    assert {field: settings[field] for field in fields} == defaults
 
 
 def test_the_subcommand_is_checked_before_the_config(tmp_path, capsys, monkeypatch):

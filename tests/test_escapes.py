@@ -1,9 +1,9 @@
 """One regression row per input that once ended without an answer or with a
 wrong one: a matrix or fiber loop refined past float resolution, a lift whose
 steps would leave a sliver of a segment, an audit whose ||f|| overflows,
-a declaration whose name is not a string, and a config key that is not
-text.  Each now ends in a report or in a typed error, and the CLI writes
-an envelope for either."""
+a declaration whose name is not a string, a config key that is not
+text, and a size past numpy's array limit.  Each now ends in a report or
+in a typed error, and the CLI writes an envelope for either."""
 
 import importlib.util
 import json
@@ -15,10 +15,11 @@ import pytest
 
 from eqbundle.cli import main, run_config
 from eqbundle.config import config_from_dict
-from eqbundle.errors import InputError
+from eqbundle.errors import COUNT_LIMIT, DIMENSION_LIMIT, STACK_LIMIT, InputError, stack_count
 from eqbundle.expr import build_system_from_config
+from eqbundle.finder import enumerate_level_points, trace_fiber
 from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
-from eqbundle.systems import builtin
+from eqbundle.systems import builtin, check_first_integral_identity
 from eqbundle.transport import lift_curve
 
 _HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regenerate.py")
@@ -121,3 +122,85 @@ def test_a_key_that_is_not_text_is_an_unknown_key():
     # cannot order
     with pytest.raises(InputError, match=r"unknown configuration keys for 'find': \[1, 'zz'\]"):
         config_from_dict({"command": "find", 1: 2, "zz": 3})
+
+
+# (golden config, the keys to a size field, its name in the error, its
+# bound).  Only 10^30 and bound + 1 are run: each raises before any array
+# is made, and 10^30 escaped as numpy's "Maximum allowed size exceeded"
+# ValueError (max_points excepted, which no array is sized by)
+SIZE_FIELDS = [
+    ("find-rfmr3", ["budget"], "budget", COUNT_LIMIT),
+    ("holonomy-example2", ["budget"], "budget", COUNT_LIMIT),
+    ("trace-fiber-planar", ["max_points"], "max_points", COUNT_LIMIT),
+    ("find-rfmr3", ["system", "n"], "n", DIMENSION_LIMIT),
+    *(("transport-ring3", ["system", "declaration", key], f"declaration {key}", DIMENSION_LIMIT)
+      for key in "nmk"),
+    ("transport-ring3", ["system", "declaration", "identity_samples"], "identity_samples",
+     COUNT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["1e30", "bound+1"])
+@pytest.mark.parametrize(
+    "name, keys, what, bound", SIZE_FIELDS,
+    ids=[f"{name}-{keys[-1]}" for name, keys, *_ in SIZE_FIELDS],
+)
+def test_a_size_past_its_bound_is_an_input_error(name, keys, what, bound, past):
+    config = json.loads(json.dumps(golden.CONFIGS[name]))
+    field = config
+    for key in keys[:-1]:
+        field = field[key]
+    field[keys[-1]] = bound + 1 if past else 10**30
+    with pytest.raises(InputError, match=f"^{what} must be at most {bound}$"):
+        config_from_dict(config)
+
+
+@pytest.mark.parametrize("call, what, bound", [
+    (lambda size: enumerate_level_points(builtin("planar"), [0.5], [0.3], budget=size),
+     "budget", COUNT_LIMIT),
+    (lambda size: trace_fiber(builtin("planar"), [0.5], [-0.455, 0.3], max_points=size),
+     "max_points", COUNT_LIMIT),
+    (lambda size: check_first_integral_identity(builtin("planar"), samples=size),
+     "samples", COUNT_LIMIT),
+    (lambda size: builtin("rfmr", n=size), "n", DIMENSION_LIMIT),
+], ids=["budget", "max_points", "samples", "n"])
+def test_the_library_keeps_the_same_bounds(call, what, bound):
+    for size in (10**30, bound + 1):
+        with pytest.raises(InputError, match=f"^{what} must be at most {bound}$"):
+            call(size)
+
+
+def test_a_budget_of_1e30_exits_1_with_an_envelope(tmp_path, capsys):
+    code, envelope = run_main(tmp_path, capsys, dict(golden.CONFIGS["find-rfmr3"], budget=10**30))
+    assert code == 1
+    assert envelope["error"] == {
+        "type": "InputError", "message": f"budget must be at most {COUNT_LIMIT}",
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 20, 100])
+def test_a_count_of_stacked_matrices_is_bounded_at_its_edge(n):
+    # budget starts (or identity samples) stack budget n x n Jacobians: up
+    # to n = 6 COUNT_LIMIT binds, past it STACK_LIMIT // n**2
+    edge = min(COUNT_LIMIT, STACK_LIMIT // n**2)
+    assert stack_count(edge, "budget", n) == edge
+    with pytest.raises(InputError, match=f"^budget must be at most {edge}$"):
+        stack_count(edge + 1, "budget", n)
+
+
+def test_a_budget_past_its_stack_is_refused_before_a_start_is_drawn():
+    # rfmr(100): the config takes the edge, 419 starts, and it and the
+    # library refuse 420; nothing here runs a multistart
+    edge = STACK_LIMIT // 100**2
+    raw = {"system": {"builtin": "rfmr", "n": 100}, "command": "find",
+           "lambda": [1.5] * 100, "level": [35.0], "budget": edge}
+    assert config_from_dict(raw).settings["budget"] == edge == 419
+    runs = [
+        lambda: config_from_dict(dict(raw, budget=edge + 1)),
+        lambda: enumerate_level_points(
+            builtin("rfmr", n=100), [1.5] * 100, [35.0], budget=edge + 1
+        ),
+    ]
+    for run in runs:
+        with pytest.raises(InputError, match=f"^budget must be at most {edge}$"):
+            run()

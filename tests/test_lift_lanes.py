@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from eqbundle import builtin, finder, transport
+from eqbundle.cli import run_config
+from eqbundle.config import config_from_dict
 from eqbundle.errors import (
     ConvergenceError,
     DegeneracyError,
@@ -30,6 +32,12 @@ RFMR3 = builtin("rfmr", n=3)
 EXAMPLE2 = builtin("example2")
 PLANAR = builtin("planar")
 RATES = st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3)
+# rfmr(3) declared as expressions: finite-difference blocks of compiled rows
+RING3 = build_system_from_config({
+    "n": 3, "m": 3, "k": 1, "domain_box": [[0.0, 1.0]] * 3, "h": ["x1+x2+x3"],
+    "f": [f"l{(i - 1) % 3 + 1}*x{(i - 1) % 3 + 1}*(1-x{i + 1})"
+          f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % 3 + 1})" for i in range(3)],
+})
 
 
 def two_roots() -> SystemSpec:
@@ -239,27 +247,23 @@ def test_lane_norm_is_the_lone_norm():
 def test_declared_lanes_equal_lone_lifts():
     # finite-difference blocks of compiled expressions, with a lam row per
     # lane; and the same spec called point by point, as plain callables are
-    ring = build_system_from_config({
-        "n": 3, "m": 3, "k": 1, "domain_box": [[0.0, 1.0]] * 3, "h": ["x1+x2+x3"],
-        "f": [f"l{(i - 1) % 3 + 1}*x{(i - 1) % 3 + 1}*(1-x{i + 1})"
-              f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % 3 + 1})" for i in range(3)],
-    })
     paths = [
         [[1.0] * 3, [2.0, 1.5, 1.0], [1.0] * 3],
         [[1.5] * 3, [0.75] * 3],
         [[1.0] * 3, [1.2] * 3],
     ]
     starts = [[0.3] * 3, [0.5] * 3, [0.45] * 3]
-    alone = [lift_curve(ring, p, x) for p, x in zip(paths, starts)]
-    for sys in (ring, dataclasses.replace(ring, batched=False)):
+    alone = [lift_curve(RING3, p, x) for p, x in zip(paths, starts)]
+    for sys in (RING3, dataclasses.replace(RING3, batched=False)):
         assert all(map(same_result, alone, lift_lanes(sys, paths, starts)))
 
 
 def test_holonomy_raises_the_first_point_s_error():
-    # the second point leaves the disk first; the first point's later
-    # failure is the one a point-by-point run raises
+    # the second point leaves the disk on the first segment, the first
+    # point on the second; the first point's later failure is the one a
+    # point-by-point run raises
     sys = two_roots()
-    loop = [[0.4], [2.0], [0.4]]
+    loop = [[0.4], [1.0], [2.0], [0.4]]
     found = transport.enumerate_level_points(sys, [0.4], [0.5], budget=64)
     points = [p.state.x for p in found]
     assert len(points) == 2 and points[0][0] < 0.0 < points[1][0]
@@ -302,13 +306,13 @@ def lift_work(monkeypatch, sys):
 
 
 def test_holonomy_lifts_its_points_in_stacked_calls(monkeypatch, example2):
-    # 4 points, 12 steps each, 4 RK4 stages a step: one SVD and one jac_x
-    # call per stage for all 4 points (192 of each lifting them one by one);
-    # the lift is stationary, so the corrector needs no step
+    # 4 points, 2 steps each (one per segment), 4 RK4 stages a step: one
+    # SVD and one jac_x call per stage for all 4 points (32 of each lifting
+    # them one by one); the lift is stationary, so the corrector needs no step
     sys, per_call = lift_work(monkeypatch, example2)
     report = holonomy_loop(sys, [[1.0], [2.5], [1.0]], [2.0, 6.125], budget=200)
     assert len(report.points_before) == 4
-    assert per_call == [(48, 48)]
+    assert per_call == [(8, 8)]
 
 
 def test_cocycle_legs_share_their_stacked_calls(monkeypatch, planar):
@@ -327,7 +331,7 @@ def test_cocycle_legs_share_their_stacked_calls(monkeypatch, planar):
     [
         ({"initial_fraction": 2.0}, "initial_fraction <= max_fraction"),
         ({"initial_fraction": 0.5, "max_fraction": 0.1}, "got 1e-10, 0.5, 0.1"),
-        ({"min_fraction": 0.1}, "0 < min_fraction <= initial_fraction"),
+        ({"min_fraction": 0.1, "initial_fraction": 0.05}, "0 < min_fraction <= initial_fraction"),
         ({"initial_fraction": float("nan")}, "must be finite"),
         ({"max_fraction": float("inf")}, "must be finite"),
         ({"min_fraction": 0.0}, "0 < min_fraction"),
@@ -339,6 +343,138 @@ def test_step_fractions_must_be_ordered(rfmr3, fractions, message):
     # 0.05 reported a collapsed step, and NaN a non-finite matrix
     with pytest.raises(InputError, match=message):
         lift_curve(rfmr3, [[1.0] * 3, [2.0] * 3], [0.4] * 3, **fractions)
+
+
+def test_a_config_that_sets_only_max_fraction_runs():
+    # the first step defaults to max_fraction; a separate default above
+    # 0.1 would refuse this config
+    config = config_from_dict({
+        "system": {"builtin": "planar"}, "command": "transport",
+        "path": [[0.2], [0.9]], "x0": [-0.15, 0.5], "max_fraction": 0.1,
+    })
+    assert config.settings["initial_fraction"] == config.settings["max_fraction"] == 0.1
+    result, _ = run_config(config)
+    # the last step ends exactly at the waypoint, however the sum of the
+    # tenths rounds
+    assert result["steps_taken"] == 10
+    assert result["t"][-1] == 1.0 and result["lambda_path"][-1] == [0.9]
+
+
+@pytest.mark.parametrize("path", [[[0.2], [0.9]], [[0.2], [0.9], [0.4]]])
+def test_one_way_planar_lifts_take_one_step_per_segment(path):
+    # planar's equilibria on the level x2 = a are x1 = lambda (a^2 - 1): by
+    # default a lane tries each segment whole, and one step holds
+    lift = lift_curve(PLANAR, path, [-0.15, 0.5])
+    segments = len(path) - 1
+    assert lift.steps_taken == segments
+    np.testing.assert_array_equal(lift.t, np.linspace(0.0, 1.0, segments + 1))
+    np.testing.assert_array_equal(lift.lambda_path, path)
+    exact = np.column_stack([lift.lambda_path[:, 0] * (0.5**2 - 1.0), np.full(segments + 1, 0.5)])
+    np.testing.assert_allclose(lift.gamma, exact, rtol=0.0, atol=1e-13)
+
+
+def test_each_segment_starts_whole_and_ends_at_its_waypoint():
+    # on [0.9, 1.1] the jump at 1.0123 forces retries, the step from 1.0
+    # to 1.025 among them: its candidate, x1 = 8.26, lies outside the box.
+    # The next segment starts again at initial_fraction, the whole of it,
+    # and each segment ends exactly at its waypoint
+    sys = step_system()
+    lift = lift_curve(sys, [[0.9], [1.1], [1.3]], [step_root(0.9), 0.2])
+    assert lift.steps_taken > 2
+    assert lift.t[-2:].tolist() == [0.5, 1.0]
+    assert lift.lambda_path[-2:, 0].tolist() == [1.1, 1.3]
+    np.testing.assert_allclose(lift.gamma[-2:, 0], step_root(1.2), rtol=0.0, atol=1e-9)
+
+
+def test_a_lift_that_leaves_the_domain_ends_at_its_boundary():
+    # planar's branch x1 = -lambda on the level x2 = 0 leaves the unit disk
+    # at lambda = 1, t = 0.2 of [0.5, 3.0]: steps whose candidates fall
+    # outside are halved down to the boundary, and the step that cannot be
+    # halved any more ends the lift there
+    with pytest.raises(TransportError, match="exited the domain") as info:
+        lift_curve(PLANAR, [[0.5], [3.0]], [-0.5, 0.0])
+    assert info.value.t == pytest.approx(0.2, abs=1e-8)
+
+
+BRANCH_HEIGHT, BRANCH_SHARPNESS, BRANCH_CENTRE, SIBLING = 0.5, 25.0, 0.975, 0.98
+
+
+def branch_root(lam: float) -> float:
+    return BRANCH_HEIGHT * np.tanh(BRANCH_SHARPNESS * (lam - BRANCH_CENTRE))
+
+
+def two_branch() -> SystemSpec:
+    """f1 = -(x1 - r(lam))(x1 - 0.98), r = 0.5 tanh(25 (lam - 0.975)), f2 =
+    0, h = x2 on the box [-1, 1]^2: the branch x1 = r(lam) rises from
+    -0.48 to 0.48 over lam in [0.9, 1.05], and its sibling x1 = 0.98 lies
+    near the box's edge."""
+
+    def f(lam, x):
+        out = np.zeros(x.shape)
+        root = BRANCH_HEIGHT * np.tanh(BRANCH_SHARPNESS * (lam[..., 0] - BRANCH_CENTRE))
+        out[..., 0] = -(x[..., 0] - root) * (x[..., 0] - SIBLING)
+        return out
+
+    return SystemSpec(
+        name="two-branch", n=2, m=1, k=1,
+        f=f, h=lambda x: x[..., [1]],
+        domain=Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 2.0]]),
+        batched=True,
+    )
+
+
+def test_a_step_whose_candidate_leaves_the_domain_is_retried(monkeypatch):
+    # the whole step over [0.9, 1.05] overshoots to x1 = 1.0045, past the
+    # box, and its correction lands on the sibling in 3 iterations, within
+    # twice the predictor's length: _step_rule alone would keep it, and the
+    # lift would end on the sibling with no error.  Retried at half length,
+    # the lift stays on its branch
+    sys = two_branch()
+    made = []       # per projection: (RK4 candidate, corrected point, iterations)
+    correct = transport._correct
+
+    def recorded(residual, jacobian, y0, tols, lam_next, a0):
+        out = correct(residual, jacobian, y0, tols, lam_next, a0)
+        made.append((y0[0].copy(), out[0][0].copy(), int(out[1][0])))
+        return out
+
+    monkeypatch.setattr(transport, "_correct", recorded)
+    x0 = np.array([branch_root(0.9), 0.2])
+    result = lift_curve(sys, [[0.9], [1.05]], x0)
+    candidate, landed, iterations = made[0]
+    assert candidate[0] > 1.0 and abs(landed[0] - SIBLING) < 1e-9 and iterations <= 3
+    assert np.linalg.norm(landed - x0) <= 2.0 * np.linalg.norm(candidate - x0)
+    assert result.steps_taken == 2
+    assert abs(result.gamma[-1][0] - branch_root(1.05)) < 1e-9
+
+
+def _waypoint_rows(lift, segments: int) -> np.ndarray:
+    """gamma at the waypoints, the samples at t = j / segments exactly."""
+    rows = np.isin(lift.t, np.arange(segments + 1) / segments)
+    assert rows.sum() == segments + 1
+    return lift.gamma[rows]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_default_lifts_agree_with_fine_lifts(n):
+    # seeded paths through three waypoints, lifted by default and in steps
+    # of 0.002 of a segment; on rfmr(3) the declared ring's default lifts
+    # of other paths are compared with the builtin's fine lifts of them
+    rfmr = builtin("rfmr", n=n)
+    rng = np.random.default_rng(n)
+    paths, starts = [], []
+    for _ in range(6 if n == 3 else 3):
+        path = rng.uniform(0.5, 3.0, (3, n))
+        level = rng.uniform(0.2, 0.8) * n
+        starts.append(newton_on_level_set(rfmr, path[0], [level], np.full(n, level / n)).state.x)
+        paths.append(path)
+    fine = lift_lanes(rfmr, paths, starts, initial_fraction=0.002, max_fraction=0.002)
+    coarse = lift_lanes(rfmr, paths[:3], starts[:3])
+    if n == 3:
+        coarse += lift_lanes(RING3, paths[3:], starts[3:])
+    for a, b in zip(coarse, fine):
+        np.testing.assert_allclose(_waypoint_rows(a, 2), _waypoint_rows(b, 2), rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize(

@@ -49,7 +49,7 @@ def test_lift_step_evaluates_h_once(planar):
 
     counted = dataclasses.replace(planar, h=h)
     result = lift_curve(counted, [[0.2], [0.9]], [-0.15, 0.5])
-    assert len(calls) == 1 + result.steps_taken == 7
+    assert len(calls) == 1 + result.steps_taken == 2
 
 
 def test_rank_cutoff_ignores_unused_fd_blocks(rfmr3):
