@@ -17,14 +17,10 @@ import numpy as np
 
 from .errors import (
     COUNT_LIMIT, InputError, closed_loop, cocycle_paths, finite_vector, known_keys, matrix_loop,
-    non_negative_int, positive_float, positive_int, stack_count, step_bounds, unit_sign,
-    waypoint_path,
+    non_negative_int, positive_float, positive_int, stack_count, unit_sign, waypoint_path,
 )
 from .expr import IDENTITY_DEFAULTS, build_system_from_config
-from .finder import (
-    DEFAULT_BUDGET, DEFAULT_SEED, INITIAL_DIRECTION, INITIAL_STEP_FRACTION, MAX_FIBER_POINTS,
-    MAX_STEP_FRACTION, MIN_STEP_FRACTION,
-)
+from .finder import DEFAULT_BUDGET, DEFAULT_SEED, INITIAL_DIRECTION, MAX_FIBER_POINTS, fiber_steps
 from .monodromy import MAX_REFINE
 from .reports import CSV_RENDERERS
 from .systems import SystemSpec, _admit_lambda, builtin
@@ -205,12 +201,8 @@ def _materialize_command_fields(
     elif command == "trace-fiber":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
-        diameter = system.domain.diameter()
-        fields["min_step"], fields["initial_step"], fields["max_step"] = step_bounds(
-            _optional(data, "min_step", MIN_STEP_FRACTION * diameter),
-            _optional(data, "initial_step", INITIAL_STEP_FRACTION * diameter),
-            _optional(data, "max_step", MAX_STEP_FRACTION * diameter),
-            "step",
+        fields["min_step"], fields["initial_step"], fields["max_step"] = fiber_steps(
+            system, data.get("min_step"), data.get("initial_step"), data.get("max_step")
         )
         fields["max_points"] = positive_int(
             _optional(data, "max_points", MAX_FIBER_POINTS), "max_points", COUNT_LIMIT

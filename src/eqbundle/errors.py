@@ -233,11 +233,11 @@ def box(value, rows, what: str) -> np.ndarray:
     return out
 
 
-def _entries(value, what: str, kind: str) -> list:
-    """The entries of a list, tuple or array of at least two."""
-    if isinstance(value, np.ndarray) and value.ndim:
-        value = list(value)
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
+def _entries(value, what: str, kind: str):
+    """The entries of a list, tuple or array of at least two, as given: an
+    array is kept as it is, its rows the entries, and not restacked."""
+    array = isinstance(value, np.ndarray) and value.ndim
+    if not (array or isinstance(value, (list, tuple))) or len(value) < 2:
         raise InputError(f"{what} needs at least two {kind}")
     return value
 

@@ -812,6 +812,19 @@ MAX_FIBER_POINTS = 20000
 INITIAL_DIRECTION = 1
 
 
+def fiber_steps(sys: SystemSpec, min_step, initial_step, max_step) -> tuple:
+    """trace_fiber's steps as floats (min, initial, max), each None meaning
+    its *_STEP_FRACTION times the domain diameter.  InputError unless they
+    are finite and 0 < min_step <= initial_step <= max_step."""
+    diameter = sys.domain.diameter()
+    return step_bounds(
+        MIN_STEP_FRACTION * diameter if min_step is None else min_step,
+        INITIAL_STEP_FRACTION * diameter if initial_step is None else initial_step,
+        MAX_STEP_FRACTION * diameter if max_step is None else max_step,
+        "step",
+    )
+
+
 def trace_fiber(
     sys: SystemSpec,
     lam,
@@ -833,21 +846,15 @@ def trace_fiber(
     both directions (segment).
     The steps default to INITIAL_STEP_FRACTION, MAX_STEP_FRACTION and
     MIN_STEP_FRACTION times the domain diameter and must satisfy
-    0 < min_step <= initial_step <= max_step; the initial direction is 1
-    or -1.
+    0 < min_step <= initial_step <= max_step (fiber_steps); the initial
+    direction is 1 or -1.
     """
     if sys.k != 1:
         raise UnsupportedDimensionError(
             f"fiber tracing needs k = 1, system has k = {sys.k}"
         )
     lam = finite_vector(lam, sys.m, "lambda", "m")
-    diameter = sys.domain.diameter()
-    floor, step0, cap = step_bounds(
-        MIN_STEP_FRACTION * diameter if min_step is None else min_step,
-        INITIAL_STEP_FRACTION * diameter if initial_step is None else initial_step,
-        MAX_STEP_FRACTION * diameter if max_step is None else max_step,
-        "step",
-    )
+    floor, step0, cap = fiber_steps(sys, min_step, initial_step, max_step)
     max_points = positive_int(max_points, "max_points", COUNT_LIMIT)
     sign = unit_sign(initial_direction, "initial_direction")
     x0, f0 = _continuation_start(sys, lam, x0, tols)

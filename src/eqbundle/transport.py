@@ -282,38 +282,41 @@ def _lane_start(sys: SystemSpec, lambda_path, x0, tols: Tolerances) -> tuple:
     return waypoints, x, f0, np.asarray(sys.h(x), dtype=float).reshape(-1)
 
 
-def _velocity(sys: SystemSpec, jacobian, lam, y, lam_dot, tols: Tolerances, t_mid) -> tuple:
-    """The lifting system's solution at every row of the stack y: (velocity,
-    errors {row: error}).  A = [df/dx; dh/dx] is the level-set Jacobian,
-    the jacobian of _level_set(sys), and the solve is linalg._solve_rows.
-    Every error ends its lane: an evaluation error, a non-finite A or b
-    (InputError), or a TransportError at t_mid(row) when A is column rank
-    deficient."""
-    errors: dict = {}
+def _velocity(sys: SystemSpec, jacobian, lam, y, lam_dot, tols: Tolerances, errors, lanes):
+    """The lifting system's solution at every row of the stack y, row i on
+    lanes[i].  A = [df/dx; dh/dx] is the level-set Jacobian, the jacobian
+    of _level_set(sys), and the solve is linalg._solve_rows.  errors is the
+    round's shared {row: error} dict: a row already there is not evaluated
+    again, and every new error, which ends its lane, is stored there: an
+    evaluation error, a non-finite A or b (InputError), or a TransportError
+    at the middle of the lane's step when A is column rank deficient."""
     A = jacobian(y, lam, None, errors)
     # -(df/dlambda) lambda', negated before the product as in a lone solve
     drive = np.matmul(-sys.jac_lambda(lam, y, errors), lam_dot[:, :, None])[:, :, 0]
     b = np.concatenate([drive, np.zeros((len(y), sys.k))], axis=1)
     velocity, deficient = _solve_rows(A, b, tols.rank, errors)
     for row, err in deficient.items():
+        lane = lanes[row]
         errors[row] = TransportError(
-            f"stacked Jacobian lost full column rank: {err}", t=t_mid(row), report=err.report
+            f"stacked Jacobian lost full column rank: {err}",
+            t=lane.t(0.5 * lane.ds), report=err.report,
         )
-    return velocity, errors
+    return velocity
 
 
 class _Lane:
-    """One lane of lift_lanes: its path, where it is on it, its step, and
-    what it has recorded."""
+    """One lane of lift_lanes and the only copy of its state: its path,
+    where it is on it (segment, position s and step ds, as fractions of the
+    segment, and x, its last corrected point), and what it has recorded."""
 
     __slots__ = (
-        "index", "path", "segments", "a0", "seg", "s", "ds",
+        "index", "path", "segments", "a0", "seg", "s", "ds", "x",
         "ts", "lams", "gammas", "max_f", "max_drift", "steps",
     )
 
     def __init__(self, index, path, x0, f0_norm, a0, ds):
         self.index, self.path, self.segments, self.a0 = index, path, len(path) - 1, a0
-        self.seg, self.s, self.ds = 0, 0.0, ds
+        self.seg, self.s, self.ds, self.x = 0, 0.0, ds, x0
         self.ts, self.lams, self.gammas = [0.0], [path[0].copy()], [x0.copy()]
         self.max_f, self.max_drift, self.steps = f0_norm, 0.0, 0
 
@@ -374,11 +377,16 @@ def lift_lanes(
     The lanes advance in lockstep: each RK4 stage makes one stacked
     jac_x/jac_h/jac_lambda call and one batched least-squares solve for
     all running lanes, and each corrector iteration one stacked call.
-    Every lane keeps its own segment, position and step, so its result is
-    bitwise that of a lone lift.  When lanes fail, the error of the first failed lane in
-    lane order is raised, validation errors included: the error that
-    lifting the lanes one after another would raise.  Lanes after a failed
-    one are dropped at once.  The fractions are checked by lift_fractions.
+    Each lane (_Lane) holds its own segment, position, step and point;
+    each round stacks them afresh, so a lane's result is bitwise that of a
+    lone lift.  One failure rule holds for every lane, validation
+    included: a lane's first error ends that lane alone, and the other
+    lanes go on to their ends.  A plain callable is not called on a
+    failed lane's row again; a batched one may get it in the stacked
+    calls of the same stage, whose values for it are dropped.  Then the
+    error of the first failed lane in lane order is raised: the error
+    that lifting the lanes one after another would raise.  The fractions
+    are checked by lift_fractions.
     """
     min_fraction, initial_fraction, max_fraction = lift_fractions(
         min_fraction, initial_fraction, max_fraction
@@ -386,135 +394,114 @@ def lift_lanes(
     paths, x0s = list(paths), list(x0s)
     if len(paths) != len(x0s):
         raise InputError(f"{len(paths)} paths for {len(x0s)} starting points")
-    failed: dict = {}
+    failed: dict = {}       # lane index: the error that ended the lane
     lanes = []
     for index, (path, x0) in enumerate(zip(paths, x0s)):
         try:
             lanes.append(_Lane(index, *_lane_start(sys, path, x0, tols), initial_fraction))
         except EqBundleError as err:
             failed[index] = err
-            break
-    results = list(lanes)
+    results = lanes
     n = sys.n
     residual, jacobian = _level_set(sys)
 
-    def t_mid(row):
-        return lanes[row].t(0.5 * lanes[row].ds)
-
-    # the stacks of the running lanes, a row each; a lane's lam_from and
-    # lam_dot change only when it starts a new segment
-    x = np.array([lane.gammas[0] for lane in lanes]).reshape(-1, n)
-    lam_from = np.array([lane.path[0] for lane in lanes]).reshape(-1, sys.m)
-    lam_dot = np.array([lane.path[1] - lane.path[0] for lane in lanes]).reshape(-1, sys.m)
-    a0 = np.array([lane.a0 for lane in lanes]).reshape(-1, sys.k)
     # every step starts at a corrector output; a start whose projection
     # fails is kept, and the loop meets its error
-    off = np.flatnonzero([lane.max_f for lane in lanes] > tols.newton * (1.0 + _lane_norm(x)))
-    if off.size:
-        x[off] = _correct(residual, jacobian, x[off], tols, lam_from[off], a0[off])[0]
+    off = [lane for lane in lanes if lane.max_f > tols.newton * (1.0 + np.linalg.norm(lane.x))]
+    if off:
+        starts = _correct(
+            residual, jacobian, np.array([lane.x for lane in off]), tols,
+            np.array([lane.path[0] for lane in off]), np.array([lane.a0 for lane in off]),
+        )[0]
+        for lane, start in zip(off, starts):
+            lane.x = start
     while lanes:
-        # a failure ends its lane, drops the rows after it and reruns the
-        # round for the rows before it, which recomputes the same values
-        failure = None
-        for row, lane in enumerate(lanes):
+        for lane in lanes:
             rest = 1.0 - lane.s
             lane.ds = min(lane.ds, rest)
             if lane.ds < min_fraction:
-                failure = row, TransportError("transport step collapsed", t=lane.t(0.0))
-                break
+                failed[lane.index] = TransportError("transport step collapsed", t=lane.t(0.0))
             # a step that would leave less than min_fraction (or 1e-14) of
             # the segment runs to its end: s + (1 - s) is exactly 1
-            if rest - lane.ds < max(min_fraction, 1e-14):
+            elif rest - lane.ds < max(min_fraction, 1e-14):
                 lane.ds = rest
-        if failure is None:
-            s, ds = np.array([(lane.s, lane.ds) for lane in lanes]).T
-            sigma = s[:, None] + ds[:, None] * _STAGE_SIGMAS
-            # lambda at the stages, lam_from + sigma * lam_dot: (rows, 3, m)
-            lam_t = lam_from[:, None] + sigma[:, :, None] * lam_dot[:, None]
-            # a step that ends its segment ends at the waypoint itself,
-            # which lam_from + lam_dot can miss by a rounding
-            for row in np.flatnonzero(sigma[:, 2] == 1.0):
-                lam_t[row, 2] = lanes[row].path[lanes[row].seg + 1]
-            half = (0.5 * ds)[:, None]
-            k = []
-            for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
-                y = x if scale is None else x + scale * k[-1]
-                velocity, errors = _velocity(
-                    sys, jacobian, lam_t[:, stage], y, lam_dot, tols, t_mid
-                )
-                if errors:
-                    failure = min(errors.items(), key=lambda item: item[0])
-                    break
-                k.append(velocity)
-        if failure is None:
-            k1, k2, k3, k4 = k
-            candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # a candidate outside the domain (or whose domain test raises)
-            # is retried, whatever its correction does: _step_rule measures
-            # a jump against the predictor's own length, which a wild
-            # predictor inflates.  A step that cannot be halved is judged
-            # by its corrected point, so a lift that leaves the domain
-            # ends there as having exited it
-            outside = ~_in_domain_rows(sys, candidate, tols)[0] & (ds >= 2.0 * min_fraction)
-            lam_next = lam_t[:, 2]
-            y, iterations, resid, retry, fatal = _correct(
-                residual, jacobian, candidate, tols, lam_next, a0
-            )
-            # finder's step rule; the lanes it does not retry took the step,
-            # if it stayed inside
-            retry, grow = _step_rule(
-                retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x)
-            )
-            retry |= outside
-            taken = np.flatnonzero(~retry)
-            inside, raised = _in_domain_rows(sys, y[taken], tols)
-            # a row's fatal error wins over its domain test's outcome
-            ended = {int(taken[i]): raised.get(i) for i in np.flatnonzero(~inside)}
-            ended.update((row, err) for row, err in fatal.items() if not outside[row])
-            if ended:
-                row = min(ended)
-                failure = row, ended[row] or TransportError(
-                    f"lift exited the domain at x = {y[row].tolist()}",
-                    t=lanes[row].t(lanes[row].ds),
-                )
-        if failure is not None:
-            row, err = failure
-            failed[lanes[row].index] = err
-            lanes, x, lam_from, lam_dot, a0 = (
-                v[:row] for v in (lanes, x, lam_from, lam_dot, a0)
-            )
+        lanes = [lane for lane in lanes if lane.index not in failed]
+        if not lanes:
+            break
+        # the round's stacks, a row per running lane, built from the lanes
+        x = np.array([lane.x for lane in lanes])
+        a0 = np.array([lane.a0 for lane in lanes])
+        lam_from = np.array([lane.path[lane.seg] for lane in lanes])
+        lam_dot = np.array([lane.path[lane.seg + 1] for lane in lanes]) - lam_from
+        s, ds = np.array([(lane.s, lane.ds) for lane in lanes]).T
+        sigma = s[:, None] + ds[:, None] * _STAGE_SIGMAS
+        # lambda at the stages, lam_from + sigma * lam_dot: (rows, 3, m)
+        lam_t = lam_from[:, None] + sigma[:, :, None] * lam_dot[:, None]
+        # a step that ends its segment ends at the waypoint itself, which
+        # lam_from + lam_dot can miss by a rounding
+        for row in np.flatnonzero(sigma[:, 2] == 1.0):
+            lam_t[row, 2] = lanes[row].path[lanes[row].seg + 1]
+        half = (0.5 * ds)[:, None]
+        errors: dict = {}
+        k = []
+        for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
+            y = x if scale is None else x + scale * k[-1]
+            k.append(_velocity(sys, jacobian, lam_t[:, stage], y, lam_dot, tols, errors, lanes))
+            if errors:
+                break
+        if errors:
+            # the failed lanes end; the round is rebuilt for the others,
+            # which recomputes the same values
+            failed.update((lanes[row].index, err) for row, err in errors.items())
             continue
+
+        k1, k2, k3, k4 = k
+        candidate = x + (ds / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # a candidate outside the domain (or whose domain test raises) is
+        # retried, whatever its correction does: _step_rule measures a jump
+        # against the predictor's own length, which a wild predictor
+        # inflates.  A step that cannot be halved is judged by its
+        # corrected point, so a lift that leaves the domain ends there as
+        # having exited it
+        outside = ~_in_domain_rows(sys, candidate, tols)[0] & (ds >= 2.0 * min_fraction)
+        lam_next = lam_t[:, 2]
+        y, iterations, resid, retry, fatal = _correct(
+            residual, jacobian, candidate, tols, lam_next, a0
+        )
+        # finder's step rule; the lanes it does not retry took the step, if
+        # it stayed inside.  A fatal error ends its lane unless the step is
+        # retried for its candidate, and its row is not domain-tested
+        retry, grow = _step_rule(retry, iterations, _lane_norm(y - x), _lane_norm(candidate - x))
+        retry |= outside
+        ended = {row: err for row, err in fatal.items() if not outside[row]}
+        taken = [row for row in np.flatnonzero(~retry) if row not in ended]
+        inside, raised = _in_domain_rows(sys, y[taken], tols)
+        ended.update((taken[i], raised.get(i)) for i in np.flatnonzero(~inside))
 
         # the corrector's residual at y: [f(lam_next, y); h(y) - a0]
         norm_f = _lane_norm(resid[:, :n])
         norm_drift = _lane_norm(resid[:, n:])
-
-        going = []
         for row, lane in enumerate(lanes):
-            if retry[row]:
+            if row in ended:
+                failed[lane.index] = ended[row] or TransportError(
+                    f"lift exited the domain at x = {y[row].tolist()}", t=lane.t(lane.ds)
+                )
+            elif retry[row]:
                 lane.ds *= 0.5
-                going.append(row)
-                continue
-            lane.ts.append(lane.t(lane.ds))
-            lane.lams.append(lam_next[row])
-            lane.gammas.append(y[row])
-            lane.max_f = max(lane.max_f, float(norm_f[row]))
-            lane.max_drift = max(lane.max_drift, float(norm_drift[row]))
-            lane.steps += 1
-            lane.s += lane.ds
-            if grow[row]:
-                lane.ds = min(2.0 * lane.ds, max_fraction)
-            if lane.s == 1.0:
-                lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
-                if lane.seg == lane.segments:
-                    continue
-                start = lane.path[lane.seg]
-                lam_from[row], lam_dot[row] = start, lane.path[lane.seg + 1] - start
-            going.append(row)
-        x = np.where(retry[:, None], x, y)
-        if len(going) < len(lanes):
-            lanes = [lanes[row] for row in going]
-            x, lam_from, lam_dot, a0 = (v[going] for v in (x, lam_from, lam_dot, a0))
+            else:
+                lane.x = y[row]
+                lane.ts.append(lane.t(lane.ds))
+                lane.lams.append(lam_next[row])
+                lane.gammas.append(y[row])
+                lane.max_f = max(lane.max_f, float(norm_f[row]))
+                lane.max_drift = max(lane.max_drift, float(norm_drift[row]))
+                lane.steps += 1
+                lane.s += lane.ds
+                if grow[row]:
+                    lane.ds = min(2.0 * lane.ds, max_fraction)
+                if lane.s == 1.0:
+                    lane.seg, lane.s, lane.ds = lane.seg + 1, 0.0, initial_fraction
+        lanes = [lane for lane in lanes if lane.seg < lane.segments and lane.index not in failed]
 
     if failed:
         raise failed[min(failed)]

@@ -554,3 +554,48 @@ def test_an_evaluation_error_ends_the_lift(error):
         lift_curve(sys, [[0.5], [0.9]], [-0.455, 0.3])
     assert caught.value is raised[-1]
     assert len(raised) == 1
+
+
+def test_an_rk4_stage_failure_ends_only_its_lane():
+    # a plain spec whose jac_x is undefined near x2 = 0.8 past lambda = 0.6:
+    # the middle lane, on the level x2 = 0.8, fails at an RK4 stage of its
+    # first step.  Every callable records its calls, and f refuses a
+    # non-finite row, which only a failed lane's row would be
+    calls = []      # (lambda, x) of every call, or "raised" at the error
+
+    def recorded(fn):
+        def call(*args):
+            calls.append(tuple(np.array(a, dtype=float) for a in args))
+            return fn(*args)
+        return call
+
+    def f(lam, x):
+        if not (np.isfinite(lam).all() and np.isfinite(x).all()):
+            raise ValueError(f"f called on a non-finite row {lam}, {x}")
+        return PLANAR.f(lam, x)
+
+    def jac_x(lam, x):
+        if lam[0] > 0.6 and abs(x[1] - 0.8) < 0.05:
+            calls.append("raised")
+            raise EvaluationError("jac_x is undefined here")
+        return PLANAR.jac_x_fn(lam, x)
+
+    constraints = tuple(map(recorded, PLANAR.domain.constraints))
+    sys = dataclasses.replace(
+        PLANAR, batched=False, f=recorded(f), h=recorded(PLANAR.h),
+        jac_x_fn=recorded(jac_x), jac_lambda_fn=recorded(PLANAR.jac_lambda_fn),
+        jac_h_fn=recorded(PLANAR.jac_h_fn), domain=Domain(PLANAR.domain.box, constraints),
+    )
+    path = [[0.5], [0.9]]
+    starts = [[0.5 * (y * y - 1.0), y] for y in (0.3, 0.8, -0.4)]
+    alone = [outcome(lambda x=x: lift_curve(sys, path, x)) for x in starts]
+    assert [err is None for _, err in alone] == [True, False, True]
+    assert alone[1][1][0] is EvaluationError
+    calls.clear()
+    assert outcome(lambda: lift_lanes(sys, [path] * 3, starts)) == (None, alone[1][1])
+    assert calls.count("raised") == 1
+    after = calls[calls.index("raised") + 1:]
+    # the failed lane's row (x2 = 0.8 throughout) is never evaluated again,
+    # and the lane after it still lifts to its end at lambda = 0.9
+    assert all(np.isfinite(args[-1]).all() and abs(args[-1][1] - 0.8) > 0.05 for args in after)
+    assert any(len(args) == 2 and args[0][0] == 0.9 and args[1][1] < 0.0 for args in after)
