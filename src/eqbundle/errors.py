@@ -264,11 +264,18 @@ def cocycle_paths(value) -> list:
 
 def closed_loop(points, what: str, rel: float = 1e-9) -> None:
     """InputError unless the first and last of points (vectors or matrices)
-    agree within rel relative to the first's norm."""
-    first = np.asarray(points[0])
-    gap = float(np.linalg.norm(first - np.asarray(points[-1])))
-    if gap > rel * (1.0 + float(np.linalg.norm(first))):
-        raise InputError(f"loop must close: first and last {what} differ by {gap:.3e}")
+    agree within rel relative to the first's norm.  Both are first divided
+    by their largest entry rounded down to a power of two (at least 1), so
+    no norm overflows; the division is exact, and below the float range
+    the test is the unscaled one to the bit."""
+    first, last = np.asarray(points[0], dtype=float), np.asarray(points[-1], dtype=float)
+    largest = max(float(np.max(np.abs(first))), float(np.max(np.abs(last))))
+    scale = 2.0 ** max(math.frexp(largest)[1] - 1, 0)
+    first, last = first / scale, last / scale
+    gap = float(np.linalg.norm(first - last))
+    if gap > rel * (1.0 / scale + float(np.linalg.norm(first))):
+        # a Python float product: a gap past the float range reads inf
+        raise InputError(f"loop must close: first and last {what} differ by {gap * scale:.3e}")
 
 
 def matrix_loop(value, k) -> tuple:

@@ -386,6 +386,9 @@ def _refinement_certain(pairs: list) -> np.ndarray:
 class _LoopTracker:
     """Sequential fold that carries p eigenvalue tracks along the loop.
 
+    Its one record is track, the tracks' values at every accepted sample,
+    from the base spectrum on: a sample is matched and certified against
+    track[-1], and the report is read from the whole track at the end.
     refine(lefts, rights) gives, per pair of payloads, the (payload,
     matrix) of their midpoint or the EqBundleError of a midpoint that
     cannot be made.  prefetch refines the pairs that the fold is certain
@@ -400,14 +403,7 @@ class _LoopTracker:
         self.refine = refine
         self.max_refine = max_refine
         self.midpoints: dict = {}  # (left, right) -> _Sample or EqBundleError
-        self.values = base.copy()
-        self.moduli = np.abs(base)
-        self.previous = base.copy()  # two-point history for extrapolation
-        self.accumulated = np.zeros(base.size)
-        self.crossings = np.zeros(base.size, dtype=int)
-        self.last_sign = np.sign(base.real)
-        self.min_distance = float(self.moduli.min())
-        self.samples_used = 1
+        self.track = [base]
         self.flags: list[str] = []
 
     def flag_once(self, message: str) -> None:
@@ -450,75 +446,63 @@ class _LoopTracker:
                 for half in ((left, mid), (mid, right))
             ]
 
-    def match(self, candidates: np.ndarray) -> np.ndarray:
-        predicted = 2.0 * self.values - self.previous
-        cost = np.abs(predicted[:, None] - candidates[None, :])
-        return candidates[assignment(cost)]
-
-    def accept(self, matched: np.ndarray, moduli: np.ndarray, dargs: np.ndarray,
-               nearest: float) -> None:
-        self.accumulated += dargs
-        self.previous = self.values
-        self.values = matched
-        self.moduli = moduli
-        self.min_distance = min(self.min_distance, nearest)
-        # a sign of 0 (on the axis) neither counts nor resets the last sign
-        signs = np.sign(matched.real)
-        self.crossings += signs * self.last_sign < 0
-        self.last_sign = np.where(signs != 0.0, signs, self.last_sign)
-        self.samples_used += 1
-
-    def advance(self, left: _Sample, right: _Sample, depth: int,
-                segment: tuple[int, int]) -> None:
-        if right.error is not None:
-            raise right.error
-        _check_moduli(right, segment)
-        if right.unreliable:
-            self.flag_once("unreliable zero/nonzero split encountered along the loop")
-        matched = self.match(right.nonzeros)
-        moduli = np.abs(matched)
-        nearest = float(moduli.min())
-        if nearest <= self.tol_zero:
-            idx = int((moduli <= self.tol_zero).argmax())
-            raise TrackingError(
-                f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
-                f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
-                segment=segment,
-            )
-        turns = matched * self.values.conj()
-        dargs = np.arctan2(turns.imag, turns.real)     # np.angle's arithmetic
-        steps = np.abs(matched - self.values)
-        turned = float(np.abs(dargs).max()) >= 0.5 * np.pi
-        if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
-            # a refiner that cannot produce a midpoint (e.g. Newton hits a
-            # singular point between the samples) degrades to the coarse step,
-            # whose certification below reports what actually went wrong
-            mid = self.midpoints.pop((left, right), None)
-            if mid is None:
-                mid = self.midpoints_of([(left, right)])[0]
-            if isinstance(mid, _Sample):
-                self.advance(left, mid, depth + 1, segment)
-                self.advance(mid, right, depth + 1, segment)
-                return
-        # accepting this increment as-is: certify it first, exactly for
-        # the tracks whose chord the modulus bound does not clear
-        cleared = _chord_clears(self.moduli, moduli, steps, self.tol_zero)
-        if not cleared.all():
+    def advance(self, left: _Sample, right: _Sample, segment: tuple[int, int]) -> None:
+        """Fold the samples from left to right into the track.  An interval
+        that needs halving is replaced, on a stack of pending (left, right,
+        depth) intervals, by its two halves, the left one on top, so the
+        samples are accepted in loop order, depth first."""
+        pending = [(left, right, 0)]
+        while pending:
+            left, right, depth = pending.pop()
+            if right.error is not None:
+                raise right.error
+            _check_moduli(right, segment)
+            if right.unreliable:
+                self.flag_once("unreliable zero/nonzero split encountered along the loop")
+            values = self.track[-1]
+            # a linear extrapolation of each track, the base alone at first
+            predicted = 2.0 * values - self.track[-2] if len(self.track) > 1 else values
+            cost = np.abs(predicted[:, None] - right.nonzeros[None, :])
+            matched = right.nonzeros[assignment(cost)]
+            moduli = np.abs(matched)
+            if float(moduli.min()) <= self.tol_zero:
+                idx = int((moduli <= self.tol_zero).argmax())
+                raise TrackingError(
+                    f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
+                    f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
+                    segment=segment,
+                )
+            turns = matched * values.conj()
+            turned = float(np.abs(np.arctan2(turns.imag, turns.real)).max()) >= 0.5 * np.pi
+            steps = np.abs(matched - values)
+            if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
+                # a refiner that cannot produce a midpoint (e.g. Newton hits a
+                # singular point between the samples) degrades to the coarse
+                # step, whose certification below reports what went wrong
+                mid = self.midpoints.pop((left, right), None)
+                if mid is None:
+                    mid = self.midpoints_of([(left, right)])[0]
+                if isinstance(mid, _Sample):
+                    pending += [(mid, right, depth + 1), (left, mid, depth + 1)]
+                    continue
+            # accepting this increment as-is: certify it first, exactly for
+            # the tracks whose chord the modulus bound does not clear
+            cleared = _chord_clears(np.abs(values), moduli, steps, self.tol_zero)
             for i in np.flatnonzero(~cleared).tolist():
-                if _chord_distance_to_origin(complex(self.values[i]),
+                if _chord_distance_to_origin(complex(values[i]),
                                              complex(matched[i])) <= self.tol_zero:
                     raise TrackingError(
                         f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
                         f"within tol_zero = {self.tol_zero:.3e} of the origin",
                         segment=segment,
                     )
-        if turned:
-            raise ResolutionError(
-                "eigenvalue tracking could not certify an argument increment "
-                f"below pi/2 after {self.max_refine} refinement levels",
-                segment=segment,
-            )
-        self.accept(matched, moduli, dargs, nearest)
+            if turned:
+                raise ResolutionError(
+                    "eigenvalue tracking could not certify an argument increment "
+                    f"below pi/2 after {self.max_refine} refinement levels",
+                    segment=segment,
+                )
+            self.track.append(matched)
 
 
 def _blend_matrices(lefts: list, rights: list) -> list:
@@ -531,7 +515,9 @@ def _blend_matrices(lefts: list, rights: list) -> list:
 def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable, k: int,
            tol_zero: Optional[float], tols: Tolerances, max_refine: int) -> EigenLoopReport:
     """The monodromy datum of a closed loop of finite n x n matrices, for
-    0 <= k <= n and max_refine >= 0; refine takes lists of payloads."""
+    0 <= k <= n and max_refine >= 0; refine takes lists of payloads.  The
+    report is read from the fold's track: its samples, least modulus,
+    argument increments, real-part signs and last row."""
     samples, tol_fixed = _samples(list(payloads), matrices, k, tol_zero, tols)
     if samples[0].error is not None:
         raise samples[0].error
@@ -551,27 +537,34 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
     pairs = list(zip(samples, samples[1:]))
     tracker.prefetch(pairs)
     for i, (left, right) in enumerate(pairs):
-        tracker.advance(left, right, 0, (i, i + 1))
+        tracker.advance(left, right, (i, i + 1))
+    track = np.array(tracker.track)
 
     # closure: map each track back to the base spectrum it started from
-    cols = assignment(np.abs(tracker.values[:, None] - base[None, :]))
-    permutation = tuple(int(c) for c in cols)
-    mismatch = float(np.max(np.abs(tracker.values - base[cols])))
-    scale = float(np.max(np.abs(base)))
-    if mismatch > 1e-6 * (1.0 + scale):
+    cols = assignment(np.abs(track[-1][:, None] - base[None, :]))
+    mismatch = float(np.max(np.abs(track[-1] - base[cols])))
+    if mismatch > 1e-6 * (1.0 + float(np.max(np.abs(base)))):
         tracker.flag_once(
             f"final spectrum differs from the base spectrum by {mismatch:.3e}"
         )
-    end_args = np.angle(base[cols])
-    start_args = np.angle(base)
-    principal = np.angle(np.exp(1j * (end_args - start_args)))
-    windings = np.rint((tracker.accumulated - principal) / (2.0 * np.pi)).astype(int)
+    # the argument increments summed row after row (accumulate, not the
+    # pairwise sum), as the fold met them
+    turns = track[1:] * track[:-1].conj()
+    accumulated = np.cumsum(np.arctan2(turns.imag, turns.real), axis=0)[-1]
+    principal = np.angle(np.exp(1j * (np.angle(base[cols]) - np.angle(base))))
+    windings = np.rint((accumulated - principal) / (2.0 * np.pi)).astype(int)
+    # the last nonzero sign of Re before each sample, from the base's sign
+    # on: a sign of 0 (on the axis) neither counts nor resets it
+    signs = np.sign(track.real)
+    rows = np.where(signs != 0.0, np.arange(len(track))[:, None], 0)
+    last = np.take_along_axis(signs, np.maximum.accumulate(rows, axis=0), axis=0)
+    crossings = np.count_nonzero(signs[1:] * last[:-1] < 0, axis=0)
     return EigenLoopReport(
-        permutation=permutation,
+        permutation=tuple(int(c) for c in cols),
         windings=tuple(int(w) for w in windings),
-        re_axis_crossings=tuple(int(c) for c in tracker.crossings),
-        min_distance_to_zero=tracker.min_distance,
-        samples_used=tracker.samples_used,
+        re_axis_crossings=tuple(int(c) for c in crossings),
+        min_distance_to_zero=float(np.abs(track).min()),
+        samples_used=len(track),
         flags=tuple(tracker.flags),
         tol_zero_used=tol_fixed,
     )
@@ -626,9 +619,11 @@ def eigen_along_fiber_loop(
     equilibria on one fiber.
 
     Every loop point must be an equilibrium of f(lam, .) within tolerance
-    and the first and last points must agree within 1e-9 relative to the
-    first's norm (their Jacobians need not agree more closely).  The loop
-    points are evaluated in one stack.  When the tracker needs
+    and lie in the domain within the slack of systems._in_domain_rows,
+    each point tested in turn as the start of a fiber trace is, and the
+    first and last points must agree within 1e-9 relative to the first's
+    norm (their Jacobians need not agree more closely).  The loop points
+    are evaluated in one stack.  When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
     integral level, at fixed lam, by the undamped local corrector
@@ -646,10 +641,15 @@ def eigen_along_fiber_loop(
 
     failed: dict = {}
     f_values, h_values, matrices = _evaluate_rows(sys, lam, points, ("f", "h", "jac_x"), failed)
+    inside, outside = _in_domain_rows(sys, points, tols)
+    # each point in turn, as a continuation start: evaluated, an
+    # equilibrium, then in the domain
     for i, (x, f_value) in enumerate(zip(points, f_values)):
         if i in failed:
             raise failed[i]
         _near_equilibrium(float(np.linalg.norm(f_value)), x, tols, f"loop point {i}")
+        if not inside[i]:
+            raise outside.get(i) or InputError(f"loop point {i} {x.tolist()} is not in the domain")
 
     def refine(lefts, rights):
         # each midpoint corrected at the mean level of its pair, as one lane

@@ -196,6 +196,27 @@ def test_holonomy_open_loop_rejected(tmp_path, capsys):
     assert "loop must close" in capsys.readouterr().err
 
 
+def test_eigen_loop_point_outside_the_domain_exit1(tmp_path, capsys):
+    # every point is an equilibrium at lambda 0.5; the second and third are
+    # outside the box [-1, 1]^2
+    cfg = write_config(
+        tmp_path,
+        "loop.json",
+        {
+            "system": {"builtin": "planar"},
+            "command": "eigen-loop",
+            "lambda": [0.5],
+            "loop_points": [[-0.375, 0.5], [0.22, 1.2], [0.625, -1.5], [-0.375, 0.5]],
+        },
+    )
+    assert main(["eigen-loop", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error == {"type": "InputError",
+                     "message": "loop point 1 [0.22, 1.2] is not in the domain"}
+    assert captured.err == f"error: {error['message']}\n"
+
+
 def test_holonomy_identity(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -10,6 +10,7 @@ A second table holds the library arguments that no config field reaches.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,11 @@ CASES = [
     ("track-matrix-loop", {"tol_zero": -1.0}, TOL_ZERO),
     ("track-matrix-loop", {"tol_zero": NAN}, TOL_ZERO),
     ("track-matrix-loop", {"tol_zero": "abc"}, "tol_zero must be a number"),
+    # loop closure past the float range, tested without overflow
+    ("track-matrix-loop", {"matrices": [[[1e308, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]], I2]},
+     r"^loop must close: first and last matrices differ by 1\.000e\+308$"),
+    ("eigen-loop", {"loop_points": [[1e200] * 3, XEQ, [-1e200] * 3]},
+     r"^loop must close: first and last loop points differ by 3\.464e\+200$"),
 ]
 
 
@@ -420,6 +426,24 @@ def test_a_valid_matrix_loop_takes_one_finiteness_test_per_check(tmp_path, capsy
     assert main([raw["command"], "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["permutation"] == [0, 1]
     assert len(loops) == 2 and len(finite) == len(loops)
+
+
+@pytest.mark.parametrize("loop, gap", [
+    ([[1e308, 0.0], [0.5, 0.0], [0.5, 0.0]], "1.000e+308"),
+    ([[1e200], [0.0], [-1e200]], "2.000e+200"),
+    ([[1e308], [0.0], [-1e308]], "inf"),
+])
+def test_a_loop_past_the_float_range_must_close_too(loop, gap):
+    # the gap and the first point's norm would overflow to inf unscaled;
+    # pytest turns numpy's overflow warning into an error
+    with pytest.raises(InputError, match=rf"^loop must close: first and last points differ by {re.escape(gap)}$"):
+        errors.closed_loop(loop, "points")
+
+
+def test_a_loop_past_the_float_range_closes_on_an_equal_last_point():
+    errors.closed_loop([[1e308, 0.0], [0.5, 0.0], [1e308, 0.0]], "points")
+    errors.closed_loop([[[1e308, 0.0], [0.0, 1.0]], np.eye(2), [[1e308, 0.0], [0.0, 1.0]]],
+                       "matrices", 1e-12)
 
 
 # a lambda outside the parameter box, for each command that takes one:

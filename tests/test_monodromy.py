@@ -263,6 +263,52 @@ def test_fiber_loop_validation(example2):
         eigen_along_fiber_loop(example2, [1.0], [[0.7, 0.95], [0.7, 0.95]])
 
 
+def test_fiber_loop_points_pass_the_domain_test():
+    planar = builtin("planar")
+    # equilibria at lambda 0.5; the second and third are outside the box
+    with pytest.raises(InputError, match=r"^loop point 1 \[0\.22, 1\.2\] is not in the domain$"):
+        eigen_along_fiber_loop(
+            planar, [0.5], [[-0.375, 0.5], [0.22, 1.2], [0.625, -1.5], [-0.375, 0.5]]
+        )
+    # at lambda 2, (-0.72, 0.8) is an equilibrium inside the box, outside the disk
+    base, outside, off = [-0.38, 0.9], [-0.72, 0.8], [0.0, 0.0]
+    with pytest.raises(InputError, match=r"^loop point 1 \[-0\.72, 0\.8\] is not in the domain$"):
+        eigen_along_fiber_loop(planar, [2.0], [base, outside, off, base])
+    # each point in turn: point 1's equilibrium test comes before point 2's domain test
+    with pytest.raises(InputError, match="loop point 1 is not an equilibrium"):
+        eigen_along_fiber_loop(planar, [2.0], [base, off, outside, base])
+
+
+def test_a_loop_point_raises_its_domain_constraint_error():
+    def constraint(x):
+        if x[1] == 0.0:
+            raise EvaluationError("the constraint is undefined at y = 0")
+        return x[0] ** 2 + x[1] ** 2 - 1.0
+
+    planar = builtin("planar")
+    sys = dataclasses.replace(
+        planar, batched=False, domain=dataclasses.replace(planar.domain, constraints=(constraint,))
+    )
+    loop = [[-0.375, 0.5], [-0.5, 0.0], [-0.375, -0.5], [-0.375, 0.5]]
+    with pytest.raises(EvaluationError, match="the constraint is undefined at y = 0"):
+        eigen_along_fiber_loop(sys, [0.5], loop)
+    assert eigen_along_fiber_loop(planar, [0.5], loop).windings == (0,)
+
+
+@pytest.mark.parametrize("shifts, crossings", [
+    ([1, 0, 0, -1, 0, 1, 0, 1], (2, 2)),
+    ([0, 1, 0, -1, 0], (1, 1)),
+    ([1, 0, 1], (0, 0)),
+])
+def test_a_sample_on_the_imaginary_axis_neither_counts_nor_resets(shifts, crossings):
+    # eigenvalues a +- i: a sign of Re of 0 keeps the last nonzero sign,
+    # and the base's sign, 0 or not, starts the count
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    report = track_matrix_loop([a * np.eye(2) + rotation for a in shifts], k=0)
+    assert report.re_axis_crossings == crossings
+    assert report.samples_used == len(shifts)
+
+
 def test_report_serialization():
     report = track_matrix_loop(rotation_family(64), k=0)
     data = json.loads(json.dumps(report.as_dict(), sort_keys=True))
