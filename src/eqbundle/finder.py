@@ -199,9 +199,12 @@ class NewtonLanes:
 
 
 # The line search's step scales 1, 1/2, ..., 2^-24 in the rounds that
-# newton_lanes evaluates as one stack each: 1, 2, 4, 8 and 10 trials, so no
-# lane evaluates more than about twice the trials it needs
-_ALPHA_ROUNDS = np.split(np.ldexp(1.0, -np.arange(25)), [1, 3, 7, 15])
+# newton_lanes evaluates as one stack each: 1, 8 and 16 trials.  Most lanes
+# take the full step (98 % of rfmr(3)'s steps, 80 % of example2's), but on
+# example2's empty levels a lane accepts 1 at 8 % of its steps, a scale of
+# at least 2^-8 at 82 % and of at least 2^-16 at 99 %, so fewer, wider
+# rounds save more stacked calls than their extra trials cost
+_ALPHA_ROUNDS = np.split(np.ldexp(1.0, -np.arange(25)), [1, 9])
 
 # A lane ends as "no progress" at the top of iteration it >= _STALL_WINDOW
 # when ||F|| is above _STALL_FACTOR times its target and above _STALL_DROP
@@ -261,24 +264,25 @@ def newton_lanes(
     F and its Jacobian [df/dx; dh/dx] come from _level_set, as in the
     lift's corrector.  Each iteration takes the least-squares Newton step
     of all running lanes in one _solve_rows call (a batched QR with a rank
-    certificate from n = 8 columns, else a batched SVD), which also
-    decides each Jacobian's column rank: a lane ends as singular on a rank
-    deficient Jacobian and with its InputError on a non-finite one.  The
-    line search scales the step by 1, 1/2, ..., 2^-24 and takes the first
-    trial that stays in the domain box inflated by 5 % of the diameter, is
-    finite, and lowers ||F|| (or meets the target); a lane whose first
-    such event is an evaluation error ends with that error.  The trials
-    run in rounds of 1, 2, 4, 8 and 10 scales, each round one stacked
-    residual call for every lane still searching, and a lane keeps the
-    first trial of a round in that order, so errors at trials a
-    trial-by-trial search never reaches are ignored.  A lane that makes no
-    progress ends early, as "no progress", at the top of iteration it >= 5
-    when ||F|| exceeds 1e3 times its target and 0.99 times the lane's
-    ||F|| at iteration it - 5: far from any root, the lane is crawling
-    toward a minimum of ||F|| that is not zero.  Starts and converged
-    points must lie in the domain within the one slack of _in_domain_rows,
-    which scales domain_slack by 1 + diameter.  Every lane ends with one
-    of LANE_OUTCOMES; nothing is raised for a failed lane.
+    certificate, and a batched SVD for the rows it does not clear), which
+    also decides each Jacobian's column rank: a lane ends as singular on a
+    rank deficient Jacobian and with its InputError on a non-finite one.
+    The line search scales the step by 1, 1/2, ..., 2^-24 and takes the
+    first trial that stays in the domain box inflated by 5 % of the
+    diameter, is finite, and lowers ||F|| (or meets the target); a lane
+    whose first such event is an evaluation error ends with that error.
+    The trials run in rounds of 1, 8 and 16 scales, each round one stacked
+    residual call for every lane still searching, so an iteration makes at
+    most 3 stacked residual calls.  A lane keeps the first trial of a round
+    in that order, so errors at trials a trial-by-trial search never
+    reaches are ignored.  A lane that makes no progress ends early, as "no
+    progress", at the top of iteration it >= 5 when ||F|| exceeds 1e3
+    times its target and 0.99 times the lane's ||F|| at iteration it - 5:
+    far from any root, the lane is crawling toward a minimum of ||F|| that
+    is not zero.  Starts and converged points must lie in the domain
+    within the one slack of _in_domain_rows, which scales domain_slack by
+    1 + diameter.  Every lane ends with one of LANE_OUTCOMES; nothing is
+    raised for a failed lane.
 
     lam must be a finite vector of length m, and a and starts finite
     (InputError otherwise); the level a is one k-vector shared by every
@@ -613,7 +617,7 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
     (R, p, n), with args the lane_args (one row per lane) cut to those
     lanes, and store the EqBundleError of a row they cannot evaluate under
     that row in errors.  The steps of all running lanes are one _solve_rows
-    call, by QR or by SVD as the column count n decides.
+    call.
 
     Returns (y, iterations, resid, retry, fatal): per lane the corrected
     point, the iteration at which it converged and the residual there

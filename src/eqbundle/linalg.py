@@ -6,35 +6,51 @@ A rank alone takes the singular values only, a rank with kernel and image
 one full SVD.  Dense eigenvalues come back in a deterministic order.
 
 Least squares (_solve_rows, and solve_least_squares, its one-row call)
-never forms the normal equations, and takes one route per column count
-q.  With q < _QR_COLUMNS one thin SVD A = U diag(s) V^T decides the
-column rank and gives V diag(1/s) U^T b.  With q >= _QR_COLUMNS one
-Householder QR of [A | b] and one back substitution give x = R^-1 (Q^T b)
-(Golub & Van Loan, Matrix Computations, 4th ed., 5.3), and a certificate
-proves that the SVD's rank decision would find A full rank:
+never forms the normal equations and takes one route at every column
+count q.  One Householder QR of [A | b] and one back substitution give
+x = R^-1 (Q^T b) (Golub & Van Loan, Matrix Computations, 4th ed., 5.3),
+and a certificate proves that the SVD's rank decision would find A full
+rank:
 
-    1 / (sqrt(q) max(y)) > 2 (rank_cutoff(shape, ||A||_F, rank_tol) + p q eps ||A||_F)
+    1 / (sqrt(q) max(y)) > 2 (rank_cutoff(shape, N, rank_tol) + p q eps N)
 
-for y = M(R)^-1 e, where the comparison matrix M(R) has |r_ii| on its
-diagonal and -|r_ij| above it.  The proof (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed.): |R^-1| <= M(R)^-1 entrywise (Thm
-8.12), so ||R^-1||_2 <= sqrt(q) ||R^-1||_inf <= sqrt(q) max(y), and the
-left side is at most the least singular value of R.  ||A||_F is at least
-the largest singular value of A, and p q eps ||A||_F bounds the QR's
-backward error (Thm 19.4); below 1e-150 the squares of ||A||_F may
-underflow, and such a row is not certified.  y_i = (1 + sum_j>i |r_ij|
-y_j) / |r_ii| adds nonnegative terms only, so the computed y is within
-about q (q + 1) eps of the exact one, relative, and the factor 2 covers
-that and the SVD's own rounding.  No inverse is formed.
+for y = M(R)^-1 e and N = sqrt(p q) max|a_ij|, where the comparison
+matrix M(R) has |r_ii| on its diagonal and -|r_ij| above it.  The proof
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.):
+|R^-1| <= M(R)^-1 entrywise (Thm 8.12), so ||R^-1||_2 <= sqrt(q)
+||R^-1||_inf <= sqrt(q) max(y), and the left side is at most the least
+singular value of R.  No entry of A exceeds max|a_ij|, so N >= ||A||_F,
+which is at least the largest singular value of A, and p q eps N bounds
+the QR's backward error (Thm 19.4).  Nothing is squared, and a max is
+exact in any order.  Below max|a_ij| = 1e-150 the bound may underflow,
+and such a row is not certified.  y_i = (1 + sum_j>i |r_ij| y_j) / |r_ii|
+adds nonnegative terms only, so the computed y is within about q (q + 1)
+eps of the exact one, relative, and the factor 2 covers that and the
+SVD's own rounding.  With c = 2 sqrt(q) times the right side, the test is
+0 < y_i and c y_i < 1 for every i.  Multiplying by c >= 0 is monotone, so
+that is c max(y) < 1; and where R holds a NaN or an inf, or a zero r_ii,
+y holds a NaN, an inf or a 0, and the test fails.  No inverse is formed.
 
-A row the certificate does not clear takes the SVD route, which decides
-its rank and reports a deficient one.  Every row of a stack takes the
-same calls as it would alone, so its route and its bits do not depend on
-the other rows.
+A row the certificate does not clear takes one thin SVD A = U diag(s)
+V^T, which decides its column rank with the cutoff of numeric_rank and
+gives V diag(1/s) U^T b, or reports the deficient rank.
+
+The back substitution runs per column i from q - 1 down to 0: v_i /= d_i,
+then v_j -= T_ji v_i for every j < i, once for x (v = Q^T b, T = R, d_i =
+r_ii) and once for y (v = e, T = -|R|, d_i = |r_ii|).  It is written in
+two forms with the same IEEE operations in the same order: numpy ufuncs
+over a stack, and Python floats for a lone row or a small stack, where
+numpy's per-call cost would dominate.  Each operation is correctly
+rounded in both, and no dot product (whose BLAS summation order Python
+cannot reproduce) is taken.  The Python form refuses a row at its first
+failing y_i, and before it divides by a zero or non-finite r_ii.  So
+every row of a stack takes the calls it would take alone, and its route
+and its bits depend neither on the other rows nor on the form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +153,12 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     """Minimize |A x - b| for a full-column-rank A (p, q) and a b (p, ...),
     each b[:, j, ...] a right-hand side of its own x[:, j, ...].
 
-    The call of _solve_rows with one row per right-hand side, so it takes
-    the route of its column count q (see the module docstring): one thin
-    SVD below _QR_COLUMNS columns, else one QR whose certificate, when it
-    fails, hands the solve to the SVD.  The rank is decided with the cutoff
-    of numeric_rank; the normal equations are never formed.  Raises
-    DegeneracyError carrying the RankReport when A is column rank
-    deficient, since the minimizer is then not unique.
+    The call of _solve_rows with one row per right-hand side (see the
+    module docstring): one QR whose certificate, when it fails, hands the
+    solve to the SVD.  The rank is decided with the cutoff of numeric_rank;
+    the normal equations are never formed.  Raises DegeneracyError
+    carrying the RankReport when A is column rank deficient, since the
+    minimizer is then not unique.
     """
     A = _as_matrix(A, "A")
     b = finite_array(b, "b")
@@ -175,51 +190,101 @@ def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
     )
 
 
-# The least column count of the QR route.  On a shared 2-core x86 machine
-# (numpy 2.4, best of 25), one (q + 1, q) row of _solve_rows takes 36, 53,
-# 55 and 82 us by QR against 19, 29, 32 and 77 us by SVD at q = 3, 8, 10
-# and 20, most of it the back substitution's numpy calls, while a 200-row
-# stack takes 0.18, 0.57, 0.77 and 2.5 ms by QR against 0.54, 2.3, 3.2 and
-# 12.0 ms by SVD.
-_QR_COLUMNS = 8
+def _certificate_scale(shape, amax, rank_tol):
+    """c = 2 sqrt(q) (rank_cutoff(shape, N, rank_tol) + p q eps N), N =
+    sqrt(p q) amax, for a float amax or an array of one per row: the
+    certificate of the module docstring clears a row when 0 < y_i and
+    c y_i < 1 for every entry of its y = M(R)^-1 e."""
+    p, q = shape
+    norm = (p * q) ** 0.5 * amax
+    return 2.0 * q ** 0.5 * (rank_cutoff(shape, norm, rank_tol, False) + p * q * EPS * norm)
+
+
+# The back substitution runs in Python floats for a stack of count rows
+# when count * (q + 2) <= _PYTHON_ROWS, else as numpy ufuncs: the cost of
+# the first grows with count * q^2, that of the second with q.  On a
+# shared 2-core x86 machine (numpy 2.4, best of 11 x 300 calls) _qr_rows
+# on (count, q + 1, q) took 55, 64, 71 and 82 us in Python floats against
+# 57, 66, 77 and 98 us as ufuncs at (count, q) = (7, 2), (6, 3), (4, 5)
+# and (2, 10), and 60, 79, 82 and 112 us against 57, 67, 78 and 100 us at
+# (8, 2), (8, 3), (5, 5) and (3, 10).
+_PYTHON_ROWS = 30
 
 
 def _qr_rows(A: np.ndarray, b: np.ndarray, rank_tol) -> tuple:
     """(x, certified) for the finite stacks A (B, p, q), p >= q, and b
-    (B, p): x = R^-1 (Q^T b) from one Householder QR of [A | b], and
-    certified marks the rows that pass the certificate of the module
+    (B, p): x = R^-1 (Q^T b) from one raw-mode Householder QR of [A | b],
+    and certified marks the rows that pass the certificate of the module
     docstring, a proof that the SVD rule of _solve_rows finds A full rank.
-    One back substitution gives x and y = M(R)^-1 e: with the right-hand
-    sides appended to R and |R| and a last unknown of -1, each step is one
-    vecdot per row, the BLAS dot of a lone row, and one division.  A row
-    whose R is singular, whose figures overflow or whose ||A||_F may
-    underflow (below 1e-150) is not certified; its x means nothing."""
+    One back substitution gives x and y = M(R)^-1 e: in Python floats row
+    by row (_lone_row) for a lone row or a small stack (_PYTHON_ROWS), else
+    as numpy ufuncs over x and y side by side, (q, 2B), so that each update
+    is contiguous.  Both forms make the same operations in the same order.
+    A row whose R is singular or not finite, whose figures overflow or
+    whose largest |a_ij| is below 1e-150 is not certified; its x means
+    nothing."""
     count, p, q = A.shape
+    # h[:, i, :i + 1] is column i of R, and h[:, q, :q] is Q^T b
     h = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="raw")[0]
-    r = h.swapaxes(1, 2)[:, :q]     # [R | Q^T b] on and above the diagonal
-    T = np.array([r, np.abs(r)])
-    T[1, ..., q] = -1.0             # [|R| | -e]
-    # with v_q = -1, v_i = (T_i,i+1: . v_i+1:) / d_i is x_i and y_i
-    d = T.diagonal(0, 2, 3) * [[[-1.0]], [[1.0]]]     # -r_ii and |r_ii|
-    v = np.full((2, count, q + 1), -1.0)
+    if count * (q + 2) <= _PYTHON_ROWS:
+        pairs = zip(h.tolist(), A.reshape(count, -1).tolist())
+        x, certified = zip(*[_lone_row(row, max(map(abs, a)), rank_tol, p) for row, a in pairs])
+        return np.array(x), np.array(certified)
+    # T[i, j] holds T_ji of every row: R for x, then -|R| for y
+    T = np.empty((q, q, 2 * count))
+    T[..., :count] = h[:, :q, :q].transpose(1, 2, 0)
+    np.copysign(T[..., :count], -1.0, out=T[..., count:])
+    d = T[..., :count].diagonal().T
+    d = np.concatenate([d, np.abs(d)], axis=1)              # r_ii, then |r_ii|
+    v = np.concatenate([h[:, q, :q].T, np.ones((q, count))], axis=1)
+    amax = np.abs(A).reshape(count, -1).max(axis=1)
     # a zero r_ii, an overflow or an inf * 0 can only leave its row uncertified
     with np.errstate(all="ignore"):
-        for i in range(q - 1, -1, -1):
-            v[..., i] = np.vecdot(T[..., i, i + 1:], v[..., i + 1:]) / d[..., i]
-        norm = np.sqrt((A * A).reshape(count, -1).sum(axis=1))
-        bound = rank_cutoff((p, q), norm, rank_tol, False) + p * q * EPS * norm
-        certified = 2.0 * q ** 0.5 * bound * v[1, :, :q].max(axis=1) < 1.0
-    return v[0, :, :q], certified & (norm > 1e-150)
+        for i in range(q - 1, 0, -1):
+            row = v[i]
+            row /= d[i]
+            head = v[:i]
+            head -= T[i, :i] * row
+        v[0] /= d[0]
+        c = _certificate_scale((p, q), amax, rank_tol)
+        y = v[:, count:]
+        certified = ((0.0 < y) & (c * y < 1.0)).all(axis=0) & (amax > 1e-150)
+    return v[:, :count].T, certified
+
+
+def _lone_row(h: list, amax: float, rank_tol, p: int) -> tuple:
+    """(x, certified) of _qr_rows for one row, in Python floats: h is that
+    row's raw QR as nested lists and amax its largest |a_ij|.  The stack
+    form's operations in its order.  Each y_i is final once divided, so
+    the row is refused at its first y_i with c y_i >= 1 or NaN, and before
+    dividing by an r_ii that is 0, which would raise ZeroDivisionError
+    here, or not finite: in the stack form each leaves a y_i that is inf,
+    NaN or 0."""
+    q = len(h) - 1
+    c = float(_certificate_scale((p, q), amax, rank_tol))
+    x, y = h[q][:q], [1.0] * q
+    for i in range(q - 1, -1, -1):
+        column = h[i]
+        d = abs(column[i])
+        if not 0.0 < d < math.inf:
+            return x, False
+        xi = x[i] = x[i] / column[i]
+        yi = y[i] = y[i] / d
+        if not c * yi < 1.0:
+            return x, False
+        for j in range(i):
+            x[j] -= column[j] * xi
+            y[j] -= -abs(column[j]) * yi
+    return x, amax > 1e-150
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     """The least-squares solve of solve_least_squares(A[i], b[i], rank_tol)
     at every row i of the stacks A (B, p, q), p >= q > 0, and b (B, p).
-    With q >= _QR_COLUMNS the rows take one batched QR (_qr_rows), and
-    those it does not certify full rank, like every row of a narrower
-    stack, one batched thin SVD, which decides the rank with the cutoff of
-    numeric_rank and gives V diag(1/s) U^T b.  A row's route and bits do
-    not depend on the other rows.
+    Every row takes one batched QR (_qr_rows), and the rows it does not
+    certify full rank one batched thin SVD, which decides the rank with
+    the cutoff of numeric_rank and gives V diag(1/s) U^T b.  A row's route
+    and bits depend neither on the other rows nor on the stack's size.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors; the test is np.isfinite,
@@ -242,20 +307,17 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
         A, b = A[rows], b[rows]
     if not len(A):
         return np.full((count, shape[1]), np.nan), {}
-    out = None                  # (count, q) once the QR route leaves rows
-    if shape[1] >= _QR_COLUMNS:
-        x, certified = _qr_rows(A, b, rank_tol)
-        if certified.all():
-            return _placed(x, rows, count), {}
-        rows = np.arange(count) if rows is None else rows
-        out = _placed(x[certified], rows[certified], count)
-        A, b, rows = A[~certified], b[~certified], rows[~certified]
+    x, certified = _qr_rows(A, b, rank_tol)
+    if certified.all():
+        return _placed(x, rows, count), {}
+    rows = np.arange(count) if rows is None else rows
+    out = _placed(x[certified], rows[certified], count)
+    A, b, rows = A[~certified], b[~certified], rows[~certified]
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     deficient = {}
     # s is descending: rank < q exactly when the last value is cut off
     cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)
     if np.count_nonzero(cut):
-        rows = np.arange(count) if rows is None else rows
         for i in np.flatnonzero(cut):
             deficient[int(rows[i])] = _deficient(shape, s[i], rank_tol)
         keep = ~cut

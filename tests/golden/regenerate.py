@@ -111,7 +111,7 @@ CONFIGS = {
         "system": RFMR3, "command": "find", "lambda": [1.5] * 3, "level": [1.2],
         "budget": 40,
     },
-    # ten columns: every Newton step takes the QR route of linalg._solve_rows
+    # ten columns: the wide Newton stacks solve as numpy ufuncs (linalg._qr_rows)
     "find-rfmr10": {
         "system": {"builtin": "rfmr", "n": 10}, "command": "find",
         "lambda": [1.7] * 10, "level": [3.5],

@@ -289,16 +289,17 @@ def test_cocycle_raises_errors_in_lift_order():
 
 def lift_work(monkeypatch, sys):
     """A copy of sys whose analytic jac_x is counted, and a record of the
-    np.linalg.svd and jac_x calls made inside each lift_lanes call."""
+    np.linalg.qr and jac_x calls made inside each lift_lanes call: each
+    stacked solve of the lift is one QR."""
     holder = SimpleNamespace(jac_x_fn=sys.jac_x_fn)
     jac_x = count_calls(monkeypatch, "jac_x_fn", holder)
-    svd = count_calls(monkeypatch, "svd", np.linalg)
+    qr = count_calls(monkeypatch, "qr", np.linalg)
     real, per_call = transport.lift_lanes, []
 
     def counted(*args, **kwargs):
-        before = len(svd), len(jac_x)
+        before = len(qr), len(jac_x)
         result = real(*args, **kwargs)
-        per_call.append((len(svd) - before[0], len(jac_x) - before[1]))
+        per_call.append((len(qr) - before[0], len(jac_x) - before[1]))
         return result
 
     monkeypatch.setattr(transport, "lift_lanes", counted)
@@ -307,7 +308,7 @@ def lift_work(monkeypatch, sys):
 
 def test_holonomy_lifts_its_points_in_stacked_calls(monkeypatch, example2):
     # 4 points, 2 steps each (one per segment), 4 RK4 stages a step: one
-    # SVD and one jac_x call per stage for all 4 points (32 of each lifting
+    # QR and one jac_x call per stage for all 4 points (32 of each lifting
     # them one by one); the lift is stationary, so the corrector needs no step
     sys, per_call = lift_work(monkeypatch, example2)
     report = holonomy_loop(sys, [[1.0], [2.5], [1.0]], [2.0, 6.125], budget=200)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,9 +171,11 @@ def test_lstsq_recovers_exact_solution():
 def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
     # bitwise, with each failing row's lone error: a non-finite A, a
     # non-finite b, rank-deficient rows; a row already failed is skipped.
-    # The 20-column stack takes the QR route, and its zero column gives an
-    # exactly singular R, which must not end the other rows' solves.
-    if shape[2] < linalg._QR_COLUMNS:
+    # Both stacks take the one QR route.  The repeated columns and the
+    # 20-column stack's zero column, an exactly singular R, fail the
+    # certificate and go to the SVD, which must not end the other rows'
+    # solves.
+    if shape == (7, 5, 3):
         rng = np.random.default_rng(7)
         A, b = rng.standard_normal(shape), rng.standard_normal(shape[:2])
         A[1, 2, 0] = np.nan
@@ -206,9 +209,9 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
         assert deficient[row].report == lone.value.report
 
 
-@settings(settings.get_profile("derandomized"), max_examples=20)
+@settings(settings.get_profile("derandomized"), max_examples=40)
 @given(
-    q=st.sampled_from([8, 10, 20]),
+    q=st.sampled_from([1, 2, 3, 5, 7, 8, 10, 20]),
     extra=st.sampled_from([1, 2]),
     rank_tol=st.sampled_from([None, 1e-6]),
     offset=st.floats(0.0, 0.25),
@@ -258,6 +261,85 @@ def test_qr_certificate_clears_only_full_rank_rows(q, extra, rank_tol, offset, s
         with pytest.raises(DegeneracyError) as lone:
             solve_least_squares(A[row], b[row], rank_tol)
         assert lone.value.report == report and str(lone.value) == str(deficient[row])
+
+
+# b[0] of a row whose R gets a NaN or an inf planted after the QR
+PLANT_NAN, PLANT_INF = 1234.5, 5432.1
+
+
+def planting_qr(real):
+    """np.linalg.qr, but in the raw output of a row of [A | b] whose b[0] is
+    PLANT_NAN the last r_ii is NaN, and where it is PLANT_INF r_0,q-1 (the
+    diagonal when q = 1) is inf."""
+
+    def qr(M, mode):
+        h, tau = real(M, mode=mode)
+        q = M.shape[-1] - 1
+        h[M[:, 0, q] == PLANT_NAN, q - 1, q - 1] = np.nan
+        h[M[:, 0, q] == PLANT_INF, q - 1, 0] = np.inf
+        return h, tau
+
+    return qr
+
+
+def qr_rows_in(form: str, A, b, rank_tol):
+    """_qr_rows with the back substitution forced into one form."""
+    size = 0 if form == "numpy" else 10**9
+    with mock.patch.object(linalg, "_PYTHON_ROWS", size):
+        return linalg._qr_rows(A, b, rank_tol)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=60)
+@given(
+    q=st.integers(1, 20),
+    extra=st.integers(0, 2),
+    count=st.integers(2, 5),
+    rank_tol=st.sampled_from([None, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_route_gives_a_row_the_same_bits_alone_stacked_and_in_either_form(
+    q, extra, count, rank_tol, seed
+):
+    # x and the certificate of each row are the same bits solved alone and
+    # in a stack, in Python floats and in numpy ufuncs.  Among the rows:
+    # a zero column, a 1e-200 scale, a repeated column, a column whose norm
+    # overflows, and a planted NaN r_ii and inf in R.  Those the
+    # certificate refuses, and _solve_rows gives every row its lone solve.
+    rng = np.random.default_rng(seed)
+    p = q + extra
+    A, b = rng.standard_normal((count + 6, p, q)), rng.standard_normal((count + 6, p))
+    A[count, :, 0] = 0.0
+    A[count + 1] *= 1e-200
+    A[count + 2, :, -1] = A[count + 2, :, 0]
+    A[count + 3, :, 0] = 1.5e308
+    b[count + 4, 0], b[count + 5, 0] = PLANT_NAN, PLANT_INF
+    # a lone 1.5e308 is a full-rank 1 x 1 matrix; a longer column overflows
+    refused = [count, count + 1, count + 4, count + 5] + [count + 3] * (p > 1)
+    refused += [count + 2] * (q > 1)
+    with mock.patch.object(linalg.np.linalg, "qr", planting_qr(np.linalg.qr)):
+        forms = {form: qr_rows_in(form, A, b, rank_tol) for form in ("numpy", "python")}
+        alone = {
+            form: [qr_rows_in(form, A[i:i + 1], b[i:i + 1], rank_tol) for i in range(len(A))]
+            for form in ("numpy", "python")
+        }
+        x, deficient = _solve_rows(A, b, rank_tol, {})
+        for row in range(len(A)):
+            try:
+                lone = solve_least_squares(A[row], b[row], rank_tol)
+            except DegeneracyError as err:
+                assert str(deficient.pop(row)) == str(err)
+                assert np.isnan(x[row]).all()
+            else:
+                assert x[row].tobytes() == lone.tobytes()
+    assert not deficient
+    certified = forms["numpy"][1]
+    assert not certified[refused].any()
+    for form in ("numpy", "python"):
+        assert forms[form][1].tolist() == certified.tolist()
+        assert [row[1][0] for row in alone[form]] == certified.tolist()
+        for row in np.flatnonzero(certified):
+            assert forms[form][0][row].tobytes() == forms["numpy"][0][row].tobytes()
+            assert alone[form][row][0][0].tobytes() == forms["numpy"][0][row].tobytes()
 
 
 def test_failed_wide_stack_makes_no_lapack_call(monkeypatch):

@@ -455,21 +455,36 @@ def test_find_starts_no_thread():
     ({"n": 10}, [1.7] * 10, [3.5]),
     ({"n": 20}, [1.7] * 20, [20 * 0.35]),
 ])
-def test_only_wide_stacks_take_the_qr_route(monkeypatch, system, lam, a):
-    # the route depends on the column count alone: an n-column Newton
-    # stack goes by QR exactly when n >= 8, and every find still solves
-    qrs = count_calls(monkeypatch, "_qr_rows", linalg)
-    svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
+def test_every_newton_stack_takes_the_qr_route(monkeypatch, system, lam, a):
+    # one route at every column count: each Newton solve factors its stack
+    # by QR, and a stacked SVD (the audit's SVDs are of lone matrices) runs
+    # only on the rows that the QR's certificate refused
+    solves = count_calls(monkeypatch, "_solve_rows", finder)
+    real_qr_rows, real_svd = linalg._qr_rows, np.linalg.svd
+    refused, stacked = [], []
+
+    def qr_rows(A, b, rank_tol):
+        x, certified = real_qr_rows(A, b, rank_tol)
+        refused.append(int(np.count_nonzero(~certified)))
+        return x, certified
+
+    def svd(A, *args, **kwargs):
+        if np.ndim(A) == 3:
+            stacked.append(len(A))
+        return real_svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_qr_rows", qr_rows)
+    monkeypatch.setattr(linalg.np.linalg, "svd", svd)
     n = system["n"]
     found = enumerate_level_points(builtin("rfmr", n=n), lam, a)
     assert [p.state.x.tolist() for p in found] == [pytest.approx([a[0] / n] * n)]
-    assert bool(qrs) == (n >= linalg._QR_COLUMNS)
-    assert svds
+    assert solves and len(refused) == len(solves)
+    assert stacked == [rows for rows in refused if rows]
 
 
 @pytest.mark.parametrize("n", [10, 20])
 def test_qr_route_lane_is_independent_of_its_batch(n):
-    # with n >= 8 columns every Newton step takes the QR route
+    # wide stacks solve by numpy ufuncs, and a lane alone in Python floats
     sys = builtin("rfmr", n=n)
     lam, level, starts = [1.7] * n, [0.35 * n], level_starts(sys, 12, 3)
     lanes = newton_lanes(sys, lam, level, starts)
