@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
+from .errors import EvaluationError, InputError, _scaled_norm
 from .linalg import numeric_rank, rank_and_subspaces
 from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -130,8 +130,8 @@ def _near_equilibrium(f_norm: float, x, tols: Tolerances, what: str) -> None:
     """InputError unless ||f|| = f_norm at the point x named what is within
     10 tols.equilibrium (1 + ||x||): the bound on the start of a fiber trace
     or a lift and on the points of an eigenvalue loop.  A NaN ||f|| is no
-    equilibrium."""
-    if not f_norm <= 10.0 * tols.equilibrium * (1.0 + np.linalg.norm(x)):
+    equilibrium.  ||x|| is errors._scaled_norm, which does not overflow."""
+    if not f_norm <= 10.0 * tols.equilibrium * (1.0 + _scaled_norm(x)):
         raise InputError(f"{what} is not an equilibrium: ||f|| = {f_norm:.3e}")
 
 

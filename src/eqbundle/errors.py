@@ -7,7 +7,7 @@ describe numerical or structural failures discovered while computing and
 map to CLI exit code 2.  The functions after the classes are the one
 check of each kind of caller input (a mapping's keys, a count, a step, an
 array, a box, a path, a loop), shared by the config and the library entry
-points.
+points, and the norm that the loop and start checks take without overflow.
 """
 
 from __future__ import annotations
@@ -125,8 +125,10 @@ def _as_int(value, what: str) -> int:
 
 # upper bounds of the size fields, far above what a run needs, so that no
 # size reaches numpy's array size limit: a dimension (n, m or k), and a
-# count of starts, fiber points or identity samples.  At n = 100 the
-# multistart's Halton digit table (finder.level_starts) is 23 MB.
+# count of starts, fiber points or identity samples.  At n = 100 the digit
+# table that builds the multistart's Halton sample (finder._unit_starts) is
+# 23 MB while it is built; the sample kept after it is budget * n floats,
+# which stack_count caps at about 4.8 MB (n = 6 with 10^5 starts).
 DIMENSION_LIMIT, COUNT_LIMIT = 100, 10**5
 # the most entries of a stack of n x n matrices, one per start of a
 # multistart (its Jacobians) or per identity sample: 2^22 float64
@@ -262,15 +264,38 @@ def cocycle_paths(value) -> list:
     return list(value)
 
 
+# below this largest |entry|, no sum of fewer than 2^64 squares overflows
+_NORM_SAFE = 2.0**480
+
+
+def _norm_scale(*arrays) -> float:
+    """1.0, or once the largest |entry| of the arrays passes _NORM_SAFE,
+    that entry rounded down to a power of two: dividing by it is exact
+    (bar entries that fall below the normal range, far too small to move
+    a norm) and leaves every entry below 2 in magnitude, so that no norm
+    or difference of the divided arrays overflows."""
+    largest = max(float(np.max(np.abs(a))) for a in arrays)
+    return 2.0 ** (math.frexp(largest)[1] - 1) if _NORM_SAFE < largest < math.inf else 1.0
+
+
+def _scaled_norm(v) -> float:
+    """np.linalg.norm(v) as a float, without numpy's overflow warning: the
+    norm of v / _norm_scale(v) times that scale, a Python float product
+    that reads inf past the float range.  Bit for bit np.linalg.norm(v)
+    while no |v_i| passes _NORM_SAFE, as the scale is then 1."""
+    v = np.asarray(v, dtype=float)
+    scale = _norm_scale(v)
+    return float(np.linalg.norm(v / scale)) * scale
+
+
 def closed_loop(points, what: str, rel: float = 1e-9) -> None:
     """InputError unless the first and last of points (vectors or matrices)
     agree within rel relative to the first's norm.  Both are first divided
-    by their largest entry rounded down to a power of two (at least 1), so
-    no norm overflows; the division is exact, and below the float range
-    the test is the unscaled one to the bit."""
+    by _norm_scale of the two, so no norm or difference overflows; while
+    no entry passes _NORM_SAFE the scale is 1 and the test is the unscaled
+    one."""
     first, last = np.asarray(points[0], dtype=float), np.asarray(points[-1], dtype=float)
-    largest = max(float(np.max(np.abs(first))), float(np.max(np.abs(last))))
-    scale = 2.0 ** max(math.frexp(largest)[1] - 1, 0)
+    scale = _norm_scale(first, last)
     first, last = first / scale, last / scale
     gap = float(np.linalg.norm(first - last))
     if gap > rel * (1.0 / scale + float(np.linalg.norm(first))):

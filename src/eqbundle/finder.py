@@ -21,6 +21,7 @@ _step_rule, retries, accepts or grows the tracer's and the lift's steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,6 +40,7 @@ from .errors import (
     EqBundleError,
     InputError,
     UnsupportedDimensionError,
+    _scaled_norm,
     finite_array,
     finite_vector,
     non_negative_int,
@@ -471,7 +473,20 @@ def _first_primes(count: int) -> list:
 
 
 def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
-    """The multistart sample: budget scrambled Halton points in the domain box.
+    """The multistart sample: budget scrambled Halton points in the domain
+    box, a new writable array.  The unit sample _unit_starts(n, budget,
+    seed) is built once per key and kept for the last 8 keys (at most
+    about 38 MB), and each call scales it by u * (hi - lo) + lo.  A box of
+    zero width in a coordinate puts every start on its edge.
+    """
+    lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
+    return _unit_starts(sys.n, budget, seed) * (hi - lo) + lo
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
+    """The multistart's unit sample, read-only: budget scrambled Halton
+    points in [0, 1)^n.
 
     Owen's random digit scrambling (arXiv:1706.02808), laid out so that
     the sample is bitwise the reference Halton sampler's (pinned by
@@ -479,17 +494,21 @@ def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
     ceil(54 / log2(b)) - 1 digit permutations of range(b), shuffled in turn
     by one default_rng(seed).  Point t sums perm_j(digit j of t) *
     b^-(j+1) in increasing j, one term at a time, as a pairwise sum would
-    round differently, and the unit sample is scaled by
-    u * (hi - lo) + lo.  A box of zero width in a coordinate puts every
-    start on its edge.
+    round differently.
+
+    The sample depends on (n, budget, seed) alone, and a find or holonomy
+    over a family of systems repeats that key with only lambda or the
+    level changed, so it is cached on that key for the last 8 keys.  One
+    entry holds budget * n floats, which errors.stack_count caps at about
+    4.8 MB (n = 6 with 10^5 starts), so the cache holds at most about
+    38 MB.
     """
-    d = sys.n
-    bases = _first_primes(d)
+    bases = _first_primes(n)
     rng = np.random.default_rng(seed)
     depth = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
     # terms[j, i, r] = perm_j(r) * b^-(j+1) for base b = bases[i], and 0
     # past that base's depth, which leaves a sum unchanged
-    terms = np.zeros((depth[0], d, bases[-1]))
+    terms = np.zeros((depth[0], n, bases[-1]))
     for i, (b, count) in enumerate(zip(bases, depth)):
         perms = np.repeat(np.arange(b)[None], count, axis=0)
         rng.permuted(perms, axis=1, out=perms)  # rng.shuffle row by row
@@ -497,9 +516,9 @@ def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
         for _ in range(count - 1):
             weights.append(weights[-1] / b)
         terms[:count, i, :b] = perms * np.array(weights)[:, None]
-    base, coords = np.array(bases), np.arange(d)
-    digits = np.repeat(np.arange(budget)[:, None], d, axis=1)
-    sample = np.zeros((budget, d))
+    base, coords = np.array(bases), np.arange(n)
+    digits = np.repeat(np.arange(budget)[:, None], n, axis=1)
+    sample = np.zeros((budget, n))
     # base 2 has the most digits; past (budget - 1).bit_length() of them
     # every digit of every point is 0
     used = (budget - 1).bit_length()
@@ -508,8 +527,8 @@ def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
         digits //= base
     for j in range(used, depth[0]):
         sample += terms[j, :, 0]
-    lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
-    return sample * (hi - lo) + lo
+    sample.flags.writeable = False
+    return sample
 
 
 def _cluster_representatives(x, quality, converged, radius) -> list:
@@ -800,7 +819,7 @@ def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
     finite n-vector, an equilibrium at lam (_near_equilibrium), and inside
     the domain within the slack of _in_domain_rows."""
     x0 = finite_vector(x0, sys.n, "x0", "n")
-    f0 = float(np.linalg.norm(np.asarray(sys.f(lam, x0), dtype=float)))
+    f0 = _scaled_norm(sys.f(lam, x0))
     _near_equilibrium(f0, x0, tols, "x0")
     inside, errors = _in_domain_rows(sys, x0[None], tols)
     if not inside[0]:

@@ -21,8 +21,9 @@ import numpy as np
 
 from .audit import _near_equilibrium
 from .errors import (
-    ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError, closed_loop,
-    finite_array, finite_vector, matrix_loop, non_negative_int, positive_float, waypoint_path,
+    ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError, _scaled_norm,
+    closed_loop, finite_array, finite_vector, matrix_loop, non_negative_int, positive_float,
+    waypoint_path,
 )
 from .finder import _correct, _level_set
 from .linalg import eigen_dense
@@ -647,7 +648,7 @@ def eigen_along_fiber_loop(
     for i, (x, f_value) in enumerate(zip(points, f_values)):
         if i in failed:
             raise failed[i]
-        _near_equilibrium(float(np.linalg.norm(f_value)), x, tols, f"loop point {i}")
+        _near_equilibrium(_scaled_norm(f_value), x, tols, f"loop point {i}")
         if not inside[i]:
             raise outside.get(i) or InputError(f"loop point {i} {x.tolist()} is not in the domain")
 

@@ -76,9 +76,9 @@ class Domain:
     def contains(self, x, slack: Optional[float] = None):
         """Whether x is in the box within slack, lo - slack <= x <= hi +
         slack, with g(x) <= slack for every constraint g: a bool for a point
-        (n,), no constraint called once a test fails, or one bool per row
-        for a stack (B, n), each constraint called on the stack.  slack None
-        is _in_domain_rows' domain_slack * (1 + diameter) at the defaults.
+        (n,), or one bool per row for a stack (B, n), no constraint called
+        on a point or row once a test fails.  slack None is
+        _in_domain_rows' domain_slack * (1 + diameter) at the defaults.
         A row with a NaN is not inside.  Raises InputError when x is not an
         array of numbers (text, a mapping, a ragged nesting) or its last
         axis is not of length n; the test reads only x's dtype and shape."""
@@ -99,8 +99,14 @@ class Domain:
         inside = _in_box(x, self.box, slack)
         if x.ndim == 1:
             return bool(inside) and all(g(x) <= slack for g in self.constraints)
+        # a constraint tests only the rows still inside, as it tests a
+        # point: a huge row outside the box could overflow it
         for g in self.constraints:
-            inside &= g(x) <= slack
+            if inside.all():
+                inside &= g(x) <= slack
+            elif inside.any():
+                rows = np.flatnonzero(inside)
+                inside[rows] = g(x[rows]) <= slack
         return inside
 
     def boundary_distance(self, x) -> float:

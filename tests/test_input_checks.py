@@ -446,6 +446,43 @@ def test_a_loop_past_the_float_range_closes_on_an_equal_last_point():
                        "matrices", 1e-12)
 
 
+@settings(settings.get_profile("derandomized"), max_examples=200)
+@given(
+    v=st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6),
+    exponent=st.integers(-1100, 1024),
+)
+def test_the_scaled_norm_is_numpys_norm_until_it_would_overflow(v, exponent):
+    v = np.ldexp(np.array(v), exponent)
+    norm = errors._scaled_norm(v)
+    if np.abs(v).max() <= errors._NORM_SAFE:
+        assert np.float64(norm).tobytes() == np.linalg.norm(v).tobytes()
+    else:
+        assert norm == pytest.approx(math.hypot(*v.tolist()), rel=4e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: trace_fiber(builtin("planar"), [0.5], [0.5 * (1e200 - 1), 1e100]),
+                 r"^x0 \[5e\+199, 1e\+100\] is not in the domain$", id="trace-x0-outside"),
+    pytest.param(lambda: trace_fiber(builtin("planar"), [0.5], [1e200, 0.0]),
+                 r"^x0 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$", id="trace-f"),
+    pytest.param(lambda: lift_curve(builtin("planar"), [[0.5], [0.6]], [1e200, 0.0]),
+                 r"^x0 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$", id="lift-f"),
+    pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
+                                                [[-0.375, 0.5], [1e200, 0.0], [-0.375, 0.5]]),
+                 r"^loop point 1 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$",
+                 id="eigen-loop-f"),
+    pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
+                                                [[-0.375, 0.5], [5e199, 1e100], [-0.375, 0.5]]),
+                 r"^loop point 1 \[5e\+199, 1e\+100\] is not in the domain$",
+                 id="eigen-loop-outside"),
+])
+def test_a_huge_finite_point_is_refused_without_an_overflow(call, message):
+    # ||x||, ||f|| and the planar disk constraint would overflow here; pytest
+    # turns numpy's overflow warning into an error
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 # a lambda outside the parameter box, for each command that takes one:
 # (base, overrides, message).  The library entry points do not test it.
 OUTSIDE_BOX = "outside parameter box$"

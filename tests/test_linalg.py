@@ -209,6 +209,40 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
         assert deficient[row].report == lone.value.report
 
 
+@pytest.mark.parametrize("rank_tol", [None, 1e-3])
+def test_a_small_stack_tests_finiteness_as_each_row_alone(rank_tol):
+    # a stack of the Python form (count * (q + 2) <= _PYTHON_ROWS) tests
+    # its entries as Python floats, with the errors of a lone solve.  Each
+    # case plants its entries in a finite stack: an inf in b alone, a NaN
+    # in A after finite entries, both in one row (A is named), a row
+    # already failed (skipped), and none
+    cases = [
+        ([], [(2, 0, np.inf)], {}, {2: "b"}),
+        ([(1, 2, 1, np.nan)], [], {}, {1: "A"}),
+        ([(3, 0, 1, -np.inf)], [(3, 1, np.nan)], {}, {3: "A"}),
+        ([(4, 1, 1, np.nan)], [], {4: "skipped"}, {}),
+        ([], [], {}, {}),
+    ]
+    for in_A, in_b, errors, expected in cases:
+        rng = np.random.default_rng(5)
+        A, b = rng.standard_normal((6, 3, 2)), rng.standard_normal((6, 3))
+        assert len(A) * (A.shape[2] + 2) <= linalg._PYTHON_ROWS
+        for row, i, j, value in in_A:
+            A[row, i, j] = value
+        for row, i, value in in_b:
+            b[row, i] = value
+        skipped = set(errors)
+        x, deficient = _solve_rows(A, b, rank_tol, errors)
+        assert deficient == {}
+        assert {row: str(err) for row, err in errors.items() if row not in skipped} == {
+            row: f"{name} must be an array of finite numbers" for row, name in expected.items()
+        }
+        failed = set(expected) | skipped
+        assert np.isnan(x[sorted(failed)]).all()
+        for row in set(range(len(A))) - failed:
+            assert x[row].tobytes() == solve_least_squares(A[row], b[row], rank_tol).tobytes()
+
+
 @settings(settings.get_profile("derandomized"), max_examples=40)
 @given(
     q=st.sampled_from([1, 2, 3, 5, 7, 8, 10, 20]),

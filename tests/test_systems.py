@@ -456,6 +456,26 @@ def test_contains_and_in_domain_rows_agree_on_non_finite_rows(name, batched):
     assert inside.tolist() == [True] + [False] * (len(rows) - 1)
 
 
+def test_a_stack_tests_each_constraint_on_the_rows_still_inside():
+    # as on a point, no constraint sees a row once a test has failed: the
+    # huge row outside the box would overflow the disk constraint
+    seen = []
+
+    def disk(x):
+        seen.append(x.tolist())
+        return x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0
+
+    domain = Domain(box=[[-1.0, 1.0], [-1.0, 1.0]], constraints=(disk, disk))
+    rows = np.array([[0.2, 0.3], [5e199, 1e100], [0.9, 0.9], [0.1, -0.2]])
+    assert domain.contains(rows, 0.0).tolist() == [True, False, False, True]
+    assert seen == [rows[[0, 2, 3]].tolist(), rows[[0, 3]].tolist()]
+    assert [domain.contains(row, 0.0) for row in rows] == [True, False, False, True]
+    seen.clear()
+    assert domain.contains(rows[[0, 3]], 0.0).tolist() == [True, True]
+    assert domain.contains(rows[[1]], 0.0).tolist() == [False]
+    assert seen == [rows[[0, 3]].tolist()] * 2
+
+
 def _declared_ring(n: int) -> SystemSpec:
     """rfmr(n) written as expressions."""
     return build_system_from_config({
