@@ -287,22 +287,15 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     and bits depend neither on the other rows nor on the stack's size.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
-    gets solve_least_squares' InputError in errors; the test is isfinite,
-    entry by entry (in Python floats for a stack of the Python form), so
-    finite entries near the float limit pass it without a warning.
-    Returns (x, deficient):
+    gets solve_least_squares' InputError in errors; the test is np.isfinite,
+    entry by entry, so finite entries near the float limit pass it without
+    a warning.  Returns (x, deficient):
     x (B, q), NaN where a row was not solved, and deficient {row:
     DegeneracyError} for the rows whose A is column rank deficient.
     """
     count, shape = len(A), A.shape[1:]
     rows = None                 # every row, until one is left out
-    if count * (shape[1] + 2) <= _PYTHON_ROWS:
-        # a stack of the Python form is small enough that testing its
-        # entries as Python floats costs less than numpy's calls
-        finite = all(map(math.isfinite, A.ravel().tolist() + b.ravel().tolist()))
-    else:
-        finite = np.isfinite(A).all() and np.isfinite(b).all()
-    if errors or not finite:
+    if errors or not (np.isfinite(A).all() and np.isfinite(b).all()):
         bad_A = ~np.isfinite(A).all(axis=(1, 2))
         bad_b = ~np.isfinite(b).all(axis=1)
         for row in range(count):

@@ -102,11 +102,8 @@ class Domain:
         # a constraint tests only the rows still inside, as it tests a
         # point: a huge row outside the box could overflow it
         for g in self.constraints:
-            if inside.all():
-                inside &= g(x) <= slack
-            elif inside.any():
-                rows = np.flatnonzero(inside)
-                inside[rows] = g(x[rows]) <= slack
+            if inside.any():
+                inside[inside] = g(x[inside]) <= slack
         return inside
 
     def boundary_distance(self, x) -> float:

@@ -211,11 +211,11 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
 
 @pytest.mark.parametrize("rank_tol", [None, 1e-3])
 def test_a_small_stack_tests_finiteness_as_each_row_alone(rank_tol):
-    # a stack of the Python form (count * (q + 2) <= _PYTHON_ROWS) tests
-    # its entries as Python floats, with the errors of a lone solve.  Each
-    # case plants its entries in a finite stack: an inf in b alone, a NaN
-    # in A after finite entries, both in one row (A is named), a row
-    # already failed (skipped), and none
+    # a stack of the Python form (count * (q + 2) <= _PYTHON_ROWS) fails
+    # its non-finite rows with the errors of a lone solve.  Each case
+    # plants its entries in a finite stack: an inf in b alone, a NaN in A
+    # after finite entries, both in one row (A is named), a row already
+    # failed (skipped), and none
     cases = [
         ([], [(2, 0, np.inf)], {}, {2: "b"}),
         ([(1, 2, 1, np.nan)], [], {}, {1: "A"}),

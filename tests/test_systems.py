@@ -474,6 +474,10 @@ def test_a_stack_tests_each_constraint_on_the_rows_still_inside():
     assert domain.contains(rows[[0, 3]], 0.0).tolist() == [True, True]
     assert domain.contains(rows[[1]], 0.0).tolist() == [False]
     assert seen == [rows[[0, 3]].tolist()] * 2
+    # a stack with two leading axes tests the same rows in the same order
+    seen.clear()
+    assert domain.contains(rows.reshape(2, 2, 2), 0.0).tolist() == [[True, False], [False, True]]
+    assert seen == [rows[[0, 2, 3]].tolist(), rows[[0, 3]].tolist()]
 
 
 def _declared_ring(n: int) -> SystemSpec:
