@@ -122,7 +122,7 @@ def _is_equilibrium(ev: Evaluation, tols: Tolerances) -> tuple:
         raise EvaluationError(
             "||f|| is not finite", where=(ev.point.lam.tolist(), ev.point.x.tolist())
         )
-    scale = 1.0 + float(np.linalg.norm(ev.point.x))
+    scale = 1.0 + _scaled_norm(ev.point.x)
     return residual <= tols.equilibrium * scale, residual
 
 

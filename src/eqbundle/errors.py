@@ -125,10 +125,10 @@ def _as_int(value, what: str) -> int:
 
 # upper bounds of the size fields, far above what a run needs, so that no
 # size reaches numpy's array size limit: a dimension (n, m or k), and a
-# count of starts, fiber points or identity samples.  At n = 100 the digit
-# table that builds the multistart's Halton sample (finder._unit_starts) is
-# 23 MB while it is built; the sample kept after it is budget * n floats,
-# which stack_count caps at about 4.8 MB (n = 6 with 10^5 starts).
+# count of starts, fiber points or identity samples.  The multistart's
+# unit sample (finder._unit_starts) is budget * n floats, built with no
+# larger table, which stack_count caps at about 4.8 MB (n = 6 with 10^5
+# starts).
 DIMENSION_LIMIT, COUNT_LIMIT = 100, 10**5
 # the most entries of a stack of n x n matrices, one per start of a
 # multistart (its Jacobians) or per identity sample: 2^22 float64
@@ -225,13 +225,19 @@ def finite_vector(value, length: int, what: str, dim_name: str) -> np.ndarray:
 
 def box(value, rows, what: str) -> np.ndarray:
     """value as a finite_array of shape (rows, 2), any row count when rows
-    is None, with lo <= hi in each row [lo, hi]."""
+    is None, with lo <= hi in each row [lo, hi] and a diameter, the norm of
+    the widths hi - lo, within the float range."""
     out = finite_array(value, what)
     if out.ndim != 2 or out.shape[1] != 2 or rows not in (None, out.shape[0]):
         expected = "(rows, 2)" if rows is None else f"({rows}, 2)"
         raise InputError(f"{what} must have shape {expected}, got {out.shape}")
     if np.any(out[:, 0] > out[:, 1]):
         raise InputError(f"{what} has lo > hi")
+    # a width past the float range reads inf, and so does the diameter
+    with np.errstate(over="ignore"):
+        width = out[:, 1] - out[:, 0]
+    if _scaled_norm(width) == math.inf:
+        raise InputError(f"{what} has a diameter past the float range")
     return out
 
 

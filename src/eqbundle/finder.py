@@ -22,7 +22,6 @@ _step_rule, retries, accepts or grows the tracer's and the lift's steps.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -459,25 +458,22 @@ def newton_on_level_set(
     return _equilibrium_point(sys, lam, lanes.solution(0), lanes.residual_f[0], tols)
 
 
-def _first_primes(count: int) -> list:
-    primes: list = []
-    candidate = 2
-    while len(primes) < count:
-        for p in primes:
-            if candidate % p == 0:
-                break
-        else:
-            primes.append(candidate)
-        candidate += 1
-    return primes
+def _golden(n: int) -> float:
+    """The positive root g of g^(n+1) = g + 1, the golden ratio at n = 1:
+    64 steps of the contraction g <- (1 + g)^(1/(n+1)) from 2, in Python
+    floats."""
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (n + 1))
+    return g
 
 
 def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
-    """The multistart sample: budget scrambled Halton points in the domain
-    box, a new writable array.  The unit sample _unit_starts(n, budget,
-    seed) is built once per key and kept for the last 8 keys (at most
-    about 38 MB), and each call scales it by u * (hi - lo) + lo.  A box of
-    zero width in a coordinate puts every start on its edge.
+    """The multistart sample: budget quasirandom points in the domain box,
+    a new writable array.  The unit sample _unit_starts(n, budget, seed)
+    is built once per key and kept for the last 8 keys (at most about
+    38 MB), and each call scales it by u * (hi - lo) + lo.  A box of zero
+    width in a coordinate puts every start on its edge.
     """
     lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
     return _unit_starts(sys.n, budget, seed) * (hi - lo) + lo
@@ -485,16 +481,16 @@ def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
-    """The multistart's unit sample, read-only: budget scrambled Halton
-    points in [0, 1)^n.
+    """The multistart's unit sample, read-only: the first budget points of
+    a randomly shifted Kronecker sequence in [0, 1)^n.
 
-    Owen's random digit scrambling (arXiv:1706.02808), laid out so that
-    the sample is bitwise the reference Halton sampler's (pinned by
-    tests/test_oracles.py): coordinate i uses the i-th prime base b and
-    ceil(54 / log2(b)) - 1 digit permutations of range(b), shuffled in turn
-    by one default_rng(seed).  Point t sums perm_j(digit j of t) *
-    b^-(j+1) in increasing j, one term at a time, as a pairwise sum would
-    round differently.
+    Point t is frac(s + t * alpha), with alpha_i = g^-(i+1) for g =
+    _golden(n) (the R_n sequence of Roberts, "The Unreasonable
+    Effectiveness of Quasirandom Sequences", 2018) and the shift s drawn by
+    default_rng(seed).  A longer sample starts with the shorter one.  g
+    takes libm's scalar pow and the rest only IEEE basic operations, not
+    numpy's vectorized power or exp, whose SIMD code may round otherwise,
+    so every machine builds the same bits.
 
     The sample depends on (n, budget, seed) alone, and a find or holonomy
     over a family of systems repeats that key with only lambda or the
@@ -503,30 +499,13 @@ def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
     4.8 MB (n = 6 with 10^5 starts), so the cache holds at most about
     38 MB.
     """
-    bases = _first_primes(n)
-    rng = np.random.default_rng(seed)
-    depth = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
-    # terms[j, i, r] = perm_j(r) * b^-(j+1) for base b = bases[i], and 0
-    # past that base's depth, which leaves a sum unchanged
-    terms = np.zeros((depth[0], n, bases[-1]))
-    for i, (b, count) in enumerate(zip(bases, depth)):
-        perms = np.repeat(np.arange(b)[None], count, axis=0)
-        rng.permuted(perms, axis=1, out=perms)  # rng.shuffle row by row
-        weights = [1.0 / b]
-        for _ in range(count - 1):
-            weights.append(weights[-1] / b)
-        terms[:count, i, :b] = perms * np.array(weights)[:, None]
-    base, coords = np.array(bases), np.arange(n)
-    digits = np.repeat(np.arange(budget)[:, None], n, axis=1)
-    sample = np.zeros((budget, n))
-    # base 2 has the most digits; past (budget - 1).bit_length() of them
-    # every digit of every point is 0
-    used = (budget - 1).bit_length()
-    for j in range(used):
-        sample += terms[j, coords, digits % base]
-        digits //= base
-    for j in range(used, depth[0]):
-        sample += terms[j, :, 0]
+    g = _golden(n)
+    alpha = [1.0 / g]
+    for _ in range(n - 1):
+        alpha.append(alpha[-1] / g)
+    shift = np.random.default_rng(seed).random(n)
+    v = shift + np.arange(budget)[:, None] * np.array(alpha)
+    sample = v - np.floor(v)
     sample.flags.writeable = False
     return sample
 
@@ -561,7 +540,8 @@ def enumerate_level_points(
     seed: int = DEFAULT_SEED,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> list:
-    """Multistart Newton from a scrambled Halton sequence.
+    """Multistart Newton from level_starts' quasirandom sample of the
+    domain box.
 
     All budget starts run as lanes of one newton_lanes call; budget is
     bounded by errors.stack_count, as it stacks budget Jacobians.  Converged

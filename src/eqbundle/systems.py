@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DIMENSION_LIMIT, EqBundleError, EvaluationError, InputError, box,
+    DIMENSION_LIMIT, EqBundleError, EvaluationError, InputError, _scaled_norm, box,
     finite_vector, known_keys, non_negative_int, positive_int, stack_count,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -42,7 +42,7 @@ _NO_LAMBDA = np.zeros(0)                              # lam of the h callables
 
 
 def _diameter(box: np.ndarray) -> float:
-    return float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    return _scaled_norm(box[:, 1] - box[:, 0])
 
 
 def _slack(box: np.ndarray, tols: Tolerances) -> float:

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +273,54 @@ def test_a_written_start_leaves_the_cached_sample_alone(planar):
     finder._unit_starts.cache_clear()
     assert level_starts(planar, 32, 0).tobytes() == bits
     assert finder._unit_starts.cache_info().misses == 1
+
+
+@settings(settings.get_profile("derandomized"), max_examples=60)
+@given(n=st.integers(1, 30), budget=st.integers(1, 600), seed=st.integers(0, 2**63 - 1))
+def test_each_coordinate_of_the_unit_sample_has_at_most_three_gaps(n, budget, seed):
+    # the three-gap theorem: the points frac(s + t alpha), t < budget, cut
+    # the circle [0, 1) into arcs of at most 3 distinct lengths
+    sample = finder._unit_starts(n, budget, seed)
+    assert sample.shape == (budget, n)
+    assert np.all((sample >= 0.0) & (sample < 1.0))
+    for column in np.sort(sample, axis=0).T:
+        gaps = np.sort(np.diff(column, append=column[0] + 1.0))
+        assert np.count_nonzero(np.diff(gaps) > 1e-12) <= 2
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (3, 5), (20, 11)])
+def test_a_longer_unit_sample_starts_with_the_shorter_one(n, seed):
+    longer = finder._unit_starts(n, 600, seed)
+    for budget in (1, 2, 31, 200):
+        assert longer[:budget].tobytes() == finder._unit_starts(n, budget, seed).tobytes()
+
+
+def test_the_sequence_root_is_within_one_ulp():
+    # g^(n+1) - g - 1 changes sign, in exact arithmetic, between the floats
+    # next to g
+    assert finder._golden(1) == (1.0 + math.sqrt(5.0)) / 2.0
+    for n in range(1, 101):
+        g = finder._golden(n)
+        below, above = (Fraction(math.nextafter(g, to)) for to in (0.0, 2.0))
+        assert below ** (n + 1) - below - 1 < 0 < above ** (n + 1) - above - 1
+
+
+def test_two_seeds_shift_every_coordinate():
+    first, second = finder._unit_starts(6, 40, 0), finder._unit_starts(6, 40, 1)
+    assert np.all(first[0] != second[0])
+    # the shift moves each coordinate by one constant on the circle
+    moved = np.abs(np.mod(second - first, 1.0) - np.mod(second[0] - first[0], 1.0))
+    assert np.all(np.minimum(moved, 1.0 - moved) < 1e-12)
+
+
+def test_the_unit_sample_has_the_same_bytes_everywhere():
+    sample = finder._unit_starts(3, 200, 0)
+    assert [value.hex() for value in sample[1]] == [
+        "0x1.d314d80aad558p-2", "0x1.e1b48302fcd2fp-1", "0x1.2e6cd2a0fc16ep-1",
+    ]
+    assert hashlib.sha256(sample.tobytes()).hexdigest() == (
+        "f2977d5a3ad48334562ed1810924d02422090b47ef46315fdad616607794d500"
+    )
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from eqbundle import (
     check_first_integral_identity, config, connection_frame, eigen_dense, errors, kernel_basis,
     monodromy, numeric_rank, parse, solve_least_squares, vertical_projector,
 )
+from eqbundle.audit import audit_point
 from eqbundle.cli import main
 from eqbundle.config import config_from_dict
 from eqbundle.errors import InputError
@@ -290,6 +291,13 @@ LIBRARY_CASES = [
     ("parameter-box-nan", lambda: _spec(parameter_box=[[0.0, NAN]]), f"^parameter_box {FINITE}"),
     ("parameter-box-reversed", lambda: _spec(parameter_box=[[1.0, 0.0]]),
      "^parameter_box has lo > hi"),
+    # a width, or the norm of the widths, past the float range
+    ("domain-width-overflow", lambda: Domain(box=[[-1e308, 1e308], [0.0, 1.0]]),
+     "^domain_box has a diameter past the float range$"),
+    ("domain-diameter-overflow", lambda: Domain(box=[[0.0, 1.5e308], [0.0, 1.5e308]]),
+     "^domain_box has a diameter past the float range$"),
+    ("parameter-box-width-overflow", lambda: _spec(parameter_box=[[-1e308, 1e308]]),
+     "^parameter_box has a diameter past the float range$"),
     # dimensions: positive integers, not bools
     ("parse-text-n", lambda: parse("x1", "a", 1), f"^n {INTEGER}"),
     ("parse-bool-n", lambda: parse("x1", True, 1), f"^n {INTEGER}"),
@@ -481,6 +489,22 @@ def test_a_huge_finite_point_is_refused_without_an_overflow(call, message):
     # turns numpy's overflow warning into an error
     with pytest.raises(InputError, match=message):
         call()
+
+
+def test_a_box_near_the_float_range_has_its_diameter_without_an_overflow():
+    # ||hi - lo|| would overflow unscaled; pytest turns numpy's overflow
+    # warning into an error
+    assert Domain(box=[[0.0, 1e308], [0.0, 1.0]]).diameter() == 1e308
+    assert Domain(box=[[0.0, 1e308], [0.0, 1e308]]).diameter() == pytest.approx(
+        math.sqrt(2.0) * 1e308, rel=1e-15
+    )
+
+
+def test_an_audit_at_a_huge_finite_point_takes_its_norm_without_an_overflow():
+    # f vanishes there, but ||x|| would overflow unscaled
+    report = audit_point(builtin("planar"), PointState([0.5], [0.5 * (1e200 - 1), 1e100]))
+    assert report.is_equilibrium
+    assert report.residual == 0.0
 
 
 # a lambda outside the parameter box, for each command that takes one:

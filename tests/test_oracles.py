@@ -1,58 +1,23 @@
-"""The in-repo Halton starts and assignment solver against scipy.
+"""The in-repo assignment solver against scipy.
 
-scipy is a test dependency only: scipy.stats.qmc and
-scipy.optimize.linear_sum_assignment are the reference implementations
-that finder.level_starts and monodromy.assignment reproduce bit for bit,
-so that find and eigenvalue tracking give the same envelopes whatever
-scipy version is installed, or none.
+scipy is a test dependency only: scipy.optimize.linear_sum_assignment is
+the reference implementation that monodromy.assignment reproduces bit for
+bit, ties included, so that eigenvalue tracking gives the same envelopes
+whatever scipy version is installed, or none.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
-# the oracles pin scipy 1.17's Halton layout bit for bit; an older scipy
-# (the newest one that installs on Python 3.10) is no reference
+# the oracle pins how scipy 1.17's solver breaks ties; an older scipy (the
+# newest one that installs on Python 3.10) is no reference
 pytest.importorskip("scipy", minversion="1.17")
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import qmc
 
-from eqbundle.finder import level_starts
 from eqbundle.monodromy import assignment
-
-
-def _box_system(box):
-    # level_starts reads only n and the domain box
-    return SimpleNamespace(n=box.shape[0], domain=SimpleNamespace(box=box))
-
-
-@st.composite
-def boxes(draw):
-    d = draw(st.integers(1, 30))
-    lo = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
-    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
-    return np.column_stack([lo, lo + width])
-
-
-@settings(settings.get_profile("derandomized"), max_examples=150)
-@given(
-    box=boxes(),
-    budget=st.one_of(st.integers(1, 40), st.integers(1, 600)),
-    seed=st.integers(0, 2**63 - 1),
-)
-def test_level_starts_equal_scrambled_halton(box, budget, seed):
-    reference = qmc.scale(
-        qmc.Halton(d=box.shape[0], scramble=True, seed=seed).random(budget),
-        box[:, 0],
-        box[:, 1],
-    )
-    starts = level_starts(_box_system(box), budget, seed)
-    assert starts.shape == reference.shape
-    assert np.array_equal(starts, reference)
 
 
 def _conjugate_track_costs(draw, p):
