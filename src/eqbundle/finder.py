@@ -12,16 +12,19 @@ whose ||F|| stays far above its target and falls by less than 1 % in 5
 iterations ends early as "no progress", so an empty level costs a few
 iterations per start, not the iteration cap.  Fibers (k = 1 only) are
 traced by predictor-corrector continuation along the kernel of df/dx,
-in one loop that also bisects the step that leaves the domain.  The
-undamped, local _correct makes every local projection: the tracer's
-steps, the lift's starts and steps, and the eigen-loop's midpoints; it
-marks each failed lane for retry or gives its fatal error.  One rule,
-_step_rule, retries, accepts or grows the tracer's and the lift's steps.
+in one loop that also finds where the step that leaves the domain
+crosses its boundary, by a secant on the domain's margin guarded by
+bisection.  The undamped, local _correct makes every local projection:
+the tracer's steps, the lift's starts and steps, and the eigen-loop's
+midpoints; it marks each failed lane for retry or gives its fatal error.
+One rule, _step_rule, retries, accepts or grows the tracer's and the
+lift's steps.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,7 +52,7 @@ from .errors import (
     unit_sign,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank
-from .systems import PointState, SystemSpec, _in_box, _in_domain_rows, evaluate
+from .systems import PointState, SystemSpec, _in_box, _in_domain_rows, _slack, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -576,7 +579,7 @@ def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> li
 
 
 # Iteration cap of _correct.  _step_rule retries a step after more than
-# 3 iterations; the cap lets the fiber's boundary bisection take a few more.
+# 3 iterations; the cap lets the fiber's boundary search take a few more.
 _CORRECTOR_ITERATIONS = 8
 
 
@@ -717,18 +720,31 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     returned to x_start (circle).  Each round corrects one prediction x +
     along * tangent from the last accepted point x, one lane of _correct,
     and raises the lane's fatal error.  along is the step, which _step_rule
-    halves or accepts; once a step has left the domain, it is the midpoint
-    of the bracket that bisects that step, where a correction marked for
-    retry counts as outside, down to boundary_refine * max(1, step)."""
-    contains = sys.domain.contains
+    halves or accepts, until a step leaves the domain.  Then along probes
+    the bracket (lo, hi) on that step, with x at lo, until hi - lo <=
+    resolution = boundary_refine * max(1, step), and the last corrected
+    point inside ends the direction: a probe whose corrected point is
+    inside moves lo, and one outside, or whose correction is marked for
+    retry, moves hi.  A probe is the Illinois (regula falsi) root of the
+    signed margins (Domain.margin) of the points at lo and hi, moved 0.5 *
+    resolution toward the end that the last probe did not move and kept
+    at least that far inside the bracket.  It is the midpoint instead when
+    the margins do not bracket a root (hi's correction was retried, or x
+    is inside only within the start's slack) or when, after k probes, the
+    bracket is wider than 2**((1 - k) / 2) * step: it has not halved once
+    per two probes.  So a direction's search makes at most about 2 *
+    log2(step / resolution) + 3 corrections, whatever the margin."""
+    margin_of = sys.domain.margin
     fiber_slice = _slice(sys, lam)
     points = [x_start.copy()]
     f_norms = [f_start]
     x = x_start
     tangent = first_tangent = t_start
     step = step0
-    # the bisection's bracket, resolution and last inside point with its
-    # ||f||, once a step has left the domain
+    # once a step has left the domain: the bracket [lo, hi] and the margins
+    # at its ends, the end that the last probe moved (0 lo, 1 hi; the step
+    # that left moved hi), the width above which the next probe bisects,
+    # the resolution, and the last inside point with its ||f||
     bracket = boundary = None
     while len(points) < max_points:
         if bracket is None:
@@ -739,12 +755,20 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             along = step
         else:
             lo, hi = bracket
-            if hi - lo <= resolution:
+            width = hi - lo
+            if width <= resolution:
                 if boundary is not None:
                     points.append(boundary[0])
                     f_norms.append(boundary[1])
                 return points, f_norms, False
-            along = 0.5 * (lo + hi)
+            m_lo, m_hi = margins
+            if m_lo >= 0.0 > m_hi and width <= limit:
+                shift = 0.5 * resolution if moved == 0 else -0.5 * resolution
+                along = lo + width * m_lo / (m_lo - m_hi) + shift
+                along = min(max(along, lo + 0.5 * resolution), hi - 0.5 * resolution)
+            else:
+                along = 0.5 * (lo + hi)
+            limit /= math.sqrt(2.0)
         x_pred = (x + along * tangent)[None]
         y, iterations, resid, retry, fatal = _correct(
             *fiber_slice, x_pred, tols, x_pred, tangent[None]
@@ -752,10 +776,12 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
         if fatal:
             raise fatal[0]
         if bracket is not None:
-            if retry[0] or not contains(y[0], slack=0.0):
-                bracket = lo, along
-            else:
-                bracket = along, hi
+            margin = math.nan if retry[0] else margin_of(y[0])
+            end = 0 if margin >= 0.0 else 1
+            if end == moved:        # Illinois: halve the margin of the end kept
+                margins[1 - end] *= 0.5
+            bracket[end], margins[end], moved = along, margin, end
+            if end == 0:
                 boundary = y[0], float(np.linalg.norm(resid[0, : sys.n]))
             continue
         retry, grow = _step_rule(retry, iterations, _lane_norm(y - x), step)
@@ -763,8 +789,10 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             step *= 0.5
             continue
         y = y[0]
-        if not contains(y, slack=0.0):
-            bracket = 0.0, step
+        margin = margin_of(y)
+        if not margin >= 0.0:
+            bracket, margins, moved = [0.0, step], [margin_of(x), margin], 1
+            limit = math.sqrt(2.0) * step
             resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
             continue
 
@@ -796,15 +824,19 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
 
 def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
     """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift: x0 a
-    finite n-vector, an equilibrium at lam (_near_equilibrium), and inside
-    the domain within the slack of _in_domain_rows."""
+    finite n-vector in the domain's box, an equilibrium at lam
+    (_near_equilibrium), and inside the domain, each within the slack of
+    _in_domain_rows.  The box is tested before f, which may overflow
+    outside it."""
     x0 = finite_vector(x0, sys.n, "x0", "n")
-    f0 = _scaled_norm(sys.f(lam, x0))
-    _near_equilibrium(f0, x0, tols, "x0")
-    inside, errors = _in_domain_rows(sys, x0[None], tols)
-    if not inside[0]:
-        raise errors.get(0) or InputError(f"x0 {x0.tolist()} is not in the domain")
-    return x0, f0
+    errors: dict = {}
+    if _in_box(x0, sys.domain.box, _slack(sys.domain.box, tols)):
+        f0 = _scaled_norm(sys.f(lam, x0))
+        _near_equilibrium(f0, x0, tols, "x0")
+        inside, errors = _in_domain_rows(sys, x0[None], tols)
+        if inside[0]:
+            return x0, f0
+    raise errors.get(0) or InputError(f"x0 {x0.tolist()} is not in the domain")
 
 
 # trace_fiber's defaults: the min, initial and max steps as fractions of the

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .finder import _correct, _level_set
 from .linalg import eigen_dense
-from .systems import SystemSpec, _evaluate_rows, _in_domain_rows
+from .systems import SystemSpec, _evaluate_rows, _in_box, _in_domain_rows, _slack
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -640,16 +640,22 @@ def eigen_along_fiber_loop(
     closed_loop(points, "loop points")
     max_refine = non_negative_int(max_refine, "max_refine")
 
+    # each point in turn, as a continuation start: in the box, evaluated,
+    # an equilibrium, then in the domain; f may overflow outside the box, so
+    # only the points before the first one outside it are evaluated
+    boxed = _in_box(points, sys.domain.box, _slack(sys.domain.box, tols))
+    count = len(points) if boxed.all() else int(np.argmin(boxed))
     failed: dict = {}
-    f_values, h_values, matrices = _evaluate_rows(sys, lam, points, ("f", "h", "jac_x"), failed)
-    inside, outside = _in_domain_rows(sys, points, tols)
-    # each point in turn, as a continuation start: evaluated, an
-    # equilibrium, then in the domain
-    for i, (x, f_value) in enumerate(zip(points, f_values)):
-        if i in failed:
-            raise failed[i]
-        _near_equilibrium(_scaled_norm(f_value), x, tols, f"loop point {i}")
-        if not inside[i]:
+    f_values, h_values, matrices = _evaluate_rows(
+        sys, lam, points[:count], ("f", "h", "jac_x"), failed
+    )
+    inside, outside = _in_domain_rows(sys, points[:count], tols)
+    for i, x in enumerate(points):
+        if i < count:
+            if i in failed:
+                raise failed[i]
+            _near_equilibrium(_scaled_norm(f_values[i]), x, tols, f"loop point {i}")
+        if i == count or not inside[i]:
             raise outside.get(i) or InputError(f"loop point {i} {x.tolist()} is not in the domain")
 
     def refine(lefts, rights):

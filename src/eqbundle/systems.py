@@ -106,6 +106,18 @@ class Domain:
                 inside[inside] = g(x[inside]) <= slack
         return inside
 
+    def margin(self, x: np.ndarray) -> float:
+        """The signed margin of a point x (n,) of floats, min(x - lo, hi -
+        x, -g(x)) over its coordinates and constraints: margin(x) >= 0
+        exactly when contains(x, slack=0.0), and NaN when x has a NaN.  As
+        in contains, no constraint is called on a point outside the box,
+        which could overflow it: there the margin is the box's alone."""
+        margin = np.min(np.minimum(x - self.box[:, 0], self.box[:, 1] - x))
+        if margin >= 0.0:
+            for g in self.constraints:
+                margin = np.minimum(margin, -g(x))
+        return float(margin)
+
     def boundary_distance(self, x) -> float:
         """Distance to the nearest box face or constraint surface.
 

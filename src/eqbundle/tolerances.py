@@ -29,7 +29,8 @@ class Tolerances:
     rank: float | None = None
     # dedup radius for multistart results, scaled by domain diameter
     cluster: float = 1e-6
-    # fiber endpoint refinement: bisect the step parameter down to this
+    # fiber endpoint refinement: the boundary search's secant ends once its
+    # bracket on the step parameter is this narrow, times max(1, step)
     boundary_refine: float = 1e-10
     # domain membership slack, scaled by 1 + domain diameter, for every
     # point a command takes or makes (systems._in_domain_rows)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -326,8 +327,8 @@ def test_the_unit_sample_has_the_same_bytes_everywhere():
 @pytest.mark.parametrize(
     "name, params, lam, x0, calls, count",
     [
-        ("planar", {}, [0.5], [-0.5, 0.0], 305, 43),
-        ("rfmr", {"n": 3}, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 85, 25),
+        ("planar", {}, [0.5], [-0.5, 0.0], 155, 43),
+        ("rfmr", {"n": 3}, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 30, 25),
     ],
 )
 def test_trace_reads_residuals_from_the_corrector(name, params, lam, x0, calls, count):
@@ -389,7 +390,7 @@ def test_cluster_representatives_match_the_sorted_loop(data):
 def test_trace_retries_a_step_that_needs_more_than_3_iterations(monkeypatch, rfmr3):
     # with steps of 0.3 d one correction on this fiber of level 1.5 takes 4
     # iterations; that step is retried at half length, as in the lift, so
-    # no kept step took more than 3 (the boundary bisection may)
+    # no kept step took more than 3 (the boundary search may)
     made = {}
     correct = finder._correct
 
@@ -456,10 +457,10 @@ def test_an_evaluation_error_ends_the_trace(error):
     assert len(raised) == 1
 
 
-# The tracer as it was before its steps and its boundary bisection shared
-# one loop: a stepping loop, a bisection loop and a one-lane corrector
-# wrapper, here on _correct's (retry, fatal) contract.  trace_fiber must
-# give what it gives, bit for bit.
+# The tracer as it was before its steps and its boundary search shared
+# one loop: a stepping loop, a boundary search loop and a one-lane
+# corrector wrapper, here on _correct's (retry, fatal) contract.
+# trace_fiber must give what it gives, bit for bit.
 
 
 def reference_correct_slice(fiber_slice, x_pred, tangent, tols):
@@ -497,7 +498,7 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
             step *= 0.5
 
         if not contains(y, slack=0.0):
-            boundary = reference_refine_boundary(sys, fiber_slice, x, tangent, step, tols)
+            boundary = reference_refine_boundary(sys, fiber_slice, x, y, tangent, step, tols)
             if boundary is not None:
                 points.append(boundary[0])
                 f_norms.append(boundary[1])
@@ -529,21 +530,39 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
     )
 
 
-def reference_refine_boundary(sys, fiber_slice, x_inside, tangent, step, tols):
-    contains = sys.domain.contains
+def reference_refine_boundary(sys, fiber_slice, x_inside, y_outside, tangent, step, tols):
+    """The boundary search from x_inside at 0 and y_outside at step: the
+    last corrected point inside with its ||f||, or None."""
+    margin = sys.domain.margin
     lo, hi = 0.0, step
+    m_lo, m_hi = margin(x_inside), margin(y_outside)
+    last = "hi"             # the end the last probe moved
+    limit = math.sqrt(2.0) * step
     best = None
     resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
     while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        if m_lo >= 0.0 and m_hi < 0.0 and width <= limit:
+            # Illinois estimate, 0.5 * resolution toward the end kept last
+            along = lo + width * m_lo / (m_lo - m_hi)
+            along += 0.5 * resolution if last == "lo" else -0.5 * resolution
+            along = min(max(along, lo + 0.5 * resolution), hi - 0.5 * resolution)
+        else:
+            along = 0.5 * (lo + hi)
+        limit /= math.sqrt(2.0)
         y, _, resid, failed = reference_correct_slice(
-            fiber_slice, x_inside + mid * tangent, tangent, tols
+            fiber_slice, x_inside + along * tangent, tangent, tols
         )
-        if not failed and contains(y, slack=0.0):
-            lo = mid
+        m = math.nan if failed else margin(y)
+        if m >= 0.0:
+            if last == "lo":
+                m_hi *= 0.5
+            lo, m_lo, last = along, m, "lo"
             best = y, float(np.linalg.norm(resid[: sys.n]))
         else:
-            hi = mid
+            if last == "hi":
+                m_lo *= 0.5
+            hi, m_hi, last = along, m, "hi"
     return best
 
 
@@ -598,9 +617,10 @@ def traced_outcome(march, sys, lam, x0, tols, steps):
 @settings(settings.get_profile("derandomized"), max_examples=12)
 @given(data=st.data())
 def test_trace_equals_the_two_loop_tracer(data):
-    # steps of up to 0.6 d make the corrector retry, a bisection to a
-    # resolution of 1e-15 takes about 50 rounds, and a floor of half the
-    # first step or a cap of 6 points ends some traces with their errors
+    # steps of up to 0.6 d make the corrector retry, a boundary search to
+    # a resolution of 1e-15 runs to the float spacing of the step, and a
+    # floor of half the first step or a cap of 6 points ends some traces
+    # with their errors
     name = data.draw(st.sampled_from(sorted(TRACED)), label="system")
     sys = TRACED[name]
     lam, x0 = draw_fiber_start(data, name)
@@ -618,6 +638,78 @@ def test_trace_equals_the_two_loop_tracer(data):
     assert traced_outcome(MARCH, sys, lam, x0, tols, steps) == traced_outcome(
         reference_march, sys, lam, x0, tols, steps
     )
+
+
+def boundary_searches(monkeypatch):
+    """Record each direction's boundary search as it runs: per search the
+    step that left the domain, the resolution and the corrections made."""
+    searches = []
+    correct = finder._correct
+
+    def recorded(*args):
+        march = inspect.currentframe().f_back.f_locals
+        bracket = march.get("bracket")
+        if bracket is not None:
+            if bracket == [0.0, march["step"]]:     # a search's first probe
+                searches.append([march["step"], march["resolution"], 0])
+            searches[-1][2] += 1
+        return correct(*args)
+
+    monkeypatch.setattr(finder, "_correct", recorded)
+    return searches
+
+
+@settings(settings.get_profile("derandomized"), max_examples=30)
+@given(data=st.data())
+def test_segment_ends_are_inside_and_on_the_boundary(data):
+    # each end is inside at slack 0, within 1e-9 of the boundary at the
+    # default tolerances, and its search makes at most twice the
+    # corrections of a bisection to the same resolution
+    name = data.draw(st.sampled_from(sorted(TRACED)), label="system")
+    sys = TRACED[name]
+    lam, x0 = draw_fiber_start(data, name)
+    refine = data.draw(st.sampled_from([1e-10, 1e-3, 0.0]), label="boundary_refine")
+    direction = data.draw(st.sampled_from([1, -1]), label="direction")
+    with pytest.MonkeyPatch.context() as patch:
+        searches = boundary_searches(patch)
+        trace = trace_fiber(
+            sys, lam, x0, Tolerances(boundary_refine=refine), initial_direction=direction
+        )
+    if trace.topology == "circle":
+        assert not searches
+        return
+    assert len(searches) == 2
+    for end in trace.points[[0, -1]]:
+        assert sys.domain.contains(end, slack=0.0)
+        if refine == 1e-10:
+            assert sys.domain.boundary_distance(end) <= 1e-9
+    for step, resolution, corrections in searches:
+        assert corrections <= 2 * math.ceil(math.log2(step / resolution))
+
+
+def test_a_pathological_margin_costs_at_most_twice_a_bisection(monkeypatch, rfmr3):
+    # a margin of the right sign whose outside values are all -1e-300 puts
+    # every secant estimate next to the outside end; the guard's midpoints
+    # still close the bracket at least once per two probes, and the end is
+    # the true margin's within the resolution
+    lam, x0 = [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]
+    plain = trace_fiber(rfmr3, lam, x0)
+    margin = Domain.margin
+
+    def pathological(self, x):
+        value = margin(self, x)
+        return value if value >= 0.0 else -1e-300
+
+    monkeypatch.setattr(Domain, "margin", pathological)
+    searches = boundary_searches(monkeypatch)
+    trace = trace_fiber(rfmr3, lam, x0)
+    assert len(searches) == 2
+    for step, resolution, corrections in searches:
+        # more than a bisection makes, and no more than the guard allows
+        assert math.log2(step / resolution) < corrections
+        assert corrections <= 2 * math.log2(step / resolution) + 3
+    assert len(trace.points) == len(plain.points)
+    assert np.abs(trace.points - plain.points).max() <= 2e-10
 
 
 def test_correct_marks_each_failed_lane_for_retry_or_fatal():
@@ -662,10 +754,10 @@ def test_correct_marks_each_failed_lane_for_retry_or_fatal():
 
 def band_system():
     """f = (x2 - 1/4, 0) on the box [-1, 1]^2: the fiber through (x1, 1/4)
-    is the line x2 = 1/4, and f is NaN on its stretch 0.96 < x1 < 0.99."""
+    is the line x2 = 1/4, and f is NaN on its stretch 0.999 < x1 < 1."""
 
     def f(lam, x):
-        if 0.96 < x[0] < 0.99:
+        if 0.999 < x[0] < 1.0:
             return np.full(2, np.nan)
         return np.array([x[1] - 0.25, 0.0])
 
@@ -678,17 +770,18 @@ def band_system():
     )
 
 
-def test_boundary_bisection_counts_a_failed_correction_as_outside():
-    # steps of 0.3 reach x1 = 1.2 outside; the bisection from 0.9 meets
-    # the NaN stretch at 0.975, whose failed correction counts as outside
-    # although its start is inside, so the trace ends just before 0.96
+def test_boundary_search_counts_a_failed_correction_as_outside():
+    # steps of 0.3 reach x1 = 1.2 outside; from 0.9 the margins 0.1 and
+    # -0.2 put the first probe just short of x1 = 1, in the NaN stretch,
+    # whose failed correction counts as outside although its start is
+    # inside; the search then bisects, so the trace ends just before 0.999
     sys = band_system()
     steps = {"initial_step": 0.3, "max_step": 0.3}
     trace = trace_fiber(sys, [0.5], [0.0, 0.25], **steps)
     assert trace.topology == "segment"
     low, high = sorted(trace.points[[0, -1], 0])
     assert low == pytest.approx(-1.0, abs=1e-9)
-    assert 0.96 - 1e-9 < high <= 0.96
+    assert 0.999 - 1e-9 < high <= 0.999
     assert trace.max_f_residual == 0.0
     outcome = traced_outcome(MARCH, sys, [0.5], [0.0, 0.25], Tolerances(), steps)
     assert outcome == traced_outcome(reference_march, sys, [0.5], [0.0, 0.25], Tolerances(), steps)

@@ -8,6 +8,7 @@ path, and the CLI must exit 1 with an `error:` line and an error envelope.
 A second table holds the library arguments that no config field reaches.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -468,17 +469,37 @@ def test_the_scaled_norm_is_numpys_norm_until_it_would_overflow(v, exponent):
         assert norm == pytest.approx(math.hypot(*v.tolist()), rel=4e-15)
 
 
+def wide_planar():
+    """planar on the box [-1e300, 1e300] x [-1, 1] with no disk, so that a
+    point as far as x1 = 1e200 is in the box and f is evaluated there."""
+    return dataclasses.replace(builtin("planar"), domain=Domain(box=[[-1e300, 1e300], [-1.0, 1.0]]))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: trace_fiber(builtin("planar"), [0.5], [0.5 * (1e200 - 1), 1e100]),
                  r"^x0 \[5e\+199, 1e\+100\] is not in the domain$", id="trace-x0-outside"),
-    pytest.param(lambda: trace_fiber(builtin("planar"), [0.5], [1e200, 0.0]),
+    pytest.param(lambda: trace_fiber(wide_planar(), [0.5], [1e200, 0.0]),
                  r"^x0 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$", id="trace-f"),
-    pytest.param(lambda: lift_curve(builtin("planar"), [[0.5], [0.6]], [1e200, 0.0]),
+    pytest.param(lambda: lift_curve(wide_planar(), [[0.5], [0.6]], [1e200, 0.0]),
                  r"^x0 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$", id="lift-f"),
-    pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
+    pytest.param(lambda: eigen_along_fiber_loop(wide_planar(), [0.5],
                                                 [[-0.375, 0.5], [1e200, 0.0], [-0.375, 0.5]]),
                  r"^loop point 1 is not an equilibrium: \|\|f\|\| = 1\.000e\+200$",
                  id="eigen-loop-f"),
+    # off the equilibrium set and outside the box: the box is tested
+    # first, so f, whose square of 1e308 overflows, never sees the point
+    pytest.param(lambda: trace_fiber(builtin("planar"), [0.5], [0.0, 1e308]),
+                 r"^x0 \[0\.0, 1e\+308\] is not in the domain$", id="trace-box"),
+    pytest.param(lambda: lift_curve(builtin("planar"), [[0.5], [0.6]], [1e200, 0.0]),
+                 r"^x0 \[1e\+200, 0\.0\] is not in the domain$", id="lift-box"),
+    pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
+                                                [[-0.375, 0.5], [0.0, 1e308], [-0.375, 0.5]]),
+                 r"^loop point 1 \[0\.0, 1e\+308\] is not in the domain$",
+                 id="eigen-loop-box"),
+    pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
+                                                [[0.3, 0.0], [0.0, 1e308], [0.3, 0.0]]),
+                 r"^loop point 0 is not an equilibrium: \|\|f\|\| = 8\.000e-01$",
+                 id="eigen-loop-earlier-point-first"),
     pytest.param(lambda: eigen_along_fiber_loop(builtin("planar"), [0.5],
                                                 [[-0.375, 0.5], [5e199, 1e100], [-0.375, 0.5]]),
                  r"^loop point 1 \[5e\+199, 1e\+100\] is not in the domain$",

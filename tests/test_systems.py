@@ -524,3 +524,30 @@ def test_identity_residual_ties_and_zeros_match_the_loop(case):
         assert (expected[0], expected[3]) == (1.0, 0)
     else:
         assert expected == (0.0, [0.0], [-1.0, -1.0, -1.0], 0)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=300)
+@given(data=st.data())
+def test_the_margin_is_signed_as_contains_at_slack_0(data):
+    # margin(x) >= 0 exactly when contains(x, 0.0), on points drawn at,
+    # near and past the box faces and the constraint surfaces, with NaNs
+    # and infinities; inside the box it is the plain min over the box and
+    # every constraint, and outside it the box's alone
+    name = data.draw(st.sampled_from(["rfmr", "example2", "planar"]), label="system")
+    domain = _make(name).domain
+    lo, hi = domain.box[:, 0], domain.box[:, 1]
+    edges = [*lo.tolist(), *hi.tolist(), 1.0, -1.0, np.sqrt(0.5), 0.0]
+    value = st.one_of(
+        st.floats(-2.0, 2.0),
+        st.sampled_from(edges).map(lambda v: v + data.draw(st.sampled_from([0.0, 1e-16, -1e-16]))),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    x = np.array(data.draw(st.lists(value, min_size=domain.dim, max_size=domain.dim), label="x"))
+    margin = domain.margin(x)
+    assert (margin >= 0.0) == domain.contains(x, 0.0)
+    assert np.isnan(margin) == np.isnan(x).any()
+    if np.isfinite(x).all():
+        box = min(*(x - lo).tolist(), *(hi - x).tolist())
+        inside_box = np.all((lo <= x) & (x <= hi))
+        constraints = [-float(g(x)) for g in domain.constraints] if inside_box else []
+        assert margin == min([box, *constraints])
