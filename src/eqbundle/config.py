@@ -79,14 +79,6 @@ def _optional(data: dict, key: str, default):
     return default if value is None else value
 
 
-def _vector(value, length: int, what: str, dim_name: str) -> list:
-    return finite_vector(value, length, what, dim_name).tolist()
-
-
-def _waypoints(value, length: int, what: str, dim_name: str) -> list:
-    return waypoint_path(value, length, what, dim_name).tolist()
-
-
 def _parameter(value, system: SystemSpec, tols: Tolerances, what: str) -> list:
     """A lambda of the command: a finite vector of length m in the
     parameter box, as _admit_lambda admits it."""
@@ -191,16 +183,18 @@ def _materialize_command_fields(
     assert system is not None
     n, m, k = system.n, system.m, system.k
     if command == "audit":
-        fields["lambda"] = _vector(_require(data, "lambda", command), m, "lambda", "m")
-        fields["x"] = _vector(_require(data, "x", command), n, "x", "n")
+        fields["lambda"] = finite_vector(
+            _require(data, "lambda", command), m, "lambda", "m"
+        ).tolist()
+        fields["x"] = finite_vector(_require(data, "x", command), n, "x", "n").tolist()
     elif command == "find":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
-        fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
+        fields["level"] = finite_vector(_require(data, "level", command), k, "level", "k").tolist()
         fields["budget"] = stack_count(_optional(data, "budget", DEFAULT_BUDGET), "budget", n)
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "trace-fiber":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
-        fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
+        fields["x0"] = finite_vector(_require(data, "x0", command), n, "x0", "n").tolist()
         fields["min_step"], fields["initial_step"], fields["max_step"] = fiber_steps(
             system, data.get("min_step"), data.get("initial_step"), data.get("max_step")
         )
@@ -212,7 +206,7 @@ def _materialize_command_fields(
         )
     elif command == "transport":
         fields["path"] = _parameter_path(_require(data, "path", command), system, tols, "path")
-        fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
+        fields["x0"] = finite_vector(_require(data, "x0", command), n, "x0", "n").tolist()
         fields["min_fraction"], fields["initial_fraction"], fields["max_fraction"] = (
             lift_fractions(
                 _optional(data, "min_fraction", MIN_FRACTION),
@@ -224,13 +218,13 @@ def _materialize_command_fields(
         loop = _parameter_path(_require(data, "loop", command), system, tols, "loop")
         closed_loop(loop, "waypoints")
         fields["loop"] = loop
-        fields["level"] = _vector(_require(data, "level", command), k, "level", "k")
+        fields["level"] = finite_vector(_require(data, "level", command), k, "level", "k").tolist()
         fields["budget"] = stack_count(_optional(data, "budget", DEFAULT_BUDGET), "budget", n)
         fields["seed"] = non_negative_int(_optional(data, "seed", DEFAULT_SEED), "seed")
     elif command == "cocycle":
         for key in ("lambda1", "lambda2", "lambda3"):
             fields[key] = _parameter(_require(data, key, command), system, tols, key)
-        fields["x0"] = _vector(_require(data, "x0", command), n, "x0", "n")
+        fields["x0"] = finite_vector(_require(data, "x0", command), n, "x0", "n").tolist()
         paths = data.get("paths")
         if paths is None:
             fields["paths"] = None
@@ -241,7 +235,9 @@ def _materialize_command_fields(
             ]
     elif command == "eigen-loop":
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
-        points = _waypoints(_require(data, "loop_points", command), n, "loop_points", "n")
+        points = waypoint_path(
+            _require(data, "loop_points", command), n, "loop_points", "n"
+        ).tolist()
         closed_loop(points, "loop points")
         fields["loop_points"] = points
         fields["max_refine"] = non_negative_int(

@@ -23,7 +23,6 @@ lift's steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -473,19 +472,17 @@ def _golden(n: int) -> float:
 
 def level_starts(sys: SystemSpec, budget: int, seed: int) -> np.ndarray:
     """The multistart sample: budget quasirandom points in the domain box,
-    a new writable array.  The unit sample _unit_starts(n, budget, seed)
-    is built once per key and kept for the last 8 keys (at most about
-    38 MB), and each call scales it by u * (hi - lo) + lo.  A box of zero
-    width in a coordinate puts every start on its edge.
+    the unit sample _unit_starts(n, budget, seed) scaled by u * (hi - lo)
+    + lo.  A box of zero width in a coordinate puts every start on its
+    edge.
     """
     lo, hi = sys.domain.box[:, 0], sys.domain.box[:, 1]
     return _unit_starts(sys.n, budget, seed) * (hi - lo) + lo
 
 
-@functools.lru_cache(maxsize=8)
 def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
-    """The multistart's unit sample, read-only: the first budget points of
-    a randomly shifted Kronecker sequence in [0, 1)^n.
+    """The multistart's unit sample: the first budget points of a randomly
+    shifted Kronecker sequence in [0, 1)^n.
 
     Point t is frac(s + t * alpha), with alpha_i = g^-(i+1) for g =
     _golden(n) (the R_n sequence of Roberts, "The Unreasonable
@@ -494,13 +491,6 @@ def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
     takes libm's scalar pow and the rest only IEEE basic operations, not
     numpy's vectorized power or exp, whose SIMD code may round otherwise,
     so every machine builds the same bits.
-
-    The sample depends on (n, budget, seed) alone, and a find or holonomy
-    over a family of systems repeats that key with only lambda or the
-    level changed, so it is cached on that key for the last 8 keys.  One
-    entry holds budget * n floats, which errors.stack_count caps at about
-    4.8 MB (n = 6 with 10^5 starts), so the cache holds at most about
-    38 MB.
     """
     g = _golden(n)
     alpha = [1.0 / g]
@@ -508,9 +498,7 @@ def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
         alpha.append(alpha[-1] / g)
     shift = np.random.default_rng(seed).random(n)
     v = shift + np.arange(budget)[:, None] * np.array(alpha)
-    sample = v - np.floor(v)
-    sample.flags.writeable = False
-    return sample
+    return v - np.floor(v)
 
 
 def _cluster_representatives(x, quality, converged, radius) -> list:
@@ -822,21 +810,21 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     )
 
 
-def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances) -> tuple:
-    """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift: x0 a
-    finite n-vector in the domain's box, an equilibrium at lam
-    (_near_equilibrium), and inside the domain, each within the slack of
-    _in_domain_rows.  The box is tested before f, which may overflow
-    outside it."""
-    x0 = finite_vector(x0, sys.n, "x0", "n")
+def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances, what: str = "x0") -> tuple:
+    """(x0, ||f(lam, x0)||) at the start of a fiber trace or a lift, or at
+    an eigen-loop point: x0 a finite n-vector in the domain's box, an
+    equilibrium at lam (_near_equilibrium), and inside the domain, each
+    within the slack of _in_domain_rows.  The box is tested before f, which
+    may overflow outside it.  what names the point in the messages."""
+    x0 = finite_vector(x0, sys.n, what, "n")
     errors: dict = {}
     if _in_box(x0, sys.domain.box, _slack(sys.domain.box, tols)):
         f0 = _scaled_norm(sys.f(lam, x0))
-        _near_equilibrium(f0, x0, tols, "x0")
+        _near_equilibrium(f0, x0, tols, what)
         inside, errors = _in_domain_rows(sys, x0[None], tols)
         if inside[0]:
             return x0, f0
-    raise errors.get(0) or InputError(f"x0 {x0.tolist()} is not in the domain")
+    raise errors.get(0) or InputError(f"{what} {x0.tolist()} is not in the domain")
 
 
 # trace_fiber's defaults: the min, initial and max steps as fractions of the

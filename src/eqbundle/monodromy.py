@@ -19,15 +19,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .audit import _near_equilibrium
 from .errors import (
-    ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError, _scaled_norm,
+    ConvergenceError, EqBundleError, InputError, ResolutionError, TrackingError,
     closed_loop, finite_array, finite_vector, matrix_loop, non_negative_int, positive_float,
     waypoint_path,
 )
-from .finder import _correct, _level_set
+from .finder import _continuation_start, _correct, _level_set
 from .linalg import eigen_dense
-from .systems import SystemSpec, _evaluate_rows, _in_box, _in_domain_rows, _slack
+from .systems import SystemSpec, _evaluate_rows, _in_domain_rows
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -620,10 +619,11 @@ def eigen_along_fiber_loop(
     equilibria on one fiber.
 
     Every loop point must be an equilibrium of f(lam, .) within tolerance
-    and lie in the domain within the slack of systems._in_domain_rows,
-    each point tested in turn as the start of a fiber trace is, and the
-    first and last points must agree within 1e-9 relative to the first's
-    norm (their Jacobians need not agree more closely).  The loop points
+    and lie in the domain within the slack of systems._in_domain_rows: each
+    point in turn passes finder._continuation_start, the test of a fiber
+    trace's start.  The first and last points must agree within 1e-9
+    relative to the first's norm (their Jacobians need not agree more
+    closely).  Once every point has passed, h and df/dx of the loop points
     are evaluated in one stack.  When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
@@ -640,23 +640,9 @@ def eigen_along_fiber_loop(
     closed_loop(points, "loop points")
     max_refine = non_negative_int(max_refine, "max_refine")
 
-    # each point in turn, as a continuation start: in the box, evaluated,
-    # an equilibrium, then in the domain; f may overflow outside the box, so
-    # only the points before the first one outside it are evaluated
-    boxed = _in_box(points, sys.domain.box, _slack(sys.domain.box, tols))
-    count = len(points) if boxed.all() else int(np.argmin(boxed))
-    failed: dict = {}
-    f_values, h_values, matrices = _evaluate_rows(
-        sys, lam, points[:count], ("f", "h", "jac_x"), failed
-    )
-    inside, outside = _in_domain_rows(sys, points[:count], tols)
     for i, x in enumerate(points):
-        if i < count:
-            if i in failed:
-                raise failed[i]
-            _near_equilibrium(_scaled_norm(f_values[i]), x, tols, f"loop point {i}")
-        if i == count or not inside[i]:
-            raise outside.get(i) or InputError(f"loop point {i} {x.tolist()} is not in the domain")
+        _continuation_start(sys, lam, x, tols, f"loop point {i}")
+    h_values, matrices = _evaluate_rows(sys, lam, points, ("h", "jac_x"))
 
     def refine(lefts, rights):
         # each midpoint corrected at the mean level of its pair, as one lane

@@ -2,17 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eqbundle import builtin
 from eqbundle.audit import (
     AuditReport,
     audit_manifold_dimension,
     audit_point,
     check_structural_identity,
 )
-from eqbundle.errors import EvaluationError, InputError
-from eqbundle.finder import trace_fiber
+from eqbundle.errors import EqBundleError, InputError
+from eqbundle.finder import _continuation_start, trace_fiber
 from eqbundle.monodromy import eigen_along_fiber_loop
 from eqbundle.systems import Domain, PointState, SystemSpec, evaluate
+from eqbundle.tolerances import DEFAULT_TOLERANCES
 from eqbundle.transport import connection_frame, lift_curve, metric_g
 
 from conftest import count_calls, sample_box
@@ -247,20 +251,67 @@ def _nan_at_start_system():
 
 
 NAN_STARTS = {
-    "trace_fiber": lambda sys: trace_fiber(sys, [0.5], [0.1, 0.0]),
-    "lift_curve": lambda sys: lift_curve(sys, [[0.5], [0.6]], [0.1, 0.0]),
+    "trace_fiber": (
+        lambda sys: trace_fiber(sys, [0.5], [0.1, 0.0]), "x0",
+    ),
+    "lift_curve": (
+        lambda sys: lift_curve(sys, [[0.5], [0.6]], [0.1, 0.0]), "x0",
+    ),
+    "eigen_along_fiber_loop": (
+        lambda sys: eigen_along_fiber_loop(sys, [0.5], [[-0.5, 0.0], [0.1, 0.0], [-0.5, 0.0]]),
+        "loop point 1",
+    ),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(NAN_STARTS))
 def test_a_nan_f_is_not_an_equilibrium(entry):
-    with pytest.raises(InputError, match=r"x0 is not an equilibrium: \|\|f\|\| = nan"):
-        NAN_STARTS[entry](_nan_at_start_system())
+    run, what = NAN_STARTS[entry]
+    with pytest.raises(InputError, match=rf"^{what} is not an equilibrium: \|\|f\|\| = nan$"):
+        run(_nan_at_start_system())
 
 
-def test_an_eigen_loop_point_with_a_nan_f_is_rejected_there():
-    # the loop points are evaluated in one checked stack, whose error for
-    # the point comes before the equilibrium check
-    loop = [[-0.5, 0.0], [0.1, 0.0], [-0.5, 0.0]]
-    with pytest.raises(EvaluationError, match=r"f evaluated to a non-finite value at \(\[0.5\], \[0.1, 0.0\]\)"):
-        eigen_along_fiber_loop(_nan_at_start_system(), [0.5], loop)
+# a point of planar's fiber x1 = lambda (x2^2 - 1) at lambda = 0.5, which
+# is also a point of the NaN-start system's
+ON_FIBER = [-0.375, 0.5]
+COORDINATES = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, 0.1, 1.0, -1.0, 1e308, -1e308]),
+)
+
+
+@st.composite
+def fiber_probes(draw):
+    """A point on planar's fiber at lambda = 0.5, near it or off it."""
+    x2 = draw(COORDINATES)
+    kind = draw(st.sampled_from(["on", "near", "off"]))
+    if kind == "off" or abs(x2) > 2.0:
+        return [draw(COORDINATES), x2]
+    x1 = 0.5 * (x2 * x2 - 1.0)
+    return [x1 + draw(st.floats(-1e-6, 1e-6)) if kind == "near" else x1, x2]
+
+
+@settings(settings.get_profile("derandomized"), max_examples=60)
+@given(name=st.sampled_from(["planar", "nan-start"]), p=fiber_probes())
+@example(name="nan-start", p=[0.1, 0.0])
+@example(name="planar", p=[0.0, 1e308])
+def test_an_eigen_loop_point_is_tested_as_a_fiber_start(name, p):
+    # the loop [q, p, q] stops at point 1 exactly where a trace from p
+    # would stop, with the same error and the point named as a loop point
+    sys = builtin("planar") if name == "planar" else _nan_at_start_system()
+    try:
+        _continuation_start(sys, np.array([0.5]), p, DEFAULT_TOLERANCES)
+        expected = None
+    except EqBundleError as err:
+        expected = err
+    try:
+        eigen_along_fiber_loop(sys, [0.5], [ON_FIBER, p, ON_FIBER])
+        raised = None
+    except EqBundleError as err:
+        raised = err
+    if expected is None:
+        assert raised is None or not str(raised).startswith("loop point")
+    else:
+        assert type(raised) is type(expected)
+        assert str(raised) == str(expected).replace("x0", "loop point 1", 1)

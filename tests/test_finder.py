@@ -30,7 +30,6 @@ from eqbundle.finder import (
 )
 from eqbundle.systems import Domain, PointState, SystemSpec
 from eqbundle.tolerances import Tolerances
-from eqbundle.transport import holonomy_loop
 
 
 def bisect_root(func, lo, hi, tol=1e-14):
@@ -244,36 +243,16 @@ def test_find_on_a_box_of_zero_width(planar):
     assert np.allclose(points[0].state.x, [0.0, 0.5], atol=1e-12)
 
 
-def test_the_unit_sample_is_built_once_per_key(example2, planar):
-    # finds that change only lambda or the level share (n, budget, seed),
-    # and so does a holonomy's multistart: one build for all three
-    finder._unit_starts.cache_clear()
-    first = enumerate_level_points(example2, [1.0], [2.0, 6.0], budget=40, seed=3)
-    second = enumerate_level_points(example2, [2.0], [2.0, 6.0], budget=40, seed=3)
-    assert len(first) == len(second) == 4
-    info = finder._unit_starts.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=40, seed=3)
-    info = finder._unit_starts.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
-    # another n, budget or seed is another key
-    for sys, budget, seed in ((planar, 40, 3), (example2, 41, 3), (example2, 40, 4)):
-        level_starts(sys, budget, seed)
-    info = finder._unit_starts.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
-
-
-def test_a_written_start_leaves_the_cached_sample_alone(planar):
-    starts = level_starts(planar, 32, 0)
-    bits = starts.tobytes()
-    starts[:] = 7.0
+def test_each_call_builds_a_new_writable_sample(planar):
+    # no sample is kept between calls: each is its own array, with the same
+    # bytes, and writing one leaves the next call as it was
+    first, second = level_starts(planar, 32, 0), level_starts(planar, 32, 0)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    bits = first.tobytes()
+    assert second.tobytes() == bits
+    first[:] = 7.0
     assert level_starts(planar, 32, 0).tobytes() == bits
-    with pytest.raises(ValueError, match="read-only"):
-        finder._unit_starts(2, 32, 0)[0, 0] = 0.5
-    # a cold build gives the same bytes
-    finder._unit_starts.cache_clear()
-    assert level_starts(planar, 32, 0).tobytes() == bits
-    assert finder._unit_starts.cache_info().misses == 1
 
 
 @settings(settings.get_profile("derandomized"), max_examples=60)
