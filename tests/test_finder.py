@@ -30,6 +30,7 @@ from eqbundle.finder import (
 )
 from eqbundle.systems import Domain, PointState, SystemSpec
 from eqbundle.tolerances import Tolerances
+from eqbundle.transport import holonomy_loop
 
 
 def bisect_root(func, lo, hi, tol=1e-14):
@@ -243,9 +244,38 @@ def test_find_on_a_box_of_zero_width(planar):
     assert np.allclose(points[0].state.x, [0.0, 0.5], atol=1e-12)
 
 
-def test_each_call_builds_a_new_writable_sample(planar):
-    # no sample is kept between calls: each is its own array, with the same
-    # bytes, and writing one leaves the next call as it was
+def test_the_unit_sample_is_built_once_per_key(example2, planar, monkeypatch):
+    # no sample is kept between calls: each find builds its sample once, from
+    # (n, budget, seed) alone, so finds that change only lambda or the level,
+    # and a holonomy's multistart, all start from the same bytes
+    built = []
+
+    def counted(n, budget, seed):
+        sample = unit_starts(n, budget, seed)
+        built.append(((n, budget, seed), sample.tobytes()))
+        return sample
+
+    unit_starts = finder._unit_starts
+    monkeypatch.setattr(finder, "_unit_starts", counted)
+    first = enumerate_level_points(example2, [1.0], [2.0, 6.0], budget=40, seed=3)
+    assert len(built) == 1
+    second = enumerate_level_points(example2, [2.0], [2.0, 6.0], budget=40, seed=3)
+    assert len(first) == len(second) == 4
+    holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=40, seed=3)
+    assert len(built) == 3
+    n = example2.n
+    assert {key for key, _ in built} == {(n, 40, 3)}
+    assert len({bits for _, bits in built}) == 1
+    # another n, budget or seed is another key, with another sample
+    for sys, budget, seed in ((planar, 40, 3), (example2, 41, 3), (example2, 40, 4)):
+        level_starts(sys, budget, seed)
+    assert [key for key, _ in built[3:]] == [(planar.n, 40, 3), (n, 41, 3), (n, 40, 4)]
+    assert len({bits for _, bits in built}) == 4
+
+
+def test_a_written_start_leaves_the_cached_sample_alone(planar):
+    # each call returns its own writable array with the same bytes, and
+    # writing one leaves the next call as it was
     first, second = level_starts(planar, 32, 0), level_starts(planar, 32, 0)
     assert first.flags.writeable and second.flags.writeable
     assert not np.shares_memory(first, second)
