@@ -1,127 +1,61 @@
-"""Equilibrium bundles of parametric ODE systems with first integrals."""
+"""Equilibrium bundles of parametric ODE systems with first integrals.
+
+The public names resolve on first use (PEP 562): ``import eqbundle``
+imports no submodule, and ``eqbundle.<name>`` imports only the module that
+defines it, so a run loads the modules it needs and no others.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .audit import (
-    AuditReport,
-    CheckResult,
-    DimensionVerdict,
-    audit_manifold_dimension,
-    audit_point,
-    check_structural_identity,
-)
-from .errors import (
-    BranchPointError,
-    ConvergenceError,
-    DegeneracyError,
-    EqBundleError,
-    EvaluationError,
-    ExprDomainError,
-    ExprError,
-    HolonomyError,
-    InputError,
-    ResolutionError,
-    TrackingError,
-    TransportError,
-    UnsupportedDimensionError,
-)
-from .expr import build_system_from_config, eval_ast, parse, to_source
-from .finder import (
-    EquilibriumPoint,
-    FiberTrace,
-    enumerate_level_points,
-    newton_on_level_set,
-    trace_fiber,
-)
-from .linalg import RankReport, eigen_dense, kernel_basis, numeric_rank, solve_least_squares
-from .monodromy import (
-    EigenLoopReport,
-    SpectrumSplit,
-    StabilitySignature,
-    eigen_along_fiber_loop,
-    split_spectrum,
-    stability_signature,
-    track_matrix_loop,
-)
-from .systems import (
-    Domain,
-    Evaluation,
-    PointState,
-    SystemSpec,
-    builtin,
-    check_first_integral_identity,
-    evaluate,
-)
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
-from .transport import (
-    ConnectionFrame,
-    HolonomyReport,
-    TransportResult,
-    check_cocycle,
-    connection_frame,
-    holonomy_loop,
-    lift_curve,
-    metric_g,
-    vertical_projector,
-)
+# home module: the public names it defines
+_EXPORTS = {
+    "audit": (
+        "AuditReport", "CheckResult", "DimensionVerdict", "audit_manifold_dimension",
+        "audit_point", "check_structural_identity",
+    ),
+    "errors": (
+        "BranchPointError", "ConvergenceError", "DegeneracyError", "EqBundleError",
+        "EvaluationError", "ExprDomainError", "ExprError", "HolonomyError", "InputError",
+        "ResolutionError", "TrackingError", "TransportError", "UnsupportedDimensionError",
+    ),
+    "expr": ("build_system_from_config", "eval_ast", "parse", "to_source"),
+    "finder": (
+        "EquilibriumPoint", "FiberTrace", "enumerate_level_points", "newton_on_level_set",
+        "trace_fiber",
+    ),
+    "linalg": ("RankReport", "eigen_dense", "kernel_basis", "numeric_rank", "solve_least_squares"),
+    "monodromy": (
+        "EigenLoopReport", "SpectrumSplit", "StabilitySignature", "eigen_along_fiber_loop",
+        "split_spectrum", "stability_signature", "track_matrix_loop",
+    ),
+    "systems": (
+        "Domain", "Evaluation", "PointState", "SystemSpec", "builtin",
+        "check_first_integral_identity", "evaluate",
+    ),
+    "tolerances": ("DEFAULT_TOLERANCES", "Tolerances"),
+    "transport": (
+        "ConnectionFrame", "HolonomyReport", "TransportResult", "check_cocycle",
+        "connection_frame", "holonomy_loop", "lift_curve", "metric_g", "vertical_projector",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AuditReport",
-    "BranchPointError",
-    "CheckResult",
-    "ConnectionFrame",
-    "ConvergenceError",
-    "DEFAULT_TOLERANCES",
-    "DegeneracyError",
-    "DimensionVerdict",
-    "Domain",
-    "EigenLoopReport",
-    "EqBundleError",
-    "EquilibriumPoint",
-    "EvaluationError",
-    "Evaluation",
-    "ExprDomainError",
-    "ExprError",
-    "FiberTrace",
-    "HolonomyError",
-    "HolonomyReport",
-    "InputError",
-    "PointState",
-    "RankReport",
-    "ResolutionError",
-    "SpectrumSplit",
-    "StabilitySignature",
-    "SystemSpec",
-    "Tolerances",
-    "TrackingError",
-    "TransportError",
-    "TransportResult",
-    "UnsupportedDimensionError",
-    "audit_manifold_dimension",
-    "audit_point",
-    "build_system_from_config",
-    "builtin",
-    "check_cocycle",
-    "check_first_integral_identity",
-    "check_structural_identity",
-    "connection_frame",
-    "eigen_along_fiber_loop",
-    "eigen_dense",
-    "enumerate_level_points",
-    "eval_ast",
-    "evaluate",
-    "holonomy_loop",
-    "kernel_basis",
-    "lift_curve",
-    "metric_g",
-    "newton_on_level_set",
-    "numeric_rank",
-    "parse",
-    "solve_least_squares",
-    "split_spectrum",
-    "stability_signature",
-    "to_source",
-    "trace_fiber",
-    "track_matrix_loop",
-    "vertical_projector",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its home module and kept here; or a
+    home module itself, imported."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -30,7 +30,6 @@ from .config import (
 )
 from .errors import EqBundleError, InputError
 from .finder import enumerate_level_points, trace_fiber
-from .monodromy import eigen_along_fiber_loop, track_matrix_loop
 from .reports import CSV_RENDERERS, build_envelope, canonical_json, write_text_atomic
 from .systems import PointState
 from .tolerances import Tolerances
@@ -180,7 +179,10 @@ def run_config(config: RunConfig):
             tols=tols,
         )
         return {"deviation": deviation}, None
+    # the loop commands alone need monodromy: it is imported for them only
     if command == "eigen-loop":
+        from .monodromy import eigen_along_fiber_loop
+
         report = eigen_along_fiber_loop(
             sys_spec,
             fields["lambda"],
@@ -190,6 +192,8 @@ def run_config(config: RunConfig):
         )
         return report.as_dict(), None
     if command == "track-matrix-loop":
+        from .monodromy import track_matrix_loop
+
         matrices = config._matrices
         if matrices is None:
             matrices = np.asarray(fields["matrices"])

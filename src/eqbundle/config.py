@@ -19,9 +19,7 @@ from .errors import (
     COUNT_LIMIT, InputError, closed_loop, cocycle_paths, finite_vector, known_keys, matrix_loop,
     non_negative_int, positive_float, positive_int, stack_count, unit_sign, waypoint_path,
 )
-from .expr import IDENTITY_DEFAULTS, build_system_from_config
 from .finder import DEFAULT_BUDGET, DEFAULT_SEED, INITIAL_DIRECTION, MAX_FIBER_POINTS, fiber_steps
-from .monodromy import MAX_REFINE
 from .reports import CSV_RENDERERS
 from .systems import SystemSpec, _admit_lambda, builtin
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -120,6 +118,9 @@ def _build_system(spec, command: str) -> tuple:
             echo["n"] = int(spec["n"])
         return system, echo
     known_keys(spec, {"declaration"}, "system keys")
+    # the expression language serves declarations only
+    from .expr import IDENTITY_DEFAULTS, build_system_from_config
+
     system = build_system_from_config(spec["declaration"])
     decl = dict(spec["declaration"])
     decl.setdefault("name", system.name)
@@ -162,6 +163,8 @@ def _materialize_command_fields(
 ) -> dict:
     fields: dict = {}
     if command == "track-matrix-loop":
+        from .monodromy import MAX_REFINE
+
         default_k = system.k if system is not None else 0
         matrices, fields["k"] = matrix_loop(
             _require(data, "matrices", command), _optional(data, "k", default_k)
@@ -234,6 +237,8 @@ def _materialize_command_fields(
                 for i, p in enumerate(cocycle_paths(paths))
             ]
     elif command == "eigen-loop":
+        from .monodromy import MAX_REFINE
+
         fields["lambda"] = _parameter(_require(data, "lambda", command), system, tols, "lambda")
         points = waypoint_path(
             _require(data, "loop_points", command), n, "loop_points", "n"

@@ -274,23 +274,29 @@ def cocycle_paths(value) -> list:
 _NORM_SAFE = 2.0**480
 
 
-def _norm_scale(*arrays) -> float:
-    """1.0, or once the largest |entry| of the arrays passes _NORM_SAFE,
-    that entry rounded down to a power of two: dividing by it is exact
-    (bar entries that fall below the normal range, far too small to move
-    a norm) and leaves every entry below 2 in magnitude, so that no norm
-    or difference of the divided arrays overflows."""
-    largest = max(float(np.max(np.abs(a))) for a in arrays)
+def _scale_of(largest: float) -> float:
+    """1.0, or once largest passes _NORM_SAFE, largest rounded down to a
+    power of two: dividing by it is exact (bar entries that fall below the
+    normal range, far too small to move a norm) and leaves every entry
+    below 2 in magnitude, so that no norm or difference of the divided
+    entries overflows."""
     return 2.0 ** (math.frexp(largest)[1] - 1) if _NORM_SAFE < largest < math.inf else 1.0
+
+
+def _norm_scale(*arrays) -> float:
+    """_scale_of the largest |entry| of the arrays."""
+    return _scale_of(max(float(np.max(np.abs(a))) for a in arrays))
 
 
 def _scaled_norm(v) -> float:
     """np.linalg.norm(v) as a float, without numpy's overflow warning: the
-    norm of v / _norm_scale(v) times that scale, a Python float product
-    that reads inf past the float range.  Bit for bit np.linalg.norm(v)
-    while no |v_i| passes _NORM_SAFE, as the scale is then 1."""
+    norm of v / _scale_of(max |v_i|) times that scale, a Python float
+    product that reads inf past the float range.  While no |v_i| passes
+    _NORM_SAFE the scale is 1 and the norm is np.linalg.norm(v) itself."""
     v = np.asarray(v, dtype=float)
-    scale = _norm_scale(v)
+    scale = _scale_of(float(np.abs(v).max()))
+    if scale == 1.0:
+        return float(np.linalg.norm(v))
     return float(np.linalg.norm(v / scale)) * scale
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from eqbundle import cli, config
+from eqbundle import cli, expr, monodromy
 from eqbundle.cli import main
 from eqbundle.config import RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
@@ -149,9 +150,9 @@ def test_matrix_loop_run_config_built_directly(monkeypatch):
     # checked stack of its own, and runs from the matrices in its settings
     parsed = config_from_dict(rotation_config(64))
     stacks = []
-    real = cli.track_matrix_loop
+    real = monodromy.track_matrix_loop
     monkeypatch.setattr(
-        cli, "track_matrix_loop", lambda mats, **kw: stacks.append(mats) or real(mats, **kw)
+        monodromy, "track_matrix_loop", lambda mats, **kw: stacks.append(mats) or real(mats, **kw)
     )
     built = RunConfig(
         command=parsed.command, system=parsed.system,
@@ -774,25 +775,82 @@ def test_matrix_loop_without_system(tmp_path, capsys):
     assert sorted(data["result"]["windings"]) == [-1, 1]
 
 
-def test_import_loads_no_scipy():
+HOLONOMY_EXAMPLE2 = {
+    "system": {"builtin": "example2"}, "command": "holonomy",
+    "loop": [[1.0], [2.5], [1.0]], "level": [2.0, 6.125],
+}
+EIGEN_LOOP_RFMR = {
+    "system": {"builtin": "rfmr", "n": 3}, "command": "eigen-loop",
+    "lambda": [1.5] * 3, "loop_points": [[c] * 3 for c in (0.15, 0.275, 0.4, 0.275, 0.15)],
+}
+
+# (step, the import or the config a fresh interpreter runs in turn): each
+# step's modules add to the earlier steps'
+IMPORT_STEPS = [
+    ("import eqbundle", "eqbundle"),
+    ("import eqbundle.cli", "eqbundle.cli"),
+    ("find on a builtin", FIND_RFMR),
+    ("holonomy on a builtin", HOLONOMY_EXAMPLE2),
+    ("find on a declaration", {**FIND_RFMR, "system": {"declaration": RFMR3_DECL}}),
+    ("eigen-loop", EIGEN_LOOP_RFMR),
+]
+
+
+def test_import_loads_no_scipy(tmp_path):
     # scipy is a test dependency only; numpy.random is imported eagerly so
-    # that the first find does not pay for its import
+    # that the first find does not pay for its import.  A run loads the
+    # expression language only for a declared system and monodromy only for
+    # the loop commands; import eqbundle loads no submodule at all
     import eqbundle
 
     src = os.path.dirname(os.path.dirname(eqbundle.__file__))
-    probe = (
-        "import sys, eqbundle, eqbundle.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
-        "print('numpy.random' in sys.modules)"
-    )
+    lines = ["import contextlib, io, json, sys"]
+    for i, (_, step) in enumerate(IMPORT_STEPS):
+        if isinstance(step, str):
+            lines.append(f"import {step}")
+        else:
+            argv = [step["command"], "--config", write_config(tmp_path, f"{i}.json", step)]
+            lines += [
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                f"    assert eqbundle.cli.main({argv!r}) == 0",
+            ]
+        lines.append("print(json.dumps(sorted(sys.modules)))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True, text=True,
         check=True, timeout=60,
-    ).stdout.split("\n")
-    assert out[0] == "[]"
-    assert out[1] == "True"
+    ).stdout.splitlines()
+    assert len(out) == len(IMPORT_STEPS)
+    loaded = {step: set(json.loads(line)) for (step, _), line in zip(IMPORT_STEPS, out)}
+    assert {m for m in loaded["import eqbundle"] if m.startswith("eqbundle")} == {"eqbundle"}
+    cli_modules = loaded["import eqbundle.cli"]
+    assert "numpy.random" in cli_modules
+    assert not {m for m in cli_modules if m == "scipy" or m.startswith("scipy.")}
+    for step in ("import eqbundle.cli", "find on a builtin", "holonomy on a builtin"):
+        assert not {"eqbundle.expr", "eqbundle.monodromy"} & loaded[step], step
+    assert "eqbundle.expr" in loaded["find on a declaration"]
+    assert "eqbundle.monodromy" not in loaded["find on a declaration"]
+    assert "eqbundle.monodromy" in loaded["eigen-loop"]
+
+
+def test_each_package_name_is_its_home_modules_object():
+    # the names resolve on first use, each to its home module's object
+    import eqbundle
+
+    for name in eqbundle.__all__:
+        home = importlib.import_module(f"eqbundle.{eqbundle._HOME[name]}")
+        value = getattr(eqbundle, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert "__all__" in dir(eqbundle) and set(eqbundle.__all__) <= set(dir(eqbundle))
+    namespace: dict = {}
+    exec("from eqbundle import *", namespace)
+    assert set(eqbundle.__all__) <= set(namespace)
+    assert eqbundle.monodromy is sys.modules["eqbundle.monodromy"]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        eqbundle.no_such_name
+    assert not hasattr(eqbundle, "no_such_name")
 
 
 def _find_rfmr():
@@ -871,7 +929,7 @@ def test_the_subcommand_is_checked_before_the_config(tmp_path, capsys, monkeypat
     }
     with pytest.raises(InputError, match="declared h is not a first integral"):
         config_from_dict(raw)
-    builds = count_calls(monkeypatch, "build_system_from_config", config)
+    builds = count_calls(monkeypatch, "build_system_from_config", expr)
     cfg = write_config(tmp_path, "transport.json", raw)
     assert main(["find", "--config", cfg]) == 1
     message = "config command 'transport' does not match the invoked subcommand 'find'"
