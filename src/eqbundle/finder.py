@@ -11,10 +11,11 @@ deduplicates by clustering and audits only the kept points.  A lane
 whose ||F|| stays far above its target and falls by less than 1 % in 5
 iterations ends early as "no progress", so an empty level costs a few
 iterations per start, not the iteration cap.  Fibers (k = 1 only) are
-traced by predictor-corrector continuation along the kernel of df/dx,
-in one loop that also finds where the step that leaves the domain
-crosses its boundary, by a secant on the domain's margin guarded by
-bisection.  The undamped, local _correct makes every local projection:
+traced by predictor-corrector continuation from the kernel of df/dx at
+the start along each kept step's chord, in one loop that also finds where
+the step that leaves the domain crosses its boundary, by a secant on the
+domain's margin guarded by bisection.  The undamped, local _correct makes
+every local projection:
 the tracer's steps, the lift's starts and steps, and the eigen-loop's
 midpoints; it marks each failed lane for retry or gives its fatal error.
 One rule, _step_rule, retries, accepts or grows the tracer's and the
@@ -332,83 +333,84 @@ def newton_lanes(
     stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
     record(lanes, errors, 0)
     lanes = lanes[status[lanes] == _RUNNING]
-    norm[lanes] = _lane_norm(residual[lanes])
-
     margin = 0.05 * diameter
     # ||F|| of every lane at the top of the last _STALL_WINDOW iterations:
     # at the top of iteration it, row it % _STALL_WINDOW still holds that
     # of iteration it - _STALL_WINDOW
     recent = np.empty((_STALL_WINDOW, count))
-    for it in range(max_iter):
-        done = norm[lanes] <= target[lanes]
-        stop(lanes[done], CONVERGED, it)
-        lanes = lanes[~done]
-        slot = it % _STALL_WINDOW
-        if it >= _STALL_WINDOW:
-            now = norm[lanes]
-            stalled = (now > _STALL_FACTOR * target[lanes]) & (
-                now > _STALL_DROP * recent[slot, lanes]
-            )
-            stop(lanes[stalled], NO_PROGRESS, it)
-            lanes = lanes[~stalled]
-        recent[slot, lanes] = norm[lanes]
-        if not lanes.size:
-            break
-
-        errors = {}
-        jac = level_jacobian(x[lanes], lam, a, errors)
-        # a non-finite Jacobian is an InputError in errors
-        step, deficient = _solve_rows(jac, -residual[lanes], tols.rank, errors)
-        record(lanes, errors, it)
-        for row, err in deficient.items():
-            details[int(lanes[row])] = err.report
-            stop(lanes[row], SINGULAR, it)
-        keep = status[lanes] == _RUNNING
-        lanes, step = lanes[keep], step[keep]
-
-        xs, fs, ns, ts = x[lanes], residual[lanes], norm[lanes], target[lanes]
-        pending = np.ones(lanes.size, dtype=bool)
-        for alphas in _ALPHA_ROUNDS:
-            rows = pending.nonzero()[0]
-            # trial j of pending lane rows[i] is row i * alphas.size + j
-            candidate = (xs[rows, None] + alphas[:, None] * step[rows, None]).reshape(
-                -1, step.shape[1]
-            )
-            trying = _in_box(candidate, sys.domain.box, margin)
-            trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
-            errors = {}
-            trial[trying] = level_residual(candidate[trying], lam, a, errors)
-            trial_norm = _lane_norm(trial)
-            # a skipped or non-finite trial has a NaN or infinite norm and
-            # fails both comparisons
-            by_lane = trial_norm.reshape(rows.size, alphas.size)
-            event = (by_lane < ns[rows, None]) | (by_lane <= ts[rows, None])
-            if errors:
-                # each error under the row of its trial in candidate
-                tried = trying.nonzero()[0]
-                raised = {int(tried[row]): err for row, err in errors.items()}
-                event.flat[list(raised)] = True
-            # per lane the first trial in alpha order that was accepted or
-            # raised, where a trial-by-trial search would have stopped
-            hit = event.any(axis=1)
-            first = np.arange(rows.size) * alphas.size + event.argmax(axis=1)
-            if errors:
-                failed = {
-                    rows[i]: raised[first[i]] for i in hit.nonzero()[0] if first[i] in raised
-                }
-                record(lanes, failed, it)
-                pending[list(failed)] = False
-                hit &= pending[rows]
-            take, first = rows[hit], first[hit]
-            xs[take], fs[take], ns[take] = candidate[first], trial[first], trial_norm[first]
-            pending[take] = False
-            if not pending.any():
+    # a norm past the float range (a level past 1e154) is inf: the lane stalls
+    with np.errstate(over="ignore"):
+        norm[lanes] = _lane_norm(residual[lanes])
+        for it in range(max_iter):
+            done = norm[lanes] <= target[lanes]
+            stop(lanes[done], CONVERGED, it)
+            lanes = lanes[~done]
+            slot = it % _STALL_WINDOW
+            if it >= _STALL_WINDOW:
+                now = norm[lanes]
+                stalled = (now > _STALL_FACTOR * target[lanes]) & (
+                    now > _STALL_DROP * recent[slot, lanes]
+                )
+                stop(lanes[stalled], NO_PROGRESS, it)
+                lanes = lanes[~stalled]
+            recent[slot, lanes] = norm[lanes]
+            if not lanes.size:
                 break
-        else:
-            stop(lanes[pending], LINE_SEARCH_STALLED, it)
-        x[lanes], residual[lanes], norm[lanes] = xs, fs, ns
-        lanes = lanes[status[lanes] == _RUNNING]
-    stop(lanes, MAX_ITERATIONS, max_iter)
+
+            errors = {}
+            jac = level_jacobian(x[lanes], lam, a, errors)
+            # a non-finite Jacobian is an InputError in errors
+            step, deficient = _solve_rows(jac, -residual[lanes], tols.rank, errors)
+            record(lanes, errors, it)
+            for row, err in deficient.items():
+                details[int(lanes[row])] = err.report
+                stop(lanes[row], SINGULAR, it)
+            keep = status[lanes] == _RUNNING
+            lanes, step = lanes[keep], step[keep]
+
+            xs, fs, ns, ts = x[lanes], residual[lanes], norm[lanes], target[lanes]
+            pending = np.ones(lanes.size, dtype=bool)
+            for alphas in _ALPHA_ROUNDS:
+                rows = pending.nonzero()[0]
+                # trial j of pending lane rows[i] is row i * alphas.size + j
+                candidate = (xs[rows, None] + alphas[:, None] * step[rows, None]).reshape(
+                    -1, step.shape[1]
+                )
+                trying = _in_box(candidate, sys.domain.box, margin)
+                trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
+                errors = {}
+                trial[trying] = level_residual(candidate[trying], lam, a, errors)
+                trial_norm = _lane_norm(trial)
+                # a skipped or non-finite trial has a NaN or infinite norm and
+                # fails both comparisons
+                by_lane = trial_norm.reshape(rows.size, alphas.size)
+                event = (by_lane < ns[rows, None]) | (by_lane <= ts[rows, None])
+                if errors:
+                    # each error under the row of its trial in candidate
+                    tried = trying.nonzero()[0]
+                    raised = {int(tried[row]): err for row, err in errors.items()}
+                    event.flat[list(raised)] = True
+                # per lane the first trial in alpha order that was accepted or
+                # raised, where a trial-by-trial search would have stopped
+                hit = event.any(axis=1)
+                first = np.arange(rows.size) * alphas.size + event.argmax(axis=1)
+                if errors:
+                    failed = {
+                        rows[i]: raised[first[i]] for i in hit.nonzero()[0] if first[i] in raised
+                    }
+                    record(lanes, failed, it)
+                    pending[list(failed)] = False
+                    hit &= pending[rows]
+                take, first = rows[hit], first[hit]
+                xs[take], fs[take], ns[take] = candidate[first], trial[first], trial_norm[first]
+                pending[take] = False
+                if not pending.any():
+                    break
+            else:
+                stop(lanes[pending], LINE_SEARCH_STALLED, it)
+            x[lanes], residual[lanes], norm[lanes] = xs, fs, ns
+            lanes = lanes[status[lanes] == _RUNNING]
+        stop(lanes, MAX_ITERATIONS, max_iter)
 
     converged = (status == CONVERGED).nonzero()[0]
     inside, errors = _in_domain_rows(sys, x[converged], tols)
@@ -689,39 +691,29 @@ def _slice(sys, lam):
     return residual, jacobian
 
 
-def _fiber_tangent(sys, lam, x, tols, location_note: str):
-    kernel = kernel_basis(sys.jac_x(lam, x), tols.rank, fd=sys.finite_difference("jac_x"))
-    if kernel.shape[1] != 1:
-        raise BranchPointError(
-            f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 "
-            f"{location_note}",
-            location=PointState(lam, x.copy()),
-        )
-    tangent = kernel[:, 0]
-    return tangent / np.linalg.norm(tangent)
-
-
 def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
            max_points):
     """March one direction.  Returns (points, f_norms, closed): f_norms[i]
     is ||f(lam, points[i])|| (f_start at x_start) and closed means the walk
     returned to x_start (circle).  Each round corrects one prediction x +
     along * tangent from the last accepted point x, one lane of _correct,
-    and raises the lane's fatal error.  along is the step, which _step_rule
-    halves or accepts, until a step leaves the domain.  Then along probes
-    the bracket (lo, hi) on that step, with x at lo, until hi - lo <=
-    resolution = boundary_refine * max(1, step), and the last corrected
-    point inside ends the direction: a probe whose corrected point is
-    inside moves lo, and one outside, or whose correction is marked for
-    retry, moves hi.  A probe is the Illinois (regula falsi) root of the
-    signed margins (Domain.margin) of the points at lo and hi, moved 0.5 *
-    resolution toward the end that the last probe did not move and kept
-    at least that far inside the bracket.  It is the midpoint instead when
-    the margins do not bracket a root (hi's correction was retried, or x
-    is inside only within the start's slack) or when, after k probes, the
-    bracket is wider than 2**((1 - k) / 2) * step: it has not halved once
-    per two probes.  So a direction's search makes at most about 2 *
-    log2(step / resolution) + 3 corrections, whatever the margin."""
+    and raises the lane's fatal error.  tangent is t_start, then the unit
+    chord of the step kept, whose component along the tangent before it is
+    the step.  along is the step, which _step_rule halves or accepts, until
+    a step leaves the domain.  Then along probes the bracket (lo, hi) on
+    that step, with x at lo, until hi - lo <= resolution = boundary_refine
+    * max(1, step), and the last corrected point inside ends the direction:
+    a probe whose corrected point is inside moves lo, and one outside, or
+    whose correction is marked for retry, moves hi.  A probe is the
+    Illinois (regula falsi) root of the signed margins (Domain.margin) of
+    the points at lo and hi, moved 0.5 * resolution toward the end that
+    the last probe did not move and kept at least that far inside the
+    bracket.  It is the midpoint instead when the margins do not bracket a
+    root (hi's correction was retried, or x is inside only within the
+    start's slack) or when, after k probes, the bracket is wider than
+    2**((1 - k) / 2) * step: it has not halved once per two probes.  So a
+    direction's search makes at most about 2 * log2(step / resolution) + 3
+    corrections, whatever the margin."""
     margin_of = sys.domain.margin
     fiber_slice = _slice(sys, lam)
     points = [x_start.copy()]
@@ -784,16 +776,12 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
             continue
 
-        new_tangent = _fiber_tangent(
-            sys, lam, y, tols, f"while tracing at x = {np.round(y, 6).tolist()}"
-        )
-        if float(new_tangent @ tangent) < 0.0:
-            new_tangent = -new_tangent
-
+        chord = y - x
+        chord /= np.linalg.norm(chord)
         if (
             len(points) >= 5
             and np.linalg.norm(y - x_start) < 0.5 * step
-            and float(new_tangent @ first_tangent) > 0.9
+            and float(chord @ first_tangent) > 0.9
         ):
             points.append(x_start.copy())
             f_norms.append(f_start)
@@ -801,7 +789,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
 
         points.append(y)
         f_norms.append(float(np.linalg.norm(resid[0, : sys.n])))
-        x, tangent = y, new_tangent
+        x, tangent = y, chord
         if grow[0]:
             step = min(step * 2.0, max_step)
     raise ConvergenceError(
@@ -818,7 +806,7 @@ def _continuation_start(sys: SystemSpec, lam, x0, tols: Tolerances, what: str = 
     may overflow outside it.  what names the point in the messages."""
     x0 = finite_vector(x0, sys.n, what, "n")
     errors: dict = {}
-    if _in_box(x0, sys.domain.box, _slack(sys.domain.box, tols)):
+    if _in_box(x0, sys.domain.box, _slack(sys.domain.diameter(), tols)):
         f0 = _scaled_norm(sys.f(lam, x0))
         _near_equilibrium(f0, x0, tols, what)
         inside, errors = _in_domain_rows(sys, x0[None], tols)
@@ -861,10 +849,13 @@ def trace_fiber(
 ) -> FiberTrace:
     """Trace the connected fiber of {f(lam, .) = 0} through x0 (k = 1 only).
 
-    Predictor along the unit kernel vector of df/dx, corrector _correct
-    in the hyperplane orthogonal to the tangent.  The lift's rule,
-    _step_rule with the step as the predictor's length, retries a step at half
-    length or keeps it and may double the next, up to max_step.  Ends
+    Predicts along the unit kernel vector of df/dx at x0, in LAPACK's sign
+    times initial_direction, then along the unit chord of each kept step
+    (the secant predictor; Allgower & Georg, Numerical Continuation
+    Methods), and corrects by _correct in the hyperplane orthogonal to the
+    prediction; a crossing branch is traced through.  The lift's rule,
+    _step_rule with the step as the predictor's length, retries a step at
+    half length or keeps it and may double the next, up to max_step.  Ends
     either by closing into a circle or by hitting the domain boundary in
     both directions (segment).
     The steps default to INITIAL_STEP_FRACTION, MAX_STEP_FRACTION and
@@ -881,8 +872,13 @@ def trace_fiber(
     max_points = positive_int(max_points, "max_points", COUNT_LIMIT)
     sign = unit_sign(initial_direction, "initial_direction")
     x0, f0 = _continuation_start(sys, lam, x0, tols)
-
-    tangent = sign * _fiber_tangent(sys, lam, x0, tols, "at the starting point")
+    kernel = kernel_basis(sys.jac_x(lam, x0), tols.rank, fd=sys.finite_difference("jac_x"))
+    if kernel.shape[1] != 1:
+        raise BranchPointError(
+            f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 at the starting point",
+            location=PointState(lam, x0.copy()),
+        )
+    tangent = sign * (kernel[:, 0] / np.linalg.norm(kernel[:, 0]))
 
     forward, f_norms, closed = _march(
         sys, lam, x0, f0, tangent, tols, step0, floor, cap, max_points

@@ -45,9 +45,10 @@ def _diameter(box: np.ndarray) -> float:
     return _scaled_norm(box[:, 1] - box[:, 0])
 
 
-def _slack(box: np.ndarray, tols: Tolerances) -> float:
-    """The membership slack of a box: domain_slack * (1 + its diameter)."""
-    return tols.domain_slack * (1.0 + _diameter(box))
+def _slack(diameter: float, tols: Tolerances) -> float:
+    """The membership slack of a box of this diameter: domain_slack * (1 +
+    diameter)."""
+    return tols.domain_slack * (1.0 + diameter)
 
 
 def _in_box(x: np.ndarray, box: np.ndarray, slack: float):
@@ -65,13 +66,15 @@ class Domain:
 
     def __post_init__(self):
         object.__setattr__(self, "box", box(self.box, None, "domain_box"))
+        # every membership test reads the slack, so the diameter is kept
+        object.__setattr__(self, "_diameter", _diameter(self.box))
 
     @property
     def dim(self) -> int:
         return self.box.shape[0]
 
     def diameter(self) -> float:
-        return _diameter(self.box)
+        return self._diameter
 
     def contains(self, x, slack: Optional[float] = None):
         """Whether x is in the box within slack, lo - slack <= x <= hi +
@@ -83,7 +86,7 @@ class Domain:
         array of numbers (text, a mapping, a ragged nesting) or its last
         axis is not of length n; the test reads only x's dtype and shape."""
         if slack is None:
-            slack = _slack(self.box, DEFAULT_TOLERANCES)
+            slack = _slack(self._diameter, DEFAULT_TOLERANCES)
         try:
             x = np.asarray(x)
         except ValueError:          # a ragged nesting
@@ -357,7 +360,7 @@ def _in_domain_rows(sys: SystemSpec, x: np.ndarray, tols: Tolerances):
     or makes (Newton's starts and converged points, the starts of a fiber
     trace or a lift, lift steps and eigen-loop midpoints) and of evaluate."""
     domain = sys.domain
-    slack = _slack(domain.box, tols)
+    slack = _slack(domain.diameter(), tols)
     if sys.batched:
         return domain.contains(x, slack), {}
     errors: dict = {}
@@ -468,7 +471,7 @@ def _admit_lambda(sys: SystemSpec, lam: np.ndarray, tols: Tolerances, what: str)
     parameter box within tols.domain_slack * (1 + box diameter), the slack
     _in_domain_rows gives x.  lam is a checked finite vector of length m."""
     pb = sys.parameter_box
-    if not _in_box(lam, pb, _slack(pb, tols)):
+    if not _in_box(lam, pb, _slack(_diameter(pb), tols)):
         raise InputError(f"{what} {lam.tolist()} outside parameter box")
 
 

@@ -1,8 +1,9 @@
 """One regression row per input that once ended without an answer or with a
 wrong one: a matrix or fiber loop refined past float resolution, a lift whose
 steps would leave a sliver of a segment, an audit whose ||f|| overflows,
-a declaration whose name is not a string, a config key that is not
-text, and a size past numpy's array limit.  Each now ends in a report or
+a find or holonomy at a level whose residual norm overflows, a
+declaration whose name is not a string, a config key that is not text,
+and a size past numpy's array limit.  Each now ends in a report or
 in a typed error, and the CLI writes an envelope for either."""
 
 import importlib.util
@@ -103,6 +104,27 @@ def test_an_overflowing_residual_norm_is_an_evaluation_error(tmp_path, capsys):
     assert code == 2
     assert envelope["error"]["type"] == "EvaluationError"
     assert "||f|| is not finite" in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize("name, level, code", [
+    ("find-rfmr3", [1e308], 0),
+    ("find-rfmr3", [1e200], 0),
+    ("find-rfmr3", [-1e308], 0),
+    ("holonomy-example2", [1e308, 6.0], 1),
+    ("holonomy-example2", [2.0, -1e308], 1),
+])
+def test_a_level_past_1e154_finds_nothing_without_an_overflow(tmp_path, capsys, name, level, code):
+    # ||h(x) - a|| overflows to inf at every start, which no Newton step
+    # lowers: every lane stalls, find reports no point and holonomy no base
+    # point, and pytest turns numpy's overflow warning into an error
+    config = dict(golden.CONFIGS[name], level=level)
+    got, envelope = run_main(tmp_path, capsys, config)
+    assert got == code
+    if code == 0:
+        assert envelope["result"]["count"] == 0
+    else:
+        assert envelope["error"]["type"] == "InputError"
+        assert envelope["error"]["message"].startswith("no equilibria found on level")
 
 
 def test_a_declaration_name_must_be_a_string(tmp_path, capsys):

@@ -21,6 +21,7 @@ from eqbundle.errors import (
     InputError,
     UnsupportedDimensionError,
 )
+from eqbundle.expr import build_system_from_config
 from eqbundle.finder import (
     _cluster_representatives,
     enumerate_level_points,
@@ -225,6 +226,51 @@ def test_trace_branch_point_detected():
         trace_fiber(sys, [1.0], [0.0, 0.0])
     assert err.value.location is not None
     assert np.allclose(err.value.location.x, [0.0, 0.0])
+
+
+def test_a_fiber_is_traced_through_a_crossing_branch():
+    # at lambda = 0.5 the fiber x1 = -1/4 crosses the parabola x1 = 0.5
+    # (x2^2 - 1), where df/dx = 0, at x2 = +-sqrt(0.5); no step lands on a
+    # crossing, so the line is traced straight through both, from a start
+    # past a crossing and from one between them, without an error
+    sys = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "h": ["x2"],
+        "f": ["-(x1 - l1*(x2^2 - 1))*(x1 + 0.25)", "0*x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": [[0.25, 1.5]],
+    })
+    for x0 in ([-0.25, 0.9], [-0.25, 0.0]):
+        trace = trace_fiber(sys, [0.5], x0)
+        assert trace.topology == "segment"
+        assert np.all(trace.points[:, 0] == -0.25)
+        assert trace.points[[0, -1], 1] == pytest.approx([-1.0, 1.0], abs=1e-9)
+        assert trace.max_f_residual == 0.0
+
+
+@pytest.mark.parametrize("name, params, lam, x0", [
+    ("planar", {}, [0.5], [-0.5, 0.0]),
+    ("rfmr", {"n": 3}, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]),
+])
+def test_a_trace_takes_one_kernel_basis_whatever_its_length(monkeypatch, name, params, lam, x0):
+    # the start's kernel vector is the one SVD of a trace: each later step
+    # predicts along the chord of the step kept, and df/dx is evaluated only
+    # by the corrector
+    sys = builtin(name, **params)
+    kernels = []
+    kernel_basis = finder.kernel_basis
+
+    def counted(*args, **kwargs):
+        kernels.append(1)
+        return kernel_basis(*args, **kwargs)
+
+    monkeypatch.setattr(finder, "kernel_basis", counted)
+    d = sys.domain.diameter()
+    counts = set()
+    for fraction in (0.05, 0.01, 0.002):
+        kernels.clear()
+        trace = trace_fiber(sys, lam, x0, initial_step=fraction * d, max_step=fraction * d)
+        counts.add(len(trace.points))
+        assert len(kernels) == 1
+    assert len(counts) == 3
 
 
 def test_equilibrium_point_serializes(planar):
@@ -513,11 +559,8 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
                 f_norms.append(boundary[1])
             return points, f_norms, False
 
-        new_tangent = finder._fiber_tangent(
-            sys, lam, y, tols, f"while tracing at x = {np.round(y, 6).tolist()}"
-        )
-        if float(new_tangent @ tangent) < 0.0:
-            new_tangent = -new_tangent
+        # the next prediction runs along the unit chord of the step kept
+        new_tangent = (y - x) / np.linalg.norm(y - x)
 
         if (
             len(points) >= 5

@@ -19,7 +19,9 @@ from eqbundle import (
     enumerate_level_points,
     evaluate,
 )
+from eqbundle import systems
 from eqbundle.expr import build_system_from_config
+from eqbundle.finder import _continuation_start
 from eqbundle.systems import Domain, _evaluate_rows, _in_domain_rows, first_integral_violation
 from eqbundle.tolerances import DEFAULT_TOLERANCES
 
@@ -198,6 +200,26 @@ def test_evaluate_tests_lambda_within_the_scaled_slack(planar):
     evaluate(planar, PointState([1 + 0.5 * s], [0.0, 0.0]))
     with pytest.raises(InputError, match=r"lambda \[.*\] outside parameter box"):
         evaluate(planar, PointState([1 + 2 * s], [0.0, 0.0]))
+
+
+def test_a_domain_computes_its_diameter_once(monkeypatch):
+    # with its box check; a start check, which tests the box and then the
+    # domain each within the slack, and contains at its default slack read
+    # that value
+    made = []
+    diameter = systems._diameter
+
+    def counted(box):
+        made.append(box.tolist())
+        return diameter(box)
+
+    monkeypatch.setattr(systems, "_diameter", counted)
+    planar = builtin("planar")
+    assert made == [[[-1.0, 1.0], [-1.0, 1.0]]]
+    x0, f0 = _continuation_start(planar, np.array([0.5]), [-0.5, 0.0], DEFAULT_TOLERANCES)
+    assert planar.domain.contains(x0) and f0 == 0.0
+    assert planar.domain.diameter() == diameter(planar.domain.box)
+    assert len(made) == 1
 
 
 def _hessian_by_entry(h, x):
