@@ -66,7 +66,9 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every value is a float or None, so dataclasses.asdict's deep copy
+        # of each field has nothing to copy
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 DEFAULT_TOLERANCES = Tolerances()

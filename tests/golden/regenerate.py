@@ -11,7 +11,11 @@ Usage: PYTHONPATH=src python tests/golden/regenerate.py [name ...]
     PYTHONPATH=src python tests/golden/regenerate.py --config name file [format]
 
 writes the config CONFIGS[name] to file instead, with the output format
-given, for a run of the installed `eqbundle` on it.
+given, for a run of the installed `eqbundle` on it, and
+
+    PYTHONPATH=src python tests/golden/regenerate.py --list
+
+prints one line per entry, its name and its command.
 """
 
 from __future__ import annotations
@@ -159,6 +163,10 @@ def write_config(name: str, path: str, fmt=None) -> None:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--config"]:
         write_config(*sys.argv[2:])
+        sys.exit()
+    if sys.argv[1:] == ["--list"]:
+        for name, raw in CONFIGS.items():
+            print(name, raw["command"])
         sys.exit()
     for name in sys.argv[1:] or CONFIGS:
         with open(golden_path(name), "w") as handle:

@@ -331,9 +331,10 @@ def test_trace_fiber_csv_round_trip(tmp_path):
     )
     assert main(["trace-fiber", "--config", cfg]) == 0
     report = json.loads(open(base + ".json").read())["result"]
+    assert report["topology"] == "segment"
     lines = open(base + ".csv").read().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
-    assert any("topology = segment" in ln for ln in comments)
+    assert "# topology = segment" in comments
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "x1,x2"
     rows = [[float(v) for v in ln.split(",")] for ln in body[1:]]
@@ -431,6 +432,16 @@ def test_rejected_config_envelope(tmp_path, capsys):
 
 
 def test_transport_csv_columns(tmp_path):
+    # a column for t, then one for each parameter and each coordinate
+    out = str(tmp_path / "rfmr.csv")
+    rfmr = {
+        "system": {"builtin": "rfmr", "n": 3}, "command": "transport",
+        "path": [[1.2] * 3, [2.0, 1.0, 1.6], [1.2] * 3], "x0": [0.4] * 3,
+        "output": {"path": out, "format": "csv"},
+    }
+    assert main(["transport", "--config", write_config(tmp_path, "rfmr.json", rfmr)]) == 0
+    lines = open(out).read().splitlines()
+    assert [ln for ln in lines if not ln.startswith("#")][0] == "t,l1,l2,l3,x1,x2,x3"
     out = str(tmp_path / "lift.csv")
     cfg = write_config(
         tmp_path,
@@ -663,6 +674,13 @@ def test_tolerances_are_finite_and_non_negative():
     assert DEFAULT_TOLERANCES.replace(rank=None).rank is None
 
 
+def test_tolerances_as_dict_is_dataclasses_asdict():
+    # the same keys in the same order with the same values, so the echo and
+    # tolerances_used print the same bytes
+    for tols in (DEFAULT_TOLERANCES, DEFAULT_TOLERANCES.replace(rank=1e-12, newton=1e-8)):
+        assert list(tols.as_dict().items()) == list(dataclasses.asdict(tols).items())
+
+
 def test_parse_error_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "command": ,\n}')
@@ -722,6 +740,9 @@ def _declared(f: list, parameter_box: list) -> dict:
 # the fiber of x1^3 = l1 x2^2 through (0.25, 0.125) ends in a cusp there
 CROSS = _declared(["x1*x1 - l1*x2*x2", "0"], [[-1, 1]])
 CUSP = _declared(["x1*x1*x1 - l1*x2*x2", "0"], [[0.5, 1]])
+# two equilibria per level, x1 = l1 c < 0 and x1 = -1.5 l1 c > 0 with
+# c = x2^2 - 1: raising l1 drives the positive one out of the box first
+TWO_ROOTS = _declared(["-(x1 - l1*(x2^2 - 1))*(x1 + 1.5*l1*(x2^2 - 1))", "0"], [[0.25, 4]])
 
 # (config, error type, message prefix, evidence): runs that fail in the
 # computation, with the error envelope's fields besides type and message
@@ -743,6 +764,10 @@ FAILED_RUNS = [
      "TrackingError", "winding undefined, path leaves C*: a base nonzero eigenvalue "
      "already has modulus <= tol_zero = 1.000e-07 (between samples 0 and 0)",
      {"segment": [0, 0]}),
+    # point 1 leaves the box while point 0 lifts: the run ends with point 1's error
+    ({"system": TWO_ROOTS, "command": "holonomy", "loop": [[0.4], [1.0], [0.4]],
+      "level": [0.5], "budget": 64},
+     "TransportError", "lift exited the domain at x = ", {"t": 0.40740741026820615}),
 ]
 
 

@@ -4,7 +4,9 @@ steps would leave a sliver of a segment, an audit whose ||f|| overflows,
 a find or holonomy at a level whose residual norm overflows, a
 declaration whose name is not a string, a config key that is not text,
 and a size past numpy's array limit.  Each now ends in a report or
-in a typed error, and the CLI writes an envelope for either."""
+in a typed error, and the CLI writes an envelope for either.  Last, one
+sweep holds every golden config to that contract with its numeric
+entries set to +-1e308."""
 
 import importlib.util
 import json
@@ -14,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from eqbundle.cli import main, run_config
+from eqbundle.cli import main
 from eqbundle.config import config_from_dict
 from eqbundle.errors import COUNT_LIMIT, DIMENSION_LIMIT, STACK_LIMIT, InputError, stack_count
 from eqbundle.expr import build_system_from_config
@@ -40,15 +42,17 @@ def run_main(tmp_path, capsys, config: dict) -> tuple:
 
 
 @pytest.mark.parametrize("max_refine", [49, 10**30])
-def test_rotation_loop_winds_at_any_refinement_depth(max_refine):
+def test_rotation_loop_winds_at_any_refinement_depth(tmp_path, capsys, max_refine):
     # from depth 49 the blends of the rotation's exact ties repeat an
     # endpoint bit for bit; such a midpoint refines nothing, so the
     # windings stay those of depth 48, with no RecursionError
     report = track_matrix_loop(ROTATION["matrices"], k=0, max_refine=max_refine)
     assert report.windings == (-1, 1)
     assert report.samples_used == 215
-    result, _ = run_config(config_from_dict(dict(ROTATION, max_refine=max_refine)))
-    assert result["windings"] == [-1, 1] and result["samples_used"] == 215
+    code, envelope = run_main(tmp_path, capsys, dict(ROTATION, max_refine=max_refine))
+    assert code == 0
+    assert envelope["result"]["windings"] == [-1, 1]
+    assert envelope["result"]["samples_used"] == 215
 
 
 # a fiber loop with the rotation's exact ties: at lambda = rho the Jacobian's
@@ -226,3 +230,51 @@ def test_a_budget_past_its_stack_is_refused_before_a_start_is_drawn():
     for run in runs:
         with pytest.raises(InputError, match=f"^budget must be at most {edge}$"):
             run()
+
+
+def _with_leaf(value, path: tuple, leaf):
+    """A copy of value with leaf at the keys and indices of path."""
+    if not path:
+        return leaf
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: _with_leaf(value[head], rest, leaf)}
+    return [_with_leaf(item, rest, leaf) if i == head else item for i, item in enumerate(value)]
+
+
+def _numeric_leaves(value, path=()):
+    """The paths to the numbers in value, bools left out, descending into
+    the first, second and last entry of each list only."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i in sorted({0, 1, len(value) - 1} & set(range(len(value)))):
+            yield from _numeric_leaves(value[i], path + (i,))
+
+
+def test_every_golden_config_at_1e308_ends_in_a_report_or_a_typed_error(tmp_path, capsys):
+    # Each numeric leaf of each golden config, set to +1e308 and to -1e308.
+    # main runs config_from_dict, run_config, build_envelope and
+    # canonical_json and catches an EqBundleError alone, so any other
+    # exception fails the test, and pytest turns numpy's overflow warning
+    # into an error.  Every entry of every list would be 1,282 configs and
+    # about 9 s; the first, second and last entry of each list hold the
+    # edges of every loop, path and box in 284 configs.  Other junk values
+    # (nan, strings, huge ints) are not swept.
+    runs = [
+        (f"{name} at {list(path)} = {leaf}", _with_leaf(raw, path, leaf))
+        for name, raw in golden.CONFIGS.items()
+        for path in _numeric_leaves(raw)
+        for leaf in (1e308, -1e308)
+    ]
+    assert len(runs) == 284
+    config_path = tmp_path / "config.json"
+    for where, raw in runs:
+        config_path.write_text(json.dumps(raw))
+        code = main([raw["command"], "--config", str(config_path)])
+        envelope = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2), where
+        assert ("result" if code == 0 else "error") in envelope, where

@@ -88,14 +88,60 @@ def test_rule_is_relative_and_strict_on_the_rest():
     assert mismatches(drift, {"r": {"max_h_drift": 2.2e-16, "gamma": [0.4 + 1e-11]}}, newton=1e-10)
 
 
-def test_config_mode_writes_the_named_config(tmp_path):
-    # the mode that the console-script steps of CI run before `eqbundle`
-    src = os.path.abspath(os.path.join(os.path.dirname(_HERE), os.pardir, os.pardir, "src"))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = tmp_path / "trace.json"
-    subprocess.run(
-        [sys.executable, _HERE, "--config", "trace-fiber-planar", str(out), "both"],
-        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60,
+_SRC = os.path.abspath(os.path.join(os.path.dirname(_HERE), os.pardir, os.pardir, "src"))
+
+
+def _python(args: list, **env) -> subprocess.Popen:
+    """A fresh interpreter on args, with src on its path and env set at
+    its start, its stdout piped."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+        stdout=subprocess.PIPE, text=True,
     )
+
+
+def _output(process: subprocess.Popen) -> str:
+    out, _ = process.communicate(timeout=120)
+    assert process.returncode == 0
+    return out
+
+
+def test_config_mode_writes_the_named_config(tmp_path):
+    # the mode that CI's entry-point step runs before `eqbundle`
+    out = tmp_path / "trace.json"
+    _output(_python([_HERE, "--config", "trace-fiber-planar", str(out), "both"]))
     expected = dict(golden.CONFIGS["trace-fiber-planar"], output={"format": "both"})
     assert json.loads(out.read_text()) == expected
+
+
+def test_list_mode_names_every_golden_file_and_its_command():
+    # CI's entry-point step loops over these lines
+    rows = [line.split(" ") for line in _output(_python([_HERE, "--list"])).splitlines()]
+    files = sorted(name[:-5] for name in os.listdir(golden.GOLDEN) if name.endswith(".json"))
+    assert sorted(name for name, _ in rows) == files
+    assert dict(rows) == {name: raw["command"] for name, raw in golden.CONFIGS.items()}
+
+
+# goldens whose lanes share batched LAPACK calls: Newton stacks of ten
+# columns, multistart lanes, fiber correctors and eigenvalue stacks
+THREAD_GOLDENS = [
+    "find-rfmr10", "find-example2", "trace-fiber-planar", "trace-fiber-rfmr3",
+    "eigen-loop-rfmr3", "track-matrix-loop-rfmr5",
+]
+
+
+def test_envelopes_are_the_same_bytes_at_one_and_two_blas_threads():
+    # a lane's bits depend neither on the other lanes nor on the thread
+    # count.  Each interpreter gets OPENBLAS_NUM_THREADS at its start, so
+    # before numpy loads; a BLAS other than OpenBLAS ignores it
+    script = (
+        "import json, runpy\n"
+        f"envelope = runpy.run_path({_HERE!r})['envelope']\n"
+        f"print(json.dumps([envelope(name) for name in {THREAD_GOLDENS!r}]))"
+    )
+    runs = [_python(["-c", script], OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+    one, two = (json.loads(_output(run)) for run in runs)
+    assert len(one) == len(THREAD_GOLDENS)
+    for name, a, b in zip(THREAD_GOLDENS, one, two):
+        assert a == b, name
