@@ -3,6 +3,7 @@
 Usage: eqbundle <command> --config <path> [--output <path>] [--seed <int>]
 [--tol-<name> <value>]
 
+All eight commands take the same flags, which `eqbundle --help` lists.
 The config file is a JSON object holding the system, the command, and its
 inputs; flags override the matching config scalars (flag > config >
 default).  A flag's text is read as the config value it spells and checked
@@ -38,33 +39,28 @@ from .transport import check_cocycle, holonomy_loop, lift_curve
 __all__ = ["main", "run_config"]
 
 
-def _tolerance_flags() -> list[str]:
-    return [field.name for field in dataclasses.fields(Tolerances)]
-
-
-def _tolerance_flag(name: str) -> str:
-    return f"--tol-{name.replace('_', '-')}"
+# each tolerance's name and its flag, --tol-<name> with dashes for underscores
+_TOLERANCE_FLAGS = {
+    field.name: f"--tol-{field.name.replace('_', '-')}" for field in dataclasses.fields(Tolerances)
+}
+# the flags whose value may start with one "-" (_joined_flag_values)
+_VALUE_FLAGS = frozenset({"--seed", *_TOLERANCE_FLAGS.values()})
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser for every command; a flag's value stays text, and flags
+    # are spelled in full: --tol-newt is no flag, and gets no value
     parser = argparse.ArgumentParser(
         prog="eqbundle",
         description="equilibrium bundles: audits, fibers, transport, monodromy",
+        allow_abbrev=False,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        # flags are spelled in full: --tol-newt is no flag, and gets no value
-        sub = subparsers.add_parser(command, allow_abbrev=False)
-        sub.add_argument("--config", required=True, help="path to a JSON run config")
-        sub.add_argument("--output", default=None, help="override the output path")
-        sub.add_argument("--seed", default=None, help="override the seed")
-        for name in _tolerance_flags():
-            sub.add_argument(
-                _tolerance_flag(name),
-                dest=f"tol_{name}",
-                default=None,
-                help=f"override tolerance {name!r}",
-            )
+    parser.add_argument("command", choices=COMMANDS, help="the command to run")
+    parser.add_argument("--config", required=True, help="path to a JSON run config")
+    parser.add_argument("--output", help="override the output path")
+    parser.add_argument("--seed", help="override the seed")
+    for name, flag in _TOLERANCE_FLAGS.items():
+        parser.add_argument(flag, help=f"override tolerance {name!r}")
     return parser
 
 
@@ -72,10 +68,9 @@ def _joined_flag_values(argv: list) -> list:
     """argv with --seed or --tol-<name> and a next argument that starts with
     one "-" joined as --flag=value: argparse reads -1e-3 or -inf after a
     flag as an option, and after "=" as the flag's value."""
-    flags = {"--seed", *map(_tolerance_flag, _tolerance_flags())}
     joined: list = []
     for arg in argv:
-        if joined and joined[-1] in flags and arg[:1] == "-" and arg[:2] != "--":
+        if joined and joined[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -107,7 +102,7 @@ def _apply_flag_overrides(raw: dict, args: argparse.Namespace) -> None:
     if args.seed is not None:
         raw["seed"] = _flag_value(args.seed)
     merge("output", {} if args.output is None else {"path": args.output})
-    flags = {name: getattr(args, f"tol_{name}") for name in _tolerance_flags()}
+    flags = {name: getattr(args, f"tol_{name}") for name in _TOLERANCE_FLAGS}
     merge("tolerances", {name: _flag_value(v) for name, v in flags.items() if v is not None})
 
 

@@ -164,11 +164,20 @@ def non_negative_int(value, what: str) -> int:
     return out
 
 
+def as_float(value) -> float:
+    """float(value), with an int past the float range read as +-inf, so
+    that the checks after it refuse it as they refuse inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def positive_float(value, what: str) -> float:
     """value as a float: a finite number > 0.  InputError for anything
     else."""
     try:
-        out = float(value)
+        out = as_float(value)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number") from None
     if not math.isfinite(out) or out <= 0.0:
@@ -189,7 +198,7 @@ def step_bounds(low, initial, high, unit: str) -> tuple:
     with 0 < low <= initial <= high < inf."""
     rule = f"0 < min_{unit} <= initial_{unit} <= max_{unit}"
     try:
-        low, initial, high = float(low), float(initial), float(high)
+        low, initial, high = as_float(low), as_float(initial), as_float(high)
     except (TypeError, ValueError):
         raise InputError(f"step bounds must be numbers with {rule}") from None
     if not 0.0 < low <= initial <= high < math.inf:

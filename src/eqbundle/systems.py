@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DIMENSION_LIMIT, EqBundleError, EvaluationError, InputError, _scaled_norm, box,
+    DIMENSION_LIMIT, EqBundleError, EvaluationError, InputError, _scaled_norm, as_float, box,
     finite_vector, known_keys, non_negative_int, positive_int, stack_count,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -138,6 +138,15 @@ class Domain:
         return dist
 
 
+def _float_row(value) -> np.ndarray:
+    """value as a flat float array, an int past the float range read as
+    +-inf (as_float), for the entry points' finiteness check to refuse."""
+    try:
+        return np.asarray(value, dtype=float).reshape(-1)
+    except OverflowError:
+        return np.array([as_float(v) for v in np.asarray(value, dtype=object).reshape(-1)])
+
+
 @dataclass(frozen=True)
 class PointState:
     """A point (lam, x) of the trivial bundle over the parameter box."""
@@ -149,8 +158,7 @@ class PointState:
         # only converted: a point is built for every evaluation, and the
         # entry points check finiteness and lengths
         try:
-            lam = np.asarray(self.lam, dtype=float).reshape(-1)
-            x = np.asarray(self.x, dtype=float).reshape(-1)
+            lam, x = _float_row(self.lam), _float_row(self.x)
         except (TypeError, ValueError):
             raise InputError("a point's lambda and x must be arrays of numbers") from None
         object.__setattr__(self, "lam", lam)

@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, as_float
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class Tolerances:
             if value is None and field.name == "rank":
                 continue
             number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            try:
-                out = float(value) if number else math.nan
-            except OverflowError:       # an int past the float range
-                out = math.inf
+            out = as_float(value) if number else math.nan
             if not 0.0 <= out < math.inf:
                 raise InputError(
                     f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}"

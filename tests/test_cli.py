@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -12,7 +13,7 @@ import pytest
 from conftest import count_calls
 from eqbundle import cli, expr, monodromy
 from eqbundle.cli import main
-from eqbundle.config import RunConfig, config_from_dict, load_config
+from eqbundle.config import COMMANDS, RunConfig, config_from_dict, load_config
 from eqbundle.errors import InputError
 from eqbundle.linalg import EPS
 from eqbundle.finder import enumerate_level_points, trace_fiber
@@ -656,6 +657,25 @@ def test_the_parser_keeps_every_override_as_text():
     args = cli._build_parser().parse_args(argv)
     assert args.seed == "2.5"
     assert [getattr(args, f"tol_{name}") for name in names] == ["abc"] * len(names)
+
+
+def test_one_main_call_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # every command takes the same flags, so one parser holds them all
+    cfg = write_config(tmp_path, "find.json", FIND_RFMR)
+    parsers = count_calls(monkeypatch, "__init__", argparse.ArgumentParser)
+    assert main(["find", "--config", cfg, "--tol-newton", "1e-8", "--seed", "3"]) == 0
+    assert len(parsers) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["find", "--help"]])
+def test_help_names_every_command_and_flag(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    flags = [f"--tol-{field.name.replace('_', '-')}" for field in dataclasses.fields(Tolerances)]
+    for word in ("{" + ",".join(COMMANDS) + "}", "--config", "--output", "--seed", *flags):
+        assert word in text
 
 
 def test_tolerances_are_finite_and_non_negative():

@@ -4,10 +4,11 @@ steps would leave a sliver of a segment, an audit whose ||f|| overflows,
 a find or holonomy at a level whose residual norm overflows, a
 declaration whose name is not a string, a config key that is not text,
 and a size past numpy's array limit.  Each now ends in a report or
-in a typed error, and the CLI writes an envelope for either.  Last, one
-sweep holds every golden config to that contract with its numeric
-entries set to +-1e308."""
+in a typed error, and the CLI writes an envelope for either.  Last, two
+sweeps hold the golden configs to that contract: one with their numeric
+entries set to +-1e308, one with their optional keys set to junk values."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -17,12 +18,13 @@ import numpy as np
 import pytest
 
 from eqbundle.cli import main
-from eqbundle.config import config_from_dict
+from eqbundle.config import _COMMAND_KEYS, config_from_dict
 from eqbundle.errors import COUNT_LIMIT, DIMENSION_LIMIT, STACK_LIMIT, InputError, stack_count
-from eqbundle.expr import build_system_from_config
+from eqbundle.expr import IDENTITY_DEFAULTS, build_system_from_config
 from eqbundle.finder import enumerate_level_points, trace_fiber
 from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
 from eqbundle.systems import builtin, check_first_integral_identity
+from eqbundle.tolerances import Tolerances
 from eqbundle.transport import lift_curve
 
 _HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regenerate.py")
@@ -233,12 +235,13 @@ def test_a_budget_past_its_stack_is_refused_before_a_start_is_drawn():
 
 
 def _with_leaf(value, path: tuple, leaf):
-    """A copy of value with leaf at the keys and indices of path."""
+    """A copy of value with leaf at the keys and indices of path; a key
+    that value lacks is added, holding an object until the path ends."""
     if not path:
         return leaf
     head, rest = path[0], path[1:]
     if isinstance(value, dict):
-        return {**value, head: _with_leaf(value[head], rest, leaf)}
+        return {**value, head: _with_leaf(value.get(head, {}), rest, leaf)}
     return [_with_leaf(item, rest, leaf) if i == head else item for i, item in enumerate(value)]
 
 
@@ -262,8 +265,8 @@ def test_every_golden_config_at_1e308_ends_in_a_report_or_a_typed_error(tmp_path
     # exception fails the test, and pytest turns numpy's overflow warning
     # into an error.  Every entry of every list would be 1,282 configs and
     # about 9 s; the first, second and last entry of each list hold the
-    # edges of every loop, path and box in 284 configs.  Other junk values
-    # (nan, strings, huge ints) are not swept.
+    # edges of every loop, path and box in 284 configs.  The junk values
+    # of optional keys are the next test's.
     runs = [
         (f"{name} at {list(path)} = {leaf}", _with_leaf(raw, path, leaf))
         for name, raw in golden.CONFIGS.items()
@@ -271,6 +274,12 @@ def test_every_golden_config_at_1e308_ends_in_a_report_or_a_typed_error(tmp_path
         for leaf in (1e308, -1e308)
     ]
     assert len(runs) == 284
+    assert_every_run_ends_in_an_envelope(tmp_path, capsys, runs)
+
+
+def assert_every_run_ends_in_an_envelope(tmp_path, capsys, runs: list) -> None:
+    """main on each (where, raw config) of runs exits 0, 1 or 2 with a
+    result or error envelope on stdout."""
     config_path = tmp_path / "config.json"
     for where, raw in runs:
         config_path.write_text(json.dumps(raw))
@@ -278,3 +287,37 @@ def test_every_golden_config_at_1e308_ends_in_a_report_or_a_typed_error(tmp_path
         envelope = json.loads(capsys.readouterr().out)
         assert code in (0, 1, 2), where
         assert ("result" if code == 0 else "error") in envelope, where
+
+
+# JSON values that no optional field takes as it stands: NaN, text, ints
+# past the float range, negative zero, an empty list and object, a bool
+# and null (which means the same as an absent key)
+JUNK = [math.nan, "text", 10**400, -10**400, -0.0, [], {}, True, None]
+
+
+def _optional_keys():
+    """(golden config, path to a key): each command key that a golden
+    config leaves out, each optional key of transport-ring3's declaration,
+    and each tolerance on find-rfmr3."""
+    for name, raw in golden.CONFIGS.items():
+        for key in sorted(_COMMAND_KEYS[raw["command"]] - raw.keys()):
+            yield name, (key,)
+    for key in ("name", "parameter_box", *IDENTITY_DEFAULTS):
+        yield "transport-ring3", ("system", "declaration", key)
+    for field in dataclasses.fields(Tolerances):
+        yield "find-rfmr3", ("tolerances", field.name)
+
+
+def test_every_optional_key_set_to_junk_ends_in_a_report_or_a_typed_error(tmp_path, capsys):
+    # Under the contract of the 1e308 sweep: every junk value at every
+    # optional key, none left out.  An int past the float range once
+    # escaped the step, fraction, tol_zero and identity_tolerance checks
+    # as a bare OverflowError.
+    runs = [
+        (f"{name} at {list(path)} = {leaf!r:.20}",
+         _with_leaf(golden.CONFIGS[name], path, leaf))
+        for name, path in _optional_keys()
+        for leaf in JUNK
+    ]
+    assert len(runs) == 387
+    assert_every_run_ends_in_an_envelope(tmp_path, capsys, runs)

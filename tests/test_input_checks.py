@@ -160,6 +160,15 @@ CASES = [
      r"^loop must close: first and last matrices differ by 1\.000e\+308$"),
     ("eigen-loop", {"loop_points": [[1e200] * 3, XEQ, [-1e200] * 3]},
      r"^loop must close: first and last loop points differ by 3\.464e\+200$"),
+    # an int past the float range is refused as +-inf is, not as an OverflowError
+    ("trace-fiber", {"min_step": 10**400}, STEPS),
+    ("trace-fiber", {"initial_step": -10**400}, STEPS),
+    ("trace-fiber", {"max_step": 10**400}, STEPS),
+    ("transport", {"min_fraction": -10**400}, FRACTIONS),
+    ("transport", {"initial_fraction": 10**400}, FRACTIONS),
+    ("transport", {"max_fraction": 10**400}, FRACTIONS),
+    ("track-matrix-loop", {"tol_zero": 10**400}, TOL_ZERO),
+    ("track-matrix-loop", {"tol_zero": -10**400}, TOL_ZERO),
 ]
 
 
@@ -241,6 +250,7 @@ DECLARED_CASES = [
     # refused without numpy's overflow warning, which pytest turns into an error
     ({"domain_box": [[-1e308, 1e308], [-1.0, 1.0]]},
      "^domain_box has a diameter past the float range$"),
+    ({"identity_tolerance": 10**400}, "^identity_tolerance must be positive and finite$"),
 ]
 
 
@@ -264,6 +274,14 @@ def test_each_declared_box_rule_is_one_input_error(tmp_path, capsys, overrides, 
 LIBRARY_CASES = [
     ("split-tol-zero-negative", lambda: split_spectrum(np.eye(2), 0, tol_zero=-1.0), TOL_ZERO),
     ("split-tol-zero-nan", lambda: split_spectrum(np.eye(2), 0, tol_zero=NAN), TOL_ZERO),
+    ("split-tol-zero-huge-int", lambda: split_spectrum(np.eye(2), 0, tol_zero=10**400),
+     TOL_ZERO),
+    # a point's int past the float range reads inf, which its entry refuses
+    ("point-huge-int-lambda",
+     lambda: connection_frame(builtin("planar"), PointState([10**400], X0)), f"^lambda {FINITE}"),
+    ("point-huge-int-x",
+     lambda: connection_frame(builtin("planar"), PointState([0.5], [-10**400, 0.0])),
+     f"^x {FINITE}"),
     ("identity-samples-0", lambda: check_first_integral_identity(builtin("planar"), 0),
      "samples must be positive"),
     ("identity-samples-negative", lambda: check_first_integral_identity(builtin("planar"), -5),
