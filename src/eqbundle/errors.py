@@ -13,6 +13,7 @@ points, and the norm that the loop and start checks take without overflow.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Optional
 
@@ -173,12 +174,21 @@ def as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _as_real(value) -> float:
+    """as_float of a number: a numbers.Real that is not a bool.  TypeError
+    for anything else, a numeric string included.  The one rule of every
+    float that a config or a caller gives."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    return as_float(value)
+
+
 def positive_float(value, what: str) -> float:
-    """value as a float: a finite number > 0.  InputError for anything
-    else."""
+    """value as a float: a finite number > 0 (_as_real).  InputError for
+    anything else."""
     try:
-        out = as_float(value)
-    except (TypeError, ValueError):
+        out = _as_real(value)
+    except TypeError:
         raise InputError(f"{what} must be a number") from None
     if not math.isfinite(out) or out <= 0.0:
         raise InputError(f"{what} must be positive and finite")
@@ -195,11 +205,11 @@ def unit_sign(value, what: str) -> int:
 
 def step_bounds(low, initial, high, unit: str) -> tuple:
     """The min_, initial_ and max_ bounds of the step named unit as floats
-    with 0 < low <= initial <= high < inf."""
+    (_as_real) with 0 < low <= initial <= high < inf."""
     rule = f"0 < min_{unit} <= initial_{unit} <= max_{unit}"
     try:
-        low, initial, high = as_float(low), as_float(initial), as_float(high)
-    except (TypeError, ValueError):
+        low, initial, high = _as_real(low), _as_real(initial), _as_real(high)
+    except TypeError:
         raise InputError(f"step bounds must be numbers with {rule}") from None
     if not 0.0 < low <= initial <= high < math.inf:
         raise InputError(

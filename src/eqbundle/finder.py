@@ -4,10 +4,13 @@ The square solve targets F(x) = [f(lambda, x); h(x) - a] = 0 whose
 stacked Jacobian [df/dx; dh/dx] has full column rank n at transversal
 points, so a least-squares Newton step is the exact Newton step there.
 _level_set defines F and that Jacobian once, for newton_lanes and for
-_correct, and every step is one batched linalg._solve_rows call.
+_correct, and every step is one batched linalg._solve_rows call on the
+augmented stack [df/dx; dh/dx | -F], written once per iteration.
 Enumeration runs the damped, global newton_lanes from every point of a
-low-discrepancy sequence at once, as lanes of one lockstep kernel,
-deduplicates by clustering and audits only the kept points.  A lane
+low-discrepancy sequence at once, as lanes of one lockstep kernel whose
+running state is compact, cut only when lanes stop.  It deduplicates by
+clustering, and evaluates, as one stack, and audits only the kept
+points.  A lane
 whose ||F|| stays far above its target and falls by less than 1 % in 5
 iterations ends early as "no progress", so an empty level costs a few
 iterations per start, not the iteration cap.  Fibers (k = 1 only) are
@@ -52,7 +55,16 @@ from .errors import (
     unit_sign,
 )
 from .linalg import _solve_rows, kernel_basis, numeric_rank
-from .systems import PointState, SystemSpec, _in_box, _in_domain_rows, _slack, evaluate
+from .systems import (
+    _BLOCKS,
+    PointState,
+    SystemSpec,
+    _evaluate_rows,
+    _evaluation,
+    _in_box,
+    _in_domain_rows,
+    _slack,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -229,20 +241,28 @@ def _lane_norm(v: np.ndarray) -> np.ndarray:
 
 
 def _level_set(sys: SystemSpec) -> tuple:
-    """(residual, jacobian) of the level-set system at every row of a stack
+    """(residual, system) of the level-set system at every row of a stack
     y (R, n): residual(y, lam, a, errors) is F = [f(lam, y); h(y) - a] (R,
-    n + k) and jacobian(y, lam, a, errors) [df/dx; dh/dx] (R, n + k, n), a
-    unused.  lam and a are one shared vector or one row per row of y.  As
-    in the spec's stacked accessors, a row fails with the error of a lone
-    evaluation: NaN, with its EqBundleError in errors (raised when None)."""
+    n + k), and system(y, lam, a, errors) the augmented stack [df/dx; dh/dx
+    | b] (R, n + k, n + 1) that linalg._solve_rows takes, a unused.  The
+    Jacobian is written into it once, and its last column b is the
+    caller's to write: -F for a Newton step, the lift's drive for its
+    velocity.  lam and a are one shared vector or one row per row of y.
+    As in the spec's stacked accessors, a row fails with the error of a
+    lone evaluation: NaN, with its EqBundleError in errors (raised when
+    None)."""
+    n = sys.n
 
     def residual(y, lam, a, errors):
         return np.concatenate([sys.f_rows(lam, y, errors), sys.h_rows(y, errors) - a], axis=1)
 
-    def jacobian(y, lam, a, errors):
-        return np.concatenate([sys.jac_x(lam, y, errors), sys.jac_h(y, errors)], axis=1)
+    def system(y, lam, a, errors):
+        out = np.empty((len(y), n + sys.k, n + 1))
+        out[:, :n, :n] = sys.jac_x(lam, y, errors)
+        out[:, n:, :n] = sys.jac_h(y, errors)
+        return out
 
-    return residual, jacobian
+    return residual, system
 
 
 # newton_lanes' iteration cap
@@ -266,8 +286,9 @@ def newton_lanes(
     it ran in.  A lane converges when ||F|| <= newton_tol * (1 + ||x0||)
     at the top of one of max_iter iterations.
     F and its Jacobian [df/dx; dh/dx] come from _level_set, as in the
-    lift's corrector.  Each iteration takes the least-squares Newton step
-    of all running lanes in one _solve_rows call (a batched QR with a rank
+    lift's corrector.  Each iteration writes the running lanes' Jacobians
+    beside -F into one augmented stack and takes their least-squares
+    Newton steps in one _solve_rows call on it (a batched QR with a rank
     certificate, and a batched SVD for the rows it does not clear), which
     also decides each Jacobian's column rank: a lane ends as singular on a
     rank deficient Jacobian and with its InputError on a non-finite one.
@@ -288,6 +309,11 @@ def newton_lanes(
     1 + diameter.  Every lane ends with one of LANE_OUTCOMES; nothing is
     raised for a failed lane.
 
+    The running lanes' x, F, ||F||, target and the ||F|| of their last 5
+    iterations are compact arrays, one row per running lane, cut only
+    when lanes stop; a lane's x and F go to its output rows once, when it
+    stops.
+
     lam must be a finite vector of length m, and a and starts finite
     (InputError otherwise); the level a is one k-vector shared by every
     lane.
@@ -300,12 +326,11 @@ def newton_lanes(
         raise InputError(f"starts must have shape (B, {sys.n}), got {x.shape}")
     if a.size != sys.k:
         raise InputError(f"level a has length {a.size}, expected k = {sys.k}")
-    level_residual, level_jacobian = _level_set(sys)
-    count = x.shape[0]
+    level_residual, level_system = _level_set(sys)
+    count, n = x.shape
     status = np.full(count, _RUNNING)
     iteration = np.zeros(count, dtype=int)
-    residual = np.full((count, sys.n + sys.k), np.nan)
-    norm = np.full(count, np.nan)
+    residual = np.full((count, n + sys.k), np.nan)
     details: dict = {}
 
     def stop(lanes, code, at=None):
@@ -319,72 +344,91 @@ def newton_lanes(
             details[int(lanes[row])] = err
             stop(lanes[row], EVALUATION_ERROR, at)
 
-    diameter = sys.domain.diameter()
-    target = tols.newton * (1.0 + np.linalg.norm(x, axis=1))
+    def running(keep, *arrays):
+        # the rows of keep of each running array, once the x and F of the
+        # lanes that stopped are in their output rows
+        ended = ~keep
+        x[lanes[ended]], residual[lanes[ended]] = xs[ended], fs[ended]
+        return [values[keep] for values in arrays]
+
     lanes = np.arange(count)
     inside, errors = _in_domain_rows(sys, x, tols)
     stop(lanes[~inside], START_OUTSIDE_DOMAIN, 0)
     record(lanes, errors, 0)
     lanes = lanes[status == _RUNNING]
 
+    # the running lanes' state: row i is that of lane lanes[i]
     errors = {}
-    values = level_residual(x[lanes], lam, a, errors)
-    residual[lanes] = values
-    stop(lanes[~np.isfinite(values).all(axis=1)], NONFINITE_RESIDUAL, 0)
+    xs = x[lanes]
+    fs = level_residual(xs, lam, a, errors)
+    keep = np.isfinite(fs).all(axis=1)
+    stop(lanes[~keep], NONFINITE_RESIDUAL, 0)
     record(lanes, errors, 0)
-    lanes = lanes[status[lanes] == _RUNNING]
-    margin = 0.05 * diameter
-    # ||F|| of every lane at the top of the last _STALL_WINDOW iterations:
-    # at the top of iteration it, row it % _STALL_WINDOW still holds that
-    # of iteration it - _STALL_WINDOW
-    recent = np.empty((_STALL_WINDOW, count))
+    keep[list(errors)] = False
+    ts = tols.newton * (1.0 + np.linalg.norm(xs, axis=1))
+    if not keep.all():
+        lanes, xs, fs, ts = running(keep, lanes, xs, fs, ts)
+    # the trials' box: the domain box inflated by 5 % of its diameter
+    margin = 0.05 * sys.domain.diameter()
+    inflated = sys.domain.box + np.array([-margin, margin])
+    # ||F|| of every running lane at the top of the last _STALL_WINDOW
+    # iterations: at the top of iteration it, column it % _STALL_WINDOW
+    # still holds that of iteration it - _STALL_WINDOW
+    recent = np.empty((lanes.size, _STALL_WINDOW))
     # a norm past the float range (a level past 1e154) is inf: the lane stalls
     with np.errstate(over="ignore"):
-        norm[lanes] = _lane_norm(residual[lanes])
+        ns = _lane_norm(fs)
         for it in range(max_iter):
-            done = norm[lanes] <= target[lanes]
+            done = ns <= ts
             stop(lanes[done], CONVERGED, it)
-            lanes = lanes[~done]
             slot = it % _STALL_WINDOW
             if it >= _STALL_WINDOW:
-                now = norm[lanes]
-                stalled = (now > _STALL_FACTOR * target[lanes]) & (
-                    now > _STALL_DROP * recent[slot, lanes]
-                )
+                stalled = (ns > _STALL_FACTOR * ts) & (ns > _STALL_DROP * recent[:, slot])
                 stop(lanes[stalled], NO_PROGRESS, it)
-                lanes = lanes[~stalled]
-            recent[slot, lanes] = norm[lanes]
+                done |= stalled
+            if done.any():
+                lanes, xs, fs, ns, ts, recent = running(~done, lanes, xs, fs, ns, ts, recent)
+            recent[:, slot] = ns
             if not lanes.size:
                 break
 
             errors = {}
-            jac = level_jacobian(x[lanes], lam, a, errors)
+            system = level_system(xs, lam, a, errors)
+            np.negative(fs, out=system[:, :, n])
             # a non-finite Jacobian is an InputError in errors
-            step, deficient = _solve_rows(jac, -residual[lanes], tols.rank, errors)
-            record(lanes, errors, it)
-            for row, err in deficient.items():
-                details[int(lanes[row])] = err.report
-                stop(lanes[row], SINGULAR, it)
-            keep = status[lanes] == _RUNNING
-            lanes, step = lanes[keep], step[keep]
+            step, deficient = _solve_rows(system, tols.rank, errors)
+            if errors or deficient:
+                record(lanes, errors, it)
+                for row, err in deficient.items():
+                    details[int(lanes[row])] = err.report
+                    stop(lanes[row], SINGULAR, it)
+                keep = np.ones(lanes.size, dtype=bool)
+                keep[[*errors, *deficient]] = False
+                lanes, xs, fs, ns, ts, recent, step = running(
+                    keep, lanes, xs, fs, ns, ts, recent, step
+                )
 
-            xs, fs, ns, ts = x[lanes], residual[lanes], norm[lanes], target[lanes]
             pending = np.ones(lanes.size, dtype=bool)
+            ended = np.zeros(lanes.size, dtype=bool)
             for alphas in _ALPHA_ROUNDS:
                 rows = pending.nonzero()[0]
+                every = rows.size == lanes.size
+                base, toward = (xs, step) if every else (xs[rows], step[rows])
                 # trial j of pending lane rows[i] is row i * alphas.size + j
-                candidate = (xs[rows, None] + alphas[:, None] * step[rows, None]).reshape(
-                    -1, step.shape[1]
-                )
-                trying = _in_box(candidate, sys.domain.box, margin)
-                trial = np.full((candidate.shape[0], residual.shape[1]), np.nan)
+                candidate = (base[:, None] + alphas[:, None] * toward[:, None]).reshape(-1, n)
+                trying = _in_box(candidate, inflated, 0.0)
                 errors = {}
-                trial[trying] = level_residual(candidate[trying], lam, a, errors)
+                if trying.all():
+                    trial = level_residual(candidate, lam, a, errors)
+                else:
+                    trial = np.full((candidate.shape[0], fs.shape[1]), np.nan)
+                    trial[trying] = level_residual(candidate[trying], lam, a, errors)
                 trial_norm = _lane_norm(trial)
                 # a skipped or non-finite trial has a NaN or infinite norm and
                 # fails both comparisons
                 by_lane = trial_norm.reshape(rows.size, alphas.size)
-                event = (by_lane < ns[rows, None]) | (by_lane <= ts[rows, None])
+                now, goal = (ns, ts) if every else (ns[rows], ts[rows])
+                event = (by_lane < now[:, None]) | (by_lane <= goal[:, None])
                 if errors:
                     # each error under the row of its trial in candidate
                     tried = trying.nonzero()[0]
@@ -400,6 +444,7 @@ def newton_lanes(
                     }
                     record(lanes, failed, it)
                     pending[list(failed)] = False
+                    ended[list(failed)] = True
                     hit &= pending[rows]
                 take, first = rows[hit], first[hit]
                 xs[take], fs[take], ns[take] = candidate[first], trial[first], trial_norm[first]
@@ -408,9 +453,11 @@ def newton_lanes(
                     break
             else:
                 stop(lanes[pending], LINE_SEARCH_STALLED, it)
-            x[lanes], residual[lanes], norm[lanes] = xs, fs, ns
-            lanes = lanes[status[lanes] == _RUNNING]
+                ended |= pending
+            if ended.any():
+                lanes, xs, fs, ns, ts, recent = running(~ended, lanes, xs, fs, ns, ts, recent)
         stop(lanes, MAX_ITERATIONS, max_iter)
+        x[lanes], residual[lanes] = xs, fs
 
     converged = (status == CONVERGED).nonzero()[0]
     inside, errors = _in_domain_rows(sys, x[converged], tols)
@@ -422,20 +469,36 @@ def newton_lanes(
     )
 
 
-def _equilibrium_point(sys, lam, x, residual_f, tols) -> EquilibriumPoint:
-    """The reported point: level, stacked rank and audit at a converged x,
-    all from one evaluation."""
-    ev = evaluate(sys, PointState(lam, x), check_domain=False)
-    stacked = np.concatenate([ev.jac_x, ev.jac_h])
-    rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
-    return EquilibriumPoint(
-        state=ev.point,
-        residual_f=float(residual_f),
-        level=ev.h_value,
-        audit=audit_point(sys, ev, tols),
-        stacked_rank=rank.rank,
-        transversal=rank.rank == sys.n,
+def _equilibrium_points(sys, lam, points, tols) -> list:
+    """The reported points at the converged (x, ||f||) pairs of points:
+    each one's level, stacked rank and audit, all from its evaluation.  The
+    evaluations are one stacked _evaluate_rows call, row i that of point
+    i, each row the bits of a lone evaluate.  A point whose evaluation
+    fails raises its error in its turn, so the first failing point's error
+    is raised, as evaluating the points one by one would."""
+    if not points:
+        return []
+    errors: dict = {}
+    blocks = _evaluate_rows(
+        sys, finite_vector(lam, sys.m, "lambda", "m"), np.array([x for x, _ in points]),
+        _BLOCKS, errors,
     )
+    found = []
+    for row, (x, residual_f) in enumerate(points):
+        if row in errors:
+            raise errors[row]
+        ev = _evaluation(sys, PointState(lam, x), blocks, row)
+        stacked = np.concatenate([ev.jac_x, ev.jac_h])
+        rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
+        found.append(EquilibriumPoint(
+            state=ev.point,
+            residual_f=float(residual_f),
+            level=ev.h_value,
+            audit=audit_point(sys, ev, tols),
+            stacked_rank=rank.rank,
+            transversal=rank.rank == sys.n,
+        ))
+    return found
 
 
 def newton_on_level_set(
@@ -459,7 +522,7 @@ def newton_on_level_set(
     """
     x = finite_vector(x0, sys.n, "x0", "n")
     lanes = newton_lanes(sys, lam, a, x[None, :], tols, max_iter)
-    return _equilibrium_point(sys, lam, lanes.solution(0), lanes.residual_f[0], tols)
+    return _equilibrium_points(sys, lam, [(lanes.solution(0), lanes.residual_f[0])], tols)[0]
 
 
 def _golden(n: int) -> float:
@@ -540,15 +603,12 @@ def enumerate_level_points(
     bounded by errors.stack_count, as it stacks budget Jacobians.  Converged
     points are deduplicated by clustering with radius cluster_tol *
     domain diameter, keeping the best-converged representative, and only
-    the kept points are audited.  They are returned sorted
-    lexicographically by coordinates.  An empty result is a valid
+    the kept points are evaluated, as one stack, and audited.  They are
+    returned sorted lexicographically by coordinates.  An empty result is a valid
     answer: either the level set carries no equilibria for this lambda
     or the budget missed every basin.
     """
-    return [
-        _equilibrium_point(sys, lam, x, residual_f, tols)
-        for x, residual_f in _level_points(sys, lam, a, budget, seed, tols)
-    ]
+    return _equilibrium_points(sys, lam, _level_points(sys, lam, a, budget, seed, tols), tols)
 
 
 def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> list:
@@ -592,7 +652,7 @@ def _corrector_results(y0: np.ndarray, p: int) -> tuple:
     return y0.copy(), np.zeros(count, dtype=int), np.full((count, p), np.nan), np.ones(count, bool)
 
 
-def _correct(residual, jacobian, y0, tols, *lane_args):
+def _correct(residual, system, y0, tols, *lane_args):
     """Undamped Gauss-Newton for residual(y) = 0 from nearby starts, one
     lane per row of y0 (B, n).
 
@@ -602,14 +662,15 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
     domain or ends for lack of progress.
 
     Each lane follows the rule of a lone solve: one solve_least_squares(
-    jacobian(y), -residual(y)) step per iteration until ||residual(y)|| <=
+    J(y), -residual(y)) step per iteration until ||residual(y)|| <=
     newton_tol * (1 + ||y0||), at most _CORRECTOR_ITERATIONS steps.  The
-    lanes run in lockstep.  residual(y, *args, errors) and jacobian(y,
-    *args, errors) evaluate the stack y of the running lanes, (R, p) and
-    (R, p, n), with args the lane_args (one row per lane) cut to those
-    lanes, and store the EqBundleError of a row they cannot evaluate under
-    that row in errors.  The steps of all running lanes are one _solve_rows
-    call.
+    lanes run in lockstep.  residual(y, *args, errors) evaluates the stack
+    y of the running lanes, (R, p), and system(y, *args, errors) writes
+    their Jacobians J into an augmented stack (R, p, n + 1) whose last
+    column _correct fills with -residual, with args the lane_args (one row
+    per lane) cut to those lanes; each stores the EqBundleError of a row
+    it cannot evaluate under that row in errors.  The steps of all running
+    lanes are one _solve_rows call on that stack.
 
     Returns (y, iterations, resid, retry, fatal): per lane the corrected
     point, the iteration at which it converged and the residual there
@@ -659,7 +720,9 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
             if not lanes.size:
                 break
         errors = {}
-        step, deficient = _solve_rows(jacobian(y, *args, errors), -resid, tols.rank, errors)
+        stack = system(y, *args, errors)
+        np.negative(resid, out=stack[:, :, -1])
+        step, deficient = _solve_rows(stack, tols.rank, errors)
         y = y + step
         if errors or deficient:
             if lanes is None:
@@ -677,18 +740,24 @@ def _correct(residual, jacobian, y0, tols, *lane_args):
 
 
 def _slice(sys, lam):
-    """Residual and Jacobian of [f(lam, y); tangent . (y - x_pred)] for
+    """Residual and system of [f(lam, y); tangent . (y - x_pred)] for
     _correct, with lane arguments x_pred and tangent: each lane's fiber cut
-    by the hyperplane through its x_pred normal to its tangent."""
+    by the hyperplane through its x_pred normal to its tangent.  The system
+    is the augmented stack [df/dx; tangent | b] (R, n + 1, n + 1) with its
+    last column b left to _correct."""
+    n = sys.n
 
     def residual(y, x_pred, tangent, errors):
         cut = np.vecdot(y - x_pred, tangent)    # per row the lone BLAS dot
         return np.concatenate([sys.f_rows(lam, y, errors), cut[:, None]], axis=1)
 
-    def jacobian(y, x_pred, tangent, errors):
-        return np.concatenate([sys.jac_x(lam, y, errors), tangent[:, None]], axis=1)
+    def system(y, x_pred, tangent, errors):
+        out = np.empty((len(y), n + 1, n + 1))
+        out[:, :n, :n] = sys.jac_x(lam, y, errors)
+        out[:, n, :n] = tangent
+        return out
 
-    return residual, jacobian
+    return residual, system
 
 
 def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,

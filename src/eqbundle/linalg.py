@@ -7,10 +7,12 @@ one full SVD.  Dense eigenvalues come back in a deterministic order.
 
 Least squares (_solve_rows, and solve_least_squares, its one-row call)
 never forms the normal equations and takes one route at every column
-count q.  One Householder QR of [A | b] and one back substitution give
-x = R^-1 (Q^T b) (Golub & Van Loan, Matrix Computations, 4th ed., 5.3),
-and a certificate proves that the SVD's rank decision would find A full
-rank:
+count q.  Its one input is the augmented stack [A | b], which the caller
+writes once: a Newton step writes its Jacobian beside -F.  One
+Householder QR of that stack, whose last column becomes Q^T b, and one
+back substitution give x = R^-1 (Q^T b) (Golub & Van Loan, Matrix
+Computations, 4th ed., 5.3), and a certificate proves that the SVD's rank
+decision would find A full rank:
 
     1 / (sqrt(q) max(y)) > 2 (rank_cutoff(shape, N, rank_tol) + p q eps N)
 
@@ -154,11 +156,12 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
     each b[:, j, ...] a right-hand side of its own x[:, j, ...].
 
     The call of _solve_rows with one row per right-hand side (see the
-    module docstring): one QR whose certificate, when it fails, hands the
-    solve to the SVD.  The rank is decided with the cutoff of numeric_rank;
-    the normal equations are never formed.  Raises DegeneracyError
-    carrying the RankReport when A is column rank deficient, since the
-    minimizer is then not unique.
+    module docstring): each row is A with its right-hand side beside it,
+    and one QR whose certificate, when it fails, hands the solve to the
+    SVD.  The rank is decided with the cutoff of numeric_rank; the normal
+    equations are never formed.  Raises DegeneracyError carrying the
+    RankReport when A is column rank deficient, since the minimizer is
+    then not unique.
     """
     A = _as_matrix(A, "A")
     b = finite_array(b, "b")
@@ -173,8 +176,10 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
         return np.zeros((0,) + tail)
     columns = b.reshape(p, -1).T
     # without a right-hand side, one zero row still decides the rank
-    rows = columns if len(columns) else np.zeros((1, p))
-    x, deficient = _solve_rows(np.broadcast_to(A, (len(rows), p, q)), rows, rank_tol, {})
+    system = np.empty((max(len(columns), 1), p, q + 1))
+    system[:, :, :q] = A
+    system[:, :, q] = columns if len(columns) else 0.0
+    x, deficient = _solve_rows(system, rank_tol, {})
     if deficient:
         raise deficient[0]
     return x[: len(columns)].T.reshape((q,) + tail)
@@ -211,21 +216,23 @@ def _certificate_scale(shape, amax, rank_tol):
 _PYTHON_ROWS = 30
 
 
-def _qr_rows(A: np.ndarray, b: np.ndarray, rank_tol) -> tuple:
-    """(x, certified) for the finite stacks A (B, p, q), p >= q, and b
-    (B, p): x = R^-1 (Q^T b) from one raw-mode Householder QR of [A | b],
-    and certified marks the rows that pass the certificate of the module
-    docstring, a proof that the SVD rule of _solve_rows finds A full rank.
-    One back substitution gives x and y = M(R)^-1 e: in Python floats row
-    by row (_lone_row) for a lone row or a small stack (_PYTHON_ROWS), else
-    as numpy ufuncs over x and y side by side, (q, 2B), so that each update
-    is contiguous.  Both forms make the same operations in the same order.
-    A row whose R is singular or not finite, whose figures overflow or
-    whose largest |a_ij| is below 1e-150 is not certified; its x means
-    nothing."""
-    count, p, q = A.shape
+def _qr_rows(system: np.ndarray, rank_tol) -> tuple:
+    """(x, certified) for a finite augmented stack [A | b] (B, p, q + 1),
+    p >= q: x = R^-1 (Q^T b) from one raw-mode Householder QR of the stack
+    as given, and certified marks the rows that pass the certificate of
+    the module docstring, a proof that the SVD rule of _solve_rows finds A
+    full rank.  Each row's max|a_ij| is max(max a_ij, -min a_ij), so no
+    |A| is built.  One back substitution gives x and y = M(R)^-1 e: in
+    Python floats row by row (_lone_row) for a lone row or a small stack
+    (_PYTHON_ROWS), else as numpy ufuncs over x and y side by side, (q,
+    2B), so that each update is contiguous.  Both forms make the same
+    operations in the same order.  A row whose R is singular or not
+    finite, whose figures overflow or whose largest |a_ij| is below 1e-150
+    is not certified; its x means nothing."""
+    count, p, q = system.shape[0], system.shape[1], system.shape[2] - 1
+    A = system[:, :, :q]
     # h[:, i, :i + 1] is column i of R, and h[:, q, :q] is Q^T b
-    h = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="raw")[0]
+    h = np.linalg.qr(system, mode="raw")[0]
     if count * (q + 2) <= _PYTHON_ROWS:
         pairs = zip(h.tolist(), A.reshape(count, -1).tolist())
         x, certified = zip(*[_lone_row(row, max(map(abs, a)), rank_tol, p) for row, a in pairs])
@@ -237,7 +244,7 @@ def _qr_rows(A: np.ndarray, b: np.ndarray, rank_tol) -> tuple:
     d = T[..., :count].diagonal().T
     d = np.concatenate([d, np.abs(d)], axis=1)              # r_ii, then |r_ii|
     v = np.concatenate([h[:, q, :q].T, np.ones((q, count))], axis=1)
-    amax = np.abs(A).reshape(count, -1).max(axis=1)
+    amax = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))
     # a zero r_ii, an overflow or an inf * 0 can only leave its row uncertified
     with np.errstate(all="ignore"):
         for i in range(q - 1, 0, -1):
@@ -278,13 +285,15 @@ def _lone_row(h: list, amax: float, rank_tol, p: int) -> tuple:
     return x, amax > 1e-150
 
 
-def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
+def _solve_rows(system: np.ndarray, rank_tol, errors: dict) -> tuple:
     """The least-squares solve of solve_least_squares(A[i], b[i], rank_tol)
-    at every row i of the stacks A (B, p, q), p >= q > 0, and b (B, p).
-    Every row takes one batched QR (_qr_rows), and the rows it does not
-    certify full rank one batched thin SVD, which decides the rank with
-    the cutoff of numeric_rank and gives V diag(1/s) U^T b.  A row's route
-    and bits depend neither on the other rows nor on the stack's size.
+    at every row i of the augmented stack system = [A | b] (B, p, q + 1),
+    p >= q > 0, which the caller writes once and which is factored as
+    given.  Every row takes one batched QR (_qr_rows), and the rows it
+    does not certify full rank one batched thin SVD of A, which decides
+    the rank with the cutoff of numeric_rank and gives V diag(1/s) U^T b.
+    A row's route and bits depend neither on the other rows nor on the
+    stack's size.
 
     Rows already in errors are skipped.  A row whose A or b is not finite
     gets solve_least_squares' InputError in errors; the test is np.isfinite,
@@ -293,27 +302,30 @@ def _solve_rows(A: np.ndarray, b: np.ndarray, rank_tol, errors: dict) -> tuple:
     x (B, q), NaN where a row was not solved, and deficient {row:
     DegeneracyError} for the rows whose A is column rank deficient.
     """
-    count, shape = len(A), A.shape[1:]
+    count, p, q = system.shape[0], system.shape[1], system.shape[2] - 1
+    shape = (p, q)
     rows = None                 # every row, until one is left out
-    if errors or not (np.isfinite(A).all() and np.isfinite(b).all()):
-        bad_A = ~np.isfinite(A).all(axis=(1, 2))
-        bad_b = ~np.isfinite(b).all(axis=1)
+    finite = np.isfinite(system)
+    if errors or not finite.all():
+        bad_A = ~finite[:, :, :q].all(axis=(1, 2))
+        bad_b = ~finite[:, :, q].all(axis=1)
         for row in range(count):
             if row not in errors and (bad_A[row] or bad_b[row]):
                 errors[row] = InputError(
                     f"{'A' if bad_A[row] else 'b'} must be an array of finite numbers"
                 )
         rows = np.array([row for row in range(count) if row not in errors], dtype=int)
-        A, b = A[rows], b[rows]
-    if not len(A):
-        return np.full((count, shape[1]), np.nan), {}
-    x, certified = _qr_rows(A, b, rank_tol)
+        system = system[rows]
+    if not len(system):
+        return np.full((count, q), np.nan), {}
+    x, certified = _qr_rows(system, rank_tol)
     if certified.all():
         return _placed(x, rows, count), {}
     rows = np.arange(count) if rows is None else rows
     out = _placed(x[certified], rows[certified], count)
-    A, b, rows = A[~certified], b[~certified], rows[~certified]
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    system, rows = system[~certified], rows[~certified]
+    u, s, vt = np.linalg.svd(system[:, :, :q], full_matrices=False)
+    b = np.ascontiguousarray(system[:, :, q])
     deficient = {}
     # s is descending: rank < q exactly when the last value is cut off
     cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)

@@ -466,9 +466,15 @@ def evaluate(
         inside, errors = _in_domain_rows(sys, x[None], tols)
         if not inside[0]:
             raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))
+    return _evaluation(sys, u, _evaluate_rows(sys, lam, x[None], _BLOCKS), 0)
+
+
+def _evaluation(sys: SystemSpec, u: PointState, blocks: tuple, row: int) -> Evaluation:
+    """The Evaluation at u from row `row` of the stacked blocks of _BLOCKS
+    that _evaluate_rows returns."""
     return Evaluation(
         u,
-        *(block[0] for block in _evaluate_rows(sys, lam, x[None], _BLOCKS)),
+        *(block[row] for block in blocks),
         derivative_source="analytic" if sys.analytic else "finite-difference",
     )
 

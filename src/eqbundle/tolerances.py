@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import InputError, as_float
+from .errors import InputError, _as_real
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,10 @@ class Tolerances:
             value = getattr(self, field.name)
             if value is None and field.name == "rank":
                 continue
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            out = as_float(value) if number else math.nan
+            try:
+                out = _as_real(value)
+            except TypeError:
+                out = math.nan
             if not 0.0 <= out < math.inf:
                 raise InputError(
                     f"tolerance {field.name!r} must be a finite number >= 0, got {value!r}"

@@ -282,19 +282,21 @@ def _lane_start(sys: SystemSpec, lambda_path, x0, tols: Tolerances) -> tuple:
     return waypoints, x, f0, np.asarray(sys.h(x), dtype=float).reshape(-1)
 
 
-def _velocity(sys: SystemSpec, jacobian, lam, y, lam_dot, tols: Tolerances, errors, lanes):
+def _velocity(sys: SystemSpec, system, lam, y, lam_dot, tols: Tolerances, errors, lanes):
     """The lifting system's solution at every row of the stack y, row i on
-    lanes[i].  A = [df/dx; dh/dx] is the level-set Jacobian, the jacobian
-    of _level_set(sys), and the solve is linalg._solve_rows.  errors is the
-    round's shared {row: error} dict: a row already there is not evaluated
-    again, and every new error, which ends its lane, is stored there: an
-    evaluation error, a non-finite A or b (InputError), or a TransportError
-    at the middle of the lane's step when A is column rank deficient."""
-    A = jacobian(y, lam, None, errors)
+    lanes[i].  The lifting system is the augmented stack [df/dx; dh/dx |
+    -(df/dlambda) lambda'; 0]: system, of _level_set(sys), writes the
+    level-set Jacobian, and this writes the last column beside it.  The
+    solve is linalg._solve_rows.  errors is the round's shared {row: error}
+    dict: a row already there is not evaluated again, and every new error,
+    which ends its lane, is stored there: an evaluation error, a
+    non-finite A or b (InputError), or a TransportError at the middle of
+    the lane's step when A is column rank deficient."""
+    n, stack = sys.n, system(y, lam, None, errors)
     # -(df/dlambda) lambda', negated before the product as in a lone solve
-    drive = np.matmul(-sys.jac_lambda(lam, y, errors), lam_dot[:, :, None])[:, :, 0]
-    b = np.concatenate([drive, np.zeros((len(y), sys.k))], axis=1)
-    velocity, deficient = _solve_rows(A, b, tols.rank, errors)
+    stack[:, :n, -1] = np.matmul(-sys.jac_lambda(lam, y, errors), lam_dot[:, :, None])[:, :, 0]
+    stack[:, n:, -1] = 0.0
+    velocity, deficient = _solve_rows(stack, tols.rank, errors)
     for row, err in deficient.items():
         lane = lanes[row]
         errors[row] = TransportError(
@@ -403,14 +405,14 @@ def lift_lanes(
             failed[index] = err
     results = lanes
     n = sys.n
-    residual, jacobian = _level_set(sys)
+    residual, system = _level_set(sys)
 
     # every step starts at a corrector output; a start whose projection
     # fails is kept, and the loop meets its error
     off = [lane for lane in lanes if lane.max_f > tols.newton * (1.0 + np.linalg.norm(lane.x))]
     if off:
         starts = _correct(
-            residual, jacobian, np.array([lane.x for lane in off]), tols,
+            residual, system, np.array([lane.x for lane in off]), tols,
             np.array([lane.path[0] for lane in off]), np.array([lane.a0 for lane in off]),
         )[0]
         for lane, start in zip(off, starts):
@@ -446,7 +448,7 @@ def lift_lanes(
         k = []
         for stage, scale in ((0, None), (1, half), (1, half), (2, ds[:, None])):
             y = x if scale is None else x + scale * k[-1]
-            k.append(_velocity(sys, jacobian, lam_t[:, stage], y, lam_dot, tols, errors, lanes))
+            k.append(_velocity(sys, system, lam_t[:, stage], y, lam_dot, tols, errors, lanes))
             if errors:
                 break
         if errors:
@@ -466,7 +468,7 @@ def lift_lanes(
         outside = ~_in_domain_rows(sys, candidate, tols)[0] & (ds >= 2.0 * min_fraction)
         lam_next = lam_t[:, 2]
         y, iterations, resid, retry, fatal = _correct(
-            residual, jacobian, candidate, tols, lam_next, a0
+            residual, system, candidate, tols, lam_next, a0
         )
         # finder's step rule; the lanes it does not retry took the step, if
         # it stayed inside.  A fatal error ends its lane unless the step is

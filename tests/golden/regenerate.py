@@ -15,7 +15,14 @@ given, for a run of the installed `eqbundle` on it, and
 
     PYTHONPATH=src python tests/golden/regenerate.py --list
 
-prints one line per entry, its name and its command.
+prints one line per entry, its name and its command, and
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check [name ...]
+
+runs each named entry (every entry when no name is given) and prints
+"<name> same" when its envelope has the golden file's bytes, or "<name>
+differs"; it writes nothing and exits 0.  Run at two revisions, it shows
+whether a change keeps the goldens' bytes.
 """
 
 from __future__ import annotations
@@ -167,6 +174,12 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--list"]:
         for name, raw in CONFIGS.items():
             print(name, raw["command"])
+        sys.exit()
+    if sys.argv[1:2] == ["--check"]:
+        for name in sys.argv[2:] or CONFIGS:
+            with open(golden_path(name)) as handle:
+                same = handle.read() == envelope(name)
+            print(name, "same" if same else "differs")
         sys.exit()
     for name in sys.argv[1:] or CONFIGS:
         with open(golden_path(name), "w") as handle:

@@ -289,10 +289,10 @@ def assert_every_run_ends_in_an_envelope(tmp_path, capsys, runs: list) -> None:
         assert ("result" if code == 0 else "error") in envelope, where
 
 
-# JSON values that no optional field takes as it stands: NaN, text, ints
-# past the float range, negative zero, an empty list and object, a bool
-# and null (which means the same as an absent key)
-JUNK = [math.nan, "text", 10**400, -10**400, -0.0, [], {}, True, None]
+# JSON values that no optional field takes as it stands: NaN, text, a
+# numeric string, ints past the float range, negative zero, an empty list
+# and object, a bool and null (which means the same as an absent key)
+JUNK = [math.nan, "text", "0.5", 10**400, -10**400, -0.0, [], {}, True, None]
 
 
 def _optional_keys():
@@ -319,5 +319,5 @@ def test_every_optional_key_set_to_junk_ends_in_a_report_or_a_typed_error(tmp_pa
         for name, path in _optional_keys()
         for leaf in JUNK
     ]
-    assert len(runs) == 387
+    assert len(runs) == 430
     assert_every_run_ends_in_an_envelope(tmp_path, capsys, runs)

@@ -781,16 +781,17 @@ def test_correct_marks_each_failed_lane_for_retry_or_fatal():
             g[row] = np.nan
         return g
 
-    def jacobian(y, kind, errors):
+    def system(y, kind, errors):
         jac = np.ones((len(y), 1, 1))
         jac[kind == "deficient"] = 0.0
         jac[kind == "slow"] = 10.0          # a tenth of each Newton step
         jac[kind == "bad jacobian"] = np.inf
-        return jac
+        # [J | b], whose last column _correct writes
+        return np.concatenate([jac, np.zeros_like(jac)], axis=2)
 
     y0 = np.full((len(kinds), 1), 0.5)
     y, iterations, resid, retry, fatal = finder._correct(
-        residual, jacobian, y0, Tolerances(), kinds
+        residual, system, y0, Tolerances(), kinds
     )
     assert retry.tolist() == [False, True, True, True, False, False, False]
     assert sorted(fatal) == [4, 5]

@@ -123,6 +123,22 @@ def test_list_mode_names_every_golden_file_and_its_command():
     assert dict(rows) == {name: raw["command"] for name, raw in golden.CONFIGS.items()}
 
 
+def test_check_mode_compares_the_bytes_and_writes_nothing():
+    # one line "<name> same|differs" per named golden, in order
+    names = ["find-rfmr3", "audit-rfmr3"]
+    before = {}
+    for name in names:
+        with open(golden.golden_path(name)) as handle:
+            before[name] = handle.read()
+    rows = [line.split(" ") for line in _output(_python([_HERE, "--check", *names])).splitlines()]
+    assert rows == [
+        [name, "same" if before[name] == golden.envelope(name) else "differs"] for name in names
+    ]
+    for name in names:
+        with open(golden.golden_path(name)) as handle:
+            assert handle.read() == before[name]
+
+
 # goldens whose lanes share batched LAPACK calls: Newton stacks of ten
 # columns, multistart lanes, fiber correctors and eigenvalue stacks
 THREAD_GOLDENS = [

@@ -169,6 +169,10 @@ CASES = [
     ("transport", {"max_fraction": 10**400}, FRACTIONS),
     ("track-matrix-loop", {"tol_zero": 10**400}, TOL_ZERO),
     ("track-matrix-loop", {"tol_zero": -10**400}, TOL_ZERO),
+    # a bool or a numeric string is not a number, as in a tolerance
+    ("trace-fiber", {"max_step": True}, "step bounds must be numbers"),
+    ("transport", {"initial_fraction": "0.1"}, "step bounds must be numbers"),
+    ("track-matrix-loop", {"tol_zero": True}, "tol_zero must be a number"),
 ]
 
 
@@ -251,6 +255,7 @@ DECLARED_CASES = [
     ({"domain_box": [[-1e308, 1e308], [-1.0, 1.0]]},
      "^domain_box has a diameter past the float range$"),
     ({"identity_tolerance": 10**400}, "^identity_tolerance must be positive and finite$"),
+    ({"identity_tolerance": "0.5"}, "^identity_tolerance must be a number$"),
 ]
 
 
@@ -276,6 +281,8 @@ LIBRARY_CASES = [
     ("split-tol-zero-nan", lambda: split_spectrum(np.eye(2), 0, tol_zero=NAN), TOL_ZERO),
     ("split-tol-zero-huge-int", lambda: split_spectrum(np.eye(2), 0, tol_zero=10**400),
      TOL_ZERO),
+    ("split-tol-zero-bool", lambda: split_spectrum(np.eye(2), 0, tol_zero=True),
+     "^tol_zero must be a number$"),
     # a point's int past the float range reads inf, which its entry refuses
     ("point-huge-int-lambda",
      lambda: connection_frame(builtin("planar"), PointState([10**400], X0)), f"^lambda {FINITE}"),

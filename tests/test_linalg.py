@@ -21,6 +21,13 @@ from eqbundle.linalg import EPS, RankReport, _solve_rows, rank_and_subspaces, ra
 
 from conftest import count_calls
 
+
+def augmented(A, b):
+    """The stack [A | b] (B, p, q + 1) that _solve_rows and _qr_rows take,
+    from A (B, p, q) and b (B, p)."""
+    return np.concatenate([A, b[:, :, None]], axis=2)
+
+
 # Jacobian of the example2 vector field at lam=1, x=(1,1,1), written out by hand:
 # rows (lam*y, -lam*(z-x), -lam*y), (lam*z-2*lam*x, 0, lam*x), (0, 0, 0).
 EX2_JAC = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -191,7 +198,7 @@ def test_stacked_solve_is_the_lone_solve_row_by_row(shape, rank_tol):
         A[38, :, 0] = 0.0
         nan_A, inf_b, rank_deficient, skipped = 2, 30, [3, 38], 17
     errors = {skipped: "skipped"}
-    x, deficient = _solve_rows(A, b, rank_tol, errors)
+    x, deficient = _solve_rows(augmented(A, b), rank_tol, errors)
     failed = {nan_A, inf_b, skipped, *rank_deficient}
     assert np.isnan(x[sorted(failed)]).all()
     assert errors.pop(skipped) == "skipped"
@@ -232,7 +239,7 @@ def test_a_small_stack_tests_finiteness_as_each_row_alone(rank_tol):
         for row, i, value in in_b:
             b[row, i] = value
         skipped = set(errors)
-        x, deficient = _solve_rows(A, b, rank_tol, errors)
+        x, deficient = _solve_rows(augmented(A, b), rank_tol, errors)
         assert deficient == {}
         assert {row: str(err) for row, err in errors.items() if row not in skipped} == {
             row: f"{name} must be an array of finite numbers" for row, name in expected.items()
@@ -269,8 +276,8 @@ def test_qr_certificate_clears_only_full_rank_rows(q, extra, rank_tol, offset, s
         A[row] = (U * np.append(s[:-1], cutoff * 10.0**exponent)) @ V.T
     b = rng.standard_normal((len(A), p))
 
-    x, certified = linalg._qr_rows(A, b, rank_tol)
-    x_stack, deficient = _solve_rows(A, b, rank_tol, {})
+    x, certified = linalg._qr_rows(augmented(A, b), rank_tol)
+    x_stack, deficient = _solve_rows(augmented(A, b), rank_tol, {})
     for row in range(len(A)):
         values = np.linalg.svd(A[row], full_matrices=False)[1]
         tol = max(p, q) * values[0] * linalg.EPS if rank_tol is None else rank_tol
@@ -320,7 +327,7 @@ def qr_rows_in(form: str, A, b, rank_tol):
     """_qr_rows with the back substitution forced into one form."""
     size = 0 if form == "numpy" else 10**9
     with mock.patch.object(linalg, "_PYTHON_ROWS", size):
-        return linalg._qr_rows(A, b, rank_tol)
+        return linalg._qr_rows(augmented(A, b), rank_tol)
 
 
 @settings(settings.get_profile("derandomized"), max_examples=60)
@@ -356,7 +363,7 @@ def test_one_route_gives_a_row_the_same_bits_alone_stacked_and_in_either_form(
             form: [qr_rows_in(form, A[i:i + 1], b[i:i + 1], rank_tol) for i in range(len(A))]
             for form in ("numpy", "python")
         }
-        x, deficient = _solve_rows(A, b, rank_tol, {})
+        x, deficient = _solve_rows(augmented(A, b), rank_tol, {})
         for row in range(len(A)):
             try:
                 lone = solve_least_squares(A[row], b[row], rank_tol)
@@ -384,7 +391,7 @@ def test_failed_wide_stack_makes_no_lapack_call(monkeypatch):
     A[0, 3, 3], b[1, 0], A[2, 0, 9] = np.nan, np.inf, -np.inf
     calls = [count_calls(monkeypatch, name, linalg.np.linalg) for name in ("qr", "inv", "svd")]
     errors = {3: "skipped"}
-    x, deficient = _solve_rows(A, b, None, errors)
+    x, deficient = _solve_rows(augmented(A, b), None, errors)
     assert calls == [[], [], []] and deficient == {}
     assert x.shape == (4, 10) and np.isnan(x).all()
     assert sorted(errors) == [0, 1, 2, 3]
@@ -397,7 +404,7 @@ def test_a_qr_route_stack_makes_one_qr_call_and_no_inverse(monkeypatch):
     A, b = rng.standard_normal((50, 21, 20)), rng.standard_normal((50, 21))
     names = ("qr", "inv", "solve", "svd")
     calls = [count_calls(monkeypatch, name, linalg.np.linalg) for name in names]
-    x, deficient = _solve_rows(A, b, None, {})
+    x, deficient = _solve_rows(augmented(A, b), None, {})
     assert [len(call) for call in calls] == [1, 0, 0, 0] and deficient == {}
     for row in range(len(A)):
         reference = np.linalg.lstsq(A[row], b[row], rcond=None)[0]
@@ -416,9 +423,9 @@ def test_comparison_bound_clears_a_unit_triangle_up_to_its_slack(monkeypatch, q,
     A = (np.linalg.qr(rng.standard_normal((p, q)))[0] @ np.triu(np.ones((q, q))))[None]
     b = rng.standard_normal((1, p))
     assert np.linalg.svd(A[0], compute_uv=False)[-1] > 0.5
-    assert linalg._qr_rows(A, b, None)[1].tolist() == [certified]
+    assert linalg._qr_rows(augmented(A, b), None)[1].tolist() == [certified]
     svds = count_calls(monkeypatch, "svd", linalg.np.linalg)
-    x, deficient = _solve_rows(A, b, None, {})
+    x, deficient = _solve_rows(augmented(A, b), None, {})
     assert deficient == {} and len(svds) == (0 if certified else 1)
     assert x[0].tobytes() == solve_least_squares(A[0], b[0]).tobytes()
     assert np.allclose(x[0], np.linalg.lstsq(A[0], b[0])[0], rtol=1e-12, atol=1e-12)
@@ -432,7 +439,7 @@ def test_a_tiny_rank_deficient_row_is_not_certified(scale):
     rng = np.random.default_rng(1)
     A, b = rng.standard_normal((11, 10)), rng.standard_normal(11)
     A[:, 9] = A[:, 4]
-    assert not linalg._qr_rows(scale * A[None], b[None], None)[1][0]
+    assert not linalg._qr_rows(augmented(scale * A[None], b[None]), None)[1][0]
     with pytest.raises(DegeneracyError, match=r"rank 9 < 10"):
         solve_least_squares(scale * A, b)
 
@@ -447,7 +454,7 @@ def test_qr_route_at_extreme_scales_is_the_lone_solve(rank_tol):
     scales = [1.0, 1e160, 1e300, 1e-160, 1e-300, 0.0]
     A = np.stack([scale * base for scale in scales])
     b = np.stack([b] * len(scales))
-    x, deficient = _solve_rows(A, b, rank_tol, {})
+    x, deficient = _solve_rows(augmented(A, b), rank_tol, {})
     for row in range(len(A)):
         if row in deficient:
             assert np.isnan(x[row]).all()
@@ -480,7 +487,7 @@ def test_stack_near_the_float_limit_solves_without_a_warning(stack, rank_tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errors: dict = {}
-        x, deficient = _solve_rows(A, b, rank_tol, errors)
+        x, deficient = _solve_rows(augmented(A, b), rank_tol, errors)
         for row in range(len(A)):
             failure = errors.get(row) or deficient.get(row)
             if failure is not None:

@@ -31,13 +31,17 @@ from eqbundle.transport import holonomy_loop, lift_curve
 from conftest import count_calls
 
 
-def assert_lane_alone_matches(sys, lam, level, starts, lanes):
-    """Every lane of a batched run equals the same start run alone."""
+def assert_lane_alone_matches(sys, lam, level, starts, lanes, **kwargs):
+    """Every lane of a batched run equals the same start run alone: its x
+    and residual bytes (NaN where never evaluated), status, iteration and
+    error."""
     for i in range(len(starts)):
-        alone = newton_lanes(sys, lam, level, starts[i:i + 1])
+        alone = newton_lanes(sys, lam, level, starts[i:i + 1], **kwargs)
         assert alone.x[0].tobytes() == lanes.x[i].tobytes()
+        assert alone.residual[0].tobytes() == lanes.residual[i].tobytes()
         assert alone.status[0] == lanes.status[i]
         assert alone.iteration[0] == lanes.iteration[i]
+        assert str(alone.error(0)) == str(lanes.error(i))
 
 
 def assert_rounds_match_trial_by_trial(sys, lam, level, starts, lanes, **kwargs):
@@ -319,6 +323,96 @@ def test_loop_adapter_fails_only_the_raising_lanes():
     )
 
 
+def outcome_system():
+    """A plain-callable spec with f = (g(x1), 0) and h = x2 on the box
+    [-10, 10] x [-1, 1] cut at x1 <= 8, whose g picks a lane's outcome by
+    the region of x1: it raises below -8, is NaN on [-8, -6), flat on
+    [-6, -4) (a singular Jacobian), (x1 + 3)^2 + 1 on [-4, -2), (x1 -
+    0.5)^3 on [-2, 2) (Newton converges slowly) and x1 - 8.5 from 2 on,
+    whose root lies outside the domain."""
+
+    def g(x1):
+        # (g, dg/dx1)
+        if x1 < -8.0:
+            raise EvaluationError("f is undefined left of -8", where=[x1])
+        if x1 < -6.0:
+            return math.nan, 0.0
+        if x1 < -4.0:
+            return 1.0, 0.0
+        if x1 < -2.0:
+            return (x1 + 3.0) ** 2 + 1.0, 2.0 * (x1 + 3.0)
+        if x1 < 2.0:
+            return (x1 - 0.5) ** 3, 3.0 * (x1 - 0.5) ** 2
+        return x1 - 8.5, 1.0
+
+    return SystemSpec(
+        name="outcomes", n=2, m=1, k=1,
+        f=lambda lam, x: np.array([g(float(x[0]))[0], 0.0]),
+        h=lambda x: np.array([x[1]]),
+        domain=Domain(
+            box=np.array([[-10.0, 10.0], [-1.0, 1.0]]),
+            constraints=(lambda x: x[..., 0] - 8.0,),
+        ),
+        parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.array([[g(float(x[0]))[1], 0.0], [0.0, 0.0]]),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+    )
+
+
+def assert_residual_is_f_at_x(sys, lam, level, lanes):
+    """Each lane's residual row holds F at its x, from a lone evaluation
+    (NaN where F fails), and a lane that started outside the domain keeps
+    a row of NaN."""
+    residual = finder._level_set(sys)[0]
+    lam, level = np.asarray(lam, dtype=float), np.asarray(level, dtype=float)
+    for i, code in enumerate(lanes.status):
+        if LANE_OUTCOMES[code] == "start outside domain":
+            assert np.isnan(lanes.residual[i]).all()
+        else:
+            again = residual(lanes.x[i:i + 1], lam, level, {})
+            assert again.tobytes() == lanes.residual[i:i + 1].tobytes()
+
+
+def test_every_lane_outcome_survives_compaction(example2):
+    # the running lanes are compact arrays, cut when lanes stop, and a
+    # lane's x and F go to its output rows when it stops.  Over two mixed
+    # batches every outcome is reached, lanes stop at many iterations, each
+    # lane is its lone run, bytes and error included, and each residual
+    # row is F at its lane's x
+    starts = np.array([
+        [-9.0, 0.0], [-7.0, 0.2], [-5.0, 0.0], [-2.5, 0.1], [-3.00001, 0.0], [1.5, 0.0],
+        [0.51, -0.3], [1.0, 0.0], [7.0, 0.5], [9.0, 0.0], [-1.9, 0.0], [-2.1, 0.0],
+        [-3.9, 0.0],
+    ])
+    sys = outcome_system()
+    lanes = newton_lanes(sys, [0.5], [0.0], starts, max_iter=12)
+    assert [(LANE_OUTCOMES[code], int(at)) for code, at in zip(lanes.status, lanes.iteration)] == [
+        ("evaluation error", 0), ("non-finite residual", 0), ("singular", 0),
+        ("max iterations", 12), ("outside the domain at the end", 2), ("max iterations", 12),
+        ("converged", 8), ("max iterations", 12), ("outside the domain at the end", 1),
+        ("start outside domain", 0), ("max iterations", 12), ("evaluation error", 2),
+        ("singular", 2),
+    ]
+    assert_lane_alone_matches(sys, [0.5], [0.0], starts, lanes, max_iter=12)
+    assert_residual_is_f_at_x(sys, [0.5], [0.0], lanes)
+    reached = set(lanes.status)
+
+    # start outside domain, line search stalled and no progress, the last
+    # at 20 different iterations
+    starts = level_starts(example2, 200, 0)
+    lanes = newton_lanes(example2, [1.0], [3.0, 13.0], starts)
+    assert lanes.counts()["line search stalled"] == 1
+    assert lanes.counts()["no progress"] == 45
+    assert np.bincount(lanes.iteration).tolist() == [
+        154, 0, 0, 0, 0, 0, 0, 1, 0, 5, 7, 6, 6, 3, 2, 0, 1, 0, 2, 1, 0, 0, 0, 0, 2,
+        0, 0, 1, 0, 1, 2, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1,
+    ]
+    assert_lane_alone_matches(example2, [1.0], [3.0, 13.0], starts, lanes)
+    assert_residual_is_f_at_x(example2, [1.0], [3.0, 13.0], lanes)
+    reached |= set(lanes.status)
+    assert {LANE_OUTCOMES[code] for code in reached} == set(LANE_OUTCOMES)
+
+
 def test_audit_and_stacked_rank_once_per_kept_point(monkeypatch, rfmr3, example2):
     calls = {"audit_point": 0, "numeric_rank": 0}
 
@@ -343,13 +437,14 @@ def test_audit_and_stacked_rank_once_per_kept_point(monkeypatch, rfmr3, example2
     assert calls == {"audit_point": 4, "numeric_rank": 4}
 
 
-def test_one_evaluation_per_kept_point(rfmr3):
-    # the point's audit, stacked rank and level come from one evaluation,
-    # so each block of the system is called once
+def test_one_evaluation_per_kept_point(rfmr3, example2):
+    # the points' audits, stacked ranks and levels come from one stacked
+    # evaluation, so each block of the system is called once, for one
+    # point as for example2's four
     calls = []
 
-    def counted(name):
-        real = getattr(rfmr3, name)
+    def counted(sys, name):
+        real = getattr(sys, name)
 
         def call(*args):
             calls.append(name)
@@ -358,12 +453,39 @@ def test_one_evaluation_per_kept_point(rfmr3):
         return call
 
     blocks = ("f", "h", "jac_x_fn", "jac_lambda_fn", "jac_h_fn", "hess_h_fn")
-    sys = dataclasses.replace(rfmr3, **{name: counted(name) for name in blocks})
-    point = finder._equilibrium_point(
-        sys, np.ones(3), np.full(3, 0.5), 0.0, finder.DEFAULT_TOLERANCES
-    )
+    sys = dataclasses.replace(rfmr3, **{name: counted(rfmr3, name) for name in blocks})
+    point = finder._equilibrium_points(
+        sys, np.ones(3), [(np.full(3, 0.5), 0.0)], finder.DEFAULT_TOLERANCES
+    )[0]
     assert point.transversal and point.audit.is_equilibrium
     assert sorted(calls) == sorted(blocks)
+
+    found = enumerate_level_points(example2, [1.0], [2.0, 6.0], budget=200, seed=0)
+    assert len(found) == 4
+    calls.clear()
+    sys = dataclasses.replace(example2, **{name: counted(example2, name) for name in blocks})
+    points = [(p.state.x, p.residual_f) for p in found]
+    again = finder._equilibrium_points(sys, [1.0], points, finder.DEFAULT_TOLERANCES)
+    assert sorted(calls) == sorted(blocks)
+    assert [p.as_dict() for p in again] == [p.as_dict() for p in found]
+
+
+def test_the_first_failing_kept_point_raises_its_error(example2):
+    # the stacked evaluation raises what evaluating the points in turn
+    # raises: the error of the first point that fails
+    def h(x):
+        if x[0] > 0.0:
+            raise EvaluationError("h is undefined", where=x.tolist())
+        return example2.h(x)
+
+    sys = dataclasses.replace(example2, h=h, batched=False)
+    points = [
+        (np.array([-0.5, 0.0, -0.5]), 0.0),
+        (np.array([0.5, 1.0, 0.5]), 0.0),
+        (np.array([0.7, 1.0, 0.7]), 0.0),
+    ]
+    with pytest.raises(EvaluationError, match=r"^h is undefined at \[0.5, 1.0, 0.5\]$"):
+        finder._equilibrium_points(sys, [1.0], points, DEFAULT_TOLERANCES)
 
 
 def test_enumerate_rejects_wrong_lengths(planar):
@@ -463,8 +585,8 @@ def test_every_newton_stack_takes_the_qr_route(monkeypatch, system, lam, a):
     real_qr_rows, real_svd = linalg._qr_rows, np.linalg.svd
     refused, stacked = [], []
 
-    def qr_rows(A, b, rank_tol):
-        x, certified = real_qr_rows(A, b, rank_tol)
+    def qr_rows(system, rank_tol):
+        x, certified = real_qr_rows(system, rank_tol)
         refused.append(int(np.count_nonzero(~certified)))
         return x, certified
 

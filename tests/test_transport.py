@@ -302,11 +302,13 @@ def test_holonomy_lifts_its_points_without_evaluating_or_auditing_them(
 ):
     # the lift needs the enumerated x's alone: no derivative blocks are
     # evaluated and no audit is made at the base waypoint
-    evaluations = count_calls(monkeypatch, "evaluate", systems, finder, audit, transport)
+    evaluations = count_calls(monkeypatch, "evaluate", systems, audit, transport)
+    # finder evaluates its kept points as one stack
+    stacked = count_calls(monkeypatch, "_evaluate_rows", finder)
     audits = count_calls(monkeypatch, "_audit", audit, transport)
     report = holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=200, seed=0)
     assert report.permutation == (0, 1, 2, 3)
-    assert evaluations == [] and audits == []
+    assert evaluations == [] and stacked == [] and audits == []
 
 
 def test_holonomy_loop_closes_at_the_config_rule(rfmr3):
