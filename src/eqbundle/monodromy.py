@@ -8,7 +8,9 @@ integer winding number per track (net turns around 0 in the complex plane).
 This module splits spectra, tracks them along matrix and fiber loops in one
 refining loop that splits each sample's spectrum once, in stacks of
 samples (fiber loop midpoints are finder._correct lanes), and reports the
-(permutation, windings) datum with imaginary-axis crossing counts.
+(permutation, windings) datum with imaginary-axis crossing counts.  The
+tracks are folded a window of intervals at a time: one exact step, then
+one stacked matching of the run of steps that follow it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ _TINY = float(np.finfo(float).tiny)
 _LARGEST_MODULUS = 1e150
 # the midpoint of _LoopTracker.midpoints_of that repeats an endpoint's spectrum
 _REPEATED_SPECTRUM = EqBundleError("the midpoint repeats an endpoint's spectrum")
+# the most leaf intervals _LoopTracker.window matches in one stack, so its
+# temporaries stay O(_WINDOW p^2) however long the loop
+_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -325,6 +330,7 @@ class _Sample:
     unreliable: bool
     min_gap: float
     largest: float              # the largest modulus in nonzeros
+    smallest: float             # the smallest one
     error: Optional[Exception]
 
 
@@ -356,17 +362,19 @@ def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
             except (InputError, np.linalg.LinAlgError) as err:
                 errors[i] = err
     _, nonzeros, _, unreliable, min_gap, tol_zero = _split(spectra, k, tol_zero, tols)
-    largest = np.max(np.abs(nonzeros), axis=1, initial=0.0)
+    moduli = np.abs(nonzeros)
+    largest = np.max(moduli, axis=1, initial=0.0)
+    smallest = np.min(moduli, axis=1, initial=np.inf)
     samples = [
         _Sample(payload, nonzeros[i], bool(unreliable[i]), float(min_gap[i]),
-                float(largest[i]), errors.get(i))
+                float(largest[i]), float(smallest[i]), errors.get(i))
         for i, payload in enumerate(payloads)
     ]
     return samples, tol_zero
 
 
 def _refinement_certain(pairs: list) -> np.ndarray:
-    """Whether advance refines each (left, right) pair of samples whatever
+    """Whether the fold refines each (left, right) pair of samples whatever
     the tracks' matching, as the tracks are the left spectrum in some order:
     - the directed Hausdorff distance from the left spectrum to the right
       one exceeds half the right one's min_gap, and bounds movement below;
@@ -384,16 +392,19 @@ def _refinement_certain(pairs: list) -> np.ndarray:
 
 
 class _LoopTracker:
-    """Sequential fold that carries p eigenvalue tracks along the loop.
+    """Fold that carries p eigenvalue tracks along the loop, a window of
+    leaf intervals at a time.
 
     Its one record is track, the tracks' values at every accepted sample,
-    from the base spectrum on: a sample is matched and certified against
-    track[-1], and the report is read from the whole track at the end.
-    refine(lefts, rights) gives, per pair of payloads, the (payload,
-    matrix) of their midpoint or the EqBundleError of a midpoint that
-    cannot be made.  prefetch refines the pairs that the fold is certain
-    to refine, one batch per depth, into a cache that advance reads; a
-    pair not in it is refined alone, as a batch of one."""
+    from the base spectrum on; order says where each track's last value
+    sits in the last accepted sample's nonzeros.  A sample is matched and
+    certified against track[-1], and the report is read from the whole
+    track at the end.  refine(lefts, rights) gives, per pair of payloads,
+    the (payload, matrix) of their midpoint or the EqBundleError of a
+    midpoint that cannot be made.  prefetch refines the pairs that the
+    fold is certain to refine, one batch per depth, into a cache whose
+    midpoints become the fold's leaf intervals; a pair not in it is
+    refined alone, as a batch of one, by the exact step."""
 
     def __init__(self, base: np.ndarray, k: int, tol_zero: float, tols: Tolerances,
                  refine: Callable, max_refine: int):
@@ -404,6 +415,7 @@ class _LoopTracker:
         self.max_refine = max_refine
         self.midpoints: dict = {}  # (left, right) -> _Sample or EqBundleError
         self.track = [base]
+        self.order = np.arange(len(base))
         self.flags: list[str] = []
 
     def flag_once(self, message: str) -> None:
@@ -446,63 +458,176 @@ class _LoopTracker:
                 for half in ((left, mid), (mid, right))
             ]
 
-    def advance(self, left: _Sample, right: _Sample, segment: tuple[int, int]) -> None:
-        """Fold the samples from left to right into the track.  An interval
-        that needs halving is replaced, on a stack of pending (left, right,
-        depth) intervals, by its two halves, the left one on top, so the
-        samples are accepted in loop order, depth first."""
-        pending = [(left, right, 0)]
+    def reaches(self, sample: _Sample) -> bool:
+        """Whether a step to sample gets past the checks that raise before
+        its matching is certified: no error, moduli the fold can square, and
+        no eigenvalue within tol_zero of the origin."""
+        return (sample.error is None and sample.largest < _LARGEST_MODULUS
+                and sample.smallest > self.tol_zero)
+
+    def fold(self, pairs: list) -> None:
+        """Fold the samples of the (left, right) pairs into the track, in
+        loop order.  leaves is a stack of (left, right, depth, index)
+        intervals, the next one on top: the pairs, each prefetched halving
+        that the fold reaches replaced by its two halves.  Each window
+        starts with the exact step, then folds the leaves it can take as
+        one stack."""
+        leaves = []
+        pending = [(left, right, 0, i) for i, (left, right) in enumerate(pairs)][::-1]
         while pending:
-            left, right, depth = pending.pop()
-            if right.error is not None:
-                raise right.error
-            _check_moduli(right, segment)
-            if right.unreliable:
-                self.flag_once("unreliable zero/nonzero split encountered along the loop")
-            values = self.track[-1]
-            # a linear extrapolation of each track, the base alone at first
-            predicted = 2.0 * values - self.track[-2] if len(self.track) > 1 else values
-            cost = np.abs(predicted[:, None] - right.nonzeros[None, :])
-            matched = right.nonzeros[assignment(cost)]
-            moduli = np.abs(matched)
-            if float(moduli.min()) <= self.tol_zero:
-                idx = int((moduli <= self.tol_zero).argmax())
+            left, right, depth, index = pending.pop()
+            mid = self.midpoints.get((left, right))
+            if isinstance(mid, _Sample) and self.reaches(right):
+                pending += [(mid, right, depth + 1, index), (left, mid, depth + 1, index)]
+            else:
+                leaves.append((left, right, depth, index))
+        leaves.reverse()
+        while leaves:
+            if self.step(leaves) and leaves:
+                self.window(leaves)
+
+    def step(self, leaves: list) -> bool:
+        """Take the exact step, in track order, of the leaf on top: match
+        its right sample by assignment and certify it (True), or, when the
+        leaf needs halving, put its two halves in its place, the left one
+        on top (False).  Every error of the fold is raised here."""
+        left, right, depth, index = leaves.pop()
+        segment = (index, index + 1)
+        if right.error is not None:
+            raise right.error
+        _check_moduli(right, segment)
+        if right.unreliable:
+            self.flag_once("unreliable zero/nonzero split encountered along the loop")
+        values = self.track[-1]
+        # a linear extrapolation of each track, the base alone at first
+        predicted = 2.0 * values - self.track[-2] if len(self.track) > 1 else values
+        cols = assignment(np.abs(predicted[:, None] - right.nonzeros[None, :]))
+        matched = right.nonzeros[cols]
+        moduli = np.abs(matched)
+        if float(moduli.min()) <= self.tol_zero:
+            idx = int((moduli <= self.tol_zero).argmax())
+            raise TrackingError(
+                f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
+                f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
+                segment=segment,
+            )
+        turns = matched * values.conj()
+        turned = float(np.abs(np.arctan2(turns.imag, turns.real)).max()) >= 0.5 * np.pi
+        steps = np.abs(matched - values)
+        if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
+            # a refiner that cannot produce a midpoint (e.g. Newton hits a
+            # singular point between the samples) degrades to the coarse
+            # step, whose certification below reports what went wrong
+            mid = self.midpoints.pop((left, right), None)
+            if mid is None:
+                mid = self.midpoints_of([(left, right)])[0]
+            if isinstance(mid, _Sample):
+                leaves += [(mid, right, depth + 1, index), (left, mid, depth + 1, index)]
+                return False
+        # accepting this increment as-is: certify it first, exactly for
+        # the tracks whose chord the modulus bound does not clear
+        cleared = _chord_clears(np.abs(values), moduli, steps, self.tol_zero)
+        for i in np.flatnonzero(~cleared).tolist():
+            if _chord_distance_to_origin(complex(values[i]),
+                                         complex(matched[i])) <= self.tol_zero:
                 raise TrackingError(
-                    f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
-                    f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
+                    f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
+                    f"within tol_zero = {self.tol_zero:.3e} of the origin",
                     segment=segment,
                 )
-            turns = matched * values.conj()
-            turned = float(np.abs(np.arctan2(turns.imag, turns.real)).max()) >= 0.5 * np.pi
-            steps = np.abs(matched - values)
-            if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
-                # a refiner that cannot produce a midpoint (e.g. Newton hits a
-                # singular point between the samples) degrades to the coarse
-                # step, whose certification below reports what went wrong
-                mid = self.midpoints.pop((left, right), None)
-                if mid is None:
-                    mid = self.midpoints_of([(left, right)])[0]
-                if isinstance(mid, _Sample):
-                    pending += [(mid, right, depth + 1), (left, mid, depth + 1)]
-                    continue
-            # accepting this increment as-is: certify it first, exactly for
-            # the tracks whose chord the modulus bound does not clear
-            cleared = _chord_clears(np.abs(values), moduli, steps, self.tol_zero)
-            for i in np.flatnonzero(~cleared).tolist():
-                if _chord_distance_to_origin(complex(values[i]),
-                                             complex(matched[i])) <= self.tol_zero:
-                    raise TrackingError(
-                        f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
-                        f"within tol_zero = {self.tol_zero:.3e} of the origin",
-                        segment=segment,
-                    )
-            if turned:
-                raise ResolutionError(
-                    "eigenvalue tracking could not certify an argument increment "
-                    f"below pi/2 after {self.max_refine} refinement levels",
-                    segment=segment,
-                )
-            self.track.append(matched)
+        if turned:
+            raise ResolutionError(
+                "eigenvalue tracking could not certify an argument increment "
+                f"below pi/2 after {self.max_refine} refinement levels",
+                segment=segment,
+            )
+        self.track.append(matched)
+        self.order = cols
+        return True
+
+    def window(self, leaves: list) -> None:
+        """Accept the longest run of the next leaves, at most _WINDOW of
+        them, whose steps the exact step would accept unhalved and without
+        its solver or its exact chord test; the leaf that ends the run stays
+        on top for the next exact step.
+
+        With S_0 the last accepted sample and S_j the right sample of the
+        j-th leaf, the steps are matched in sample-index space: link j
+        takes an index of S_j to one of S_{j+1}, and depends on link j - 1
+        alone, through the prediction 2 S_j - (S_{j-1} carried by link
+        j - 1).  Every link is guessed to be the identity and recomputed,
+        one (m, p, p) cost stack and one row argmin per pass, from the
+        guess until it reproduces itself; a link computed from verified
+        links is verified, so each pass verifies at least one more.  A
+        verified link is the exact step's matching where its row minima
+        certify it, and the run's tests are those of the exact step, on
+        the same floats from the same operations."""
+        run = []
+        for leaf in leaves[:-_WINDOW - 1:-1]:
+            if not self.reaches(leaf[1]):
+                break
+            run.append(leaf)
+        if not run:
+            return
+        spectra = np.array([run[0][0].nonzeros] + [right.nonzeros for _, right, _, _ in run])
+        values, rights = spectra[:-1], spectra[1:]
+        count, p = rights.shape
+        links = np.broadcast_to(np.arange(p), (count, p)).copy()
+        certified = np.zeros(count, dtype=bool)
+        # zeros where a link that is not a permutation leaves no value
+        previous = np.zeros((count, p), dtype=complex)
+        # the track's values before the last accepted sample, in its order
+        previous[0, self.order] = self.track[-2]
+        start = 0
+        while True:
+            np.put_along_axis(previous[1:], links[:-1], values[:-1], axis=1)
+            predicted = 2.0 * values[start:] - previous[start:]
+            cost = np.abs(predicted[:, :, None] - rights[start:, None, :])
+            recomputed = cost.argmin(axis=2)
+            # assignment's certificate: the row minima lie in distinct
+            # columns and each is attained once
+            hit = np.zeros(recomputed.shape, dtype=bool)
+            np.put_along_axis(hit, recomputed, True, axis=1)
+            lowest = np.take_along_axis(cost, recomputed[:, :, None], axis=2)
+            certified[start:] = hit.all(axis=1) & (
+                np.count_nonzero(cost == lowest, axis=(1, 2)) == p
+            )
+            changed = np.flatnonzero((recomputed != links[start:]).any(axis=1))
+            links[start:] = recomputed
+            verified = start + int(changed[0]) + 1 if changed.size else count
+            uncertified = np.flatnonzero(~certified[:verified])
+            if uncertified.size:
+                verified = int(uncertified[0])
+                break
+            if verified == count:
+                break
+            start = verified
+        matched = np.take_along_axis(rights[:verified], links[:verified], axis=1)
+        turns = matched * values[:verified].conj()
+        turned = np.abs(np.arctan2(turns.imag, turns.real)).max(axis=1) >= 0.5 * np.pi
+        steps = np.abs(matched - values[:verified])
+        far = steps.max(axis=1) > 0.5 * np.array(
+            [right.min_gap for _, right, _, _ in run[:verified]]
+        )
+        shallow = np.array([depth < self.max_refine for _, _, depth, _ in run[:verified]],
+                           dtype=bool)
+        halted = np.flatnonzero(turned | (far & shallow))
+        taken = int(halted[0]) if halted.size else verified
+        if taken:
+            cleared = _chord_clears(np.abs(values[:taken]), np.abs(matched[:taken]),
+                                    steps[:taken], self.tol_zero).all(axis=1)
+            taken = int(np.argmin(cleared)) if not cleared.all() else taken
+        if not taken:
+            return
+        order = self.order
+        orders = np.empty((taken, p), dtype=np.intp)
+        for j in range(taken):
+            order = orders[j] = links[j][order]
+        self.track.extend(np.take_along_axis(rights[:taken], orders, axis=1))
+        self.order = order
+        if any(right.unreliable for _, right, _, _ in run[:taken]):
+            self.flag_once("unreliable zero/nonzero split encountered along the loop")
+        del leaves[len(leaves) - taken:]
 
 
 def _blend_matrices(lefts: list, rights: list) -> list:
@@ -536,8 +661,7 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
         tracker.flag_once("unreliable zero/nonzero split encountered along the loop")
     pairs = list(zip(samples, samples[1:]))
     tracker.prefetch(pairs)
-    for i, (left, right) in enumerate(pairs):
-        tracker.advance(left, right, (i, i + 1))
+    tracker.fold(pairs)
     track = np.array(tracker.track)
 
     # closure: map each track back to the base spectrum it started from
@@ -592,11 +716,13 @@ def track_matrix_loop(
     exceeds half the smallest gap between new eigenvalues.  The spectra
     come in stacks, one eigvals call for the given matrices and one per
     refinement depth for the blends of every interval whose halving is
-    certain whatever the matching (_refinement_certain); the sequential
-    fold reads those and blends an interval the prediction missed on its
-    own, so the result is that of halving one interval at a time.  A
-    blend that is not finite raises its InputError when the fold reaches
-    it.  tol_zero, a positive finite number, is fixed once from the base
+    certain whatever the matching (_refinement_certain).  The fold takes
+    those blends as intervals of its own, and runs a window at a time: an
+    exact step, which blends an interval the prediction missed on its
+    own, then the steps after it matched in one stack, up to the first
+    one that needs halving, the solver or the exact chord test.  The
+    result is that of halving one interval at a time.  A blend that is
+    not finite raises its InputError when the fold reaches it.  tol_zero, a positive finite number, is fixed once from the base
     matrix when not given (tols.zero_factor times its spectral radius);
     any tracked eigenvalue whose modulus, or whose step chord, comes
     within tol_zero of the origin aborts the loop, since its winding

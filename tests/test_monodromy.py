@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,12 @@ from eqbundle.errors import (
 from eqbundle.finder import newton_lanes
 from eqbundle.linalg import eigen_dense
 from eqbundle.monodromy import (
+    _LEAVES_CSTAR,
+    _check_moduli,
+    _chord_clears,
+    _chord_distance_to_origin,
+    _Sample,
+    assignment,
     eigen_along_fiber_loop,
     split_spectrum,
     stability_signature,
@@ -686,23 +695,35 @@ def test_prefetched_non_finite_blend_is_raised_only_when_reached(monkeypatch):
 
 def test_no_rotation_family_loop_reaches_the_solver(monkeypatch):
     # the rotation family's pair meets at s = 0 and s = pi, where the 2 x 2
-    # costs tie exactly; the unrolled two-row pass answers every step
+    # costs tie exactly; a window's certified row minima or the exact
+    # step's unrolled two-row pass match every step
     solves = count_calls(monkeypatch, "_shortest_augmenting_paths", monodromy)
-    costs = count_calls(monkeypatch, "assignment", monodromy)
+    matched = 0
     for samples in (8, 24, 64, 256):
         report = track_matrix_loop(rotation_family(samples), k=0)
         assert sorted(report.windings) == [-1, 1]
-    assert len(costs) > 500 and solves == []
+        matched += report.samples_used - 1
+    assert matched > 450 and solves == []
 
 
 def test_rfmr20_eigen_loop_takes_no_exact_chord_test(monkeypatch):
-    # every accepted step of the tracks is cleared by the modulus bound
+    # every accepted step of the tracks is cleared by the modulus bound:
+    # the bound is the last test of an exact step (one row) and of a
+    # window (its candidate rows), which accepts the leading cleared rows
     chords = count_calls(monkeypatch, "_chord_distance_to_origin", monodromy)
-    cleared = count_calls(monkeypatch, "_chord_clears", monodromy)
+    cleared = []
+    real = monodromy._chord_clears
+
+    def leading_rows(*args):
+        clears = real(*args)
+        cleared.append(int(np.logical_and.accumulate(np.atleast_2d(clears).all(axis=1)).sum()))
+        return clears
+
+    monkeypatch.setattr(monodromy, "_chord_clears", leading_rows)
     pts = [np.full(20, c) for c in (0.2, 0.31, 0.42, 0.31, 0.2)]
     report = eigen_along_fiber_loop(builtin("rfmr", n=20), np.full(20, 1.5), pts)
     assert report.windings == (0,) * 19 and report.samples_used > len(pts)
-    assert len(cleared) == report.samples_used - 1 and chords == []
+    assert sum(cleared) == report.samples_used - 1 and chords == []
 
 
 def test_an_uncleared_step_takes_the_exact_chord_test(monkeypatch):
@@ -716,6 +737,205 @@ def test_an_uncleared_step_takes_the_exact_chord_test(monkeypatch):
     )):
         track_matrix_loop(mats, k=0, max_refine=0)
     assert chords == ["_chord_distance_to_origin"]
+
+
+def _sequential_advance(self, left, right, segment) -> None:
+    """The reference fold, _LoopTracker's step-by-step advance before the
+    windowed fold replaced it, kept verbatim: fold the samples from left
+    to right into the track.  An interval that needs halving is replaced,
+    on a stack of pending (left, right, depth) intervals, by its two
+    halves, the left one on top, so the samples are accepted in loop
+    order, depth first."""
+    pending = [(left, right, 0)]
+    while pending:
+        left, right, depth = pending.pop()
+        if right.error is not None:
+            raise right.error
+        _check_moduli(right, segment)
+        if right.unreliable:
+            self.flag_once("unreliable zero/nonzero split encountered along the loop")
+        values = self.track[-1]
+        # a linear extrapolation of each track, the base alone at first
+        predicted = 2.0 * values - self.track[-2] if len(self.track) > 1 else values
+        cost = np.abs(predicted[:, None] - right.nonzeros[None, :])
+        matched = right.nonzeros[assignment(cost)]
+        moduli = np.abs(matched)
+        if float(moduli.min()) <= self.tol_zero:
+            idx = int((moduli <= self.tol_zero).argmax())
+            raise TrackingError(
+                f"{_LEAVES_CSTAR}: tracked eigenvalue {idx} has modulus "
+                f"{abs(matched[idx]):.3e} <= tol_zero = {self.tol_zero:.3e}",
+                segment=segment,
+            )
+        turns = matched * values.conj()
+        turned = float(np.abs(np.arctan2(turns.imag, turns.real)).max()) >= 0.5 * np.pi
+        steps = np.abs(matched - values)
+        if (turned or float(steps.max()) > 0.5 * right.min_gap) and depth < self.max_refine:
+            # a refiner that cannot produce a midpoint (e.g. Newton hits a
+            # singular point between the samples) degrades to the coarse
+            # step, whose certification below reports what went wrong
+            mid = self.midpoints.pop((left, right), None)
+            if mid is None:
+                mid = self.midpoints_of([(left, right)])[0]
+            if isinstance(mid, _Sample):
+                pending += [(mid, right, depth + 1), (left, mid, depth + 1)]
+                continue
+        # accepting this increment as-is: certify it first, exactly for
+        # the tracks whose chord the modulus bound does not clear
+        cleared = _chord_clears(np.abs(values), moduli, steps, self.tol_zero)
+        for i in np.flatnonzero(~cleared).tolist():
+            if _chord_distance_to_origin(complex(values[i]),
+                                         complex(matched[i])) <= self.tol_zero:
+                raise TrackingError(
+                    f"{_LEAVES_CSTAR}: the step of tracked eigenvalue {i} passes "
+                    f"within tol_zero = {self.tol_zero:.3e} of the origin",
+                    segment=segment,
+                )
+        if turned:
+            raise ResolutionError(
+                "eigenvalue tracking could not certify an argument increment "
+                f"below pi/2 after {self.max_refine} refinement levels",
+                segment=segment,
+            )
+        self.track.append(matched)
+
+
+def _sequential_fold(self, pairs) -> None:
+    for i, (left, right) in enumerate(pairs):
+        _sequential_advance(self, left, right, (i, i + 1))
+
+
+def assert_fold_is_sequential(run):
+    """run() gives, with the prefetch on and off, what it gives when the
+    tracker folds one interval at a time as _sequential_advance does."""
+    windowed = assert_prefetch_changes_nothing(run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy._LoopTracker, "fold", _sequential_fold)
+        sequential = assert_prefetch_changes_nothing(run)
+    assert windowed == sequential
+    return windowed
+
+
+@st.composite
+def matrix_loops(draw):
+    """(matrices, k, max_refine): a loop A + cos(t) B + sin(t) C of n x n
+    matrices, n from 2 to 4, at 3 to 12 samples of t, with entries general
+    or symmetric, and rounded to 0.1 or not, so that spectra repeat and
+    costs tie exactly."""
+    n = draw(st.integers(2, 4))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+    a, b, c = (np.array(draw(entries)).reshape(n, n) for _ in range(3))
+    if draw(st.booleans()):
+        a, b, c = a + a.T, b + b.T, c + c.T
+    samples = draw(st.integers(3, 12))
+    t = 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
+    scale = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    mats = a + scale * (np.cos(t)[:, None, None] * b + np.sin(t)[:, None, None] * c)
+    if draw(st.booleans()):
+        mats = np.round(mats, 1)
+    return list(mats), draw(st.integers(0, 1)), draw(st.integers(0, 8))
+
+
+@settings(settings.get_profile("derandomized"), max_examples=150)
+@given(loop=matrix_loops())
+def test_the_windowed_fold_is_the_sequential_fold(loop):
+    mats, k, max_refine = loop
+    assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=k, max_refine=max_refine))
+
+
+def _rotations(angles):
+    return [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in angles]
+
+
+def test_a_window_stops_at_an_uncleared_chord(monkeypatch):
+    # steps of 0.1 in argument, cleared by the bound at tol_zero = 0.5,
+    # then one of 0.8 that is not (1 - 2 sin 0.4 < 0.5) and passes the
+    # exact test (cos 0.4 > 0.5): the first window takes the steps before
+    # it, the exact step takes it, track by track, and a second window the
+    # rest; the pair meets at -1 off the samples, so the tracks turn back
+    angles = np.concatenate([np.arange(0.5, 1.05, 0.1), np.arange(1.8, 0.5 + 2.0 * np.pi, 0.1)])
+    mats = _rotations(np.append(angles, 0.5))
+    report = assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=0, tol_zero=0.5))
+    assert report.windings == (0, 0) and report.samples_used > len(mats)
+    chords = count_calls(monkeypatch, "_chord_distance_to_origin", monodromy)
+    windows = count_calls(monkeypatch, "window", monodromy._LoopTracker)
+    track_matrix_loop(mats, k=0, tol_zero=0.5)
+    assert len(chords) == 2 and len(windows) == 2
+
+
+@pytest.mark.parametrize("right, message", [
+    # the halving is prefetched, but the fold raises at the right sample;
+    # the midpoint fails too, with other figures
+    (np.diag([-1.0, 3.0, 1e-9]), "tracked eigenvalue 0 has modulus 1.000e-09"),
+    (np.diag([1.0, 3.0, 4e150]), "the loop reaches 4.000e+150 (between samples 0 and 1)"),
+])
+def test_a_prefetched_pair_whose_right_sample_fails(right, message):
+    base = np.diag([1.0, 3.0, 5.0])
+    kind, text = assert_fold_is_sequential(
+        lambda: track_matrix_loop([base, right, base], k=0, tol_zero=1e-6)
+    )
+    assert message in text
+
+
+def test_tied_costs_reach_the_solver_in_both_folds(monkeypatch):
+    solves = count_calls(monkeypatch, "_shortest_augmenting_paths", monodromy)
+    mats = [np.diag([1.0, 1.0, 2.0])] * 3 + [np.diag([1.0, 1.5, 1.5]), np.diag([1.0, 1.0, 2.0])]
+    report = assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=0))
+    assert report.windings == (0, 0, 0) and solves
+
+
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regenerate.py")
+_spec = importlib.util.spec_from_file_location("golden_regenerate", _GOLDEN)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+@pytest.mark.parametrize("name, windows, exact_steps, assignments, samples_used", [
+    ("eigen-loop-rfmr3", 1, 1, 2, 6),
+    ("track-matrix-loop-rfmr5", 1, 1, 2, 24),
+    ("track-matrix-loop-rotation", 2, 3, 4, 59),
+])
+def test_golden_loops_fold_in_few_windows(monkeypatch, name, windows, exact_steps,
+                                          assignments, samples_used):
+    # the fold's work: windows folded, exact first steps (each calls
+    # assignment once, and the closure once more), and the samples it took
+    counts = {
+        "windows": count_calls(monkeypatch, "window", monodromy._LoopTracker),
+        "steps": count_calls(monkeypatch, "step", monodromy._LoopTracker),
+        "assignments": count_calls(monkeypatch, "assignment", monodromy),
+    }
+    result = json.loads(golden.envelope(name))["result"]
+    assert {key: len(calls) for key, calls in counts.items()} == {
+        "windows": windows, "steps": exact_steps, "assignments": assignments,
+    }
+    assert result["samples_used"] == samples_used
+
+
+def test_the_window_cap_bounds_the_fold_s_memory(monkeypatch):
+    # 512 samples of a 40 x 40 loop around well separated real eigenvalues,
+    # folded in windows of _WINDOW leaves: the fold's peak allocation stays
+    # far below one cost stack of the whole loop, m p^2 complex numbers
+    rng = np.random.default_rng(7)
+    a = np.diag(np.arange(1.0, 41.0))
+    b, c = 0.01 * rng.standard_normal((2, 40, 40))
+    t = 2.0 * np.pi * (np.arange(513) % 512) / 512
+    mats = a + np.cos(t)[:, None, None] * b + np.sin(t)[:, None, None] * c
+    peaks = []
+    real = monodromy._LoopTracker.fold
+
+    def traced(self, pairs):
+        tracemalloc.start()
+        try:
+            real(self, pairs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(monodromy._LoopTracker, "fold", traced)
+    report = track_matrix_loop(list(mats), k=0)
+    assert report.windings == (0,) * 40 and report.samples_used == 513
+    whole_loop = 512 * 40 * 40 * np.dtype(complex).itemsize
+    assert peaks[0] < whole_loop / 3
 
 
 def _graze(draw, scale):
