@@ -294,8 +294,8 @@ def newton_lanes(
     rank deficient Jacobian and with its InputError on a non-finite one.
     The line search scales the step by 1, 1/2, ..., 2^-24 and takes the
     first trial that stays in the domain box inflated by 5 % of the
-    diameter, is finite, and lowers ||F|| (or meets the target); a lane
-    whose first such event is an evaluation error ends with that error.
+    diameter, is finite, and lowers ||F||; a lane whose first such event
+    is an evaluation error ends with that error.
     The trials run in rounds of 1, 8 and 16 scales, each round one stacked
     residual call for every lane still searching, so an iteration makes at
     most 3 stacked residual calls.  A lane keeps the first trial of a round
@@ -425,10 +425,10 @@ def newton_lanes(
                     trial[trying] = level_residual(candidate[trying], lam, a, errors)
                 trial_norm = _lane_norm(trial)
                 # a skipped or non-finite trial has a NaN or infinite norm and
-                # fails both comparisons
+                # fails the comparison; a running lane's ||F|| is above its
+                # target, so a trial that meets the target lowers ||F||
                 by_lane = trial_norm.reshape(rows.size, alphas.size)
-                now, goal = (ns, ts) if every else (ns[rows], ts[rows])
-                event = (by_lane < now[:, None]) | (by_lane <= goal[:, None])
+                event = by_lane < (ns if every else ns[rows])[:, None]
                 if errors:
                     # each error under the row of its trial in candidate
                     tried = trying.nonzero()[0]

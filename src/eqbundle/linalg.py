@@ -24,8 +24,8 @@ matrix M(R) has |r_ii| on its diagonal and -|r_ij| above it.  The proof
 singular value of R.  No entry of A exceeds max|a_ij|, so N >= ||A||_F,
 which is at least the largest singular value of A, and p q eps N bounds
 the QR's backward error (Thm 19.4).  Nothing is squared, and a max is
-exact in any order.  Below max|a_ij| = 1e-150 the bound may underflow,
-and such a row is not certified.  y_i = (1 + sum_j>i |r_ij| y_j) / |r_ii|
+exact in any order.  At max|a_ij| <= 1e-150 the bound may underflow, and
+such a row is not certified.  y_i = (1 + sum_j>i |r_ij| y_j) / |r_ii|
 adds nonnegative terms only, so the computed y is within about q (q + 1)
 eps of the exact one, relative, and the factor 2 covers that and the
 SVD's own rounding.  With c = 2 sqrt(q) times the right side, the test is
@@ -227,8 +227,8 @@ def _qr_rows(system: np.ndarray, rank_tol) -> tuple:
     (_PYTHON_ROWS), else as numpy ufuncs over x and y side by side, (q,
     2B), so that each update is contiguous.  Both forms make the same
     operations in the same order.  A row whose R is singular or not
-    finite, whose figures overflow or whose largest |a_ij| is below 1e-150
-    is not certified; its x means nothing."""
+    finite, whose figures overflow or whose largest |a_ij| is at most
+    1e-150 is not certified; its x means nothing."""
     count, p, q = system.shape[0], system.shape[1], system.shape[2] - 1
     A = system[:, :, :q]
     # h[:, i, :i + 1] is column i of R, and h[:, q, :q] is Q^T b
@@ -342,11 +342,9 @@ def _solve_rows(system: np.ndarray, rank_tol, errors: dict) -> tuple:
 def _placed(x: np.ndarray, rows, count: int, out=None) -> np.ndarray:
     """x (R, q) written at the given rows of out (count, q), a new array of
     NaN when None; rows None stands for every row in order."""
-    if rows is None and out is None:
-        return x
     if out is None:
         out = np.full((count, x.shape[1]), np.nan)
-    out[rows] = x
+    out[slice(None) if rows is None else rows] = x
     return out
 
 

@@ -131,7 +131,8 @@ def _split(eigs: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances
     zeros = eigs[is_zero].reshape(count, k)
     nonzeros = eigs[~is_zero].reshape(count, n - k)
     largest_zero = np.max(moduli[is_zero].reshape(count, k), axis=1, initial=0.0)
-    unreliable = (k > 0) & (largest_zero > tol_zero)
+    # 0.0 when k = 0, which no tolerance (>= 0) exceeds
+    unreliable = largest_zero > tol_zero
     gap_ratio = np.zeros(count)
     if k < n:
         # inf or NaN past the float range, as a lone float division gives
@@ -140,12 +141,10 @@ def _split(eigs: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances
                 largest_zero, _TINY
             )
         unreliable |= gap_ratio < tols.gap_min
-    min_gap = np.full(count, np.inf)
-    if n - k > 1:
-        gaps = np.abs(nonzeros[:, :, None] - nonzeros[:, None, :])
-        diagonal = np.arange(n - k)
-        gaps[:, diagonal, diagonal] = np.inf
-        min_gap = gaps.min(axis=(1, 2))
+    gaps = np.abs(nonzeros[:, :, None] - nonzeros[:, None, :])
+    diagonal = np.arange(n - k)
+    gaps[:, diagonal, diagonal] = np.inf
+    min_gap = gaps.min(axis=(1, 2), initial=np.inf)
     return zeros, nonzeros, gap_ratio, unreliable, min_gap, float(tol_zero)
 
 
@@ -561,7 +560,9 @@ class _LoopTracker:
         links is verified, so each pass verifies at least one more.  A
         verified link is the exact step's matching where its row minima
         certify it, and the run's tests are those of the exact step, on
-        the same floats from the same operations."""
+        the same floats from the same operations.  A step that turns by
+        pi/2 or more is at least as long as its longer end is far from 0,
+        so the chord test stops the run there."""
         run = []
         for leaf in leaves[:-_WINDOW - 1:-1]:
             if not self.reaches(leaf[1]):
@@ -603,22 +604,18 @@ class _LoopTracker:
                 break
             start = verified
         matched = np.take_along_axis(rights[:verified], links[:verified], axis=1)
-        turns = matched * values[:verified].conj()
-        turned = np.abs(np.arctan2(turns.imag, turns.real)).max(axis=1) >= 0.5 * np.pi
         steps = np.abs(matched - values[:verified])
         far = steps.max(axis=1) > 0.5 * np.array(
             [right.min_gap for _, right, _, _ in run[:verified]]
         )
         shallow = np.array([depth < self.max_refine for _, _, depth, _ in run[:verified]],
                            dtype=bool)
-        halted = np.flatnonzero(turned | (far & shallow))
+        halted = np.flatnonzero(far & shallow)
         taken = int(halted[0]) if halted.size else verified
         if taken:
             cleared = _chord_clears(np.abs(values[:taken]), np.abs(matched[:taken]),
                                     steps[:taken], self.tol_zero).all(axis=1)
             taken = int(np.argmin(cleared)) if not cleared.all() else taken
-        if not taken:
-            return
         order = self.order
         orders = np.empty((taken, p), dtype=np.intp)
         for j in range(taken):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circle_fiber_system
+from conftest import circle_fiber_system, count_calls
 from eqbundle import builtin, finder
 from eqbundle.errors import (
     BranchPointError,
@@ -203,6 +203,27 @@ def test_trace_direction_independence(planar):
     assert one.arclength == pytest.approx(two.arclength, rel=0.01)
 
 
+def test_a_direction_holds_at_most_max_points(planar):
+    # the longer direction of this segment takes 22 points, its start included
+    assert len(trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=22).points) == 43
+    with pytest.raises(ConvergenceError, match="exceeded 21 points"):
+        trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=21)
+
+
+def test_a_trace_closed_one_way_only_is_an_error(monkeypatch, planar):
+    # the two directions disagree: one meets the boundary, the other closes
+    march = finder._march
+    closes = iter([False, True])
+
+    def marched(*args):
+        points, f_norms, _ = march(*args)
+        return points, f_norms, next(closes)
+
+    monkeypatch.setattr(finder, "_march", marched)
+    with pytest.raises(ConvergenceError, match="closed in one direction but met the boundary"):
+        trace_fiber(planar, [0.5], [-0.5, 0.0])
+
+
 def test_trace_rejects_k_not_one(example2):
     with pytest.raises(UnsupportedDimensionError, match="k = 1"):
         trace_fiber(example2, [1.0], [1.0, 1.0, 1.0])
@@ -244,6 +265,25 @@ def test_a_fiber_is_traced_through_a_crossing_branch():
         assert np.all(trace.points[:, 0] == -0.25)
         assert trace.points[[0, -1], 1] == pytest.approx([-1.0, 1.0], abs=1e-9)
         assert trace.max_f_residual == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tracer has no guard against a branch jump: _step_rule "
+                   "keeps a corrected step that lands on the sibling branch")
+def test_a_fiber_trace_stays_on_its_branch():
+    # f1 = -(x1 - r(x2)) (x1 - 0.41), r = 0.4 tanh(10 (x2 - 0.3)): the fiber
+    # through x0 is x1 = r(x2), which rises to 0.4 tanh(7) < 0.41 and so
+    # never meets its sibling x1 = 0.41.  Near x2 = 0.45 the secant
+    # predictor overshoots toward the sibling and the corrector lands there;
+    # the trace exits with a segment whose last 11 points lie on x1 = 0.41
+    sys = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "h": ["x2"],
+        "f": ["-(x1 - 0.4*(1 - 2/(exp(2*10*(x2 - 0.3)) + 1)))*(x1 - 0.41)", "0*x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": [[0.5, 1.5]],
+    })
+    trace = trace_fiber(sys, [1.0], [-0.39999999996979896, -0.9])
+    x1, x2 = trace.points.T
+    assert np.abs(x1 - 0.4 * np.tanh(10.0 * (x2 - 0.3))).max() < 1e-9
 
 
 @pytest.mark.parametrize("name, params, lam, x0", [
@@ -739,6 +779,18 @@ def test_segment_ends_are_inside_and_on_the_boundary(data):
         assert corrections <= 2 * math.ceil(math.log2(step / resolution))
 
 
+def test_a_start_on_the_boundary_ends_its_outward_direction_at_once(monkeypatch, planar):
+    # (0, 1) is on the box's edge, at margin 0: the first probe of the step
+    # that leaves is the Illinois root, half a resolution out, and no
+    # bisection of the step follows
+    calls = count_calls(monkeypatch, "_correct", finder)
+    points, _, closed = finder._march(
+        planar, np.array([0.5]), np.array([0.0, 1.0]), 0.0, np.array([0.0, 1.0]),
+        Tolerances(), 0.05, 1e-12, 0.1, 100,
+    )
+    assert len(points) == 1 and not closed and len(calls) == 2
+
+
 def test_a_pathological_margin_costs_at_most_twice_a_bisection(monkeypatch, rfmr3):
     # a margin of the right sign whose outside values are all -1e-300 puts
     # every secant estimate next to the outside end; the guard's midpoints
@@ -770,6 +822,7 @@ def test_correct_marks_each_failed_lane_for_retry_or_fatal():
         "converges", "non-finite", "deficient", "slow", "raises", "bad jacobian", "converges",
     ])
     evaluated = []      # the kinds of the rows of each residual call
+    stacked = []        # and of each system call
     raised = ConvergenceError("raised by the residual")
 
     def residual(y, kind, errors):
@@ -782,6 +835,7 @@ def test_correct_marks_each_failed_lane_for_retry_or_fatal():
         return g
 
     def system(y, kind, errors):
+        stacked.append(set(kind))
         jac = np.ones((len(y), 1, 1))
         jac[kind == "deficient"] = 0.0
         jac[kind == "slow"] = 10.0          # a tenth of each Newton step
@@ -803,6 +857,34 @@ def test_correct_marks_each_failed_lane_for_retry_or_fatal():
     # a lane ends at its failure: the residual never sees it again
     assert evaluated[1] == {"converges", "slow"}
     assert evaluated[2:] == [{"slow"}] * (finder._CORRECTOR_ITERATIONS - 1)
+    # the residual at the cap ends the slow lane without a step
+    assert stacked[1:] == [{"slow"}] * (finder._CORRECTOR_ITERATIONS - 1)
+    # a deficient step, or a failed Jacobian, alone ends its lane too
+    for kind in ("deficient", "bad jacobian"):
+        evaluated.clear()
+        finder._correct(residual, system, y0[:2], Tolerances(), np.array([kind, "slow"]))
+        assert evaluated[1] == {"slow"}
+    # at newton tolerance 0, a residual of 0 meets its target
+    out = finder._correct(residual, system, y0[:1], Tolerances(newton=0.0), kinds[:1])
+    assert out[1].tolist() == [1] and out[3].tolist() == [False]
+
+
+def test_lanes_that_converge_together_skip_the_bookkeeping(monkeypatch):
+    # _correct's early return: every lane met its target in the same
+    # iteration and none failed, so no per-lane record is made
+    books = count_calls(monkeypatch, "_corrector_results", finder)
+
+    def residual(y, errors):
+        return y - 1.0
+
+    def system(y, errors):
+        return np.concatenate([np.ones((len(y), 1, 1)), np.zeros((len(y), 1, 1))], axis=2)
+
+    y, iterations, _, retry, fatal = finder._correct(
+        residual, system, np.full((2, 1), 0.5), Tolerances()
+    )
+    assert y[:, 0].tolist() == [1.0, 1.0] and iterations.tolist() == [1, 1]
+    assert not retry.any() and fatal == {} and books == []
 
 
 def band_system():

@@ -431,6 +431,27 @@ def test_comparison_bound_clears_a_unit_triangle_up_to_its_slack(monkeypatch, q,
     assert np.allclose(x[0], np.linalg.lstsq(A[0], b[0])[0], rtol=1e-12, atol=1e-12)
 
 
+def test_the_qr_route_rules_at_their_bounds(monkeypatch):
+    # count * (q + 2) <= 30 rows take the Python form, one certificate
+    # scale a row; one more row takes the ufunc form, one for the stack
+    scales = count_calls(monkeypatch, "_certificate_scale", linalg)
+    system = augmented(np.broadcast_to(np.eye(4), (6, 4, 4)), np.ones((6, 4)))
+    linalg._qr_rows(system[:5], None)
+    assert len(scales) == 5
+    linalg._qr_rows(system, None)
+    assert len(scales) == 6
+    # a row whose largest |a_ij| is 1e-150 is not certified, in either form
+    for count in (1, 6):
+        assert not linalg._qr_rows(1e-150 * system[:count], None)[1].any()
+        assert linalg._qr_rows(2e-150 * system[:count], None)[1].all()
+    # nor one where c y_i = 1: A = [1] has y = 1, and rank_tol 0.5 - eps
+    # makes c = 2 (0.5 - eps + eps) = 1
+    for count in (1, 11):
+        one = augmented(np.ones((count, 1, 1)), np.ones((count, 1)))
+        assert not linalg._qr_rows(one, 0.5 - EPS)[1].any()
+        assert linalg._qr_rows(one, 0.25)[1].all()
+
+
 @pytest.mark.parametrize("scale", [1e-140, 1e-155, 1e-170, 1e-200])
 def test_a_tiny_rank_deficient_row_is_not_certified(scale):
     # the squares of ||A||_F underflow below about 1e-154, and a zero bound
@@ -526,8 +547,16 @@ def test_eigen_example2_jacobian():
 
 
 def test_eigen_requires_square():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="matrix must be square"):
         eigen_dense(np.ones((2, 3)))
+
+
+def test_a_matrix_has_two_dimensions_or_three_in_a_stack():
+    for call in (numeric_rank, kernel_basis):
+        with pytest.raises(InputError, match=r"matrix must be 2-dimensional, got shape \(3,\)"):
+            call(np.zeros(3))
+    with pytest.raises(InputError, match="matrix must be 2- or 3-dimensional"):
+        eigen_dense(np.zeros((1, 1, 2, 2)))
 
 
 def test_eigen_product_matches_determinant():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import circle_fiber_system, count_calls, rfmr_circulant_eigenvalues
@@ -30,6 +30,7 @@ from eqbundle.monodromy import (
     track_matrix_loop,
 )
 from eqbundle.systems import PointState
+from eqbundle.tolerances import DEFAULT_TOLERANCES
 
 
 def rotation_family(samples=256):
@@ -77,9 +78,20 @@ def test_split_unreliable_flag():
     assert not ok.unreliable
 
 
+def test_a_split_at_its_bounds_is_reliable():
+    # flagged when a zero exceeds tol_zero or the gap ratio is below
+    # gap_min: a zero at tol_zero, or a ratio of gap_min, is not flagged
+    z, gap_min = 2.0 ** -10, DEFAULT_TOLERANCES.gap_min
+    assert not split_spectrum(np.diag([z, 2.0]), 1, tol_zero=z).unreliable
+    assert split_spectrum(np.diag([z, 2.0]), 1, tol_zero=0.5 * z).unreliable
+    assert not split_spectrum(np.diag([z, gap_min * z]), 1, tol_zero=1.0).unreliable
+    assert split_spectrum(np.diag([z, 0.5 * gap_min * z]), 1, tol_zero=1.0).unreliable
+
+
 def test_split_validation():
-    with pytest.raises(InputError, match="square"):
-        split_spectrum(np.ones((2, 3)), 0)
+    for J in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(InputError, match="expected a square matrix"):
+            split_spectrum(J, 0)
     with pytest.raises(InputError, match="out of range"):
         split_spectrum(np.eye(2), 3)
     with pytest.raises(InputError, match="finite"):
@@ -836,11 +848,61 @@ def matrix_loops(draw):
     return list(mats), draw(st.integers(0, 1)), draw(st.integers(0, 8))
 
 
+# a loop of 3 x 3 matrices on which the window's guessed links are wrong
+# at some step, so the first pass verifies only the links up to it
+GUESSED_WRONG = [
+    [[1.2, -3.6, 0.4], [2.6, -0.7, 2.7], [3.4, -2.3, 0.5]],
+    [[0.7, -2.3, -0.6], [3.1, -1.1, 2.9], [3.0, -1.8, 0.2]],
+    [[-0.4, -0.8, -1.2], [2.7, -1.7, 2.5], [2.1, -1.0, -0.3]],
+    [[-1.5, 0.3, -1.1], [1.6, -2.3, 1.5], [0.9, -0.4, -1.1]],
+    [[-2.2, 0.6, -0.5], [0.1, -2.7, 0.4], [0.0, -0.1, -1.6]],
+    [[-2.3, -0.1, 0.6], [-1.2, -2.7, -0.5], [-0.4, -0.3, -1.8]],
+    [[-1.7, -1.5, 1.6], [-1.7, -2.3, -0.7], [0.0, -0.9, -1.5]],
+    [[-0.6, -3.0, 2.2], [-1.3, -1.7, -0.3], [0.9, -1.6, -0.9]],
+    [[0.4, -4.1, 2.1], [-0.1, -1.1, 0.7], [2.1, -2.2, -0.2]],
+    [[1.2, -4.3, 1.4], [1.4, -0.7, 1.8], [3.0, -2.5, 0.3]],
+    [[1.2, -3.6, 0.4], [2.6, -0.7, 2.7], [3.4, -2.3, 0.5]],
+]
+
+
 @settings(settings.get_profile("derandomized"), max_examples=150)
 @given(loop=matrix_loops())
+@example(loop=(list(np.array(GUESSED_WRONG)), 1, 0))
 def test_the_windowed_fold_is_the_sequential_fold(loop):
     mats, k, max_refine = loop
     assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=k, max_refine=max_refine))
+
+
+@st.composite
+def coarse_and_dense_loops(draw):
+    """(coarse, dense): a loop A + cos(t) B + sin(t) C of n x n matrices, n
+    from 2 to 5, at 6 to 16 samples of t, with normal entries, A shifted by
+    +-4 I and B and C scaled by 0.8; and the same piecewise-linear loop with
+    each interval cut into 32 by its linear blends."""
+    n = draw(st.integers(2, 5))
+    a, b, c = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((3, n, n))
+    a += draw(st.sampled_from([-4.0, 4.0])) * np.eye(n)
+    samples = draw(st.integers(6, 16))
+    t = 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
+    coarse = a + 0.8 * (np.cos(t)[:, None, None] * b + np.sin(t)[:, None, None] * c)
+    s = (np.arange(32) / 32.0)[None, :, None, None]
+    dense = (coarse[:-1, None] + s * (coarse[1:] - coarse[:-1])[:, None]).reshape(-1, n, n)
+    return list(coarse), list(dense) + [coarse[-1]]
+
+
+@settings(settings.get_profile("derandomized"), max_examples=40)
+@given(loops=coarse_and_dense_loops())
+def test_a_loop_s_tracks_do_not_depend_on_its_sampling(loops):
+    # the (winding, crossings) of every track, as a multiset, is read from
+    # samples; where both samplings of one loop are tracked, they agree
+    reports = []
+    for mats in loops:
+        try:
+            report = track_matrix_loop(mats)
+        except (TrackingError, ResolutionError):
+            return
+        reports.append(sorted(zip(report.windings, report.re_axis_crossings)))
+    assert reports[0] == reports[1]
 
 
 def _rotations(angles):
@@ -868,6 +930,10 @@ def test_a_window_stops_at_an_uncleared_chord(monkeypatch):
     # the midpoint fails too, with other figures
     (np.diag([-1.0, 3.0, 1e-9]), "tracked eigenvalue 0 has modulus 1.000e-09"),
     (np.diag([1.0, 3.0, 4e150]), "the loop reaches 4.000e+150 (between samples 0 and 1)"),
+    # at the bounds themselves: a modulus of tol_zero, or of 1e150, fails
+    # before any halving, whose midpoint has the eigenvalue 0
+    (np.diag([-1.0, 3.0, 1e-6]), "tracked eigenvalue 0 has modulus 1.000e-06"),
+    (np.diag([-1.0, -1.1, 1e150]), "the loop reaches 1.000e+150 (between samples 0 and 1)"),
 ])
 def test_a_prefetched_pair_whose_right_sample_fails(right, message):
     base = np.diag([1.0, 3.0, 5.0])
@@ -875,6 +941,53 @@ def test_a_prefetched_pair_whose_right_sample_fails(right, message):
         lambda: track_matrix_loop([base, right, base], k=0, tol_zero=1e-6)
     )
     assert message in text
+
+
+_BASE = np.diag([1.0, 3.0, 5.0])
+
+
+@pytest.mark.parametrize("mats, options, kind, message", [
+    # a base eigenvalue at tol_zero
+    ([np.diag([0.5, 2.0])] * 2, {"tol_zero": 0.5}, TrackingError,
+     "a base nonzero eigenvalue already has modulus"),
+    # the track that reaches tol_zero is named
+    ([np.diag([-2.0, 1.0, 5.0]), np.diag([-2.0, 1e-6, 5.0]), np.diag([-2.0, 1.0, 5.0])],
+     {"tol_zero": 1e-6}, TrackingError, "tracked eigenvalue 1 has modulus 1.000e-06"),
+    # the tracks 0.5 +- i -> -0.5 +- i pass 0 at distance 1 = tol_zero at
+    # their chords' midpoints, and their ends stay farther out
+    ([np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([[-0.5, -1.0], [1.0, -0.5]]),
+      np.array([[0.5, -1.0], [1.0, 0.5]])],
+     {"tol_zero": 1.0}, TrackingError, "passes within tol_zero = 1.000e"),
+    # 1 -> i and -1 -> -i turn by pi/2 exactly, with no refinement left
+    ([np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])],
+     {"max_refine": 0}, ResolutionError, "below pi/2 after 0 refinement levels"),
+    # the window after the first step starts at a sample that fails
+    ([_BASE, _BASE, np.diag([1.0, 3.0, 1e-9]), _BASE], {"tol_zero": 1e-6}, TrackingError,
+     r"modulus 1.000e-09 .*\(between samples 1 and 2\)"),
+    # finite upper-right entries whose blend overflows: the fold reaches the
+    # midpoint sample and raises the error it holds
+    ([np.array([[1.0, 1e308], [0.0, 2.0]]), np.array([[3.0, 1.7e308], [0.0, 2.0]]),
+      np.array([[1.0, 1e308], [0.0, 2.0]])],
+     {}, InputError, "matrix must be an array of finite numbers"),
+])
+def test_a_loop_at_a_bound_raises(mats, options, kind, message):
+    with pytest.raises(kind, match=message):
+        track_matrix_loop(mats, k=0, **options)
+
+
+def test_a_base_spectrum_that_fails_raises_its_error(monkeypatch):
+    # LAPACK does not converge on the base matrix, which holds a 7
+    real = monodromy.eigen_dense
+
+    def eigen_dense(M):
+        if (np.asarray(M) == 7.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(M)
+
+    monkeypatch.setattr(monodromy, "eigen_dense", eigen_dense)
+    base = np.diag([7.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        track_matrix_loop([base, np.diag([6.0, 1.0]), base], k=0)
 
 
 def test_tied_costs_reach_the_solver_in_both_folds(monkeypatch):
@@ -1007,6 +1120,35 @@ def _matching(solve, cost):
         return tuple(int(c) for c in solve(cost))
     except InputError as err:
         return str(err)
+
+
+def test_assignment_validation():
+    with pytest.raises(InputError, match="expected a square cost matrix"):
+        assignment(np.zeros((2, 3)))
+    # -inf at each entry, where the row minima share a column
+    for cost in ([[-np.inf, 1.0], [2.0, 3.0]], [[1.0, -np.inf], [3.0, 2.0]],
+                 [[2.0, 3.0], [-np.inf, 1.0]], [[3.0, 2.0], [1.0, -np.inf]]):
+        with pytest.raises(InputError, match="NaN or -inf"):
+            assignment(np.array(cost))
+
+
+def test_a_certified_cost_skips_the_solver(monkeypatch):
+    # row minima in distinct columns, each attained once, are the matching
+    solves = count_calls(monkeypatch, "_shortest_augmenting_paths", monodromy)
+    cost = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+    assert assignment(cost).tolist() == [0, 1, 2] and solves == []
+    cost[0, 1] = 0.0
+    assert assignment(cost).tolist() == [0, 1, 2] and len(solves) == 1
+
+
+def test_two_rows_follow_the_solver_s_rounding():
+    # c + b - a loses c, or d + a - b rounds below c, so the branches for
+    # c >= d (a <= b) and c <= d (a > b) are not the other branch's
+    # comparison: each cost takes the branch its matching needs
+    tiny, up, down = 5e-324, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53
+    for cost, cols in (([[1.0, 1.0], [tiny, tiny]], (0, 1)), ([[1.0, down], [up, up]], (1, 0))):
+        cost = np.array(cost)
+        assert _matching(assignment, cost) == _matching(_reference_assignment, cost) == cols
 
 
 def test_two_rows_equal_the_solver_on_small_integer_costs():

@@ -102,6 +102,33 @@ def test_empty_level_lane_raises_its_typed_error(example2, outcome, level, max_i
     assert str(err.value) == str(lanes.error(lane))
 
 
+def test_a_lane_can_make_no_progress_at_iteration_5(example2):
+    # the stall test runs from the top of iteration 5 on
+    x0 = [0.044474550134482094, 1.4768425411167914, -0.013699797087965981]
+    with pytest.raises(ConvergenceError, match=r"no progress in 5 iterations, .* iteration 5$"):
+        newton_on_level_set(example2, [1.0], [1.0, 8.0], x0)
+
+
+def test_a_start_at_a_root_converges_at_newton_tolerance_0(planar):
+    # converged means ||F|| <= its target, here 0
+    tols = DEFAULT_TOLERANCES.replace(newton=0.0)
+    lanes = newton_lanes(planar, [0.5], [0.0], [[-0.5, 0.0]], tols)
+    assert lanes.status.tolist() == [CONVERGED] and lanes.iteration.tolist() == [0]
+
+
+def test_a_trial_that_keeps_f_is_not_taken():
+    # F = [x1, 1, x2 - a] has a zero Newton step at (0, a), where ||F|| = 1:
+    # no trial lowers ||F||, so the line search stalls at once
+    sys = SystemSpec(
+        name="flat", n=2, m=1, k=1,
+        f=lambda lam, x: np.array([x[0], 1.0]), h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.5, 1.5]]),
+    )
+    lanes = newton_lanes(sys, [1.0], [0.0], [[0.0, 0.0]])
+    assert lanes.counts()["line search stalled"] == 1 and lanes.iteration.tolist() == [0]
+
+
 def test_empty_level_line_search_runs_in_rounds(example2):
     calls = [0]
     f = example2.f
