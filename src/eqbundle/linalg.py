@@ -320,7 +320,7 @@ def _solve_rows(system: np.ndarray, rank_tol, errors: dict) -> tuple:
         return np.full((count, q), np.nan), {}
     x, certified = _qr_rows(system, rank_tol)
     if certified.all():
-        return _placed(x, rows, count), {}
+        return (x if rows is None else _placed(x, rows, count)), {}
     rows = np.arange(count) if rows is None else rows
     out = _placed(x[certified], rows[certified], count)
     system, rows = system[~certified], rows[~certified]
@@ -341,10 +341,10 @@ def _solve_rows(system: np.ndarray, rank_tol, errors: dict) -> tuple:
 
 def _placed(x: np.ndarray, rows, count: int, out=None) -> np.ndarray:
     """x (R, q) written at the given rows of out (count, q), a new array of
-    NaN when None; rows None stands for every row in order."""
+    NaN when None."""
     if out is None:
         out = np.full((count, x.shape[1]), np.nan)
-    out[slice(None) if rows is None else rows] = x
+    out[rows] = x
     return out
 
 

@@ -1,6 +1,6 @@
 """Mutation audit: which one-site changes of a module do the tests notice?
 
-Usage: python tests/mutate.py [--jobs 1|2] [--lines N,...] [--list] module [module ...]
+Usage: python tests/mutate.py module [module ...]
 
 Each module is src/eqbundle/<module>.py.  A mutant changes one site of it:
 
@@ -18,9 +18,8 @@ both first, and must pass; a mutant run that takes more than 5 times as
 long, plus 10 s, is stopped and counts as killed.  One line per mutant,
 `file:line:col operator verdict`, and a kill rate per module are printed;
 the verdict is killed (with the first failing test), survived or timeout.
---list prints the sites only, and --lines keeps the sites on the given
-lines.  At most two workers run; monodromy, linalg and finder (200 sites)
-take about 15 minutes on two cores.
+Two workers run; monodromy, linalg and finder (200 sites) take about 15
+minutes on two cores.
 
 --root, --package and --scratch point the runner at another tree (the
 repository, src/eqbundle and a new temporary directory by default);
@@ -52,6 +51,7 @@ _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: 
                 ast.NotEq: "!="}
 # a module's own test files, where they are not tests/test_<module>.py alone
 _OWN_TESTS = {"finder": ("test_finder.py", "test_newton_lanes.py")}
+_WORKERS = 2
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                   ".bench_out", ".bench_build", "*.egg-info")
 
@@ -205,15 +205,11 @@ def _own_tests(root: str, module: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+")
-    parser.add_argument("--jobs", type=int, choices=(1, 2), default=2)
-    parser.add_argument("--lines", default="", help="comma-separated line numbers to keep")
-    parser.add_argument("--list", action="store_true", help="print the sites and exit")
     parser.add_argument("--root", default=ROOT)
     parser.add_argument("--package", default=os.path.join("src", "eqbundle"))
     parser.add_argument("--scratch", default=None)
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
-    keep = {int(n) for n in args.lines.split(",") if n}
     # the directory the package is imported from
     source_dir = os.path.dirname(os.path.normpath(args.package))
 
@@ -221,12 +217,7 @@ def main(argv=None) -> int:
     for module in args.modules:
         with open(os.path.join(root, args.package, f"{module}.py")) as handle:
             sources[module] = handle.read()
-        mutants += [m for m in sites(module, sources[module]) if not keep or m.line in keep]
-    if args.list:
-        for m in mutants:
-            print(f"{m.module}.py:{m.line}:{m.col} {m.operator}")
-        print(f"{len(mutants)} sites")
-        return 0
+        mutants += sites(module, sources[module])
 
     scratch = tempfile.mkdtemp(prefix="mutate-", dir=args.scratch)
     try:
@@ -251,11 +242,11 @@ def main(argv=None) -> int:
 
 def _audit(mutants, sources, args, root, source_dir, scratch):
     """[(mutant, verdict)] in the order of mutants, each mutant run in one
-    of args.jobs copies of root under scratch; None when the unmutated
+    of _WORKERS copies of root under scratch; None when the unmutated
     tests fail.  Each unmutated run of the module tests, and of tier-1,
     sets the timeout of its mutant runs: 5 times its time, plus 10 s."""
     copies: queue.Queue = queue.Queue()
-    for i in range(args.jobs):
+    for i in range(_WORKERS):
         copy = os.path.join(scratch, f"tree{i}")
         shutil.copytree(root, copy, ignore=_IGNORED)
         copies.put(copy)
@@ -290,7 +281,7 @@ def _audit(mutants, sources, args, root, source_dir, scratch):
               f"{' ' + failed if failed else ''} ({seconds:.1f} s)", flush=True)
         return m, verdict
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         return list(pool.map(audit, mutants))
 
 

@@ -873,16 +873,14 @@ def test_the_windowed_fold_is_the_sequential_fold(loop):
     assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=k, max_refine=max_refine))
 
 
-@st.composite
-def coarse_and_dense_loops(draw):
-    """(coarse, dense): a loop A + cos(t) B + sin(t) C of n x n matrices, n
-    from 2 to 5, at 6 to 16 samples of t, with normal entries, A shifted by
-    +-4 I and B and C scaled by 0.8; and the same piecewise-linear loop with
-    each interval cut into 32 by its linear blends."""
-    n = draw(st.integers(2, 5))
-    a, b, c = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((3, n, n))
-    a += draw(st.sampled_from([-4.0, 4.0])) * np.eye(n)
-    samples = draw(st.integers(6, 16))
+def _coarse_and_dense(n, seed, shift, samples, scale=1.0):
+    """(coarse, dense): a loop A + cos(t) B + sin(t) C of n x n matrices at
+    samples values of t, with A, B and C scale times normal entries from
+    seed, A shifted by shift I and B and C scaled by 0.8; and the same
+    piecewise-linear loop with each interval cut into 32 by its linear
+    blends."""
+    a, b, c = scale * np.random.default_rng(seed).standard_normal((3, n, n))
+    a += shift * np.eye(n)
     t = 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
     coarse = a + 0.8 * (np.cos(t)[:, None, None] * b + np.sin(t)[:, None, None] * c)
     s = (np.arange(32) / 32.0)[None, :, None, None]
@@ -890,19 +888,50 @@ def coarse_and_dense_loops(draw):
     return list(coarse), list(dense) + [coarse[-1]]
 
 
-@settings(settings.get_profile("derandomized"), max_examples=40)
-@given(loops=coarse_and_dense_loops())
-def test_a_loop_s_tracks_do_not_depend_on_its_sampling(loops):
-    # the (winding, crossings) of every track, as a multiset, is read from
-    # samples; where both samplings of one loop are tracked, they agree
+@st.composite
+def coarse_and_dense_loops(draw):
+    """_coarse_and_dense with n from 2 to 5, A shifted by +-4 I, at 6 to 16
+    samples."""
+    return _coarse_and_dense(draw(st.integers(2, 5)), draw(st.integers(0, 2**32 - 1)),
+                             draw(st.sampled_from([-4.0, 4.0])), draw(st.integers(6, 16)))
+
+
+def _tracks(loops):
+    """The (winding, crossings) multiset of each loop's tracks; None when
+    either loop is not tracked."""
     reports = []
     for mats in loops:
         try:
             report = track_matrix_loop(mats)
         except (TrackingError, ResolutionError):
-            return
+            return None
         reports.append(sorted(zip(report.windings, report.re_axis_crossings)))
-    assert reports[0] == reports[1]
+    return reports
+
+
+@settings(settings.get_profile("derandomized"), max_examples=40)
+@given(loops=coarse_and_dense_loops(), expected=st.none())
+# with entries twice as large, a loop whose tracks wind and cross (its
+# permutation is a 3-cycle; 512 times the density reads the same)
+@example(loops=_coarse_and_dense(3, 107, 4.0, 8, 2.0), expected=[(-1, 2), (0, 1), (0, 1)])
+def test_a_loop_s_tracks_do_not_depend_on_its_sampling(loops, expected):
+    # the (winding, crossings) of every track, as a multiset, is read from
+    # samples; where both samplings of one loop are tracked, they agree
+    reports = _tracks(loops)
+    if reports is not None:
+        assert reports[0] == reports[1]
+        assert expected is None or reports[0] == expected
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an accepted interval is matched only at its ends")
+def test_a_coarse_loop_s_tracks_are_its_dense_loop_s():
+    # the same loop at 12 samples: the coarse run tracks the permutation
+    # (2, 0, 1), windings (0, -1, 0); 32 to 512 times the density read
+    # (0, 2, 1), windings 0, and the eigenvalues stay 0.075 apart
+    coarse, dense = _tracks(_coarse_and_dense(3, 107, 4.0, 12, 2.0))
+    assert dense == [(0, 1), (0, 1), (0, 2)]
+    assert coarse == dense
 
 
 def _rotations(angles):
@@ -975,7 +1004,9 @@ def test_a_loop_at_a_bound_raises(mats, options, kind, message):
         track_matrix_loop(mats, k=0, **options)
 
 
-def test_a_base_spectrum_that_fails_raises_its_error(monkeypatch):
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
+                   reason="numpy's LinAlgError leaves the tracker as it is")
+def test_a_base_spectrum_that_fails_raises_a_typed_error(monkeypatch):
     # LAPACK does not converge on the base matrix, which holds a 7
     real = monodromy.eigen_dense
 
@@ -986,7 +1017,7 @@ def test_a_base_spectrum_that_fails_raises_its_error(monkeypatch):
 
     monkeypatch.setattr(monodromy, "eigen_dense", eigen_dense)
     base = np.diag([7.0, 1.0])
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+    with pytest.raises(EqBundleError, match="did not converge"):
         track_matrix_loop([base, np.diag([6.0, 1.0]), base], k=0)
 
 
