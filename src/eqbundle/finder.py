@@ -15,9 +15,9 @@ whose ||F|| stays far above its target and falls by less than 1 % in 5
 iterations ends early as "no progress", so an empty level costs a few
 iterations per start, not the iteration cap.  Fibers (k = 1 only) are
 traced by predictor-corrector continuation from the kernel of df/dx at
-the start along each kept step's chord, in one loop that also finds where
-the step that leaves the domain crosses its boundary, by a secant on the
-domain's margin guarded by bisection.  The undamped, local _correct makes
+the start along each kept step's chord, whose turn guards the step, in
+one loop that also finds where the step that leaves the domain crosses
+its boundary, by a secant on the domain's margin guarded by bisection.  The undamped, local _correct makes
 every local projection:
 the tracer's steps, the lift's starts and steps, and the eigen-loop's
 midpoints; it marks each failed lane for retry or gives its fatal error.
@@ -632,19 +632,34 @@ def _level_points(sys: SystemSpec, lam, a, budget, seed, tols: Tolerances) -> li
 # 3 iterations; the cap lets the fiber's boundary search take a few more.
 _CORRECTOR_ITERATIONS = 8
 
+# Bounds on a tracer step's turn, the cosine between its unit chord and
+# its predictor's direction.  _step_rule retries a step that turns by more
+# than about 5.7 degrees (_RETRY_TURN) and lets a 2-iteration step grow
+# below about 3.6 degrees (_GROW_TURN).  A fiber's tangent at a kept point
+# that turns from the chord into it past 60 degrees (_JUMP_TURN, the bound
+# of the jump test moved > 2 * length) shows that chord left its branch.
+_RETRY_TURN, _GROW_TURN, _JUMP_TURN = 0.995, 0.998, 0.5
 
-def _step_rule(retry, iterations, moved, length) -> tuple:
+
+def _step_rule(retry, iterations, moved, length, turn=math.nan) -> tuple:
     """The fiber tracer's and the lift's one rule on corrected steps, per
     lane: (retry, grow), boolean arrays.  Retry a step at half length when
     _correct marked its lane for retry, its correction took more than 3
-    iterations, or it landed farther (moved) from the step's start than
-    twice the predictor's length, a jump to another branch.  Else accept
-    it, and double the next step up to its cap (grow) when the correction
-    took at most 1 iteration; grow is read on accepted steps only.  A
-    start off its fiber would count its own offset as a move, so the lift
-    corrects its start before the first step; the lift also retries a step
-    whose predictor leaves the domain (transport.lift_lanes)."""
-    return retry | (iterations > 3) | (moved > 2.0 * length), iterations <= 1
+    iterations, it landed farther (moved) from the step's start than twice
+    the predictor's length, a jump to another branch, or its turn is below
+    _RETRY_TURN.  Else accept it, and double the next step up to its cap
+    (grow) when the correction took at most 1 iteration, or 2 with a turn
+    above _GROW_TURN; grow is read on accepted steps only.  A lane without
+    a chord, as in the lift, has turn NaN and neither test fires; the
+    tracer's turn is the angle test on consecutive chords of den Heijer &
+    Rheinboldt (SIAM J. Numer. Anal. 18, 1981).  A start off its fiber
+    would count its own offset as a move, so the lift corrects its start
+    before the first step; the lift also retries a step whose predictor
+    leaves the domain (transport.lift_lanes)."""
+    return (
+        retry | (iterations > 3) | (moved > 2.0 * length) | (turn < _RETRY_TURN),
+        (iterations <= 1) | ((iterations == 2) & (turn > _GROW_TURN)),
+    )
 
 
 def _corrector_results(y0: np.ndarray, p: int) -> tuple:
@@ -760,16 +775,38 @@ def _slice(sys, lam):
     return residual, system
 
 
+def _tangent_at(system, x, direction, tols):
+    """The fiber's unit tangent at x, oriented along direction: tau of the
+    bordered system [df/dx(x); direction^T] tau = e_{n+1} (Allgower &
+    Georg, Numerical Continuation Methods, 2.1), one _solve_rows row of
+    _slice's system, normalized; tau . direction = 1 orients it.  It is
+    direction itself where that system is rank deficient, and the error of
+    df/dx at x, or of its non-finite values, is raised."""
+    errors: dict = {}
+    stack = system(x[None], None, direction[None], errors)
+    stack[:, :, -1] = 0.0
+    stack[:, -1, -1] = 1.0
+    tau, deficient = _solve_rows(stack, tols.rank, errors)
+    if errors:
+        raise errors[0]
+    return direction if deficient else tau[0] / np.linalg.norm(tau[0])
+
+
 def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
            max_points):
     """March one direction.  Returns (points, f_norms, closed): f_norms[i]
     is ||f(lam, points[i])|| (f_start at x_start) and closed means the walk
     returned to x_start (circle).  Each round corrects one prediction x +
     along * tangent from the last accepted point x, one lane of _correct,
-    and raises the lane's fatal error.  tangent is t_start, then the unit
-    chord of the step kept, whose component along the tangent before it is
-    the step.  along is the step, which _step_rule halves or accepts, until
-    a step leaves the domain.  Then along probes the bracket (lo, hi) on
+    and raises the lane's fatal error.  tangent is t_start, the fiber's
+    unit tangent at x_start, then the unit chord of the step kept, whose
+    component along the tangent before it is the step.  along is the step,
+    which _step_rule halves or accepts, with the step's turn (the chord's
+    cosine with tangent), until a step leaves the domain.  A step retried
+    for its turn re-aims tangent, once per point, along the fiber's tangent
+    at x (_tangent_at); a tangent there that turns from the chord into x
+    below _JUMP_TURN raises ConvergenceError, as that chord left its
+    branch.  Then along probes the bracket (lo, hi) on
     that step, with x at lo, until hi - lo <= resolution = boundary_refine
     * max(1, step), and the last corrected point inside ends the direction:
     a probe whose corrected point is inside moves lo, and one outside, or
@@ -789,6 +826,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
     f_norms = [f_start]
     x = x_start
     tangent = first_tangent = t_start
+    aimed = True            # tangent is the fiber's tangent at x, not a chord
     step = step0
     # once a step has left the domain: the bracket [lo, hi] and the margins
     # at its ends, the end that the last probe moved (0 lo, 1 hi; the step
@@ -833,11 +871,24 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             if end == 0:
                 boundary = y[0], float(np.linalg.norm(resid[0, : sys.n]))
             continue
-        retry, grow = _step_rule(retry, iterations, _lane_norm(y - x), step)
+        y = y[0]
+        chord = y - x
+        distance = np.linalg.norm(chord)
+        chord /= distance
+        turn = chord @ tangent
+        retry, grow = _step_rule(retry, iterations, distance, step, turn)
         if retry[0]:
             step *= 0.5
+            if turn < _RETRY_TURN and not aimed:
+                aim = _tangent_at(fiber_slice[1], x, tangent, tols)
+                corner = aim @ tangent
+                if corner < _JUMP_TURN:
+                    raise ConvergenceError(
+                        f"fiber trace turned by {math.degrees(math.acos(corner)):.1f} degrees "
+                        f"at x = {x.tolist()}: the step into x left its branch"
+                    )
+                tangent, aimed = aim, True
             continue
-        y = y[0]
         margin = margin_of(y)
         if not margin >= 0.0:
             bracket, margins, moved = [0.0, step], [margin_of(x), margin], 1
@@ -845,8 +896,6 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
             resolution = max(tols.boundary_refine, 1e-15) * max(1.0, step)
             continue
 
-        chord = y - x
-        chord /= np.linalg.norm(chord)
         if (
             len(points) >= 5
             and np.linalg.norm(y - x_start) < 0.5 * step
@@ -858,7 +907,7 @@ def _march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
 
         points.append(y)
         f_norms.append(float(np.linalg.norm(resid[0, : sys.n])))
-        x, tangent = y, chord
+        x, tangent, aimed = y, chord, False
         if grow[0]:
             step = min(step * 2.0, max_step)
     raise ConvergenceError(
@@ -918,13 +967,17 @@ def trace_fiber(
 ) -> FiberTrace:
     """Trace the connected fiber of {f(lam, .) = 0} through x0 (k = 1 only).
 
-    Predicts along the unit kernel vector of df/dx at x0, in LAPACK's sign
-    times initial_direction, then along the unit chord of each kept step
-    (the secant predictor; Allgower & Georg, Numerical Continuation
-    Methods), and corrects by _correct in the hyperplane orthogonal to the
+    Predicts along the unit kernel vector of df/dx at x0, signed so that
+    its largest |coordinate| (the first, on ties) is positive, times
+    initial_direction, then along the unit chord of each kept step (the
+    secant predictor; Allgower & Georg, Numerical Continuation Methods),
+    and corrects by _correct in the hyperplane orthogonal to the
     prediction; a crossing branch is traced through.  The lift's rule,
-    _step_rule with the step as the predictor's length, retries a step at
-    half length or keeps it and may double the next, up to max_step.  Ends
+    _step_rule with the step as the predictor's length and the step's turn,
+    retries a step at half length or keeps it and may double the next, up
+    to max_step; a step retried for its turn predicts along the fiber's
+    tangent instead of the chord, and a tangent that shows the last chord
+    left its branch ends the trace with ConvergenceError (_march).  Ends
     either by closing into a circle or by hitting the domain boundary in
     both directions (segment).
     The steps default to INITIAL_STEP_FRACTION, MAX_STEP_FRACTION and
@@ -947,7 +1000,10 @@ def trace_fiber(
             f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 at the starting point",
             location=PointState(lam, x0.copy()),
         )
-    tangent = sign * (kernel[:, 0] / np.linalg.norm(kernel[:, 0]))
+    tangent = kernel[:, 0] / np.linalg.norm(kernel[:, 0])
+    # direction 1 walks where the largest |coordinate| is positive (the
+    # first largest on ties), whatever sign LAPACK gives the kernel
+    tangent *= sign * math.copysign(1.0, tangent[np.argmax(np.abs(tangent))])
 
     forward, f_norms, closed = _march(
         sys, lam, x0, f0, tangent, tols, step0, floor, cap, max_points

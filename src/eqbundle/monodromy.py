@@ -343,13 +343,22 @@ def _check_moduli(sample: _Sample, segment: tuple) -> None:
         )
 
 
+def _sample_error(sample: _Sample, segment: tuple) -> Exception:
+    """The error the fold raises when it reaches a sample that holds one:
+    the sample's own, or a TrackingError of the segment where LAPACK did
+    not converge on its matrix (numpy's LinAlgError)."""
+    if isinstance(sample.error, np.linalg.LinAlgError):
+        return TrackingError(f"eigenvalues not computed: {sample.error}", segment=segment)
+    return sample.error
+
+
 def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
              tols: Tolerances) -> tuple:
     """(samples, tol_zero): a _Sample per payload, the spectra of all the
     matrices from one eigen_dense stack and split by one _split, tol_zero
     taken from the first when None.  When the stack fails, each matrix is
     taken alone, so one that fails (a non-finite blend, or LAPACK not
-    converging) keeps its own error."""
+    converging) keeps its own error, which _sample_error types."""
     errors: dict = {}
     try:
         spectra = eigen_dense(np.asarray(matrices))
@@ -493,7 +502,7 @@ class _LoopTracker:
         left, right, depth, index = leaves.pop()
         segment = (index, index + 1)
         if right.error is not None:
-            raise right.error
+            raise _sample_error(right, segment)
         _check_moduli(right, segment)
         if right.unreliable:
             self.flag_once("unreliable zero/nonzero split encountered along the loop")
@@ -642,7 +651,7 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
     argument increments, real-part signs and last row."""
     samples, tol_fixed = _samples(list(payloads), matrices, k, tol_zero, tols)
     if samples[0].error is not None:
-        raise samples[0].error
+        raise _sample_error(samples[0], (0, 0))
     _check_moduli(samples[0], (0, 0))
     base = samples[0].nonzeros
     if base.size == 0:

@@ -22,7 +22,10 @@ prints one line per entry, its name and its command, and
 runs each named entry (every entry when no name is given) and prints
 "<name> same" when its envelope has the golden file's bytes, or "<name>
 differs"; it writes nothing and exits 0.  Run at two revisions, it shows
-whether a change keeps the goldens' bytes.
+whether a change keeps the goldens' bytes.  Under a "differs" line, one
+indented line per moved field (moved_fields) names the field, how many of
+its leaves moved, and the leaves with the largest absolute and relative
+moves: the moved-field list of a deliberate output change.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -167,6 +171,45 @@ def write_config(name: str, path: str, fmt=None) -> None:
         json.dump(raw, handle)
 
 
+def _moves(old, new, where="$") -> list:
+    """(leaf path, absolute move, relative move) for each leaf at which new
+    differs from old; both moves are None where the two are not numbers
+    of one kind, or where the keys or a list's length changed."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [m for key in old for m in _moves(old[key], new[key], f"{where}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [m for i, pair in enumerate(zip(old, new)) for m in _moves(*pair, f"{where}[{i}]")]
+    if type(old) is type(new) and old == new:
+        return []
+    if type(old) is type(new) and type(old) in (int, float):
+        move = abs(new - old)
+        return [(where, move, move / abs(old) if old else math.inf)]
+    return [(where, None, None)]
+
+
+def moved_fields(old, new) -> list:
+    """One line per field at which the envelope new differs from old, in
+    the envelope's order: its path with every list index as [*], then how
+    many of its leaves moved and the largest absolute and relative moves
+    with their leaves, or "changed" for a field whose moves are not
+    numbers (_moves)."""
+    fields: dict = {}
+    for leaf in _moves(old, new):
+        fields.setdefault(re.sub(r"\[\d+\]", "[*]", leaf[0]), []).append(leaf)
+    lines = []
+    for field, leaves in fields.items():
+        if any(move is None for _, move, _ in leaves):
+            lines.append(f"{field} changed at {leaves[0][0]}")
+            continue
+        absolute = max(leaves, key=lambda leaf: leaf[1])
+        relative = max(leaves, key=lambda leaf: leaf[2])
+        lines.append(
+            f"{field} {len(leaves)} moved, largest {absolute[1]:.3g} absolute at "
+            f"{absolute[0]}, {relative[2]:.3g} relative at {relative[0]}"
+        )
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--config"]:
         write_config(*sys.argv[2:])
@@ -178,8 +221,12 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--check"]:
         for name in sys.argv[2:] or CONFIGS:
             with open(golden_path(name)) as handle:
-                same = handle.read() == envelope(name)
-            print(name, "same" if same else "differs")
+                old = handle.read()
+            new = envelope(name)
+            print(name, "same" if old == new else "differs")
+            if old != new:
+                for line in moved_fields(json.loads(old), json.loads(new)):
+                    print(" ", line)
         sys.exit()
     for name in sys.argv[1:] or CONFIGS:
         with open(golden_path(name), "w") as handle:

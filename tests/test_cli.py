@@ -280,6 +280,30 @@ def test_eigen_loop_degeneracy_exit2(tmp_path, capsys):
     assert "result" not in envelope
 
 
+def test_a_loop_sample_lapack_fails_on_exits2_with_its_segment(monkeypatch, tmp_path, capsys):
+    # LAPACK does not converge on the loop's second matrix, which holds a 7:
+    # the fold raises a TrackingError of that segment, not numpy's error
+    real = monodromy.eigen_dense
+
+    def eigen_dense(M):
+        if (np.asarray(M) == 7.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(M)
+
+    monkeypatch.setattr(monodromy, "eigen_dense", eigen_dense)
+    out = str(tmp_path / "loop.json")
+    base = [[1.0, 0.0], [0.0, 2.0]]
+    cfg = write_config(tmp_path, "loop_cfg.json", {
+        "command": "track-matrix-loop", "matrices": [base, [[7.0, 0.0], [0.0, 2.0]], base],
+        "k": 0, "output": {"path": out, "format": "json"},
+    })
+    assert main(["track-matrix-loop", "--config", cfg]) == 2
+    assert "did not converge" in capsys.readouterr().err
+    envelope = json.loads(open(out).read())
+    assert envelope["error"]["type"] == "TrackingError"
+    assert envelope["error"]["segment"] == [0, 1]
+
+
 def test_dsl_declaration_find(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import circle_fiber_system, count_calls
@@ -29,6 +29,7 @@ from eqbundle.finder import (
     newton_on_level_set,
     trace_fiber,
 )
+from eqbundle.linalg import solve_least_squares
 from eqbundle.systems import Domain, PointState, SystemSpec
 from eqbundle.tolerances import Tolerances
 from eqbundle.transport import holonomy_loop
@@ -204,10 +205,10 @@ def test_trace_direction_independence(planar):
 
 
 def test_a_direction_holds_at_most_max_points(planar):
-    # the longer direction of this segment takes 22 points, its start included
-    assert len(trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=22).points) == 43
-    with pytest.raises(ConvergenceError, match="exceeded 21 points"):
-        trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=21)
+    # each direction of this segment takes 13 points, its start included
+    assert len(trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=13).points) == 25
+    with pytest.raises(ConvergenceError, match="exceeded 12 points"):
+        trace_fiber(planar, [0.5], [-0.5, 0.0], max_points=12)
 
 
 def test_a_trace_closed_one_way_only_is_an_error(monkeypatch, planar):
@@ -268,14 +269,15 @@ def test_a_fiber_is_traced_through_a_crossing_branch():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the tracer has no guard against a branch jump: _step_rule "
-                   "keeps a corrected step that lands on the sibling branch")
+                   reason="the trace stays on its branch, but 0.01 from the sibling the "
+                   "corrector's tolerance allows about 1.4e-8 off it, and this trace reads "
+                   "4.4e-9")
 def test_a_fiber_trace_stays_on_its_branch():
     # f1 = -(x1 - r(x2)) (x1 - 0.41), r = 0.4 tanh(10 (x2 - 0.3)): the fiber
     # through x0 is x1 = r(x2), which rises to 0.4 tanh(7) < 0.41 and so
     # never meets its sibling x1 = 0.41.  Near x2 = 0.45 the secant
-    # predictor overshoots toward the sibling and the corrector lands there;
-    # the trace exits with a segment whose last 11 points lie on x1 = 0.41
+    # predictor overshoots toward the sibling; without the turn guard the
+    # corrector lands there and the last 11 points lie on x1 = 0.41
     sys = build_system_from_config({
         "n": 2, "m": 1, "k": 1, "h": ["x2"],
         "f": ["-(x1 - 0.4*(1 - 2/(exp(2*10*(x2 - 0.3)) + 1)))*(x1 - 0.41)", "0*x2"],
@@ -284,6 +286,92 @@ def test_a_fiber_trace_stays_on_its_branch():
     trace = trace_fiber(sys, [1.0], [-0.39999999996979896, -0.9])
     x1, x2 = trace.points.T
     assert np.abs(x1 - 0.4 * np.tanh(10.0 * (x2 - 0.3))).max() < 1e-9
+
+
+def test_the_step_rule_reads_a_turn_only_where_a_lane_has_one():
+    # per lane (iterations, turn): a turn below 0.995 retries, and a
+    # 2-iteration step grows only above 0.998; a turn of NaN, as in the
+    # lift, is the rule without a turn
+    iterations = np.array([1, 1, 1, 2, 2, 2, 2, 1, 3, 4])
+    turn = np.array([1.0, 0.995, 0.9949, 0.9981, 0.998, 0.997, np.nan, np.nan, 1.0, 1.0])
+    retry, grow = finder._step_rule(np.zeros(10, bool), iterations, 1.0, 1.0, turn)
+    assert retry.tolist() == [False, False, True, False, False, False, False, False, False, True]
+    assert grow.tolist() == [True, True, True, True, False, False, False, True, False, False]
+    lift = finder._step_rule(np.zeros(10, bool), iterations, np.ones(10), np.ones(10))
+    assert [a.tolist() for a in lift] == [(iterations > 3).tolist(), (iterations <= 1).tolist()]
+
+
+def test_a_re_aimed_predictor_is_the_fiber_s_tangent(planar):
+    # on planar's parabola x1 = lam (x2^2 - 1) the tangent at x is along
+    # (2 lam x2, 1), oriented along the direction given; where the line
+    # x1 = -1/4 crosses the parabola, df/dx vanishes and the direction
+    # itself is kept
+    system = finder._slice(planar, np.array([0.5]))[1]
+    x = np.array([0.5 * (0.6 ** 2 - 1.0), 0.6])
+    tangent = finder._tangent_at(system, x, np.array([0.0, -1.0]), Tolerances())
+    assert tangent == pytest.approx(-np.array([0.6, 1.0]) / np.hypot(0.6, 1.0), abs=1e-15)
+    crossing = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "h": ["x2"],
+        "f": ["-(x1 - l1*(x2^2 - 1))*(x1 + 0.25)", "0*x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": [[0.25, 1.5]],
+    })
+    system = finder._slice(crossing, np.array([0.5]))[1]
+    direction = np.array([0.6, 0.8])
+    assert finder._tangent_at(system, np.array([-0.25, np.sqrt(0.5)]), direction,
+                              Tolerances()) is direction
+    # a df/dx that is not finite at x raises, as in the corrector
+    undefined = dataclasses.replace(planar, jac_x_fn=lambda lam, x: np.full((2, 2), np.nan))
+    system = finder._slice(undefined, np.array([0.5]))[1]
+    with pytest.raises(InputError, match="A must be an array of finite numbers"):
+        finder._tangent_at(system, x, np.array([0.0, -1.0]), Tolerances())
+
+
+def test_a_trace_that_reaches_the_sibling_branch_raises_there():
+    # x1 = 0.4 tanh(10 x2) beside x1 = 0.402: a step lands on the sibling,
+    # and the tangent there turns by about 69 degrees from the chord into it
+    sys = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "h": ["x2"],
+        "f": ["-(x1 - 0.4*(1 - 2/(exp(2*10*(x2 - 0.0)) + 1)))*(x1 - 0.402)", "0*x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": [[0.5, 1.5]],
+    })
+    x0 = [0.4 * (1.0 - 2.0 / (np.exp(-18.0) + 1.0)), -0.9]
+    with pytest.raises(ConvergenceError, match=r"turned by 69\.\d degrees at x = \[0\.402"):
+        trace_fiber(sys, [1.0], x0)
+
+
+# the fibers that ended on their sibling branch without an error before
+# the tracer's turn guard, and three that now raise on reaching it
+@example(H=0.2, K=80, c=0.0, gap=0.002)
+@example(H=0.2, K=80, c=0.3, gap=0.002)
+@example(H=0.4, K=10, c=0.3, gap=0.01)
+@example(H=0.4, K=20, c=0.3, gap=0.01)
+@example(H=0.6, K=10, c=-0.3, gap=0.002)
+@example(H=0.6, K=20, c=0.3, gap=0.002)
+@example(H=0.6, K=40, c=-0.3, gap=0.002)
+@example(H=0.4, K=10, c=-0.3, gap=0.002)
+@example(H=0.4, K=10, c=0.0, gap=0.002)
+@example(H=0.4, K=10, c=0.3, gap=0.002)
+@settings(settings.get_profile("derandomized"), max_examples=20)
+@given(
+    H=st.sampled_from([0.2, 0.4, 0.6]), K=st.sampled_from([5, 10, 20, 40, 80]),
+    c=st.sampled_from([-0.3, 0.0, 0.3]), gap=st.sampled_from([0.002, 0.01, 0.05]),
+)
+def test_a_fiber_trace_ends_on_its_branch_or_raises(H, K, c, gap):
+    # the fiber x1 = r(x2) = H tanh(K (x2 - c)) from x2 = -0.9, beside its
+    # sibling x1 = H + gap, which it never meets: 135 such fibers.  Each
+    # trace stays within 1e-6 of its branch, far below the gap, or raises
+    sys = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "h": ["x2"],
+        "f": [f"-(x1 - {H}*(1 - 2/(exp(2*{K}*(x2 - {c})) + 1)))*(x1 - {H + gap:.3f})", "0*x2"],
+        "domain_box": [[-1, 1], [-1, 1]], "parameter_box": [[0.5, 1.5]],
+    })
+    x0 = [H * (1.0 - 2.0 / (np.exp(2.0 * K * (-0.9 - c)) + 1.0)), -0.9]
+    try:
+        trace = trace_fiber(sys, [1.0], x0)
+    except EqBundleError:
+        return
+    x1, x2 = trace.points.T
+    assert np.abs(x1 - H * np.tanh(K * (x2 - c))).max() < 1e-6
 
 
 @pytest.mark.parametrize("name, params, lam, x0", [
@@ -422,7 +510,7 @@ def test_the_unit_sample_has_the_same_bytes_everywhere():
 @pytest.mark.parametrize(
     "name, params, lam, x0, calls, count",
     [
-        ("planar", {}, [0.5], [-0.5, 0.0], 155, 43),
+        ("planar", {}, [0.5], [-0.5, 0.0], 107, 25),
         ("rfmr", {"n": 3}, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 30, 25),
     ],
 )
@@ -511,9 +599,9 @@ def test_trace_retries_a_correction_that_does_not_converge(monkeypatch, rfmr3):
     rules = []      # per stepping round: (marked for retry, step)
     rule = finder._step_rule
 
-    def recorded(retry, iterations, moved, length):
+    def recorded(retry, iterations, moved, length, turn):
         rules.append((bool(retry[0]), length))
-        return rule(retry, iterations, moved, length)
+        return rule(retry, iterations, moved, length, turn)
 
     monkeypatch.setattr(finder, "_step_rule", recorded)
     d = rfmr3.domain.diameter()
@@ -568,6 +656,18 @@ def reference_correct_slice(fiber_slice, x_pred, tangent, tols):
     return y[0], iterations[0], resid[0], bool(retry[0])
 
 
+def reference_tangent(sys, lam, x, direction, tols):
+    """The unit solution of [df/dx(x); direction^T] tau = e_{n+1} by
+    solve_least_squares, or direction where that system is rank
+    deficient."""
+    system = np.vstack([sys.jac_x(lam, x), direction])
+    try:
+        tau = solve_least_squares(system, np.eye(len(system))[-1], tols.rank)
+    except DegeneracyError:
+        return direction
+    return tau / np.linalg.norm(tau)
+
+
 def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, max_step,
                     max_points):
     contains = sys.domain.contains
@@ -576,6 +676,7 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
     f_norms = [f_start]
     tangent = t_start
     first_tangent = t_start
+    aimed = True            # tangent is the fiber's tangent at x
     step = step0
     while len(points) < max_points:
         x = points[-1]
@@ -587,10 +688,23 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
             y, iterations, resid, failed = reference_correct_slice(
                 fiber_slice, x + step * tangent, tangent, tols
             )
-            retry, grow = finder._step_rule(failed, iterations, np.linalg.norm(y - x), step)
+            turn = (y - x) / np.linalg.norm(y - x) @ tangent
+            retry, grow = finder._step_rule(
+                failed, iterations, np.linalg.norm(y - x), step, turn
+            )
             if not retry:
                 break
             step *= 0.5
+            if turn < finder._RETRY_TURN and not aimed:
+                # re-aim along the tangent at x, unless it shows the chord
+                # into x left its branch
+                aim = reference_tangent(sys, lam, x, tangent, tols)
+                if aim @ tangent < finder._JUMP_TURN:
+                    raise ConvergenceError(
+                        f"fiber trace turned by {math.degrees(math.acos(aim @ tangent)):.1f} degrees "
+                        f"at x = {x.tolist()}: the step into x left its branch"
+                    )
+                tangent, aimed = aim, True
 
         if not contains(y, slack=0.0):
             boundary = reference_refine_boundary(sys, fiber_slice, x, y, tangent, step, tols)
@@ -613,7 +727,7 @@ def reference_march(sys, lam, x_start, f_start, t_start, tols, step0, min_step, 
 
         points.append(y)
         f_norms.append(float(np.linalg.norm(resid[: sys.n])))
-        tangent = new_tangent
+        tangent, aimed = new_tangent, False
         if grow:
             step = min(step * 2.0, max_step)
     raise ConvergenceError(
@@ -780,12 +894,13 @@ def test_segment_ends_are_inside_and_on_the_boundary(data):
 
 
 def test_a_start_on_the_boundary_ends_its_outward_direction_at_once(monkeypatch, planar):
-    # (0, 1) is on the box's edge, at margin 0: the first probe of the step
-    # that leaves is the Illinois root, half a resolution out, and no
-    # bisection of the step follows
+    # (0, 1) is on the box's edge, at margin 0, and the fiber's tangent
+    # there is (1, 1) / sqrt(2): the first probe of the step that leaves is
+    # the Illinois root, half a resolution out, and no bisection of the
+    # step follows
     calls = count_calls(monkeypatch, "_correct", finder)
     points, _, closed = finder._march(
-        planar, np.array([0.5]), np.array([0.0, 1.0]), 0.0, np.array([0.0, 1.0]),
+        planar, np.array([0.5]), np.array([0.0, 1.0]), 0.0, np.array([1.0, 1.0]) / np.sqrt(2.0),
         Tolerances(), 0.05, 1e-12, 0.1, 100,
     )
     assert len(points) == 1 and not closed and len(calls) == 2

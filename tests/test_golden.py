@@ -17,6 +17,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -123,20 +124,29 @@ def test_list_mode_names_every_golden_file_and_its_command():
     assert dict(rows) == {name: raw["command"] for name, raw in golden.CONFIGS.items()}
 
 
-def test_check_mode_compares_the_bytes_and_writes_nothing():
-    # one line "<name> same|differs" per named golden, in order
+def test_check_mode_compares_the_bytes_and_writes_nothing(tmp_path):
+    # one line "<name> same|differs" per named golden, in order, each
+    # "differs" line followed by its moved fields.  It runs on a copy of
+    # the goldens holding this run's envelopes, one coordinate of
+    # find-rfmr3's point moved by 1e-3
+    copy = tmp_path / "golden"
+    shutil.copytree(golden.GOLDEN, copy)
     names = ["find-rfmr3", "audit-rfmr3"]
-    before = {}
-    for name in names:
-        with open(golden.golden_path(name)) as handle:
-            before[name] = handle.read()
-    rows = [line.split(" ") for line in _output(_python([_HERE, "--check", *names])).splitlines()]
-    assert rows == [
-        [name, "same" if before[name] == golden.envelope(name) else "differs"] for name in names
+    envelopes = {name: golden.envelope(name) for name in names}
+    moved = json.loads(envelopes["find-rfmr3"])
+    moved["result"]["points"][0]["x"][1] += 1e-3
+    (copy / "find-rfmr3.json").write_text(json.dumps(moved))
+    (copy / "audit-rfmr3.json").write_text(envelopes["audit-rfmr3"])
+    before = {name: (copy / f"{name}.json").read_text() for name in names}
+    lines = _output(_python([str(copy / "regenerate.py"), "--check", *names])).splitlines()
+    assert lines == [
+        "find-rfmr3 differs",
+        "  $.result.points[*].x[*] 1 moved, largest 0.001 absolute at $.result.points[0].x[1], "
+        "0.00249 relative at $.result.points[0].x[1]",
+        "audit-rfmr3 same",
     ]
     for name in names:
-        with open(golden.golden_path(name)) as handle:
-            assert handle.read() == before[name]
+        assert (copy / f"{name}.json").read_text() == before[name]
 
 
 # goldens whose lanes share batched LAPACK calls: Newton stacks of ten

@@ -1004,8 +1004,6 @@ def test_a_loop_at_a_bound_raises(mats, options, kind, message):
         track_matrix_loop(mats, k=0, **options)
 
 
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
-                   reason="numpy's LinAlgError leaves the tracker as it is")
 def test_a_base_spectrum_that_fails_raises_a_typed_error(monkeypatch):
     # LAPACK does not converge on the base matrix, which holds a 7
     real = monodromy.eigen_dense
