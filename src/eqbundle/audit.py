@@ -157,9 +157,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
     one SVD that decides cond_ii and cond_iii: (AuditReport, kernel)."""
     n, k, m = sys.n, sys.k, sys.m
     at_equilibrium, residual = _is_equilibrium(ev, tols)
-    fd_lam, fd = sys.finite_difference("jac_lambda"), sys.finite_difference("jac_x")
-
-    rank_lam = numeric_rank(ev.jac_lambda, tols.rank, fd=fd_lam)
+    rank_lam = numeric_rank(ev.jac_lambda, tols.rank)
     expected_i = min(m, n - k)
     cond_i = CheckResult(
         passed=rank_lam.rank == expected_i,
@@ -168,7 +166,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
         detail="rank of df/dlambda vs min(m, n-k); failure is a warning",
     )
 
-    rank_x, kernel, image = rank_and_subspaces(ev.jac_x, tols.rank, fd=fd)
+    rank_x, kernel, image = rank_and_subspaces(ev.jac_x, tols.rank)
     cond_ii = CheckResult(
         passed=rank_x.rank == n - k if at_equilibrium else None,
         rank=rank_x.rank,
@@ -181,7 +179,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
     )
 
     # the full SVD's kernel and image bases have n columns together
-    rank_ki = numeric_rank(np.hstack([kernel, image]), tols.rank, fd=fd)
+    rank_ki = numeric_rank(np.hstack([kernel, image]), tols.rank)
     cond_iii = CheckResult(
         passed=rank_ki.rank == n if at_equilibrium else None,
         rank=rank_ki.rank,
@@ -192,7 +190,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
         ),
     )
 
-    full = numeric_rank(np.hstack([ev.jac_lambda, ev.jac_x]), tols.rank, fd=fd_lam or fd)
+    full = numeric_rank(np.hstack([ev.jac_lambda, ev.jac_x]), tols.rank)
 
     used = {
         "equilibrium": tols.equilibrium,

@@ -10,8 +10,15 @@ Grammar (frozen, also documented in the CLI README):
 
 Variables are x1..xn and l1..lm for the declared dimensions; functions are
 sin, cos, exp, log, sqrt, abs; numbers are decimal literals with optional
-fraction and exponent.  '^' binds tighter than unary minus, so -x1^2 is
--(x1^2).  Every failure carries a byte offset into the source.
+fraction and exponent, finite as floats.  '^' binds tighter than unary
+minus, so -x1^2 is -(x1^2).  Every failure carries a byte offset into the
+source.
+
+Declared systems carry exact derivatives: the nonzero entries of df/dx,
+df/dlambda, dh/dx and the Hessians of h are differentiated symbolically
+and compiled like f and h.  A derivative raises ExprDomainError where its
+own expression is undefined: d|u| = (u/|u|) du and d sqrt(u) at u = 0,
+and d(a^b), b depending on the variable, at a <= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -192,7 +198,10 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok.kind == "number":
-            return Const(float(tok.text), pos=tok.pos)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprError("number out of range", tok.pos)
+            return Const(value, pos=tok.pos)
         if tok.kind == "ident":
             if self.peek().kind == "op" and self.peek().text == "(":
                 return self.call(tok)
@@ -453,6 +462,142 @@ def to_source(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# Symbolic derivatives (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+# ch. 3).  Each node they make carries the pos of the source node being
+# differentiated, so a derivative's ExprDomainError names a source offset.
+
+
+_ZERO = Const(0.0)                  # equal to every Const 0, whatever its pos
+
+
+def _neg(a, pos: int):
+    if isinstance(a, Const):
+        return Const(-a.value, pos)
+    return a.child if isinstance(a, Unary) else Unary("-", a, pos)
+
+
+def _op(op: str, a, b, pos: int):
+    """Binary(op, a, b) with 0s and 1s folded, and a factor -1."""
+    if op in "+-" and b == _ZERO:
+        return a
+    if op in "+-" and a == _ZERO:
+        return b if op == "+" else _neg(b, pos)
+    if op == "*" and (a == _ZERO or b == _ZERO):
+        return Const(0.0, pos)
+    if op == "*":
+        for one, other in ((a, b), (b, a)):
+            if isinstance(one, Const) and one.value in (1.0, -1.0):
+                return other if one.value == 1.0 else _neg(other, pos)
+    if op == "/" and a == _ZERO:
+        return a
+    if op == "^" and isinstance(b, Const) and b.value in (0.0, 1.0):
+        return a if b.value == 1.0 else Const(1.0, pos)
+    return Binary(op, a, b, pos)
+
+
+def _variables(node) -> set:
+    """The variables a tree contains, as Var nodes (equal by name)."""
+    if isinstance(node, Var):
+        return {node}
+    if isinstance(node, Unary):
+        return _variables(node.child)
+    if isinstance(node, Binary):
+        return _variables(node.left) | _variables(node.right)
+    if isinstance(node, Call):
+        return _variables(node.args[0])
+    return set()
+
+
+def _derivative(node, var: Var):
+    """d node / d var as a tree."""
+    if isinstance(node, (Const, Var)):
+        return Const(1.0 if node == var else 0.0, node.pos)
+    pos = node.pos
+    if isinstance(node, Unary):
+        return _neg(_derivative(node.child, var), pos)
+    if isinstance(node, Call):
+        u = node.args[0]
+        du = _derivative(u, var)
+        if node.fn in ("log", "sqrt"):
+            return _op("/", du, u if node.fn == "log" else _op("*", Const(2.0, pos), node, pos), pos)
+        outer = {
+            "sin": Call("cos", (u,), pos),
+            "cos": _neg(Call("sin", (u,), pos), pos),
+            "exp": node,
+            "abs": _op("/", u, node, pos),
+        }[node.fn]
+        return _op("*", outer, du, pos)
+    a, b = node.left, node.right
+    da, db = _derivative(a, var), _derivative(b, var)
+    if node.op in "+-":
+        return _op(node.op, da, db, pos)
+    if node.op == "*":
+        return _op("+", _op("*", da, b, pos), _op("*", a, db, pos), pos)
+    if node.op == "/":
+        # (da - (a/b) db) / b: the quotient is reused, and b is not squared
+        return _op("/", _op("-", da, _op("*", node, db, pos), pos), b, pos)
+    # "^": the power rule b a^(b-1) da, plus a^b log(a) db where the
+    # exponent depends on var
+    lowered = Const(b.value - 1.0, pos) if isinstance(b, Const) else _op("-", b, Const(1.0, pos), pos)
+    d = _op("*", _op("*", b, _op("^", a, lowered, pos), pos), da, pos)
+    if var in _variables(b):
+        d = _op("+", d, _op("*", _op("*", node, Call("log", (a,), pos), pos), db, pos), pos)
+    return d
+
+
+def _partials(trees: dict, wanted) -> dict:
+    """{key + (j,): d tree / d v} over the entries key: tree and the
+    variables v of each tree, v's index j, for which wanted(key, v) holds;
+    nonzero entries only."""
+    entries = {}
+    for key, tree in trees.items():
+        for var in sorted(_variables(tree), key=lambda v: v.index):
+            if wanted(key, var):
+                d = _derivative(tree, var)
+                if d != _ZERO:
+                    entries[key + (var.index,)] = d
+    return entries
+
+
+def _compiled_block(entries: dict, shape: tuple, n: int, m: int, mirror: bool = False):
+    """A callable (lam, x) -> the block of this shape at a point x (n,) or
+    at every row of a stack x (..., n), evaluated as compile_asts does:
+    zero but at the keys of entries, each its tree's value, and with
+    mirror also at (l, j, i) for each key (l, i, j)."""
+    values = compile_asts([ExprAst(root, n, m) for root in entries.values()], n, m)
+    at = tuple(np.array(list(entries), dtype=int).reshape(-1, len(shape)).T)
+    columns = np.arange(len(entries))
+    if mirror:
+        at = tuple(np.concatenate([a, b]) for a, b in zip(at, (at[0], at[2], at[1])))
+        columns = np.concatenate([columns, columns])
+
+    def block(lam, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + shape)
+        out[(Ellipsis,) + at] = values(lam, x)[..., columns]
+        return out
+
+    return block
+
+
+def _derivative_fns(f_roots: list, h_roots: list, n: int, m: int) -> dict:
+    """SystemSpec's jac_x_fn, jac_lambda_fn, jac_h_fn and hess_h_fn for f
+    and h given as trees over x1..xn and l1..lm, h free of parameters.  A
+    Hessian entry (l, i, j) is built for j >= i only, and mirrored."""
+    f_trees = {(row,): root for row, root in enumerate(f_roots)}
+    gradients = _partials({(l,): root for l, root in enumerate(h_roots)}, lambda key, v: True)
+    hessians = _partials(gradients, lambda key, v: v.index >= key[1])
+    k, no_lambda = len(h_roots), np.zeros(m)
+    jac_h = _compiled_block(gradients, (k, n), n, m)
+    hess_h = _compiled_block(hessians, (k, n, n), n, m, mirror=True)
+    jac_x, jac_lambda = (
+        _compiled_block(_partials(f_trees, lambda key, v: v.kind == kind), (len(f_roots), d), n, m)
+        for kind, d in (("x", n), ("l", m))
+    )
+    return dict(jac_x_fn=jac_x, jac_lambda_fn=jac_lambda, jac_h_fn=lambda x: jac_h(no_lambda, x),
+                hess_h_fn=lambda x: hess_h(no_lambda, x))
+
+
 # Defaults of the optional declaration keys that set the first-integral check;
 # configs echo a declaration with them filled in.
 IDENTITY_DEFAULTS = {
@@ -477,9 +622,8 @@ def build_system_from_config(decl: dict) -> SystemSpec:
     The declared h must actually be first integrals: the system is
     accepted only when the sampled max |f . grad h_l| stays below
     identity_tolerance, otherwise construction fails naming the worst
-    sample.  f and h are compiled once and evaluate stacks of points in
-    one call (compile_asts); derivatives of DSL systems come from finite
-    differences.
+    sample.  f, h and their derivative blocks are compiled once and
+    evaluate stacks of points in one call (compile_asts).
     """
     if not isinstance(decl, dict):
         raise InputError("system declaration must be a mapping")
@@ -500,25 +644,23 @@ def build_system_from_config(decl: dict) -> SystemSpec:
 
     f_asts = [parse(src, n, m) for src in f_sources]
     h_asts = [parse(src, n, m) for src in h_sources]
-    f = compile_asts(f_asts, n, m)
-    h_of = compile_asts(h_asts, n, m)
-    no_lambda = np.zeros(m)
-
-    def h(x):
-        return h_of(no_lambda, x)
-
     for ast in h_asts:
-        if _uses_parameter(ast.root):
+        if any(var.kind == "l" for var in _variables(ast.root)):
             raise InputError(
                 "first integrals must not depend on parameters "
                 f"(found one in {ast.source!r})"
             )
 
+    h_of = compile_asts(h_asts, n, m)
+    no_lambda = np.zeros(m)
     sys = SystemSpec(
         name=name,
-        n=n, m=m, k=k, f=f, h=h,
+        n=n, m=m, k=k,
+        f=compile_asts(f_asts, n, m),
+        h=lambda x: h_of(no_lambda, x),
         domain=Domain(box=decl["domain_box"]),
         parameter_box=decl.get("parameter_box", [[0.25, 4.0]] * m),
+        **_derivative_fns([ast.root for ast in f_asts], [ast.root for ast in h_asts], n, m),
         batched=True,
     )
 
@@ -545,14 +687,3 @@ def _sources(value, count: int, key: str) -> list:
         raise InputError(f"expected {count} {key}-expressions, got {len(value)}")
     return list(value)
 
-
-def _uses_parameter(node) -> bool:
-    if isinstance(node, Var):
-        return node.kind == "l"
-    if isinstance(node, Unary):
-        return _uses_parameter(node.child)
-    if isinstance(node, Binary):
-        return _uses_parameter(node.left) or _uses_parameter(node.right)
-    if isinstance(node, Call):
-        return any(_uses_parameter(a) for a in node.args)
-    return False

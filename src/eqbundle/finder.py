@@ -57,10 +57,10 @@ from .errors import (
 from .linalg import _solve_rows, kernel_basis, numeric_rank
 from .systems import (
     _BLOCKS,
+    Evaluation,
     PointState,
     SystemSpec,
     _evaluate_rows,
-    _evaluation,
     _in_box,
     _in_domain_rows,
     _slack,
@@ -487,9 +487,9 @@ def _equilibrium_points(sys, lam, points, tols) -> list:
     for row, (x, residual_f) in enumerate(points):
         if row in errors:
             raise errors[row]
-        ev = _evaluation(sys, PointState(lam, x), blocks, row)
+        ev = Evaluation(PointState(lam, x), *(block[row] for block in blocks))
         stacked = np.concatenate([ev.jac_x, ev.jac_h])
-        rank = numeric_rank(stacked, tols.rank, fd=sys.finite_difference("jac_x", "jac_h"))
+        rank = numeric_rank(stacked, tols.rank)
         found.append(EquilibriumPoint(
             state=ev.point,
             residual_f=float(residual_f),
@@ -994,7 +994,7 @@ def trace_fiber(
     max_points = positive_int(max_points, "max_points", COUNT_LIMIT)
     sign = unit_sign(initial_direction, "initial_direction")
     x0, f0 = _continuation_start(sys, lam, x0, tols)
-    kernel = kernel_basis(sys.jac_x(lam, x0), tols.rank, fd=sys.finite_difference("jac_x"))
+    kernel = kernel_basis(sys.jac_x(lam, x0), tols.rank)
     if kernel.shape[1] != 1:
         raise BranchPointError(
             f"kernel of df/dx has dimension {kernel.shape[1]}, expected 1 at the starting point",

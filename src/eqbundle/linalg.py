@@ -1,7 +1,8 @@
 """Rank-revealing linear algebra with explicit tolerance reporting.
 
 Thin contracts over LAPACK (via numpy): every rank decision applies one
-cutoff rule to singular values and records the cutoff next to the answer.
+cutoff rule (rank_cutoff) to singular values, whatever produced the
+matrix, and records the cutoff next to the answer.
 A rank alone takes the singular values only, a rank with kernel and image
 one full SVD.  Dense eigenvalues come back in a deterministic order.
 
@@ -97,38 +98,27 @@ def _as_matrix(M, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     return A
 
 
-# Central differences with step cbrt(eps) leave absolute noise of order
-# eps^(2/3) in every matrix entry (truncation and roundoff balance there),
-# so singular values of finite-difference Jacobians are meaningless below
-# that scale.  Factor 50 gives headroom over the per-entry constant.
-FD_NOISE_FLOOR = 50.0 * EPS ** (2.0 / 3.0)
-
-
-def rank_cutoff(shape, sigma_max, tol_override, fd: bool):
+def rank_cutoff(shape, sigma_max, tol_override):
     """The singular value cutoff for matrices of this shape whose largest
     singular value is sigma_max (a float, or an array of one per matrix):
-    tol_override when given, else max(rows, cols) * eps * sigma_max, raised
-    to the finite-difference noise floor when fd is set.  In that order the
-    product overflows only where the cutoff does, and, eps being a power
-    of two, it is (max(rows, cols) * sigma_max) * eps bit for bit wherever
-    that is finite and normal."""
+    tol_override when given, else max(rows, cols) * eps * sigma_max.  In
+    that order the product overflows only where the cutoff does, and, eps
+    being a power of two, it is (max(rows, cols) * sigma_max) * eps bit
+    for bit wherever that is finite and normal."""
     if tol_override is not None:
         return np.full(np.shape(sigma_max), float(tol_override))
-    tol = max(shape) * EPS * sigma_max
-    if fd:
-        tol = np.maximum(tol, FD_NOISE_FLOOR * np.maximum(1.0, sigma_max))
-    return tol
+    return max(shape) * EPS * sigma_max
 
 
-def _rank_report(shape, s: np.ndarray, tol_override, fd: bool) -> RankReport:
+def _rank_report(shape, s: np.ndarray, tol_override) -> RankReport:
     """The rank decision on the singular values s of a matrix of this shape,
     with the cutoff of rank_cutoff."""
-    tol = float(rank_cutoff(shape, float(s[0]) if s.size else 0.0, tol_override, fd))
+    tol = float(rank_cutoff(shape, float(s[0]) if s.size else 0.0, tol_override))
     rank = int(np.count_nonzero(s > tol))
     return RankReport(rank=rank, singular_values=tuple(float(v) for v in s), tol=tol)
 
 
-def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> RankReport:
+def numeric_rank(M, tol_override: float | None = None) -> RankReport:
     """Rank of a dense matrix by SVD.
 
     Parameters
@@ -137,18 +127,14 @@ def numeric_rank(M, tol_override: float | None = None, fd: bool = False) -> Rank
         Matrix with finite entries.
     tol_override : float, optional
         Absolute singular value cutoff.  When omitted the cutoff is
-        ``max(p, q) * eps * sigma_max``, raised to the finite-difference
-        noise floor when ``fd`` is set.
-    fd : bool
-        Declare that M came from finite differences, so singular values
-        at the differencing noise scale must be treated as zero.
+        ``max(p, q) * eps * sigma_max``.
 
     Returns
     -------
     RankReport
     """
     A = _as_matrix(M)
-    return _rank_report(A.shape, np.linalg.svd(A, compute_uv=False), tol_override, fd)
+    return _rank_report(A.shape, np.linalg.svd(A, compute_uv=False), tol_override)
 
 
 def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
@@ -188,7 +174,7 @@ def solve_least_squares(A, b, rank_tol: float | None = None) -> np.ndarray:
 def _deficient(shape, s: np.ndarray, rank_tol) -> DegeneracyError:
     """The error of a least-squares matrix of this shape whose singular
     values s leave it column rank deficient."""
-    report = _rank_report(shape, s, rank_tol, False)
+    report = _rank_report(shape, s, rank_tol)
     return DegeneracyError(
         f"least squares matrix is column rank deficient (rank {report.rank} < {shape[1]})",
         report=report,
@@ -202,7 +188,7 @@ def _certificate_scale(shape, amax, rank_tol):
     c y_i < 1 for every entry of its y = M(R)^-1 e."""
     p, q = shape
     norm = (p * q) ** 0.5 * amax
-    return 2.0 * q ** 0.5 * (rank_cutoff(shape, norm, rank_tol, False) + p * q * EPS * norm)
+    return 2.0 * q ** 0.5 * (rank_cutoff(shape, norm, rank_tol) + p * q * EPS * norm)
 
 
 # The back substitution runs in Python floats for a stack of count rows
@@ -328,7 +314,7 @@ def _solve_rows(system: np.ndarray, rank_tol, errors: dict) -> tuple:
     b = np.ascontiguousarray(system[:, :, q])
     deficient = {}
     # s is descending: rank < q exactly when the last value is cut off
-    cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol, False)
+    cut = s[:, -1] <= rank_cutoff(shape, s[:, 0], rank_tol)
     if np.count_nonzero(cut):
         for i in np.flatnonzero(cut):
             deficient[int(rows[i])] = _deficient(shape, s[i], rank_tol)
@@ -364,15 +350,15 @@ def eigen_dense(M) -> np.ndarray:
     return np.take_along_axis(vals, order, axis=-1)
 
 
-def rank_and_subspaces(M, tol_override: float | None = None, fd: bool = False) -> tuple:
+def rank_and_subspaces(M, tol_override: float | None = None) -> tuple:
     """(RankReport, kernel, image) of M from one full SVD, the cutoff as in
     numeric_rank; the bases are orthonormal columns of singular vectors."""
     A = _as_matrix(M)
     u, s, vt = np.linalg.svd(A)
-    report = _rank_report(A.shape, s, tol_override, fd)
+    report = _rank_report(A.shape, s, tol_override)
     return report, vt[report.rank:].T.copy(), u[:, :report.rank].copy()
 
 
-def kernel_basis(M, tol_override: float | None = None, fd: bool = False) -> np.ndarray:
+def kernel_basis(M, tol_override: float | None = None) -> np.ndarray:
     """Orthonormal basis of ker(M) as columns, from right singular vectors."""
-    return rank_and_subspaces(M, tol_override, fd)[1]
+    return rank_and_subspaces(M, tol_override)[1]

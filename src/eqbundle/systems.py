@@ -4,8 +4,8 @@ A system is xdot = f(lam, x) on a compact state domain V, lam ranging over a
 parameter box, together with k parameter-independent first integrals
 h_1..h_k (f . grad h_l = 0 identically).  Everything downstream (audits,
 equilibrium finding, transport, eigenvalue tracking) consumes the uniform
-Evaluation record produced here; derivative blocks fall back to central
-finite differences when a system carries no analytic Jacobians.
+Evaluation record produced here.  Every system carries its derivative
+callables; a declared system's come from its expressions (expr).
 
 Built-in families
 -----------------
@@ -36,8 +36,6 @@ from .errors import (
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))        # first derivatives
-_FD2_STEP = float(np.finfo(float).eps ** 0.25)        # second derivatives
 _NO_LAMBDA = np.zeros(0)                              # lam of the h callables
 
 
@@ -124,15 +122,19 @@ class Domain:
     def boundary_distance(self, x) -> float:
         """Distance to the nearest box face or constraint surface.
 
-        Implicit constraints use the first-order estimate |g| / |grad g|
-        with the central-difference gradient of _fd_jacobian.  Raises
-        InputError unless x is a finite vector of length n.
+        Implicit constraints use the first-order estimate |g| / |grad g|,
+        grad g by central differences with steps cbrt(eps) max(1, |x_j|).
+        Raises InputError unless x is a finite vector of length n.
         """
         x = finite_vector(x, self.dim, "x", "n")
         dist = float(np.min(np.minimum(x - self.box[:, 0], self.box[:, 1] - x)))
+        steps = np.cbrt(np.finfo(float).eps) * np.fmax(1.0, np.abs(x))
+        axial = np.eye(self.dim, dtype=bool)
+        up, down = np.where(axial, x + steps, x), np.where(axial, x - steps, x)
         for g in self.constraints:
             val = g(x)
-            grad = _fd_jacobian(lambda _, y: g(y), _NO_LAMBDA, x[None], False, 1, False)[0, 0]
+            moved = np.array([g(y) for pair in zip(up, down) for y in pair], float).reshape(-1, 2)
+            grad = (moved[:, 0] - moved[:, 1]) / (2 * steps)
             scale = max(float(np.linalg.norm(grad)), 1e-12)
             dist = min(dist, abs(float(val)) / scale)
         return dist
@@ -176,16 +178,14 @@ class Evaluation:
     jac_lambda: np.ndarray         # (n, m)
     jac_h: np.ndarray              # (k, n)
     hess_h: np.ndarray             # (k, n, n)
-    derivative_source: str         # "analytic" | "finite-difference"
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Definition of a parametric system with first integrals.
 
-    f maps (lam, x) to an n-vector, h maps x to a k-vector.  Jacobian
-    callables are optional; missing blocks are filled by central finite
-    differences at evaluation time.
+    f maps (lam, x) to an n-vector and h maps x to a k-vector.  The four
+    derivative callables are required.
     """
 
     name: str
@@ -196,10 +196,10 @@ class SystemSpec:
     h: Callable
     domain: Domain
     parameter_box: np.ndarray                     # (m, 2)
-    jac_x_fn: Optional[Callable] = None
-    jac_lambda_fn: Optional[Callable] = None
-    jac_h_fn: Optional[Callable] = None
-    hess_h_fn: Optional[Callable] = None
+    jac_x_fn: Callable                            # (lam, x) -> df/dx (n, n)
+    jac_lambda_fn: Callable                       # (lam, x) -> df/dlambda (n, m)
+    jac_h_fn: Callable                            # x -> dh/dx (k, n)
+    hess_h_fn: Callable                           # x -> Hessians of h (k, n, n)
     # f, h, the derivative callables and the domain constraints all accept
     # a stack x of shape (..., n) and map over its leading axes; lam is
     # then one vector (m,) or a stack (..., m) that broadcasts against x.
@@ -220,23 +220,12 @@ class SystemSpec:
         object.__setattr__(
             self, "parameter_box", box(self.parameter_box, self.m, "parameter_box")
         )
-
-    @property
-    def analytic(self) -> bool:
-        return all(
-            fn is not None
-            for fn in (self.jac_x_fn, self.jac_lambda_fn, self.jac_h_fn, self.hess_h_fn)
-        )
-
-    def finite_difference(self, *blocks: str) -> bool:
-        """Whether a matrix built from the named derivative blocks ("jac_x",
-        "jac_lambda", "jac_h", "hess_h") takes the finite-difference rank
-        floor: exactly when one of those blocks has no analytic callable."""
-        return any(getattr(self, f"{block}_fn") is None for block in blocks)
+        for key in ("jac_x_fn", "jac_lambda_fn", "jac_h_fn", "hess_h_fn"):
+            if not callable(getattr(self, key)):
+                raise InputError(f"{key} must be callable")
 
     # Values and derivative blocks.  Each takes one point x (n,) or a stack
-    # (B, n) and returns the block, or the stack of blocks.  A block with
-    # no analytic callable comes from central finite differences.  Without
+    # (B, n) and returns the block, or the stack of blocks.  Without
     # `errors` the first EqBundleError is raised; with a dict the error of
     # row i is stored under i, the row is left NaN, and a row already in
     # the dict is not evaluated again.
@@ -247,66 +236,36 @@ class SystemSpec:
 
     def h_rows(self, x, errors=None) -> np.ndarray:
         """h at every row of a stack x: (B, k)."""
-        return _rows(self._h, _NO_LAMBDA, x, (self.k,), self.batched, errors)
+        return _rows(lambda _, y: self.h(y), _NO_LAMBDA, x, (self.k,), self.batched, errors)
 
     def jac_x(self, lam, x, errors=None) -> np.ndarray:
         """df/dx: (n, n) per point."""
-        return self._block(
-            self.jac_x_fn, lam, x, (self.n, self.n), errors,
-            lambda lam, x, errors: _fd_jacobian(
-                self.f, lam, x, False, self.n, self.batched, errors
-            ),
-        )
+        return self._block(self.jac_x_fn, lam, x, (self.n, self.n), errors)
 
     def jac_lambda(self, lam, x, errors=None) -> np.ndarray:
         """df/dlambda: (n, m) per point."""
-        return self._block(
-            self.jac_lambda_fn, lam, x, (self.n, self.m), errors,
-            lambda lam, x, errors: _fd_jacobian(
-                self.f, lam, x, True, self.n, self.batched, errors
-            ),
-        )
+        return self._block(self.jac_lambda_fn, lam, x, (self.n, self.m), errors)
 
     def jac_h(self, x, errors=None) -> np.ndarray:
         """dh/dx: (k, n) per point."""
-        jac_h_fn = self.jac_h_fn
-        return self._block(
-            None if jac_h_fn is None else (lambda _, y: jac_h_fn(y)),
-            _NO_LAMBDA, x, (self.k, self.n), errors,
-            lambda lam, x, errors: _fd_jacobian(
-                self._h, lam, x, False, self.k, self.batched, errors
-            ),
-        )
+        return self._block(lambda _, y: self.jac_h_fn(y), _NO_LAMBDA, x, (self.k, self.n), errors)
 
     def hess_h(self, x, errors=None) -> np.ndarray:
         """Hessians of h_1..h_k: (k, n, n) per point."""
-        hess_h_fn = self.hess_h_fn
-        return self._block(
-            None if hess_h_fn is None else (lambda _, y: hess_h_fn(y)),
-            _NO_LAMBDA, x, (self.k, self.n, self.n), errors,
-            lambda lam, x, errors: _fd_hessian(self._h, x, self.k, self.batched, errors),
-        )
+        shape = (self.k, self.n, self.n)
+        return self._block(lambda _, y: self.hess_h_fn(y), _NO_LAMBDA, x, shape, errors)
 
-    def _h(self, lam, x):
-        return self.h(x)
-
-    def _block(self, analytic, lam, x, shape, errors, fd):
-        lam = np.asarray(lam, dtype=float)
+    def _block(self, fn, lam, x, shape, errors):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            if analytic is not None and errors is None:
-                return np.asarray(analytic(lam, x), dtype=float).reshape(shape)
-            return self._block(analytic, lam, x[None], shape, errors, fd)[0]
-        if analytic is not None:
-            return _rows(analytic, lam, x, shape, self.batched, errors)
-        return fd(lam, x, errors)
+        rows = _rows(fn, np.asarray(lam, dtype=float), np.atleast_2d(x), shape, self.batched, errors)
+        return rows[0] if x.ndim == 1 else rows
 
 
 def _finite_rows(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
 
 
-def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, group: int = 1):
+def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None):
     """fn(lam, x) at every row of the stack x, as an array (len(x),) + shape.
 
     lam is one vector shared by every row or a stack with one row per row
@@ -315,12 +274,9 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
     point, so a callable that raises only on a lone point (a declared
     system) raises there.  Any other fn, or a stack of one row, is called
     row by row: one point is the same value, and the builtins compute it
-    faster than a stack of one.  The rows come in groups of
-    `group` consecutive rows, the calls that one point needs in the order
-    a lone evaluation makes them.  The first EqBundleError of a group ends
-    that group: its rows are left NaN and the error is stored under the
-    group index in errors, or raised when errors is None.  Groups already
-    in errors are skipped.
+    faster than a stack of one.  A row's EqBundleError leaves the row NaN
+    and is stored under the row in errors, or raised when errors is None.
+    Rows already in errors are skipped.
     """
     count = len(x)
     raising = errors is None
@@ -345,7 +301,7 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
         rerun = range(count)
     stacked = np.ndim(lam) == 2
     for row in rerun:
-        if row // group in errors:
+        if row in errors:
             continue
         try:
             out[row] = np.asarray(
@@ -354,9 +310,9 @@ def _rows(fn, lam, x: np.ndarray, shape: tuple, batched: bool, errors=None, grou
         except EqBundleError as err:
             if raising:
                 raise
-            errors[row // group] = err
+            errors[row] = err
     for failed in errors:
-        out[failed * group:(failed + 1) * group] = np.nan
+        out[failed] = np.nan
     return out
 
 
@@ -374,67 +330,6 @@ def _in_domain_rows(sys: SystemSpec, x: np.ndarray, tols: Tolerances):
     errors: dict = {}
     inside = _rows(lambda _, y: domain.contains(y, slack), _NO_LAMBDA, x, (), False, errors)
     return inside == 1.0, errors
-
-
-def _fd_jacobian(fn, lam, x: np.ndarray, wrt_lambda: bool, width: int, batched: bool, errors=None):
-    """Central differences of fn(lam, x) in x, or in lam, at every row of x.
-
-    Returns (len(x), width, d).  All points of all rows go to fn as one
-    stack, point after point in the order of a lone evaluation: column j
-    moved up, then down.  The steps and the arithmetic are those of the
-    column loop, so each block is bitwise the loop's.
-    """
-    z = np.broadcast_to(lam, (len(x), lam.shape[-1])) if wrt_lambda else x
-    count, dim = z.shape
-    steps = _FD_STEP * np.fmax(1.0, np.abs(z))
-    cols = np.arange(dim)
-    moved = np.repeat(z, 2 * dim, axis=0).reshape(count, dim, 2, dim)
-    moved[:, cols, 0, cols] = z + steps
-    moved[:, cols, 1, cols] = z - steps
-    moved = moved.reshape(-1, dim)
-    if wrt_lambda:
-        lam, x = moved, np.repeat(x, 2 * dim, axis=0)
-    else:
-        lam = np.repeat(lam, 2 * dim, axis=0) if lam.ndim == 2 else lam
-        x = moved
-    values = _rows(fn, lam, x, (width,), batched, errors, 2 * dim)
-    values = values.reshape(count, dim, 2, width)
-    J = (values[:, :, 0] - values[:, :, 1]) / (2 * steps)[:, :, None]
-    return np.ascontiguousarray(J.transpose(0, 2, 1))
-
-
-def _fd_hessian(fn, x: np.ndarray, width: int, batched: bool, errors=None):
-    """Central 4-point cross differences of every component of fn(_, x) at
-    every row of x: (len(x), width, n, n).  Each row's points, one group of
-    the stack passed to fn, are x, x + h_i e_i for every i, x - h_i e_i for
-    every i, and the corners (+ +, + -, - +, - -) of (x_i, x_j) for each
-    pair i < j.  The arithmetic is the per-entry formula's, squares
-    included (h**2 is libm's pow)."""
-    count, n = x.shape
-    steps = _FD2_STEP * np.maximum(1.0, np.abs(x))
-    at, up, down = x[:, None], (x + steps)[:, None], (x - steps)[:, None]
-    coords = np.arange(n)
-    ii, jj = np.triu_indices(n, 1)
-    axial, on_i, on_j = (coords == c[:, None] for c in (coords, ii, jj))
-    corners = [np.where(on_i, a, np.where(on_j, b, at)) for a in (up, down) for b in (up, down)]
-    points = np.concatenate([
-        at, np.where(axial, up, at), np.where(axial, down, at),
-        np.stack(corners, axis=2).reshape(count, -1, n),
-    ], axis=1)
-    values = _rows(
-        fn, _NO_LAMBDA, points.reshape(-1, n), (width,), batched, errors, points.shape[1]
-    ).reshape(count, -1, width)
-    f0, plus, minus = values[:, :1], values[:, 1:n + 1], values[:, n + 1:2 * n + 1]
-    pp, pm, mp, mm = np.moveaxis(values[:, 2 * n + 1:].reshape(count, -1, 4, width), 2, 0)
-    squares = np.array([h ** 2 for h in steps.ravel().tolist()]).reshape(steps.shape)
-    H = np.empty((count, width, n, n))
-    H[:, :, coords, coords] = np.swapaxes((plus - 2 * f0 + minus) / squares[:, :, None], 1, 2)
-    cross = np.swapaxes(
-        (pp - pm - mp + mm) / (4 * steps[:, ii] * steps[:, jj])[:, :, None], 1, 2
-    )
-    H[:, :, ii, jj] = cross
-    H[:, :, jj, ii] = cross
-    return H
 
 
 # the blocks of an Evaluation, in field order, which is the order of computation
@@ -466,17 +361,7 @@ def evaluate(
         inside, errors = _in_domain_rows(sys, x[None], tols)
         if not inside[0]:
             raise errors.get(0, InputError(f"x {x.tolist()} outside domain"))
-    return _evaluation(sys, u, _evaluate_rows(sys, lam, x[None], _BLOCKS), 0)
-
-
-def _evaluation(sys: SystemSpec, u: PointState, blocks: tuple, row: int) -> Evaluation:
-    """The Evaluation at u from row `row` of the stacked blocks of _BLOCKS
-    that _evaluate_rows returns."""
-    return Evaluation(
-        u,
-        *(block[row] for block in blocks),
-        derivative_source="analytic" if sys.analytic else "finite-difference",
-    )
+    return Evaluation(u, *(block[0] for block in _evaluate_rows(sys, lam, x[None], _BLOCKS)))
 
 
 def _admit_lambda(sys: SystemSpec, lam: np.ndarray, tols: Tolerances, what: str) -> None:

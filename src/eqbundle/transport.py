@@ -168,8 +168,6 @@ def _frame(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> ConnectionFrame
             report=report,
         )
 
-    # the horizontal basis, and so the span, come from all three blocks
-    fd = sys.finite_difference("jac_lambda", "jac_x", "jac_h")
     m, k = sys.m, sys.k
 
     # cond_ii passed, so the kernel of df/dx has k columns
@@ -179,13 +177,13 @@ def _frame(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> ConnectionFrame
         [ev.jac_lambda, ev.jac_x],
         [np.zeros((k, m)), ev.jac_h],
     ])
-    horizontal = kernel_basis(stacked, tols.rank, fd=fd)      # (m+n, m)
+    horizontal = kernel_basis(stacked, tols.rank)      # (m+n, m)
     if horizontal.shape[1] != m:
         raise DegeneracyError(
             f"horizontal subspace has dimension {horizontal.shape[1]}, expected {m}",
             report=report,
         )
-    span = numeric_rank(np.hstack([vertical, horizontal]), tols.rank, fd=fd)
+    span = numeric_rank(np.hstack([vertical, horizontal]), tols.rank)
     if span.rank != m + k:
         raise DegeneracyError(
             f"vertical + horizontal spans rank {span.rank}, expected {m + k}",

@@ -50,7 +50,10 @@ _SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
                 ast.NotEq: "!="}
 # a module's own test files, where they are not tests/test_<module>.py alone
-_OWN_TESTS = {"finder": ("test_finder.py", "test_newton_lanes.py")}
+_OWN_TESTS = {
+    "expr": ("test_expr.py", "test_declared_batched.py"),
+    "finder": ("test_finder.py", "test_newton_lanes.py"),
+}
 _WORKERS = 2
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                   ".bench_out", ".bench_build", "*.egg-info")

@@ -242,11 +242,14 @@ def _nan_at_start_system():
             return np.array([np.nan, 0.0])
         return np.array([-x[0] + lam[0] * (x[1] ** 2 - 1.0), 0.0])
 
+    planar = builtin("planar")
     return SystemSpec(
         name="nan-start", n=2, m=1, k=1, f=f,
         h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=planar.jac_x_fn, jac_lambda_fn=planar.jac_lambda_fn,
+        jac_h_fn=planar.jac_h_fn, hess_h_fn=planar.hess_h_fn,
     )
 
 

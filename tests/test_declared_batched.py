@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import ring_declaration
 from eqbundle import cli, config, reports
 from eqbundle.errors import ExprDomainError
-from eqbundle.expr import compile_asts, parse
+from eqbundle.expr import _derivative_fns, compile_asts, parse
 from eqbundle.finder import (
     CONVERGED,
     EVALUATION_ERROR,
@@ -17,20 +18,6 @@ from eqbundle.finder import (
     newton_lanes,
 )
 from eqbundle.systems import Domain, SystemSpec
-
-
-def ring(n: int) -> dict:
-    """The rfmr(n) ring written as expressions."""
-    f = [
-        f"l{(i - 1) % n + 1}*x{(i - 1) % n + 1}*(1-x{i + 1}) - l{i + 1}*x{i + 1}*(1-x{(i + 1) % n + 1})"
-        for i in range(n)
-    ]
-    return {
-        "n": n, "m": n, "k": 1, "f": f,
-        "h": ["+".join(f"x{i + 1}" for i in range(n))],
-        "domain_box": [[0.0, 1.0]] * n,
-    }
-
 
 R = float(np.sqrt(3.0))
 EXAMPLE2 = {
@@ -62,7 +49,7 @@ EXAMPLE2_RUNS = [
      "x0": [float(np.sqrt(U)), float(np.sqrt(V)), float(np.sqrt(U))]},
 ]
 
-CASES = [(ring(n), run) for n in (3, 4, 5, 6) for run in ring_runs(n)] + [
+CASES = [(ring_declaration(n), run) for n in (3, 4, 5, 6) for run in ring_runs(n)] + [
     (EXAMPLE2, run) for run in EXAMPLE2_RUNS
 ]
 
@@ -88,14 +75,16 @@ def test_batched_reports_equal_point_by_point(declaration, command):
 
 def log_band_system(batched: bool) -> SystemSpec:
     """f1 = log(x1) - l1 x2 on a box where x1 crosses 0; h = x2.  The
-    equilibrium on the level x2 = a is x1 = exp(l1 a)."""
-    f = compile_asts([parse("log(x1) - l1*x2", 2, 1), parse("0", 2, 1)], 2, 1)
-    h = compile_asts([parse("x2", 2, 1)], 2, 1)
+    equilibrium on the level x2 = a is x1 = exp(l1 a).  Its derivatives
+    are those of a declaration."""
+    f_asts, h_asts = [parse("log(x1) - l1*x2", 2, 1), parse("0", 2, 1)], [parse("x2", 2, 1)]
+    h = compile_asts(h_asts, 2, 1)
     return SystemSpec(
         name="log-band", n=2, m=1, k=1,
-        f=f, h=lambda x: h(np.zeros(1), x),
+        f=compile_asts(f_asts, 2, 1), h=lambda x: h(np.zeros(1), x),
         domain=Domain(box=np.array([[-1.0, 3.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.25, 4.0]]),
+        **_derivative_fns([ast.root for ast in f_asts], [ast.root for ast in h_asts], 2, 1),
         batched=batched,
     )
 
@@ -131,7 +120,7 @@ def counted_f(sys: SystemSpec):
 
 def test_declared_find_calls_f_per_iteration_not_per_lane():
     sys = config.config_from_dict(
-        {"system": {"declaration": ring(3)}, "command": "find",
+        {"system": {"declaration": ring_declaration(3)}, "command": "find",
          "lambda": [1.0] * 3, "level": [1.5]}
     ).system
     lam, level = [1.0] * 3, [1.5]
@@ -140,13 +129,12 @@ def test_declared_find_calls_f_per_iteration_not_per_lane():
     batched, calls = counted_f(sys)
     points = enumerate_level_points(batched, lam, level, budget=200, seed=0)
     assert len(points) == 1
-    # the first residual; per iteration one Jacobian stack and at most 25
-    # line-search trials; per kept point the stacked rank's df/dx and the
-    # audit's evaluate (f, df/dx, df/dlambda)
-    assert calls[0] <= 1 + (1 + 25) * iterations + 4 * len(points)
+    # the first residual; per iteration at most 25 line-search trials; per
+    # kept point the audit's evaluate.  The derivatives call no f.
+    assert calls[0] <= 1 + 25 * iterations + len(points)
 
     lone, lone_calls = counted_f(dataclasses.replace(sys, batched=False))
     again = enumerate_level_points(lone, lam, level, budget=200, seed=0)
     assert [p.as_dict() for p in again] == [p.as_dict() for p in points]
-    # lane by lane: every lane, trial and finite-difference column
-    assert lone_calls[0] > 200 * calls[0]
+    # lane by lane: every lane and trial
+    assert lone_calls[0] > 100 * calls[0]

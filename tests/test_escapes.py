@@ -2,7 +2,8 @@
 wrong one: a matrix or fiber loop refined past float resolution, a lift whose
 steps would leave a sliver of a segment, an audit whose ||f|| overflows,
 a find or holonomy at a level whose residual norm overflows, a
-declaration whose name is not a string, a config key that is not text,
+declaration whose name is not a string or whose literal is past the
+float range, a config key that is not text,
 and a size past numpy's array limit.  Each now ends in a report or
 in a typed error, and the CLI writes an envelope for either.  Last, two
 sweeps hold the golden configs to that contract: one with their numeric
@@ -143,6 +144,21 @@ def test_a_declaration_name_must_be_a_string(tmp_path, capsys):
     assert envelope["error"] == {
         "type": "InputError", "message": "declaration name must be a string",
     }
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("find", {"lambda": [1.0], "level": [0.5]}),
+    ("audit", {"lambda": [1.0], "x": [0.5, 0.5]}),
+])
+def test_a_literal_past_the_float_range_is_a_syntax_error(tmp_path, capsys, command, fields):
+    # 1e400 read as inf, and a negative base then raised a bare OverflowError
+    declaration = {"n": 2, "m": 1, "k": 1, "f": ["(0-x1)^1e400", "0"], "h": ["x2"],
+                   "domain_box": [[-1, 1], [-1, 1]]}
+    code, envelope = run_main(
+        tmp_path, capsys, {"system": {"declaration": declaration}, "command": command, **fields}
+    )
+    assert code == 1
+    assert envelope["error"] == {"type": "ExprError", "message": "number out of range (offset 7)"}
 
 
 def test_a_key_that_is_not_text_is_an_unknown_key():

@@ -1,8 +1,10 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqbundle.errors import ExprDomainError, ExprError, InputError
@@ -14,6 +16,8 @@ from eqbundle.expr import (
     ExprAst,
     Unary,
     Var,
+    _derivative,
+    _derivative_fns,
     _eval_node,
     build_system_from_config,
     compile_asts,
@@ -22,6 +26,8 @@ from eqbundle.expr import (
     to_source,
 )
 from eqbundle.systems import PointState, builtin, check_first_integral_identity, evaluate
+
+from conftest import central_blocks, ring_declaration
 
 
 def test_parse_eval_product():
@@ -83,10 +89,19 @@ def test_syntax_error_offsets():
         parse("1 + 2 ?", 1, 1)
     assert err.value.offset == 6
 
-    with pytest.raises(InputError):
-        parse("", 1, 1)
-    with pytest.raises(InputError):
-        parse("   ", 1, 1)
+    with pytest.raises(ExprError, match=r"^expected '\)' \(offset 2\)"):
+        parse("(1,2)", 1, 1)
+    with pytest.raises(ExprError, match=r"^unexpected end of input \(offset 2\)"):
+        parse("1+", 1, 1)
+
+    # a literal past the float range would read as inf
+    with pytest.raises(ExprError, match="number out of range") as err:
+        parse("(0-x1)^1e400", 1, 1)
+    assert err.value.offset == 7
+
+    for blank in ("", "   "):
+        with pytest.raises(InputError, match="^expression source must be a non-empty string$"):
+            parse(blank, 1, 1)
 
 
 def test_identifier_errors():
@@ -113,9 +128,13 @@ def test_division_by_zero():
 
 
 def test_domain_errors():
-    bad = ["log(0)", "log(0-1)", "sqrt(0-1)", "(0-2)^0.5", "0^-1"]
-    for src in bad:
-        with pytest.raises(ExprDomainError):
+    bad = {
+        "log(0)": "log of a non-positive value", "log(0-1)": "log of a non-positive value",
+        "sqrt(0-1)": "sqrt of a negative value", "(0-2)^0.5": "non-integer power of a negative base",
+        "0^-1": "zero raised to a negative power",
+    }
+    for src, message in bad.items():
+        with pytest.raises(ExprDomainError, match=f"^{re.escape(message)} "):
             eval_ast(parse(src, 1, 1), [0.0], [0.0])
     # overflow surfaces as a domain error, not as inf
     with pytest.raises(ExprDomainError):
@@ -212,22 +231,27 @@ RFMR3_DECL = {
 
 
 def test_ring_system_from_expressions():
-    sys = build_system_from_config(RFMR3_DECL)
-    assert (sys.n, sys.m, sys.k) == (3, 3, 1)
-    assert check_first_integral_identity(sys, samples=100, seed=3) < 1e-10
+    # the declared ring against the builtin rfmr(n): values and symbolic
+    # derivative blocks within a few ulps, at a point and over a stack
+    fields = ("f_value", "h_value", "jac_x", "jac_lambda", "jac_h", "hess_h")
+    for n, decl in [(3, RFMR3_DECL)] + [(n, ring_declaration(n)) for n in (3, 4, 5, 6, 20)]:
+        sys = build_system_from_config(decl)
+        assert (sys.n, sys.m, sys.k) == (n, n, 1)
+        assert check_first_integral_identity(sys, samples=100, seed=3) < 1e-10
 
-    ref = builtin("rfmr", n=3)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        lam = rng.uniform(0.5, 3.0, size=3)
-        x = rng.uniform(0.05, 0.95, size=3)
-        ours = evaluate(sys, PointState(lam, x))
-        theirs = evaluate(ref, PointState(lam, x))
-        assert np.max(np.abs(ours.f_value - theirs.f_value)) < 1e-14
-        assert np.max(np.abs(ours.h_value - theirs.h_value)) < 1e-14
-        # finite-difference Jacobians against the builtin's analytic ones
-        assert np.max(np.abs(ours.jac_x - theirs.jac_x)) < 1e-6
-        assert np.max(np.abs(ours.jac_lambda - theirs.jac_lambda)) < 1e-6
+        ref = builtin("rfmr", n=n)
+        rng = np.random.default_rng(11)
+        lams, xs = rng.uniform(0.5, 3.0, (20, n)), rng.uniform(0.05, 0.95, (20, n))
+        for lam, x in zip(lams, xs):
+            ours = evaluate(sys, PointState(lam, x))
+            theirs = evaluate(ref, PointState(lam, x))
+            for name in fields:
+                np.testing.assert_array_max_ulp(getattr(ours, name), getattr(theirs, name), 4)
+        for name in ("jac_x", "jac_lambda"):
+            ours, theirs = getattr(sys, name)(lams, xs), getattr(ref, name)(lams, xs)
+            np.testing.assert_array_max_ulp(ours, theirs, 4)
+        for name in ("jac_h", "hess_h"):
+            np.testing.assert_array_max_ulp(getattr(sys, name)(xs), getattr(ref, name)(xs), 4)
 
 
 def test_rejects_fake_first_integral():
@@ -442,3 +466,121 @@ def test_compiled_functions_round_like_libm(source):
     root = parse(source, 2, 1).root
     expected = np.array([_eval_node(root, lam[i], x[i]) for i in range(len(x))])
     assert compiled(lam, x)[:, 0].tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source, var, derivative", [
+    ("x1^2", "x1", "(2.0*x1)"),
+    ("x1^3", "x1", "(3.0*(x1^2.0))"),
+    ("x1^1", "x1", "1.0"),
+    ("x1^l1", "x1", "(l1*(x1^(l1-1.0)))"),
+    ("x1^x2", "x2", "((x1^x2)*log(x1))"),
+    ("x1^x1", "x1", "((x1*(x1^(x1-1.0)))+((x1^x1)*log(x1)))"),
+    ("sin(x1)", "x1", "cos(x1)"),
+    ("cos(2*x1)", "x1", "((-sin((2.0*x1)))*2.0)"),
+    ("exp(x1)", "x1", "exp(x1)"),
+    ("log(x1)", "x1", "(1.0/x1)"),
+    ("sqrt(x1)", "x1", "(1.0/(2.0*sqrt(x1)))"),
+    ("abs(x1)", "x1", "(x1/abs(x1))"),
+    ("x1/x2", "x1", "(1.0/x2)"),
+    ("x1/x2", "x2", "((-(x1/x2))/x2)"),
+    ("-x1", "x1", "-1.0"),
+    ("-(-x1*x2)", "x1", "x2"),
+    ("l1*x1*(1-x2)", "x2", "(-(l1*x1))"),
+    ("l1*x1*(1-x2)", "l1", "(x1*(1.0-x2))"),
+    ("x2 + sin(l1)", "x1", "0.0"),
+    ("x1*log(x2)", "x1", "log(x2)"),
+    ("x1*(x2/2)", "x1", "(x2/2.0)"),
+])
+def test_derivative_rules_and_folds(source, var, derivative):
+    # the power rule where the exponent is free of var, the general rule
+    # only where it is not; 0s, 1s and -1 factors folded
+    at = parse(var, 2, 1).root
+    assert to_source(_derivative(parse(source, 2, 1).root, at)) == derivative
+
+
+def test_a_derivative_fault_names_its_source_offset():
+    # d|u| = (u/|u|) du is undefined at u = 0, as is d sqrt(u)
+    sys = build_system_from_config({
+        "n": 2, "m": 1, "k": 1, "f": ["x1*abs(x1) - l1", "0"], "h": ["x2 + sqrt(x2)"],
+        "domain_box": [[-1.0, 1.0], [0.5, 1.0]],
+    })
+    with pytest.raises(ExprDomainError, match=r"^division by zero \(offset 3\)") as err:
+        sys.jac_x([1.0], [0.0, 0.5])
+    with pytest.raises(ExprDomainError, match=r"^division by zero \(offset 3\)"):
+        sys.jac_x([1.0], [[0.5, 0.5], [0.0, 0.5]])
+    errors = {}
+    rows = sys.jac_x([1.0], [[0.5, 0.5], [0.0, 0.5]], errors)
+    assert np.isfinite(rows[0]).all() and np.isnan(rows[1]).all()
+    assert str(errors[1]) == str(err.value) and list(errors) == [1]
+    with pytest.raises(ExprDomainError, match=r"^division by zero \(offset 5\)"):
+        sys.jac_h([0.5, 0.0])
+    assert sys.hess_h([0.5, 0.25]).tolist() == [[[0.0, 0.0], [0.0, -2.0]]]
+
+
+def test_only_nonzero_entries_are_compiled_and_hessians_mirror():
+    # h1 = x1 x2^2: dh/dx = (x2^2, 2 x1 x2), and the Hessian's off-diagonal
+    # entry, built once, mirrored
+    fns = _derivative_fns(
+        [parse("l1*x2", 2, 1).root, parse("0", 2, 1).root], [parse("x1*x2^2", 2, 1).root], 2, 1
+    )
+    lam, x = np.array([3.0]), np.array([2.0, 5.0])
+    assert fns["jac_x_fn"](lam, x).tolist() == [[0.0, 3.0], [0.0, 0.0]]
+    assert fns["jac_lambda_fn"](lam, x).tolist() == [[5.0], [0.0]]
+    assert fns["jac_h_fn"](x).tolist() == [[25.0, 20.0]]
+    assert fns["hess_h_fn"](x).tolist() == [[[0.0, 10.0], [10.0, 4.0]]]
+    stack = np.array([x, [1.0, -1.0]])
+    assert fns["hess_h_fn"](stack).tolist() == [[[[0.0, 10.0], [10.0, 4.0]]],
+                                                 [[[0.0, -2.0], [-2.0, 2.0]]]]
+
+
+# trees of every function and of ^ with a constant or a variable exponent,
+# over x1..x3 and l1..l2 (x1..x3 alone for h), where differences are well
+# scaled
+smooth_constants = st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(Const)
+smooth_states = st.integers(0, 2).map(lambda i: Var(f"x{i + 1}", "x", i))
+smooth_parameters = st.integers(0, 1).map(lambda i: Var(f"l{i + 1}", "l", i))
+
+
+def _smooth_extend(children):
+    return st.one_of(
+        children.map(lambda c: Unary("-", c)),
+        st.builds(lambda fn, c: Call(fn, (c,)), st.sampled_from(sorted(FUNCTIONS)), children),
+        st.builds(Binary, st.sampled_from(list("+-*/")), children, children),
+        st.builds(lambda c, p: Binary("^", c, Const(p)), children, st.sampled_from([2.0, 3.0, 0.5])),
+        st.builds(lambda c, e: Binary("^", Call("abs", (c,)), e), children, children),
+    )
+
+
+f_trees = st.recursive(
+    st.one_of(smooth_constants, smooth_states, smooth_parameters), _smooth_extend, max_leaves=6
+)
+h_trees = st.recursive(st.one_of(smooth_constants, smooth_states), _smooth_extend, max_leaves=6)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=100)
+@given(
+    f=st.lists(f_trees, min_size=3, max_size=3),
+    h=st.lists(h_trees, min_size=1, max_size=2),
+    point=st.tuples(*[st.floats(0.6, 1.8)] * 5),
+)
+def test_symbolic_blocks_match_central_differences(f, h, point):
+    # where the tree-walker evaluates f, h and their derivatives, all four
+    # symbolic blocks agree with central differences of f and h
+    f_of, h_of = (compile_asts([ExprAst(root, 3, 2) for root in roots], 3, 2) for roots in (f, h))
+    spec = SimpleNamespace(f=f_of, h=lambda x: h_of(np.zeros(2), x))
+    fns = _derivative_fns(f, h, 3, 2)
+    lam, x = np.array(point[3:]), np.array(point[:3])
+    try:
+        blocks = (fns["jac_x_fn"](lam, x), fns["jac_lambda_fn"](lam, x), fns["jac_h_fn"](x),
+                  fns["hess_h_fn"](x))
+        reference = central_blocks(spec, lam, x)
+    except ExprDomainError:
+        assume(False)
+    for block, expected in zip(blocks, reference):
+        assume(np.abs(block).max() < 1e6)
+        assert np.abs(block - expected).max() <= 1e-5 * (1.0 + np.abs(block).max())

@@ -98,6 +98,10 @@ def test_newton_singular_system():
         h=lambda x: np.array([x[0]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.25, 4.0]]),
+        jac_x_fn=lambda lam, x: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[1.0, 0.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     with pytest.raises(DegeneracyError, match="singular Newton system"):
         newton_on_level_set(sys, [1.0], [0.5], [0.5, 0.5])
@@ -243,6 +247,10 @@ def test_trace_branch_point_detected():
         h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.25, 4.0]]),
+        jac_x_fn=lambda lam, x: np.zeros((2, 2)),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     with pytest.raises(BranchPointError) as err:
         trace_fiber(sys, [1.0], [0.0, 0.0])
@@ -1017,6 +1025,9 @@ def band_system():
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
         jac_x_fn=lambda lam, x: np.array([[0.0, 1.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
 
 

@@ -75,6 +75,14 @@ def test_envelope_matches_its_golden_file(name):
     assert mismatches(expected, json.loads(golden.envelope(name)), newton=newton) == []
 
 
+def test_the_declared_ring_transports_as_the_builtin():
+    # transport-ring3 is transport-rfmr3 on rfmr(3) declared as expressions,
+    # whose symbolic derivatives are the builtin's
+    ring, rfmr = (json.loads(golden.envelope(name)) for name in ("transport-ring3", "transport-rfmr3"))
+    newton = rfmr["tolerances_used"]["newton"]
+    assert mismatches(rfmr["result"], ring["result"], newton=newton) == []
+
+
 def test_rule_is_relative_and_strict_on_the_rest():
     same = {"a": [1.0, 2, "s", True, None]}
     assert mismatches(same, {"a": [1.0 + 1e-13, 2, "s", True, None]}) == []

@@ -331,6 +331,12 @@ LIBRARY_CASES = [
     ("parse-text-n", lambda: parse("x1", "a", 1), f"^n {INTEGER}"),
     ("parse-bool-n", lambda: parse("x1", True, 1), f"^n {INTEGER}"),
     ("spec-text-n", lambda: _spec(n="2"), f"^n {INTEGER}"),
+    ("spec-k-equal-to-n", lambda: _spec(k=2), r"^need 1 <= k < n; got n=2, k=2$"),
+    ("spec-domain-dimension", lambda: _spec(domain=Domain(box=[[0.0, 1.0]] * 3)),
+     "^domain dimension 3 does not match n = 2$"),
+    # the four derivative callables are required
+    *((f"spec-no-{key}", lambda key=key: _spec(**{key: None}), f"^{key} must be callable$")
+      for key in ("jac_x_fn", "jac_lambda_fn", "jac_h_fn", "hess_h_fn")),
     # points of a domain: numbers, with a last axis of length n
     ("contains-length", lambda: builtin("planar").domain.contains([0.1, 0.2, 0.3]),
      r"^dimension mismatch: x has shape \(3,\)"),
@@ -356,10 +362,12 @@ def _frame():
 def _spec(**fields) -> SystemSpec:
     """planar's spec built again with the given fields in place of its own."""
     spec = builtin("planar")
-    given = {name: getattr(spec, name) for name in ("n", "m", "k", "parameter_box")}
-    return SystemSpec(
-        name="planar", f=spec.f, h=spec.h, domain=spec.domain, **dict(given, **fields)
-    )
+    given = {
+        name: getattr(spec, name)
+        for name in ("n", "m", "k", "domain", "parameter_box", "jac_x_fn", "jac_lambda_fn",
+                     "jac_h_fn", "hess_h_fn")
+    }
+    return SystemSpec(name="planar", f=spec.f, h=spec.h, **dict(given, **fields))
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ RFMR3 = builtin("rfmr", n=3)
 EXAMPLE2 = builtin("example2")
 PLANAR = builtin("planar")
 RATES = st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3)
-# rfmr(3) declared as expressions: finite-difference blocks of compiled rows
+# rfmr(3) declared as expressions: symbolic derivative blocks of compiled rows
 RING3 = build_system_from_config({
     "n": 3, "m": 3, "k": 1, "domain_box": [[0.0, 1.0]] * 3, "h": ["x1+x2+x3"],
     "f": [f"l{(i - 1) % 3 + 1}*x{(i - 1) % 3 + 1}*(1-x{i + 1})"
@@ -40,25 +40,53 @@ RING3 = build_system_from_config({
 })
 
 
+def first_row_system(name, f1, d1, domain, parameter_box) -> SystemSpec:
+    """f = (f1(lam, x), 0) and h = x2, evaluated in stacks; d1(lam, x) gives
+    df1/dx1, df1/dx2 and df1/dlam."""
+
+    def f(lam, x):
+        out = np.zeros(x.shape)
+        out[..., 0] = f1(lam[..., 0], x[..., 0], x[..., 1])
+        return out
+
+    def jac(lam, x, columns):
+        out = np.zeros(x.shape[:-1] + (2, columns))
+        rates = d1(lam[..., 0], x[..., 0], x[..., 1])
+        out[..., 0, :] = np.stack(rates[:2] if columns == 2 else rates[2:], axis=-1)
+        return out
+
+    def jac_h(x):
+        out = np.zeros(x.shape[:-1] + (1, 2))
+        out[..., 0, 1] = 1.0
+        return out
+
+    return SystemSpec(
+        name=name, n=2, m=1, k=1,
+        f=f, h=lambda x: x[..., [1]],
+        domain=domain, parameter_box=np.array(parameter_box),
+        jac_x_fn=lambda lam, x: jac(lam, x, 2),
+        jac_lambda_fn=lambda lam, x: jac(lam, x, 1),
+        jac_h_fn=jac_h, hess_h_fn=lambda x: np.zeros(x.shape[:-1] + (1, 2, 2)),
+        batched=True,
+    )
+
+
 def two_roots() -> SystemSpec:
     """f1 = -(x1 - lam c)(x1 + 1.5 lam c), c = x2^2 - 1, f2 = 0, h = x2 on
     the unit disk: two equilibria per level, x1 = lam c < 0 and x1 = -1.5
     lam c > 0.  Raising lam drives both out of the disk, the positive one
-    first.  Its derivatives are finite differences."""
+    first."""
 
-    def f(lam, x):
-        c = x[..., 1] ** 2 - 1.0
-        out = np.zeros(x.shape)
-        out[..., 0] = -(x[..., 0] - lam[..., 0] * c) * (x[..., 0] + 1.5 * lam[..., 0] * c)
-        return out
+    def f1(lam, x1, x2):
+        c = x2 ** 2 - 1.0
+        return -(x1 - lam * c) * (x1 + 1.5 * lam * c)
 
-    return SystemSpec(
-        name="two-roots", n=2, m=1, k=1,
-        f=f, h=lambda x: x[..., [1]],
-        domain=PLANAR.domain,
-        parameter_box=np.array([[0.1, 4.0]]),
-        batched=True,
-    )
+    def d1(lam, x1, x2):
+        c = x2 ** 2 - 1.0
+        u, v = x1 - lam * c, x1 + 1.5 * lam * c
+        return -(v + u), -(-2.0 * lam * x2 * v + 3.0 * lam * x2 * u), c * v - 1.5 * c * u
+
+    return first_row_system("two-roots", f1, d1, PLANAR.domain, [[0.1, 4.0]])
 
 
 STEP_CENTRE, STEP_SHARPNESS, STEP_HEIGHT = 1.0123, 2000.0, 0.3
@@ -74,19 +102,15 @@ def step_system() -> SystemSpec:
     width of about 1e-3.  An RK4 step whose stages all miss that width
     predicts no move, and its correction lands 0.6 away in one iteration."""
 
-    def f(lam, x):
-        out = np.zeros(x.shape)
-        out[..., 0] = x[..., 0] - STEP_HEIGHT * np.tanh(
-            STEP_SHARPNESS * (lam[..., 0] - STEP_CENTRE)
-        )
-        return out
+    def f1(lam, x1, x2):
+        return x1 - STEP_HEIGHT * np.tanh(STEP_SHARPNESS * (lam - STEP_CENTRE))
 
-    return SystemSpec(
-        name="step", n=2, m=1, k=1,
-        f=f, h=lambda x: x[..., [1]],
-        domain=Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
-        parameter_box=np.array([[0.0, 2.0]]),
-        batched=True,
+    def d1(lam, x1, x2):
+        slope = STEP_HEIGHT * STEP_SHARPNESS * (1.0 - np.tanh(STEP_SHARPNESS * (lam - STEP_CENTRE)) ** 2)
+        return np.ones_like(x1), np.zeros_like(x1), -slope
+
+    return first_row_system(
+        "step", f1, d1, Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])), [[0.0, 2.0]]
     )
 
 
@@ -410,18 +434,17 @@ def two_branch() -> SystemSpec:
     -0.48 to 0.48 over lam in [0.9, 1.05], and its sibling x1 = 0.98 lies
     near the box's edge."""
 
-    def f(lam, x):
-        out = np.zeros(x.shape)
-        root = BRANCH_HEIGHT * np.tanh(BRANCH_SHARPNESS * (lam[..., 0] - BRANCH_CENTRE))
-        out[..., 0] = -(x[..., 0] - root) * (x[..., 0] - SIBLING)
-        return out
+    def f1(lam, x1, x2):
+        root = BRANCH_HEIGHT * np.tanh(BRANCH_SHARPNESS * (lam - BRANCH_CENTRE))
+        return -(x1 - root) * (x1 - SIBLING)
 
-    return SystemSpec(
-        name="two-branch", n=2, m=1, k=1,
-        f=f, h=lambda x: x[..., [1]],
-        domain=Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
-        parameter_box=np.array([[0.0, 2.0]]),
-        batched=True,
+    def d1(lam, x1, x2):
+        rise = np.tanh(BRANCH_SHARPNESS * (lam - BRANCH_CENTRE))
+        root, slope = BRANCH_HEIGHT * rise, BRANCH_HEIGHT * BRANCH_SHARPNESS * (1.0 - rise ** 2)
+        return -((x1 - SIBLING) + (x1 - root)), np.zeros_like(x1), (x1 - SIBLING) * slope
+
+    return first_row_system(
+        "two-branch", f1, d1, Domain(np.array([[-1.0, 1.0], [-1.0, 1.0]])), [[0.0, 2.0]]
     )
 
 

@@ -1,5 +1,5 @@
-"""Invariants of the horizontal lift on rfmr(3), the work one lift step
-costs, and the rank cutoff of partly analytic systems."""
+"""Invariants of the horizontal lift on rfmr(3), and the work one lift step
+costs."""
 
 import dataclasses
 
@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqbundle import builtin
-from eqbundle.audit import audit_point
 from eqbundle.finder import newton_on_level_set
-from eqbundle.systems import PointState
 from eqbundle.transport import check_cocycle, lift_curve
 
 RFMR3 = builtin("rfmr", n=3)
@@ -51,9 +49,3 @@ def test_lift_step_evaluates_h_once(planar):
     result = lift_curve(counted, [[0.2], [0.9]], [-0.15, 0.5])
     assert len(calls) == 1 + result.steps_taken == 2
 
-
-def test_rank_cutoff_ignores_unused_fd_blocks(rfmr3):
-    # no rank decision of the audit reads the Hessian of h
-    u = PointState([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
-    partly = dataclasses.replace(rfmr3, hess_h_fn=None)
-    assert audit_point(partly, u).tolerances == audit_point(rfmr3, u).tolerances

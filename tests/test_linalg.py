@@ -70,8 +70,8 @@ def test_cutoff_is_the_old_product_bit_for_bit():
     sigma = np.geomspace(1e-250, 1e300, 20001)
     for size in (1, 2, 3, 8, 9, 20, 21):
         old = size * sigma * EPS
-        assert rank_cutoff((size, 1), sigma, None, False).tobytes() == old.tobytes()
-        assert rank_cutoff((1, size), float(sigma[-1]), None, False) == old[-1]
+        assert rank_cutoff((size, 1), sigma, None).tobytes() == old.tobytes()
+        assert rank_cutoff((1, size), float(sigma[-1]), None) == old[-1]
 
 
 def test_rank_rejects_non_finite():

@@ -124,6 +124,9 @@ def test_a_trial_that_keeps_f_is_not_taken():
         f=lambda lam, x: np.array([x[0], 1.0]), h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.5, 1.5]]),
+        jac_x_fn=lambda lam, x: np.array([[1.0, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]), hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     lanes = newton_lanes(sys, [1.0], [0.0], [[0.0, 0.0]])
     assert lanes.counts()["line search stalled"] == 1 and lanes.iteration.tolist() == [0]
@@ -183,18 +186,23 @@ def atan_system(band):
         f=f, h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-10.0, 10.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.array([[1.0 / (1.0 + x[0] ** 2), 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]), hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
 
 
+# x1 = -0.767871794485226 is 2 - atan(2) (1 + 2^2) / 2, the Newton step's
+# trial alpha = 1/2 from x1 = 2
 @pytest.mark.parametrize(
     "band, outcome, x1",
     [
         # no trial raises: the lane takes alpha = 1/2, not 1/4
-        ((50.0, 60.0), "max iterations", -0.7678717943946585),
+        ((50.0, 60.0), "max iterations", -0.767871794485226),
         # the alpha = 1/2 trial raises before alpha = 1/4 is reached
         ((-1.0, -0.5), "evaluation error", 2.0),
         # alpha = 1/4 raises, but a trial-by-trial search stops at 1/2
-        ((0.5, 0.7), "max iterations", -0.7678717943946585),
+        ((0.5, 0.7), "max iterations", -0.767871794485226),
     ],
 )
 def test_line_search_takes_the_first_acceptable_trial(band, outcome, x1):
@@ -205,7 +213,7 @@ def test_line_search_takes_the_first_acceptable_trial(band, outcome, x1):
     assert lanes.x[0].tolist() == [x1, 0.0]
     if outcome == "evaluation error":
         assert str(lanes.error(0)) == (
-            "f is undefined in the band at [-0.7678717943946585, 0.0]"
+            "f is undefined in the band at [-0.767871794485226, 0.0]"
         )
 
 
@@ -317,11 +325,20 @@ def banded_system():
         d = x[0] - lam[0] * (x[1] ** 2 - 1.0)
         return np.array([-d ** 3 - d, 0.0])
 
+    def slope(lam, x):
+        """-df1/dd = 3 d^2 + 1."""
+        return 3.0 * (x[0] - lam[0] * (x[1] ** 2 - 1.0)) ** 2 + 1.0
+
     return SystemSpec(
         name="banded", n=2, m=1, k=1,
         f=f, h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.25, 4.0]]),
+        jac_x_fn=lambda lam, x: np.array(
+            [[-slope(lam, x), slope(lam, x) * 2.0 * lam[0] * x[1]], [0.0, 0.0]]
+        ),
+        jac_lambda_fn=lambda lam, x: np.array([[slope(lam, x) * (x[1] ** 2 - 1.0)], [0.0]]),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]), hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
 
 
@@ -382,7 +399,8 @@ def outcome_system():
         ),
         parameter_box=np.array([[0.0, 1.0]]),
         jac_x_fn=lambda lam, x: np.array([[g(float(x[0]))[1], 0.0], [0.0, 0.0]]),
-        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]), hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
 
 
@@ -566,6 +584,8 @@ def test_non_finite_jacobian_lane():
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
         jac_x_fn=jac_x,
+        jac_lambda_fn=lambda lam, x: np.array([[-1.0], [0.0]]),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]), hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     starts = np.array([[0.9, 0.0], [-0.9, 0.0], [0.1, 0.0]])
     lanes = newton_lanes(sys, [0.2], [0.0], starts)

@@ -25,7 +25,7 @@ from eqbundle.finder import _continuation_start
 from eqbundle.systems import Domain, _evaluate_rows, _in_domain_rows, first_integral_violation
 from eqbundle.tolerances import DEFAULT_TOLERANCES
 
-from conftest import rfmr_circulant_eigenvalues, sample_box, strip_jacobians
+from conftest import central_blocks, rfmr_circulant_eigenvalues, ring_declaration, sample_box
 
 ALL_BUILTIN_NAMES = ["planar", "example2", "rfmr"]
 
@@ -40,7 +40,6 @@ def test_planar_evaluate_origin(planar):
     assert np.allclose(ev.h_value, [0.0])
     assert np.allclose(ev.jac_x, [[-1.0, 0.0], [0.0, 0.0]])
     assert np.allclose(ev.jac_lambda, [[-1.0], [0.0]])
-    assert ev.derivative_source == "analytic"
 
 
 def test_planar_boundary_tangency(planar):
@@ -124,7 +123,6 @@ def test_first_integral_identity_deterministic(name):
 @pytest.mark.parametrize("name", ALL_BUILTIN_NAMES)
 def test_finite_differences_match_analytic(name):
     sys = _make(name)
-    fd_sys = strip_jacobians(sys)
     rng = np.random.default_rng(17)
     checked = 0
     while checked < 60:
@@ -136,17 +134,9 @@ def test_finite_differences_match_analytic(name):
             continue
         checked += 1
         ev = evaluate(sys, PointState(lam, x))
-        fd = evaluate(fd_sys, PointState(lam, x))
-        assert fd.derivative_source == "finite-difference"
-        scale = 1.0 + np.abs(ev.jac_x).max()
-        assert np.abs(fd.jac_x - ev.jac_x).max() <= 1e-6 * scale
-        assert np.abs(fd.jac_lambda - ev.jac_lambda).max() <= 1e-6 * (
-            1.0 + np.abs(ev.jac_lambda).max()
-        )
-        assert np.abs(fd.jac_h - ev.jac_h).max() <= 1e-6 * (1.0 + np.abs(ev.jac_h).max())
-        assert np.abs(fd.hess_h - ev.hess_h).max() <= 1e-6 * (
-            1.0 + np.abs(ev.hess_h).max()
-        )
+        blocks = (ev.jac_x, ev.jac_lambda, ev.jac_h, ev.hess_h)
+        for block, reference in zip(blocks, central_blocks(sys, lam, x)):
+            assert np.abs(reference - block).max() <= 1e-6 * (1.0 + np.abs(block).max())
 
 
 def test_jac_h_full_rank_in_interior():
@@ -222,52 +212,6 @@ def test_a_domain_computes_its_diameter_once(monkeypatch):
     assert len(made) == 1
 
 
-def _hessian_by_entry(h, x):
-    """The per-entry central differences of h at the one point x."""
-    n = len(x)
-    steps = [np.finfo(float).eps ** 0.25 * max(1.0, abs(v)) for v in x]
-
-    def at(*moves):
-        y = x.copy()
-        for i, sign in moves:
-            y[i] = x[i] + steps[i] if sign > 0 else x[i] - steps[i]
-        return h(y)
-
-    f0 = h(x)
-    H = np.empty((len(f0), n, n))
-    for i in range(n):
-        H[:, i, i] = (at((i, 1)) - 2 * f0 + at((i, -1))) / steps[i] ** 2
-        for j in range(i + 1, n):
-            H[:, i, j] = H[:, j, i] = (
-                at((i, 1), (j, 1)) - at((i, 1), (j, -1))
-                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
-            ) / (4 * steps[i] * steps[j])
-    return H
-
-
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_fd_hessian_is_bitwise_the_per_entry_formula(n, batched):
-    k = min(2, n - 1)
-
-    def h(x):
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., -1]
-        return np.stack(
-            [x0 * x1 * x2 + x0 * x0 * x0, 1.0 / (2.0 + x0 * x0 + x1 * x2)][:k], axis=-1
-        )
-
-    sys = SystemSpec(
-        name="cubic", n=n, m=1, k=k,
-        f=lambda lam, x: np.zeros(np.shape(x)), h=h,
-        domain=Domain(box=[[-5.0, 5.0]] * n), parameter_box=[[0.0, 1.0]],
-        batched=batched,
-    )
-    x = np.random.default_rng(n).uniform(-4.0, 4.0, (7, n))
-    expected = np.array([_hessian_by_entry(h, row) for row in x])
-    assert sys.hess_h(x).tobytes() == expected.tobytes()
-    assert sys.hess_h(x[2]).tobytes() == expected[2].tobytes()
-
-
 @pytest.mark.filterwarnings("ignore:divide by zero")
 def test_evaluate_reports_non_finite():
     sys = SystemSpec(
@@ -276,6 +220,10 @@ def test_evaluate_reports_non_finite():
         h=lambda x: np.array([x[1]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.array([[-1.0 / x[0] ** 2, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     with pytest.raises(EvaluationError):
         evaluate(sys, PointState([0.5], [0.0, 0.0]))
@@ -300,6 +248,10 @@ def test_first_integral_violation_reports_location():
         h=lambda x: np.array([x[0]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.zeros((2, 2)),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[1.0, 0.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     worst = first_integral_violation(sys, samples=10, seed=0)
     assert worst.max_residual == pytest.approx(1.0)
@@ -307,13 +259,17 @@ def test_first_integral_violation_reports_location():
     assert worst.x.shape == (2,)
 
 
-def rotation_spec(calls: dict, hess_h_fn=None) -> SystemSpec:
+def rotation_spec(calls: dict, hess_h_fn=lambda x: 2.0 * np.eye(2)[None]) -> SystemSpec:
     """Rotation xdot = lam (-x2, x1) with h = |x|^2, called row by row,
-    with derivatives from finite differences and h's calls counted."""
+    with the calls of h and of dh/dx counted."""
 
     def h(x):
         calls["h"] += 1
         return np.array([x[0] ** 2 + x[1] ** 2])
+
+    def jac_h(x):
+        calls["jac_h"] += 1
+        return np.array([2.0 * x])
 
     return SystemSpec(
         name="rotation", n=2, m=1, k=1,
@@ -321,21 +277,24 @@ def rotation_spec(calls: dict, hess_h_fn=None) -> SystemSpec:
         h=h,
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.5, 2.0]]),
+        jac_x_fn=lambda lam, x: lam[0] * np.array([[0.0, -1.0], [1.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.array([[-x[1]], [x[0]]]),
+        jac_h_fn=jac_h,
         hess_h_fn=hess_h_fn,
     )
 
 
 def test_first_integral_violation_differences_h_only():
-    # f . grad h needs dh/dx alone: 2n calls of h per sample, no h values
-    # and no Hessian points
-    calls = {"h": 0}
+    # f . grad h needs dh/dx alone: one dh/dx per sample, no h values and
+    # no Hessians
+    calls = {"h": 0, "jac_h": 0}
     worst = first_integral_violation(rotation_spec(calls), samples=7, seed=0)
     assert worst.max_residual < 1e-9
-    assert calls["h"] == 2 * 2 * 7
+    assert calls == {"h": 0, "jac_h": 7}
 
 
 def test_first_integral_violation_ignores_the_hessian():
-    sys = rotation_spec({"h": 0}, hess_h_fn=lambda x: np.full((1, 2, 2), np.nan))
+    sys = rotation_spec({"h": 0, "jac_h": 0}, hess_h_fn=lambda x: np.full((1, 2, 2), np.nan))
     assert first_integral_violation(sys, samples=5, seed=0).max_residual < 1e-9
     with pytest.raises(EvaluationError, match="hess_h"):
         evaluate(sys, PointState([1.0], [0.3, 0.4]))
@@ -404,6 +363,13 @@ def _violation_one_attempt_at_a_time(sys, samples, seed):
 def _sliver_spec() -> SystemSpec:
     """A drifting field (so the residuals differ), evaluated in stacks, on
     a box whose one constraint leaves a sliver of 1e-6 of it."""
+
+    def block(x, shape, entries):
+        out = np.zeros(x.shape[:-1] + shape)
+        for at, value in entries.items():
+            out[(...,) + at] = value
+        return out
+
     return SystemSpec(
         name="sliver", n=2, m=2, k=1,
         f=lambda lam, x: np.stack([lam[..., 0] * x[..., 1], lam[..., 1] - x[..., 0]], axis=-1),
@@ -413,6 +379,10 @@ def _sliver_spec() -> SystemSpec:
             constraints=(lambda x: 0.999999 - x[..., 0],),
         ),
         parameter_box=np.array([[0.5, 2.0], [-1.0, 1.0]]),
+        jac_x_fn=lambda lam, x: block(x, (2, 2), {(0, 1): lam[..., 0], (1, 0): -1.0}),
+        jac_lambda_fn=lambda lam, x: block(x, (2, 2), {(0, 0): x[..., 1], (1, 1): 1.0}),
+        jac_h_fn=lambda x: block(x, (1, 2), {(0, 0): 2.0 * x[..., 0], (0, 1): 1.0}),
+        hess_h_fn=lambda x: block(x, (1, 2, 2), {(0, 0, 0): 2.0}),
         batched=True,
     )
 
@@ -502,22 +472,9 @@ def test_a_stack_tests_each_constraint_on_the_rows_still_inside():
     assert seen == [rows[[0, 2, 3]].tolist(), rows[[0, 3]].tolist()]
 
 
-def _declared_ring(n: int) -> SystemSpec:
-    """rfmr(n) written as expressions."""
-    return build_system_from_config({
-        "n": n, "m": n, "k": 1,
-        "f": [
-            f"l{(i - 1) % n + 1}*x{(i - 1) % n + 1}*(1-x{i + 1})"
-            f" - l{i + 1}*x{i + 1}*(1-x{(i + 1) % n + 1})"
-            for i in range(n)
-        ],
-        "h": ["+".join(f"x{i + 1}" for i in range(n))],
-        "domain_box": [[0.0, 1.0]] * n,
-    })
-
-
 @pytest.mark.parametrize("make", [
-    lambda: _declared_ring(4), lambda: builtin("example2"), lambda: builtin("rfmr", n=5),
+    lambda: build_system_from_config(ring_declaration(4)), lambda: builtin("example2"),
+    lambda: builtin("rfmr", n=5),
 ], ids=["declared-ring4", "example2", "rfmr5"])
 def test_identity_residuals_equal_the_sample_loop(make):
     # the stacked residuals and their argmax give the loop's worst sample
@@ -539,7 +496,10 @@ def test_identity_residual_ties_and_zeros_match_the_loop(case):
         name=case, n=3, m=1, k=2, f=f, h=lambda x: x[:2],
         domain=Domain(box=np.array([[-1.0, 1.0]] * 3)),
         parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.zeros((3, 3)),
+        jac_lambda_fn=lambda lam, x: np.zeros((3, 1)),
         jac_h_fn=jac_h,
+        hess_h_fn=lambda x: np.zeros((2, 3, 3)),
     )
     expected = assert_identity_samples_are_the_lone_attempts(sys, 50, 3)
     if case == "tied":
@@ -573,3 +533,44 @@ def test_the_margin_is_signed_as_contains_at_slack_0(data):
         inside_box = np.all((lo <= x) & (x <= hi))
         constraints = [-float(g(x)) for g in domain.constraints] if inside_box else []
         assert margin == min([box, *constraints])
+
+
+def test_the_row_routes_of_a_batched_block(rfmr3):
+    # a stack whose values are all finite comes back as the callable made
+    # it, with no copy; a lone row already in errors is not evaluated again
+    made = []
+
+    def jac_x(lam, x):
+        made.append(rfmr3.jac_x_fn(lam, x))
+        return made[-1]
+
+    sys = dataclasses.replace(rfmr3, jac_x_fn=jac_x)
+    lam, xs = np.ones(3), np.full((4, 3), 0.5)
+    assert np.shares_memory(sys.jac_x(lam, xs), made[-1])
+    failed = EvaluationError("earlier")
+    errors = {0: failed}
+    assert np.isnan(sys.jac_x(lam, xs[:1], errors)).all()
+    assert len(made) == 1 and errors == {0: failed}
+
+
+def test_a_failed_row_is_named_by_its_own_lambda(rfmr3):
+    # with one lambda per row, the non-finite row's error names that row's
+    lams = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
+    xs = np.array([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]])
+    errors = {}
+    _evaluate_rows(rfmr3, lams, xs, ("f",), errors)
+    assert list(errors) == [1] and errors[1].where[0] == lams[1].tolist()
+
+
+def test_identity_sampling_raises_a_constraint_s_error(planar):
+    # a constraint tested row by row may raise; the first sample's error
+    # ends the check
+    def constraint(x):
+        if x[0] > 0.5:
+            raise EvaluationError("constraint undefined", where=x.tolist())
+        return -1.0
+
+    sys = dataclasses.replace(planar, batched=False, domain=Domain(box=planar.domain.box,
+                                                                   constraints=(constraint,)))
+    with pytest.raises(EvaluationError, match="^constraint undefined at "):
+        first_integral_violation(sys, samples=50, seed=0)

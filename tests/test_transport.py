@@ -165,6 +165,10 @@ def test_lift_transversality_failure():
         h=lambda x: np.array([x[0]]),
         domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
         parameter_box=np.array([[0.25, 4.0]]),
+        jac_x_fn=lambda lam, x: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.zeros((2, 1)),
+        jac_h_fn=lambda x: np.array([[1.0, 0.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
     )
     with pytest.raises(TransportError) as err:
         lift_curve(sys, [[1.0], [2.0]], [0.0, 0.5])
