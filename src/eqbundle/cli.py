@@ -12,6 +12,9 @@ path when one is set (<path>.json for the format "both"), otherwise to
 stdout, as does the error envelope of a csv run.  Exit codes: 0 success,
 1 invalid input, 2 a degeneracy or numerical failure detected by the
 computation.
+
+A run in a fresh process uses one OpenBLAS thread unless the user sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ import dataclasses
 import os
 import sys
 from typing import Optional
+
+# every matrix here is small and factored on the calling thread, so an
+# OpenBLAS helper thread only slows start-up; OpenBLAS reads its count
+# once, as numpy loads, and a count the user set wins
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -18,6 +18,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+# the variables OpenBLAS reads its thread count from, in this order
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 @pytest.fixture
 def planar():

@@ -51,6 +51,7 @@ _COMPARISONS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: 
                 ast.NotEq: "!="}
 # a module's own test files, where they are not tests/test_<module>.py alone
 _OWN_TESTS = {
+    "cli": ("test_cli.py", "test_escapes.py", "test_input_checks.py", "test_golden.py"),
     "expr": ("test_expr.py", "test_declared_batched.py"),
     "finder": ("test_finder.py", "test_newton_lanes.py"),
 }

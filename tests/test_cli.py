@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import BLAS_THREAD_VARIABLES, count_calls
 from eqbundle import cli, expr, monodromy
 from eqbundle.cli import main
 from eqbundle.config import COMMANDS, RunConfig, config_from_dict, load_config
@@ -417,6 +417,12 @@ def test_failed_run_leaves_no_stale_csv(tmp_path, capsys):
     # and a failure with no earlier CSV writes the envelope alone
     assert main(["trace-fiber", "--config", cfg]) == 2
     assert not os.path.exists(base + ".csv")
+    # a failure in the format json leaves <path>.csv, which is no file of its run
+    open(base + ".csv", "w").close()
+    json_only = dict(trace, max_points=3, output={"path": base, "format": "json"})
+    assert main(["trace-fiber", "--config", write_config(tmp_path, "json.json", json_only)]) == 2
+    assert json.loads(open(base).read())["error"]["type"] == "ConvergenceError"
+    assert os.path.exists(base + ".csv")
     capsys.readouterr()
 
 
@@ -903,6 +909,42 @@ def test_import_loads_no_scipy(tmp_path):
     assert "eqbundle.expr" in loaded["find on a declaration"]
     assert "eqbundle.monodromy" not in loaded["find on a declaration"]
     assert "eqbundle.monodromy" in loaded["eigen-loop"]
+
+
+@pytest.mark.parametrize("preset, imports, expected", [
+    ({}, "import eqbundle.cli", {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "import eqbundle.cli", {"OPENBLAS_NUM_THREADS": "2"}),
+    ({"GOTO_NUM_THREADS": "2"}, "import eqbundle.cli", {"GOTO_NUM_THREADS": "2"}),
+    ({"OMP_NUM_THREADS": "3"}, "import eqbundle.cli", {"OMP_NUM_THREADS": "3"}),
+    ({}, "import eqbundle.finder", {}),
+    ({}, "import numpy, eqbundle.cli", {}),
+], ids=["default", "openblas-set", "goto-set", "omp-set", "library", "numpy-first"])
+def test_a_cli_process_takes_one_blas_thread_unless_one_is_set(preset, imports, expected):
+    # OpenBLAS reads its thread count once, as numpy loads: cli sets one
+    # thread before that unless the user set a count, and neither the
+    # library modules nor a cli imported after numpy touch the environment
+    import eqbundle
+
+    src = os.path.dirname(os.path.dirname(eqbundle.__file__))
+    script = "\n".join([
+        "import json, os",
+        imports,
+        f"print(json.dumps({{k: os.environ[k] for k in {BLAS_THREAD_VARIABLES!r} "
+        "if k in os.environ}))",
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)",
+    ])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**env, **preset}, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert json.loads(out[0]) == expected
+    if preset or imports != "import eqbundle.cli":
+        return
+    if out[1] == "0":
+        pytest.skip("no /proc/self/task: the process's threads cannot be counted")
+    assert out[1] == "1"
 
 
 def test_each_package_name_is_its_home_modules_object():

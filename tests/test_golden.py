@@ -23,6 +23,8 @@ import sys
 
 import pytest
 
+from conftest import BLAS_THREAD_VARIABLES
+
 _HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "regenerate.py")
 _spec = importlib.util.spec_from_file_location("golden_regenerate", _HERE)
 golden = importlib.util.module_from_spec(_spec)
@@ -102,10 +104,12 @@ _SRC = os.path.abspath(os.path.join(os.path.dirname(_HERE), os.pardir, os.pardir
 
 def _python(args: list, **env) -> subprocess.Popen:
     """A fresh interpreter on args, with src on its path and env set at
-    its start, its stdout piped."""
+    its start, and none of the BLAS thread variables that env does not
+    set; its stdout piped."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     return subprocess.Popen(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+        [sys.executable, *args], env=dict(inherited, PYTHONPATH=path, **env),
         stdout=subprocess.PIPE, text=True,
     )
 
@@ -165,17 +169,50 @@ THREAD_GOLDENS = [
 ]
 
 
+# OpenBLAS's own thread count in the interpreter that runs it, or None
+# where no OpenBLAS is loaded (found as bench/stream.py finds it)
+_BLAS_THREADS = """
+def blas_threads():
+    import ctypes
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                count = getattr(lib, symbol)
+                count.argtypes, count.restype = [], ctypes.c_int
+                return count()
+    return None
+"""
+
+
 def test_envelopes_are_the_same_bytes_at_one_and_two_blas_threads():
     # a lane's bits depend neither on the other lanes nor on the thread
     # count.  Each interpreter gets OPENBLAS_NUM_THREADS at its start, so
-    # before numpy loads; a BLAS other than OpenBLAS ignores it
+    # before numpy loads; a BLAS other than OpenBLAS ignores it.  The third
+    # sets none, so regenerate.py's first import, eqbundle.cli, sets the
+    # CLI's default of one thread.  Each prints OpenBLAS's count: the "2"
+    # run's is 2 where the process may use two CPUs (OpenBLAS takes no
+    # more threads than that)
     script = (
-        "import json, runpy\n"
+        "import json, os, runpy\n"
         f"envelope = runpy.run_path({_HERE!r})['envelope']\n"
-        f"print(json.dumps([envelope(name) for name in {THREAD_GOLDENS!r}]))"
+        f"{_BLAS_THREADS}"
+        f"print(json.dumps([blas_threads(), [envelope(name) for name in {THREAD_GOLDENS!r}]]))"
     )
     runs = [_python(["-c", script], OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
-    one, two = (json.loads(_output(run)) for run in runs)
+    runs.append(_python(["-c", script]))
+    (one_threads, one), (two_threads, two), (default_threads, default) = (
+        json.loads(_output(run)) for run in runs
+    )
     assert len(one) == len(THREAD_GOLDENS)
     for name, a, b in zip(THREAD_GOLDENS, one, two):
         assert a == b, name
+    assert default == one
+    if None in (one_threads, two_threads, default_threads):
+        pytest.skip("no OpenBLAS loaded: its thread counts cannot be read")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert (one_threads, two_threads, default_threads) == (1, min(2, cpus), 1)
