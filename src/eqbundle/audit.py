@@ -19,8 +19,7 @@ is a warning carrying the measured rank, never an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .systems import Evaluation, PointState, SystemSpec, evaluate
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one rank condition.
 
     passed is None when the condition is not asserted at this point
@@ -53,8 +51,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     point: PointState
     is_equilibrium: bool
     residual: float
@@ -212,8 +209,7 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
     ), kernel
 
 
-@dataclass(frozen=True)
-class DimensionVerdict:
+class DimensionVerdict(NamedTuple):
     """Per-point dimension certificate for the equilibrium set."""
 
     point: PointState

@@ -8,12 +8,14 @@ _correct, and every step is one batched linalg._solve_rows call on the
 augmented stack [df/dx; dh/dx | -F], written once per iteration.
 Enumeration runs the damped, global newton_lanes from every point of a
 low-discrepancy sequence at once, as lanes of one lockstep kernel whose
-running state is compact, cut only when lanes stop.  It deduplicates by
-clustering, and evaluates, as one stack, and audits only the kept
-points.  A lane
-whose ||F|| stays far above its target and falls by less than 1 % in 5
-iterations ends early as "no progress", so an empty level costs a few
-iterations per start, not the iteration cap.  Fibers (k = 1 only) are
+running state is compact, cut only when lanes stop.  The sequence's
+random shift is numpy's default_rng draw, computed in Python integers
+(_pcg64_random), so that no run imports numpy.random for it.  It
+deduplicates by clustering, and evaluates, as one stack, and audits
+only the kept points.  A lane whose ||F|| stays far above its target
+and falls by less than 1 % in 5 iterations ends early as "no
+progress", so an empty level costs a few iterations per start, not the
+iteration cap.  Fibers (k = 1 only) are
 traced by predictor-corrector continuation from the kernel of df/dx at
 the start along each kept step's chord, whose turn guards the step, in
 one loop that also finds where the step that leaves the domain crosses
@@ -28,13 +30,9 @@ lift's steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-# numpy loads numpy.random lazily; importing it here keeps that cost out of
-# the first find
-import numpy.random
 
 from .audit import AuditReport, _near_equilibrium, audit_point
 from .errors import (
@@ -68,8 +66,7 @@ from .systems import (
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(NamedTuple):
     """A solved point of {f = 0} on the level set {h = a}."""
 
     state: PointState
@@ -91,8 +88,7 @@ class EquilibriumPoint:
         }
 
 
-@dataclass(frozen=True)
-class FiberTrace:
+class FiberTrace(NamedTuple):
     """An ordered polyline sample of one connected fiber of E_lambda (k = 1).
 
     For circles the first point is repeated as the last.  For segments
@@ -148,8 +144,7 @@ LANE_OUTCOMES = (
 _RUNNING = -1
 
 
-@dataclass(frozen=True)
-class NewtonLanes:
+class NewtonLanes(NamedTuple):
     """Outcome of newton_lanes; row i of every array belongs to start i."""
 
     x: np.ndarray               # (B, n) last accepted iterate
@@ -552,18 +547,82 @@ def _unit_starts(n: int, budget: int, seed: int) -> np.ndarray:
     Point t is frac(s + t * alpha), with alpha_i = g^-(i+1) for g =
     _golden(n) (the R_n sequence of Roberts, "The Unreasonable
     Effectiveness of Quasirandom Sequences", 2018) and the shift s drawn by
-    default_rng(seed).  A longer sample starts with the shorter one.  g
-    takes libm's scalar pow and the rest only IEEE basic operations, not
-    numpy's vectorized power or exp, whose SIMD code may round otherwise,
-    so every machine builds the same bits.
+    _pcg64_random(seed, n): default_rng(seed).random(n) bit for bit,
+    without importing numpy.random.  A longer sample starts with the
+    shorter one.  g takes libm's scalar pow and the rest only IEEE basic
+    operations, not numpy's vectorized power or exp, whose SIMD code may
+    round otherwise, so every machine builds the same bits.
     """
     g = _golden(n)
     alpha = [1.0 / g]
     for _ in range(n - 1):
         alpha.append(alpha[-1] / g)
-    shift = np.random.default_rng(seed).random(n)
+    shift = np.array(_pcg64_random(seed, n))
     v = shift + np.arange(budget)[:, None] * np.array(alpha)
     return v - np.floor(v)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx: the hash
+# constants of its pool and of its output) and PCG64
+# (numpy/random/src/pcg64), for _pcg64_random
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_POOL_HASH, _OUTPUT_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: int, mult: int) -> tuple:
+    """SeedSequence's hashmix of a 32-bit word: (its hash, the next const)."""
+    value ^= const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _pcg64_random(seed: int, n: int) -> list:
+    """np.random.default_rng(seed).random(n) bit for bit, for an int seed
+    >= 0, in Python integers, so that a run need not import numpy.random.
+
+    SeedSequence hashes the seed's 32-bit words, low first, into a pool of
+    4 words and draws 8 words from it; those set PCG64's 128-bit state and
+    increment (O'Neill, PCG, 2014).  Each float is the top 53 bits of one
+    XSL-RR output, over 2^53.
+    """
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const, mult = _POOL_HASH
+    pool = []
+    for word in (words + [0, 0, 0])[:4]:
+        word, const = _hashmix(word, const, mult)
+        pool.append(word)
+
+    def mix(dst, value):
+        nonlocal const
+        value, const = _hashmix(value, const, mult)
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * value) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    const, mult = _OUTPUT_HASH
+    drawn = []
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, mult)
+        drawn.append(word)
+    # four 64-bit words, low half first: PCG64's initial state, then its
+    # stream, each high word first
+    s0, s1, s2, s3 = (drawn[i] | drawn[i + 1] << 32 for i in range(0, 8, 2))
+    increment = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = ((increment + (s0 << 64 | s1)) * _PCG64_MULTIPLIER + increment) & _M128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG64_MULTIPLIER + increment) & _M128
+        word, turn = (state >> 64 ^ state) & _M64, state >> 122
+        out.append((((word >> turn | word << (64 - turn)) & _M64) >> 11) / 2**53)
+    return out
 
 
 def _cluster_representatives(x, quality, converged, radius) -> list:

@@ -54,7 +54,7 @@ and its bits depend neither on the other rows nor on the form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ from .errors import DegeneracyError, InputError, finite_array
 EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Outcome of a numeric rank decision.
 
     Attributes

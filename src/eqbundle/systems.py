@@ -26,7 +26,7 @@ rfmr        ring transport chain, n >= 3 sites, m = n rates, k = 1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -167,8 +167,7 @@ class PointState:
         object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """All local data of a system at one point."""
 
     point: PointState
@@ -411,8 +410,7 @@ def _evaluate_rows(
     return blocks
 
 
-@dataclass(frozen=True)
-class FirstIntegralViolation:
+class FirstIntegralViolation(NamedTuple):
     max_residual: float
     lam: np.ndarray
     x: np.ndarray

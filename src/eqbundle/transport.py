@@ -20,8 +20,7 @@ legs of a cocycle) run as lanes of one lockstep kernel, lift_lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,8 +48,7 @@ from .systems import Evaluation, PointState, SystemSpec, _in_domain_rows, evalua
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-@dataclass(frozen=True)
-class ConnectionFrame:
+class ConnectionFrame(NamedTuple):
     """Orthonormal bases of the vertical and horizontal subspaces at u.
 
     Columns live in R^(m+n) with the lambda block first.  The two bases
@@ -74,8 +72,7 @@ class ConnectionFrame:
         }
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(NamedTuple):
     """A horizontal lift of a parameter path, sampled at accepted steps."""
 
     t: np.ndarray                   # (S,) in [0, 1]
@@ -96,8 +93,7 @@ class TransportResult:
         }
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(NamedTuple):
     """Permutation induced on E_lambda intersected with a level set by
     transporting every point around a closed parameter loop.
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from eqbundle import builtin
 from eqbundle.audit import (
     AuditReport,
+    _near_equilibrium,
     audit_manifold_dimension,
     audit_point,
     check_structural_identity,
@@ -272,6 +274,21 @@ def test_a_nan_f_is_not_an_equilibrium(entry):
     run, what = NAN_STARTS[entry]
     with pytest.raises(InputError, match=rf"^{what} is not an equilibrium: \|\|f\|\| = nan$"):
         run(_nan_at_start_system())
+
+
+def test_the_equilibrium_bounds_are_inclusive(planar):
+    # ||f|| at the bound is an equilibrium, one ulp past it is not: the
+    # audit's tols.equilibrium (1 + ||x||) and a fiber start's ten times
+    # that.  At x = 0 the scale is 1, and 2^-30 keeps every product exact
+    tols = DEFAULT_TOLERANCES.replace(equilibrium=2.0**-30)
+    ev = evaluate(planar, PointState([0.5], [0.0, 0.0]))
+    for f_norm, expected in ((2.0**-30, True), (math.nextafter(2.0**-30, 1.0), False)):
+        report = audit_point(planar, ev._replace(f_value=np.array([f_norm, 0.0])), tols)
+        assert (report.residual, report.is_equilibrium) == (f_norm, expected)
+    bound = 10.0 * 2.0**-30
+    _near_equilibrium(bound, [0.0, 0.0], tols, "x0")
+    with pytest.raises(InputError, match="^x0 is not an equilibrium"):
+        _near_equilibrium(math.nextafter(bound, 1.0), [0.0, 0.0], tols, "x0")
 
 
 # a point of planar's fiber x1 = lambda (x2^2 - 1) at lambda = 0.5, which

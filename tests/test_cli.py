@@ -874,10 +874,13 @@ IMPORT_STEPS = [
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy is a test dependency only; numpy.random is imported eagerly so
-    # that the first find does not pay for its import.  A run loads the
-    # expression language only for a declared system and monodromy only for
-    # the loop commands; import eqbundle loads no submodule at all
+    # scipy is a test dependency only.  numpy.random is loaded only by a
+    # declared system's first-integral check (systems.first_integral_violation):
+    # the multistart draws its shift in Python (finder._pcg64_random), so the
+    # import and the builtin runs do not pay the 7-12 ms that loading it takes.
+    # A run loads the expression language only for a declared system and
+    # monodromy only for the loop commands; import eqbundle loads no
+    # submodule at all
     import eqbundle
 
     src = os.path.dirname(os.path.dirname(eqbundle.__file__))
@@ -902,13 +905,66 @@ def test_import_loads_no_scipy(tmp_path):
     loaded = {step: set(json.loads(line)) for (step, _), line in zip(IMPORT_STEPS, out)}
     assert {m for m in loaded["import eqbundle"] if m.startswith("eqbundle")} == {"eqbundle"}
     cli_modules = loaded["import eqbundle.cli"]
-    assert "numpy.random" in cli_modules
     assert not {m for m in cli_modules if m == "scipy" or m.startswith("scipy.")}
     for step in ("import eqbundle.cli", "find on a builtin", "holonomy on a builtin"):
-        assert not {"eqbundle.expr", "eqbundle.monodromy"} & loaded[step], step
+        assert not {"eqbundle.expr", "eqbundle.monodromy", "numpy.random"} & loaded[step], step
+    assert "numpy.random" in loaded["find on a declaration"]
     assert "eqbundle.expr" in loaded["find on a declaration"]
     assert "eqbundle.monodromy" not in loaded["find on a declaration"]
     assert "eqbundle.monodromy" in loaded["eigen-loop"]
+
+
+# the records that the modules of import eqbundle.cli define as NamedTuples:
+# (module, class)
+IMPORT_PATH_RECORDS = [
+    ("audit", "CheckResult"), ("audit", "AuditReport"), ("audit", "DimensionVerdict"),
+    ("finder", "EquilibriumPoint"), ("finder", "FiberTrace"), ("finder", "NewtonLanes"),
+    ("linalg", "RankReport"),
+    ("systems", "Evaluation"), ("systems", "FirstIntegralViolation"),
+    ("transport", "ConnectionFrame"), ("transport", "TransportResult"),
+    ("transport", "HolonomyReport"),
+]
+
+
+def test_the_import_path_defines_five_dataclasses():
+    # building a dataclass execs its generated methods, about 0.7 ms of every
+    # start each on Python 3.11, against about 0.14 ms for a NamedTuple.  The
+    # five kept are the ones that callers pass to dataclasses.replace or
+    # fields (Tolerances, RunConfig, SystemSpec, Domain) or that convert
+    # their fields in __post_init__ (PointState)
+    import eqbundle
+
+    src = os.path.dirname(os.path.dirname(eqbundle.__file__))
+    script = "\n".join([
+        "import dataclasses, json, sys",
+        "import eqbundle.cli",
+        "print(json.dumps(sorted(",
+        "    f'{name}.{key}' for name, module in list(sys.modules.items())",
+        "    if name.startswith('eqbundle.') for key, value in vars(module).items()",
+        "    if isinstance(value, type) and value.__module__ == name",
+        "    and dataclasses.is_dataclass(value))))",
+    ])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert json.loads(out) == [
+        "eqbundle.config.RunConfig", "eqbundle.systems.Domain", "eqbundle.systems.PointState",
+        "eqbundle.systems.SystemSpec", "eqbundle.tolerances.Tolerances",
+    ]
+
+
+@pytest.mark.parametrize("module, name", IMPORT_PATH_RECORDS)
+def test_a_record_refuses_assignment_as_its_frozen_dataclass_did(module, name):
+    record_type = getattr(importlib.import_module(f"eqbundle.{module}"), name)
+    assert issubclass(record_type, tuple) and not dataclasses.is_dataclass(record_type)
+    # a field named as a tuple method would hide that method
+    assert not {"count", "index"} & set(record_type._fields)
+    record = record_type(*[None] * len(record_type._fields))
+    for field in (*record_type._fields, "added"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
 
 
 @pytest.mark.parametrize("preset, imports, expected", [

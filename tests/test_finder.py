@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import circle_fiber_system, count_calls
 from eqbundle import builtin, finder
 from eqbundle.errors import (
+    DIMENSION_LIMIT,
     BranchPointError,
     ConvergenceError,
     DegeneracyError,
@@ -485,6 +486,18 @@ def test_a_longer_unit_sample_starts_with_the_shorter_one(n, seed):
     longer = finder._unit_starts(n, 600, seed)
     for budget in (1, 2, 31, 200):
         assert longer[:budget].tobytes() == finder._unit_starts(n, budget, seed).tobytes()
+
+
+def test_the_shift_is_default_rng_s_draw_bit_for_bit():
+    # numpy is the reference here only: the package draws the shift in
+    # Python integers so that a run need not import numpy.random.  Seeds of
+    # 1, 2, 3, 4 and 5 or more 32-bit words, up to DIMENSION_LIMIT floats
+    seeds = [*range(301), 2**32, 2**32 + 1, 2**63 - 1, 2**64 - 1, 2**64, 2**96 + 5,
+             2**128 - 1, 2**128, 2**160 + 7, 2**200 + 12345, 2**256 + 2**31]
+    for seed in seeds:
+        for n in {1, 2, 1 + seed % DIMENSION_LIMIT, DIMENSION_LIMIT}:
+            expected = np.random.default_rng(seed).random(n)
+            assert np.array(finder._pcg64_random(seed, n)).tobytes() == expected.tobytes()
 
 
 def test_the_sequence_root_is_within_one_ulp():
