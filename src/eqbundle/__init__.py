@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # home module: the public names it defines
 _EXPORTS = {
     "audit": (
-        "AuditReport", "CheckResult", "DimensionVerdict", "audit_manifold_dimension",
-        "audit_point", "check_structural_identity",
+        "AuditReport", "CheckResult", "audit_point",
     ),
     "errors": (
         "BranchPointError", "ConvergenceError", "DegeneracyError", "EqBundleError",
@@ -27,8 +26,8 @@ _EXPORTS = {
     ),
     "linalg": ("RankReport", "eigen_dense", "kernel_basis", "numeric_rank", "solve_least_squares"),
     "monodromy": (
-        "EigenLoopReport", "SpectrumSplit", "StabilitySignature", "eigen_along_fiber_loop",
-        "split_spectrum", "stability_signature", "track_matrix_loop",
+        "EigenLoopReport", "SpectrumSplit", "eigen_along_fiber_loop", "split_spectrum",
+        "track_matrix_loop",
     ),
     "systems": (
         "Domain", "Evaluation", "PointState", "SystemSpec", "builtin",

@@ -19,7 +19,7 @@ is a warning carrying the measured rank, never an error.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,11 +103,6 @@ def structural_identity_residual(ev: Evaluation) -> float:
         value = ev.jac_x.T @ grad + ev.hess_h[l] @ ev.f_value
         worst = max(worst, float(np.linalg.norm(value)))
     return worst
-
-
-def check_structural_identity(sys: SystemSpec, u: PointState) -> float:
-    """Residual of the structural identity at one point."""
-    return structural_identity_residual(evaluate(sys, u, check_domain=False))
 
 
 def _is_equilibrium(ev: Evaluation, tols: Tolerances) -> tuple:
@@ -207,59 +202,3 @@ def _audit(sys: SystemSpec, ev: Evaluation, tols: Tolerances) -> tuple:
         full_jacobian_rank=full.rank,
         tolerances=used,
     ), kernel
-
-
-class DimensionVerdict(NamedTuple):
-    """Per-point dimension certificate for the equilibrium set."""
-
-    point: PointState
-    passed: bool
-    full_jacobian_rank: int
-    expected_rank: int
-    kernel_dimension: int
-    expected_kernel_dimension: int
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.point.lam.tolist(),
-            "x": self.point.x.tolist(),
-            "passed": self.passed,
-            "full_jacobian_rank": self.full_jacobian_rank,
-            "expected_rank": self.expected_rank,
-            "kernel_dimension": self.kernel_dimension,
-            "expected_kernel_dimension": self.expected_kernel_dimension,
-        }
-
-
-def audit_manifold_dimension(
-    sys: SystemSpec,
-    equilibria: Sequence[PointState],
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> list:
-    """Certify rank([df/dlambda | df/dx]) = n-k at each equilibrium.
-
-    Equivalently dim ker J = m+k: the equilibrium set is locally an
-    (m+k)-dimensional manifold wherever this passes.  Each point's
-    audit_point decides the equilibrium test and gives the rank.
-    """
-    verdicts = []
-    for u in equilibria:
-        report = audit_point(sys, u, tols)
-        if not report.is_equilibrium:
-            raise InputError(
-                f"point lambda = {u.lam.tolist()}, x = {u.x.tolist()} is not an "
-                f"equilibrium: ||f|| = {report.residual:.3e} exceeds the tolerance "
-                f"{tols.equilibrium:.1e} * (1 + ||x||)"
-            )
-        rank = report.full_jacobian_rank
-        verdicts.append(
-            DimensionVerdict(
-                point=u,
-                passed=rank == sys.n - sys.k,
-                full_jacobian_rank=rank,
-                expected_rank=sys.n - sys.k,
-                kernel_dimension=sys.m + sys.n - rank,
-                expected_kernel_dimension=sys.m + sys.k,
-            )
-        )
-    return verdicts

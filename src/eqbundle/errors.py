@@ -314,8 +314,6 @@ def _scaled_norm(v) -> float:
     _NORM_SAFE the scale is 1 and the norm is np.linalg.norm(v) itself."""
     v = np.asarray(v, dtype=float)
     scale = _scale_of(float(np.abs(v).max()))
-    if scale == 1.0:
-        return float(np.linalg.norm(v))
     return float(np.linalg.norm(v / scale)) * scale
 
 

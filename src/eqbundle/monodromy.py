@@ -34,11 +34,9 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __all__ = [
     "SpectrumSplit",
     "EigenLoopReport",
-    "StabilitySignature",
     "split_spectrum",
     "track_matrix_loop",
     "eigen_along_fiber_loop",
-    "stability_signature",
     "assignment",
 ]
 
@@ -791,32 +789,3 @@ def eigen_along_fiber_loop(
 
     payloads = list(zip(points, h_values))
     return _track(list(matrices), payloads, refine, sys.k, None, tols, max_refine)
-
-
-@dataclass(frozen=True)
-class StabilitySignature:
-    """Per-track lower bounds on imaginary-axis crossings.
-
-    A track with winding number m must cross Re = 0 at least 2|m| times, so
-    the bound is max(2|m|, observed crossings); exceeds_winding_bound marks
-    tracks whose observed count is strictly above 2|m|.
-    """
-
-    bounds: tuple[int, ...]
-    exceeds_winding_bound: tuple[bool, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "exceeds_winding_bound": list(self.exceeds_winding_bound),
-        }
-
-
-def stability_signature(report: EigenLoopReport) -> StabilitySignature:
-    bounds = []
-    exceeds = []
-    for m, observed in zip(report.windings, report.re_axis_crossings):
-        floor = 2 * abs(m)
-        bounds.append(max(floor, observed))
-        exceeds.append(observed > floor)
-    return StabilitySignature(bounds=tuple(bounds), exceeds_winding_bound=tuple(exceeds))

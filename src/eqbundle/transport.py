@@ -62,15 +62,6 @@ class ConnectionFrame(NamedTuple):
     horizontal_basis: np.ndarray    # (m+n, m)
     max_mutual_overlap: float
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.at.lam.tolist(),
-            "x": self.at.x.tolist(),
-            "vertical_basis": [col.tolist() for col in self.vertical_basis.T],
-            "horizontal_basis": [col.tolist() for col in self.horizontal_basis.T],
-            "max_mutual_overlap": self.max_mutual_overlap,
-        }
-
 
 class TransportResult(NamedTuple):
     """A horizontal lift of a parameter path, sampled at accepted steps."""
@@ -122,8 +113,6 @@ class HolonomyReport(NamedTuple):
 def _canonical_columns(basis: np.ndarray) -> np.ndarray:
     """Deterministic presentation: dominant coordinate made positive,
     columns ordered by dominant coordinate index."""
-    if basis.shape[1] == 0:
-        return basis
     cols = []
     for j in range(basis.shape[1]):
         v = basis[:, j]

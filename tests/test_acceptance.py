@@ -10,12 +10,12 @@ import json
 import numpy as np
 import pytest
 
-from eqbundle.audit import audit_manifold_dimension, audit_point, check_structural_identity
+from eqbundle.audit import audit_point, structural_identity_residual
 from eqbundle.cli import main
 from eqbundle.errors import TrackingError
 from eqbundle.finder import enumerate_level_points, newton_on_level_set, trace_fiber
 from eqbundle.monodromy import eigen_along_fiber_loop, track_matrix_loop
-from eqbundle.systems import PointState, builtin, check_first_integral_identity
+from eqbundle.systems import PointState, builtin, check_first_integral_identity, evaluate
 from eqbundle.transport import check_cocycle, connection_frame, holonomy_loop, lift_curve, metric_g
 
 ALL_SYSTEMS = lambda: [builtin("planar"), builtin("example2"), builtin("rfmr", n=3)]
@@ -50,12 +50,16 @@ def test_criterion_01_first_integral_identity():
              worst < 1e-10, f"worst = {worst:.3e}")
 
 
+def _identity_residual(sys, u):
+    return structural_identity_residual(evaluate(sys, u, check_domain=False))
+
+
 def test_criterion_02_structural_identity():
     worst = 0.0
     for sys in ALL_SYSTEMS():
         for u in _sample_interior_points(sys, 200, seed=1):
-            worst = max(worst, check_structural_identity(sys, u))
-    hand = check_structural_identity(builtin("example2"), PointState([1.0], [0.0, 1.0, 1.0]))
+            worst = max(worst, _identity_residual(sys, u))
+    hand = _identity_residual(builtin("example2"), PointState([1.0], [0.0, 1.0, 1.0]))
     ok = worst < 1e-8 and hand < 1e-12
     _verdict(2, "structural identity residual < 1e-8 at 200 samples per system "
                 "and < 1e-12 at the hand-checked point",
@@ -73,9 +77,10 @@ def test_criterion_03_manifold_dimension():
     for sys, lam, level, expected_count in cases:
         found = enumerate_level_points(sys, lam, level, budget=200, seed=0)
         ok = ok and len(found) == expected_count
-        verdicts = audit_manifold_dimension(sys, [p.state for p in found])
-        ranks = [v.full_jacobian_rank for v in verdicts]
-        ok = ok and all(v.passed for v in verdicts)
+        # each found point carries its own audit: an equilibrium whose full
+        # Jacobian has rank n-k, so the equilibrium set has dimension m+k
+        ranks = [p.audit.full_jacobian_rank for p in found]
+        ok = ok and all(p.audit.is_equilibrium for p in found)
         ok = ok and all(r == sys.n - sys.k for r in ranks)
         details.append(f"{sys.name}: ranks {ranks}")
     _verdict(3, "rank J = n-k at every found equilibrium of every system",

@@ -7,13 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqbundle import builtin
-from eqbundle.audit import (
-    AuditReport,
-    _near_equilibrium,
-    audit_manifold_dimension,
-    audit_point,
-    check_structural_identity,
-)
+from eqbundle.audit import AuditReport, _near_equilibrium, audit_point, structural_identity_residual
 from eqbundle.errors import EqBundleError, InputError
 from eqbundle.finder import _continuation_start, trace_fiber
 from eqbundle.monodromy import eigen_along_fiber_loop
@@ -87,7 +81,7 @@ def test_structural_identity_hand_values(example2):
     term_hess = ev.hess_h[0] @ ev.f_value
     assert np.allclose(term_jac, [2.0, 0.0, 0.0], atol=1e-14)
     assert np.allclose(term_hess, [-2.0, 0.0, 0.0], atol=1e-14)
-    assert check_structural_identity(example2, u) < 1e-12
+    assert structural_identity_residual(ev) < 1e-12
 
 
 def test_structural_identity_everywhere(planar, example2, rfmr3):
@@ -101,7 +95,8 @@ def test_structural_identity_everywhere(planar, example2, rfmr3):
             if not sys.domain.contains(x):
                 continue
             checked += 1
-            assert check_structural_identity(sys, PointState(lam, x)) < 1e-8
+            ev = evaluate(sys, PointState(lam, x), check_domain=False)
+            assert structural_identity_residual(ev) < 1e-8
 
 
 def test_eigenvalue_split_at_equilibria(planar, example2, rfmr3):
@@ -149,35 +144,6 @@ def test_kernel_image_split_detects_nilpotency(planar):
             assert (numeric_rank(stacked, tol_override=1e-8).rank == 3) == expect
 
 
-def test_audit_manifold_dimension(planar, example2, rfmr3):
-    verdicts = audit_manifold_dimension(
-        example2, [PointState(np.array([1.0]), np.array([1.0, 1.0, 1.0]))]
-    )
-    assert verdicts[0].passed and verdicts[0].full_jacobian_rank == 1
-    assert verdicts[0].kernel_dimension == verdicts[0].expected_kernel_dimension == 3
-
-    verdicts = audit_manifold_dimension(
-        planar, [PointState(np.array([0.5]), np.array([-0.5, 0.0]))]
-    )
-    assert verdicts[0].passed and verdicts[0].full_jacobian_rank == 1
-    assert verdicts[0].kernel_dimension == 2  # m + k
-
-    verdicts = audit_manifold_dimension(
-        rfmr3, [PointState(np.ones(3), np.full(3, 0.5))]
-    )
-    assert verdicts[0].passed and verdicts[0].full_jacobian_rank == 2
-
-
-def test_manifold_dimension_requires_equilibria(planar):
-    bad = PointState(np.array([0.5]), np.array([0.5, 0.0]))
-    with pytest.raises(InputError, match="not an .*equilibrium|not an\nequilibrium|not an equilibrium"):
-        audit_manifold_dimension(planar, [bad])
-    try:
-        audit_manifold_dimension(planar, [bad])
-    except InputError as err:
-        assert "||f||" in str(err)  # names the offending residual
-
-
 def test_off_equilibrium_checks_are_informational(planar):
     u = PointState(np.array([0.5]), np.array([0.5, 0.0]))
     report = audit_point(planar, u)
@@ -219,8 +185,6 @@ NON_FINITE_ENTRIES = {
     "evaluate": lambda sys, u: evaluate(sys, u, check_domain=False),
     "connection_frame": connection_frame,
     "metric_g": lambda sys, u: metric_g(sys, u, np.zeros(3), np.zeros(3)),
-    "check_structural_identity": check_structural_identity,
-    "audit_manifold_dimension": lambda sys, u: audit_manifold_dimension(sys, [u]),
 }
 
 

@@ -546,6 +546,12 @@ def test_a_flag_leaves_a_malformed_block_to_be_rejected(tmp_path, capsys, block,
     assert capsys.readouterr().err == f"error: '{block}' must be an object\n"
 
 
+def test_a_config_file_that_holds_no_object_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "list.json", [FIND_RFMR])
+    assert main(["find", "--config", cfg, "--seed", "5"]) == 1
+    assert capsys.readouterr().err == "error: configuration must be a JSON object\n"
+
+
 def test_an_unreadable_output_block_sends_the_error_to_the_output_flag(tmp_path, capsys):
     # the error envelope went to stdout whenever the output block was
     # malformed, though --output named a path; a config that cannot be
@@ -768,6 +774,26 @@ def test_config_validation_errors():
         )
     with pytest.raises(InputError, match="requires a 'system'"):
         config_from_dict({"command": "audit", "lambda": [1], "x": [0, 0]})
+    for system in (["builtin"], "builtin", 5):
+        with pytest.raises(InputError, match="^'system' must be an object$"):
+            config_from_dict({"system": system, "command": "audit", "lambda": [1], "x": [0, 0]})
+    for system in ({}, {"builtin": "planar", "declaration": {}}):
+        with pytest.raises(InputError, match="^'system' must contain exactly one of 'builtin'"):
+            config_from_dict({"system": system, "command": "audit", "lambda": [1], "x": [0, 0]})
+    for data in ([1], "find", None):
+        with pytest.raises(InputError, match="^configuration must be a JSON object$"):
+            config_from_dict(data)
+    with pytest.raises(InputError, match="^configuration needs a 'command' field$"):
+        config_from_dict({"system": {"builtin": "planar"}, "lambda": [1], "x": [0, 0]})
+    transport = {"system": {"builtin": "planar"}, "command": "transport",
+                 "path": [[0.5], [0.9]], "x0": [-0.5, 0.0]}
+    for output, message in (
+        ({"path": 5}, "^output path must be a string$"),
+        ({"format": "xml"}, r"^unknown output format 'xml' \(json, csv, or both\)$"),
+        ({"format": "both"}, "^output format 'both' requires an output path$"),
+    ):
+        with pytest.raises(InputError, match=message):
+            config_from_dict(dict(transport, output=output))
     with pytest.raises(InputError, match="dimension mismatch"):
         config_from_dict(
             {
@@ -917,7 +943,7 @@ def test_import_loads_no_scipy(tmp_path):
 # the records that the modules of import eqbundle.cli define as NamedTuples:
 # (module, class)
 IMPORT_PATH_RECORDS = [
-    ("audit", "CheckResult"), ("audit", "AuditReport"), ("audit", "DimensionVerdict"),
+    ("audit", "CheckResult"), ("audit", "AuditReport"),
     ("finder", "EquilibriumPoint"), ("finder", "FiberTrace"), ("finder", "NewtonLanes"),
     ("linalg", "RankReport"),
     ("systems", "Evaluation"), ("systems", "FirstIntegralViolation"),
@@ -1020,6 +1046,40 @@ def test_each_package_name_is_its_home_modules_object():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         eqbundle.no_such_name
     assert not hasattr(eqbundle, "no_such_name")
+
+
+def test_a_home_module_is_imported_on_first_use_as_a_package_attribute():
+    # in a fresh interpreter no submodule is loaded yet, so the attribute
+    # comes from the package's __getattr__
+    import eqbundle
+
+    src = os.path.dirname(os.path.dirname(eqbundle.__file__))
+    script = "\n".join([
+        "import sys, eqbundle",
+        "assert 'eqbundle.expr' not in sys.modules",
+        "assert eqbundle.expr is sys.modules['eqbundle.expr']",
+    ])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                   check=True, timeout=60)
+
+
+def test_the_readme_names_each_public_name_once_with_its_home_and_role():
+    # a public name is added or removed together with its README row: the
+    # commands that reach it, or why the library keeps it
+    import eqbundle
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as handle:
+        section = handle.read().split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    names = [name.strip("`") for name, _, _ in rows]
+    assert sorted(names) == eqbundle.__all__
+    for name, home, role in rows:
+        assert home == eqbundle._HOME[name.strip("`")], name
+        assert role, name
 
 
 def _find_rfmr():

@@ -173,6 +173,8 @@ CASES = [
     ("trace-fiber", {"max_step": True}, "step bounds must be numbers"),
     ("transport", {"initial_fraction": "0.1"}, "step bounds must be numbers"),
     ("track-matrix-loop", {"tol_zero": True}, "tol_zero must be a number"),
+    # zero is not positive
+    ("track-matrix-loop", {"tol_zero": 0.0}, TOL_ZERO),
 ]
 
 
@@ -256,6 +258,10 @@ DECLARED_CASES = [
      "^domain_box has a diameter past the float range$"),
     ({"identity_tolerance": 10**400}, "^identity_tolerance must be positive and finite$"),
     ({"identity_tolerance": "0.5"}, "^identity_tolerance must be a number$"),
+    # a width that overflows beside a finite one above 2^1023, which no
+    # scaling may push past the float range
+    ({"domain_box": [[-1e308, 1e308], [0.0, 1e308]]},
+     "^domain_box has a diameter past the float range$"),
 ]
 
 
@@ -460,6 +466,12 @@ def test_matrix_loop_checks_as_each_matrix_alone(loop, k):
     if loop:
         loop = loop + [loop[0]]
     assert _verdict(errors.matrix_loop, loop, k) == _verdict(_matrix_loop_one_by_one, loop, k)
+    # the same loop as an object array, which finite_array refuses as one
+    # array, is read matrix by matrix
+    boxed = np.empty(len(loop), dtype=object)
+    for i, entry in enumerate(loop):
+        boxed[i] = entry
+    assert _verdict(errors.matrix_loop, boxed, k) == _verdict(_matrix_loop_one_by_one, loop, k)
 
 
 def test_a_valid_matrix_loop_takes_one_finiteness_test_per_check(tmp_path, capsys, monkeypatch):
@@ -483,6 +495,13 @@ def test_a_loop_past_the_float_range_must_close_too(loop, gap):
     # pytest turns numpy's overflow warning into an error
     with pytest.raises(InputError, match=rf"^loop must close: first and last points differ by {re.escape(gap)}$"):
         errors.closed_loop(loop, "points")
+
+
+def test_a_loop_closes_at_exactly_its_bound():
+    # 1e-9 - 0 is exactly 1e-9 = rel (1 + ||first||): the bound is inclusive
+    errors.closed_loop([[0.0], [0.5], [1e-9]], "points")
+    with pytest.raises(InputError, match="^loop must close"):
+        errors.closed_loop([[0.0], [0.5], [np.nextafter(1e-9, 1.0)]], "points")
 
 
 def test_a_loop_past_the_float_range_closes_on_an_equal_last_point():

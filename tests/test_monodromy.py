@@ -26,7 +26,6 @@ from eqbundle.monodromy import (
     assignment,
     eigen_along_fiber_loop,
     split_spectrum,
-    stability_signature,
     track_matrix_loop,
 )
 from eqbundle.systems import PointState
@@ -136,9 +135,8 @@ def test_rotation_family_loop():
     assert report.min_distance_to_zero == pytest.approx(1.0, abs=1e-9)
     assert report.samples_used >= 257
     assert report.flags == ()
-    sig = stability_signature(report)
-    assert sig.bounds == (2, 2)
-    assert sig.exceeds_winding_bound == (False, False)
+    # a track of winding w crosses Re = 0 at least 2|w| times; here exactly
+    assert [c - 2 * abs(w) for w, c in zip(report.windings, report.re_axis_crossings)] == [0, 0]
 
 
 def test_constant_loop():
@@ -185,9 +183,9 @@ def test_flag_family_crossings_without_winding():
     report = track_matrix_loop(mats, k=0)
     assert report.windings == (0, 0)
     assert report.re_axis_crossings == (2, 2)
-    sig = stability_signature(report)
-    assert sig.bounds == (2, 2)
-    assert sig.exceeds_winding_bound == (True, True)
+    # a track of winding w crosses Re = 0 at least 2|w| times; both tracks
+    # here cross more often than their winding requires
+    assert [c - 2 * abs(w) for w, c in zip(report.windings, report.re_axis_crossings)] == [2, 2]
 
 
 def test_matrix_loop_validation():
@@ -415,6 +413,23 @@ def test_fiber_loop_closes_at_the_point_rule(rfmr3):
     assert (near.permutation, near.windings, near.flags) == (
         closed.permutation, closed.windings, closed.flags
     )
+
+
+def test_a_loop_that_closes_within_1e_12_can_end_on_another_spectrum():
+    # J is the 3 x 3 Jordan block at 1 and E = e3 e1^T.  J + eps E has the
+    # eigenvalues 1 + eps^(1/3) times the cube roots of unity, so a loop
+    # that passes matrix_loop's 1e-12 closure check ends on a spectrum that
+    # differs from the base's 1, 1, 1 by eps^(1/3): the report flags it
+    jordan = np.eye(3) + np.eye(3, k=1)
+    e31 = np.zeros((3, 3))
+    e31[2, 0] = 1.0
+    eps = 0.9e-12 * np.linalg.norm(jordan)
+    report = track_matrix_loop([jordan, jordan + 0.5 * eps * e31, jordan + eps * e31])
+    assert report.permutation == (0, 1, 2)
+    (flag,) = report.flags
+    prefix = "final spectrum differs from the base spectrum by "
+    assert flag.startswith(prefix)
+    assert float(flag[len(prefix):]) == pytest.approx(np.cbrt(eps), rel=1e-3)
 
 
 def count_rows(monkeypatch, owner, name: str, rows_of) -> list:

@@ -57,13 +57,51 @@ def test_frame_planar(planar):
 
 def test_frame_preconditions(example2, planar):
     # nilpotent point: cond_iii fails, the splitting does not exist
-    with pytest.raises(DegeneracyError) as err:
+    complementary = "^kernel and image of df/dx are not complementary$"
+    with pytest.raises(DegeneracyError, match=complementary) as err:
         connection_frame(example2, PointState([1.0], [1.0, 0.0, 1.0]))
     assert err.value.report is not None
     assert err.value.report.cond_iii.passed is False
     # not an equilibrium at all
     with pytest.raises(DegeneracyError, match="needs an equilibrium"):
         connection_frame(planar, PointState([0.5], [0.5, 0.0]))
+    # df/dx vanishes at the origin of example2, an equilibrium: cond_ii fails
+    with pytest.raises(DegeneracyError, match="^rank of df/dx is 0, expected 1$") as err:
+        connection_frame(example2, PointState([1.0], [0.0, 0.0, 0.0]))
+    assert err.value.report.cond_ii.passed is False
+
+
+def _line_system(h, jac_h):
+    """n = 2, m = 1, k = 1: f = (x1 - lambda, 0), whose equilibria x1 =
+    lambda pass cond_ii and cond_iii, with the given h, which need not be
+    a first integral."""
+    return SystemSpec(
+        name="line", n=2, m=1, k=1,
+        f=lambda lam, x: np.array([x[0] - lam[0], 0.0]),
+        h=h,
+        domain=Domain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.25, 4.0]]),
+        jac_x_fn=lambda lam, x: np.array([[1.0, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.array([[-1.0], [0.0]]),
+        jac_h_fn=jac_h,
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
+    )
+
+
+def test_frame_refuses_a_splitting_that_h_does_not_cut():
+    u = PointState([0.5], [0.5, 0.0])
+    # dh/dx vanishes at u: the horizontal space is the whole 2-dimensional
+    # kernel of [df/dlambda | df/dx]
+    flat = _line_system(lambda x: np.array([x[1] ** 2]), lambda x: np.array([[0.0, 2.0 * x[1]]]))
+    with pytest.raises(DegeneracyError, match="^horizontal subspace has dimension 2, expected 1$"):
+        connection_frame(flat, u)
+    # h = x1 is constant along the fiber: the one horizontal direction is
+    # the vertical one
+    along = _line_system(lambda x: np.array([x[0]]), lambda x: np.array([[1.0, 0.0]]))
+    spans = "^vertical \\+ horizontal spans rank 1, expected 2$"
+    with pytest.raises(DegeneracyError, match=spans) as err:
+        connection_frame(along, u)
+    assert err.value.report.cond_ii.passed and err.value.report.cond_iii.passed
 
 
 def test_frame_oblique_splitting(rfmr3):
@@ -100,6 +138,9 @@ def test_metric_tangency_precondition(planar):
     u = PointState([0.5], [-0.5, 0.0])
     with pytest.raises(InputError, match="not tangent"):
         metric_g(planar, u, [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    # the bound is inclusive: J V is exactly 0 here, so V passes at tangent 0
+    exact = DEFAULT_TOLERANCES.replace(tangent=0.0)
+    assert metric_g(planar, u, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], exact) == pytest.approx(1.0)
 
 
 def test_submersion_isometry(example2, rfmr3):
@@ -173,6 +214,52 @@ def test_lift_transversality_failure():
     with pytest.raises(TransportError) as err:
         lift_curve(sys, [[1.0], [2.0]], [0.0, 0.5])
     assert err.value.t is not None
+
+
+def test_a_step_that_leaves_exactly_min_fraction_is_taken_as_it_is(planar):
+    # 1 - 0.75 is exactly min_fraction, which a step may leave: the segment
+    # takes the steps 0.75 and 0.25, not one step of 1
+    result = lift_curve(planar, [[0.5], [0.75]], [-0.5, 0.0], initial_fraction=0.75,
+                        min_fraction=0.25)
+    assert result.t.tolist() == [0.0, 0.75, 1.0]
+
+
+def test_a_candidate_outside_is_retried_at_exactly_twice_min_fraction():
+    # x1 = 0.5 tanh(5 (lambda - 0.5)) stays below 0.5, but RK4 over the
+    # whole path puts the candidate near x1 = 1.2, outside the box.  A step
+    # of 2 min_fraction can still be halved, so it is retried, though its
+    # corrected point would be inside
+    def branch(lam):
+        return 0.5 * np.tanh(5.0 * (lam - 0.5))
+
+    sys = SystemSpec(
+        name="tanh", n=2, m=1, k=1,
+        f=lambda lam, x: np.array([branch(lam[0]) - x[0], 0.0]),
+        h=lambda x: np.array([x[1]]),
+        domain=Domain(box=np.array([[-1.0, 0.6], [-1.0, 1.0]])),
+        parameter_box=np.array([[0.0, 1.0]]),
+        jac_x_fn=lambda lam, x: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        jac_lambda_fn=lambda lam, x: np.array(
+            [[2.5 / np.cosh(5.0 * (lam[0] - 0.5)) ** 2], [0.0]]
+        ),
+        jac_h_fn=lambda x: np.array([[0.0, 1.0]]),
+        hess_h_fn=lambda x: np.zeros((1, 2, 2)),
+    )
+    result = lift_curve(sys, [[0.0], [1.0]], [branch(0.0), 0.0], min_fraction=0.5)
+    assert result.t.tolist() == [0.0, 0.5, 1.0]
+    assert result.gamma[-1, 0] == pytest.approx(branch(1.0), abs=1e-12)
+
+
+def test_a_start_within_the_corrector_tolerance_is_not_projected(monkeypatch):
+    # ||f|| at the start is exactly tols.newton (1 + ||x0||), the bound
+    # itself: the start is kept, so the one accepted step is the one
+    # correction
+    sys = _line_system(lambda x: np.array([x[1]]), lambda x: np.array([[0.0, 1.0]]))
+    calls = count_calls(monkeypatch, "_correct", transport)
+    lam0 = [DEFAULT_TOLERANCES.newton]
+    assert np.linalg.norm(sys.f(lam0, [0.0, 0.0])) == DEFAULT_TOLERANCES.newton
+    result = lift_curve(sys, [lam0, [0.5]], [0.0, 0.0])
+    assert result.steps_taken == len(calls) == 1
 
 
 def test_lift_horizontality(rfmr3):
@@ -249,12 +336,16 @@ def test_holonomy_rejects_two_lifts_onto_one_point(example2, monkeypatch):
         holonomy_loop(example2, [[1.0], [2.0], [1.0]], [2.0, 6.0], budget=200, seed=0)
 
 
-def test_holonomy_matching_radius(rfmr3):
+def test_holonomy_matching_radius(rfmr3, planar):
     # a zero matching radius rejects even a perfect roundtrip
     loop = [[1, 1, 1], [2, 1, 1], [2, 2, 1], [1, 2, 1], [1, 1, 1]]
     strict = DEFAULT_TOLERANCES.replace(cluster=0.0)
     with pytest.raises(HolonomyError, match="away from every enumerated point"):
         holonomy_loop(rfmr3, loop, [1.5], budget=80, seed=0, tols=strict)
+    # but the radius is inclusive: a lift along a constant loop returns to
+    # its start exactly, a distance 0, which matches at radius 0
+    report = holonomy_loop(planar, [[0.5], [0.5]], [0.0], budget=1, seed=0, tols=strict)
+    assert report.permutation == (0,) and report.max_roundtrip_displacement == 0.0
 
 
 def test_cocycle(planar, rfmr3):
@@ -274,6 +365,10 @@ def test_cocycle_path_validation(planar):
     )
     with pytest.raises(InputError, match="does not connect"):
         check_cocycle(planar, [0.5], [0.6], [0.9], [-0.5, 0.0], paths=bad)
+    # the bound is inclusive: 1e-9 - 0 is exactly 1e-9, so a path that
+    # starts, or ends, 1e-9 from its declared endpoint 0 connects it
+    near = ([[1e-9], [0.5]], [[0.5], [1e-9]], [[0.0], [0.0]])
+    assert check_cocycle(planar, [0.0], [0.5], [0.0], [0.0, 0.0], paths=near) < 1e-8
 
 
 def test_transport_serialization(planar):
