@@ -249,7 +249,10 @@ def _level_set(sys: SystemSpec) -> tuple:
     n = sys.n
 
     def residual(y, lam, a, errors):
-        return np.concatenate([sys.f_rows(lam, y, errors), sys.h_rows(y, errors) - a], axis=1)
+        out = np.empty((len(y), n + sys.k))
+        out[:, :n] = sys.f_rows(lam, y, errors)
+        np.subtract(sys.h_rows(y, errors), a, out=out[:, n:])
+        return out
 
     def system(y, lam, a, errors):
         out = np.empty((len(y), n + sys.k, n + 1))
@@ -307,7 +310,9 @@ def newton_lanes(
     The running lanes' x, F, ||F||, target and the ||F|| of their last 5
     iterations are compact arrays, one row per running lane, cut only
     when lanes stop; a lane's x and F go to its output rows once, when it
-    stops.
+    stops.  When every lane takes its full step, the first round's trial
+    points, residuals and norms become the lanes' x, F and ||F|| as they
+    are, with no copy.
 
     lam must be a finite vector of length m, and a and starts finite
     (InputError otherwise); the level a is one k-vector shared by every
@@ -374,14 +379,15 @@ def newton_lanes(
     with np.errstate(over="ignore"):
         ns = _lane_norm(fs)
         for it in range(max_iter):
-            done = ns <= ts
-            stop(lanes[done], CONVERGED, it)
+            converged = done = ns <= ts
             slot = it % _STALL_WINDOW
             if it >= _STALL_WINDOW:
                 stalled = (ns > _STALL_FACTOR * ts) & (ns > _STALL_DROP * recent[:, slot])
-                stop(lanes[stalled], NO_PROGRESS, it)
-                done |= stalled
+                done = converged | stalled
             if done.any():
+                # the stalled lanes are those of done that have not converged
+                stop(lanes[done], NO_PROGRESS, it)
+                stop(lanes[converged], CONVERGED, it)
                 lanes, xs, fs, ns, ts, recent = running(~done, lanes, xs, fs, ns, ts, recent)
             recent[:, slot] = ns
             if not lanes.size:
@@ -405,12 +411,16 @@ def newton_lanes(
 
             pending = np.ones(lanes.size, dtype=bool)
             ended = np.zeros(lanes.size, dtype=bool)
-            for alphas in _ALPHA_ROUNDS:
+            for round_, alphas in enumerate(_ALPHA_ROUNDS):
                 rows = pending.nonzero()[0]
                 every = rows.size == lanes.size
-                base, toward = (xs, step) if every else (xs[rows], step[rows])
-                # trial j of pending lane rows[i] is row i * alphas.size + j
-                candidate = (base[:, None] + alphas[:, None] * toward[:, None]).reshape(-1, n)
+                if not round_:
+                    # every lane tries its full step; alpha = 1 multiplies exactly
+                    candidate = xs + step
+                else:
+                    base, toward = (xs, step) if every else (xs[rows], step[rows])
+                    # trial j of pending lane rows[i] is row i * alphas.size + j
+                    candidate = (base[:, None] + alphas[:, None] * toward[:, None]).reshape(-1, n)
                 trying = _in_box(candidate, inflated, 0.0)
                 errors = {}
                 if trying.all():
@@ -429,9 +439,13 @@ def newton_lanes(
                     tried = trying.nonzero()[0]
                     raised = {int(tried[row]): err for row, err in errors.items()}
                     event.flat[list(raised)] = True
+                hit = event.any(axis=1)
+                if not (round_ or errors) and hit.all():
+                    # every lane takes its full step: the round's arrays are the state
+                    xs, fs, ns = candidate, trial, trial_norm
+                    break
                 # per lane the first trial in alpha order that was accepted or
                 # raised, where a trial-by-trial search would have stopped
-                hit = event.any(axis=1)
                 first = np.arange(rows.size) * alphas.size + event.argmax(axis=1)
                 if errors:
                     failed = {

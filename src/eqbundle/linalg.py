@@ -42,13 +42,15 @@ The back substitution runs per column i from q - 1 down to 0: v_i /= d_i,
 then v_j -= T_ji v_i for every j < i, once for x (v = Q^T b, T = R, d_i =
 r_ii) and once for y (v = e, T = -|R|, d_i = |r_ii|).  It is written in
 two forms with the same IEEE operations in the same order: numpy ufuncs
-over a stack, and Python floats for a lone row or a small stack, where
-numpy's per-call cost would dominate.  Each operation is correctly
-rounded in both, and no dot product (whose BLAS summation order Python
-cannot reproduce) is taken.  The Python form refuses a row at its first
-failing y_i, and before it divides by a zero or non-finite r_ii.  So
-every row of a stack takes the calls it would take alone, and its route
-and its bits depend neither on the other rows nor on the form.
+over a stack, which sweep x and y over one copy of R and take -|r_ji| as
+copysign(r_ji, -1) column by column, and Python floats for a lone row or
+a small stack, where numpy's per-call cost would dominate.  Each
+operation is correctly rounded in both, and no dot product (whose BLAS
+summation order Python cannot reproduce) is taken.  The Python form
+refuses a row at its first failing y_i, and before it divides by a zero
+or non-finite r_ii.  So every row of a stack takes the calls it would
+take alone, and its route and its bits depend neither on the other rows
+nor on the form.
 """
 
 from __future__ import annotations
@@ -209,11 +211,12 @@ def _qr_rows(system: np.ndarray, rank_tol) -> tuple:
     full rank.  Each row's max|a_ij| is max(max a_ij, -min a_ij), so no
     |A| is built.  One back substitution gives x and y = M(R)^-1 e: in
     Python floats row by row (_lone_row) for a lone row or a small stack
-    (_PYTHON_ROWS), else as numpy ufuncs over x and y side by side, (q,
-    2B), so that each update is contiguous.  Both forms make the same
-    operations in the same order.  A row whose R is singular or not
-    finite, whose figures overflow or whose largest |a_ij| is at most
-    1e-150 is not certified; its x means nothing."""
+    (_PYTHON_ROWS), else as numpy ufuncs over x and y, each (q, B), and
+    one (q, q, B) copy of R, so that each update is contiguous; -|R| is
+    never stored.  Both forms make the same operations in the same order.
+    A row whose R is singular or not finite, whose figures overflow or
+    whose largest |a_ij| is at most 1e-150 is not certified; its x means
+    nothing."""
     count, p, q = system.shape[0], system.shape[1], system.shape[2] - 1
     A = system[:, :, :q]
     # h[:, i, :i + 1] is column i of R, and h[:, q, :q] is Q^T b
@@ -222,26 +225,25 @@ def _qr_rows(system: np.ndarray, rank_tol) -> tuple:
         pairs = zip(h.tolist(), A.reshape(count, -1).tolist())
         x, certified = zip(*[_lone_row(row, max(map(abs, a)), rank_tol, p) for row, a in pairs])
         return np.array(x), np.array(certified)
-    # T[i, j] holds T_ji of every row: R for x, then -|R| for y
-    T = np.empty((q, q, 2 * count))
-    T[..., :count] = h[:, :q, :q].transpose(1, 2, 0)
-    np.copysign(T[..., :count], -1.0, out=T[..., count:])
-    d = T[..., :count].diagonal().T
-    d = np.concatenate([d, np.abs(d)], axis=1)              # r_ii, then |r_ii|
-    v = np.concatenate([h[:, q, :q].T, np.ones((q, count))], axis=1)
+    # R[i, j] holds R_ji of every row, d[i] r_ii and e[i] |r_ii|
+    R = np.ascontiguousarray(h[:, :q, :q].transpose(1, 2, 0))
+    d = R.diagonal().T
+    e = np.abs(d)
+    x, y = h[:, q, :q].T.copy(), np.ones((q, count))
     amax = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))
     # a zero r_ii, an overflow or an inf * 0 can only leave its row uncertified
     with np.errstate(all="ignore"):
         for i in range(q - 1, 0, -1):
-            row = v[i]
-            row /= d[i]
-            head = v[:i]
-            head -= T[i, :i] * row
-        v[0] /= d[0]
+            column, xi, yi = R[i, :i], x[i], y[i]
+            xi /= d[i]
+            x[:i] -= column * xi
+            yi /= e[i]
+            y[:i] -= np.copysign(column, -1.0) * yi
+        x[0] /= d[0]
+        y[0] /= e[0]
         c = _certificate_scale((p, q), amax, rank_tol)
-        y = v[:, count:]
         certified = ((0.0 < y) & (c * y < 1.0)).all(axis=0) & (amax > 1e-150)
-    return v[:, :count].T, certified
+    return x.T, certified
 
 
 def _lone_row(h: list, amax: float, rank_tol, p: int) -> tuple:

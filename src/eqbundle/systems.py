@@ -219,6 +219,8 @@ class SystemSpec:
         object.__setattr__(
             self, "parameter_box", box(self.parameter_box, self.m, "parameter_box")
         )
+        # every lambda a command admits reads the slack, as in Domain
+        object.__setattr__(self, "_parameter_diameter", _diameter(self.parameter_box))
         for key in ("jac_x_fn", "jac_lambda_fn", "jac_h_fn", "hess_h_fn"):
             if not callable(getattr(self, key)):
                 raise InputError(f"{key} must be callable")
@@ -368,8 +370,7 @@ def _admit_lambda(sys: SystemSpec, lam: np.ndarray, tols: Tolerances, what: str)
     "{what} {lambda} outside parameter box" unless lam lies in the
     parameter box within tols.domain_slack * (1 + box diameter), the slack
     _in_domain_rows gives x.  lam is a checked finite vector of length m."""
-    pb = sys.parameter_box
-    if not _in_box(lam, pb, _slack(_diameter(pb), tols)):
+    if not _in_box(lam, sys.parameter_box, _slack(sys._parameter_diameter, tols)):
         raise InputError(f"{what} {lam.tolist()} outside parameter box")
 
 

@@ -17,7 +17,8 @@ they do not kill runs all of tier-1 with -x.  The unmutated tree runs
 both first, and must pass; a mutant run that takes more than 5 times as
 long, plus 10 s, is stopped and counts as killed.  One line per mutant,
 `file:line:col operator verdict`, and a kill rate per module are printed;
-the verdict is killed (with the first failing test), survived or timeout.
+the verdict is killed (with the first failing test, or the conftest that
+failed to load and its exception), survived or timeout.
 Two workers run; monodromy, linalg and finder (200 sites) take about 15
 minutes on two cores, and transport, errors, config and reports (137
 sites) about 3 minutes.
@@ -203,8 +204,15 @@ def _run(copy: str, source: str, tests: list, timeout) -> tuple:
     seconds = time.perf_counter() - began
     if process.returncode == 0:
         return "survived", "", seconds
-    failed = next((line.split(" - ")[0] for line in out.splitlines()
+    lines = out.splitlines()
+    failed = next((line.split(" - ")[0] for line in lines
                    if line.startswith(("FAILED ", "ERROR "))), "")
+    conftest = next((line for line in lines if " while loading conftest " in line), None)
+    if not failed and conftest:
+        # a mutant that breaks the package's import stops pytest in a
+        # conftest, before any test runs: name it and what it raised
+        raised = next((line[1:].strip() for line in lines if line.startswith("E ")), "")
+        failed = f"{conftest.replace(copy + os.sep, '').rstrip('.')}: {raised}"
     return "killed", failed, seconds
 
 

@@ -25,12 +25,16 @@ def test_fixmod():
 '''
 
 
-def test_the_runner_reports_one_mutant_killed_and_one_survived(tmp_path, capsys):
-    root = tmp_path / "tree"
-    for path, text in [("src/fixpkg/__init__.py", ""), ("src/fixpkg/fixmod.py", FIXTURE),
-                       ("tests/test_fixmod.py", FIXTURE_TESTS)]:
+def _write(root, files):
+    for path, text in files:
         os.makedirs((root / path).parent, exist_ok=True)
         (root / path).write_text(text)
+
+
+def test_the_runner_reports_one_mutant_killed_and_one_survived(tmp_path, capsys):
+    root = tmp_path / "tree"
+    _write(root, [("src/fixpkg/__init__.py", ""), ("src/fixpkg/fixmod.py", FIXTURE),
+                  ("tests/test_fixmod.py", FIXTURE_TESTS)])
     status = mutate.main(["--root", str(root), "--package", "src/fixpkg",
                           "--scratch", str(tmp_path), "fixmod"])
     out = capsys.readouterr().out
@@ -41,3 +45,27 @@ def test_the_runner_reports_one_mutant_killed_and_one_survived(tmp_path, capsys)
     # the fixture itself is left as it was, and the scratch copies are gone
     assert (root / "src/fixpkg/fixmod.py").read_text() == FIXTURE
     assert sorted(os.listdir(tmp_path)) == ["tree"]
+
+
+# a guard at import: its `<` -> `<=` raises there, in the conftest that
+# imports the module, so pytest stops before any test and prints no
+# FAILED or ERROR line; its `raise` -> pass changes nothing at LIMIT = 2
+GUARDED = '''\
+LIMIT = 2
+if LIMIT < 2:
+    raise ValueError("the limit is below 2")
+'''
+
+
+def test_a_mutant_that_breaks_the_import_is_named_by_its_conftest(tmp_path, capsys):
+    root = tmp_path / "tree"
+    _write(root, [("src/fixpkg/__init__.py", ""), ("src/fixpkg/guarded.py", GUARDED),
+                  ("tests/conftest.py", "import fixpkg.guarded\n"),
+                  ("tests/test_guarded.py", "def test_guarded():\n    pass\n")])
+    status = mutate.main(["--root", str(root), "--package", "src/fixpkg",
+                          "--scratch", str(tmp_path), "guarded"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert ("guarded.py:2:10 < -> <= killed ImportError while loading conftest "
+            "'tests/conftest.py': ValueError: the limit is below 2") in out
+    assert "guarded.py:3:5 raise -> pass survived" in out

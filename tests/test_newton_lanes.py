@@ -109,6 +109,19 @@ def test_a_lane_can_make_no_progress_at_iteration_5(example2):
         newton_on_level_set(example2, [1.0], [1.0, 8.0], x0)
 
 
+def test_a_lane_exactly_at_the_stall_factor_goes_on(example2):
+    # at this newton tolerance the lane above has ||F|| at iteration 5 of
+    # exactly 1e3 times its target; the stall test is strict, and an
+    # accepted step only lowers ||F||, so the lane never stalls
+    x0 = [[0.044474550134482094, 1.4768425411167914, -0.013699797087965981]]
+    tols = DEFAULT_TOLERANCES.replace(newton=0.0005608350310624553)
+    at_5 = newton_lanes(example2, [1.0], [1.0, 8.0], x0, tols, max_iter=5)
+    target = tols.newton * (1.0 + np.linalg.norm(x0[0]))
+    assert finder._lane_norm(at_5.residual)[0] == finder._STALL_FACTOR * target
+    lanes = newton_lanes(example2, [1.0], [1.0, 8.0], x0, tols, max_iter=7)
+    assert LANE_OUTCOMES[lanes.status[0]] == "max iterations"
+
+
 def test_a_start_at_a_root_converges_at_newton_tolerance_0(planar):
     # converged means ||F|| <= its target, here 0
     tols = DEFAULT_TOLERANCES.replace(newton=0.0)
@@ -215,6 +228,43 @@ def test_line_search_takes_the_first_acceptable_trial(band, outcome, x1):
         assert str(lanes.error(0)) == (
             "f is undefined in the band at [-0.767871794485226, 0.0]"
         )
+
+
+# (starts, rows of each stacked residual call): the first call evaluates
+# the starts, then each line-search round makes one call.  From |x1| < 1.39
+# Newton on atan takes every full step, and from x1 = 2 the full step
+# overshoots and the second round's 8 trials take alpha = 1/2.  The lanes
+# converge at different iterations, so the running stack shrinks under both
+# branches of the first round
+FULL_STEP_CASES = [
+    # every lane takes alpha = 1 in the first round of every iteration
+    ([[0.5, 0.5], [-0.3, 0.0], [0.9, -0.5], [1.2, 0.25]], [4, 4, 4, 4, 2, 1]),
+    # in iteration 0 the lane from x1 = 2 alone goes on to a second round
+    ([[0.5, 0.5], [2.0, 0.0], [-0.3, 0.0], [0.9, -0.5]], [4, 4, 8, 4, 4, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("starts, calls", FULL_STEP_CASES, ids=["every-lane", "all-but-one"])
+def test_the_full_step_round_matches_each_lane_alone(monkeypatch, starts, calls):
+    sys = atan_system((50.0, 60.0))
+    rows = []
+    level_set = finder._level_set
+
+    def counted(spec):
+        residual, system = level_set(spec)
+
+        def counting(y, lam, a, errors):
+            rows.append(len(y))
+            return residual(y, lam, a, errors)
+
+        return counting, system
+
+    monkeypatch.setattr(finder, "_level_set", counted)
+    lanes = newton_lanes(sys, [0.0], [0.0], starts)
+    assert rows == calls
+    assert lanes.counts()["converged"] == 4
+    assert_lane_alone_matches(sys, [0.0], [0.0], starts, lanes)
+    assert_rounds_match_trial_by_trial(sys, [0.0], [0.0], starts, lanes)
 
 
 @pytest.mark.parametrize("max_iter", [-2, 0, 2.5, 3.0, True, "3"])

@@ -205,11 +205,35 @@ def test_a_domain_computes_its_diameter_once(monkeypatch):
 
     monkeypatch.setattr(systems, "_diameter", counted)
     planar = builtin("planar")
-    assert made == [[[-1.0, 1.0], [-1.0, 1.0]]]
+    # the domain's box, then the spec's parameter box
+    assert made == [[[-1.0, 1.0], [-1.0, 1.0]], [[0.0, 1.0]]]
     x0, f0 = _continuation_start(planar, np.array([0.5]), [-0.5, 0.0], DEFAULT_TOLERANCES)
     assert planar.domain.contains(x0) and f0 == 0.0
     assert planar.domain.diameter() == diameter(planar.domain.box)
-    assert len(made) == 1
+    assert len(made) == 2
+
+
+def test_a_spec_computes_its_parameter_box_diameter_once(monkeypatch):
+    # every lambda a command admits reads it, and a replaced box has its own
+    planar = builtin("planar")
+    made = []
+    diameter = systems._diameter
+
+    def counted(box):
+        made.append(box.tolist())
+        return diameter(box)
+
+    monkeypatch.setattr(systems, "_diameter", counted)
+    for lam in ([0.25], [0.5], [1.0]):
+        evaluate(planar, PointState(lam, [0.0, 0.0]))
+    assert made == []
+    # [0, 1001] has diameter 1001, so its slack is 1e-9 * 1002: a lambda
+    # 5e-7 past it is admitted, and it is not within [0, 1]'s 2e-9
+    wide = dataclasses.replace(planar, parameter_box=[[0.0, 1001.0]])
+    assert made == [[[0.0, 1001.0]]]
+    evaluate(wide, PointState([1001.0 + 5e-7], [0.0, 0.0]))
+    with pytest.raises(InputError, match=r"lambda \[.*\] outside parameter box"):
+        evaluate(wide, PointState([1001.0 + 2e-6], [0.0, 0.0]))
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
