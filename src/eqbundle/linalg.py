@@ -195,12 +195,15 @@ def _certificate_scale(shape, amax, rank_tol):
 # The back substitution runs in Python floats for a stack of count rows
 # when count * (q + 2) <= _PYTHON_ROWS, else as numpy ufuncs: the cost of
 # the first grows with count * q^2, that of the second with q.  On a
-# shared 2-core x86 machine (numpy 2.4, best of 11 x 300 calls) _qr_rows
-# on (count, q + 1, q) took 55, 64, 71 and 82 us in Python floats against
-# 57, 66, 77 and 98 us as ufuncs at (count, q) = (7, 2), (6, 3), (4, 5)
-# and (2, 10), and 60, 79, 82 and 112 us against 57, 67, 78 and 100 us at
-# (8, 2), (8, 3), (5, 5) and (3, 10).
-_PYTHON_ROWS = 30
+# shared 2-core x86 machine (numpy 2.4, best of 21 x 300 calls) _qr_rows
+# on random (count, q + 1, q + 1) stacks took, in Python floats and as
+# ufuncs, 33 and 34 us at (count, q) = (8, 2), 35 and 34 at (9, 2), 39
+# and 41 at (7, 3), 43 and 41 at (8, 3), 50 and 51 at (6, 5), 58 and 52
+# at (7, 5), 64 and 73 at (3, 10), 79 and 75 at (4, 10), 124 and 128 at
+# (2, 20), and 182 and 138 at (3, 20).  The forms cross at count * (q + 2)
+# of 34 to about 46, lowest for the small q of most stacks; with the
+# bound at 36 neither form is taken where the other is 5 % faster.
+_PYTHON_ROWS = 36
 
 
 def _qr_rows(system: np.ndarray, rank_tol) -> tuple:

@@ -6,7 +6,7 @@ bounded away from zero.  Following those p eigenvalues continuously around a
 closed loop yields a permutation (which eigenvalue returns to which) and an
 integer winding number per track (net turns around 0 in the complex plane).
 This module splits spectra, tracks them along matrix and fiber loops in one
-refining loop that splits each sample's spectrum once, in stacks of
+refining loop that splits each distinct sample's spectrum once, in stacks of
 samples (fiber loop midpoints are finder._correct lanes), and reports the
 (permutation, windings) datum with imaginary-axis crossing counts.  The
 tracks are folded a window of intervals at a time: one exact step, then
@@ -123,9 +123,7 @@ def _split(eigs: np.ndarray, k: int, tol_zero: Optional[float], tols: Tolerances
         tol_zero = tols.zero_factor * max(float(np.max(moduli[0], initial=0.0)), _TINY)
     # the k smallest moduli of a row, ties going to the earlier eigenvalue
     is_zero = np.zeros(eigs.shape, dtype=bool)
-    np.put_along_axis(
-        is_zero, np.argsort(moduli, axis=1, kind="stable")[:, :k], True, axis=1
-    )
+    is_zero[np.arange(count)[:, None], np.argsort(moduli, axis=1, kind="stable")[:, :k]] = True
     zeros = eigs[is_zero].reshape(count, k)
     nonzeros = eigs[~is_zero].reshape(count, n - k)
     largest_zero = np.max(moduli[is_zero].reshape(count, k), axis=1, initial=0.0)
@@ -315,12 +313,14 @@ def _shortest_augmenting_paths(cost: list) -> list:
     return col4row
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Sample:
     """A loop sample: the refiner's payload and its nonzero spectrum, split
     once.  A sample whose spectrum could not be computed holds that error
     instead, which the fold raises if it reaches the sample.  Samples
-    compare and hash by identity, so a pair of them keys the cache."""
+    compare and hash by identity, so a pair of them keys the cache.  The
+    given samples whose payloads have equal bytes are one sample, and each
+    midpoint made is a new one."""
 
     payload: object
     nonzeros: np.ndarray
@@ -350,9 +350,25 @@ def _sample_error(sample: _Sample, segment: tuple) -> Exception:
     return sample.error
 
 
+def _identities(rows: np.ndarray) -> list:
+    """For each row of a float stack, the index of the first row with the
+    same bytes.  Rows are matched by the wrapping sum of their 64-bit
+    words, far cheaper than hashing their bytes, and a match is then
+    checked in full: a row that shares its sum but not its bytes with the
+    first row of that sum keeps its own index."""
+    words = np.ascontiguousarray(rows).reshape(len(rows), -1).view(np.uint64)
+    first: dict = {}
+    keys = [first.setdefault(total, i) for i, total in enumerate(words.sum(axis=1).tolist())]
+    for i, key in enumerate(keys):
+        if key != i and words[key].tobytes() != words[i].tobytes():
+            keys[i] = i
+    return keys
+
+
 def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
              tols: Tolerances) -> tuple:
-    """(samples, tol_zero): a _Sample per payload, the spectra of all the
+    """(samples, tol_zero): a _Sample per payload, each payload distinct
+    (_track gives equal given payloads one sample), the spectra of all the
     matrices from one eigen_dense stack and split by one _split, tol_zero
     taken from the first when None.  When the stack fails, each matrix is
     taken alone, so one that fails (a non-finite blend, or LAPACK not
@@ -369,13 +385,10 @@ def _samples(payloads: list, matrices, k: int, tol_zero: Optional[float],
                 errors[i] = err
     _, nonzeros, _, unreliable, min_gap, tol_zero = _split(spectra, k, tol_zero, tols)
     moduli = np.abs(nonzeros)
-    largest = np.max(moduli, axis=1, initial=0.0)
-    smallest = np.min(moduli, axis=1, initial=np.inf)
-    samples = [
-        _Sample(payload, nonzeros[i], bool(unreliable[i]), float(min_gap[i]),
-                float(largest[i]), float(smallest[i]), errors.get(i))
-        for i, payload in enumerate(payloads)
-    ]
+    fields = zip(payloads, nonzeros, unreliable.tolist(), min_gap.tolist(),
+                 np.max(moduli, axis=1, initial=0.0).tolist(),
+                 np.min(moduli, axis=1, initial=np.inf).tolist())
+    samples = [_Sample(*sample, errors.get(i)) for i, sample in enumerate(fields)]
     return samples, tol_zero
 
 
@@ -410,16 +423,30 @@ class _LoopTracker:
     midpoint that cannot be made.  prefetch refines the pairs that the
     fold is certain to refine, one batch per depth, into a cache whose
     midpoints become the fold's leaf intervals; a pair not in it is
-    refined alone, as a batch of one, by the exact step."""
+    refined alone, as a batch of one, by the exact step.
+
+    On a loop that retraces a segment, made holds every midpoint made
+    under both orders of its endpoints, so that each distinct one is made
+    once, and the return leg of an out-and-back loop takes its midpoints
+    from its outgoing leg.  Elsewhere no midpoint can be asked for twice,
+    and made is None: no unordered pair of adjacent given samples repeats,
+    and each midpoint made is a new sample.  On a retraced loop two
+    intervals can be one pair of samples (a segment run twice in the same
+    direction).  Each interval has one parent, the pair whose midpoint is
+    its newer end, so the two have the same halvings above them, and the
+    prefetch takes or leaves both alike; the first that the exact step
+    halves pops the cached midpoint, and the other finds it in made."""
 
     def __init__(self, base: np.ndarray, k: int, tol_zero: float, tols: Tolerances,
-                 refine: Callable, max_refine: int):
+                 refine: Callable, max_refine: int, retraced: bool):
         self.k = k
         self.tol_zero = tol_zero
         self.tols = tols
         self.refine = refine
         self.max_refine = max_refine
         self.midpoints: dict = {}  # (left, right) -> _Sample or EqBundleError
+        # (left, right) and (right, left) -> _Sample or EqBundleError
+        self.made: Optional[dict] = {} if retraced else None
         self.track = [base]
         self.order = np.arange(len(base))
         self.flags: list[str] = []
@@ -429,11 +456,27 @@ class _LoopTracker:
             self.flags.append(message)
 
     def midpoints_of(self, pairs: list) -> list:
-        """The midpoint _Sample of each (left, right) pair, or its EqBundleError.
-        A midpoint whose nonzero spectrum equals its left or its right
-        endpoint's exactly refines nothing, and counts as one that could not
-        be made: it is _REPEATED_SPECTRUM.  The blends of a matrix loop get
-        there once the halving reaches float resolution."""
+        """The midpoint _Sample of each (left, right) pair, or its
+        EqBundleError.  With made, a pair whose two samples, in either
+        order, are those of a pair made before takes that pair's midpoint
+        or error, and the others are made once each.  That midpoint has the
+        bits this pair's would have: refine blends with 0.5 (a + b), and
+        IEEE addition commutes; each _correct lane and each eigen_dense row
+        is independent of its batch."""
+        if self.made is None:
+            return self.make(pairs)
+        new = {frozenset(pair): pair for pair in pairs if pair not in self.made}
+        if new:
+            for (left, right), mid in zip(new.values(), self.make(list(new.values()))):
+                self.made[left, right] = self.made[right, left] = mid
+        return [self.made[pair] for pair in pairs]
+
+    def make(self, pairs: list) -> list:
+        """midpoints_of the pairs, made in one refine batch and split in one
+        stack.  A midpoint whose nonzero spectrum equals its left or its
+        right endpoint's exactly refines nothing, and counts as one that
+        could not be made: it is _REPEATED_SPECTRUM.  The blends of a
+        matrix loop get there once the halving reaches float resolution."""
         made = self.refine([left.payload for left, _ in pairs],
                            [right.payload for _, right in pairs])
         rows = [i for i, mid in enumerate(made) if not isinstance(mid, EqBundleError)]
@@ -580,6 +623,7 @@ class _LoopTracker:
         spectra = np.array([run[0][0].nonzeros] + [right.nonzeros for _, right, _, _ in run])
         values, rights = spectra[:-1], spectra[1:]
         count, p = rights.shape
+        rows = np.arange(count)[:, None]
         links = np.broadcast_to(np.arange(p), (count, p)).copy()
         certified = np.zeros(count, dtype=bool)
         # zeros where a link that is not a permutation leaves no value
@@ -588,15 +632,15 @@ class _LoopTracker:
         previous[0, self.order] = self.track[-2]
         start = 0
         while True:
-            np.put_along_axis(previous[1:], links[:-1], values[:-1], axis=1)
+            previous[rows[1:], links[:-1]] = values[:-1]
             predicted = 2.0 * values[start:] - previous[start:]
             cost = np.abs(predicted[:, :, None] - rights[start:, None, :])
             recomputed = cost.argmin(axis=2)
             # assignment's certificate: the row minima lie in distinct
             # columns and each is attained once
             hit = np.zeros(recomputed.shape, dtype=bool)
-            np.put_along_axis(hit, recomputed, True, axis=1)
-            lowest = np.take_along_axis(cost, recomputed[:, :, None], axis=2)
+            hit[rows[:count - start], recomputed] = True
+            lowest = cost[rows[:count - start], np.arange(p), recomputed][:, :, None]
             certified[start:] = hit.all(axis=1) & (
                 np.count_nonzero(cost == lowest, axis=(1, 2)) == p
             )
@@ -610,7 +654,7 @@ class _LoopTracker:
             if verified == count:
                 break
             start = verified
-        matched = np.take_along_axis(rights[:verified], links[:verified], axis=1)
+        matched = rights[rows[:verified], links[:verified]]
         steps = np.abs(matched - values[:verified])
         far = steps.max(axis=1) > 0.5 * np.array(
             [right.min_gap for _, right, _, _ in run[:verified]]
@@ -627,7 +671,7 @@ class _LoopTracker:
         orders = np.empty((taken, p), dtype=np.intp)
         for j in range(taken):
             order = orders[j] = links[j][order]
-        self.track.extend(np.take_along_axis(rights[:taken], orders, axis=1))
+        self.track.extend(rights[rows[:taken], orders])
         self.order = order
         if any(right.unreliable for _, right, _, _ in run[:taken]):
             self.flag_once("unreliable zero/nonzero split encountered along the loop")
@@ -642,12 +686,22 @@ def _blend_matrices(lefts: list, rights: list) -> list:
 
 
 def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable, k: int,
-           tol_zero: Optional[float], tols: Tolerances, max_refine: int) -> EigenLoopReport:
+           tol_zero: Optional[float], tols: Tolerances, max_refine: int,
+           keys: list) -> EigenLoopReport:
     """The monodromy datum of a closed loop of finite n x n matrices, for
     0 <= k <= n and max_refine >= 0; refine takes lists of payloads.  The
-    report is read from the fold's track: its samples, least modulus,
-    argument increments, real-part signs and last row."""
-    samples, tol_fixed = _samples(list(payloads), matrices, k, tol_zero, tols)
+    loop's samples have the payloads; keys[i] is the index of the first
+    payload equal to payload i (_identities), and matrices holds the matrix
+    of each distinct payload in order of first appearance, so each
+    distinct sample's spectrum is computed once.  An out-and-back loop
+    retraces its outgoing leg, and takes the return leg's midpoints from
+    it (_LoopTracker.made).  The report is read from the fold's track: its
+    samples, least modulus, argument increments, real-part signs and last
+    row."""
+    firsts = dict.fromkeys(keys)
+    given, tol_fixed = _samples(list(map(payloads.__getitem__, firsts)), matrices, k,
+                                tol_zero, tols)
+    samples = list(map(dict(zip(firsts, given)).__getitem__, keys))
     if samples[0].error is not None:
         raise _sample_error(samples[0], (0, 0))
     _check_moduli(samples[0], (0, 0))
@@ -660,7 +714,11 @@ def _track(matrices: Sequence[np.ndarray], payloads: Sequence, refine: Callable,
             f"<= tol_zero = {tol_fixed:.3e}",
             segment=(0, 0),
         )
-    tracker = _LoopTracker(base, k, tol_fixed, tols, refine, max_refine)
+    # each segment in both orders: fewer than two per segment when one
+    # repeats in either order, or has length 0 (a point repeated at once)
+    segments = {*zip(keys, keys[1:]), *zip(keys[1:], keys)}
+    tracker = _LoopTracker(base, k, tol_fixed, tols, refine, max_refine,
+                           len(segments) < 2 * (len(keys) - 1))
     if samples[0].unreliable:
         tracker.flag_once("unreliable zero/nonzero split encountered along the loop")
     pairs = list(zip(samples, samples[1:]))
@@ -712,7 +770,9 @@ def track_matrix_loop(
     """Track the nonzero eigenvalues along a closed loop of square matrices.
 
     The first and last matrices must agree within 1e-12 relative to the
-    first's norm.  Each sample's spectrum is computed, sorted and split
+    first's norm.  Each distinct sample's spectrum is computed, sorted and
+    split once: matrices with the same bytes are one sample, and a loop
+    that retraces a segment (out and back) blends each of its midpoints
     once.  Per step, the new nonzero spectrum is matched to the existing
     tracks by optimal assignment against a linear extrapolation of each
     track; an interval is halved (by the linear blend of its two matrices)
@@ -735,7 +795,9 @@ def track_matrix_loop(
     mats, k = matrix_loop(matrices, k)
     tol_zero = None if tol_zero is None else positive_float(tol_zero, "tol_zero")
     max_refine = non_negative_int(max_refine, "max_refine")
-    return _track(mats, mats, _blend_matrices, k, tol_zero, tols, max_refine)
+    keys = _identities(mats)
+    return _track(mats[list(dict.fromkeys(keys))], mats, _blend_matrices, k, tol_zero, tols,
+                  max_refine, keys)
 
 
 def eigen_along_fiber_loop(
@@ -750,11 +812,13 @@ def eigen_along_fiber_loop(
 
     Every loop point must be an equilibrium of f(lam, .) within tolerance
     and lie in the domain within the slack of systems._in_domain_rows: each
-    point in turn passes finder._continuation_start, the test of a fiber
-    trace's start.  The first and last points must agree within 1e-9
-    relative to the first's norm (their Jacobians need not agree more
-    closely).  Once every point has passed, h and df/dx of the loop points
-    are evaluated in one stack.  When the tracker needs
+    distinct point in turn, once, passes finder._continuation_start, the
+    test of a fiber trace's start (a repeat of a valid point is valid, so
+    the first point that fails is the one that raises).  The first and
+    last points must agree within 1e-9 relative to the first's norm (their
+    Jacobians need not agree more closely).  Once every point has passed,
+    h and df/dx of the distinct loop points are evaluated in one stack.
+    When the tracker needs
     intermediate samples, linear blends of neighboring loop points are
     projected back onto the equilibrium set at the interpolated first
     integral level, at fixed lam, by the undamped local corrector
@@ -763,16 +827,20 @@ def eigen_along_fiber_loop(
     at its own level, evaluated and split in one stack; one it needs
     beyond those is corrected alone.  A midpoint whose lane fails, ends
     outside the domain (the slack of systems._in_domain_rows) or fails to
-    evaluate leaves its interval unhalved.
+    evaluate leaves its interval unhalved.  Each distinct midpoint is
+    corrected once: an out-and-back loop takes its return leg's midpoints,
+    and their failures, from its outgoing leg.
     """
     lam = finite_vector(lam, sys.m, "lambda", "m")
     points = waypoint_path(loop_points, sys.n, "loop_points", "n")
     closed_loop(points, "loop points")
     max_refine = non_negative_int(max_refine, "max_refine")
 
-    for i, x in enumerate(points):
-        _continuation_start(sys, lam, x, tols, f"loop point {i}")
-    h_values, matrices = _evaluate_rows(sys, lam, points, ("h", "jac_x"))
+    keys = _identities(points)
+    firsts = list(dict.fromkeys(keys))
+    for i in firsts:
+        _continuation_start(sys, lam, points[i], tols, f"loop point {i}")
+    h_values, matrices = _evaluate_rows(sys, lam, points[firsts], ("h", "jac_x"))
 
     def refine(lefts, rights):
         # each midpoint corrected at the mean level of its pair, as one lane
@@ -787,5 +855,6 @@ def eigen_along_fiber_loop(
         h_mid, jac_mid = _evaluate_rows(sys, lam, x_mid, ("h", "jac_x"), errors)
         return [errors.get(i) or ((x_mid[i], h_mid[i]), jac_mid[i]) for i in range(len(starts))]
 
-    payloads = list(zip(points, h_values))
-    return _track(list(matrices), payloads, refine, sys.k, None, tols, max_refine)
+    h_of = dict(zip(firsts, h_values))
+    payloads = [(x, h_of[key]) for x, key in zip(points, keys)]
+    return _track(matrices, payloads, refine, sys.k, None, tols, max_refine, keys)

@@ -432,21 +432,21 @@ def test_comparison_bound_clears_a_unit_triangle_up_to_its_slack(monkeypatch, q,
 
 
 def test_the_qr_route_rules_at_their_bounds(monkeypatch):
-    # count * (q + 2) <= 30 rows take the Python form, one certificate
+    # count * (q + 2) <= 36 rows take the Python form, one certificate
     # scale a row; one more row takes the ufunc form, one for the stack
     scales = count_calls(monkeypatch, "_certificate_scale", linalg)
-    system = augmented(np.broadcast_to(np.eye(4), (6, 4, 4)), np.ones((6, 4)))
-    linalg._qr_rows(system[:5], None)
-    assert len(scales) == 5
-    linalg._qr_rows(system, None)
+    system = augmented(np.broadcast_to(np.eye(4), (7, 4, 4)), np.ones((7, 4)))
+    linalg._qr_rows(system[:6], None)
     assert len(scales) == 6
+    linalg._qr_rows(system, None)
+    assert len(scales) == 7
     # a row whose largest |a_ij| is 1e-150 is not certified, in either form
-    for count in (1, 6):
+    for count in (1, 7):
         assert not linalg._qr_rows(1e-150 * system[:count], None)[1].any()
         assert linalg._qr_rows(2e-150 * system[:count], None)[1].all()
     # nor one where c y_i = 1: A = [1] has y = 1, and rank_tol 0.5 - eps
     # makes c = 2 (0.5 - eps + eps) = 1
-    for count in (1, 11):
+    for count in (1, 13):
         one = augmented(np.ones((count, 1, 1)), np.ones((count, 1)))
         assert not linalg._qr_rows(one, 0.5 - EPS)[1].any()
         assert linalg._qr_rows(one, 0.25)[1].all()

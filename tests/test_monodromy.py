@@ -446,27 +446,8 @@ def count_rows(monkeypatch, owner, name: str, rows_of) -> list:
     return rows
 
 
-def test_matrix_loop_sorts_each_spectrum_once(monkeypatch):
-    # every sample's spectrum is computed and sorted once: the coarse
-    # samples in one stack, the midpoints in one stack per refinement depth
-    eigvals = count_rows(
-        monkeypatch, np.linalg, "eigvals", lambda a: len(a) if np.ndim(a) == 3 else 1
-    )
-    lexsorts = count_rows(
-        monkeypatch, np, "lexsort", lambda keys: len(keys[0]) if np.ndim(keys[0]) == 2 else 1
-    )
-    report = track_matrix_loop(rotation_family(64), k=0)
-    assert report.samples_used == 99
-    assert sum(eigvals) == sum(lexsorts) == 99
-    assert len(eigvals) == len(lexsorts) <= 1 + 8
-
-
-def test_fiber_loop_solves_each_depth_as_one_batch(monkeypatch):
-    # the midpoints of one refinement depth are the lanes of one
-    # _correct call (a lone call per midpoint made 4 calls), at most
-    # max_refine calls when every refinement was prefetched, and every
-    # corrected midpoint is a sample of the loop
-    sys = builtin("rfmr", n=6)
+def count_lanes(monkeypatch) -> list:
+    """Wrap monodromy._correct so that every call appends its lane count."""
     lanes = []
     real = monodromy._correct
 
@@ -475,10 +456,39 @@ def test_fiber_loop_solves_each_depth_as_one_batch(monkeypatch):
         return real(residual, jacobian, starts, *args)
 
     monkeypatch.setattr(monodromy, "_correct", counted)
+    return lanes
+
+
+def test_matrix_loop_sorts_each_spectrum_once(monkeypatch):
+    # every distinct sample's spectrum is computed and sorted once: the
+    # coarse samples in one stack, the midpoints in one stack per
+    # refinement depth.  The family's matrices at s and 2 pi - s often
+    # have the same bits, so 99 samples take 86 spectra
+    eigvals = count_rows(
+        monkeypatch, np.linalg, "eigvals", lambda a: len(a) if np.ndim(a) == 3 else 1
+    )
+    lexsorts = count_rows(
+        monkeypatch, np, "lexsort", lambda keys: len(keys[0]) if np.ndim(keys[0]) == 2 else 1
+    )
+    report = track_matrix_loop(rotation_family(64), k=0)
+    assert report.samples_used == 99
+    assert sum(eigvals) == sum(lexsorts) == 86
+    assert len(eigvals) == len(lexsorts) <= 1 + 8
+
+
+def test_fiber_loop_solves_each_depth_as_one_batch(monkeypatch):
+    # the midpoints of one refinement depth are the lanes of one
+    # _correct call (a lone call per midpoint made 4 calls), at most
+    # max_refine calls when every refinement was prefetched, and every
+    # corrected midpoint is a sample of the loop.  The loop goes out and
+    # back, so the midpoint of (0.45, 0.2) is that of (0.2, 0.45), one
+    # lane that makes two samples
+    sys = builtin("rfmr", n=6)
+    lanes = count_lanes(monkeypatch)
     pts = [np.full(6, c) for c in (0.2, 0.45, 0.2)]
     report = eigen_along_fiber_loop(sys, np.full(6, 1.5), pts)
-    assert report.samples_used == len(pts) + sum(lanes)
-    assert lanes == [2, 1, 1]
+    assert report.samples_used == len(pts) + sum(lanes) + 1
+    assert lanes == [1, 1, 1]
 
 
 @st.composite
@@ -488,7 +498,8 @@ def curved_fiber_loops(draw):
     parabola x1 = lam (x2^2 - 1) in one to three legs; 6 to 16 equal arcs
     of the circle system's fiber r = 1/2 (4 arcs make newton_lanes damp a
     first step); or 3 to 12 arcs of a circle of radius 0.02 to 0.15 on
-    example2's equilibrium plane x1 = x3, well inside its domain."""
+    example2's equilibrium plane x1 = x3, well inside its domain, around
+    the circle or out along one to three of them and back."""
     name = draw(st.sampled_from(["planar", "circle", "example2"]))
     if name == "planar":
         lam = draw(st.floats(0.05, 1.0))
@@ -513,6 +524,9 @@ def curved_fiber_loops(draw):
     for t in angles:
         u, v = 0.55 + radius * np.cos(t), 1.18 + radius * np.sin(t)
         points.append(np.array([u, v, u]))
+    if draw(st.booleans()):
+        out = points[:draw(st.integers(1, 3)) + 1]
+        return builtin("example2"), [lam], out + out[-2::-1]
     return builtin("example2"), [lam], points + points[:1]
 
 
@@ -886,6 +900,180 @@ GUESSED_WRONG = [
 def test_the_windowed_fold_is_the_sequential_fold(loop):
     mats, k, max_refine = loop
     assert_fold_is_sequential(lambda: track_matrix_loop(mats, k=k, max_refine=max_refine))
+
+
+def _exact(run):
+    """(outcome, tracks): run()'s report as JSON, every float to its last
+    bit, or the type and message of its error; and the bytes of each
+    fold's track, the tracks' values at every accepted sample, as far as
+    the fold got."""
+    tracks = []
+    real = monodromy._LoopTracker.fold
+
+    def fold(self, pairs):
+        try:
+            real(self, pairs)
+        finally:
+            tracks.append(np.array(self.track).tobytes())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy._LoopTracker, "fold", fold)
+        outcome = _outcome(run)
+    return (outcome if isinstance(outcome, tuple) else json.dumps(outcome.as_dict())), tracks
+
+
+def assert_reuse_is_unseen(run):
+    """run() gives, byte for byte, the report and the track it gives when
+    nothing is reused: with every given sample its own (no two share an
+    identity, so no segment repeats and nothing is looked up), and with a
+    tracker whose lookups never hit, which makes every midpoint it is
+    asked for.  Returns the report."""
+    reused = _exact(run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "_identities", lambda rows: list(range(len(rows))))
+        apart = _exact(run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy._LoopTracker, "midpoints_of", monodromy._LoopTracker.make)
+        unmatched = _exact(run)
+    assert reused == apart == unmatched
+    return reused[0]
+
+
+@st.composite
+def retraced_loops(draw):
+    """(function, args, kwargs): a loop that retraces segments.  A curved
+    fiber loop (out and back along planar's parabola or example2's plane
+    arcs; the closed arcs retrace nothing), rfmr(n) out and back along its
+    diagonal, or a matrix_loops loop A + cos(t) B + sin(t) C run forward
+    then backward, or run twice, so that each of its segments is run twice
+    in the same direction."""
+    kind = draw(st.sampled_from(["curved", "diagonal", "back", "twice"]))
+    if kind == "curved":
+        return eigen_along_fiber_loop, draw(curved_fiber_loops()), {}
+    if kind == "diagonal":
+        n, rate, fills, max_refine = draw(out_and_back_loops())
+        args = (builtin("rfmr", n=n), np.full(n, rate), [np.full(n, c) for c in fills])
+        return eigen_along_fiber_loop, args, {"max_refine": max_refine}
+    mats, k, max_refine = draw(matrix_loops())
+    mats = mats + (mats[-2::-1] if kind == "back" else mats[1:])
+    return track_matrix_loop, (mats,), {"k": k, "max_refine": max_refine}
+
+
+@settings(settings.get_profile("derandomized"), max_examples=80)
+@given(loop=retraced_loops())
+def test_the_reuse_cannot_be_seen(loop):
+    function, args, kwargs = loop
+    assert_reuse_is_unseen(lambda: function(*args, **kwargs))
+
+
+def _work(monkeypatch, run) -> tuple:
+    """(report, spectra, lanes): run()'s report, its eigvals rows and the
+    lanes of each of its _correct calls."""
+    spectra = count_rows(
+        monkeypatch, np.linalg, "eigvals", lambda a: len(a) if np.ndim(a) == 3 else 1
+    )
+    lanes = count_lanes(monkeypatch)
+    return run(), sum(spectra), lanes
+
+
+def test_an_out_and_back_loop_takes_its_return_leg_from_its_outgoing_leg(monkeypatch):
+    # the benchmark's rfmr(20) eigen-loop shape, out in two legs and back:
+    # the return leg's points and every midpoint it needs are the outgoing
+    # leg's.  The report's 22 samples take 12 spectra (3 for the 5 given
+    # points), and each depth's corrector call half the lanes
+    sys = builtin("rfmr", n=20)
+    pts = [np.full(20, c) for c in (0.2, 0.31, 0.42, 0.31, 0.2)]
+
+    def run():
+        return eigen_along_fiber_loop(sys, np.full(20, 1.5), pts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "_identities", lambda rows: list(range(len(rows))))
+        apart = _work(patch, run)
+    reused = _work(monkeypatch, run)
+    assert reused[0] == apart[0] and reused[0].samples_used == 22
+    assert (apart[1:], reused[1:]) == ((22, [4, 8, 5]), (12, [2, 4, 3]))
+
+
+def test_a_mirrored_midpoint_that_fails_reuses_its_error(rfmr3, monkeypatch):
+    # rfmr(3) whose f raises near x = (1/4, 1/4, 1/4): the midpoint of 0.1
+    # -> 0.4 fails, and the return leg 0.4 -> 0.1 takes that error with no
+    # lane of its own; both intervals stay unhalved, as they did when each
+    # leg corrected its own midpoint
+    failures = []
+    real = rfmr3.f
+
+    def banded(lam, x):
+        if abs(x[0] - 0.25) < 0.01:
+            failures.append(x[0])
+            raise EvaluationError("undefined near 1/4", where=x.tolist())
+        return real(lam, x)
+
+    sys = dataclasses.replace(rfmr3, batched=False, f=banded)
+    pts = [np.full(3, c) for c in (0.1, 0.4, 0.1)]
+    lanes = count_lanes(monkeypatch)
+    report = assert_reuse_is_unseen(lambda: eigen_along_fiber_loop(sys, np.ones(3), pts))
+    assert json.loads(report)["samples_used"] == 3
+    # the three runs of assert_reuse_is_unseen: one corrector lane with the
+    # reuse, one per leg with every given sample apart, and one per leg
+    # when every lookup misses
+    assert lanes == [1, 1, 1, 1, 1] and failures
+
+
+def test_a_loop_that_retraces_no_segment_looks_nothing_up(monkeypatch):
+    # a loop that closes on its first sample but repeats no segment keeps
+    # no midpoints to look up; one that goes out and back keeps them all
+    made = []
+    real = monodromy._LoopTracker.fold
+
+    def spy(self, pairs):
+        made.append(self.made)
+        return real(self, pairs)
+
+    monkeypatch.setattr(monodromy._LoopTracker, "fold", spy)
+    mats = plane_rotations(0.25 * np.pi, 8)
+    track_matrix_loop(mats, k=0)
+    track_matrix_loop(mats[:4] + mats[2::-1], k=0)
+    assert made[0] is None and len(made[1]) > 0
+
+
+def test_identities_are_shared_by_equal_bytes_alone():
+    # a and b have the same sum of 64-bit words, so b is checked against a
+    # in full and keeps its own index; a later b, checked against a too,
+    # keeps its own as well: an identity is never shared by unequal rows
+    a, b = [1.0, 2.0], [2.0, 1.0]
+    assert monodromy._identities(np.array([a, b, a, b, a])) == [0, 1, 0, 3, 0]
+    # -0.0 and 0.0 are equal floats with other bytes
+    assert monodromy._identities(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])) == [0, 1, 0]
+    # the family's matrices at s and 2 pi - s share their bytes at a few s
+    keys = monodromy._identities(np.array(rotation_family(64)))
+    assert {i: key for i, key in enumerate(keys) if key != i} == {
+        34: 30, 58: 6, 61: 3, 63: 1, 64: 0
+    }
+
+
+def test_a_fiber_loop_checks_and_evaluates_each_distinct_point_once(monkeypatch):
+    # out and back: three distinct points of five are checked and
+    # evaluated.  A repeat of a valid point is valid, so the first point
+    # that fails, after one, still names its own index
+    sys = builtin("rfmr", n=6)
+    starts = count_calls(monkeypatch, "_continuation_start", monodromy)
+    evaluated = []
+    real = monodromy._evaluate_rows
+
+    def spy(sys, lam, x, *args):
+        evaluated.append(len(x))
+        return real(sys, lam, x, *args)
+
+    monkeypatch.setattr(monodromy, "_evaluate_rows", spy)
+    pts = [np.full(6, c) for c in (0.2, 0.3, 0.45, 0.3, 0.2)]
+    eigen_along_fiber_loop(sys, np.full(6, 1.5), pts)
+    assert len(starts) == 3 and evaluated[0] == 3
+    off = np.full(6, 0.3)
+    off[0] = 0.4
+    bad = [pts[0], pts[1], pts[0], off, pts[0]]
+    with pytest.raises(InputError, match="loop point 3 "):
+        eigen_along_fiber_loop(sys, np.full(6, 1.5), bad)
 
 
 def _coarse_and_dense(n, seed, shift, samples, scale=1.0):
